@@ -20,7 +20,6 @@ import (
 	"github.com/discdiversity/disc/internal/experiments"
 	"github.com/discdiversity/disc/internal/mtree"
 	"github.com/discdiversity/disc/internal/object"
-	"github.com/discdiversity/disc/internal/rtree"
 )
 
 func benchConfig() experiments.Config {
@@ -203,7 +202,7 @@ func BenchmarkZoomOut(b *testing.B) {
 
 // --- engine comparison on large synthetic clusters ---
 //
-// The paper-style comparison the R-tree/coverage-graph work targets:
+// The paper-style comparison the coverage-graph work targets:
 // the same pruned Greedy-DisC selection on 50k clustered points, per
 // index backend. Index construction is excluded from the selection
 // benchmarks (measured separately below), mirroring the paper's
@@ -234,17 +233,6 @@ func BenchmarkGreedyDisC_MTree(b *testing.B) {
 	benchGreedySelect(b, e)
 }
 
-// BenchmarkGreedyDisC_RTree runs the same selection on the bulk-loaded
-// R-tree.
-func BenchmarkGreedyDisC_RTree(b *testing.B) {
-	pts := benchPoints(engineBenchN)
-	e, err := core.BuildRTreeEngine(pts, object.Euclidean{}, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchGreedySelect(b, e)
-}
-
 // BenchmarkGreedyDisC_ParallelGraph runs the same selection on the
 // materialised coverage graph: every neighbourhood query is an array
 // lookup and the initial counts are free.
@@ -257,9 +245,8 @@ func BenchmarkGreedyDisC_ParallelGraph(b *testing.B) {
 	benchGreedySelect(b, e)
 }
 
-// BenchmarkParallelGraphBuild measures the sharded coverage-graph
-// construction itself (R-tree build + one range query per object across
-// all cores).
+// BenchmarkParallelGraphBuild measures the coverage-graph construction
+// itself (grid bucketing + the cell-pair ε-join across all cores).
 func BenchmarkParallelGraphBuild(b *testing.B) {
 	pts := benchPoints(engineBenchN)
 	b.ReportAllocs()
@@ -268,33 +255,6 @@ func BenchmarkParallelGraphBuild(b *testing.B) {
 		if _, err := core.BuildParallelGraphEngine(pts, object.Euclidean{}, engineBenchR, 0); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkRTreeBuild measures the STR bulk load on the same 50k points.
-func BenchmarkRTreeBuild(b *testing.B) {
-	pts := benchPoints(engineBenchN)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := rtree.Build(pts, object.Euclidean{}, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRTreeRangeQuery mirrors BenchmarkMTreeRangeQuery on the
-// R-tree.
-func BenchmarkRTreeRangeQuery(b *testing.B) {
-	pts := benchPoints(5000)
-	tree, err := rtree.Build(pts, object.Euclidean{}, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tree.RangeQueryAround(i%len(pts), 0.05)
 	}
 }
 
@@ -321,27 +281,6 @@ func BenchmarkNeighborsAppend_MTree(b *testing.B) {
 	pts := benchPoints(5000)
 	cfg := mtree.Config{Capacity: 50, Metric: object.Euclidean{}, Policy: mtree.MinOverlap}
 	e, err := core.BuildTreeEngine(cfg, pts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchNeighborsAppend(b, e, 0.05)
-}
-
-// BenchmarkNeighborsAppend_RTree mirrors the M-tree benchmark on the
-// bulk-loaded R-tree.
-func BenchmarkNeighborsAppend_RTree(b *testing.B) {
-	pts := benchPoints(5000)
-	e, err := core.BuildRTreeEngine(pts, object.Euclidean{}, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchNeighborsAppend(b, e, 0.05)
-}
-
-// BenchmarkNeighborsAppend_VPTree mirrors it on the VP-tree.
-func BenchmarkNeighborsAppend_VPTree(b *testing.B) {
-	pts := benchPoints(5000)
-	e, err := core.BuildVPEngine(pts, object.Euclidean{}, 42)
 	if err != nil {
 		b.Fatal(err)
 	}

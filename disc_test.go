@@ -2,6 +2,7 @@ package disc_test
 
 import (
 	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -22,8 +23,9 @@ func randomPoints(n, d int, seed uint64) []disc.Point {
 	return pts
 }
 
-// weirdMetric is a valid metric that does not declare coordinate-wise
-// monotonicity, so box-pruning indexes must refuse it.
+// weirdMetric is a valid custom metric none of the built-in kernels
+// recognise, so the grid must refuse it and the coverage graph must
+// serve it through the flat join.
 type weirdMetric struct{}
 
 func (weirdMetric) Dist(a, b disc.Point) float64 { return disc.Euclidean().Dist(a, b) }
@@ -63,8 +65,7 @@ func TestSelectAllAlgorithmsVerify(t *testing.T) {
 	for _, engineOpts := range [][]disc.Option{
 		nil,
 		{disc.WithLinearScan()},
-		{disc.WithVPTree()},
-		{disc.WithIndex(disc.IndexRTree)},
+		{disc.WithIndex(disc.IndexGrid)},
 		{disc.WithIndex(disc.IndexCoverageGraph), disc.WithParallelism(4)},
 	} {
 		d := newDiversifier(t, pts, engineOpts...)
@@ -92,8 +93,7 @@ func TestSelectAllAlgorithmsVerify(t *testing.T) {
 func TestIndexBackendsIdenticalSelections(t *testing.T) {
 	pts := randomPoints(600, 2, 17)
 	indexes := []disc.Index{
-		disc.IndexMTree, disc.IndexLinearScan, disc.IndexVPTree,
-		disc.IndexRTree, disc.IndexCoverageGraph, disc.IndexGrid,
+		disc.IndexMTree, disc.IndexLinearScan, disc.IndexCoverageGraph, disc.IndexGrid,
 	}
 	var want []int
 	for _, ix := range indexes {
@@ -165,33 +165,40 @@ func TestCoverageGraphZoomAndReuse(t *testing.T) {
 
 func TestIndexOptionValidation(t *testing.T) {
 	pts := randomPoints(20, 2, 19)
-	if _, err := disc.New(pts, disc.WithLinearScan(), disc.WithVPTree()); err == nil {
+	if _, err := disc.New(pts, disc.WithLinearScan(), disc.WithIndex(disc.IndexGrid)); err == nil {
 		t.Error("conflicting index selections accepted")
 	}
-	if _, err := disc.New(pts, disc.WithIndex(disc.IndexRTree), disc.WithIndex(disc.IndexRTree)); err != nil {
+	if _, err := disc.New(pts, disc.WithIndex(disc.IndexGrid), disc.WithIndex(disc.IndexGrid)); err != nil {
 		t.Errorf("repeated identical index rejected: %v", err)
 	}
-	if _, err := disc.New(pts, disc.WithIndex(disc.Index(42))); err == nil {
-		t.Error("unknown index accepted")
+	// A retired name is the M-tree, so pairing it with the M-tree is a
+	// repeat, and pairing it with any other backend is a conflict.
+	if _, err := disc.New(pts, disc.WithIndex(disc.IndexRTree), disc.WithIndexName("mtree")); err != nil {
+		t.Errorf("retired alias conflicted with its own backend: %v", err)
+	}
+	if _, err := disc.New(pts, disc.WithIndexName("rtree"), disc.WithIndex(disc.IndexCoverageGraph)); err == nil {
+		t.Error("retired alias combined with a different backend accepted")
+	}
+	// 2 and 3 were the removed backends' values; they must not alias
+	// any live backend.
+	for _, ix := range []int{2, 3, 42} {
+		if _, err := disc.New(pts, disc.WithIndex(disc.Index(ix))); err == nil {
+			t.Errorf("unknown index %d accepted", ix)
+		}
 	}
 	if _, err := disc.New(pts, disc.WithParallelism(-1)); err == nil {
 		t.Error("negative parallelism accepted")
 	}
-	// Box-pruning backends must reject metrics that do not implement
-	// the CoordinatewiseMonotone marker.
-	if _, err := disc.New(pts, disc.WithMetric(weirdMetric{}), disc.WithIndex(disc.IndexRTree)); err == nil {
-		t.Error("IndexRTree accepted a non-coordinate-wise-monotone metric")
-	}
-	// The coverage graph serves every metric: non-monotone (and even
+	// The coverage graph serves every metric: custom (and even
 	// non-metric) distances route to the flat all-pairs join substrate.
 	if dw, err := disc.New(pts, disc.WithMetric(weirdMetric{}), disc.WithIndex(disc.IndexCoverageGraph)); err != nil {
-		t.Errorf("IndexCoverageGraph rejected a non-coordinate-wise-monotone metric: %v", err)
+		t.Errorf("IndexCoverageGraph rejected a custom metric: %v", err)
 	} else if sel, err := dw.Select(0.3); err != nil {
 		t.Errorf("coverage-graph select under a custom metric: %v", err)
 	} else if err := dw.Verify(sel); err != nil {
 		t.Errorf("coverage-graph selection under a custom metric: %v", err)
 	}
-	if _, err := disc.New(pts, disc.WithMetric(weirdMetric{}), disc.WithIndex(disc.IndexVPTree)); err != nil {
+	if _, err := disc.New(pts, disc.WithMetric(weirdMetric{}), disc.WithIndex(disc.IndexMTree)); err != nil {
 		t.Errorf("metric-only index rejected a custom metric: %v", err)
 	}
 	// The grid needs a metric dominating per-coordinate differences:
@@ -200,8 +207,7 @@ func TestIndexOptionValidation(t *testing.T) {
 		t.Error("IndexGrid accepted the Hamming metric")
 	}
 	for _, ix := range []disc.Index{
-		disc.IndexMTree, disc.IndexLinearScan, disc.IndexVPTree,
-		disc.IndexRTree, disc.IndexCoverageGraph, disc.IndexGrid,
+		disc.IndexMTree, disc.IndexLinearScan, disc.IndexCoverageGraph, disc.IndexGrid,
 	} {
 		if ix.String() == "" {
 			t.Errorf("index %d: empty String()", int(ix))
@@ -226,6 +232,23 @@ func TestIndexByNameAndWithIndexName(t *testing.T) {
 		if d.Indexed() != ix {
 			t.Fatalf("WithIndexName(%q): Indexed() = %v", name, d.Indexed())
 		}
+	}
+	// The retired backend names resolve to the M-tree, but are not
+	// advertised as backends of their own.
+	for _, name := range []string{"vptree", "rtree"} {
+		ix, err := disc.IndexByName(name)
+		if err != nil || ix != disc.IndexMTree {
+			t.Fatalf("IndexByName(%q) = %v, %v; want the M-tree", name, ix, err)
+		}
+		if slices.Contains(disc.SupportedIndexNames(), name) {
+			t.Fatalf("SupportedIndexNames lists the retired name %q", name)
+		}
+	}
+	if got := len(disc.SupportedIndexNames()); got != 4 {
+		t.Fatalf("SupportedIndexNames lists %d backends, want 4", got)
+	}
+	if disc.IndexVPTree != disc.IndexMTree || disc.IndexRTree != disc.IndexMTree {
+		t.Fatal("retired Index constants are not M-tree aliases")
 	}
 	// Unknown names fail when the option is parsed — before any index
 	// or engine work — and the error teaches the supported list.

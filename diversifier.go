@@ -147,7 +147,7 @@ func WithIndex(ix Index) Option {
 }
 
 // WithIndexName is WithIndex resolved from a backend name ("mtree",
-// "flat", "vptree", "rtree", "coverage-graph", "grid") — the form
+// "flat", "coverage-graph", "grid", or a retired alias) — the form
 // configuration files and command lines carry. Unknown names fail
 // eagerly with the supported list in the error (see IndexByName).
 func WithIndexName(name string) Option {
@@ -178,15 +178,9 @@ func WithLinearScan() Option {
 	return func(o *options) error { return o.setIndex(IndexLinearScan) }
 }
 
-// WithVPTree is shorthand for WithIndex(IndexVPTree): a simpler static
-// metric index that also supports the pruning rule.
-func WithVPTree() Option {
-	return func(o *options) error { return o.setIndex(IndexVPTree) }
-}
-
 func (o *options) setIndex(ix Index) error {
 	switch ix {
-	case IndexMTree, IndexLinearScan, IndexVPTree, IndexRTree, IndexCoverageGraph, IndexGrid:
+	case IndexMTree, IndexLinearScan, IndexCoverageGraph, IndexGrid:
 	default:
 		return fmt.Errorf("disc: unknown index %v (supported: %s)", ix, strings.Join(SupportedIndexNames(), ", "))
 	}
@@ -289,19 +283,10 @@ func initialEngine(o options, flat *object.FlatDataset, points []Point) (core.En
 	switch o.index {
 	case IndexLinearScan:
 		return core.NewFlatEngineOn(flat), nil
-	case IndexVPTree:
-		// The VP-tree's vantage-ball bounds assume the triangle
-		// inequality; fail fast on a distance that violates it.
-		if !object.TriangleSafe(o.metric) {
-			return nil, fmt.Errorf("disc: metric %q violates the triangle inequality; IndexVPTree's vantage-ball pruning would miss true neighbours (use IndexCoverageGraph or IndexLinearScan)", o.metric.Name())
-		}
-		return core.BuildVPEngine(points, o.metric, o.seed)
-	case IndexRTree:
-		return core.BuildRTreeEngine(points, o.metric, 0)
 	case IndexCoverageGraph:
 		// Built lazily: the coverage graph needs the selection radius.
-		// Every metric is served — the build picks the grid, R-tree or
-		// batched flat-join substrate per metric and dimensionality.
+		// Every metric is served — the build picks the grid or batched
+		// flat-join substrate per metric and dimensionality.
 		return nil, nil
 	case IndexGrid:
 		// Built lazily: the grid buckets at the selection radius. Fail
@@ -328,13 +313,12 @@ func (d *Diversifier) Indexed() Index { return d.index }
 // radius-dependent backends are (re)built lazily: for
 // IndexCoverageGraph the materialised graph is rebuilt at r when
 // rebuild is set and the cached graph was built for a different radius
-// — reusing the packed R-tree always, and the grid occupancy whenever
-// the new radius still fits its cell side (zooming in re-joins without
-// re-bucketing). For IndexGrid only the O(n) bucketing is radius-
-// dependent; it is reused as long as one cell ring covers r and
-// coarsened otherwise. With rebuild unset (the zoom and extension
-// paths) the cached engine is reused — both backends answer any radius
-// exactly, only the cost differs.
+// — reusing the grid occupancy whenever the new radius still fits its
+// cell side (zooming in re-joins without re-bucketing). For IndexGrid
+// only the O(n) bucketing is radius-dependent; it is reused as long as
+// one cell ring covers r and coarsened otherwise. With rebuild unset
+// (the zoom and extension paths) the cached engine is reused — both
+// backends answer any radius exactly, only the cost differs.
 func (d *Diversifier) engineForRadius(r float64, rebuild bool) (core.Engine, error) {
 	switch d.index {
 	case IndexCoverageGraph:

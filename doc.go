@@ -80,13 +80,6 @@
 //   - IndexLinearScan: exact scan with zero build cost. Best for small
 //     inputs and the correctness reference everything is validated
 //     against.
-//   - IndexVPTree: a static vantage-point tree; cheaper to build than
-//     the M-tree, any metric.
-//   - IndexRTree: a bulk-loaded (STR-packed) R-tree with near-100% node
-//     utilisation and a fast deterministic build. Prunes on bounding
-//     boxes, so it requires a coordinate-wise monotone metric — all
-//     built-in metrics (Euclidean, Manhattan, Chebyshev, Hamming)
-//     qualify.
 //   - IndexGrid: a uniform-grid spatial hash bucketed at the selection
 //     radius (cell side = r), answering a query by scanning only the ±1
 //     ring of cells. Bucketing is one O(n) counting sort — the cheapest
@@ -95,8 +88,7 @@
 //     more rings until a coarser re-bucket. Restricted to metrics whose
 //     distance dominates every per-coordinate difference (Euclidean,
 //     Manhattan, Chebyshev — not Hamming), and degrades on sparse data
-//     at large radii, where cells hold many non-neighbours the R-tree's
-//     tighter boxes would prune.
+//     at large radii, where cells hold many non-neighbours.
 //   - IndexCoverageGraph: materialises the entire r-coverage graph once
 //     per selection radius, then answers every neighbourhood query in
 //     O(degree) and hands Greedy-DisC its initial counts for free. The
@@ -106,21 +98,27 @@
 //     (each candidate pair evaluated once, both edge directions
 //     emitted, no tree traversal — O(n + candidate pairs)), sharded
 //     over a worker pool (WithParallelism, default all cores); other
-//     metrics fall back to parallel R-tree range queries. The adjacency
-//     is stored as CSR (one offsets array plus one packed, exactly
-//     sized neighbour array), so steady-state memory equals the edge
-//     count. Radii other than the build radius remain correct: smaller
-//     ones filter the adjacency lists (reusing the grid occupancy on
-//     Rebuild), larger ones fall back to the R-tree underneath.
+//     metrics, and any metric above seven dimensions, use a batched
+//     flat all-pairs join. The adjacency is stored as CSR (one offsets
+//     array plus one packed, exactly sized neighbour array), so
+//     steady-state memory equals the edge count. Radii other than the
+//     build radius remain correct: smaller ones filter the adjacency
+//     lists (reusing the grid occupancy on Rebuild), larger ones fall
+//     back to grid or flat scans underneath.
+//
+// The names of two retired backends still resolve: IndexVPTree and
+// IndexRTree (and the names "vptree" and "rtree" in IndexByName and in
+// snapshot metadata) are aliases of IndexMTree, which returns the same
+// greedy selections.
 //
 // Rule of thumb: pick the coverage graph when you will run whole
 // selections (thousands of queries) at each radius and can afford the
 // one-off join; pick the grid when builds must be instant — frequent
 // re-radiusing, streaming refreshes, zooming exploration — or memory
-// for a materialised graph is tight; pick the R-tree when the metric
-// qualifies but the workload mixes radii and arbitrary-point queries;
-// dense data (radius well above the point spacing) favours the graph,
-// sparse data and tiny radii favour grid or R-tree queries on demand.
+// for a materialised graph is tight; pick the M-tree when the workload
+// mixes radii and arbitrary-point queries or the paper's access counts
+// matter; dense data (radius well above the point spacing) favours the
+// graph, sparse data and tiny radii favour grid queries on demand.
 //
 // # The zero-allocation query path
 //
@@ -128,7 +126,7 @@
 // compiled once per (metric, dimensionality) pair — dimension-
 // specialised, and for Euclidean comparing squared distances against r²
 // so that misses never pay a square root. The static backends (linear
-// scan, R-tree, VP-tree, coverage graph) additionally store coordinates
+// scan, grid, coverage graph) additionally store coordinates
 // in one contiguous row-major array; the M-tree keeps its dynamic
 // per-node layout and gains the kernels only. Every neighbourhood query
 // also has a buffer-reusing form (NeighborsAppend-style) that extends a
@@ -214,9 +212,9 @@
 // different answer. Incremental repair requires a grid-servable metric
 // (Euclidean, Manhattan, Chebyshev) and runs on the coverage-graph
 // substrate; requesting any other index is an error. On the 50k
-// clustered reference workload the Updater sustains ~1,300 updates/sec
-// on a single core with per-operation convergence (repair p50 0.0066
-// ms, p99 4.2 ms — BENCH_PR6.json, guarded in CI). Stream wraps an
+// clustered reference workload the Updater sustains ~1,205 updates/sec
+// on a single core with per-operation convergence (repair p50 0.0075
+// ms, p99 4.8 ms — BENCH_PR6.json, guarded in CI). Stream wraps an
 // Updater with per-operation convergence for grid-servable metrics
 // and falls back to an arrival-order M-tree maintainer otherwise;
 // Updater.WriteSnapshot compacts tombstones into a standard .discsnap
@@ -271,8 +269,8 @@
 // as a floor, p99 as a ceiling). docs/OBSERVABILITY.md is the metric
 // catalogue and methodology reference.
 //
-// The subpackages under internal implement the substrates: the M-tree,
-// VP-tree and R-tree indexes, the algorithm engine (including the
+// The subpackages under internal implement the substrates: the M-tree
+// and the uniform grid, the algorithm engine (including the
 // parallel coverage-graph engine), dataset generators, baseline
 // diversifiers (MaxMin, MaxSum, k-medoids) and the full experiment
 // harness that regenerates every table and figure of the paper (see

@@ -14,12 +14,12 @@ import (
 // (cosine, dot product), which only the scan-based engines serve.
 
 // allEngines32 builds every engine that can serve metric m over one
-// shared Float32 dataset. The metric-tree and box-pruning engines are
-// fed the dataset's float64 view (the rounded coordinates), so every
-// engine answers over identical values; the flat, grid and graph
-// engines additionally run the float32 pre-filter. Engines whose
-// pruning rules m violates are omitted — for cosine/dot that leaves
-// exactly the scan-based pair, mirroring the public API's validation.
+// shared Float32 dataset. The M-tree is fed the dataset's float64 view
+// (the rounded coordinates), so every engine answers over identical
+// values; the flat, grid and graph engines additionally run the float32
+// pre-filter. Engines whose pruning rules m violates are omitted — for
+// cosine/dot that leaves exactly the scan-based pair, mirroring the
+// public API's validation.
 func allEngines32(t *testing.T, flat *object.FlatDataset, r float64) map[string]Engine {
 	t.Helper()
 	m := flat.Metric()
@@ -31,18 +31,6 @@ func allEngines32(t *testing.T, flat *object.FlatDataset, r float64) map[string]
 	engines["graph"] = g
 	if object.TriangleSafe(m) {
 		engines["tree"] = treeEngine(t, flat.Points(), m)
-		vp, err := BuildVPEngine(flat.Points(), m, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		engines["vptree"] = vp
-	}
-	if _, monotone := m.(object.CoordinatewiseMonotone); monotone {
-		rt, err := BuildRTreeEngine(flat.Points(), m, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		engines["rtree"] = rt
 	}
 	if flat.Dim() <= GraphFlatJoinDim {
 		if ge, err := BuildGridEngineOn(flat, r); err == nil {
@@ -202,7 +190,7 @@ func TestEngineConformanceCosineAlgorithmsValid(t *testing.T) {
 	}
 }
 
-// TestTreeEnginesRejectNonMetric: the ball-pruning engines must refuse
+// TestTreeEnginesRejectNonMetric: the ball-pruning engine must refuse
 // the triangle-violating metrics at construction — accepting them would
 // silently drop true neighbours.
 func TestTreeEnginesRejectNonMetric(t *testing.T) {
@@ -211,9 +199,6 @@ func TestTreeEnginesRejectNonMetric(t *testing.T) {
 		cfg := mtree.Config{Capacity: 8, Metric: m, Policy: mtree.MinOverlap}
 		if _, err := BuildTreeEngine(cfg, pts); err == nil {
 			t.Errorf("mtree accepted %s", m.Name())
-		}
-		if _, err := BuildVPEngine(pts, m, 7); err == nil {
-			t.Errorf("vptree accepted %s", m.Name())
 		}
 	}
 }

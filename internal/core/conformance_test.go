@@ -10,24 +10,14 @@ import (
 // allEngines builds every engine implementation over the same points.
 // The parallel graph engine and the grid engine are built for radius
 // 0.2: conformance queries at or below that radius exercise the
-// materialised-graph / single-ring paths, larger ones the R-tree
-// fallback and multi-ring scans — all must agree with brute force.
+// materialised-graph / single-ring paths, larger ones the multi-ring
+// scan fallbacks — all must agree with brute force.
 func allEngines(t *testing.T, pts []object.Point, m object.Metric) map[string]Engine {
 	t.Helper()
 	engines := map[string]Engine{
 		"flat": flatEngine(t, pts, m),
 		"tree": treeEngine(t, pts, m),
 	}
-	vp, err := BuildVPEngine(pts, m, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engines["vptree"] = vp
-	rt, err := BuildRTreeEngine(pts, m, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engines["rtree"] = rt
 	g, err := BuildParallelGraphEngine(pts, m, 0.2, 4)
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"github.com/discdiversity/disc/internal/mtree"
@@ -19,6 +20,22 @@ func randomPoints(n, d int, seed uint64) []object.Point {
 		pts[i] = p
 	}
 	return pts
+}
+
+// sortNeighbors orders a neighbour list by id in place, so reference
+// answers compare against the id-ordered graph and grid rows.
+func sortNeighbors(ns []object.Neighbor) []object.Neighbor {
+	slices.SortFunc(ns, func(a, b object.Neighbor) int {
+		switch {
+		case a.ID < b.ID:
+			return -1
+		case a.ID > b.ID:
+			return 1
+		default:
+			return 0
+		}
+	})
+	return ns
 }
 
 func flatEngine(t *testing.T, pts []object.Point, m object.Metric) *FlatEngine {

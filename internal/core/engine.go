@@ -25,8 +25,6 @@
 package core
 
 import (
-	"slices"
-
 	"github.com/discdiversity/disc/internal/grid"
 	"github.com/discdiversity/disc/internal/object"
 )
@@ -130,21 +128,4 @@ type CountingEngine interface {
 	// build radius, and that radius. ok is false when counts were not
 	// collected during construction.
 	InitialCounts() (counts []int, r float64, ok bool)
-}
-
-// sortNeighbors orders a neighbour list by id so algorithm behaviour is
-// independent of index traversal order. It sorts in place without
-// allocating.
-func sortNeighbors(ns []object.Neighbor) []object.Neighbor {
-	slices.SortFunc(ns, func(a, b object.Neighbor) int {
-		switch {
-		case a.ID < b.ID:
-			return -1
-		case a.ID > b.ID:
-			return 1
-		default:
-			return 0
-		}
-	})
-	return ns
 }

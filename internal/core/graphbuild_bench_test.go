@@ -1,9 +1,8 @@
 package core
 
 // Benchmarks for the coverage-graph build pipeline at the repo's
-// canonical 50k-point workload (see BENCH_PR3.json): the full engine
-// build and its three phases — R-tree packing, grid bucketing and the
-// cell-pair ε-join. Single-worker, so numbers are comparable across
+// canonical 50k-point workload: the full engine build and its two
+// phases — grid bucketing and the cell-pair ε-join. Single-worker, so numbers are comparable across
 // machines regardless of core count.
 
 import (
@@ -12,7 +11,6 @@ import (
 	"github.com/discdiversity/disc/internal/dataset"
 	"github.com/discdiversity/disc/internal/grid"
 	"github.com/discdiversity/disc/internal/object"
-	"github.com/discdiversity/disc/internal/rtree"
 )
 
 func BenchmarkGraphBuild50k(b *testing.B) {
@@ -21,18 +19,6 @@ func BenchmarkGraphBuild50k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, err := BuildParallelGraphEngine(ds.Points, m, 0.0025, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRTreeBuild50k(b *testing.B) {
-	ds, _ := dataset.Clustered(50000, 2, 0, 42)
-	m := object.Euclidean{}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, err := rtree.Build(ds.Points, m, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

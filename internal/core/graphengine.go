@@ -4,13 +4,10 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"github.com/discdiversity/disc/internal/bitset"
 	"github.com/discdiversity/disc/internal/grid"
 	"github.com/discdiversity/disc/internal/object"
-	"github.com/discdiversity/disc/internal/rtree"
 )
 
 // ParallelGraphEngine materialises the full r-coverage graph (the
@@ -19,7 +16,7 @@ import (
 // queries that dominate Basic-DisC and the Greedy-DisC family become
 // array lookups.
 //
-// Construction picks one of three join substrates. A uniform-grid
+// Construction picks one of two join substrates. A uniform-grid
 // cell-pair ε-join (internal/grid) serves the metrics the grid supports
 // (the Lp family — see grid.Supports) at moderate dimensionality:
 // points are counting-sorted into cells of side r, each cell is joined
@@ -27,25 +24,21 @@ import (
 // evaluated once with both edge directions emitted — roughly half the
 // distance evaluations of a per-point range query, with no tree at all,
 // for an O(n + candidate pairs) build. Queries at radii beyond the
-// build radius are answered exactly by multi-ring grid scans, so the
-// grid path never touches an R-tree. Other coordinatewise-monotone
-// metrics at moderate dimensionality shard the ID space across a worker
-// pool running concurrency-safe range queries against a shared
-// bulk-loaded R-tree, which then also backs beyond-radius queries.
-// Everything else — non-metric distances (cosine, dot product) and
-// dimensionality above GraphFlatJoinDim, where bucketing degenerates to
-// a handful of cells and box pruning stops pruning — uses the batched
-// flat all-pairs join (grid.FlatJoin), whose fused early-exit kernels
-// and optional float32 pre-filter make the dense scan the fastest
-// remaining option; its fallback queries are flat scans. Every
-// substrate lands the adjacency in a CSR layout (one offsets array plus
-// one packed, exactly sized neighbour array), so the steady-state
-// memory is precisely the edge count and walking many adjacency lists
-// scans two contiguous allocations.
+// build radius are answered exactly by multi-ring grid scans.
+// Everything else — Hamming, the non-metric distances (cosine, dot
+// product) and dimensionality above GraphFlatJoinDim, where bucketing
+// degenerates to a handful of cells — uses the batched flat all-pairs
+// join (grid.FlatJoin), whose fused early-exit kernels and optional
+// float32 pre-filter keep the dense scan's per-candidate cost low; its
+// fallback queries are flat scans. Both substrates land the adjacency
+// in a CSR layout (one offsets array plus one packed, exactly sized
+// neighbour array), so the steady-state memory is precisely the edge
+// count and walking many adjacency lists scans two contiguous
+// allocations.
 //
 // The graph is exact for any query radius up to the build radius
 // (adjacency lists are filtered by distance); larger radii fall back to
-// the substrate (grid scan or R-tree), so every Engine call stays
+// the substrate (grid scan or flat scan), so every Engine call stays
 // correct at any radius — only the cost differs. Because |N_r(p)| is
 // known for every p after the build, the engine also implements
 // CountingEngine and makes Greedy-DisC's initialisation pass free; the
@@ -55,14 +48,12 @@ import (
 // The access counter charges one unit per adjacency entry examined
 // (minimum one per lookup), mirroring the flat engine's objects-examined
 // measure; grid builds and grid fallback scans charge one unit per
-// candidate examined, and R-tree builds and fallback queries charge
-// R-tree node accesses. Like every other engine it is not safe for
+// candidate examined, and flat builds and fallback scans one unit per
+// object examined. Like every other engine it is not safe for
 // concurrent use after construction.
 type ParallelGraphEngine struct {
 	flat    *object.FlatDataset
-	tree    *rtree.Tree   // substrate of the R-tree path; nil otherwise
-	hash    *grid.Grid    // substrate of the grid path; nil otherwise
-	flatsub bool          // flat-join substrate: tree and hash both nil
+	hash    *grid.Grid    // substrate of the grid path; nil on the flat-join path
 	scratch *grid.Scratch // grid-path scratch for beyond-radius ring scans
 	radius  float64
 	workers int
@@ -73,10 +64,6 @@ type ParallelGraphEngine struct {
 	// radius: it is a pure function of the CSR, so computing (or
 	// installing from a snapshot) it once serves every later selection.
 	comps *grid.Components
-
-	// clamp is the box-clamp scratch for single-threaded R-tree fallback
-	// queries at radii beyond the build radius.
-	clamp []float64
 
 	accesses int64
 	tracking bool
@@ -92,10 +79,9 @@ var (
 
 // GraphFlatJoinDim is the dimensionality above which the coverage-graph
 // build abandons spatial bucketing for the batched flat all-pairs join:
-// cells-per-axis collapses toward 1, the ±1-ring enumeration approaches
-// the full cell count squared, and R-tree boxes stop pruning, while the
-// flat join's tiled pre-filtered scan keeps its per-candidate cost
-// flat. Measured by the highdim experiment's crossover sweep (uniform
+// cells-per-axis collapses toward 1 and the ±1-ring enumeration
+// approaches the full cell count squared, while the flat join's tiled
+// pre-filtered scan keeps its per-candidate cost flat. Measured by the highdim experiment's crossover sweep (uniform
 // cube, Euclidean, r=0.15, n=5000 — see BENCH_PR7.json): the grid join
 // wins clearly through d=6, loses to the flat join from d=8 on, and is
 // over 2x slower by d=12.
@@ -116,52 +102,31 @@ func BuildParallelGraphEngine(pts []object.Point, m object.Metric, r float64, wo
 // BuildParallelGraphEngineOn builds the r-coverage graph over an
 // existing flat dataset (of either precision), choosing the join
 // substrate from the metric and dimensionality: the grid ε-join for
-// grid-supported metrics up to GraphFlatJoinDim, sharded R-tree range
-// queries for other coordinatewise-monotone metrics up to the same
-// bound, and the batched flat all-pairs join otherwise. A Float32
-// dataset accelerates the grid and flat substrates through its float32
-// pre-filter; selections stay bit-identical to the float64 scan over
-// the same (rounded) coordinates either way.
+// grid-supported metrics up to GraphFlatJoinDim, and the batched flat
+// all-pairs join otherwise. A Float32 dataset accelerates both
+// substrates through its float32 pre-filter; selections stay
+// bit-identical to the float64 scan over the same (rounded) coordinates
+// either way.
 func BuildParallelGraphEngineOn(flat *object.FlatDataset, r float64, workers int) (*ParallelGraphEngine, error) {
-	m := flat.Metric()
-	_, monotone := m.(object.CoordinatewiseMonotone)
-	switch {
-	case grid.Supports(m) && flat.Dim() <= GraphFlatJoinDim:
-		return buildGraph(flat, nil, nil, nil, r, workers, false)
-	case monotone && flat.Dim() <= GraphFlatJoinDim:
-		tree, err := rtree.Build(flat.Points(), m, 0)
-		if err != nil {
-			return nil, fmt.Errorf("core: graph engine: %w", err)
-		}
-		scan := tree.ScanOrder()
-		tree.ResetAccesses() // query costs are accounted on the engine
-		return buildGraph(tree.Flat(), tree, nil, scan, r, workers, false)
-	default:
-		return buildGraph(flat, nil, nil, nil, r, workers, true)
-	}
+	gridsub := grid.Supports(flat.Metric()) && flat.Dim() <= GraphFlatJoinDim
+	return buildGraph(flat, nil, nil, r, workers, !gridsub)
 }
 
 // Rebuild returns an engine over the same points with the adjacency
-// lists rebuilt for a different radius, reusing the radius-independent
-// substrate: the packed R-tree always, and on the grid path the grid
-// occupancy whenever the new radius still fits its cell side — so
-// zooming in re-joins without re-bucketing and zooming out pays only an
-// O(n) re-bucket. The substrate is shared with the receiver, which must
-// be discarded afterwards.
+// lists rebuilt for a different radius, reusing the grid occupancy
+// whenever the new radius still fits its cell side — so zooming in
+// re-joins without re-bucketing and zooming out pays only an O(n)
+// re-bucket. The substrate is shared with the receiver, which must be
+// discarded afterwards.
 func (g *ParallelGraphEngine) Rebuild(r float64) (*ParallelGraphEngine, error) {
-	return buildGraph(g.flat, g.tree, g.hash, g.scan, r, g.workers, g.flatsub)
+	return buildGraph(g.flat, g.hash, g.scan, r, g.workers, g.hash == nil)
 }
 
-// arenaChunk is the adjacency-arena block size (entries) each R-tree
-// build worker allocates at a time; the arenas are transient and
-// compacted into the exactly-sized CSR when the workers finish.
-const arenaChunk = 1 << 14
-
-// buildGraph materialises the coverage graph at radius r: via sharded
-// R-tree range queries when tree is non-nil, via the batched flat
-// all-pairs join when flatsub is set, and via the grid ε-join otherwise
-// (hash, when non-nil, is reused as long as its cell side suits r).
-func buildGraph(flat *object.FlatDataset, tree *rtree.Tree, hash *grid.Grid, scan []int, r float64, workers int, flatsub bool) (*ParallelGraphEngine, error) {
+// buildGraph materialises the coverage graph at radius r: via the
+// batched flat all-pairs join when flatsub is set, and via the grid
+// ε-join otherwise (hash, when non-nil, is reused as long as its cell
+// side suits r).
+func buildGraph(flat *object.FlatDataset, hash *grid.Grid, scan []int, r float64, workers int, flatsub bool) (*ParallelGraphEngine, error) {
 	if r < 0 || math.IsNaN(r) || math.IsInf(r, 0) {
 		return nil, fmt.Errorf("core: graph engine: invalid radius %g", r)
 	}
@@ -174,15 +139,12 @@ func buildGraph(flat *object.FlatDataset, tree *rtree.Tree, hash *grid.Grid, sca
 	}
 	g := &ParallelGraphEngine{
 		flat:    flat,
-		tree:    tree,
 		radius:  r,
 		workers: workers,
 		scan:    scan,
 	}
 
-	switch {
-	case flatsub:
-		g.flatsub = true
+	if flatsub {
 		csr, examined, err := grid.FlatJoin(flat, r, workers)
 		if err != nil {
 			return nil, fmt.Errorf("core: graph engine: %w", err)
@@ -191,7 +153,7 @@ func buildGraph(flat *object.FlatDataset, tree *rtree.Tree, hash *grid.Grid, sca
 		g.accesses = examined
 		// scan stays nil: the flat substrate has no locality structure,
 		// so ScanOrder reports plain id order.
-	case tree == nil:
+	} else {
 		// Reuse the occupancy only while the cell side suits the new
 		// radius: a much finer radius would turn the ±1-ring join into
 		// a near-all-pairs scan, far costlier than the O(n) re-bucket
@@ -218,81 +180,12 @@ func buildGraph(flat *object.FlatDataset, tree *rtree.Tree, hash *grid.Grid, sca
 		if g.scan == nil {
 			g.scan = hash.ScanOrder()
 		}
-	default:
-		g.clamp = make([]float64, tree.Dim())
-		var err error
-		g.csr, g.accesses, err = rtreeJoin(tree, r, workers)
-		if err != nil {
-			return nil, fmt.Errorf("core: graph engine: %w", err)
-		}
 	}
 	g.counts = make([]int, n)
 	for i := range g.counts {
 		g.counts[i] = g.csr.Degree(i)
 	}
 	return g, nil
-}
-
-// rtreeJoin materialises the adjacency with one concurrency-safe R-tree
-// range query per point, sharding the ID space across a worker pool.
-// Each worker reuses one query buffer and one box-clamp scratch and
-// packs results into a chunked arena, so the query loop allocates per
-// arena block rather than per point; the arenas are then compacted into
-// the exactly-sized CSR and released.
-func rtreeJoin(tree *rtree.Tree, r float64, workers int) (*grid.CSR, int64, error) {
-	n := tree.Len()
-	adj := make([][]object.Neighbor, n) // transient: compacted below
-	var total int64
-	var wg sync.WaitGroup
-	shard := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * shard
-		hi := lo + shard
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			var acc int64
-			clamp := make([]float64, tree.Dim())
-			scratch := make([]object.Neighbor, 0, 64)
-			var arena []object.Neighbor
-			for id := lo; id < hi; id++ {
-				scratch = sortNeighbors(tree.AppendRangeQueryAroundInto(scratch[:0], id, r, &acc, clamp))
-				if len(scratch) > cap(arena)-len(arena) {
-					size := arenaChunk
-					if len(scratch) > size {
-						size = len(scratch)
-					}
-					arena = make([]object.Neighbor, 0, size)
-				}
-				start := len(arena)
-				arena = append(arena, scratch...)
-				adj[id] = arena[start:len(arena):len(arena)]
-			}
-			atomic.AddInt64(&total, acc)
-		}(lo, hi)
-	}
-	wg.Wait()
-
-	csr := &grid.CSR{Offsets: make([]int32, n+1)}
-	var edges int64
-	for id, row := range adj {
-		edges += int64(len(row))
-		if edges > math.MaxInt32 {
-			return nil, 0, fmt.Errorf("coverage graph exceeds %d adjacency entries", math.MaxInt32)
-		}
-		csr.Offsets[id+1] = int32(edges)
-	}
-	csr.Nbrs = make([]object.Neighbor, edges)
-	for id, row := range adj {
-		copy(csr.Nbrs[csr.Offsets[id]:], row)
-	}
-	return csr, total, nil
 }
 
 // Radius returns the radius the coverage graph was built for.
@@ -305,12 +198,8 @@ func (g *ParallelGraphEngine) Workers() int { return g.workers }
 func (g *ParallelGraphEngine) Degree(id int) int { return g.csr.Degree(id) }
 
 // GridJoined reports whether the adjacency was built by the grid ε-join
-// (as opposed to per-point R-tree queries or the flat join).
+// (as opposed to the batched flat all-pairs join).
 func (g *ParallelGraphEngine) GridJoined() bool { return g.hash != nil }
-
-// FlatJoined reports whether the adjacency was built by the batched
-// flat all-pairs join.
-func (g *ParallelGraphEngine) FlatJoined() bool { return g.flatsub }
 
 // Dataset exposes the engine's flat dataset (read-only by convention);
 // the snapshot writer persists its storage.
@@ -357,36 +246,26 @@ func (g *ParallelGraphEngine) NeighborsAppend(dst []object.Neighbor, id int, r f
 		return dst
 	case g.hash != nil:
 		return g.hash.AppendRange(dst, g.flat.Row(id), r, id, &g.accesses, g.scratch)
-	case g.flatsub:
+	default:
 		// Whole-dataset batched scan, charged like the flat engine.
 		g.accesses += int64(g.flat.Len())
 		return g.flat.AppendRange(dst, g.flat.Row(id), r, id)
-	default:
-		start := len(dst)
-		dst = g.tree.AppendRangeQueryAroundInto(dst, id, r, &g.accesses, g.clamp)
-		sortNeighbors(dst[start:])
-		return dst
 	}
 }
 
 // NeighborsOfPoint implements Engine via the substrate (arbitrary points
 // have no slot in the graph).
 func (g *ParallelGraphEngine) NeighborsOfPoint(q object.Point, r float64) []object.Neighbor {
-	switch {
-	case g.hash != nil:
+	if g.hash != nil {
 		return g.hash.AppendRange(nil, q, r, -1, &g.accesses, g.scratch)
-	case g.flatsub:
-		g.accesses += int64(g.flat.Len())
-		return g.flat.AppendRange(nil, q, r, -1)
-	default:
-		return sortNeighbors(g.tree.RangeQueryInto(q, r, &g.accesses))
 	}
+	g.accesses += int64(g.flat.Len())
+	return g.flat.AppendRange(nil, q, r, -1)
 }
 
-// ScanOrder implements Engine: the STR leaf order on the R-tree path,
-// cell order on the grid path — both locality-preserving, captured at
-// build time — and plain id order on the flat-join substrate, which has
-// no locality structure.
+// ScanOrder implements Engine: cell order on the grid path — captured
+// at build time, locality-preserving — and plain id order on the
+// flat-join substrate, which has no locality structure.
 func (g *ParallelGraphEngine) ScanOrder() []int {
 	if g.scan == nil {
 		ids := make([]int, g.flat.Len())
@@ -410,33 +289,22 @@ func (g *ParallelGraphEngine) InitialCounts() ([]int, float64, bool) {
 	return g.counts, g.radius, true
 }
 
-// StartCoverage implements CoverageEngine. On the R-tree path the white
-// set is mirrored into the tree so that fallback queries for radii
-// beyond the build radius prune covered subtrees too; the grid path
-// filters its fallback scans with the bitset directly.
+// StartCoverage implements CoverageEngine. Both substrates filter their
+// beyond-radius fallback scans with the white bitset directly.
 func (g *ParallelGraphEngine) StartCoverage(white []bool) {
 	if white == nil {
 		g.white.Reset(g.flat.Len())
 		g.white.Fill()
-		if g.tree != nil {
-			g.tree.EnableTracking()
-		}
 	} else {
 		g.white.CopyBools(white)
-		if g.tree != nil {
-			g.tree.ResetTracking(white)
-		}
 	}
 	g.tracking = true
 }
 
 // Cover implements CoverageEngine.
 func (g *ParallelGraphEngine) Cover(id int) {
-	if g.tracking && g.white.Test(id) {
+	if g.tracking {
 		g.white.Clear(id)
-		if g.tree != nil {
-			g.tree.Cover(id)
-		}
 	}
 }
 
@@ -455,21 +323,14 @@ func (g *ParallelGraphEngine) NeighborsWhiteAppend(dst []object.Neighbor, id int
 		panic("core: NeighborsWhite without StartCoverage")
 	}
 	if r > g.radius {
-		switch {
-		case g.hash != nil:
+		if g.hash != nil {
 			// Multi-ring white-filtered cell scan; covered objects are
 			// neither examined nor charged, matching the flat engine's
 			// accounting (the graph path keeps no per-cell counts — the
 			// fallback is cold, a bitset test per candidate suffices).
 			return g.hash.AppendRangeWhite(dst, g.flat.Row(id), r, id, &g.white, nil, &g.accesses, g.scratch)
-		case g.flatsub:
-			return g.appendWhiteScan(dst, id, r)
-		default:
-			start := len(dst)
-			dst = g.tree.AppendRangeQueryPrunedInto(dst, id, r, &g.accesses, g.clamp)
-			sortNeighbors(dst[start:])
-			return dst
 		}
+		return g.appendWhiteScan(dst, id, r)
 	}
 	row := g.csr.Row(id)
 	g.charge(len(row))

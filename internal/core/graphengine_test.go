@@ -18,7 +18,7 @@ func graphEngine(t *testing.T, pts []object.Point, m object.Metric, r float64, w
 
 // TestGraphEngineAdjacencyMatchesFlat: the materialised graph must agree
 // with brute force at the build radius, below it (filter path) and above
-// it (R-tree fallback path), for every worker count.
+// it (grid ring-scan fallback), for every worker count.
 func TestGraphEngineAdjacencyMatchesFlat(t *testing.T) {
 	pts := randomPoints(400, 2, 90)
 	m := object.Euclidean{}
@@ -112,7 +112,7 @@ func TestGraphEngineGreedyMatchesFlat(t *testing.T) {
 }
 
 // TestGraphEngineRebuild: rebuilding at a new radius over the shared
-// R-tree must be indistinguishable from a fresh build at that radius.
+// substrate must be indistinguishable from a fresh build at that radius.
 func TestGraphEngineRebuild(t *testing.T) {
 	pts := randomPoints(300, 2, 96)
 	m := object.Euclidean{}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/discdiversity/disc/internal/object"
-	"github.com/discdiversity/disc/internal/rtree"
 )
 
 func gridEngine(t *testing.T, pts []object.Point, m object.Metric, r float64) *GridEngine {
@@ -123,14 +122,14 @@ func TestGridEngineRejectsHamming(t *testing.T) {
 }
 
 // TestGraphEngineJoinPathsAgree: the grid ε-join fast path and the
-// per-point R-tree query path must produce identical CSR adjacency —
-// same offsets, same neighbours, bit-identical distances. The grid path
-// is the default for Lp metrics, so this pins the R-tree path against
-// drift too.
+// flat all-pairs join path must produce identical CSR adjacency — same
+// offsets, same neighbours, bit-identical distances. The grid path is
+// the default for Lp metrics, so this pins the flat path against drift
+// too.
 func TestGraphEngineJoinPathsAgree(t *testing.T) {
 	pts := randomPoints(350, 3, 123)
 	m := object.Manhattan{}
-	tree, err := rtree.Build(pts, m, 0)
+	flat, err := object.Flatten(pts, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,29 +138,29 @@ func TestGraphEngineJoinPathsAgree(t *testing.T) {
 		if !viaGrid.GridJoined() {
 			t.Fatal("Lp metric did not take the grid join path")
 		}
-		csr, _, err := rtreeJoin(tree, r, 3)
+		viaFlat, err := buildGraph(flat, nil, nil, r, 3, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(csr.Nbrs) != len(viaGrid.csr.Nbrs) {
-			t.Fatalf("r=%g: rtree join has %d entries, grid join %d", r, len(csr.Nbrs), len(viaGrid.csr.Nbrs))
+		if len(viaFlat.csr.Nbrs) != len(viaGrid.csr.Nbrs) {
+			t.Fatalf("r=%g: flat join has %d entries, grid join %d", r, len(viaFlat.csr.Nbrs), len(viaGrid.csr.Nbrs))
 		}
 		for id := range pts {
-			a, b := csr.Row(id), viaGrid.csr.Row(id)
+			a, b := viaFlat.csr.Row(id), viaGrid.csr.Row(id)
 			for i := range a {
 				if a[i] != b[i] {
-					t.Fatalf("r=%g id=%d entry %d: rtree %+v grid %+v", r, id, i, a[i], b[i])
+					t.Fatalf("r=%g id=%d entry %d: flat %+v grid %+v", r, id, i, a[i], b[i])
 				}
 			}
 		}
 	}
 }
 
-// TestGraphEngineRTreePath: metrics the grid cannot serve (Hamming)
-// take the R-tree build path; its materialised graph, fallback queries,
-// coverage pruning and greedy selections must all match the flat
-// engine.
-func TestGraphEngineRTreePath(t *testing.T) {
+// TestGraphEngineHammingPath: metrics the grid cannot serve (Hamming)
+// take the flat join path at low dimensionality; its materialised
+// graph, fallback queries, white-filtered fallback scans and greedy
+// selections must all match the flat engine.
+func TestGraphEngineHammingPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(125))
 	pts := make([]object.Point, 300)
 	for i := range pts {
@@ -170,7 +169,7 @@ func TestGraphEngineRTreePath(t *testing.T) {
 	m := object.Hamming{}
 	g := graphEngine(t, pts, m, 2, 3)
 	if g.GridJoined() {
-		t.Fatal("Hamming took the grid join path")
+		t.Fatal("Hamming did not take the flat join path")
 	}
 	flat := flatEngine(t, pts, m)
 	for _, r := range []float64{1, 2, 3} { // below, at and beyond the build radius
@@ -190,10 +189,10 @@ func TestGraphEngineRTreePath(t *testing.T) {
 	gs := GreedyDisC(g, 2, GreedyOptions{Update: UpdateGrey, Pruned: true}).SortedIDs()
 	fs := GreedyDisC(flat, 2, GreedyOptions{Update: UpdateGrey, Pruned: true}).SortedIDs()
 	if !equalInts(gs, fs) {
-		t.Fatal("R-tree-path greedy differs from flat")
+		t.Fatal("flat-join-path greedy differs from flat")
 	}
-	// Pruned fallback beyond the build radius exercises the mirrored
-	// white tracking in the tree.
+	// The white-filtered fallback beyond the build radius must skip
+	// exactly the covered objects.
 	g.StartCoverage(nil)
 	for id := 0; id < len(pts); id += 4 {
 		g.Cover(id)

@@ -12,8 +12,8 @@ import (
 // persist it.
 func (g *ParallelGraphEngine) CSR() *grid.CSR { return g.csr }
 
-// Grid exposes the grid substrate, nil when the engine was built over
-// the R-tree path (see GridJoined).
+// Grid exposes the grid substrate, nil when the engine was built by the
+// flat join (see GridJoined).
 func (g *ParallelGraphEngine) Grid() *grid.Grid { return g.hash }
 
 // RehydrateGridEngine wraps an already-reconstructed grid occupancy
@@ -92,7 +92,6 @@ func RehydrateFlatGraphEngine(flat *object.FlatDataset, csr *grid.CSR, r float64
 	}
 	g := &ParallelGraphEngine{
 		flat:    flat,
-		flatsub: true,
 		radius:  r,
 		workers: workers,
 		csr:     csr,

@@ -13,7 +13,7 @@ import (
 // algorithm — the experiment the paper's future work asks for ("index
 // structures beyond the M-tree"). For each radius of the standard sweep
 // it runs pruned Grey-Greedy-DisC on the flat scan, the M-tree, the
-// VP-tree, the R-tree and the parallel coverage graph, reporting
+// grid and the parallel coverage graph, reporting
 // solution size (identical across engines by construction), index build
 // time, selection wall time and the engine's access measure. The graph
 // engine's build uses cfg.Parallelism workers (0 = GOMAXPROCS).
@@ -43,8 +43,6 @@ func Engines(cfg Config, datasetName string) (*stats.Table, error) {
 		{"mtree", func(float64) (core.Engine, error) {
 			return core.BuildTreeEngine(cfg.treeConfig(w.metric), pts)
 		}, nil},
-		{"vptree", func(float64) (core.Engine, error) { return core.BuildVPEngine(pts, w.metric, cfg.Seed) }, nil},
-		{"rtree", func(float64) (core.Engine, error) { return core.BuildRTreeEngine(pts, w.metric, 0) }, nil},
 		{"grid", func(r float64) (core.Engine, error) { return core.BuildGridEngine(pts, w.metric, r) },
 			func(e core.Engine, r float64) (core.Engine, error) {
 				ge := e.(*core.GridEngine)

@@ -96,10 +96,10 @@ func (c Config) perfRadius(datasetName string) float64 {
 	return rs[len(rs)/2]
 }
 
-// Perf measures all six index backends on the same pruned Greedy-DisC
+// Perf measures all four index backends on the same pruned Greedy-DisC
 // workload and returns the snapshot. The linear-scan engine is skipped
 // above 20k objects, where a single quadratic selection would dominate
-// the whole snapshot's runtime; the JSON then records the five indexed
+// the whole snapshot's runtime; the JSON then records the three indexed
 // engines. Builds are measured like selections (repeated under a fixed
 // budget), since build time is a guarded metric of the snapshot.
 func Perf(cfg Config, datasetName string) (*PerfSnapshot, error) {
@@ -130,8 +130,6 @@ func Perf(cfg Config, datasetName string) (*PerfSnapshot, error) {
 		{"mtree", func() (core.Engine, error) {
 			return core.BuildTreeEngine(cfg.treeConfig(w.metric), pts)
 		}},
-		{"vptree", func() (core.Engine, error) { return core.BuildVPEngine(pts, w.metric, cfg.Seed) }},
-		{"rtree", func() (core.Engine, error) { return core.BuildRTreeEngine(pts, w.metric, 0) }},
 		{"grid", func() (core.Engine, error) { return core.BuildGridEngine(pts, w.metric, r) }},
 		{"graph", func() (core.Engine, error) {
 			return core.BuildParallelGraphEngine(pts, w.metric, r, workers)

@@ -17,22 +17,6 @@ type Metric interface {
 	Name() string
 }
 
-// CoordinatewiseMonotone marks metrics whose distance never decreases
-// when one coordinate of either argument moves away from the other
-// argument's coordinate while the rest stay fixed. For such metrics the
-// distance from a point to its clamp into an axis-aligned box lower
-// bounds the distance to every point in the box, which is what
-// box-pruning indexes (the R-tree) rely on. All built-in metrics
-// qualify; custom metrics must opt in by implementing the marker, and
-// must only do so when the property genuinely holds — otherwise the
-// R-tree silently prunes true neighbours.
-type CoordinatewiseMonotone interface {
-	Metric
-	// CoordinatewiseMonotone is a marker method; implementations are
-	// empty.
-	CoordinatewiseMonotone()
-}
-
 // Euclidean is the L2 metric used by the paper for all numeric datasets.
 type Euclidean struct{}
 
@@ -100,27 +84,13 @@ func (Hamming) Dist(a, b Point) float64 {
 // Name implements Metric.
 func (Hamming) Name() string { return "hamming" }
 
-// CoordinatewiseMonotone marks the built-in metrics as safe for
-// box-pruning indexes.
-func (Euclidean) CoordinatewiseMonotone() {}
-
-// CoordinatewiseMonotone implements CoordinatewiseMonotone.
-func (Manhattan) CoordinatewiseMonotone() {}
-
-// CoordinatewiseMonotone implements CoordinatewiseMonotone.
-func (Chebyshev) CoordinatewiseMonotone() {}
-
-// CoordinatewiseMonotone implements CoordinatewiseMonotone.
-func (Hamming) CoordinatewiseMonotone() {}
-
 // NonMetric marks distance functions that violate the metric axioms —
 // in particular the triangle inequality — and therefore must be
-// rejected by indexes whose pruning relies on it (the M-tree and the
-// VP-tree). The embedding dissimilarities (Cosine, DotProduct) carry
-// the marker: they are the native comparison for learned
-// representations but are not metrics, so only scan-based backends
-// (the flat engine and the coverage graph's flat batched join) can
-// serve them exactly.
+// rejected by indexes whose pruning relies on it (the M-tree). The
+// embedding dissimilarities (Cosine, DotProduct) carry the marker: they
+// are the native comparison for learned representations but are not
+// metrics, so only scan-based backends (the flat engine and the
+// coverage graph's flat batched join) can serve them exactly.
 type NonMetric interface {
 	Metric
 	// NonMetric is a marker method; implementations are empty.

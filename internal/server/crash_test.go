@@ -169,6 +169,8 @@ func TestAdmissionControl(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
+	// Admitted requests raise the in-flight gauge; shed ones never do.
+	base := metInflight.Value()
 	pr, pw := io.Pipe()
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -180,27 +182,29 @@ func TestAdmissionControl(t *testing.T) {
 			resp.Body.Close()
 		}
 	}()
-	// Wait for the blocked request to actually occupy the slot.
+	// Wait for the blocked request to actually occupy the slot. Watch
+	// the gauge rather than probe with requests: a probe holding the one
+	// slot as the blocked request arrives would get that request shed.
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, err := http.Get(ts.URL + "/v1/datasets")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			if resp.Header.Get("Retry-After") == "" {
-				t.Fatal("shed response missing Retry-After")
-			}
-			break
-		}
+	for metInflight.Value() <= base {
 		if time.Now().After(deadline) {
 			t.Fatal("server never reached capacity")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	resp, err := http.Get(ts.URL + "/v1/datasets")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("request at capacity = %d, want 503", resp.StatusCode)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("shed response missing Retry-After")
+	}
 	// Liveness bypasses admission.
-	resp, err := http.Get(ts.URL + "/healthz")
+	resp, err = http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -358,11 +358,16 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusServiceUnavailable, body)
 }
 
-// decodeJSON decodes a request body, counting bodies rejected by the
-// size cap (the 400 mapping in each handler's error path is unchanged —
-// the counter is how operators see a client hitting the limit).
+// decodeJSON decodes a request body, rejecting fields the request type
+// does not declare — a misspelt key such as {"r": 0.1} would otherwise
+// decode to a zero radius and silently select everything. Bodies
+// rejected by the size cap are counted (the 400 mapping in each
+// handler's error path is unchanged — the counter is how operators see
+// a client hitting the limit).
 func (s *Server) decodeJSON(r *http.Request, dst any) error {
-	err := json.NewDecoder(r.Body).Decode(dst)
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(dst)
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) {
 		metBodyCap.Inc()

@@ -557,3 +557,56 @@ func TestCosineFloat32DatasetOverHTTP(t *testing.T) {
 		map[string]any{"name": "bad", "precision": "float16", "points": pts},
 		http.StatusBadRequest, nil)
 }
+
+// TestUnknownJSONFieldsRejected: every POST route that reads a body
+// answers 400 to a field its request type does not declare, so a
+// misspelt key (the classic {"r": 0.1}, which would decode to radius 0
+// and select everything) cannot be silently ignored. The same body
+// without the stray field must succeed, which pins the stray field as
+// the only cause.
+func TestUnknownJSONFieldsRejected(t *testing.T) {
+	ts := newTestServer(t)
+	uploadPoints(t, ts, "pts", 50)
+	var res result
+	doJSON(t, "POST", ts.URL+"/v1/datasets/pts/select", map[string]any{"radius": 0.1}, http.StatusCreated, &res)
+	doJSON(t, "POST", ts.URL+"/v1/live",
+		map[string]any{"name": "feed", "radius": 0.1, "points": [][]float64{{0.5, 0.5}}}, http.StatusCreated, nil)
+
+	post := func(path string, body map[string]any) int {
+		t.Helper()
+		data, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, tc := range []struct {
+		path  string
+		valid map[string]any
+		stray string
+	}{
+		{"/v1/datasets", map[string]any{"name": "other", "metric": "euclidean", "points": [][]float64{{0, 0}}}, "pts"},
+		{"/v1/datasets/pts/select", map[string]any{"radius": 0.1}, "r"},
+		{"/v1/results/" + res.ID + "/zoom", map[string]any{"radius": 0.05}, "r"},
+		{"/v1/results/" + res.ID + "/localzoom", map[string]any{"center": 0, "radius": 0.05}, "localRadius"},
+		{"/v1/live", map[string]any{"name": "other", "radius": 0.1, "points": [][]float64{{0, 0}}}, "pts"},
+		{"/v1/live/feed/insert", map[string]any{"point": []float64{0.2, 0.2}, "flush": true}, "flsh"},
+		{"/v1/live/feed/delete", map[string]any{"id": 0, "flush": true}, "flsh"},
+	} {
+		bad := map[string]any{tc.stray: 0.1}
+		for k, v := range tc.valid {
+			bad[k] = v
+		}
+		if code := post(tc.path, bad); code != http.StatusBadRequest {
+			t.Errorf("POST %s with stray %q: status %d, want 400", tc.path, tc.stray, code)
+		}
+		if code := post(tc.path, tc.valid); code >= 300 {
+			t.Errorf("POST %s without the stray field: status %d", tc.path, code)
+		}
+	}
+}

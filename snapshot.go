@@ -47,9 +47,8 @@ func (d *Diversifier) Prepare(r float64) error {
 // its connected-component decomposition, together with the grid
 // occupancy when the graph was grid-joined (the flat-join substrate has
 // no occupancy to persist). Backends that rebuild cheaply or
-// deterministically from the dataset (M-tree, VP-tree, R-tree, linear
-// scan, and the coverage graph's R-tree path) persist the dataset only
-// and are rebuilt on load.
+// deterministically from the dataset (M-tree and linear scan) persist
+// the dataset only and are rebuilt on load.
 //
 // A snapshot written before any Select or Prepare call carries no
 // artifacts; LoadDiversifier then behaves like New over the same
@@ -64,21 +63,19 @@ func (d *Diversifier) WriteSnapshot(w io.Writer) error {
 	}
 	switch e := d.engine.(type) {
 	case *core.ParallelGraphEngine:
-		if e.GridJoined() || e.FlatJoined() {
-			if e.GridJoined() {
-				p := e.Grid().Parts()
-				s.Grid = &p
-			}
-			s.Graph = e.CSR()
-			s.GraphRadius = e.Radius()
-			// The component decomposition is persisted opportunistically:
-			// present whenever the engine has derived (or loaded) it —
-			// Prepare and component-mode selections both populate it — so
-			// a warm start skips the labeling pass too.
-			if cp := e.CachedComponents(); cp != nil {
-				s.ComponentCount = cp.Count
-				s.ComponentLabels = cp.Label
-			}
+		if e.GridJoined() {
+			p := e.Grid().Parts()
+			s.Grid = &p
+		}
+		s.Graph = e.CSR()
+		s.GraphRadius = e.Radius()
+		// The component decomposition is persisted opportunistically:
+		// present whenever the engine has derived (or loaded) it —
+		// Prepare and component-mode selections both populate it — so a
+		// warm start skips the labeling pass too.
+		if cp := e.CachedComponents(); cp != nil {
+			s.ComponentCount = cp.Count
+			s.ComponentLabels = cp.Label
 		}
 	case *core.GridEngine:
 		p := e.Grid().Parts()

@@ -238,7 +238,9 @@ func TestSnapshotOptionOverrides(t *testing.T) {
 }
 
 // taxicabish is a custom (non-built-in) metric for the round-trip test:
-// scaled L1, coordinate-wise monotone, metric axioms hold.
+// scaled L1, metric axioms hold. It keeps the CoordinatewiseMonotone
+// marker method that the retired R-tree backend asked custom metrics
+// for, pinning that such metrics still compile and load.
 type taxicabish struct{}
 
 func (taxicabish) Dist(a, b Point) float64 {
@@ -295,7 +297,7 @@ func TestSnapshotCustomMetric(t *testing.T) {
 // dataset-only backends reproduce the writer's engine exactly.
 func TestSnapshotBuildParamsPersisted(t *testing.T) {
 	pts := snapshotTestPoints(300, 2, 47)
-	d, err := New(pts, WithIndex(IndexVPTree), WithSeed(7), WithMTreeCapacity(64), WithParallelism(3))
+	d, err := New(pts, WithIndex(IndexMTree), WithSeed(7), WithMTreeCapacity(64), WithParallelism(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,8 +313,8 @@ func TestSnapshotBuildParamsPersisted(t *testing.T) {
 		t.Fatalf("build params drifted: seed=%d capacity=%d parallelism=%d",
 			loaded.seed, loaded.capacity, loaded.parallelism)
 	}
-	// The rebuilt VP-tree must emit neighbour lists in the writer's
-	// order (same seed, same construction).
+	// The rebuilt M-tree must emit neighbour lists in the writer's
+	// order (same seed, same capacity, same construction).
 	fe, err := d.engineForRadius(0.1, true)
 	if err != nil {
 		t.Fatal(err)
@@ -340,6 +342,52 @@ func TestSnapshotBuildParamsPersisted(t *testing.T) {
 	}
 	if over.seed != 9 {
 		t.Fatalf("WithSeed override lost: %d", over.seed)
+	}
+}
+
+// TestSnapshotRetiredIndexLoads: a snapshot whose metadata names the
+// retired "rtree" or "vptree" backend loads onto the M-tree and selects
+// exactly the ids a fresh M-tree select does.
+func TestSnapshotRetiredIndexLoads(t *testing.T) {
+	pts := snapshotTestPoints(400, 2, 48)
+	fresh, err := New(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := fresh.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := snap.Read(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"rtree", "vptree"} {
+		parsed.Index = name
+		var old bytes.Buffer
+		if err := snap.Write(&old, parsed); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := LoadDiversifier(bytes.NewReader(old.Bytes()))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if loaded.Indexed() != IndexMTree {
+			t.Fatalf("%s: loaded onto %v, want the M-tree", name, loaded.Indexed())
+		}
+		for _, r := range []float64{0.05, 0.12} {
+			want, err := fresh.Select(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := loaded.Select(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !equalIDs(want.IDs(), got.IDs()) {
+				t.Fatalf("%s r=%g: selection differs from a fresh M-tree select", name, r)
+			}
+		}
 	}
 }
 
@@ -528,9 +576,8 @@ func TestSnapshotFloat32RoundTrip(t *testing.T) {
 					t.Fatalf("rehydrated radius %g, want %g", g.Radius(), tc.r)
 				}
 				fresh := d.engine.(*core.ParallelGraphEngine)
-				if g.GridJoined() != fresh.GridJoined() || g.FlatJoined() != fresh.FlatJoined() {
-					t.Fatalf("substrate drifted: grid %v→%v flat %v→%v",
-						fresh.GridJoined(), g.GridJoined(), fresh.FlatJoined(), g.FlatJoined())
+				if g.GridJoined() != fresh.GridJoined() {
+					t.Fatalf("substrate drifted: grid-joined %v→%v", fresh.GridJoined(), g.GridJoined())
 				}
 			}
 			got, err := loaded.Select(tc.r)
@@ -594,7 +641,7 @@ func TestSnapshotFlatGraphWarmStart(t *testing.T) {
 	if !ok {
 		t.Fatalf("rehydrated engine is %T", loaded.engine)
 	}
-	if !g.FlatJoined() {
+	if g.GridJoined() {
 		t.Fatal("rehydrated engine lost its flat-join substrate")
 	}
 	if g.CachedComponents() == nil {

@@ -99,15 +99,20 @@ func TestStreamOptionValidation(t *testing.T) {
 	}
 }
 
+// TestVPTreeOptionMatchesMTree: the retired VP-tree selections (the
+// constant and the name) now run on the M-tree and select what it does.
 func TestVPTreeOptionMatchesMTree(t *testing.T) {
 	pts := randomPoints(400, 2, 33)
 	dm, err := disc.New(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dv, err := disc.New(pts, disc.WithVPTree())
+	dv, err := disc.New(pts, disc.WithIndex(disc.IndexVPTree), disc.WithIndexName("vptree"))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if dv.Indexed() != disc.IndexMTree {
+		t.Fatalf("IndexVPTree runs on %v, want the M-tree", dv.Indexed())
 	}
 	for _, r := range []float64{0.05, 0.15} {
 		a, err := dm.Select(r)
@@ -125,7 +130,7 @@ func TestVPTreeOptionMatchesMTree(t *testing.T) {
 			t.Error(err)
 		}
 	}
-	if _, err := disc.New(pts, disc.WithVPTree(), disc.WithLinearScan()); err == nil {
+	if _, err := disc.New(pts, disc.WithIndex(disc.IndexVPTree), disc.WithLinearScan()); err == nil {
 		t.Error("conflicting index options accepted")
 	}
 }

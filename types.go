@@ -20,14 +20,6 @@ type Metric = object.Metric
 // Neighbor pairs an object ID with its distance from a query object.
 type Neighbor = object.Neighbor
 
-// CoordinatewiseMonotone marks metrics safe for box-pruning indexes
-// (IndexRTree, IndexCoverageGraph): the distance must never decrease
-// when a single coordinate of one argument moves away from the other's.
-// All built-in metrics implement it; custom metrics opt in by adding an
-// empty CoordinatewiseMonotone() method — only when the property truly
-// holds, otherwise the R-tree prunes true neighbours.
-type CoordinatewiseMonotone = object.CoordinatewiseMonotone
-
 // Dataset bundles points with optional labels and attribute metadata.
 type Dataset = object.Dataset
 
@@ -46,13 +38,11 @@ const (
 	// IndexLinearScan scans all points per query: no build cost, exact,
 	// best for small inputs.
 	IndexLinearScan
-	// IndexVPTree is a static vantage-point tree: a simpler metric index
-	// with cheaper construction than the M-tree.
-	IndexVPTree
-	// IndexRTree is a bulk-loaded (STR-packed) R-tree: near-100% node
-	// utilisation and fast deterministic builds. Restricted to
-	// coordinate-wise monotone metrics; every built-in metric qualifies.
-	IndexRTree
+	// Values 2 and 3 belonged to the removed VP-tree and R-tree; they
+	// stay unassigned so a stored numeric Index never silently selects
+	// a different backend.
+	_
+	_
 	// IndexCoverageGraph materialises the full r-coverage graph once per
 	// radius using all cores (see WithParallelism), then answers every
 	// neighbourhood query in O(degree). The best choice when one radius
@@ -67,6 +57,19 @@ const (
 	// per-coordinate difference (Euclidean, Manhattan, Chebyshev — not
 	// Hamming).
 	IndexGrid
+)
+
+// Retired backends. Both names resolve to the M-tree, which returns the
+// same greedy selections, so old code, flags and snapshots keep working.
+const (
+	// IndexVPTree named the removed vantage-point tree backend.
+	//
+	// Deprecated: use IndexMTree, which IndexVPTree aliases.
+	IndexVPTree = IndexMTree
+	// IndexRTree named the removed R-tree backend.
+	//
+	// Deprecated: use IndexMTree, which IndexRTree aliases.
+	IndexRTree = IndexMTree
 )
 
 // SelectMode chooses how Select executes the Greedy-DisC family. All
@@ -111,10 +114,6 @@ func (ix Index) String() string {
 		return "mtree"
 	case IndexLinearScan:
 		return "flat"
-	case IndexVPTree:
-		return "vptree"
-	case IndexRTree:
-		return "rtree"
 	case IndexCoverageGraph:
 		return "coverage-graph"
 	case IndexGrid:
@@ -127,10 +126,14 @@ func (ix Index) String() string {
 // indexNames maps every supported backend to its String() name, in
 // display order; IndexByName and option errors derive from it so the
 // supported-name list can never drift from the Index constants.
-var indexNames = []Index{IndexMTree, IndexLinearScan, IndexVPTree, IndexRTree, IndexCoverageGraph, IndexGrid}
+var indexNames = []Index{IndexMTree, IndexLinearScan, IndexCoverageGraph, IndexGrid}
 
-// SupportedIndexNames returns the names IndexByName accepts, in display
-// order.
+// indexAliases maps the names of retired backends to the backend that
+// now serves them.
+var indexAliases = map[string]Index{"vptree": IndexMTree, "rtree": IndexMTree}
+
+// SupportedIndexNames returns the names of the supported backends, in
+// display order. IndexByName also accepts the retired aliases.
 func SupportedIndexNames() []string {
 	names := make([]string, len(indexNames))
 	for i, ix := range indexNames {
@@ -140,15 +143,19 @@ func SupportedIndexNames() []string {
 }
 
 // IndexByName resolves an index backend from its String() name
-// ("mtree", "flat", "vptree", "rtree", "coverage-graph", "grid").
-// Unknown names fail immediately with the supported list in the error,
-// so misconfiguration surfaces when the option is parsed rather than at
+// ("mtree", "flat", "coverage-graph", "grid"). The retired names
+// "vptree" and "rtree" resolve to IndexMTree. Unknown names fail
+// immediately with the supported list in the error, so
+// misconfiguration surfaces when the option is parsed rather than at
 // Diversify time.
 func IndexByName(name string) (Index, error) {
 	for _, ix := range indexNames {
 		if name == ix.String() {
 			return ix, nil
 		}
+	}
+	if ix, ok := indexAliases[name]; ok {
+		return ix, nil
 	}
 	return 0, fmt.Errorf("disc: unknown index %q (supported: %s)", name, strings.Join(SupportedIndexNames(), ", "))
 }
@@ -183,8 +190,8 @@ func Hamming() Metric { return object.Hamming{} }
 
 // Cosine returns the angular dissimilarity 1 − cos(a, b), the standard
 // distance for embedding vectors. It is symmetric and non-negative but
-// violates the triangle inequality, so the ball- and box-pruning
-// backends reject it; IndexCoverageGraph (which serves it with the
+// violates the triangle inequality, so the M-tree's ball pruning
+// rejects it; IndexCoverageGraph (which serves it with the
 // batched flat join — the auto-selected default for this metric) and
 // IndexLinearScan support it. The zero vector is at distance 1 from
 // everything, including itself.
