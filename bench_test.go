@@ -11,7 +11,11 @@ package disc_test
 // construction, range queries and the selection algorithms.
 
 import (
+	"fmt"
+	"math"
+	"math/rand/v2"
 	"os"
+	"runtime"
 	"testing"
 
 	disc "github.com/discdiversity/disc"
@@ -320,4 +324,188 @@ func BenchmarkFlatEngineSelect(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		core.GreedyDisC(e, 0.05, core.GreedyOptions{Update: core.UpdateGrey})
 	}
+}
+
+// --- served Hamming traffic: M-tree vs coverage graph ---
+//
+// Served datasets run on the coverage graph, whose Hamming substrate
+// is the batched flat all-pairs join. These benchmarks price one
+// served greedy select on n=5000 uniform categorical codes (4
+// categories per coordinate) at d ∈ {6, 8} and r ∈ {1, 2}: on the
+// M-tree (built once at dataset creation, so only the select is timed)
+// and on the coverage graph, cold (the graph was built for another
+// radius, so the select pays the join) and warm (a repeat select at
+// the cached radius). d=8 is above GraphFlatJoinDim, where New already
+// defaults to the coverage graph; d=6 is Hamming traffic that moves
+// off the M-tree.
+
+func hammingCodes(n, dim, categories int, seed uint64) []disc.Point {
+	rng := rand.New(rand.NewPCG(seed, seed))
+	pts := make([]disc.Point, n)
+	for i := range pts {
+		p := make(disc.Point, dim)
+		for j := range p {
+			p[j] = float64(rng.IntN(categories))
+		}
+		pts[i] = p
+	}
+	return pts
+}
+
+func BenchmarkServedSelectHamming(b *testing.B) {
+	hamming := disc.WithMetric(disc.Hamming())
+	mtree := disc.WithIndex(disc.IndexMTree)
+	graph := disc.WithIndex(disc.IndexCoverageGraph)
+	components := disc.WithSelectMode(disc.SelectComponents)
+	for _, dim := range []int{6, 8} {
+		pts := hammingCodes(5000, dim, 4, 7)
+		for _, r := range []float64{1, 2} {
+			name := fmt.Sprintf("d=%d/r=%g", dim, r)
+			b.Run("mtree/"+name, func(b *testing.B) {
+				benchServedSelect(b, pts, r, false, []disc.Option{hamming, mtree})
+			})
+			b.Run("graph-cold/"+name, func(b *testing.B) {
+				benchServedSelect(b, pts, r, true, []disc.Option{hamming, graph}, components)
+			})
+			b.Run("graph-warm/"+name, func(b *testing.B) {
+				benchServedSelect(b, pts, r, false, []disc.Option{hamming, graph}, components)
+			})
+		}
+	}
+}
+
+// benchServedSelect times Select(r, sel...) on a diversifier built with
+// opts. A cold run builds a fresh diversifier (untimed) before every
+// select; a warm run selects once before the timer starts and reuses
+// the diversifier. Index accesses per select are reported alongside.
+func benchServedSelect(b *testing.B, pts []disc.Point, r float64, cold bool, opts []disc.Option, sel ...disc.SelectOption) {
+	b.Helper()
+	d, err := disc.New(pts, opts...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if !cold {
+		if _, err := d.Select(r, sel...); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var accesses int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if cold {
+			b.StopTimer()
+			if d, err = disc.New(pts, opts...); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		res, err := d.Select(r, sel...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		accesses += res.Accesses()
+	}
+	b.ReportMetric(float64(accesses)/float64(b.N), "accesses/op")
+}
+
+// --- served selects from sparse to dense: M-tree vs coverage graph ---
+//
+// The coverage graph's memory grows with the edge count, the M-tree's
+// does not. This sweep prices one served greedy select on uniform 2-d
+// Euclidean points at radii chosen for an average degree of 8 to 2048
+// (r = sqrt(deg/(nπ)), ignoring the border), plus r = 1.5, where every
+// pair is an edge: on the M-tree in global mode, the earlier served path
+// (built at dataset creation, so only the select is timed), on the
+// coverage graph in component mode as served (the select
+// pays the join; a graph past core.AdjacencyBudget is refused and the
+// select runs on the M-tree), and, while the graph stays under 4M
+// entries, on an uncapped graph built directly. heap-MB is the live heap
+// the engine holds after the select. n=5000; DISC_BENCH_FULL=1 adds
+// n=50000 without the all-pairs radius.
+
+func BenchmarkServedSelectDensity(b *testing.B) {
+	sizes := []int{5000}
+	if os.Getenv("DISC_BENCH_FULL") != "" {
+		sizes = append(sizes, 50000)
+	}
+	components := disc.WithSelectMode(disc.SelectComponents)
+	for _, n := range sizes {
+		ds, err := disc.UniformDataset(n, 2, 11)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pts := ds.Points
+		flat, err := object.Flatten(pts, object.Euclidean{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		degrees := []float64{8, 32, 128, 512, 2048}
+		if n <= 5000 {
+			degrees = append(degrees, math.Inf(1))
+		}
+		for _, deg := range degrees {
+			r, label := 1.5, "all"
+			if !math.IsInf(deg, 1) {
+				r, label = math.Sqrt(deg/(float64(n)*math.Pi)), fmt.Sprint(deg)
+			}
+			name := fmt.Sprintf("n=%d/deg=%s", n, label)
+			b.Run("mtree/"+name, func(b *testing.B) {
+				base := liveHeapMB(nil)
+				d, err := disc.New(pts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := d.Select(r); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				b.ReportMetric(liveHeapMB(d)-base, "heap-MB")
+			})
+			b.Run("graph/"+name, func(b *testing.B) {
+				base := liveHeapMB(nil)
+				var d *disc.Diversifier
+				for i := 0; i < b.N; i++ {
+					var err error
+					if d, err = disc.New(pts, disc.WithIndex(disc.IndexCoverageGraph)); err != nil {
+						b.Fatal(err)
+					}
+					if _, err := d.Select(r, components); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				b.ReportMetric(liveHeapMB(d)-base, "heap-MB")
+			})
+			if float64(n)*deg > 4e6 {
+				continue
+			}
+			b.Run("graph-uncapped/"+name, func(b *testing.B) {
+				base := liveHeapMB(nil)
+				var g *core.ParallelGraphEngine
+				for i := 0; i < b.N; i++ {
+					var err error
+					if g, err = core.BuildParallelGraphEngineOn(flat, r, 0); err != nil {
+						b.Fatal(err)
+					}
+					core.GreedyDisCComponents(g, r, core.GreedyOptions{Update: core.UpdateGrey, Pruned: true}, 0)
+				}
+				b.StopTimer()
+				b.ReportMetric(liveHeapMB(g)-base, "heap-MB")
+			})
+		}
+	}
+}
+
+// liveHeapMB collects garbage and returns the live heap in MiB, keeping
+// keep reachable until then.
+func liveHeapMB(keep any) float64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(keep)
+	return float64(ms.HeapAlloc) / (1 << 20)
 }

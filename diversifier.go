@@ -1,6 +1,7 @@
 package disc
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -91,6 +92,12 @@ type Diversifier struct {
 	// selection radius and are nil before the first Select; every other
 	// index is built once in New.
 	engine core.Engine
+	// denseFrom is the smallest radius whose coverage graph was refused
+	// for passing core.AdjacencyBudget (+Inf until one is): the edge
+	// count only grows with r, so IndexCoverageGraph serves every
+	// radius from there on with dense, without retrying the join.
+	denseFrom float64
+	dense     core.Engine
 }
 
 type options struct {
@@ -264,7 +271,7 @@ func New(points []Point, opts ...Option) (*Diversifier, error) {
 	// that is the rounded coordinates, which every engine and Verify
 	// must agree on.
 	d := &Diversifier{points: flat.Points(), metric: o.metric, index: o.index,
-		parallelism: o.parallelism, capacity: o.capacity, seed: o.seed, flat: flat}
+		parallelism: o.parallelism, capacity: o.capacity, seed: o.seed, flat: flat, denseFrom: math.Inf(1)}
 	e, err := initialEngine(o, d.flat, d.points)
 	if err != nil {
 		return nil, err
@@ -301,9 +308,14 @@ func initialEngine(o options, flat *object.FlatDataset, points []Point) (core.En
 		if !object.TriangleSafe(o.metric) {
 			return nil, fmt.Errorf("disc: metric %q violates the triangle inequality; IndexMTree's ball pruning would miss true neighbours (use IndexCoverageGraph or IndexLinearScan)", o.metric.Name())
 		}
-		cfg := mtree.Config{Capacity: o.capacity, Metric: o.metric, Policy: mtree.MinOverlap, Seed: o.seed}
-		return core.BuildTreeEngine(cfg, points)
+		return buildMTree(o.metric, o.capacity, o.seed, points)
 	}
+}
+
+// buildMTree builds the M-tree engine over points.
+func buildMTree(m Metric, capacity int, seed uint64, points []Point) (core.Engine, error) {
+	cfg := mtree.Config{Capacity: capacity, Metric: m, Policy: mtree.MinOverlap, Seed: seed}
+	return core.BuildTreeEngine(cfg, points)
 }
 
 // Indexed returns the backend this diversifier queries.
@@ -319,21 +331,34 @@ func (d *Diversifier) Indexed() Index { return d.index }
 // one cell ring covers r and coarsened otherwise. With rebuild unset
 // (the zoom and extension paths) the cached engine is reused — both
 // backends answer any radius exactly, only the cost differs.
+//
+// A coverage graph with more than core.AdjacencyBudget entries is never
+// materialised: the join stops at the budget and that radius, like
+// every larger one, is served by denseEngine instead.
 func (d *Diversifier) engineForRadius(r float64, rebuild bool) (core.Engine, error) {
 	switch d.index {
 	case IndexCoverageGraph:
-		if g, ok := d.engine.(*core.ParallelGraphEngine); ok {
-			if !rebuild || g.Radius() == r {
-				return d.engine, nil
-			}
-			ng, err := g.Rebuild(r)
-			if err != nil {
-				return nil, err
-			}
-			d.engine = ng
-			return ng, nil
+		if d.engine != nil && !rebuild {
+			return d.engine, nil
 		}
-		g, err := core.BuildParallelGraphEngineOn(d.flat, r, d.parallelism)
+		if r >= d.denseFrom {
+			return d.denseEngine()
+		}
+		budget := core.AdjacencyBudget(d.flat.Len())
+		var g *core.ParallelGraphEngine
+		var err error
+		if cached, ok := d.engine.(*core.ParallelGraphEngine); ok {
+			if cached.Radius() == r {
+				return cached, nil
+			}
+			g, err = cached.Rebuild(r, budget)
+		} else {
+			g, err = core.BuildParallelGraphEngineCapped(d.flat, r, d.parallelism, budget)
+		}
+		if errors.Is(err, grid.ErrTooDense) {
+			d.denseFrom = r
+			return d.denseEngine()
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -357,6 +382,28 @@ func (d *Diversifier) engineForRadius(r float64, rebuild bool) (core.Engine, err
 	default:
 		return d.engine, nil
 	}
+}
+
+// denseEngine serves IndexCoverageGraph radii whose graph passes the
+// adjacency budget, on an engine whose memory does not grow with the
+// edge count: the M-tree where the metric keeps the triangle inequality
+// (on dense radii its pruning beats the grid's ring scans), the flat
+// scan otherwise. It is built once and kept. Greedy selections and
+// zooms are the same ids on every engine; only the cost differs.
+func (d *Diversifier) denseEngine() (core.Engine, error) {
+	if d.dense == nil {
+		if object.TriangleSafe(d.metric) {
+			e, err := buildMTree(d.metric, d.capacity, d.seed, d.points)
+			if err != nil {
+				return nil, err
+			}
+			d.dense = e
+		} else {
+			d.dense = core.NewFlatEngineOn(d.flat)
+		}
+	}
+	d.engine = d.dense
+	return d.dense, nil
 }
 
 // NewFromDataset is New over ds.Points.
@@ -466,7 +513,9 @@ func (d *Diversifier) Select(r float64, opts ...SelectOption) (*Result, error) {
 	}
 	var sol *core.Solution
 	switch {
-	case isGreedy && o.mode == SelectComponents:
+	// A radius too dense for the coverage graph runs the global pass,
+	// which returns the same subset without materialising the adjacency.
+	case isGreedy && o.mode == SelectComponents && r < d.denseFrom:
 		sol = core.GreedyDisCComponents(e, r, core.GreedyOptions{Update: update, Pruned: pruned}, o.parallelism)
 	case isGreedy:
 		sol = core.GreedyDisC(e, r, core.GreedyOptions{Update: update, Pruned: pruned})

@@ -103,8 +103,16 @@
 //     array plus one packed, exactly sized neighbour array), so
 //     steady-state memory equals the edge count. Radii other than the
 //     build radius remain correct: smaller ones filter the adjacency
-//     lists (reusing the grid occupancy on Rebuild), larger ones fall
-//     back to grid or flat scans underneath.
+//     lists (a selection at a smaller radius filters the cached graph
+//     instead of joining again), larger ones fall back to grid or flat
+//     scans underneath. The edge count is capped: a radius whose graph
+//     would hold more than 128 adjacency entries per object (and more
+//     than 2^20 in all) is not materialised. The join stops at the cap,
+//     and that radius and every larger one are served by the M-tree
+//     (metrics with the triangle inequality) or the flat scan (the
+//     rest), whose memory does not grow with the edges. Component-mode
+//     selections there run the global pass, which returns the same
+//     subset.
 //
 // The names of two retired backends still resolve: IndexVPTree and
 // IndexRTree (and the names "vptree" and "rtree" in IndexByName and in

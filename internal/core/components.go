@@ -29,15 +29,17 @@ func componentsViaQueries(e Engine, r float64) *grid.Components {
 // The component-decomposed selection path uses it on engines that hold
 // no materialised graph: the queries cost what Greedy-DisC's count
 // initialisation would, and afterwards every per-component scan is an
-// array walk. ok is false when the adjacency would overflow the CSR's
-// int32 offset domain (callers fall back to the global path).
+// array walk. ok is false when the adjacency would pass
+// AdjacencyBudget (callers fall back to the global path, whose memory
+// does not grow with the edge count).
 func materializeAdjacency(e Engine, r float64) (csr *grid.CSR, ok bool) {
 	n := e.Size()
+	limit := min(AdjacencyBudget(n), math.MaxInt32)
 	offsets := make([]int32, n+1)
 	var nbrs []object.Neighbor
 	for id := 0; id < n; id++ {
 		nbrs = e.NeighborsAppend(nbrs, id, r)
-		if len(nbrs) > math.MaxInt32 {
+		if int64(len(nbrs)) > limit {
 			return nil, false
 		}
 		offsets[id+1] = int32(len(nbrs))

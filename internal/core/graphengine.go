@@ -108,84 +108,121 @@ func BuildParallelGraphEngine(pts []object.Point, m object.Metric, r float64, wo
 // bit-identical to the float64 scan over the same (rounded) coordinates
 // either way.
 func BuildParallelGraphEngineOn(flat *object.FlatDataset, r float64, workers int) (*ParallelGraphEngine, error) {
+	return BuildParallelGraphEngineCapped(flat, r, workers, 0)
+}
+
+// BuildParallelGraphEngineCapped is BuildParallelGraphEngineOn refusing
+// graphs of more than maxEntries adjacency entries (<= 0: no cap): the
+// join stops once it passes the cap and the error wraps
+// grid.ErrTooDense, so the refusal costs about maxEntries entries of
+// memory, not the graph's.
+func BuildParallelGraphEngineCapped(flat *object.FlatDataset, r float64, workers int, maxEntries int64) (*ParallelGraphEngine, error) {
 	gridsub := grid.Supports(flat.Metric()) && flat.Dim() <= GraphFlatJoinDim
-	return buildGraph(flat, nil, nil, r, workers, !gridsub)
+	return buildGraph(flat, nil, nil, r, workers, !gridsub, maxEntries)
+}
+
+// AdjacencyBudget is the most adjacency entries the library
+// materialises for a dataset of n objects: an average degree of 128
+// (2 KiB of entries per object), and never less than 1<<20 entries
+// (16 MiB), so small datasets keep their graph at any radius. Above it
+// the coverage graph and the component-mode materialisation give way
+// to paths whose memory does not grow with the edge count.
+func AdjacencyBudget(n int) int64 {
+	return max(int64(n)*128, 1<<20)
 }
 
 // Rebuild returns an engine over the same points with the adjacency
 // lists rebuilt for a different radius, reusing the grid occupancy
 // whenever the new radius still fits its cell side — so zooming in
 // re-joins without re-bucketing and zooming out pays only an O(n)
-// re-bucket. The substrate is shared with the receiver, which must be
-// discarded afterwards.
-func (g *ParallelGraphEngine) Rebuild(r float64) (*ParallelGraphEngine, error) {
-	return buildGraph(g.flat, g.hash, g.scan, r, g.workers, g.hash == nil)
+// re-bucket. A smaller radius that keeps the substrate (always on the
+// flat join, while the occupancy suits it on the grid) skips the join:
+// the receiver's adjacency is filtered down to r, which yields the
+// same graph, scan order and component numbering a join at r would,
+// for one pass over the edges. A join that would pass maxEntries
+// adjacency entries (<= 0: no cap) is refused as in
+// BuildParallelGraphEngineCapped. The substrate is shared with the
+// receiver, which must be discarded afterwards.
+func (g *ParallelGraphEngine) Rebuild(r float64, maxEntries int64) (*ParallelGraphEngine, error) {
+	if 0 <= r && r < g.radius && (g.hash == nil || keepsGrid(g.hash, r)) {
+		return newGraph(g.flat, g.hash, g.scan, r, g.workers, g.csr.Within(r), int64(len(g.csr.Nbrs))), nil
+	}
+	return buildGraph(g.flat, g.hash, g.scan, r, g.workers, g.hash == nil, maxEntries)
 }
 
 // buildGraph materialises the coverage graph at radius r: via the
 // batched flat all-pairs join when flatsub is set, and via the grid
 // ε-join otherwise (hash, when non-nil, is reused as long as its cell
-// side suits r).
-func buildGraph(flat *object.FlatDataset, hash *grid.Grid, scan []int, r float64, workers int, flatsub bool) (*ParallelGraphEngine, error) {
+// side suits r), refusing more than maxEntries adjacency entries.
+func buildGraph(flat *object.FlatDataset, hash *grid.Grid, scan []int, r float64, workers int, flatsub bool, maxEntries int64) (*ParallelGraphEngine, error) {
 	if r < 0 || math.IsNaN(r) || math.IsInf(r, 0) {
 		return nil, fmt.Errorf("core: graph engine: invalid radius %g", r)
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	n := flat.Len()
-	if workers > n {
+	if n := flat.Len(); workers > n {
 		workers = n
 	}
-	g := &ParallelGraphEngine{
-		flat:    flat,
-		radius:  r,
-		workers: workers,
-		scan:    scan,
-	}
-
 	if flatsub {
-		csr, examined, err := grid.FlatJoin(flat, r, workers)
+		csr, examined, err := grid.FlatJoinCapped(flat, r, workers, maxEntries)
 		if err != nil {
 			return nil, fmt.Errorf("core: graph engine: %w", err)
 		}
-		g.csr = csr
-		g.accesses = examined
 		// scan stays nil: the flat substrate has no locality structure,
 		// so ScanOrder reports plain id order.
-	} else {
-		// Reuse the occupancy only while the cell side suits the new
-		// radius: a much finer radius would turn the ±1-ring join into
-		// a near-all-pairs scan, far costlier than the O(n) re-bucket
-		// it saves (see grid.Suits). The bucketing radius itself is
-		// always reused — on sparse data the cell-count cap coarsens
-		// cells beyond Suits' bound and a re-bucket would reproduce the
-		// same grid.
-		if hash == nil || !(hash.Radius() == r || hash.Suits(r)) {
-			var err error
-			hash, err = grid.Build(flat, r)
-			if err != nil {
-				return nil, fmt.Errorf("core: graph engine: %w", err)
-			}
-			g.scan = nil // cell order changed with the bucketing
-		}
-		csr, examined, err := grid.Join(hash, r, workers)
+		return newGraph(flat, nil, nil, r, workers, csr, examined), nil
+	}
+	if !keepsGrid(hash, r) {
+		var err error
+		hash, err = grid.Build(flat, r)
 		if err != nil {
 			return nil, fmt.Errorf("core: graph engine: %w", err)
 		}
-		g.hash = hash
+		scan = nil // cell order changed with the bucketing
+	}
+	csr, examined, err := grid.JoinCapped(hash, r, workers, maxEntries)
+	if err != nil {
+		return nil, fmt.Errorf("core: graph engine: %w", err)
+	}
+	if scan == nil {
+		scan = hash.ScanOrder()
+	}
+	return newGraph(flat, hash, scan, r, workers, csr, examined), nil
+}
+
+// keepsGrid reports whether a graph at radius r reuses the occupancy
+// hash. Reuse holds only while the cell side suits r: a much finer
+// radius would turn the ±1-ring join into a near-all-pairs scan, far
+// costlier than the O(n) re-bucket it saves (see grid.Suits). The
+// bucketing radius itself is always reused — on sparse data the
+// cell-count cap coarsens cells beyond Suits' bound and a re-bucket
+// would reproduce the same grid.
+func keepsGrid(hash *grid.Grid, r float64) bool {
+	return hash != nil && (hash.Radius() == r || hash.Suits(r))
+}
+
+// newGraph assembles an engine around an exact r-adjacency csr whose
+// construction examined the given number of candidates; hash is the
+// grid substrate (nil on the flat join) and scan its cell order.
+func newGraph(flat *object.FlatDataset, hash *grid.Grid, scan []int, r float64, workers int, csr *grid.CSR, examined int64) *ParallelGraphEngine {
+	g := &ParallelGraphEngine{
+		flat:     flat,
+		hash:     hash,
+		radius:   r,
+		workers:  workers,
+		csr:      csr,
+		scan:     scan,
+		accesses: examined,
+		counts:   make([]int, flat.Len()),
+	}
+	if hash != nil {
 		g.scratch = grid.NewScratch(flat.Dim())
-		g.csr = csr
-		g.accesses = examined
-		if g.scan == nil {
-			g.scan = hash.ScanOrder()
-		}
 	}
-	g.counts = make([]int, n)
 	for i := range g.counts {
-		g.counts[i] = g.csr.Degree(i)
+		g.counts[i] = csr.Degree(i)
 	}
-	return g, nil
+	return g
 }
 
 // Radius returns the radius the coverage graph was built for.

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/discdiversity/disc/internal/object"
@@ -117,7 +119,7 @@ func TestGraphEngineRebuild(t *testing.T) {
 	pts := randomPoints(300, 2, 96)
 	m := object.Euclidean{}
 	g := graphEngine(t, pts, m, 0.05, 4)
-	rebuilt, err := g.Rebuild(0.12)
+	rebuilt, err := g.Rebuild(0.12, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,6 +135,61 @@ func TestGraphEngineRebuild(t *testing.T) {
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatalf("id=%d neighbour %d: rebuilt %+v, fresh %+v", id, i, a[i], b[i])
+			}
+		}
+	}
+}
+
+// TestGraphEngineRebuildFiltersDown: a rebuild at a smaller radius that
+// keeps the substrate filters the receiver's adjacency instead of
+// joining; the result must be the engine a join at that radius over the
+// same substrate builds — CSR entry for entry (distances bit for bit),
+// scan order, degree counts and component numbering — on the grid
+// substrate (three Lp metrics) and on the flat join (Hamming, cosine).
+func TestGraphEngineRebuildFiltersDown(t *testing.T) {
+	cases := []struct {
+		m   object.Metric
+		dim int
+		r   float64
+	}{
+		{object.Euclidean{}, 2, 0.12},
+		{object.Manhattan{}, 3, 0.2},
+		{object.Chebyshev{}, 2, 0.1},
+		{object.Hamming{}, 6, 3},
+		{object.Cosine{}, 4, 0.1},
+	}
+	for _, tc := range cases {
+		pts := randomPoints(500, tc.dim, 131)
+		if tc.m.Name() == "hamming" {
+			for _, p := range pts {
+				for j := range p {
+					p[j] = float64(int(p[j] * 3))
+				}
+			}
+		}
+		base := graphEngine(t, pts, tc.m, tc.r, 2)
+		for _, r := range []float64{tc.r * 0.75, tc.r / 2} {
+			filtered, err := base.Rebuild(r, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if filtered.hash != base.hash || filtered.Accesses() != int64(len(base.csr.Nbrs)) {
+				t.Fatalf("%s r=%g: rebuild did not take the filter path", tc.m.Name(), r)
+			}
+			joined, err := buildGraph(base.flat, base.hash, base.scan, r, 2, base.hash == nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%s r=%g", tc.m.Name(), r)
+			if !slices.Equal(filtered.csr.Offsets, joined.csr.Offsets) || !slices.Equal(filtered.csr.Nbrs, joined.csr.Nbrs) {
+				t.Fatalf("%s: filtered adjacency differs from the join's", name)
+			}
+			if !slices.Equal(filtered.ScanOrder(), joined.ScanOrder()) || !slices.Equal(filtered.counts, joined.counts) {
+				t.Fatalf("%s: filtered scan order or degree counts differ from the join's", name)
+			}
+			fc, jc := filtered.Components(r), joined.Components(r)
+			if fc.Count != jc.Count || !slices.Equal(fc.Label, jc.Label) {
+				t.Fatalf("%s: filtered components differ from the join's", name)
 			}
 		}
 	}

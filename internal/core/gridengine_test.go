@@ -138,7 +138,7 @@ func TestGraphEngineJoinPathsAgree(t *testing.T) {
 		if !viaGrid.GridJoined() {
 			t.Fatal("Lp metric did not take the grid join path")
 		}
-		viaFlat, err := buildGraph(flat, nil, nil, r, 3, true)
+		viaFlat, err := buildGraph(flat, nil, nil, r, 3, true, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +219,7 @@ func TestGraphEngineRebuildReusesGrid(t *testing.T) {
 	m := object.Euclidean{}
 	base := graphEngine(t, pts, m, 0.1, 2)
 	for _, r := range []float64{0.05, 0.2, 0.01} { // r/2, 2r, far finer
-		rebuilt, err := base.Rebuild(r)
+		rebuilt, err := base.Rebuild(r, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

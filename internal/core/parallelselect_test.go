@@ -96,6 +96,22 @@ func TestGreedyComponentsMatchesGlobal(t *testing.T) {
 	}
 }
 
+// TestGreedyComponentsDenseRunsGlobal: on an engine without a
+// materialised graph, a radius whose adjacency passes AdjacencyBudget
+// (every pair of 1,100 points: 1.21M entries) is not materialised; the
+// component select returns the global pass's solution instead.
+func TestGreedyComponentsDenseRunsGlobal(t *testing.T) {
+	pts := randomPoints(1100, 2, 97)
+	e := flatEngine(t, pts, object.Euclidean{})
+	const r = 2
+	opts := GreedyOptions{Update: UpdateGrey, Pruned: true}
+	want := GreedyDisC(e, r, opts)
+	got := GreedyDisCComponents(e, r, opts, 2)
+	if got.Algorithm != want.Algorithm || !equalInts(got.IDs, want.IDs) {
+		t.Fatalf("dense component select ran %q with %d ids, want the global %q with %d", got.Algorithm, len(got.IDs), want.Algorithm, len(want.IDs))
+	}
+}
+
 // TestGreedyComponentsDeterministicAcrossWorkers: the full solution —
 // selection order included — must be bit-identical for every worker
 // count, on every engine.

@@ -54,20 +54,7 @@ func RehydrateGraphEngine(hash *grid.Grid, csr *grid.CSR, r float64, workers int
 	if workers > n {
 		workers = n
 	}
-	g := &ParallelGraphEngine{
-		flat:    flat,
-		hash:    hash,
-		scratch: grid.NewScratch(flat.Dim()),
-		radius:  r,
-		workers: workers,
-		csr:     csr,
-		scan:    hash.ScanOrder(),
-		counts:  make([]int, n),
-	}
-	for i := range g.counts {
-		g.counts[i] = csr.Degree(i)
-	}
-	return g, nil
+	return newGraph(flat, hash, hash.ScanOrder(), r, workers, csr, 0), nil
 }
 
 // RehydrateFlatGraphEngine reassembles a flat-join ParallelGraphEngine
@@ -90,17 +77,7 @@ func RehydrateFlatGraphEngine(flat *object.FlatDataset, csr *grid.CSR, r float64
 	if workers > n {
 		workers = n
 	}
-	g := &ParallelGraphEngine{
-		flat:    flat,
-		radius:  r,
-		workers: workers,
-		csr:     csr,
-		counts:  make([]int, n),
-	}
-	for i := range g.counts {
-		g.counts[i] = csr.Degree(i)
-	}
-	return g, nil
+	return newGraph(flat, nil, nil, r, workers, csr, 0), nil
 }
 
 // InstallComponents adopts a deserialised component decomposition for

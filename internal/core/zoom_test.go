@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/discdiversity/disc/internal/object"
@@ -106,6 +107,73 @@ func TestZoomOutProducesValidSolution(t *testing.T) {
 			}
 			if zoomed.Size() > prev.Size() {
 				t.Errorf("%s %v: zoom-out grew the solution (%d -> %d)", engName, v, prev.Size(), zoomed.Size())
+			}
+		}
+	}
+}
+
+// TestZoomOutRedKeyPassOne pins the first pass of variations (a) and
+// (b) to a brute-force reading of Algorithm 3: among the reds still
+// red, select the one with the most (a) or fewest (b) red neighbours
+// within rNew, ties to the smaller id; it and its red neighbours then
+// leave the red set. The zoomed solution's selection order must start
+// with exactly that sequence, on both the scan and the tree engine.
+func TestZoomOutRedKeyPassOne(t *testing.T) {
+	pts := randomPoints(600, 2, 17)
+	m := object.Euclidean{}
+	for engName, e := range bothEngines(t, pts, m) {
+		prev := baseSolution(t, e, 0.03)
+		for _, rNew := range []float64{0.05, 0.09} {
+			for _, v := range []ZoomOutVariant{ZoomOutGreedyA, ZoomOutGreedyB} {
+				want := redKeyReference(pts, m, prev.IDs, rNew, v == ZoomOutGreedyA)
+				zoomed, err := ZoomOut(e, prev, rNew, v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(zoomed.IDs) < len(want) || !equalInts(zoomed.IDs[:len(want)], want) {
+					t.Errorf("%s %v rNew=%g: pass one selected %v, want %v", engName, v, rNew, zoomed.IDs[:min(len(want), len(zoomed.IDs))], want)
+				}
+			}
+		}
+	}
+}
+
+// redKeyReference is the quadratic reference for zoomOutPassOneRedKey.
+func redKeyReference(pts []object.Point, m object.Metric, prev []int, rNew float64, largest bool) []int {
+	red := make(map[int]bool, len(prev))
+	for _, id := range prev {
+		red[id] = true
+	}
+	reds := append([]int(nil), prev...)
+	slices.Sort(reds)
+	redNeighbours := func(p int) int {
+		k := 0
+		for _, q := range reds {
+			if q != p && red[q] && m.Dist(pts[p], pts[q]) <= rNew {
+				k++
+			}
+		}
+		return k
+	}
+	var sel []int
+	for {
+		best, bestKey := -1, 0
+		for _, p := range reds {
+			if !red[p] {
+				continue
+			}
+			if k := redNeighbours(p); best == -1 || (largest && k > bestKey) || (!largest && k < bestKey) {
+				best, bestKey = p, k
+			}
+		}
+		if best == -1 {
+			return sel
+		}
+		sel = append(sel, best)
+		red[best] = false
+		for _, q := range reds {
+			if red[q] && m.Dist(pts[best], pts[q]) <= rNew {
+				red[q] = false
 			}
 		}
 	}

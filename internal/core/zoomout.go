@@ -129,56 +129,62 @@ func zoomOutPassOnePlain(e Engine, s *Solution, prev *Solution, rNew float64, co
 // by their current number of red neighbours. One range query per red
 // establishes both the keys and the cached neighbourhoods reused when the
 // red is selected; counts are maintained through the red-red adjacency.
+// Per-red state lives in slices indexed by the red's position in reds
+// (ascending id), with the neighbourhoods packed into one buffer.
 func zoomOutPassOneRedKey(e Engine, s *Solution, prev *Solution, rNew float64, largest bool, colorNeighbors func([]object.Neighbor)) {
 	reds := append([]int(nil), prev.IDs...)
 	sort.Ints(reds)
-	cached := make(map[int][]object.Neighbor, len(reds))
-	redAdj := make(map[int][]int, len(reds))
-	redCount := make(map[int]int, len(reds))
-	for _, pi := range reds {
-		ns := e.Neighbors(pi, rNew)
-		cached[pi] = ns
-		for _, nb := range ns {
+	slot := make([]int32, e.Size())
+	for i, pi := range reds {
+		slot[pi] = int32(i)
+	}
+	var nbrs []object.Neighbor
+	off := make([]int, len(reds)+1)
+	redAdj := make([][]int32, len(reds))
+	redCount := make([]int, len(reds))
+	for i, pi := range reds {
+		nbrs = e.NeighborsAppend(nbrs, pi, rNew)
+		off[i+1] = len(nbrs)
+		for _, nb := range nbrs[off[i]:] {
 			if s.Colors[nb.ID] == Red {
-				redAdj[pi] = append(redAdj[pi], nb.ID)
+				redAdj[i] = append(redAdj[i], slot[nb.ID])
 			}
 		}
-		redCount[pi] = len(redAdj[pi])
+		redCount[i] = len(redAdj[i])
 	}
-	remaining := len(reds)
-	for remaining > 0 {
+	// Selecting a red removes it and every red it covers from the red
+	// set; their red neighbours' keys drop accordingly.
+	leaveRed := func(x int32) {
+		for _, y := range redAdj[x] {
+			if s.Colors[reds[y]] == Red {
+				redCount[y]--
+			}
+		}
+	}
+	for {
 		best, bestKey := -1, 0
-		for _, pi := range reds {
+		for i, pi := range reds {
 			if s.Colors[pi] != Red {
 				continue
 			}
-			k := redCount[pi]
+			k := redCount[i]
 			if best == -1 || (largest && k > bestKey) || (!largest && k < bestKey) {
-				best, bestKey = pi, k
+				best, bestKey = i, k
 			}
 		}
 		if best == -1 {
-			break
+			return
 		}
-		// Selecting best removes it and every red it covers from the
-		// red set; their red neighbours' keys drop accordingly.
-		leaveRed := func(x int) {
-			remaining--
-			for _, y := range redAdj[x] {
-				if s.Colors[y] == Red {
-					redCount[y]--
-				}
-			}
-		}
-		s.selectBlack(best)
-		leaveRed(best)
-		for _, nb := range cached[best] {
+		s.selectBlack(reds[best])
+		leaveRed(int32(best))
+		ns := nbrs[off[best]:off[best+1]]
+		for _, nb := range ns {
 			if s.Colors[nb.ID] == Red {
 				s.Colors[nb.ID] = Grey
-				leaveRed(nb.ID)
+				leaveRed(slot[nb.ID])
 			}
 		}
-		colorNeighbors(cached[best])
+		colorNeighbors(ns)
 	}
 }
 

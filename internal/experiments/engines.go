@@ -51,7 +51,7 @@ func Engines(cfg Config, datasetName string) (*stats.Table, error) {
 		{"graph", func(r float64) (core.Engine, error) {
 			return core.BuildParallelGraphEngine(pts, w.metric, r, workers)
 		}, func(e core.Engine, r float64) (core.Engine, error) {
-			return e.(*core.ParallelGraphEngine).Rebuild(r)
+			return e.(*core.ParallelGraphEngine).Rebuild(r, 0)
 		}},
 	}
 

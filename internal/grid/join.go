@@ -1,8 +1,10 @@
 package grid
 
 import (
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/discdiversity/disc/internal/object"
@@ -30,11 +32,66 @@ func (c *CSR) Degree(id int) int {
 	return int(c.Offsets[id+1] - c.Offsets[id])
 }
 
+// Within returns the sub-graph of c at radius r: every row keeps the
+// entries with Dist ≤ r, in their order. An exact r'-graph filtered
+// this way equals an exact join at any r ≤ r' entry for entry, since
+// both carry the same kernel distances in ascending id order. The
+// result is exactly sized and shares nothing with c.
+func (c *CSR) Within(r float64) *CSR {
+	n := len(c.Offsets) - 1
+	m := 0
+	for _, nb := range c.Nbrs {
+		if nb.Dist <= r {
+			m++
+		}
+	}
+	out := &CSR{Offsets: make([]int32, n+1), Nbrs: make([]object.Neighbor, 0, m)}
+	for id := 0; id < n; id++ {
+		for _, nb := range c.Row(id) {
+			if nb.Dist <= r {
+				out.Nbrs = append(out.Nbrs, nb)
+			}
+		}
+		out.Offsets[id+1] = int32(len(out.Nbrs))
+	}
+	return out
+}
+
 // edge is one undirected hit of the ε-join; it is scattered into the CSR
 // in both directions.
 type edge struct {
 	u, v int32
 	d    float64
+}
+
+// ErrTooDense is returned by the capped joins when the r-coverage graph
+// holds more adjacency entries than the caller's budget.
+var ErrTooDense = errors.New("grid: coverage graph exceeds the adjacency budget")
+
+// entryBudget counts the adjacency entries all join workers have
+// emitted so far; max <= 0 means unlimited. Workers stop at their next
+// hit once the total passes max, so a refused join holds at most about
+// max entries plus one row per worker.
+type entryBudget struct {
+	max   int64
+	total atomic.Int64
+}
+
+// spend charges k undirected hits (2k entries) and reports whether the
+// join may go on.
+func (b *entryBudget) spend(k int) bool {
+	if b.max <= 0 || k == 0 {
+		return true
+	}
+	return b.total.Add(int64(2*k)) <= b.max
+}
+
+// err reports ErrTooDense, with the radius, once the budget has tripped.
+func (b *entryBudget) err(r float64) error {
+	if b.max > 0 && b.total.Load() > b.max {
+		return fmt.Errorf("%w of %d entries at radius %g", ErrTooDense, b.max, r)
+	}
+	return nil
 }
 
 // Covers reports whether the grid's bucketing can serve an ε-join (or a
@@ -73,6 +130,14 @@ func (g *Grid) Suits(r float64) bool {
 // objects-examined measure of the scan engines. Join requires
 // Covers(r); callers holding a finer-bucketed grid must re-bucket first.
 func Join(g *Grid, r float64, workers int) (*CSR, int64, error) {
+	return JoinCapped(g, r, workers, 0)
+}
+
+// JoinCapped is Join refusing graphs of more than maxEntries adjacency
+// entries (<= 0: no cap): it stops as soon as the workers' running
+// total passes the cap and returns ErrTooDense, before the merge
+// allocates the CSR.
+func JoinCapped(g *Grid, r float64, workers int, maxEntries int64) (*CSR, int64, error) {
 	defer telemetry.Since(metJoin, time.Now())
 	if !g.Covers(r) {
 		return nil, 0, fmt.Errorf("grid: join radius %g exceeds cell side %g; rebucket first", r, g.cell)
@@ -93,15 +158,19 @@ func Join(g *Grid, r float64, workers int) (*CSR, int64, error) {
 	degs := make([][]int32, workers)
 	edgeLists := make([][]edge, workers)
 	examined := make([]int64, workers)
+	b := &entryBudget{max: maxEntries}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			degs[w], edgeLists[w], examined[w] = g.joinRange(r, bounds[w], bounds[w+1])
+			degs[w], edgeLists[w], examined[w] = g.joinRange(r, bounds[w], bounds[w+1], b)
 		}(w)
 	}
 	wg.Wait()
+	if err := b.err(r); err != nil {
+		return nil, 0, err
+	}
 
 	// Merge: per-point degrees become CSR offsets, each (worker, point)
 	// pair gets a reserved sub-range for a lock-free scatter, and every
@@ -138,12 +207,13 @@ func (g *Grid) shardCells(workers int) []int32 {
 }
 
 // joinRange runs the ε-join for the cells in [cLo, cHi), returning the
-// worker's degree counts, undirected edge list and examined count. Each
+// worker's degree counts, undirected edge list and examined count; it
+// returns early, with partial results, once b trips. Each
 // cell's candidate id list is ranged through the dataset's batched
 // gather filter, so the per-candidate work is the fused threshold test
 // (with the float32 pre-filter when the dataset carries the mirror)
 // rather than a kernel call per pair.
-func (g *Grid) joinRange(r float64, cLo, cHi int32) ([]int32, []edge, int64) {
+func (g *Grid) joinRange(r float64, cLo, cHi int32, b *entryBudget) ([]int32, []edge, int64) {
 	n, dim := g.flat.Len(), g.flat.Dim()
 	deg := make([]int32, n)
 	var edges []edge
@@ -170,6 +240,9 @@ func (g *Grid) joinRange(r float64, cLo, cHi int32) ([]int32, []edge, int64) {
 			cands := a[i+1:]
 			acc += int64(2 * len(cands))
 			buf = g.flat.AppendRangeIDs(buf[:0], nil, int(u), cands, -1, r)
+			if !b.spend(len(buf)) {
+				return deg, edges, acc
+			}
 			for _, nb := range buf {
 				edges = append(edges, edge{u, int32(nb.ID), nb.Dist})
 				deg[u]++
@@ -200,10 +273,13 @@ func (g *Grid) joinRange(r float64, cLo, cHi int32) ([]int32, []edge, int64) {
 			if bStart == bEnd {
 				continue
 			}
-			b := g.ids[bStart:bEnd]
+			cb := g.ids[bStart:bEnd]
 			for _, u := range a {
-				acc += int64(2 * len(b))
-				buf = g.flat.AppendRangeIDs(buf[:0], nil, int(u), b, -1, r)
+				acc += int64(2 * len(cb))
+				buf = g.flat.AppendRangeIDs(buf[:0], nil, int(u), cb, -1, r)
+				if !b.spend(len(buf)) {
+					return deg, edges, acc
+				}
 				for _, nb := range buf {
 					edges = append(edges, edge{u, int32(nb.ID), nb.Dist})
 					deg[u]++

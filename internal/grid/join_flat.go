@@ -32,7 +32,13 @@ import (
 // bit-identical for every worker count: edge ownership is determined
 // by u alone and each adjacency row is canonically re-sorted by id.
 func FlatJoin(f *object.FlatDataset, r float64, workers int) (*CSR, int64, error) {
-	return flatJoin(f, r, workers, false)
+	return flatJoin(f, r, workers, false, 0)
+}
+
+// FlatJoinCapped is FlatJoin refusing graphs of more than maxEntries
+// adjacency entries (<= 0: no cap) with ErrTooDense, like JoinCapped.
+func FlatJoinCapped(f *object.FlatDataset, r float64, workers int, maxEntries int64) (*CSR, int64, error) {
+	return flatJoin(f, r, workers, false, maxEntries)
 }
 
 // FlatJoinScalar is FlatJoin with the batch filters replaced by the
@@ -41,7 +47,7 @@ func FlatJoin(f *object.FlatDataset, r float64, workers int) (*CSR, int64, error
 // exists as the measured baseline for the batched path — same sharding,
 // same merge, same output — so benchmark deltas isolate the kernel.
 func FlatJoinScalar(f *object.FlatDataset, r float64, workers int) (*CSR, int64, error) {
-	return flatJoin(f, r, workers, true)
+	return flatJoin(f, r, workers, true, 0)
 }
 
 // flatChunk is the row-claim granularity: large enough that the atomic
@@ -71,7 +77,7 @@ func flatTileRows(f *object.FlatDataset, n int) int {
 	return tile
 }
 
-func flatJoin(f *object.FlatDataset, r float64, workers int, scalar bool) (*CSR, int64, error) {
+func flatJoin(f *object.FlatDataset, r float64, workers int, scalar bool, maxEntries int64) (*CSR, int64, error) {
 	if r < 0 || math.IsNaN(r) || math.IsInf(r, 0) {
 		return nil, 0, fmt.Errorf("grid: flat join: invalid radius %g", r)
 	}
@@ -87,6 +93,7 @@ func flatJoin(f *object.FlatDataset, r float64, workers int, scalar bool) (*CSR,
 	degs := make([][]int32, workers)
 	edgeLists := make([][]edge, workers)
 	examined := make([]int64, workers)
+	b := &entryBudget{max: maxEntries}
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -97,6 +104,7 @@ func flatJoin(f *object.FlatDataset, r float64, workers int, scalar bool) (*CSR,
 			var edges []edge
 			var acc int64
 			buf := make([]object.Neighbor, 0, 128)
+		claim:
 			for {
 				lo := int(cursor.Add(1)-1) * flatChunk
 				if lo >= n-1 {
@@ -110,6 +118,9 @@ func flatJoin(f *object.FlatDataset, r float64, workers int, scalar bool) (*CSR,
 					for u := lo; u < hi; u++ {
 						acc += int64(2 * (n - u - 1))
 						buf = scalarRangeRows(f, buf[:0], u, u+1, n, r)
+						if !b.spend(len(buf)) {
+							break claim
+						}
 						for _, nb := range buf {
 							edges = append(edges, edge{int32(u), int32(nb.ID), nb.Dist})
 							deg[u]++
@@ -140,6 +151,9 @@ func flatJoin(f *object.FlatDataset, r float64, workers int, scalar bool) (*CSR,
 							continue
 						}
 						buf = f.AppendRangeRows(buf[:0], u, ulo, b1, -1, r)
+						if !b.spend(len(buf)) {
+							break claim
+						}
 						for _, nb := range buf {
 							edges = append(edges, edge{int32(u), int32(nb.ID), nb.Dist})
 							deg[u]++
@@ -152,6 +166,9 @@ func flatJoin(f *object.FlatDataset, r float64, workers int, scalar bool) (*CSR,
 		}(w)
 	}
 	wg.Wait()
+	if err := b.err(r); err != nil {
+		return nil, 0, err
+	}
 	csr, err := mergeEdges(n, workers, degs, edgeLists)
 	if err != nil {
 		return nil, 0, err

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -23,6 +24,39 @@ func csrEqual(t *testing.T, label string, a, b *CSR) {
 	for i := range a.Nbrs {
 		if a.Nbrs[i] != b.Nbrs[i] {
 			t.Fatalf("%s: entry %d is %+v vs %+v", label, i, a.Nbrs[i], b.Nbrs[i])
+		}
+	}
+}
+
+// TestJoinCappedRefusesDense: with a cap at the graph's exact entry
+// count both joins return the uncapped CSR; one entry less and they
+// return ErrTooDense instead, for every worker count.
+func TestJoinCappedRefusesDense(t *testing.T) {
+	flat := randomFlat(t, 400, 2, object.Euclidean{}, 77)
+	const r = 0.2
+	g, err := Build(flat, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, _, err := Join(g, r, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := int64(len(ref.Nbrs))
+	joins := map[string]func(workers int, maxEntries int64) (*CSR, int64, error){
+		"grid": func(w int, c int64) (*CSR, int64, error) { return JoinCapped(g, r, w, c) },
+		"flat": func(w int, c int64) (*CSR, int64, error) { return FlatJoinCapped(flat, r, w, c) },
+	}
+	for name, join := range joins {
+		for _, workers := range []int{1, 3} {
+			got, _, err := join(workers, m)
+			if err != nil {
+				t.Fatalf("%s/%d workers: cap at the entry count refused: %v", name, workers, err)
+			}
+			csrEqual(t, name, ref, got)
+			if _, _, err := join(workers, m-1); !errors.Is(err, ErrTooDense) {
+				t.Fatalf("%s/%d workers: cap one below the entry count gave %v, want ErrTooDense", name, workers, err)
+			}
 		}
 	}
 }

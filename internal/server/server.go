@@ -20,6 +20,14 @@
 //	POST /v1/results/{id}/localzoom      {center, radius} -> local view
 //	GET  /healthz                         liveness probe
 //
+// Uploaded datasets run on disc.IndexCoverageGraph, and the Greedy-DisC
+// algorithms select with disc.SelectComponents; their selections and
+// zooms are the ids the library's default M-tree gives. A radius whose
+// graph would pass core.AdjacencyBudget is served by the M-tree (or a
+// flat scan), whose memory does not grow with the edge count, so the
+// client's radius cannot size the server's heap. Datasets restored by LoadSnapshot keep the
+// index their file records.
+//
 // Live maintainers (incremental r-DisC under inserts/deletes, backed by
 // disc.Updater — grid-servable metrics only):
 //
@@ -513,7 +521,8 @@ func (s *Server) handleCreateDataset(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	opts := []disc.Option{disc.WithMetric(metric)}
+	// The coverage graph answers selects and zooms with adjacency reads.
+	opts := []disc.Option{disc.WithMetric(metric), disc.WithIndex(disc.IndexCoverageGraph)}
 	switch req.Precision {
 	case "", "float64":
 	case "float32":
@@ -589,7 +598,8 @@ type resultBody struct {
 	Size      int      `json:"size"`
 	IDs       []int    `json:"ids"`
 	Labels    []string `json:"labels,omitempty"`
-	Accesses  int64    `json:"accesses"`
+	// Accesses counts adjacency entries examined (M-tree nodes on dense radii).
+	Accesses int64 `json:"accesses"`
 }
 
 func algorithmByName(name string) (disc.Algorithm, error) {
@@ -611,6 +621,19 @@ func algorithmByName(name string) (disc.Algorithm, error) {
 	default:
 		return 0, fmt.Errorf("unknown algorithm %q", name)
 	}
+}
+
+// componentSelectable reports whether alg is a Greedy-DisC variant, the
+// algorithms disc.SelectComponents serves. Component mode returns the
+// same subset as the global pass, with exact representative distances,
+// so later zoom-outs skip their recompute. Basic-DisC and the
+// coverage-only algorithms stay on the global path.
+func componentSelectable(alg disc.Algorithm) bool {
+	switch alg {
+	case disc.AlgorithmGreedy, disc.AlgorithmGreedyWhite, disc.AlgorithmLazyGrey, disc.AlgorithmLazyWhite:
+		return true
+	}
+	return false
 }
 
 func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
@@ -636,7 +659,11 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown dataset %q", name)
 		return
 	}
-	res, err := ds.div.Select(req.Radius, disc.WithAlgorithm(alg))
+	sopts := []disc.SelectOption{disc.WithAlgorithm(alg)}
+	if componentSelectable(alg) {
+		sopts = append(sopts, disc.WithSelectMode(disc.SelectComponents))
+	}
+	res, err := ds.div.Select(req.Radius, sopts...)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return

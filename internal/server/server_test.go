@@ -47,7 +47,9 @@ func doJSON(t *testing.T, method, url string, body any, wantStatus int, out any)
 	}
 }
 
-func uploadPoints(t *testing.T, ts *httptest.Server, name string, n int) {
+// uploadPoints creates dataset name from n seeded uniform 2-d points,
+// labelled obj-<i>, and returns the points it sent.
+func uploadPoints(t *testing.T, ts *httptest.Server, name string, n int) [][]float64 {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(1, 1))
 	points := make([][]float64, n)
@@ -59,6 +61,7 @@ func uploadPoints(t *testing.T, ts *httptest.Server, name string, n int) {
 	doJSON(t, "POST", ts.URL+"/v1/datasets",
 		map[string]any{"name": name, "metric": "euclidean", "points": points, "labels": labels},
 		http.StatusCreated, nil)
+	return points
 }
 
 type result struct {

@@ -187,6 +187,7 @@ func LoadDiversifier(r io.Reader, opts ...Option) (*Diversifier, error) {
 		parallelism: o.parallelism,
 		capacity:    o.capacity,
 		seed:        o.seed,
+		denseFrom:   math.Inf(1),
 	}
 
 	// Rehydrate persisted artifacts when the chosen backend can use

@@ -48,7 +48,10 @@ const (
 	// neighbourhood query in O(degree). The best choice when one radius
 	// is queried repeatedly, as the greedy heuristics do. For Lp metrics
 	// the graph is built by the grid ε-join (see IndexGrid) in
-	// O(n + candidate pairs).
+	// O(n + candidate pairs). Radii whose graph would pass 128 adjacency
+	// entries per object are served by the M-tree or a flat scan
+	// instead (see the package documentation), so memory stays linear
+	// in n at any radius.
 	IndexCoverageGraph
 	// IndexGrid is a uniform-grid spatial hash with cell side equal to
 	// the selection radius: queries scan only the ±1 cell ring, and the
