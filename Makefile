@@ -1,9 +1,9 @@
 # Shared entry points for CI (.github/workflows/ci.yml) and humans.
 GO ?= go
 
-# bench-guard workload: must match the checked-in BENCH_PR5.json and
-# BENCH_PR4.json baselines (cmd/benchguard refuses to compare differing
-# workloads).
+# bench-guard workload: must match the identity of the checked-in
+# BENCH_PR4/5/6.json baselines (cmd/benchguard refuses to compare
+# differing identities).
 BENCH_N ?= 50000
 BENCH_R ?= 0.0025
 # Allowed relative regression before bench-guard fails (0.25 = +25%).
@@ -14,8 +14,7 @@ BENCH_R ?= 0.0025
 BENCH_TOLERANCE ?= 0.25
 
 # bench-serve workload: must match the checked-in BENCH_SERVE.json
-# identity (n/dim/radius/seed/workers/duration/mix are all part of it —
-# benchguard refuses to compare differing serve workloads).
+# identity (n/dim/radius/seed/workers/duration/mix are all part of it).
 SERVE_N ?= 2000
 SERVE_WORKERS ?= 4
 SERVE_DURATION ?= 10s
@@ -39,11 +38,12 @@ lint:
 	fi
 
 ## bench: one-iteration smoke pass over every benchmark, then
-## regenerate the checked-in BENCH_PR5.json perf baseline, the
-## BENCH_PR6.json incremental-update baseline and the BENCH_PR7.json
-## high-dimensional kernel baseline from the canonical 50k workloads
-## (commit the refreshed files when the change is a deliberate perf
-## shift measured on the baseline hardware).
+## regenerate the checked-in BENCH_PR5.json (perf), BENCH_PR6.json
+## (stream), BENCH_PR7.json (highdim) and BENCH_SERVE.json baselines
+## from the canonical workloads. Every file is one suite in the bench
+## row schema (README.md, "Benchmarks"); commit refreshed files only
+## when the change is a deliberate perf shift measured on the baseline
+## hardware.
 bench:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x -timeout 25m ./...
 	$(GO) run ./cmd/discbench -exp perf -n $(BENCH_N) -r $(BENCH_R) -format=json > BENCH_PR5.json
@@ -54,15 +54,12 @@ bench:
 	@cat BENCH_PR7.json
 	$(MAKE) bench-serve
 
-## bench-serve: regenerate the checked-in BENCH_SERVE.json measured-SLO
-## baseline: build discserve and discload, spawn the server on a free
-## port (with a throwaway WAL dir so the durable path is exercised),
-## drive the default read/write mix for SERVE_DURATION from
-## SERVE_WORKERS concurrent clients, and record per-endpoint
-## throughput + p50/p99 plus the server-side /metrics counter deltas.
-## The post-run /metrics scrape lands in serve-metrics.prom (a CI
-## artifact). Commit the refreshed BENCH_SERVE.json only when measured
-## on the baseline hardware.
+## bench-serve: regenerate the checked-in BENCH_SERVE.json baseline:
+## build discserve and discload, spawn the server on a free port (with
+## a throwaway WAL dir so the durable path is exercised) and drive the
+## default read/write mix for SERVE_DURATION from SERVE_WORKERS
+## clients. The post-run /metrics scrape lands in serve-metrics.prom
+## (a CI artifact).
 bench-serve:
 	$(GO) build -o bin/discserve ./cmd/discserve
 	$(GO) build -o bin/discload ./cmd/discload
@@ -70,26 +67,13 @@ bench-serve:
 		-duration $(SERVE_DURATION) -out BENCH_SERVE.json -metrics-out serve-metrics.prom
 	@cat BENCH_SERVE.json
 
-## bench-guard: vet + compile-and-run gate over the selection and
-## steady-state neighbour-query benchmarks with allocation reporting,
-## plus the regression gates: the canonical 50k workload is re-measured
-## for the perf experiment (bench-current.json, diffed against the
-## checked-in BENCH_PR5.json — Build/Select/component-Select metrics),
-## the snapshot experiment (snapshot-bench.json, diffed against
-## BENCH_PR4.json — save/load metrics) and the stream experiment
-## (stream-bench.json, diffed against BENCH_PR6.json — updates/sec
-## floor and repair-latency p99 ceiling) and the highdim experiment
-## (highdim-bench.json, diffed against BENCH_PR7.json — per-metric
-## batched-join speedup, gated by an absolute 2x floor that transfers
-## across hardware because it is a same-machine ratio) and the serve
-## load run (serve-current.json from cmd/discload against a spawned
-## discserve, diffed against BENCH_SERVE.json — per-endpoint
-## throughput floor and p99 ceiling), failing on
-## anything more than BENCH_TOLERANCE (default +25%) over its baseline.
-## All outputs are uploaded as CI artifacts so the repo's perf
-## trajectory is inspectable per commit. Also runs the zero-allocation
-## regression tests, which carry a !race build tag and are therefore
-## invisible to `make test`.
+## bench-guard: vet, the zero-allocation regression tests (they carry
+## a !race build tag, so `make test` never runs them), a compile-and-
+## run pass over the selection and neighbour-query benchmarks with
+## -benchmem, then a re-measure of every gated suite on the canonical
+## workloads, diffed by cmd/benchguard against its checked-in baseline
+## under BENCH_TOLERANCE (README.md, "Benchmarks", has the row schema
+## and the gating rules). All outputs are CI artifacts.
 bench-guard:
 	$(GO) vet ./...
 	$(GO) test ./internal/core -run ZeroAlloc -v -count=1
@@ -103,17 +87,14 @@ bench-guard:
 	$(GO) build -o bin/discload ./cmd/discload
 	./bin/discload -spawn ./bin/discserve -n $(SERVE_N) -workers $(SERVE_WORKERS) \
 		-duration $(SERVE_DURATION) -out serve-current.json -metrics-out serve-metrics.prom
-	$(GO) run ./cmd/benchguard -baseline BENCH_PR5.json -current bench-current.json \
-		-snapshot-baseline BENCH_PR4.json -snapshot-current snapshot-bench.json \
-		-stream-baseline BENCH_PR6.json -stream-current stream-bench.json \
-		-highdim-baseline BENCH_PR7.json -highdim-current highdim-bench.json \
-		-serve-baseline BENCH_SERVE.json -serve-current serve-current.json \
-		-tolerance $(BENCH_TOLERANCE)
+	$(GO) run ./cmd/benchguard -tolerance $(BENCH_TOLERANCE) \
+		BENCH_PR5.json=bench-current.json BENCH_PR4.json=snapshot-bench.json \
+		BENCH_PR6.json=stream-bench.json BENCH_PR7.json=highdim-bench.json \
+		BENCH_SERVE.json=serve-current.json
 
-## snapshot-bench: measure cold-build vs snapshot-save vs warm-load on
-## the canonical 50k workload (the BENCH_PR4.json trajectory metric).
-## CI uploads the output alongside the bench-guard artifacts; refresh
-## the checked-in baseline with
+## snapshot-bench: measure cold build vs snapshot save vs warm load on
+## the canonical workload (the BENCH_PR4.json suite; README.md,
+## "Benchmarks"). Refresh the baseline with
 ## `make snapshot-bench && cp snapshot-bench.json BENCH_PR4.json`.
 snapshot-bench:
 	$(GO) run ./cmd/discbench -exp snapshot -n $(BENCH_N) -r $(BENCH_R) -format=json > snapshot-bench.json

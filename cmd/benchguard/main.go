@@ -1,563 +1,259 @@
-// Command benchguard diffs a freshly measured perf snapshot (the JSON
-// emitted by `discbench -exp perf -format=json`) against the repo's
-// checked-in baseline (BENCH_PR5.json) and fails when any guarded
-// metric regressed beyond the tolerance. CI runs it inside `make
-// bench-guard`, so a commit that slows an index build or a selection
-// by more than the tolerance fails the pipeline instead of silently
-// eroding the repo's perf trajectory.
+// Command benchguard diffs freshly measured benchmark suites against
+// the repo's checked-in baselines and fails when a gated metric
+// regressed beyond the tolerance. CI runs it inside `make bench-guard`,
+// so a commit that slows an index build, a selection or a served
+// endpoint by more than the tolerance fails the pipeline instead of
+// silently eroding the repo's perf trajectory.
 //
-// Guarded metrics, per engine: build_ms, select_ms_op and
-// select_components_ms_op (metrics absent from an older baseline — zero
-// values — are reported but cannot fail). Improvements never fail. An
-// engine present in the baseline but missing from the current snapshot
-// does fail, since losing a measurement is how a regression hides; an
-// engine present only in the current snapshot — a newly added engine
-// that has no baseline row yet — is tolerated with a warning, so adding
-// an engine never requires regenerating the baseline in the same
-// commit.
+// Every input is one document of the bench row schema (see the
+// README's "Benchmarks" section). Rows carry their own gating rules,
+// written once in the suite that measures them, so benchguard knows
+// nothing about any particular suite. For each baseline=current pair:
 //
-// With -snapshot-baseline and -snapshot-current set, the snapshot
-// experiment's save_ms and load_ms (the warm-start trajectory,
-// BENCH_PR4.json) are diffed under the same tolerance, so a commit that
-// bloats serialisation or the validated warm load fails too.
+//   - documents whose suite name or identity differ are refused
+//     (exit 2): a diff across workloads or core counts means nothing;
+//   - each gated baseline row is checked against the current row of the
+//     same subject and name, by the relative floor or ceiling its
+//     better direction implies and by its absolute min/max (the rules
+//     recorded in the baseline apply, so a baseline pins its gates);
+//   - a baseline row missing from the current run fails, once per
+//     subject, since losing a measurement is how a regression hides;
+//   - current-only rows warn, once per subject, so adding a metric
+//     never requires regenerating the baseline in the same commit.
 //
-// With -stream-baseline and -stream-current set, the stream
-// experiment's updates_per_sec (higher is better: fails when the fresh
-// number drops below baseline/(1+tolerance)) and repair_ms_p99 (lower
-// is better, guarded like the latency metrics) are diffed — the
-// incremental-update trajectory, BENCH_PR6.json.
-//
-// With -highdim-baseline and -highdim-current set, the highdim
-// experiment's join rows (the batched-kernel trajectory,
-// BENCH_PR7.json) are gated: every baseline metric row must be present,
-// its batched-over-scalar build speedup must clear the absolute 2x
-// floor — a same-machine ratio, so the gate transfers across hardware
-// where wall-clock tolerances cannot — and must not fall more than the
-// tolerance below the baseline's measured speedup.
-//
-// With -serve-baseline and -serve-current set, the measured-SLO load
-// run (cmd/discload, BENCH_SERVE.json) is gated per endpoint:
-// throughput_rps is a floor (fails below baseline/(1+tolerance)),
-// p99_ms a ceiling (fails above baseline*(1+tolerance)), and
-// availability_pct a floor — the tolerance scales the baseline's
-// unavailable fraction plus a small absolute slack, so a near-perfect
-// baseline cannot demand a literally perfect run while a real
-// availability drop (one dataset quietly 503ing) still fails. An
-// endpoint present in the baseline but missing from the current run
-// fails; a new endpoint with no baseline row warns; a current run with
-// endpoint errors always fails — errored requests would otherwise
-// flatter the latency numbers. Baselines that predate the availability
-// field (value 0) skip that gate.
+// Improvements never fail. The exit status is 1 on any regression.
 //
 // Usage:
 //
-//	benchguard -baseline BENCH_PR5.json -current bench-current.json \
-//	  [-snapshot-baseline BENCH_PR4.json -snapshot-current snapshot-bench.json] \
-//	  [-stream-baseline BENCH_PR6.json -stream-current stream-bench.json] \
-//	  [-highdim-baseline BENCH_PR7.json -highdim-current highdim-bench.json] \
-//	  [-serve-baseline BENCH_SERVE.json -serve-current serve-current.json] \
-//	  [-tolerance 0.25]
+//	benchguard [-tolerance 0.25] BENCH_PR5.json=bench-current.json [baseline=current ...]
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"sort"
+	"strings"
 
 	"github.com/discdiversity/disc/internal/experiments"
 )
 
-// loadJSON reads one measurement file of either trajectory format.
-func loadJSON[T any](path string) (*T, error) {
+func main() {
+	tolerance := flag.Float64("tolerance", 0.25, "allowed relative regression (0.25 = +25%)")
+	flag.Usage = func() {
+		fmt.Fprintln(os.Stderr, "usage: benchguard [-tolerance 0.25] baseline.json=current.json ...")
+		flag.PrintDefaults()
+	}
+	flag.Parse()
+	if flag.NArg() == 0 || *tolerance < 0 {
+		flag.Usage()
+		os.Exit(2)
+	}
+
+	// Load and match every pair before diffing any, so a refused pair
+	// never leaves a half-printed verdict behind.
+	type pair struct {
+		basePath  string
+		base, cur *experiments.Suite
+	}
+	var pairs []pair
+	for _, arg := range flag.Args() {
+		basePath, curPath, ok := strings.Cut(arg, "=")
+		if !ok {
+			fatalf("argument %q: want baseline=current", arg)
+		}
+		base, err := load(basePath)
+		if err != nil {
+			fatalf("%v", err)
+		}
+		cur, err := load(curPath)
+		if err != nil {
+			fatalf("%v", err)
+		}
+		if err := sameIdentity(base, cur); err != nil {
+			fatalf("%s vs %s: %v; refusing to compare", basePath, curPath, err)
+		}
+		pairs = append(pairs, pair{basePath, base, cur})
+	}
+
+	regressions := 0
+	var baselines []string
+	for _, p := range pairs {
+		fmt.Printf("== %s suite vs %s\n", p.base.Name, p.basePath)
+		r, _ := diff(os.Stdout, p.base, p.cur, *tolerance)
+		regressions += r
+		baselines = append(baselines, p.basePath)
+	}
+	if regressions > 0 {
+		fmt.Fprintf(os.Stderr, "benchguard: %d metric(s) regressed beyond %.0f%% of %s\n",
+			regressions, 100**tolerance, strings.Join(baselines, ", "))
+		os.Exit(1)
+	}
+	fmt.Printf("benchguard: all gated metrics within %.0f%% of %s\n", 100**tolerance, strings.Join(baselines, ", "))
+}
+
+func fatalf(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "benchguard: "+format+"\n", args...)
+	os.Exit(2)
+}
+
+// load reads one suite document. Unknown fields are refused, so a file
+// in some other format fails loudly instead of decoding to no rows.
+func load(path string) (*experiments.Suite, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	v := new(T)
-	if err := json.Unmarshal(data, v); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	s := new(experiments.Suite)
+	if err := dec.Decode(s); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return v, nil
-}
-
-// workload is the measurement-identity tuple both snapshot formats
-// share; comparisons across differing workloads (or core counts —
-// wall-clock loses meaning when parallelism changes) are refused, and
-// keeping the check in one place keeps the two gates equally strict.
-type workload struct {
-	dataset    string
-	n, dim     int
-	radius     float64
-	seed       uint64
-	gomaxprocs int
-}
-
-func perfWorkload(s *experiments.PerfSnapshot) workload {
-	return workload{s.Dataset, s.N, s.Dim, s.Radius, s.Seed, s.GoMaxProcs}
-}
-
-func snapshotWorkload(b *experiments.SnapshotBench) workload {
-	return workload{b.Dataset, b.N, b.Dim, b.Radius, b.Seed, b.GoMaxProcs}
-}
-
-func streamWorkload(b *experiments.StreamBench) workload {
-	return workload{b.Dataset, b.N, b.Dim, b.Radius, b.Seed, b.GoMaxProcs}
-}
-
-func highdimWorkload(b *experiments.HighDimBench) workload {
-	// Radii are per-join-row in this format; the row keys carry them.
-	return workload{b.Dataset, b.N, b.Dim, 0, b.Seed, b.GoMaxProcs}
-}
-
-// checkWorkloads exits with status 2 when base and cur do not describe
-// the same measurement.
-func checkWorkloads(kind string, base, cur workload) {
-	if base.dataset != cur.dataset || base.n != cur.n || base.dim != cur.dim ||
-		base.radius != cur.radius || base.seed != cur.seed {
-		fmt.Fprintf(os.Stderr, "benchguard: %s workloads differ (baseline %s n=%d dim=%d r=%g seed=%d, current %s n=%d dim=%d r=%g seed=%d); refusing to compare\n",
-			kind, base.dataset, base.n, base.dim, base.radius, base.seed,
-			cur.dataset, cur.n, cur.dim, cur.radius, cur.seed)
-		os.Exit(2)
+	if s.Name == "" {
+		return nil, fmt.Errorf("%s: no suite name", path)
 	}
-	if base.gomaxprocs != cur.gomaxprocs {
-		fmt.Fprintf(os.Stderr, "benchguard: %s GOMAXPROCS differs (baseline %d, current %d); refusing to compare\n",
-			kind, base.gomaxprocs, cur.gomaxprocs)
-		os.Exit(2)
+	return s, nil
+}
+
+// sameIdentity reports how base and cur describe different
+// measurements, or nil when they are comparable. Values are compared
+// by their JSON encoding, so an in-memory int equals its decoded
+// float64.
+func sameIdentity(base, cur *experiments.Suite) error {
+	if base.Name != cur.Name {
+		return fmt.Errorf("suites differ (baseline %q, current %q)", base.Name, cur.Name)
 	}
-}
-
-// metric is one guarded measurement of an engine.
-type metric struct {
-	name string
-	get  func(experiments.PerfEngine) float64
-}
-
-var guarded = []metric{
-	{"build_ms", func(e experiments.PerfEngine) float64 { return e.BuildMS }},
-	{"select_ms_op", func(e experiments.PerfEngine) float64 { return e.SelectMSOp }},
-	{"select_components_ms_op", func(e experiments.PerfEngine) float64 { return e.SelectComponentsMSOp }},
-}
-
-// compare diffs cur against base, printing one line per guarded metric
-// to w, and returns the number of regressed metrics (including baseline
-// engines missing from cur) and the number of warnings (engines present
-// in cur but absent from base — new engines with no baseline row yet,
-// which are tolerated).
-func compare(w io.Writer, base, cur *experiments.PerfSnapshot, tolerance float64) (regressions, warnings int) {
-	current := map[string]experiments.PerfEngine{}
-	for _, e := range cur.Engines {
-		current[e.Engine] = e
+	keys := map[string]bool{}
+	for k := range base.Identity {
+		keys[k] = true
 	}
-	baseline := map[string]bool{}
-	for _, b := range base.Engines {
-		baseline[b.Engine] = true
-		c, ok := current[b.Engine]
+	for k := range cur.Identity {
+		keys[k] = true
+	}
+	var diffs []string
+	for k := range keys {
+		b, _ := json.Marshal(base.Identity[k])
+		c, _ := json.Marshal(cur.Identity[k])
+		if !bytes.Equal(b, c) {
+			diffs = append(diffs, fmt.Sprintf("%s: baseline %s, current %s", k, b, c))
+		}
+	}
+	if len(diffs) > 0 {
+		sort.Strings(diffs)
+		return fmt.Errorf("%s identities differ (%s)", base.Name, strings.Join(diffs, "; "))
+	}
+	return nil
+}
+
+// gated reports whether a row carries any rule.
+func gated(r experiments.Row) bool {
+	return r.Better != experiments.None || r.Min != nil || r.Max != nil
+}
+
+// check applies baseline row b's rules to the current value now. It
+// returns a description of the bounds it applied and whether now broke
+// any of them.
+func check(b experiments.Row, now, tolerance float64) (bounds []string, fail bool) {
+	if b.Value > 0 {
+		switch b.Better {
+		case experiments.Lower:
+			limit := b.Value * (1 + tolerance)
+			bounds = append(bounds, fmt.Sprintf("ceiling %.6g", limit))
+			fail = now > limit
+		case experiments.Higher:
+			floor := b.Value / (1 + tolerance)
+			if b.Max != nil {
+				// A bounded metric: the shortfall from the bound may grow
+				// by the tolerance, plus tolerance% of the bound as slack.
+				floor = *b.Max - (*b.Max-b.Value)*(1+tolerance) - tolerance**b.Max/100
+			}
+			bounds = append(bounds, fmt.Sprintf("floor %.6g", floor))
+			fail = now < floor
+		}
+	}
+	if b.Min != nil {
+		bounds = append(bounds, fmt.Sprintf("min %g", *b.Min))
+		fail = fail || now < *b.Min
+	}
+	if b.Max != nil {
+		bounds = append(bounds, fmt.Sprintf("max %g", *b.Max))
+		fail = fail || now > *b.Max
+	}
+	return bounds, fail
+}
+
+// diff checks cur against base, printing one line per gated row and
+// per subject with missing or new rows to w. It returns the number of
+// regressions (failed rows, plus one per subject with rows missing
+// from cur) and of warnings (one per subject with rows only cur has).
+func diff(w io.Writer, base, cur *experiments.Suite, tolerance float64) (regressions, warnings int) {
+	type key struct{ subject, name string }
+	current := map[key]experiments.Row{}
+	for _, r := range cur.Rows {
+		current[key{r.Subject, r.Name}] = r
+	}
+	var missing rowsBySubject
+	for _, b := range base.Rows {
+		k := key{b.Subject, b.Name}
+		c, ok := current[k]
 		if !ok {
-			fmt.Fprintf(w, "FAIL %-8s missing from current snapshot\n", b.Engine)
-			regressions++
+			missing.add(b)
 			continue
 		}
-		for _, m := range guarded {
-			was, now := m.get(b), m.get(c)
-			limit := was * (1 + tolerance)
-			status := "ok  "
-			if now > limit && was > 0 {
-				status = "FAIL"
-				regressions++
-			}
-			pct := 0.0
-			if was > 0 {
-				pct = 100 * (now - was) / was
-			}
-			fmt.Fprintf(w, "%s %-8s %-12s %10.2f -> %10.2f (limit %.2f, %+.1f%%)\n",
-				status, b.Engine, m.name, was, now, limit, pct)
+		delete(current, k)
+		if !gated(b) {
+			continue
+		}
+		bounds, fail := check(b, c.Value, tolerance)
+		status := "ok  "
+		if fail {
+			status = "FAIL"
+			regressions++
+		}
+		change := ""
+		if b.Value != 0 {
+			change = fmt.Sprintf(", %+.1f%%", 100*(c.Value-b.Value)/b.Value)
+		}
+		if len(bounds) == 0 {
+			bounds = []string{"no baseline"}
+		}
+		fmt.Fprintf(w, "%s %-16s %-28s %12.6g -> %12.6g %-5s (%s%s)\n",
+			status, b.Subject, b.Name, b.Value, c.Value, b.Unit, strings.Join(bounds, ", "), change)
+	}
+	var fresh rowsBySubject
+	for _, c := range cur.Rows {
+		if _, ok := current[key{c.Subject, c.Name}]; ok {
+			fresh.add(c)
 		}
 	}
-	// Rows only the fresh snapshot has: newly added engines with no
-	// baseline yet. Warn so the gap is visible, but never fail — the
-	// baseline gains the row when it is next regenerated.
-	fresh := make([]string, 0, len(current))
-	for name := range current {
-		if !baseline[name] {
-			fresh = append(fresh, name)
-		}
+	for i, subject := range missing.subjects {
+		fmt.Fprintf(w, "FAIL %-16s missing from current run: %s\n", subject, strings.Join(missing.names[i], ", "))
+		regressions++
 	}
-	sort.Strings(fresh)
-	for _, name := range fresh {
-		fmt.Fprintf(w, "WARN %-8s not in baseline (new engine?); add a row on the next baseline refresh\n", name)
+	for i, subject := range fresh.subjects {
+		fmt.Fprintf(w, "WARN %-16s not in baseline (add on the next baseline refresh): %s\n", subject, strings.Join(fresh.names[i], ", "))
 		warnings++
 	}
 	return regressions, warnings
 }
 
-// snapshotMetric is one guarded measurement of the snapshot experiment.
-type snapshotMetric struct {
-	name string
-	get  func(*experiments.SnapshotBench) float64
+// rowsBySubject collects row names per subject in first-seen order.
+type rowsBySubject struct {
+	subjects []string
+	names    [][]string
 }
 
-var snapshotGuarded = []snapshotMetric{
-	{"save_ms", func(b *experiments.SnapshotBench) float64 { return b.SaveMS }},
-	{"load_ms", func(b *experiments.SnapshotBench) float64 { return b.LoadMS }},
-}
-
-// compareSnapshot diffs the snapshot experiment's guarded metrics the
-// same way compare treats the perf engines: one line per metric, a
-// regression for anything beyond the tolerance, improvements free.
-func compareSnapshot(w io.Writer, base, cur *experiments.SnapshotBench, tolerance float64) (regressions int) {
-	for _, m := range snapshotGuarded {
-		was, now := m.get(base), m.get(cur)
-		limit := was * (1 + tolerance)
-		status := "ok  "
-		if now > limit && was > 0 {
-			status = "FAIL"
-			regressions++
-		}
-		pct := 0.0
-		if was > 0 {
-			pct = 100 * (now - was) / was
-		}
-		fmt.Fprintf(w, "%s %-8s %-12s %10.2f -> %10.2f (limit %.2f, %+.1f%%)\n",
-			status, "snapshot", m.name, was, now, limit, pct)
-	}
-	return regressions
-}
-
-// compareStream diffs the stream experiment's guarded metrics:
-// updates_per_sec regresses when throughput falls below
-// baseline/(1+tolerance); repair_ms_p99 regresses when the tail latency
-// exceeds baseline*(1+tolerance). Improvements never fail; a current
-// run whose maintained selection diverged from rebuild always fails —
-// that is a correctness break, not a perf regression.
-func compareStream(w io.Writer, base, cur *experiments.StreamBench, tolerance float64) (regressions int) {
-	was, now := base.UpdatesPerSec, cur.UpdatesPerSec
-	limit := was / (1 + tolerance)
-	status := "ok  "
-	if now < limit && was > 0 {
-		status = "FAIL"
-		regressions++
-	}
-	pct := 0.0
-	if was > 0 {
-		pct = 100 * (now - was) / was
-	}
-	fmt.Fprintf(w, "%s %-8s %-16s %10.2f -> %10.2f (floor %.2f, %+.1f%%)\n",
-		status, "stream", "updates_per_sec", was, now, limit, pct)
-
-	// The WAL throughput floors guard the durable-updater path (log
-	// framing + append per op; fsync batched or off). A zero baseline
-	// means the reference JSON predates the WAL rows — skip, don't gate
-	// against nothing.
-	walFloors := []struct {
-		name     string
-		was, now float64
-	}{
-		{"wal_none_ups", base.WALNoneUpdatesPerSec, cur.WALNoneUpdatesPerSec},
-		{"wal_interval_ups", base.WALIntervalUpdatesPerSec, cur.WALIntervalUpdatesPerSec},
-	}
-	for _, f := range walFloors {
-		if f.was <= 0 {
-			continue
-		}
-		limit := f.was / (1 + tolerance)
-		status := "ok  "
-		if f.now < limit {
-			status = "FAIL"
-			regressions++
-		}
-		fmt.Fprintf(w, "%s %-8s %-16s %10.2f -> %10.2f (floor %.2f, %+.1f%%)\n",
-			status, "stream", f.name, f.was, f.now, limit, 100*(f.now-f.was)/f.was)
-	}
-
-	was, now = base.RepairMSP99, cur.RepairMSP99
-	limit = was * (1 + tolerance)
-	status = "ok  "
-	if now > limit && was > 0 {
-		status = "FAIL"
-		regressions++
-	}
-	pct = 0.0
-	if was > 0 {
-		pct = 100 * (now - was) / was
-	}
-	fmt.Fprintf(w, "%s %-8s %-16s %10.2f -> %10.2f (limit %.2f, %+.1f%%)\n",
-		status, "stream", "repair_ms_p99", was, now, limit, pct)
-
-	if !cur.EquivalentToRebuild {
-		fmt.Fprintf(w, "FAIL %-8s %-16s incremental selection diverged from rebuild\n", "stream", "equivalence")
-		regressions++
-	}
-	return regressions
-}
-
-// checkServeWorkloads refuses to diff serve runs with differing
-// workload identities; the serve format has its own tuple (no dataset
-// name, but workers, duration and mix shape the measured load as much
-// as n and radius do).
-func checkServeWorkloads(base, cur *experiments.ServeBench) {
-	if base.N != cur.N || base.Dim != cur.Dim || base.Radius != cur.Radius ||
-		base.Seed != cur.Seed || base.Workers != cur.Workers ||
-		base.DurationS != cur.DurationS || base.Mix != cur.Mix {
-		fmt.Fprintf(os.Stderr, "benchguard: serve workloads differ (baseline n=%d dim=%d r=%g seed=%d workers=%d dur=%gs mix=%q, current n=%d dim=%d r=%g seed=%d workers=%d dur=%gs mix=%q); refusing to compare\n",
-			base.N, base.Dim, base.Radius, base.Seed, base.Workers, base.DurationS, base.Mix,
-			cur.N, cur.Dim, cur.Radius, cur.Seed, cur.Workers, cur.DurationS, cur.Mix)
-		os.Exit(2)
-	}
-	if base.GoMaxProcs != cur.GoMaxProcs {
-		fmt.Fprintf(os.Stderr, "benchguard: serve GOMAXPROCS differs (baseline %d, current %d); refusing to compare\n",
-			base.GoMaxProcs, cur.GoMaxProcs)
-		os.Exit(2)
-	}
-}
-
-// compareServe gates the measured-SLO load run per endpoint: throughput
-// is a floor, the p99 tail a ceiling, improvements never fail. A
-// baseline endpoint missing from the current run fails (losing a
-// measurement is how a regression hides); a current endpoint with no
-// baseline row warns; any endpoint errors in the current run fail —
-// errored requests return fast and would flatter both gated numbers.
-func compareServe(w io.Writer, base, cur *experiments.ServeBench, tolerance float64) (regressions, warnings int) {
-	current := map[string]experiments.ServeEndpoint{}
-	for _, e := range cur.Endpoints {
-		current[e.Endpoint] = e
-	}
-	baseline := map[string]bool{}
-	for _, b := range base.Endpoints {
-		baseline[b.Endpoint] = true
-		c, ok := current[b.Endpoint]
-		if !ok {
-			fmt.Fprintf(w, "FAIL %-9s missing from current serve run\n", b.Endpoint)
-			regressions++
-			continue
-		}
-		floor := b.Throughput / (1 + tolerance)
-		status := "ok  "
-		if c.Throughput < floor && b.Throughput > 0 {
-			status = "FAIL"
-			regressions++
-		}
-		pct := 0.0
-		if b.Throughput > 0 {
-			pct = 100 * (c.Throughput - b.Throughput) / b.Throughput
-		}
-		fmt.Fprintf(w, "%s %-9s %-16s %10.2f -> %10.2f (floor %.2f, %+.1f%%)\n",
-			status, b.Endpoint, "throughput_rps", b.Throughput, c.Throughput, floor, pct)
-
-		limit := b.P99Ms * (1 + tolerance)
-		status = "ok  "
-		if c.P99Ms > limit && b.P99Ms > 0 {
-			status = "FAIL"
-			regressions++
-		}
-		pct = 0.0
-		if b.P99Ms > 0 {
-			pct = 100 * (c.P99Ms - b.P99Ms) / b.P99Ms
-		}
-		fmt.Fprintf(w, "%s %-9s %-16s %10.2f -> %10.2f (limit %.2f, %+.1f%%)\n",
-			status, b.Endpoint, "p99_ms", b.P99Ms, c.P99Ms, limit, pct)
-
-		if c.Errors > 0 {
-			fmt.Fprintf(w, "FAIL %-9s %-16s %d errored request(s) in current run\n", b.Endpoint, "errors", c.Errors)
-			regressions++
-		}
-
-		// Availability floor: the current run may not drop below the
-		// baseline's availability by more than the tolerance applied to
-		// the unavailable fraction (an absolute-percentage tolerance would
-		// let a 99.9% baseline quietly admit 75% runs). A zero baseline
-		// availability means the reference JSON predates the field — skip,
-		// don't gate against nothing.
-		if b.Availability > 0 {
-			floor := 100 - (100-b.Availability)*(1+tolerance) - 100*tolerance*0.01
-			if floor < 0 {
-				floor = 0
-			}
-			status = "ok  "
-			if c.Availability < floor {
-				status = "FAIL"
-				regressions++
-			}
-			fmt.Fprintf(w, "%s %-9s %-16s %10.2f -> %10.2f (floor %.2f, %+.2f)\n",
-				status, b.Endpoint, "availability_pct", b.Availability, c.Availability, floor, c.Availability-b.Availability)
+func (g *rowsBySubject) add(r experiments.Row) {
+	for i, s := range g.subjects {
+		if s == r.Subject {
+			g.names[i] = append(g.names[i], r.Name)
+			return
 		}
 	}
-	fresh := make([]string, 0, len(current))
-	for name := range current {
-		if !baseline[name] {
-			fresh = append(fresh, name)
-		}
-	}
-	sort.Strings(fresh)
-	for _, name := range fresh {
-		fmt.Fprintf(w, "WARN %-9s not in serve baseline (new endpoint?); add a row on the next baseline refresh\n", name)
-		warnings++
-	}
-	return regressions, warnings
-}
-
-// highDimSpeedupFloor is the absolute gate on the highdim join rows:
-// the batched coverage-graph build must stay at least this much faster
-// than the per-pair scalar build. Being a ratio of two runs on the same
-// machine, the floor transfers across hardware, unlike wall-clock.
-const highDimSpeedupFloor = 2.0
-
-// compareHighDim gates the highdim join rows: every baseline metric row
-// must be present in the current snapshot, clear the absolute speedup
-// floor, and not fall more than the tolerance below the baseline's
-// measured speedup (higher is better; improvements never fail).
-func compareHighDim(w io.Writer, base, cur *experiments.HighDimBench, tolerance float64) (regressions int) {
-	current := map[string]experiments.HighDimJoin{}
-	for _, j := range cur.Joins {
-		current[j.Metric] = j
-	}
-	for _, bj := range base.Joins {
-		cj, ok := current[bj.Metric]
-		if !ok {
-			fmt.Fprintf(w, "FAIL %-9s missing from current highdim snapshot\n", bj.Metric)
-			regressions++
-			continue
-		}
-		floor := highDimSpeedupFloor
-		if rel := bj.Speedup / (1 + tolerance); rel > floor && bj.Speedup > 0 {
-			floor = rel
-		}
-		status := "ok  "
-		if cj.Speedup < floor {
-			status = "FAIL"
-			regressions++
-		}
-		pct := 0.0
-		if bj.Speedup > 0 {
-			pct = 100 * (cj.Speedup - bj.Speedup) / bj.Speedup
-		}
-		fmt.Fprintf(w, "%s %-9s %-16s %9.2fx -> %9.2fx (floor %.2fx, %+.1f%%)\n",
-			status, bj.Metric, "join_speedup", bj.Speedup, cj.Speedup, floor, pct)
-	}
-	return regressions
-}
-
-func main() {
-	var (
-		baselinePath    = flag.String("baseline", "BENCH_PR5.json", "checked-in baseline snapshot")
-		currentPath     = flag.String("current", "", "freshly measured snapshot to check")
-		snapBasePath    = flag.String("snapshot-baseline", "", "checked-in snapshot-experiment baseline (e.g. BENCH_PR4.json)")
-		snapCurPath     = flag.String("snapshot-current", "", "freshly measured snapshot-experiment result to check")
-		streamBasePath  = flag.String("stream-baseline", "", "checked-in stream-experiment baseline (e.g. BENCH_PR6.json)")
-		streamCurPath   = flag.String("stream-current", "", "freshly measured stream-experiment result to check")
-		highdimBasePath = flag.String("highdim-baseline", "", "checked-in highdim-experiment baseline (e.g. BENCH_PR7.json)")
-		highdimCurPath  = flag.String("highdim-current", "", "freshly measured highdim-experiment result to check")
-		serveBasePath   = flag.String("serve-baseline", "", "checked-in serve-load baseline (e.g. BENCH_SERVE.json)")
-		serveCurPath    = flag.String("serve-current", "", "freshly measured serve-load result to check (cmd/discload output)")
-		tolerance       = flag.Float64("tolerance", 0.25, "allowed relative regression (0.25 = +25%)")
-	)
-	flag.Parse()
-	if *currentPath == "" {
-		fmt.Fprintln(os.Stderr, "benchguard: -current required")
-		os.Exit(2)
-	}
-	if (*snapBasePath == "") != (*snapCurPath == "") {
-		fmt.Fprintln(os.Stderr, "benchguard: -snapshot-baseline and -snapshot-current must be given together")
-		os.Exit(2)
-	}
-	if (*streamBasePath == "") != (*streamCurPath == "") {
-		fmt.Fprintln(os.Stderr, "benchguard: -stream-baseline and -stream-current must be given together")
-		os.Exit(2)
-	}
-	if (*highdimBasePath == "") != (*highdimCurPath == "") {
-		fmt.Fprintln(os.Stderr, "benchguard: -highdim-baseline and -highdim-current must be given together")
-		os.Exit(2)
-	}
-	if (*serveBasePath == "") != (*serveCurPath == "") {
-		fmt.Fprintln(os.Stderr, "benchguard: -serve-baseline and -serve-current must be given together")
-		os.Exit(2)
-	}
-	if *tolerance < 0 {
-		fmt.Fprintln(os.Stderr, "benchguard: negative tolerance")
-		os.Exit(2)
-	}
-
-	base, err := loadJSON[experiments.PerfSnapshot](*baselinePath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
-		os.Exit(2)
-	}
-	cur, err := loadJSON[experiments.PerfSnapshot](*currentPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
-		os.Exit(2)
-	}
-	checkWorkloads("perf", perfWorkload(base), perfWorkload(cur))
-
-	regressions, _ := compare(os.Stdout, base, cur, *tolerance)
-	baselines := *baselinePath
-	if *snapCurPath != "" {
-		sb, err := loadJSON[experiments.SnapshotBench](*snapBasePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
-			os.Exit(2)
-		}
-		sc, err := loadJSON[experiments.SnapshotBench](*snapCurPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
-			os.Exit(2)
-		}
-		checkWorkloads("snapshot", snapshotWorkload(sb), snapshotWorkload(sc))
-		regressions += compareSnapshot(os.Stdout, sb, sc, *tolerance)
-		baselines += " and " + *snapBasePath
-	}
-	if *streamCurPath != "" {
-		tb, err := loadJSON[experiments.StreamBench](*streamBasePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
-			os.Exit(2)
-		}
-		tc, err := loadJSON[experiments.StreamBench](*streamCurPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
-			os.Exit(2)
-		}
-		checkWorkloads("stream", streamWorkload(tb), streamWorkload(tc))
-		regressions += compareStream(os.Stdout, tb, tc, *tolerance)
-		baselines += " and " + *streamBasePath
-	}
-	if *highdimCurPath != "" {
-		hb, err := loadJSON[experiments.HighDimBench](*highdimBasePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
-			os.Exit(2)
-		}
-		hc, err := loadJSON[experiments.HighDimBench](*highdimCurPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
-			os.Exit(2)
-		}
-		checkWorkloads("highdim", highdimWorkload(hb), highdimWorkload(hc))
-		regressions += compareHighDim(os.Stdout, hb, hc, *tolerance)
-		baselines += " and " + *highdimBasePath
-	}
-	if *serveCurPath != "" {
-		vb, err := loadJSON[experiments.ServeBench](*serveBasePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
-			os.Exit(2)
-		}
-		vc, err := loadJSON[experiments.ServeBench](*serveCurPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
-			os.Exit(2)
-		}
-		checkServeWorkloads(vb, vc)
-		r, _ := compareServe(os.Stdout, vb, vc, *tolerance)
-		regressions += r
-		baselines += " and " + *serveBasePath
-	}
-	if regressions > 0 {
-		fmt.Fprintf(os.Stderr, "benchguard: %d metric(s) regressed beyond %.0f%% of %s\n",
-			regressions, 100**tolerance, baselines)
-		os.Exit(1)
-	}
-	fmt.Printf("benchguard: all guarded metrics within %.0f%% of %s\n", 100**tolerance, baselines)
+	g.subjects = append(g.subjects, r.Subject)
+	g.names = append(g.names, []string{r.Name})
 }

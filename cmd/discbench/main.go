@@ -10,12 +10,11 @@
 //	discbench -exp fig7 -quick       # reduced sweep for a fast look
 //	discbench -list                  # show available experiments
 //
-// The "perf" and "snapshot" experiments additionally support
-// machine-readable output — the format of the repo's BENCH_*.json
-// trajectory snapshots:
+// The "perf", "snapshot", "stream" and "highdim" experiments also write
+// -format=json: one suite in the bench row schema that cmd/benchguard
+// diffs (README.md, "Benchmarks"), e.g.
 //
-//	discbench -exp perf -n 50000 -r 0.0025 -format=json > BENCH.json
-//	discbench -exp snapshot -n 50000 -r 0.0025 -format=json > BENCH_SNAP.json
+//	discbench -exp perf -n 50000 -r 0.0025 -format=json > bench-current.json
 package main
 
 import (

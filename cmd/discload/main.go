@@ -6,9 +6,9 @@
 // the server's Retry-After hint with capped jitter, and every shed
 // attempt counts against availability), scrapes GET /metrics before
 // and after for the server-side counter deltas (WAL appends, fsyncs,
-// shed requests, repaired components), and writes the result as the
-// BENCH_SERVE.json format that cmd/benchguard gates (throughput and
-// availability as floors, p99 as a ceiling).
+// shed requests, repaired components), and writes the result as a
+// "serve" suite in the bench row schema that cmd/benchguard diffs
+// against BENCH_SERVE.json (README.md, "Benchmarks").
 //
 // Point it at an already-running server:
 //
@@ -98,7 +98,7 @@ func main() {
 		defer f.Close()
 		w = f
 	}
-	if err := bench.WriteJSON(w); err != nil {
+	if err := bench.Suite().WriteJSON(w); err != nil {
 		fatalf("%v", err)
 	}
 }

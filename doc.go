@@ -273,9 +273,9 @@
 // listener (-pprof-addr). cmd/discload measures the served SLOs: it
 // drives a weighted traffic mix against a spawned discserve and writes
 // per-endpoint throughput and p50/p99 plus server-side counter deltas
-// into BENCH_SERVE.json, which CI gates via cmd/benchguard (throughput
-// as a floor, p99 as a ceiling). docs/OBSERVABILITY.md is the metric
-// catalogue and methodology reference.
+// into BENCH_SERVE.json, which CI gates via cmd/benchguard.
+// docs/OBSERVABILITY.md is the metric catalogue and methodology
+// reference.
 //
 // The subpackages under internal implement the substrates: the M-tree
 // and the uniform grid, the algorithm engine (including the
@@ -284,7 +284,7 @@
 // harness that regenerates every table and figure of the paper (see
 // DESIGN.md and EXPERIMENTS.md; `discbench -exp engines` compares the
 // backends head to head, and `discbench -exp perf -format=json` emits a
-// machine-readable performance snapshot).
+// machine-readable performance suite).
 //
 // # Development
 //
@@ -294,18 +294,14 @@
 // under both GOAMD64=v1 and v3), `make crash-props` (the WAL and
 // fault-injection durability suites under the race detector), `make
 // doclint` (markdown cross-references must resolve) and `make
-// bench-guard` (the
-// regression gate diffing fresh perf, snapshot, stream, high-dim and
-// serve-load measurements against the checked-in BENCH_PR5.json,
-// BENCH_PR4.json, BENCH_PR6.json, BENCH_PR7.json and BENCH_SERVE.json
-// — stream throughput is gated as a floor, repair p99 as a ceiling,
-// batched-join speedup as a 2× floor, and every served endpoint's
-// throughput as a floor with its p99 as a ceiling)
-// on every push. All checked-in baselines were measured on this
-// repo's single-CPU dev container; wall-clock comparisons only hold
-// on comparable hardware (the speedup floor, a same-machine ratio,
-// transfers), so raise BENCH_TOLERANCE on slower runners. `make
-// bench` is the manual counterpart: a one-iteration smoke pass over
+// bench-guard` (the regression gate diffing fresh measurements of
+// every benchmark suite against its checked-in BENCH_*.json baseline)
+// on every push. Every suite writes one row schema whose rows carry
+// their own gating rules; the README's "Benchmarks" section describes
+// it and the gated rows. All checked-in baselines were measured on
+// this repo's single-CPU dev container; wall-clock comparisons only
+// hold on comparable hardware, so raise BENCH_TOLERANCE on slower
+// runners. `make bench` is the manual counterpart: a one-iteration smoke pass over
 // every benchmark, then a refresh of the BENCH_PR5.json,
 // BENCH_PR6.json, BENCH_PR7.json and BENCH_SERVE.json baselines (the
 // last via `make bench-serve`) — it rewrites those

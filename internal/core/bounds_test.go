@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/discdiversity/disc/internal/baseline"
-	"github.com/discdiversity/disc/internal/graph"
 	"github.com/discdiversity/disc/internal/object"
 )
 
@@ -18,7 +17,7 @@ func TestTheorem1Bound(t *testing.T) {
 	for seed := uint64(0); seed < 8; seed++ {
 		pts := randomPoints(16, 2, seed+100)
 		r := 0.25
-		g := graph.Build(pts, m, r)
+		g := buildRefGraph(pts, m, r)
 		optimal := g.MinIndependentDominatingSet()
 		b := g.MaxIndependentNeighbors()
 		if b == 0 {
@@ -119,7 +118,7 @@ func TestTheorem2GreedyCBound(t *testing.T) {
 	for seed := uint64(0); seed < 8; seed++ {
 		pts := randomPoints(18, 2, seed+200)
 		r := 0.22
-		g := graph.Build(pts, m, r)
+		g := buildRefGraph(pts, m, r)
 		optimal := g.MinIndependentDominatingSet()
 		delta := g.MaxDegree()
 		// H(Δ+1) bound from the paper's proof.
@@ -213,7 +212,7 @@ func TestLemma7MaxMinQuality(t *testing.T) {
 			continue
 		}
 		lambda := baseline.FMin(pts, m, s.IDs)
-		_, lambdaOpt := graph.OptimalMaxMin(pts, m, k)
+		_, lambdaOpt := optimalMaxMin(pts, m, k)
 		if lambdaOpt > 3*lambda+1e-9 {
 			t.Errorf("seed %d: optimal fmin %g exceeds 3x DisC fmin %g", seed, lambdaOpt, lambda)
 		}

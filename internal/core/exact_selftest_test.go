@@ -1,28 +1,17 @@
-package graph
+package core
 
 import (
-	"math/rand/v2"
 	"testing"
 
 	"github.com/discdiversity/disc/internal/object"
 )
 
-func randomPoints(n, d int, seed uint64) []object.Point {
-	rng := rand.New(rand.NewPCG(seed, seed+1))
-	pts := make([]object.Point, n)
-	for i := range pts {
-		p := make(object.Point, d)
-		for j := range p {
-			p[j] = rng.Float64()
-		}
-		pts[i] = p
-	}
-	return pts
-}
+// The exact reference's own tests: the solvers the bound tests trust
+// are checked against brute force and the paper's worked examples.
 
 func TestBuildAndValidate(t *testing.T) {
 	pts := randomPoints(50, 2, 1)
-	g := Build(pts, object.Euclidean{}, 0.2)
+	g := buildRefGraph(pts, object.Euclidean{}, 0.2)
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +31,7 @@ func TestBuildAndValidate(t *testing.T) {
 func TestFigure4Graph(t *testing.T) {
 	// v1..v6 (0-indexed): edges as in the figure: v2 adjacent to v1, v3,
 	// v5; v5 adjacent to v4, v6 (a "double star").
-	g := &Graph{Adj: make([][]int, 6)}
+	g := &refGraph{Adj: make([][]int, 6)}
 	addEdge := func(u, v int) {
 		g.Adj[u] = append(g.Adj[u], v)
 		g.Adj[v] = append(g.Adj[v], u)
@@ -70,7 +59,7 @@ func TestFigure4Graph(t *testing.T) {
 }
 
 func TestSetPredicates(t *testing.T) {
-	g := Build(randomPoints(30, 2, 2), object.Euclidean{}, 0.25)
+	g := buildRefGraph(randomPoints(30, 2, 2), object.Euclidean{}, 0.25)
 	all := make([]int, g.N())
 	for i := range all {
 		all[i] = i
@@ -95,7 +84,7 @@ func TestSetPredicates(t *testing.T) {
 func TestLemma1MaximalIffDominating(t *testing.T) {
 	for seed := uint64(0); seed < 10; seed++ {
 		pts := randomPoints(14, 2, seed)
-		g := Build(pts, object.Euclidean{}, 0.3)
+		g := buildRefGraph(pts, object.Euclidean{}, 0.3)
 		s := g.MinIndependentDominatingSet()
 		if !g.IsMaximalIndependent(s) {
 			t.Fatalf("seed %d: MIDS not maximal independent", seed)
@@ -117,7 +106,7 @@ func TestExactMIDSIsMinimum(t *testing.T) {
 	// instances.
 	for seed := uint64(0); seed < 6; seed++ {
 		pts := randomPoints(10, 2, seed+10)
-		g := Build(pts, object.Euclidean{}, 0.35)
+		g := buildRefGraph(pts, object.Euclidean{}, 0.35)
 		got := g.MinIndependentDominatingSet()
 		want := bruteMIDSSize(g)
 		if len(got) != want {
@@ -126,7 +115,7 @@ func TestExactMIDSIsMinimum(t *testing.T) {
 	}
 }
 
-func bruteMIDSSize(g *Graph) int {
+func bruteMIDSSize(g *refGraph) int {
 	n := g.N()
 	best := n + 1
 	for mask := 1; mask < 1<<uint(n); mask++ {
@@ -148,7 +137,7 @@ func bruteMIDSSize(g *Graph) int {
 
 func TestMaxIndependentNeighbors(t *testing.T) {
 	// A star: the centre has n-1 mutually non-adjacent neighbours.
-	g := &Graph{Adj: make([][]int, 6)}
+	g := &refGraph{Adj: make([][]int, 6)}
 	for v := 1; v < 6; v++ {
 		g.Adj[0] = append(g.Adj[0], v)
 		g.Adj[v] = append(g.Adj[v], 0)
@@ -157,7 +146,7 @@ func TestMaxIndependentNeighbors(t *testing.T) {
 		t.Errorf("star B=%d, want 5", got)
 	}
 	// A triangle: every neighbourhood is a single edge, B=1.
-	tri := &Graph{Adj: [][]int{{1, 2}, {0, 2}, {0, 1}}}
+	tri := &refGraph{Adj: [][]int{{1, 2}, {0, 2}, {0, 1}}}
 	if got := tri.MaxIndependentNeighbors(); got != 1 {
 		t.Errorf("triangle B=%d, want 1", got)
 	}
@@ -165,17 +154,17 @@ func TestMaxIndependentNeighbors(t *testing.T) {
 
 func TestOptimalMaxMin(t *testing.T) {
 	pts := []object.Point{{0, 0}, {1, 0}, {0.1, 0}, {0.5, 0.5}}
-	ids, fmin := OptimalMaxMin(pts, object.Euclidean{}, 2)
+	ids, fmin := optimalMaxMin(pts, object.Euclidean{}, 2)
 	if len(ids) != 2 {
 		t.Fatalf("got %v", ids)
 	}
 	if fmin != 1 { // the best pair is {0,1} at distance 1
 		t.Errorf("fmin=%g want 1", fmin)
 	}
-	if _, f := OptimalMaxMin(pts, object.Euclidean{}, 1); f != f || len(pts) == 0 {
+	if _, f := optimalMaxMin(pts, object.Euclidean{}, 1); f != f || len(pts) == 0 {
 		_ = f // k=1 yields +Inf; just ensure no panic
 	}
-	if ids, _ := OptimalMaxMin(pts, object.Euclidean{}, 0); ids != nil {
+	if ids, _ := optimalMaxMin(pts, object.Euclidean{}, 0); ids != nil {
 		t.Error("k=0 should return nil")
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -316,6 +317,78 @@ func TestHighDimQuickShape(t *testing.T) {
 	}
 	if len(res.Tables()) != 3 {
 		t.Errorf("expected 3 text tables")
+	}
+	checkSuite(t, res.Suite())
+}
+
+// checkSuite asserts the bench row schema's invariants: a named suite
+// with an identity, rows keyed uniquely by subject and name (benchguard
+// matches rows on that key), and a known direction and a unit on every
+// row.
+func checkSuite(t *testing.T, s Suite) {
+	t.Helper()
+	if s.Name == "" || len(s.Identity) == 0 || len(s.Rows) == 0 {
+		t.Fatalf("suite %q: empty name, identity or rows", s.Name)
+	}
+	seen := map[[2]string]bool{}
+	for _, r := range s.Rows {
+		k := [2]string{r.Subject, r.Name}
+		if seen[k] {
+			t.Errorf("suite %s: duplicate row %v", s.Name, k)
+		}
+		seen[k] = true
+		if r.Better != Lower && r.Better != Higher && r.Better != None {
+			t.Errorf("suite %s: row %v: better %q", s.Name, k, r.Better)
+		}
+		if r.Subject == "" || r.Name == "" || r.Unit == "" {
+			t.Errorf("suite %s: row %+v lacks a subject, name or unit", s.Name, r)
+		}
+	}
+}
+
+// TestSuiteGates pins where every gate is written: each suite's Rows
+// carry exactly these rules (subject, name, direction and absolute
+// bounds), and every other row is recorded only.
+func TestSuiteGates(t *testing.T) {
+	tel := &ExperimentTelemetry{RepairP99Ms: 1, WALAppends: 4, SelectP50Ms: 2}
+	for _, tc := range []struct {
+		suite Suite
+		gates []string
+	}{
+		{(&PerfSnapshot{Dataset: "clustered", N: 10, Telemetry: tel, Engines: []PerfEngine{{Engine: "grid"}}}).Suite(),
+			[]string{"grid/build_ms lower", "grid/select_ms_op lower", "grid/select_components_ms_op lower"}},
+		{(&SnapshotBench{Dataset: "clustered", N: 10}).Suite(),
+			[]string{"snapshot/save_ms lower", "snapshot/load_ms lower"}},
+		{(&StreamBench{Dataset: "clustered", N: 10, Telemetry: tel}).Suite(),
+			[]string{"stream/updates_per_sec higher", "stream/repair_ms_p99 lower", "stream/wal_none_updates_per_sec higher",
+				"stream/wal_interval_updates_per_sec higher", "stream/equivalent_to_rebuild none min=1"}},
+		{(&HighDimBench{Dataset: "sphere", N: 10, Joins: []HighDimJoin{{Metric: "cosine"}},
+			Kernels: []HighDimKernel{{Dim: 64, Metric: "cosine"}}, Crossover: []HighDimCrossover{{Dim: 2}}}).Suite(),
+			[]string{"cosine/speedup higher min=2"}},
+		{(&ServeBench{N: 10, Mix: DefaultServeMix, Server: &ServeMetricsDelta{Requests: 3},
+			Endpoints: []ServeEndpoint{{Endpoint: "select"}}}).Suite(),
+			[]string{"select/errors none max=0", "select/availability_pct higher max=100", "select/throughput_rps higher", "select/p99_ms lower"}},
+	} {
+		checkSuite(t, tc.suite)
+		var gates []string
+		for _, r := range tc.suite.Rows {
+			if r.Better == None && r.Min == nil && r.Max == nil {
+				continue
+			}
+			g := r.Subject + "/" + r.Name + " " + r.Better
+			if r.Min != nil {
+				g += " min=" + strconv.FormatFloat(*r.Min, 'g', -1, 64)
+			}
+			if r.Max != nil {
+				g += " max=" + strconv.FormatFloat(*r.Max, 'g', -1, 64)
+			}
+			gates = append(gates, g)
+		}
+		slices.Sort(gates)
+		slices.Sort(tc.gates)
+		if !slices.Equal(gates, tc.gates) {
+			t.Errorf("suite %s gates %q, want %q", tc.suite.Name, gates, tc.gates)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"time"
@@ -15,7 +14,7 @@ import (
 )
 
 // highdim.go measures the high-dimensional embedding workload — the
-// BENCH_PR7.json trajectory. Three questions, one JSON file:
+// BENCH_PR7.json suite. Three questions, one suite:
 //
 //  1. Joins: how much faster is the batched coverage-graph build
 //     (grid.FlatJoin, fused early-exit kernels, optionally the float32
@@ -38,72 +37,72 @@ import (
 // HighDimJoin is one metric's coverage-graph build comparison at the
 // main workload's n and dim.
 type HighDimJoin struct {
-	Metric string  `json:"metric"`
-	Radius float64 `json:"radius"`
-	Edges  int     `json:"edges"`
+	Metric string
+	Radius float64
+	Edges  int
 	// ScalarBuildMS is grid.FlatJoinScalar (one kernel call and
 	// threshold test per candidate pair); BatchBuildMS is grid.FlatJoin
 	// over the same float64 dataset; Batch32BuildMS is grid.FlatJoin
 	// over the Float32 dataset (float32 pre-filter + exact recheck).
-	ScalarBuildMS  float64 `json:"scalar_build_ms"`
-	BatchBuildMS   float64 `json:"batch_build_ms"`
-	Batch32BuildMS float64 `json:"batch32_build_ms"`
+	ScalarBuildMS  float64
+	BatchBuildMS   float64
+	Batch32BuildMS float64
 	// Speedup = ScalarBuildMS/BatchBuildMS, Speedup32 =
 	// ScalarBuildMS/Batch32BuildMS. Speedup is the gated ratio.
-	Speedup   float64 `json:"speedup"`
-	Speedup32 float64 `json:"speedup32"`
+	Speedup   float64
+	Speedup32 float64
 	// SelectMSOp is the pruned component-decomposed Greedy-DisC over the
 	// built graph (steady-state: adjacency and components cached).
-	SelectMSOp   float64 `json:"select_ms_op"`
-	SolutionSize int     `json:"solution_size"`
+	SelectMSOp   float64
+	SolutionSize int
 }
 
 // HighDimKernel is one (dim, metric) row of the kernel throughput
 // sweep; all numbers are nanoseconds per candidate row.
 type HighDimKernel struct {
-	Dim    int    `json:"dim"`
-	Metric string `json:"metric"`
+	Dim    int
+	Metric string
 	// ScalarNsRow: per-pair Raw call + threshold test. BatchNsRow:
 	// RawBatch over the contiguous block. FilterNsRow: fused
 	// FilterWithin. Filter32NsRow: the Float32 dataset's pre-filtered
 	// range scan (including the exact float64 recheck of survivors).
-	ScalarNsRow   float64 `json:"scalar_ns_row"`
-	BatchNsRow    float64 `json:"batch_ns_row"`
-	FilterNsRow   float64 `json:"filter_ns_row"`
-	Filter32NsRow float64 `json:"filter32_ns_row"`
+	ScalarNsRow   float64
+	BatchNsRow    float64
+	FilterNsRow   float64
+	Filter32NsRow float64
 }
 
 // HighDimCrossover is one dimensionality of the grid-vs-flat join
 // comparison (uniform cube data, Euclidean, fixed radius).
 type HighDimCrossover struct {
-	Dim int `json:"dim"`
+	Dim int
 	// GridBuildMS covers grid.Build + grid.Join (what the graph engine's
 	// grid substrate pays); FlatBuildMS is grid.FlatJoin.
-	GridBuildMS float64 `json:"grid_build_ms"`
-	FlatBuildMS float64 `json:"flat_build_ms"`
+	GridBuildMS float64
+	FlatBuildMS float64
 }
 
 // HighDimBench is the machine-readable result of the "highdim"
-// experiment — the BENCH_PR7.json trajectory format.
+// experiment; its Suite is the BENCH_PR7.json baseline.
 type HighDimBench struct {
-	Dataset    string `json:"dataset"`
-	N          int    `json:"n"`
-	Dim        int    `json:"dim"`
-	Seed       uint64 `json:"seed"`
-	GoMaxProcs int    `json:"gomaxprocs"`
-	GoVersion  string `json:"go_version"`
+	Dataset    string
+	N          int
+	Dim        int
+	Seed       uint64
+	GoMaxProcs int
+	GoVersion  string
 
-	Joins     []HighDimJoin      `json:"joins"`
-	Kernels   []HighDimKernel    `json:"kernels"`
-	Crossover []HighDimCrossover `json:"crossover"`
+	Joins     []HighDimJoin
+	Kernels   []HighDimKernel
+	Crossover []HighDimCrossover
 
 	// Incremental repair at embedding dimensionality: UpdateN points
 	// (the grid substrate repair runs on degenerates at high d, so the
 	// cardinality is reduced), Euclidean (the Updater's substrate does
 	// not serve cosine), per-operation convergence.
-	UpdateN      int     `json:"update_n"`
-	UpdateRadius float64 `json:"update_radius"`
-	UpdateMSOp   float64 `json:"update_ms_op"`
+	UpdateN      int
+	UpdateRadius float64
+	UpdateMSOp   float64
 }
 
 // The sphere workload's radii. On unit-norm vectors the Euclidean and
@@ -399,11 +398,63 @@ func highDimUpdate(cfg Config, ds *object.Dataset, res *HighDimBench) error {
 	return nil
 }
 
-// WriteJSON renders the snapshot as indented JSON.
-func (b *HighDimBench) WriteJSON(cfg Config) error {
-	enc := json.NewEncoder(cfg.out())
-	enc.SetIndent("", "  ")
-	return enc.Encode(b)
+// Suite renders the benchmark in the bench row schema. Radii are per
+// join row, so the identity carries none.
+func (b *HighDimBench) Suite() Suite {
+	return Suite{
+		Name:     "highdim",
+		Identity: map[string]any{"dataset": b.Dataset, "n": b.N, "dim": b.Dim, "seed": b.Seed, "gomaxprocs": b.GoMaxProcs},
+		Info:     map[string]string{"go_version": b.GoVersion},
+		Rows:     b.Rows(),
+	}
+}
+
+// highDimSpeedupFloor is the absolute gate on the join rows: the
+// batched coverage-graph build must stay at least this much faster than
+// the per-pair scalar build. Being a ratio of two runs on the same
+// machine, the floor transfers across hardware, unlike wall-clock.
+const highDimSpeedupFloor = 2.0
+
+// Rows lists the benchmark's measurements. Each join's batched-over-
+// scalar speedup is gated twice, as a relative floor and by the
+// absolute highDimSpeedupFloor; the kernel sweep, the crossover and
+// the update cost are recorded.
+func (b *HighDimBench) Rows() []Row {
+	var rows []Row
+	for _, j := range b.Joins {
+		rows = append(rows,
+			info(j.Metric, "radius", "dist", j.Radius),
+			info(j.Metric, "edges", "count", float64(j.Edges)),
+			info(j.Metric, "scalar_build_ms", "ms", j.ScalarBuildMS),
+			info(j.Metric, "batch_build_ms", "ms", j.BatchBuildMS),
+			info(j.Metric, "batch32_build_ms", "ms", j.Batch32BuildMS),
+			higher(j.Metric, "speedup", "x", j.Speedup).atLeast(highDimSpeedupFloor),
+			info(j.Metric, "speedup32", "x", j.Speedup32),
+			info(j.Metric, "select_ms_op", "ms", j.SelectMSOp),
+			info(j.Metric, "solution_size", "count", float64(j.SolutionSize)),
+		)
+	}
+	for _, k := range b.Kernels {
+		subject := fmt.Sprintf("kernel/%d/%s", k.Dim, k.Metric)
+		rows = append(rows,
+			info(subject, "scalar_ns_row", "ns", k.ScalarNsRow),
+			info(subject, "batch_ns_row", "ns", k.BatchNsRow),
+			info(subject, "filter_ns_row", "ns", k.FilterNsRow),
+			info(subject, "filter32_ns_row", "ns", k.Filter32NsRow),
+		)
+	}
+	for _, c := range b.Crossover {
+		subject := fmt.Sprintf("crossover/%d", c.Dim)
+		rows = append(rows,
+			info(subject, "grid_build_ms", "ms", c.GridBuildMS),
+			info(subject, "flat_build_ms", "ms", c.FlatBuildMS),
+		)
+	}
+	return append(rows,
+		info("update", "update_n", "count", float64(b.UpdateN)),
+		info("update", "update_radius", "dist", b.UpdateRadius),
+		info("update", "update_ms_op", "ms", b.UpdateMSOp),
+	)
 }
 
 // Tables renders the three sections as plain-text tables (the

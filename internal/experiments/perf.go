@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"time"
@@ -18,45 +17,45 @@ import (
 // with the default worker count — SelectComponents* rows) and the
 // steady-state reusable-buffer neighbour query.
 type PerfEngine struct {
-	Engine               string  `json:"engine"`
-	BuildNsOp            int64   `json:"build_ns_op"`
-	BuildMS              float64 `json:"build_ms"`
-	SelectNsOp           int64   `json:"select_ns_op"`
-	SelectMSOp           float64 `json:"select_ms_op"`
-	SelectAllocsOp       int64   `json:"select_allocs_op"`
-	SelectBytesOp        int64   `json:"select_bytes_op"`
-	SelectComponentsNsOp int64   `json:"select_components_ns_op"`
-	SelectComponentsMSOp float64 `json:"select_components_ms_op"`
-	NeighborsNsOp        int64   `json:"neighbors_ns_op"`
-	NeighborsAllocsOp    int64   `json:"neighbors_allocs_op"`
-	SolutionSize         int     `json:"solution_size"`
-	Accesses             int64   `json:"accesses"`
+	Engine               string
+	BuildNsOp            int64
+	BuildMS              float64
+	SelectNsOp           int64
+	SelectMSOp           float64
+	SelectAllocsOp       int64
+	SelectBytesOp        int64
+	SelectComponentsNsOp int64
+	SelectComponentsMSOp float64
+	NeighborsNsOp        int64
+	NeighborsAllocsOp    int64
+	SolutionSize         int
+	Accesses             int64
 }
 
-// PerfSnapshot is the machine-readable result of the "perf" experiment —
-// the repo's benchmark trajectory format (see BENCH_PR2.json).
+// PerfSnapshot is the machine-readable result of the "perf" experiment;
+// its -format=json rendering (Suite) is the BENCH_PR5.json baseline.
 type PerfSnapshot struct {
-	Dataset    string  `json:"dataset"`
-	N          int     `json:"n"`
-	Dim        int     `json:"dim"`
-	Radius     float64 `json:"radius"`
-	Seed       uint64  `json:"seed"`
-	GoMaxProcs int     `json:"gomaxprocs"`
-	GoVersion  string  `json:"go_version"`
-	Algorithm  string  `json:"algorithm"`
+	Dataset    string
+	N          int
+	Dim        int
+	Radius     float64
+	Seed       uint64
+	GoMaxProcs int
+	GoVersion  string
+	Algorithm  string
 	// Components and LargestComponent describe the r-coverage graph's
 	// connected-component structure at Radius (identical for every
 	// engine), the shape that determines how much the component-
 	// decomposed selection can exploit.
-	Components       int          `json:"components"`
-	LargestComponent int          `json:"largest_component"`
-	Engines          []PerfEngine `json:"engines"`
+	Components       int
+	LargestComponent int
+	Engines          []PerfEngine
 
 	// Telemetry is the in-process metrics view over the whole snapshot
 	// run: selection and grid-build histogram quantiles aggregated
 	// across the measured engines (the instrumented counterpart of the
 	// per-engine wall-clock rows above).
-	Telemetry *ExperimentTelemetry `json:"telemetry,omitempty"`
+	Telemetry *ExperimentTelemetry
 }
 
 // measure runs f repeatedly until budget elapses (always at least once)
@@ -99,7 +98,7 @@ func (c Config) perfRadius(datasetName string) float64 {
 // Perf measures all four index backends on the same pruned Greedy-DisC
 // workload and returns the snapshot. The linear-scan engine is skipped
 // above 20k objects, where a single quadratic selection would dominate
-// the whole snapshot's runtime; the JSON then records the three indexed
+// the whole snapshot's runtime; the suite then records the three indexed
 // engines. Builds are measured like selections (repeated under a fixed
 // budget), since build time is a guarded metric of the snapshot.
 func Perf(cfg Config, datasetName string) (*PerfSnapshot, error) {
@@ -195,11 +194,40 @@ func Perf(cfg Config, datasetName string) (*PerfSnapshot, error) {
 	return snap, nil
 }
 
-// WriteJSON renders the snapshot as indented JSON.
-func (s *PerfSnapshot) WriteJSON(cfg Config) error {
-	enc := json.NewEncoder(cfg.out())
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
+// Suite renders the snapshot in the bench row schema.
+func (s *PerfSnapshot) Suite() Suite {
+	return Suite{
+		Name:     "perf",
+		Identity: map[string]any{"dataset": s.Dataset, "n": s.N, "dim": s.Dim, "radius": s.Radius, "seed": s.Seed, "gomaxprocs": s.GoMaxProcs},
+		Info:     map[string]string{"go_version": s.GoVersion, "algorithm": s.Algorithm},
+		Rows:     s.Rows(),
+	}
+}
+
+// Rows lists the snapshot's measurements. Per engine, the build and
+// both selection modes are gated as ceilings; the rest is recorded.
+func (s *PerfSnapshot) Rows() []Row {
+	rows := []Row{
+		info("workload", "components", "count", float64(s.Components)),
+		info("workload", "largest_component", "count", float64(s.LargestComponent)),
+	}
+	for _, e := range s.Engines {
+		rows = append(rows,
+			info(e.Engine, "build_ns_op", "ns", float64(e.BuildNsOp)),
+			lower(e.Engine, "build_ms", "ms", e.BuildMS),
+			info(e.Engine, "select_ns_op", "ns", float64(e.SelectNsOp)),
+			lower(e.Engine, "select_ms_op", "ms", e.SelectMSOp),
+			info(e.Engine, "select_allocs_op", "count", float64(e.SelectAllocsOp)),
+			info(e.Engine, "select_bytes_op", "B", float64(e.SelectBytesOp)),
+			info(e.Engine, "select_components_ns_op", "ns", float64(e.SelectComponentsNsOp)),
+			lower(e.Engine, "select_components_ms_op", "ms", e.SelectComponentsMSOp),
+			info(e.Engine, "neighbors_ns_op", "ns", float64(e.NeighborsNsOp)),
+			info(e.Engine, "neighbors_allocs_op", "count", float64(e.NeighborsAllocsOp)),
+			info(e.Engine, "solution_size", "count", float64(e.SolutionSize)),
+			info(e.Engine, "accesses", "count", float64(e.Accesses)),
+		)
+	}
+	return append(rows, telemetryRows(s.Telemetry)...)
 }
 
 // Table renders the snapshot as a plain-text table (the -format=text

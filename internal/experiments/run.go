@@ -71,7 +71,7 @@ var Registry = map[string]Runner{
 			return err
 		}
 		if cfg.Format == "json" {
-			return snap.WriteJSON(cfg)
+			return snap.Suite().WriteJSON(cfg.out())
 		}
 		printTables(cfg.out(), snap.Table())
 		return nil
@@ -86,7 +86,7 @@ var Registry = map[string]Runner{
 			return err
 		}
 		if cfg.Format == "json" {
-			err = res.WriteJSON(cfg)
+			err = res.Suite().WriteJSON(cfg.out())
 		} else {
 			printTables(cfg.out(), res.Table())
 		}
@@ -104,7 +104,7 @@ var Registry = map[string]Runner{
 			return err
 		}
 		if cfg.Format == "json" {
-			return res.WriteJSON(cfg)
+			return res.Suite().WriteJSON(cfg.out())
 		}
 		printTables(cfg.out(), res.Tables()...)
 		return nil
@@ -115,7 +115,7 @@ var Registry = map[string]Runner{
 			return err
 		}
 		if cfg.Format == "json" {
-			err = res.WriteJSON(cfg)
+			err = res.Suite().WriteJSON(cfg.out())
 		} else {
 			printTables(cfg.out(), res.Table())
 		}

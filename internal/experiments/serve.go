@@ -49,15 +49,15 @@ type ServeConfig struct {
 // against it, so a server that throttles heavily cannot hide behind
 // retries.
 type ServeEndpoint struct {
-	Endpoint     string  `json:"endpoint"`
-	Requests     int64   `json:"requests"`
-	Errors       int64   `json:"errors"`
-	Shed         int64   `json:"shed"`
-	Availability float64 `json:"availability_pct"`
-	Throughput   float64 `json:"throughput_rps"`
-	P50Ms        float64 `json:"p50_ms"`
-	P99Ms        float64 `json:"p99_ms"`
-	MaxMs        float64 `json:"max_ms"`
+	Endpoint     string
+	Requests     int64
+	Errors       int64
+	Shed         int64
+	Availability float64
+	Throughput   float64
+	P50Ms        float64
+	P99Ms        float64
+	MaxMs        float64
 }
 
 // ServeMetricsDelta holds server-side counter movements over the
@@ -65,30 +65,29 @@ type ServeEndpoint struct {
 // are summed over their label variants, so e.g. Requests aggregates all
 // routes and status classes.
 type ServeMetricsDelta struct {
-	Requests   float64 `json:"http_requests"`
-	Shed       float64 `json:"http_shed"`
-	Panics     float64 `json:"http_panics"`
-	WALAppends float64 `json:"wal_appends"`
-	WALFsyncs  float64 `json:"wal_fsyncs"`
-	Repaired   float64 `json:"live_repaired_components"`
+	Requests   float64
+	Shed       float64
+	Panics     float64
+	WALAppends float64
+	WALFsyncs  float64
+	Repaired   float64
 }
 
-// ServeBench is the machine-readable result of one load run — the
-// BENCH_SERVE.json format benchguard gates (throughput as a floor, p99
-// as a ceiling, per endpoint).
+// ServeBench is the machine-readable result of one load run; its Suite
+// is the BENCH_SERVE.json baseline.
 type ServeBench struct {
-	N          int     `json:"n"`
-	Dim        int     `json:"dim"`
-	Radius     float64 `json:"radius"`
-	Seed       uint64  `json:"seed"`
-	Workers    int     `json:"workers"`
-	DurationS  float64 `json:"duration_s"`
-	Mix        string  `json:"mix"`
-	GoMaxProcs int     `json:"gomaxprocs"`
-	GoVersion  string  `json:"go_version"`
+	N          int
+	Dim        int
+	Radius     float64
+	Seed       uint64
+	Workers    int
+	DurationS  float64
+	Mix        string
+	GoMaxProcs int
+	GoVersion  string
 
-	Endpoints []ServeEndpoint    `json:"endpoints"`
-	Server    *ServeMetricsDelta `json:"server,omitempty"`
+	Endpoints []ServeEndpoint
+	Server    *ServeMetricsDelta
 }
 
 // serveOps enumerates the drivable operations in mix order.
@@ -479,9 +478,47 @@ func RunServe(cfg ServeConfig) (*ServeBench, error) {
 	return bench, nil
 }
 
-// WriteJSON renders the serve benchmark as indented JSON.
-func (s *ServeBench) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
+// Suite renders the load run in the bench row schema. Workers,
+// duration and mix shape the measured load as much as n and radius do,
+// so all of them are identity.
+func (s *ServeBench) Suite() Suite {
+	return Suite{
+		Name: "serve",
+		Identity: map[string]any{"n": s.N, "dim": s.Dim, "radius": s.Radius, "seed": s.Seed,
+			"workers": s.Workers, "duration_s": s.DurationS, "mix": s.Mix, "gomaxprocs": s.GoMaxProcs},
+		Info: map[string]string{"go_version": s.GoVersion},
+		Rows: s.Rows(),
+	}
+}
+
+// Rows lists the run's measurements. Per endpoint, throughput is a
+// floor and the p99 tail a ceiling; availability is a floor on its
+// shortfall from 100%; and any errored request fails outright, since
+// errored requests return fast and would flatter both gated numbers.
+// The server-side counter deltas are recorded.
+func (s *ServeBench) Rows() []Row {
+	var rows []Row
+	for _, e := range s.Endpoints {
+		rows = append(rows,
+			info(e.Endpoint, "requests", "count", float64(e.Requests)),
+			info(e.Endpoint, "errors", "count", float64(e.Errors)).atMost(0),
+			info(e.Endpoint, "shed", "count", float64(e.Shed)),
+			higher(e.Endpoint, "availability_pct", "%", e.Availability).atMost(100),
+			higher(e.Endpoint, "throughput_rps", "1/s", e.Throughput),
+			info(e.Endpoint, "p50_ms", "ms", e.P50Ms),
+			lower(e.Endpoint, "p99_ms", "ms", e.P99Ms),
+			info(e.Endpoint, "max_ms", "ms", e.MaxMs),
+		)
+	}
+	if v := s.Server; v != nil {
+		rows = append(rows,
+			info("server", "http_requests", "count", v.Requests),
+			info("server", "http_shed", "count", v.Shed),
+			info("server", "http_panics", "count", v.Panics),
+			info("server", "wal_appends", "count", v.WALAppends),
+			info("server", "wal_fsyncs", "count", v.WALFsyncs),
+			info("server", "live_repaired_components", "count", v.Repaired),
+		)
+	}
+	return rows
 }

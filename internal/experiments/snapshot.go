@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"slices"
@@ -15,37 +14,37 @@ import (
 )
 
 // SnapshotBench is the machine-readable result of the "snapshot"
-// experiment (the BENCH_PR4.json trajectory format): the cost of a cold
+// experiment (its Suite is the BENCH_PR4.json baseline): the cost of a cold
 // coverage-graph build versus saving a .discsnap snapshot and
 // warm-loading it back, on the canonical perf workload.
 type SnapshotBench struct {
-	Dataset    string  `json:"dataset"`
-	N          int     `json:"n"`
-	Dim        int     `json:"dim"`
-	Radius     float64 `json:"radius"`
-	Seed       uint64  `json:"seed"`
-	GoMaxProcs int     `json:"gomaxprocs"`
-	GoVersion  string  `json:"go_version"`
-	Index      string  `json:"index"`
+	Dataset    string
+	N          int
+	Dim        int
+	Radius     float64
+	Seed       uint64
+	GoMaxProcs int
+	GoVersion  string
+	Index      string
 
 	// Edges is the coverage-graph adjacency entry count at Radius;
 	// FileBytes the resulting snapshot size.
-	Edges     int `json:"edges"`
-	FileBytes int `json:"file_bytes"`
+	Edges     int
+	FileBytes int
 
 	// ColdBuildMS rebuilds the engine from raw points (the grid ε-join);
 	// SaveMS serialises the prepared diversifier; LoadMS deserialises
 	// and rehydrates a ready-to-select diversifier. LoadSpeedup is
 	// ColdBuildMS / LoadMS — the factor a warm start saves.
-	ColdBuildMS float64 `json:"cold_build_ms"`
-	SaveMS      float64 `json:"save_ms"`
-	LoadMS      float64 `json:"load_ms"`
-	LoadSpeedup float64 `json:"load_speedup"`
+	ColdBuildMS float64
+	SaveMS      float64
+	LoadMS      float64
+	LoadSpeedup float64
 
 	// SelectionsIdentical records the load-vs-fresh conformance check:
 	// Greedy-DisC over the loaded engine must pick exactly the fresh
 	// engine's subset.
-	SelectionsIdentical bool `json:"selections_identical"`
+	SelectionsIdentical bool
 }
 
 // SnapshotExperiment measures cold-build vs snapshot-save vs warm-load
@@ -163,11 +162,28 @@ func SnapshotExperiment(cfg Config, datasetName string) (*SnapshotBench, error) 
 	return res, nil
 }
 
-// WriteJSON renders the snapshot benchmark as indented JSON.
-func (s *SnapshotBench) WriteJSON(cfg Config) error {
-	enc := json.NewEncoder(cfg.out())
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
+// Suite renders the snapshot benchmark in the bench row schema.
+func (s *SnapshotBench) Suite() Suite {
+	return Suite{
+		Name:     "snapshot",
+		Identity: map[string]any{"dataset": s.Dataset, "n": s.N, "dim": s.Dim, "radius": s.Radius, "seed": s.Seed, "gomaxprocs": s.GoMaxProcs},
+		Info:     map[string]string{"go_version": s.GoVersion, "index": s.Index},
+		Rows:     s.Rows(),
+	}
+}
+
+// Rows lists the benchmark's measurements: save and warm load are
+// gated as ceilings, the rest is recorded.
+func (s *SnapshotBench) Rows() []Row {
+	return []Row{
+		info("snapshot", "edges", "count", float64(s.Edges)),
+		info("snapshot", "file_bytes", "B", float64(s.FileBytes)),
+		info("snapshot", "cold_build_ms", "ms", s.ColdBuildMS),
+		lower("snapshot", "save_ms", "ms", s.SaveMS),
+		lower("snapshot", "load_ms", "ms", s.LoadMS),
+		info("snapshot", "load_speedup", "x", s.LoadSpeedup),
+		boolRow("snapshot", "selections_identical", s.SelectionsIdentical),
+	}
 }
 
 // Table renders the snapshot benchmark as a plain-text table.

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand/v2"
 	"os"
@@ -15,38 +14,38 @@ import (
 )
 
 // StreamBench is the machine-readable result of the "stream" experiment
-// (the BENCH_PR6.json trajectory format): sustained single-threaded
+// (its Suite is the BENCH_PR6.json baseline): sustained single-threaded
 // update throughput and per-operation repair latency of the incremental
 // Updater on the canonical perf workload, with per-op convergence
 // (every mutation is followed by Flush, so each operation pays its full
 // component-scoped repair before the next begins).
 type StreamBench struct {
-	Dataset    string  `json:"dataset"`
-	N          int     `json:"n"`
-	Dim        int     `json:"dim"`
-	Radius     float64 `json:"radius"`
-	Seed       uint64  `json:"seed"`
-	GoMaxProcs int     `json:"gomaxprocs"`
-	GoVersion  string  `json:"go_version"`
+	Dataset    string
+	N          int
+	Dim        int
+	Radius     float64
+	Seed       uint64
+	GoMaxProcs int
+	GoVersion  string
 
 	// Ops mutations are applied after the seed build: ~70% inserts
 	// (half jittered near an existing live point to exercise component
 	// merging, half uniform) and ~30% deletes of random live objects.
-	Ops     int `json:"ops"`
-	Inserts int `json:"inserts"`
-	Deletes int `json:"deletes"`
+	Ops     int
+	Inserts int
+	Deletes int
 
 	// SeedBuildMS is the one-time batch pipeline over the N starting
 	// points (grid ε-join, labeling, component-decomposed greedy).
-	SeedBuildMS float64 `json:"seed_build_ms"`
+	SeedBuildMS float64
 
 	// UpdatesPerSec counts converged operations (mutation + Flush) per
 	// wall-clock second; the repair percentiles break out the Flush
 	// (repair + publish) portion of each operation.
-	UpdatesPerSec float64 `json:"updates_per_sec"`
-	RepairMSP50   float64 `json:"repair_ms_p50"`
-	RepairMSP99   float64 `json:"repair_ms_p99"`
-	RepairMSMax   float64 `json:"repair_ms_max"`
+	UpdatesPerSec float64
+	RepairMSP50   float64
+	RepairMSP99   float64
+	RepairMSMax   float64
 
 	// The WAL rows repeat the converged-update workload against a
 	// durable updater (disc.OpenUpdater: every mutation framed, CRC'd
@@ -54,24 +53,24 @@ type StreamBench struct {
 	// two fsync policies, measuring what crash-safety costs on top of
 	// the in-memory path. fsync=always is deliberately not benchmarked:
 	// it measures the disk's flush latency, not this code.
-	WALNoneUpdatesPerSec     float64 `json:"wal_none_updates_per_sec"`
-	WALIntervalUpdatesPerSec float64 `json:"wal_interval_updates_per_sec"`
+	WALNoneUpdatesPerSec     float64
+	WALIntervalUpdatesPerSec float64
 
-	FinalLive     int `json:"final_live"`
-	FinalSelected int `json:"final_selected"`
+	FinalLive     int
+	FinalSelected int
 
 	// EquivalentToRebuild records the end-state conformance check: the
 	// incrementally maintained selection must be exactly what a
 	// from-scratch component-mode Select over the surviving points
 	// computes.
-	EquivalentToRebuild bool `json:"equivalent_to_rebuild"`
+	EquivalentToRebuild bool
 
 	// Telemetry is the in-process metrics view of the measured run: the
 	// disc_live_repair_seconds histogram delta over exactly the measured
 	// mutations (an instrumented cross-check of the client-side repair
 	// percentiles above) and the WAL append/fsync counter movement across
 	// the durable runs.
-	Telemetry *ExperimentTelemetry `json:"telemetry,omitempty"`
+	Telemetry *ExperimentTelemetry
 }
 
 // streamOps picks the mutation count: enough to average out repair
@@ -316,11 +315,37 @@ func percentile(xs []float64, p float64) float64 {
 	return xs[i]
 }
 
-// WriteJSON renders the stream benchmark as indented JSON.
-func (s *StreamBench) WriteJSON(cfg Config) error {
-	enc := json.NewEncoder(cfg.out())
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
+// Suite renders the stream benchmark in the bench row schema.
+func (s *StreamBench) Suite() Suite {
+	return Suite{
+		Name:     "stream",
+		Identity: map[string]any{"dataset": s.Dataset, "n": s.N, "dim": s.Dim, "radius": s.Radius, "seed": s.Seed, "gomaxprocs": s.GoMaxProcs},
+		Info:     map[string]string{"go_version": s.GoVersion},
+		Rows:     s.Rows(),
+	}
+}
+
+// Rows lists the benchmark's measurements. The three update
+// throughputs are floors and the repair p99 a ceiling; the
+// equivalence check must hold absolutely, since a throughput number
+// means nothing once the maintained selection drifts from a rebuild.
+func (s *StreamBench) Rows() []Row {
+	rows := []Row{
+		info("stream", "ops", "count", float64(s.Ops)),
+		info("stream", "inserts", "count", float64(s.Inserts)),
+		info("stream", "deletes", "count", float64(s.Deletes)),
+		info("stream", "seed_build_ms", "ms", s.SeedBuildMS),
+		higher("stream", "updates_per_sec", "1/s", s.UpdatesPerSec),
+		info("stream", "repair_ms_p50", "ms", s.RepairMSP50),
+		lower("stream", "repair_ms_p99", "ms", s.RepairMSP99),
+		info("stream", "repair_ms_max", "ms", s.RepairMSMax),
+		higher("stream", "wal_none_updates_per_sec", "1/s", s.WALNoneUpdatesPerSec),
+		higher("stream", "wal_interval_updates_per_sec", "1/s", s.WALIntervalUpdatesPerSec),
+		info("stream", "final_live", "count", float64(s.FinalLive)),
+		info("stream", "final_selected", "count", float64(s.FinalSelected)),
+		boolRow("stream", "equivalent_to_rebuild", s.EquivalentToRebuild).atLeast(1),
+	}
+	return append(rows, telemetryRows(s.Telemetry)...)
 }
 
 // Table renders the stream benchmark as a plain-text table.

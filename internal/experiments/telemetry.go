@@ -9,31 +9,31 @@ import (
 // telemetry registry (the same series GET /metrics exposes) as deltas
 // over the phase, so the numbers cover exactly the experiment's own
 // work even when earlier phases in the same process already moved the
-// metrics. All fields are omitted when zero, so a snapshot only carries
-// the series its experiment actually drove.
+// metrics. Zero fields get no row, so a suite only carries the series
+// its experiment actually drove.
 type ExperimentTelemetry struct {
 	// The live-repair histogram (disc_live_repair_seconds) over the
 	// measured mutations, plus the repaired-component counter — the
 	// instrumented view of the same Flush calls the client-side repair
 	// percentiles time from outside.
-	RepairP50Ms        float64 `json:"repair_ms_p50,omitempty"`
-	RepairP99Ms        float64 `json:"repair_ms_p99,omitempty"`
-	Repairs            uint64  `json:"repairs,omitempty"`
-	RepairedComponents uint64  `json:"repaired_components,omitempty"`
+	RepairP50Ms        float64
+	RepairP99Ms        float64
+	Repairs            uint64
+	RepairedComponents uint64
 
 	// WAL counter deltas (disc_wal_appends_total /
 	// disc_wal_fsyncs_total); their ratio is the fsync batching factor.
-	WALAppends uint64 `json:"wal_appends,omitempty"`
-	WALFsyncs  uint64 `json:"wal_fsyncs,omitempty"`
+	WALAppends uint64
+	WALFsyncs  uint64
 
 	// Selection and grid-build histograms over the measured phase
 	// (disc_select_seconds by mode, disc_grid_build_seconds).
-	SelectP50Ms           float64 `json:"select_ms_p50,omitempty"`
-	SelectP99Ms           float64 `json:"select_ms_p99,omitempty"`
-	SelectComponentsP50Ms float64 `json:"select_components_ms_p50,omitempty"`
-	SelectComponentsP99Ms float64 `json:"select_components_ms_p99,omitempty"`
-	GridBuildP50Ms        float64 `json:"grid_build_ms_p50,omitempty"`
-	GridBuildP99Ms        float64 `json:"grid_build_ms_p99,omitempty"`
+	SelectP50Ms           float64
+	SelectP99Ms           float64
+	SelectComponentsP50Ms float64
+	SelectComponentsP99Ms float64
+	GridBuildP50Ms        float64
+	GridBuildP99Ms        float64
 }
 
 // telemetryProbe captures the registry state at the start of a measured
@@ -71,7 +71,7 @@ func newTelemetryProbe() *telemetryProbe {
 }
 
 // msQuantile renders a histogram-delta quantile in milliseconds; an
-// empty delta reads as 0 so the JSON field is omitted.
+// empty delta reads as 0 so its row is left out.
 func msQuantile(d telemetry.HistSnapshot, q float64) float64 {
 	if d.Count == 0 {
 		return 0
