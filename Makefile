@@ -116,11 +116,12 @@ kernel-props:
 ## injectors' own contracts, the every-byte crash-prefix recovery
 ## property (recovered selection bit-identical to a from-scratch
 ## component Select over the surviving op prefix), the checkpoint
-## crash-window states, and the server's crash-restart and
+## crash-window states, the batch replay's equivalence to the
+## per-mutation live path, and the server's crash-restart and
 ## load-shedding behaviour.
 crash-props:
 	$(GO) test -race -count=1 ./internal/wal ./internal/faultio
-	$(GO) test -race -count=1 -run 'TestCrashPrefixRecoveryEveryByte|TestCrashRecoveryInjectedWriter|TestCheckpointCrashStates|TestWALPoisoningOnSyncFailure|TestWALShortWriteTornTail' .
+	$(GO) test -race -count=1 -run 'TestCrashPrefixRecoveryEveryByte|TestCrashRecoveryInjectedWriter|TestCheckpointCrashStates|TestWALPoisoningOnSyncFailure|TestWALShortWriteTornTail|TestLiveReplayMatchesIncremental|TestLiveReplayRejectsDeadDelete' . ./internal/core
 	$(GO) test -race -count=1 -run 'TestLiveCrashRestart|TestDurableCreateRefusesLeftoverState|TestAdmissionControl|TestRequestTimeout|TestPanicRecovery|TestLiveFsyncModesOverHTTP' ./internal/server
 
 ## chaos-props: the fault-isolation property suites under the race

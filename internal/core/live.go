@@ -85,25 +85,7 @@ type liveSnap struct {
 // metric must be grid-servable (Lp family); the dimensionality is fixed
 // by the first insert.
 func NewLiveDisC(m object.Metric, r float64) (*LiveDisC, error) {
-	dyn, err := object.NewDynDataset(m)
-	if err != nil {
-		return nil, err
-	}
-	mg, err := grid.NewMutGrid(dyn, r)
-	if err != nil {
-		return nil, err
-	}
-	l := &LiveDisC{
-		r:       r,
-		dyn:     dyn,
-		mg:      mg,
-		adj:     grid.NewDynAdj(nil),
-		comps:   make(map[int32][]int32),
-		compSel: make(map[int32][]int32),
-		dirty:   make(map[int32]struct{}),
-	}
-	l.publish()
-	return l, nil
+	return finished(NewLiveReplay(m, r))
 }
 
 // SeedLiveDisC builds a maintainer over an existing dataset by running
@@ -113,6 +95,43 @@ func NewLiveDisC(m object.Metric, r float64) (*LiveDisC, error) {
 // every later Flush stays equivalent to it. workers shards the ε-join
 // (<= 0 selects one).
 func SeedLiveDisC(flat *object.FlatDataset, r float64, workers int) (*LiveDisC, error) {
+	return finished(SeedLiveReplay(flat, r, workers))
+}
+
+// finished runs Finish on a replay with nothing to apply.
+func finished(rp *LiveReplay, err error) (*LiveDisC, error) {
+	if err != nil {
+		return nil, err
+	}
+	return rp.Finish(), nil
+}
+
+// LiveReplay is a maintainer under reconstruction: a base state (empty,
+// seeded or restored from a persisted coverage graph) plus a stream of
+// logged inserts and deletes applied to the substrate only — the
+// dataset append or tombstone, the grid occupancy and the adjacency
+// splice, O(degree) per record — with no component bookkeeping. Finish
+// then runs the batch tail once over the final state: component
+// labeling over the live ids and the component greedy. The result is
+// the state the same mutations applied through LiveDisC.Insert/Delete
+// and a Flush reach, at a fraction of the cost: recovery never needs
+// the per-mutation component state the live path keeps.
+type LiveReplay struct {
+	l *LiveDisC
+}
+
+// NewLiveReplay starts a replay from the empty state (see NewLiveDisC).
+func NewLiveReplay(m object.Metric, r float64) (*LiveReplay, error) {
+	dyn, err := object.NewDynDataset(m)
+	if err != nil {
+		return nil, err
+	}
+	return newLiveReplay(dyn, nil, r, 0)
+}
+
+// SeedLiveReplay starts a replay from flat, running the grid build and
+// ε-join (see SeedLiveDisC).
+func SeedLiveReplay(flat *object.FlatDataset, r float64, workers int) (*LiveReplay, error) {
 	g, err := grid.Build(flat, r)
 	if err != nil {
 		return nil, err
@@ -121,18 +140,16 @@ func SeedLiveDisC(flat *object.FlatDataset, r float64, workers int) (*LiveDisC, 
 	if err != nil {
 		return nil, err
 	}
-	return adoptBatch(flat, csr, r, joinAcc)
+	return newLiveReplay(object.DynFromFlat(flat), csr, r, joinAcc)
 }
 
-// RestoreLiveDisC builds a maintainer from a dataset plus an
+// RestoreLiveReplay starts a replay from a dataset plus an
 // already-joined coverage-graph CSR — the warm-start path snapshot
 // recovery uses, skipping the grid build and ε-join entirely. The CSR
 // is structurally validated and the component decomposition recomputed
-// from it (never trusted from the caller), so a tampered or stale
-// adjacency fails here rather than corrupting repairs later. The
-// selection is re-derived by the batch greedy, exactly as SeedLiveDisC
-// would.
-func RestoreLiveDisC(flat *object.FlatDataset, csr *grid.CSR, r float64) (*LiveDisC, error) {
+// from it by Finish (never trusted from the caller), so a tampered or
+// stale adjacency fails here rather than corrupting repairs later.
+func RestoreLiveReplay(flat *object.FlatDataset, csr *grid.CSR, r float64) (*LiveReplay, error) {
 	n := flat.Len()
 	if len(csr.Offsets) != n+1 || csr.Offsets[0] != 0 {
 		return nil, fmt.Errorf("core: live: adjacency offsets sized for %d points, dataset has %d", len(csr.Offsets)-1, n)
@@ -153,52 +170,61 @@ func RestoreLiveDisC(flat *object.FlatDataset, csr *grid.CSR, r float64) (*LiveD
 			return nil, fmt.Errorf("core: live: adjacency distance %g outside [0, r]", nb.Dist)
 		}
 	}
-	return adoptBatch(flat, csr, r, 0)
+	return newLiveReplay(object.DynFromFlat(flat), csr, r, 0)
 }
 
-// adoptBatch runs the batch component labeling + greedy over (flat,
-// csr) and adopts the artifacts as live state — the shared tail of
-// SeedLiveDisC and RestoreLiveDisC.
-func adoptBatch(flat *object.FlatDataset, csr *grid.CSR, r float64, joinAcc int64) (*LiveDisC, error) {
-	n := flat.Len()
-	comp := grid.ComponentsOfCSR(csr, n, r)
-	sol := newSolution(n, r, greedyName(GreedyOptions{}, true))
-	ids, acc := runComponentRange(csr, comp, 0, comp.Count, r, sol, newComponentScratch(n), nil)
-
-	dyn := object.DynFromFlat(flat)
+func newLiveReplay(dyn *object.DynDataset, csr *grid.CSR, r float64, accesses int64) (*LiveReplay, error) {
 	mg, err := grid.NewMutGrid(dyn, r)
 	if err != nil {
 		return nil, err
 	}
-	l := &LiveDisC{
+	return &LiveReplay{l: &LiveDisC{
 		r:        r,
 		dyn:      dyn,
 		mg:       mg,
 		adj:      grid.NewDynAdj(csr),
-		label:    make([]int32, n),
-		comps:    make(map[int32][]int32, comp.Count),
-		compSel:  make(map[int32][]int32, comp.Count),
+		comps:    make(map[int32][]int32),
+		compSel:  make(map[int32][]int32),
 		dirty:    make(map[int32]struct{}),
-		accesses: joinAcc + acc,
-		gs:       grid.NewScratch(flat.Dim()),
-	}
-	for c := 0; c < comp.Count; c++ {
-		members := comp.MemberIDs(c)
-		lab := members[0]
-		l.comps[lab] = append([]int32(nil), members...)
-		for _, m := range members {
-			l.label[m] = lab
+		accesses: accesses,
+	}}, nil
+}
+
+// Insert applies a logged insert to the substrate and returns the id it
+// was assigned.
+func (rp *LiveReplay) Insert(p object.Point) (int, error) {
+	defer telemetry.Since(metLiveInsert, time.Now())
+	return rp.l.splice(p)
+}
+
+// Delete applies a logged delete to the substrate; id must be live.
+func (rp *LiveReplay) Delete(id int) error {
+	defer telemetry.Since(metLiveDelete, time.Now())
+	return rp.l.unsplice(id)
+}
+
+// Finish labels the components of the replayed state (label = minimum
+// live member, dead slots -1), runs the component greedy over every
+// component in ascending label order — the batch processing order — and
+// returns the maintainer with that selection published. The replay must
+// not be used afterwards.
+func (rp *LiveReplay) Finish() *LiveDisC {
+	l := rp.l
+	rp.l = nil
+	slots := l.dyn.Slots()
+	l.label = grid.MinMemberLabels(slots, l.r, l.adj.Row, l.dyn.Alive)
+	for id, lab := range l.label {
+		if lab < 0 {
+			continue
 		}
+		if lab == int32(id) {
+			l.dirty[lab] = struct{}{}
+		}
+		l.comps[lab] = append(l.comps[lab], int32(id))
 	}
-	l.sel.Reset(n)
-	for _, id := range ids {
-		lab := l.label[id]
-		l.compSel[lab] = append(l.compSel[lab], int32(id))
-		l.sel.Set(id)
-		l.selCount++
-	}
-	l.publish()
-	return l, nil
+	l.sel.Grow(slots)
+	l.Flush()
+	return l
 }
 
 // Radius returns the maintained diversification radius.
@@ -232,6 +258,18 @@ func (l *LiveDisC) Accesses() int64 { return l.accesses }
 // dirty. The published selection is unchanged until the next Flush.
 func (l *LiveDisC) Insert(p object.Point) (int, error) {
 	defer telemetry.Since(metLiveInsert, time.Now())
+	id, err := l.splice(p)
+	if err != nil {
+		return 0, err
+	}
+	l.join(id)
+	return id, nil
+}
+
+// splice is the substrate step of an insert, shared by the live path
+// and replay: append p, splice it into the adjacency and the grid. It
+// leaves p's in-range neighbours in l.qbuf.
+func (l *LiveDisC) splice(p object.Point) (int, error) {
 	id, err := l.dyn.Append(p)
 	if err != nil {
 		return 0, err
@@ -242,40 +280,55 @@ func (l *LiveDisC) Insert(p object.Point) (int, error) {
 	l.qbuf = l.mg.AppendRange(l.qbuf[:0], p, l.r, id, &l.accesses, l.gs)
 	l.adj.AddVertex(id, l.qbuf)
 	l.mg.Insert(id)
+	return id, nil
+}
+
+// join is the component step of an insert: union the components of the
+// new id's neighbours (l.qbuf; usually one) with it under the minimum
+// label, discard every absorbed component's selection and mark the
+// union dirty.
+func (l *LiveDisC) join(id int) {
 	for len(l.label) < l.dyn.Slots() {
 		l.label = append(l.label, -1)
 	}
 	l.sel.Grow(l.dyn.Slots())
 
-	// Union the neighbours' components (usually one) with the new id
-	// under the minimum label; every absorbed component's selection is
-	// discarded and the union marked dirty.
-	newLab := int32(id)
 	merged := l.stack[:0] // distinct labels, reused as scratch
 	for _, nb := range l.qbuf {
-		lab := l.label[nb.ID]
-		if lab < newLab {
-			newLab = lab
-		}
-		if !slices.Contains(merged, lab) {
+		if lab := l.label[nb.ID]; !slices.Contains(merged, lab) {
 			merged = append(merged, lab)
 		}
 	}
-	members := []int32{int32(id)}
-	for _, lab := range merged {
-		l.invalidate(lab)
-		members = append(members, l.comps[lab]...)
-		delete(l.comps, lab)
-		delete(l.dirty, lab)
-	}
 	l.stack = merged[:0]
-	slices.Sort(members)
-	for _, m := range members {
-		l.label[m] = newLab
+	var members []int32
+	newLab := int32(id)
+	if len(merged) <= 1 {
+		// At most one component joins. The new id is the largest slot,
+		// so appending keeps the member list ascending and leaves the
+		// label (its minimum) unchanged.
+		if len(merged) == 1 {
+			newLab = merged[0]
+			l.invalidate(newLab)
+			members = l.comps[newLab]
+		}
+		members = append(members, int32(id))
+		l.label[id] = newLab
+	} else {
+		members = []int32{int32(id)}
+		for _, lab := range merged {
+			newLab = min(newLab, lab)
+			l.invalidate(lab)
+			members = append(members, l.comps[lab]...)
+			delete(l.comps, lab)
+			delete(l.dirty, lab)
+		}
+		slices.Sort(members)
+		for _, m := range members {
+			l.label[m] = newLab
+		}
 	}
 	l.comps[newLab] = members
 	l.dirty[newLab] = struct{}{}
-	return id, nil
 }
 
 // Delete retracts a live object, unsplices it everywhere, re-partitions
@@ -284,14 +337,20 @@ func (l *LiveDisC) Insert(p object.Point) (int, error) {
 // The published selection is unchanged until the next Flush.
 func (l *LiveDisC) Delete(id int) error {
 	defer telemetry.Since(metLiveDelete, time.Now())
+	if err := l.unsplice(id); err != nil {
+		return err
+	}
+	l.split(id)
+	return nil
+}
+
+// unsplice is the substrate step of a delete, shared by the live path
+// and replay: check id is live, then remove it from the adjacency, the
+// dataset and the grid. It leaves id's former neighbours in l.grey.
+func (l *LiveDisC) unsplice(id int) error {
 	if !l.dyn.Alive(id) {
 		return fmt.Errorf("core: live: id %d is not a live object", id)
 	}
-	lab := l.label[id]
-	l.invalidate(lab)
-	deg := l.adj.Degree(id)
-	// Capture the surviving neighbours before the edges go: they bound
-	// the split search below (every severed part must contain one).
 	l.grey = l.grey[:0]
 	for _, nb := range l.adj.Row(id) {
 		l.grey = append(l.grey, int32(nb.ID))
@@ -305,26 +364,31 @@ func (l *LiveDisC) Delete(id int) error {
 		return err
 	}
 	l.mg.Remove(id)
-	l.label[id] = -1
+	return nil
+}
 
-	old := l.comps[lab]
+// split is the component step of a delete: drop id from its component,
+// re-partition the remaining members and mark every part dirty. The
+// severed neighbours in l.grey bound the search (every part a split
+// leaves contains one of them).
+func (l *LiveDisC) split(id int) {
+	lab := l.label[id]
+	l.invalidate(lab)
+	l.label[id] = -1
+	members := l.comps[lab]
 	delete(l.comps, lab)
 	delete(l.dirty, lab)
-	members := make([]int32, 0, len(old)-1)
-	for _, m := range old {
-		if m != int32(id) {
-			members = append(members, m)
-		}
-	}
+	i, _ := slices.BinarySearch(members, int32(id))
+	members = slices.Delete(members, i, i+1)
 	if len(members) == 0 {
-		return nil
+		return
 	}
 	// Removing a vertex of degree ≤ 1 cannot disconnect the remainder
 	// (any path through a vertex needs two incident edges), so the
 	// component survives as-is — possibly under a new minimum label.
-	if deg <= 1 {
+	if len(l.grey) <= 1 {
 		l.adopt(members)
-		return nil
+		return
 	}
 	// General case: re-partition the remaining members by BFS. Seeding
 	// from members in ascending order makes each part's first-discovered
@@ -354,6 +418,7 @@ func (l *LiveDisC) Delete(id int) error {
 		if !l.pend.Test(int(m)) {
 			continue
 		}
+		first := m == members[0]
 		l.pend.Clear(int(m))
 		part := []int32{m}
 		if l.white.Test(int(m)) {
@@ -376,6 +441,15 @@ func (l *LiveDisC) Delete(id int) error {
 				}
 			}
 		}
+		if remaining == 0 && first {
+			// The walk from the minimum reached every severed neighbour:
+			// nothing split, and the member list is already the part.
+			for _, m2 := range members {
+				l.pend.Clear(int(m2))
+			}
+			l.adopt(members)
+			return
+		}
 		if remaining == 0 {
 			for _, m2 := range members {
 				if l.pend.Test(int(m2)) {
@@ -387,15 +461,17 @@ func (l *LiveDisC) Delete(id int) error {
 		slices.Sort(part)
 		l.adopt(part)
 	}
-	return nil
 }
 
-// adopt installs a member list as a (dirty) component labeled by its
-// minimum member.
+// adopt installs an ascending member list as a (dirty) component
+// labeled by its minimum member. The members all carry one old label,
+// so when the minimum already carries its own id nothing is relabeled.
 func (l *LiveDisC) adopt(members []int32) {
 	lab := members[0]
-	for _, m := range members {
-		l.label[m] = lab
+	if l.label[lab] != lab {
+		for _, m := range members {
+			l.label[m] = lab
+		}
 	}
 	l.comps[lab] = members
 	l.dirty[lab] = struct{}{}

@@ -1,0 +1,302 @@
+package core
+
+import (
+	"math/rand/v2"
+	"reflect"
+	"slices"
+	"testing"
+
+	"github.com/discdiversity/disc/internal/grid"
+	"github.com/discdiversity/disc/internal/object"
+)
+
+// replayOp is one logged mutation: an insert of p, or (p == nil) a
+// delete of id.
+type replayOp struct {
+	p  object.Point
+	id int
+}
+
+// replayScenario is a checkpoint state plus an op tail over it. The
+// base points occupy ids 0..len(base)-1 and tail inserts continue from
+// there, exactly as a snapshot plus its WAL.
+type replayScenario struct {
+	base []object.Point
+	tail []replayOp
+	// Indices into tail of the scripted ops whose effect on the
+	// component count is asserted against the incremental path: merge
+	// names an insert that bridges two components, splits name deletes
+	// (of a checkpointed id and of a tail id) that each cut one in two.
+	merge  int
+	splits []int
+}
+
+// scriptedPoint places a point on the line y = 2.5 (axis 1), far from
+// the random points in [0,1]^d, so the scripted components stay apart
+// from them: points differing only on axis 0 are |dx| apart under every
+// Lp metric.
+func scriptedPoint(dim int, x float64) object.Point {
+	p := make(object.Point, dim)
+	for i := range p {
+		p[i] = 0.5
+	}
+	p[0], p[1] = x, 2.5
+	return p
+}
+
+func randomPoint(rng *rand.Rand, dim int) object.Point {
+	p := make(object.Point, dim)
+	for i := range p {
+		p[i] = rng.Float64()
+	}
+	return p
+}
+
+// newReplayScenario draws n random base points, appends a three-point
+// chain and two components one bridge apart, and builds a tail of
+// random inserts and deletes (of base and of tail ids) around the
+// scripted ops: the bridging insert, the delete of the chain's middle
+// (a checkpointed id) and the delete of the bridge (a tail id).
+func newReplayScenario(rng *rand.Rand, dim, n, ops int, r float64) replayScenario {
+	var sc replayScenario
+	for i := 0; i < n; i++ {
+		sc.base = append(sc.base, randomPoint(rng, dim))
+	}
+	chain := len(sc.base)
+	for _, x := range []float64{0, 0.8 * r, 1.6 * r, 4 * r, 5.5 * r} {
+		sc.base = append(sc.base, scriptedPoint(dim, x))
+	}
+	live := make([]int, 0, len(sc.base)+ops)
+	for id := 0; id < n; id++ { // scripted ids are deleted only by script
+		live = append(live, id)
+	}
+	next := len(sc.base)
+	random := func(k int) {
+		for ; k > 0; k-- {
+			if len(live) == 0 || rng.Float64() < 0.6 {
+				sc.tail = append(sc.tail, replayOp{p: randomPoint(rng, dim)})
+				live = append(live, next)
+				next++
+				continue
+			}
+			i := rng.IntN(len(live))
+			sc.tail = append(sc.tail, replayOp{id: live[i]})
+			live = slices.Delete(live, i, i+1)
+		}
+	}
+	random(ops / 3)
+	sc.merge = len(sc.tail)
+	bridge := next
+	sc.tail = append(sc.tail, replayOp{p: scriptedPoint(dim, 4.75*r)})
+	next++
+	random(ops / 3)
+	sc.splits = append(sc.splits, len(sc.tail))
+	sc.tail = append(sc.tail, replayOp{id: chain + 1})
+	random(ops / 6)
+	sc.splits = append(sc.splits, len(sc.tail))
+	sc.tail = append(sc.tail, replayOp{id: bridge})
+	random(ops - 2*(ops/3) - ops/6)
+	return sc
+}
+
+// applyIncremental runs ops through the live path (Insert/Delete, which
+// maintain components per mutation) and flushes once, asserting the
+// scripted ops' effect on the component count along the way.
+func applyIncremental(t *testing.T, l *LiveDisC, ops []replayOp, merge int, splits []int) {
+	t.Helper()
+	for i, op := range ops {
+		before := len(l.comps)
+		if op.p != nil {
+			if _, err := l.Insert(op.p); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := l.Delete(op.id); err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case i == merge && len(l.comps) != before-1:
+			t.Fatalf("op %d: bridging insert left %d components from %d", i, len(l.comps), before)
+		case slices.Contains(splits, i) && len(l.comps) != before+1:
+			t.Fatalf("op %d: splitting delete left %d components from %d", i, len(l.comps), before)
+		}
+	}
+	l.Flush()
+}
+
+// applyReplay runs ops through the substrate-only replay and finishes
+// it with the one batch tail.
+func applyReplay(t *testing.T, rp *LiveReplay, ops []replayOp) *LiveDisC {
+	t.Helper()
+	for _, op := range ops {
+		if op.p != nil {
+			if _, err := rp.Insert(op.p); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := rp.Delete(op.id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return rp.Finish()
+}
+
+// assertSameState checks that two maintainers hold bit-identical
+// converged state: published and ordered selections, and the compacted
+// dataset, remap, adjacency and canonical labels.
+func assertSameState(t *testing.T, got, want *LiveDisC) {
+	t.Helper()
+	if got.Pending() != 0 || want.Pending() != 0 {
+		t.Fatalf("pending repairs: recovered %d, incremental %d", got.Pending(), want.Pending())
+	}
+	if !slices.Equal(got.Selection(), want.Selection()) {
+		t.Fatalf("selection %v, incremental replay selects %v", got.Selection(), want.Selection())
+	}
+	if !slices.Equal(got.OrderedSelection(), want.OrderedSelection()) {
+		t.Fatal("ordered selection differs from the incremental replay")
+	}
+	gf, gr, gc, gl, err := got.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wf, wr, wc, wl, err := want.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The dataset compares by shape and coordinates: its distance
+	// kernel holds function values, which reflect never finds equal.
+	if gf.Len() != wf.Len() || gf.Dim() != wf.Dim() || gf.Metric() != wf.Metric() {
+		t.Fatalf("compacted dataset %dx%d %s, incremental replay %dx%d %s", gf.Len(), gf.Dim(), gf.Metric().Name(), wf.Len(), wf.Dim(), wf.Metric().Name())
+	}
+	for _, c := range []struct {
+		what      string
+		got, want any
+	}{{"coordinates", gf.Coords(), wf.Coords()}, {"remap", gr, wr}, {"adjacency", gc, wc}, {"labels", gl, wl}} {
+		if !reflect.DeepEqual(c.got, c.want) {
+			t.Fatalf("compacted %s differs from the incremental replay", c.what)
+		}
+	}
+}
+
+// TestLiveReplayMatchesIncremental is the recovery-equivalence property
+// of the batch replay: over seeded checkpoint states with op tails
+// (deletes of checkpointed and of tail ids, an insert bridging two
+// components, deletes splitting one, and the empty tail), applying the
+// tail to the substrate and finishing once must reach exactly the state
+// the per-mutation live path reaches — from a restored checkpoint and
+// from no checkpoint at all — and the recovered maintainer must then
+// stay equal to a from-scratch component select under further
+// mutations flushed one by one.
+func TestLiveReplayMatchesIncremental(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		m    object.Metric
+		dim  int
+		r    float64
+		n    int
+	}{
+		{"euclidean-2d", object.Euclidean{}, 2, 0.06, 400},
+		{"manhattan-2d", object.Manhattan{}, 2, 0.08, 300},
+		{"chebyshev-3d", object.Chebyshev{}, 3, 0.12, 300},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for seed := uint64(1); seed <= 3; seed++ {
+				rng := rand.New(rand.NewPCG(seed, uint64(tc.dim)))
+				sc := newReplayScenario(rng, tc.dim, tc.n, 240, tc.r)
+				flat, err := object.Flatten(sc.base, tc.m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The checkpoint persists the joined coverage graph.
+				g, err := grid.Build(flat, tc.r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				csr, _, err := grid.Join(g, tc.r, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, tail := range [][]replayOp{nil, sc.tail} {
+					merge, splits := -1, []int(nil)
+					if tail != nil {
+						merge, splits = sc.merge, sc.splits
+					}
+					want, err := SeedLiveDisC(flat, tc.r, 2)
+					if err != nil {
+						t.Fatal(err)
+					}
+					applyIncremental(t, want, tail, merge, splits)
+					rp, err := RestoreLiveReplay(flat, csr, tc.r)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := applyReplay(t, rp, tail)
+					assertSameState(t, got, want)
+					assertConverged(t, got, tc.r)
+				}
+
+				// No checkpoint: the base points are logged inserts too.
+				ops := make([]replayOp, 0, len(sc.base)+len(sc.tail))
+				for _, p := range sc.base {
+					ops = append(ops, replayOp{p: p})
+				}
+				ops = append(ops, sc.tail...)
+				want, err := NewLiveDisC(tc.m, tc.r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				off := len(sc.base)
+				applyIncremental(t, want, ops, off+sc.merge, []int{off + sc.splits[0], off + sc.splits[1]})
+				rp, err := NewLiveReplay(tc.m, tc.r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := applyReplay(t, rp, ops)
+				assertSameState(t, got, want)
+
+				// Recovered state keeps converging to the batch answer.
+				for step := 0; step < 30; step++ {
+					if rng.Float64() < 0.5 {
+						if _, err := got.Insert(randomPoint(rng, tc.dim)); err != nil {
+							t.Fatal(err)
+						}
+					} else {
+						for {
+							id := rng.IntN(got.Slots())
+							if got.Alive(id) {
+								if err := got.Delete(id); err != nil {
+									t.Fatal(err)
+								}
+								break
+							}
+						}
+					}
+					assertConverged(t, got, tc.r)
+				}
+			}
+		})
+	}
+}
+
+// TestLiveReplayRejectsDeadDelete pins the dead-id check replay keeps:
+// a logged delete of an id that is not live fails with the live path's
+// error rather than corrupting the substrate.
+func TestLiveReplayRejectsDeadDelete(t *testing.T) {
+	rp, err := NewLiveReplay(object.Euclidean{}, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := rp.Insert(object.Point{0.5, 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rp.Delete(id); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []int{id, id + 1, -1} {
+		if err := rp.Delete(bad); err == nil {
+			t.Fatalf("delete of dead id %d accepted", bad)
+		}
+	}
+	if l := rp.Finish(); l.Len() != 0 || l.Size() != 0 || l.Slots() != 1 {
+		t.Fatalf("finished replay: %d live, %d selected, %d slots", l.Len(), l.Size(), l.Slots())
+	}
+}

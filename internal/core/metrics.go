@@ -12,11 +12,11 @@ var (
 	metSelectComponents = telemetry.Default().Histogram(`disc_select_seconds{mode="components"}`, "")
 
 	metLiveInsert = telemetry.Default().Histogram("disc_live_insert_seconds",
-		"Wall time of one LiveDisC insert (grid splice + component merge).")
+		"Wall time of one LiveDisC insert (grid splice + component merge) or one replayed WAL insert (splice only).")
 	metLiveDelete = telemetry.Default().Histogram("disc_live_delete_seconds",
-		"Wall time of one LiveDisC delete (unsplice + split re-partition).")
+		"Wall time of one LiveDisC delete (unsplice + split re-partition) or one replayed WAL delete (unsplice only).")
 	metLiveRepair = telemetry.Default().Histogram("disc_live_repair_seconds",
-		"Wall time of one Flush that repaired at least one dirty component.")
+		"Wall time of one Flush that repaired at least one dirty component, including the one greedy over every component that ends a seed, snapshot load or WAL replay.")
 	metLiveRepaired = telemetry.Default().Counter("disc_live_repaired_components_total",
 		"Components re-selected by Flush repairs since process start.")
 )

@@ -129,13 +129,15 @@ func WithStorageFS(fsys vfs.FS) Option {
 
 // OpenUpdater opens (or creates) a crash-safe Updater backed by a
 // snapshot file and a write-ahead log: the state at snapshotPath is
-// loaded (when present), the log segments at walPath are replayed over
-// it, and every subsequent Insert/Delete is appended to the log before
-// it is acknowledged, under the configured FsyncPolicy. Checkpoint
-// writes a fresh snapshot crash-atomically and truncates the log; a
-// process killed at any instant reopens with OpenUpdater to exactly
-// the acknowledged state (see docs/DURABILITY.md for the precise
-// guarantees per fsync policy).
+// loaded (when present), the log segments at walPath are replayed onto
+// the substrate (dataset, grid, adjacency; no per-record component
+// work), then one component labeling and greedy runs over the final
+// state, and every subsequent Insert/Delete is appended to the log
+// before it is acknowledged, under the configured FsyncPolicy.
+// Checkpoint writes a fresh snapshot crash-atomically and truncates the
+// log; a process killed at any instant reopens with OpenUpdater to
+// exactly the acknowledged state (see docs/DURABILITY.md for the
+// precise guarantees per fsync policy).
 //
 // When neither file exists the updater starts empty and the first
 // segment of the log is created. A snapshot written by a previous
@@ -219,6 +221,7 @@ func OpenUpdater(snapshotPath, walPath string, r float64, opts ...Option) (*Upda
 
 	epoch := uint64(0)
 	u := &Updater{metric: metric, parallelism: o.parallelism, capacity: o.capacity, seed: o.seed}
+	var rp *core.LiveReplay
 	if s != nil {
 		if s.Coords == nil {
 			return nil, fmt.Errorf("disc: open: %s is a float32 snapshot; the live-update substrate is float64", snapshotPath)
@@ -235,13 +238,13 @@ func OpenUpdater(snapshotPath, walPath string, r float64, opts ...Option) (*Upda
 		if s.Graph != nil {
 			// Warm path: adopt the persisted CSR, skipping the grid
 			// build and ε-join.
-			u.live, err = core.RestoreLiveDisC(flat, s.Graph, r)
+			rp, err = core.RestoreLiveReplay(flat, s.Graph, r)
 		} else {
 			workers := o.parallelism
 			if workers <= 0 {
 				workers = runtime.GOMAXPROCS(0)
 			}
-			u.live, err = core.SeedLiveDisC(flat, r, workers)
+			rp, err = core.SeedLiveReplay(flat, r, workers)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("disc: open: %w", err)
@@ -252,11 +255,10 @@ func OpenUpdater(snapshotPath, walPath string, r float64, opts ...Option) (*Upda
 		if info, err := wal.DescribeFS(fsys, walPath); err == nil && info.Epoch > 0 {
 			return nil, fmt.Errorf("disc: open: log %s is at checkpoint epoch %d but snapshot %s is missing; acknowledged state would be lost", walPath, info.Epoch, snapshotPath)
 		}
-		live, err := core.NewLiveDisC(metric, r)
-		if err != nil {
+		var err error
+		if rp, err = core.NewLiveReplay(metric, r); err != nil {
 			return nil, err
 		}
-		u.live = live
 	}
 
 	log, ops, err := wal.Open(walPath, wal.Options{
@@ -273,14 +275,14 @@ func OpenUpdater(snapshotPath, walPath string, r float64, opts ...Option) (*Upda
 		return nil, err
 	}
 
-	// Replay. The snapshot's points occupy dense ids 0..n-1 and log ids
-	// continue from there, so replayed inserts must land exactly on
-	// their recorded ids — any drift means the log does not belong to
-	// this snapshot.
+	// Replay onto the substrate only. The snapshot's points occupy dense
+	// ids 0..n-1 and log ids continue from there, so replayed inserts
+	// must land exactly on their recorded ids — any drift means the log
+	// does not belong to this snapshot.
 	for i, op := range ops {
 		switch op.Kind {
 		case wal.OpInsert:
-			id, err := u.live.Insert(object.Point(op.Point))
+			id, err := rp.Insert(object.Point(op.Point))
 			if err != nil {
 				log.Close()
 				return nil, fmt.Errorf("disc: open: replaying log record %d: %w", i, err)
@@ -290,15 +292,14 @@ func OpenUpdater(snapshotPath, walPath string, r float64, opts ...Option) (*Upda
 				return nil, fmt.Errorf("disc: open: log record %d inserts id %d but replay assigned %d; the log does not extend this snapshot", i, op.ID, id)
 			}
 		case wal.OpDelete:
-			if err := u.live.Delete(int(op.ID)); err != nil {
+			if err := rp.Delete(int(op.ID)); err != nil {
 				log.Close()
 				return nil, fmt.Errorf("disc: open: replaying log record %d: %w", i, err)
 			}
 		}
 	}
-	if len(ops) > 0 {
-		u.live.Flush()
-	}
+	// Then one component labeling and greedy over the final state.
+	u.live = rp.Finish()
 
 	// The in-memory id space now coincides with the log id space:
 	// identity mapping, next log id = next slot.
