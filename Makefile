@@ -112,7 +112,8 @@ kernel-props:
 	GOAMD64=v3 $(GO) test ./internal/object -run 'RawBatch|Filter|Within|Float32|Float64' -count=1
 
 ## crash-props: the durability property suites under the race detector
-## — the WAL's torn-tail/bit-flip/rotation invariants, the fault
+## — the WAL's torn-tail/bit-flip/rotation invariants, the snapshot
+## decoder's corruption classification (what quarantine keys on), the fault
 ## injectors' own contracts, the every-byte crash-prefix recovery
 ## property (recovered selection bit-identical to a from-scratch
 ## component Select over the surviving op prefix), the checkpoint
@@ -120,7 +121,7 @@ kernel-props:
 ## per-mutation live path, and the server's crash-restart and
 ## load-shedding behaviour.
 crash-props:
-	$(GO) test -race -count=1 ./internal/wal ./internal/faultio
+	$(GO) test -race -count=1 ./internal/wal ./internal/faultio ./internal/snap
 	$(GO) test -race -count=1 -run 'TestCrashPrefixRecoveryEveryByte|TestCrashRecoveryInjectedWriter|TestCheckpointCrashStates|TestWALPoisoningOnSyncFailure|TestWALShortWriteTornTail|TestLiveReplayMatchesIncremental|TestLiveReplayRejectsDeadDelete' . ./internal/core
 	$(GO) test -race -count=1 -run 'TestLiveCrashRestart|TestDurableCreateRefusesLeftoverState|TestAdmissionControl|TestRequestTimeout|TestPanicRecovery|TestLiveFsyncModesOverHTTP' ./internal/server
 

@@ -41,8 +41,9 @@
 // POST /v1/live/{name}/snapshot checkpoints the log into a .discsnap,
 // and a restarted discserve replays snapshot+log so acknowledged
 // mutations survive even a SIGKILL. Each dataset recovers under its
-// own supervisor (see docs/OPERATIONS.md): boot scrubs every snapshot
-// and log segment, transient failures retry with backoff (tune with
+// own supervisor (see docs/OPERATIONS.md): one open per recovery
+// validates every snapshot and log segment byte before it changes a
+// file, transient failures retry with backoff (tune with
 // -recovery-backoff, -recovery-backoff-cap, -recovery-max-attempts),
 // interior corruption quarantines that dataset alone, and a dataset
 // with a good last snapshot keeps serving read-only while its log

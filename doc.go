@@ -249,10 +249,8 @@
 // every byte boundary under fault injection and asserts the recovered
 // selection is bit-identical to a from-scratch component-mode Select
 // over the surviving operation prefix (make crash-props, in CI under
-// the race detector). DescribeDurable identifies an existing log
-// (epoch, radius, metric) without replaying it, which is how discserve
-// -live rediscovers its maintainers at boot. docs/DURABILITY.md is
-// the normative wire format and the per-policy guarantee table.
+// the race detector). docs/DURABILITY.md is the normative wire format
+// and the per-policy guarantee table.
 //
 // # Observability
 //

@@ -17,7 +17,7 @@ const (
 	OpOpen FaultOp = "open"
 	// OpCreateTemp targets CreateTemp calls (the atomic-save temp file).
 	OpCreateTemp FaultOp = "create-temp"
-	// OpRead targets ReadFile calls (snapshot loads, WAL replay/scrub).
+	// OpRead targets ReadFile calls (snapshot loads, WAL replay).
 	OpRead FaultOp = "read"
 	// OpReadDir targets ReadDir calls (segment listing, boot scans).
 	OpReadDir FaultOp = "readdir"

@@ -13,6 +13,7 @@ import (
 
 	disc "github.com/discdiversity/disc"
 	"github.com/discdiversity/disc/internal/snap"
+	"github.com/discdiversity/disc/internal/vfs"
 	"github.com/discdiversity/disc/internal/wal"
 )
 
@@ -314,7 +315,7 @@ func (d *Dataset) supervise() {
 				d.settle()
 				continue
 			}
-			if isUnrecoverable(err) {
+			if !retryable(err) {
 				d.quarantine(err)
 				d.settle()
 				continue
@@ -354,89 +355,42 @@ func (d *Dataset) supervise() {
 	}
 }
 
-// errUnrecoverable classifies deterministic open failures that byte
-// scrubbing cannot see (a log that does not extend its snapshot, an
-// unknown metric): retrying cannot help, quarantine.
-var errUnrecoverable = errors.New("unrecoverable")
-
-func isUnrecoverable(err error) bool {
-	return errors.Is(err, wal.ErrCorrupt) || errors.Is(err, snap.ErrCorrupt) || errors.Is(err, errUnrecoverable)
+// retryable reports whether a failed recovery attempt is worth
+// repeating: only an I/O failure (an *os.PathError) is. Anything else —
+// damaged snapshot or log bytes, a log that does not extend its
+// snapshot, a dataset with no identity — fails the same way every time,
+// so the supervisor quarantines it.
+func retryable(err error) bool {
+	var pe *os.PathError
+	return errors.As(err, &pe)
 }
 
-// tryOpen performs one full recovery attempt: sidecar check, snapshot
-// and WAL scrub, open, replay. On success the dataset is ready. The
-// error classifies the failure (isUnrecoverable → quarantine, else
-// retry with backoff).
+// tryOpen performs one full recovery attempt: sidecar check, identity,
+// then disc.OpenUpdater, which validates every snapshot and log byte as
+// it loads them and leaves a refused log untouched. On success the
+// dataset is ready; on failure retryable picks backoff or quarantine.
 func (d *Dataset) tryOpen() error {
 	fsys := d.m.fs()
 
 	// A sidecar left by a previous life keeps the dataset out until an
 	// operator removes it — rebooting must not clear a quarantine.
 	if data, err := fsys.ReadFile(d.paths.quar); err == nil {
-		return fmt.Errorf("quarantine sidecar present: %s (%w)", bytes.TrimSpace(data), errUnrecoverable)
+		return fmt.Errorf("quarantine sidecar present: %s", bytes.TrimSpace(data))
 	} else if !errors.Is(err, fs.ErrNotExist) {
 		return err
 	}
 
-	// Scrub the snapshot: full read, every checksum checked, before any
-	// state is admitted. I/O errors are retryable; validation errors are
-	// corruption.
-	var (
-		epoch    uint64
-		haveSnap bool
-		ssum     *snap.VerifySummary
-	)
-	ssum, serr := snap.Verify(fsys, d.paths.snap)
-	switch {
-	case serr == nil:
-		epoch, haveSnap = ssum.WALEpoch, true
-	case errors.Is(serr, fs.ErrNotExist):
-	default:
-		return serr
-	}
-
-	// Scrub the log against the snapshot's epoch. A log from a future
-	// epoch, a sequence gap, or a checksum mismatch is corruption; a
-	// missing-snapshot-after-checkpoint shows up here too (the segments
-	// are "from the future" relative to epoch 0).
-	wres, werr := wal.Verify(fsys, d.paths.wal, epoch)
-	if werr != nil {
-		return werr
-	}
-
-	// Resolve the dataset's identity: the WAL header names it; a
-	// snapshot-only dataset must carry a coverage graph (the graph
-	// radius IS the identity); a freshly created dataset with neither
-	// remembers it from Create.
-	radius, metricName := wres.Radius, wres.Metric
-	if metricName == "" && haveSnap {
-		if ssum.GraphRadius <= 0 {
-			return fmt.Errorf("checkpoint has no coverage graph; cannot determine the dataset's radius (%w)", errUnrecoverable)
-		}
-		radius, metricName = ssum.GraphRadius, ssum.Metric
-	}
-	if metricName == "" {
-		d.mu.Lock()
-		radius, metricName = d.radius, d.metric
-		d.mu.Unlock()
-	}
-	if metricName == "" {
-		return fmt.Errorf("no snapshot, no log, no remembered identity for %q (%w)", d.name, errUnrecoverable)
+	radius, metricName, err := d.identity(fsys)
+	if err != nil {
+		return err
 	}
 	metric, err := disc.MetricByName(metricName)
 	if err != nil {
-		return fmt.Errorf("%v (%w)", err, errUnrecoverable)
+		return err
 	}
-
 	u, err := disc.OpenUpdater(d.paths.snap, d.paths.wal, radius, d.m.openOpts(metric)...)
 	if err != nil {
-		// The scrub passed, so a deterministic (non-I/O) failure here is
-		// semantic corruption: a replay id drift, a radius mismatch.
-		var pe *os.PathError
-		if errors.As(err, &pe) || isUnrecoverable(err) {
-			return err
-		}
-		return fmt.Errorf("%v (%w)", err, errUnrecoverable)
+		return err
 	}
 
 	d.mu.Lock()
@@ -449,6 +403,42 @@ func (d *Dataset) tryOpen() error {
 	d.mu.Unlock()
 	setStateGauge(d.name, StateReady)
 	return nil
+}
+
+// identity resolves the radius and metric the dataset maintains: the
+// log's segment header names them; a log-less dataset's checkpointed
+// coverage-graph radius is its identity; a freshly created dataset
+// remembers them from Create.
+func (d *Dataset) identity(fsys vfs.FS) (float64, string, error) {
+	info, err := wal.DescribeFS(fsys, d.paths.wal)
+	if err == nil {
+		return info.Radius, info.Metric, nil
+	}
+	if retryable(err) || errors.Is(err, wal.ErrCorrupt) {
+		return 0, "", err
+	}
+	// No log, or only a segment whose header a crash inside a durable
+	// Create tore: it names nothing, and the open prunes it.
+	data, err := fsys.ReadFile(d.paths.snap)
+	if err == nil {
+		s, err := snap.Decode(data)
+		if err != nil {
+			return 0, "", fmt.Errorf("%s: %w", d.paths.snap, err)
+		}
+		if s.GraphRadius <= 0 {
+			return 0, "", errors.New("checkpoint has no coverage graph; cannot determine the dataset's radius")
+		}
+		return s.GraphRadius, s.Metric, nil
+	}
+	if !errors.Is(err, fs.ErrNotExist) {
+		return 0, "", err
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.metric == "" {
+		return 0, "", fmt.Errorf("no snapshot, no log, no remembered identity for %q", d.name)
+	}
+	return d.radius, d.metric, nil
 }
 
 // quarantine transitions into StateQuarantined: sidecar on disk,
@@ -505,28 +495,27 @@ func (d *Dataset) tryDegrade() bool {
 	}
 	d.mu.Unlock()
 
-	fsys := d.m.fs()
-	ssum, err := snap.Verify(fsys, d.paths.snap)
-	if err != nil || ssum.GraphRadius <= 0 || ssum.Float32 {
+	data, err := d.m.fs().ReadFile(d.paths.snap)
+	if err != nil {
 		return false
 	}
-	data, err := fsys.ReadFile(d.paths.snap)
-	if err != nil {
+	s, err := snap.Decode(data)
+	if err != nil || s.GraphRadius <= 0 || s.Coords == nil {
 		return false
 	}
 	div, err := disc.LoadDiversifier(bytes.NewReader(data))
 	if err != nil {
 		return false
 	}
-	res, err := div.Select(ssum.GraphRadius, disc.WithSelectMode(disc.SelectComponents))
+	res, err := div.Select(s.GraphRadius, disc.WithSelectMode(disc.SelectComponents))
 	if err != nil {
 		return false
 	}
 	view := &DegradedView{
-		Radius:    ssum.GraphRadius,
-		Metric:    ssum.Metric,
-		Dim:       ssum.Dim,
-		Live:      ssum.N,
+		Radius:    s.GraphRadius,
+		Metric:    s.Metric,
+		Dim:       s.Dim,
+		Live:      s.N,
 		Selection: res.SortedIDs(),
 	}
 	d.mu.Lock()

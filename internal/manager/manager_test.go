@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"syscall"
 	"testing"
@@ -11,6 +12,7 @@ import (
 
 	disc "github.com/discdiversity/disc"
 	"github.com/discdiversity/disc/internal/faultio"
+	"github.com/discdiversity/disc/internal/telemetry"
 )
 
 // fastCfg returns a Config tuned for tests: millisecond backoff so a
@@ -150,7 +152,7 @@ func TestManagerQuarantineAndUnquarantine(t *testing.T) {
 		t.Fatalf("read snapshot: %v", err)
 	}
 	// Flip a byte in the snapshot's interior: checksummed payload, so
-	// the boot scrub must refuse it as corruption, not retry it.
+	// recovery must refuse it as corruption, not retry it.
 	bad := append([]byte(nil), good...)
 	bad[len(bad)/2] ^= 0xff
 	if err := os.WriteFile(snapPath, bad, 0o644); err != nil {
@@ -322,5 +324,174 @@ func TestValidateName(t *testing.T) {
 		if err := ValidateName(name); err == nil {
 			t.Errorf("ValidateName(%q) = nil, want error", name)
 		}
+	}
+}
+
+// checkpointedDir leaves one durable dataset "d" on disk the way a
+// crash finds it: 8 points checkpointed, one more insert in the log.
+func checkpointedDir(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	m := New(fastCfg(dir))
+	d, err := m.Create("d", "euclidean", 2.0, seedPoints(8))
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	u, _ := d.Updater()
+	if err := u.Checkpoint(d.CheckpointPath()); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	if _, err := u.Insert(disc.Point{100, 100}); err != nil {
+		t.Fatalf("Insert: %v", err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	return dir
+}
+
+// dirContents maps every file name in dir (the quarantine sidecar
+// aside) to its bytes.
+func dirContents(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), ".QUARANTINE") {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(data)
+	}
+	return out
+}
+
+// TestRecoverOutcomes pins where boot recovery leaves each on-disk
+// state: whole states serve, an I/O fault is retried, and damaged or
+// inconsistent bytes quarantine with every file left as found.
+func TestRecoverOutcomes(t *testing.T) {
+	// The one segment the checkpoint started, and the byte offset of
+	// an id byte inside its first record (header, then frame header).
+	const seg = "d.wal.00000001-00000001"
+	firstRecordID := 36 + len("euclidean") + 4 + 8 + 2
+	flip := func(name string, off func(n int) int) func(t *testing.T, dir string) {
+		return func(t *testing.T, dir string) {
+			p := filepath.Join(dir, name)
+			data, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[off(len(data))] ^= 0x40
+			if err := os.WriteFile(p, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	remove := func(names ...string) func(t *testing.T, dir string) {
+		return func(t *testing.T, dir string) {
+			for _, n := range names {
+				if err := os.Remove(filepath.Join(dir, n)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		damage func(t *testing.T, dir string)
+		fault  *faultio.Rule
+		want   State
+		live   int    // ready states: points served
+		reason string // quarantined states: a substring of the reason
+	}{
+		{name: "healthy", want: StateReady, live: 9},
+		{name: "snapshot only", damage: remove(seg), want: StateReady, live: 8},
+		{name: "one read EIO", want: StateReady, live: 9,
+			fault: &faultio.Rule{Op: faultio.OpRead, PathContains: ".discsnap", Times: 1, Err: syscall.EIO}},
+		{name: "corrupt snapshot", damage: flip("d.discsnap", func(n int) int { return n / 2 }),
+			want: StateQuarantined, reason: "checksum mismatch"},
+		{name: "WAL interior bit flip", damage: flip(seg, func(int) int { return firstRecordID }),
+			want: StateQuarantined, reason: "record checksum mismatch"},
+		{name: "future-epoch segment", damage: func(t *testing.T, dir string) {
+			data, err := os.ReadFile(filepath.Join(dir, seg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "d.wal.00000002-00000001"), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, want: StateQuarantined, reason: "from epoch 2"},
+		{name: "snapshot missing after checkpoint", damage: remove("d.discsnap"),
+			want: StateQuarantined, reason: "missing"},
+		{name: "lone torn-header segment", damage: func(t *testing.T, dir string) {
+			remove("d.discsnap", seg)(t, dir)
+			if err := os.WriteFile(filepath.Join(dir, "d.wal.00000000-00000001"), []byte("DISCWAL1"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, want: StateQuarantined, reason: "no remembered identity"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := checkpointedDir(t)
+			if tc.damage != nil {
+				tc.damage(t, dir)
+			}
+			before := dirContents(t, dir)
+			cfg := fastCfg(dir)
+			var fsys *faultio.DirFS
+			if tc.fault != nil {
+				fsys = faultio.NewDirFS(tc.fault)
+				cfg.FS = fsys
+			}
+			m := New(cfg)
+			defer m.Close()
+			if _, err := m.Recover(); err != nil {
+				t.Fatalf("Recover: %v", err)
+			}
+			d, err := m.Get("d")
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, reason := d.Status()
+			if st != tc.want {
+				t.Fatalf("state = %s (%s), want %s", st, reason, tc.want)
+			}
+			if fsys != nil && fsys.Fired() != 1 {
+				t.Fatalf("faults fired = %d, want 1", fsys.Fired())
+			}
+			if tc.want == StateReady {
+				if got := d.Info().Live; got != tc.live {
+					t.Fatalf("Live = %d, want %d", got, tc.live)
+				}
+				return
+			}
+			if !strings.Contains(reason, tc.reason) {
+				t.Fatalf("reason %q does not mention %q", reason, tc.reason)
+			}
+			if after := dirContents(t, dir); !reflect.DeepEqual(after, before) {
+				t.Fatal("a refused recovery changed the files it refused")
+			}
+		})
+	}
+}
+
+// TestRecoverReadsSnapshotOnce: recovering a checkpointed dataset
+// decodes its snapshot exactly once — the open is the only validation.
+func TestRecoverReadsSnapshotOnce(t *testing.T) {
+	dir := checkpointedDir(t)
+	reads := telemetry.Default().Histogram("disc_snapshot_read_seconds", "")
+	before := reads.Count()
+	m := New(fastCfg(dir))
+	defer m.Close()
+	if serving, err := m.Recover(); err != nil || serving != 1 {
+		t.Fatalf("Recover = (%d, %v), want (1, nil)", serving, err)
+	}
+	if got := reads.Count() - before; got != 1 {
+		t.Fatalf("snapshot decodes during recovery = %d, want 1", got)
 	}
 }

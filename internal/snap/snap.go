@@ -49,19 +49,20 @@
 //
 // # Decoding
 //
-// Read slurps the stream in one contiguous read and then aliases the
-// large arrays (coordinates, occupancy, adjacency) directly into the
-// file buffer via unsafe.Slice — no per-element copies — whenever the
-// platform is little-endian and the in-memory layout matches the wire
-// layout (8-byte-aligned offsets are guaranteed by the writer; the
-// buffer base is checked at runtime). Platforms or layouts that do not
-// qualify fall back to an element-wise decode, so the format itself
-// stays portable. Decoded snapshots retain the read buffer; treat every
-// slice as read-only.
+// Decode aliases the large arrays (coordinates, occupancy, adjacency)
+// directly into the byte buffer via unsafe.Slice — no per-element
+// copies — whenever the platform is little-endian and the in-memory
+// layout matches the wire layout (8-byte-aligned offsets are guaranteed
+// by the writer; the buffer base is checked at runtime). Platforms or
+// layouts that do not qualify fall back to an element-wise decode, so
+// the format itself stays portable. Decoded snapshots retain the
+// buffer; treat every slice as read-only. Read slurps a stream in one
+// contiguous read and decodes it.
 package snap
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -80,8 +81,14 @@ var (
 	metWrite = telemetry.Default().Histogram("disc_snapshot_write_seconds",
 		"Wall time of serialising one snapshot (snap.Write).")
 	metRead = telemetry.Default().Histogram("disc_snapshot_read_seconds",
-		"Wall time of decoding and verifying one snapshot (snap.Read).")
+		"Wall time of decoding and verifying one snapshot (snap.Decode).")
 )
+
+// ErrCorrupt marks a snapshot whose bytes failed validation — a CRC
+// mismatch, bad magic, an impossible section shape. Every Decode error
+// matches it (test with errors.Is); an I/O failure while reading does
+// not, which is how the dataset manager tells quarantine from retry.
+var ErrCorrupt = errors.New("unrecoverable corruption")
 
 // Version is the format version this package reads and writes.
 const Version = 1
@@ -581,17 +588,33 @@ func readAll(r io.Reader) ([]byte, error) {
 	return io.ReadAll(r)
 }
 
-// Read decodes a snapshot from r, verifying the magic, version, section
-// table checksum and every section checksum before trusting a byte of
-// payload. Unknown section kinds are skipped (see the versioning
-// policy); duplicate or structurally inconsistent sections are
-// rejected.
+// Read slurps r and decodes it (see Decode). A read failure is returned
+// as is and does not match ErrCorrupt.
 func Read(r io.Reader) (*Snapshot, error) {
-	defer telemetry.Since(metRead, time.Now())
 	data, err := readAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("snap: %w", err)
 	}
+	return Decode(data)
+}
+
+// Decode decodes a snapshot from data in place (the result aliases
+// data), verifying the magic, version, section table checksum and every
+// section checksum before trusting a byte of payload. Unknown section
+// kinds are skipped (see the versioning policy); duplicate or
+// structurally inconsistent sections are rejected. Every error matches
+// ErrCorrupt.
+func Decode(data []byte) (*Snapshot, error) {
+	defer telemetry.Since(metRead, time.Now())
+	s, err := decode(data)
+	if err != nil {
+		return nil, fmt.Errorf("%w (%w)", err, ErrCorrupt)
+	}
+	return s, nil
+}
+
+func decode(data []byte) (*Snapshot, error) {
+	var err error
 	if len(data) < headerSize {
 		return nil, fmt.Errorf("snap: truncated header (%d bytes)", len(data))
 	}

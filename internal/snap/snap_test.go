@@ -3,8 +3,10 @@ package snap
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"math/rand/v2"
+	"syscall"
 	"testing"
 
 	"github.com/discdiversity/disc/internal/grid"
@@ -164,8 +166,8 @@ func TestRejectBadMagic(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		bad := append([]byte(nil), data...)
 		bad[i] ^= 0x01
-		if _, err := Read(bytes.NewReader(bad)); err == nil {
-			t.Fatalf("corrupted magic byte %d accepted", i)
+		if _, err := Decode(bad); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("corrupted magic byte %d: Decode = %v, want ErrCorrupt", i, err)
 		}
 	}
 }
@@ -176,27 +178,42 @@ func TestRejectBadVersion(t *testing.T) {
 	for _, v := range []byte{0, 2, 0xff} {
 		bad := append([]byte(nil), data...)
 		bad[8] = v
-		if _, err := Read(bytes.NewReader(bad)); err == nil {
-			t.Fatalf("version %d accepted", v)
+		if _, err := Decode(bad); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("version %d: Decode = %v, want ErrCorrupt", v, err)
 		}
 	}
 }
 
-// TestRejectTruncation: every truncation point must error, never panic
-// or silently succeed — the property a crashed writer or torn copy
-// relies on.
+// TestRejectTruncation: every truncation point, a truncated header
+// included, must error as corruption, never panic or silently succeed —
+// the property a crashed writer or torn copy relies on.
 func TestRejectTruncation(t *testing.T) {
 	data := encode(t, buildSnapshot(t, 80, 2, 0.2, 5, true, true, true))
 	for cut := 0; cut < len(data); cut++ {
-		if _, err := Read(bytes.NewReader(data[:cut])); err == nil {
-			t.Fatalf("truncation to %d of %d bytes accepted", cut, len(data))
+		if _, err := Decode(data[:cut]); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("truncation to %d of %d bytes: Decode = %v, want ErrCorrupt", cut, len(data), err)
 		}
+	}
+}
+
+// failingReader fails every read, as a disk returning EIO does.
+type failingReader struct{}
+
+func (failingReader) Read([]byte) (int, error) { return 0, syscall.EIO }
+
+// TestReadErrorIsNotCorruption: a failing reader is an I/O fault, which
+// callers retry; it must not be classified as corrupt bytes.
+func TestReadErrorIsNotCorruption(t *testing.T) {
+	_, err := Read(failingReader{})
+	if !errors.Is(err, syscall.EIO) || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Read over a failing reader = %v, want EIO and not ErrCorrupt", err)
 	}
 }
 
 // TestRejectFlippedBytes: flipping any single bit of the section table
 // or of a section payload (which includes every CRC-protected region)
-// must be rejected by a checksum or structural check. Padding bytes
+// must be rejected as corruption by a checksum (table CRC, section CRC)
+// or structural check. Padding bytes
 // between sections are the only bytes outside the checksummed regions;
 // flips there must not corrupt the decoded snapshot.
 func TestRejectFlippedBytes(t *testing.T) {
@@ -209,9 +226,12 @@ func TestRejectFlippedBytes(t *testing.T) {
 	for i := 8; i < len(data); i++ {
 		bad := append([]byte(nil), data...)
 		bad[i] ^= 0x40
-		loaded, err := Read(bytes.NewReader(bad))
-		if err != nil {
+		loaded, err := Decode(bad)
+		if errors.Is(err, ErrCorrupt) {
 			continue // rejected: the common, desired outcome
+		}
+		if err != nil {
+			t.Fatalf("flip at byte %d: Decode = %v, want ErrCorrupt", i, err)
 		}
 		// The flip survived: it must have hit padding, and the decoded
 		// snapshot must still re-encode to the pristine file.

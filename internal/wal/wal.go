@@ -253,7 +253,7 @@ type Op struct {
 	Point []float64
 }
 
-// Info describes an existing log without replaying it (see Describe).
+// Info describes an existing log without replaying it (see DescribeFS).
 type Info struct {
 	// Epoch is the newest epoch any segment carries.
 	Epoch  uint64
@@ -497,14 +497,10 @@ func encodeOp(buf []byte, op Op) ([]byte, error) {
 	return buf, nil
 }
 
-// Describe reads the segment headers of an existing log without
-// replaying it: the newest epoch present plus the radius and metric the
-// log maintains. It returns os.ErrNotExist (wrapped) when no segment
-// exists — the caller's signal to treat the state as absent.
-func Describe(path string) (*Info, error) { return DescribeFS(vfs.OS, path) }
-
-// DescribeFS is Describe through an explicit filesystem, so recovery
-// scans can run under fault injection.
+// DescribeFS reads the segment headers of an existing log through fsys
+// without replaying it: the newest epoch present plus the radius and
+// metric the log maintains. It returns os.ErrNotExist (wrapped) when no
+// segment exists — the caller's signal to treat the state as absent.
 func DescribeFS(fsys vfs.FS, path string) (*Info, error) {
 	segs, err := listSegments(fsys, path)
 	if err != nil {
@@ -544,7 +540,9 @@ func DescribeFS(fsys vfs.FS, path string) (*Info, error) {
 // before rotation finished — their ops are all in the snapshot) are
 // deleted; segments from a newer epoch are corruption. A torn tail in
 // the final segment is truncated away; any other damage fails loudly.
-// When no current-epoch segment exists, a fresh one is created.
+// Every check runs before any file changes, so a refused log is left
+// byte for byte as found. When no current-epoch segment exists, a
+// fresh one is created.
 func Open(path string, opts Options) (*Log, []Op, error) {
 	defer telemetry.Since(metReplay, time.Now())
 	fsys := opts.fs()
@@ -552,52 +550,39 @@ func Open(path string, opts Options) (*Log, []Op, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	dir := filepath.Dir(path)
-	if dir == "" {
-		dir = "."
-	}
-	var current []segment
-	removedStale := false
+	var drop, current []segment
 	for _, sg := range segs {
 		switch {
 		case sg.epoch < opts.Epoch:
-			if err := fsys.Remove(sg.name); err != nil {
-				return nil, nil, fmt.Errorf("wal: removing stale segment: %w", err)
-			}
-			removedStale = true
+			drop = append(drop, sg)
 		case sg.epoch > opts.Epoch:
 			return nil, nil, corruptf("segment %s is from epoch %d, but the snapshot is at epoch %d — refusing to guess which is authoritative", sg.name, sg.epoch, opts.Epoch)
 		default:
 			current = append(current, sg)
 		}
 	}
-	if removedStale {
-		if err := fsys.SyncDir(dir); err != nil {
-			return nil, nil, fmt.Errorf("wal: %w", err)
-		}
-	}
 
-	// Prune trailing segments whose header never became complete: a
-	// crash during segment creation leaves a short (possibly empty)
-	// file that holds no records. Only trailing segments qualify — the
-	// roll protocol syncs a segment before creating its successor, so a
-	// torn header with a healthy successor is corruption, which the
-	// parse loop below rejects.
-	for len(current) > 0 {
-		last := current[len(current)-1]
-		data, err := fsys.ReadFile(last.name)
+	// Trailing segments whose header never became complete are crashed
+	// segment creations: short (possibly empty) files that hold no
+	// records. Only trailing segments qualify — the roll protocol syncs
+	// a segment before creating its successor, so a torn header with a
+	// healthy successor is corruption, which the parse loop rejects.
+	// The final complete segment's bytes are kept for that loop.
+	var finalData []byte
+	torn := len(current)
+	for torn > 0 {
+		data, err := fsys.ReadFile(current[torn-1].name)
 		if err != nil {
 			return nil, nil, fmt.Errorf("wal: %w", err)
 		}
-		if _, err := parseHeader(data); err == errTornHeader {
-			if err := fsys.Remove(last.name); err != nil {
-				return nil, nil, fmt.Errorf("wal: %w", err)
-			}
-			current = current[:len(current)-1]
-			continue
+		if _, err := parseHeader(data); err != errTornHeader {
+			finalData = data
+			break
 		}
-		break
+		torn--
 	}
+	drop = append(drop, current[torn:]...)
+	current = current[:torn]
 
 	l := &Log{path: path, opts: opts, epoch: opts.Epoch}
 	var ops []Op
@@ -606,9 +591,11 @@ func Open(path string, opts Options) (*Log, []Op, error) {
 			return nil, nil, corruptf("segment sequence gap: have %s, want seq %d (acknowledged records lost)", sg.name, want)
 		}
 		final := i == len(current)-1
-		data, err := fsys.ReadFile(sg.name)
-		if err != nil {
-			return nil, nil, fmt.Errorf("wal: %w", err)
+		data := finalData
+		if !final {
+			if data, err = fsys.ReadFile(sg.name); err != nil {
+				return nil, nil, fmt.Errorf("wal: %w", err)
+			}
 		}
 		h, err := parseHeader(data)
 		if err != nil {
@@ -627,16 +614,27 @@ func Open(path string, opts Options) (*Log, []Op, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		if end < len(data) {
-			// Torn tail (final segment only): drop it physically so the
-			// next append continues from the clean end.
-			if err := fsys.Truncate(sg.name, int64(end)); err != nil {
-				return nil, nil, fmt.Errorf("wal: truncating torn tail: %w", err)
-			}
-		}
 		ops = append(ops, segOps...)
 		if final {
 			l.name, l.seq, l.size = sg.name, sg.seq, int64(end)
+		}
+	}
+
+	// The log is sound: drop stale and torn-header segments, and cut a
+	// torn tail so the next append continues from the clean end.
+	for _, sg := range drop {
+		if err := fsys.Remove(sg.name); err != nil {
+			return nil, nil, fmt.Errorf("wal: removing segment: %w", err)
+		}
+	}
+	if len(drop) > 0 {
+		if err := fsys.SyncDir(filepath.Dir(path)); err != nil {
+			return nil, nil, fmt.Errorf("wal: %w", err)
+		}
+	}
+	if l.name != "" && l.size < int64(len(finalData)) {
+		if err := fsys.Truncate(l.name, l.size); err != nil {
+			return nil, nil, fmt.Errorf("wal: truncating torn tail: %w", err)
 		}
 	}
 

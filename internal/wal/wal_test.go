@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -372,6 +373,88 @@ func TestTornFinalHeaderDiscarded(t *testing.T) {
 	}
 }
 
+// TestRefusedLogLeftAsFound: Open runs every check before it changes a
+// file. A log holding a stale-epoch segment, a torn tail, a trailing
+// torn-header segment and an interior bit flip is refused with every
+// file name and byte as found; without the flip the same directory is
+// cleaned up and replayed.
+func TestRefusedLogLeftAsFound(t *testing.T) {
+	opts := Options{Radius: 0.25, Metric: "euclidean", Epoch: 1}
+	ops := sampleOps()
+	segment := func(epoch, seq uint64, ops ...Op) []byte {
+		buf := encodeHeader(epoch, seq, opts.Radius, opts.Metric)
+		for _, op := range ops {
+			var err error
+			if buf, err = encodeOp(buf, op); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return buf
+	}
+	final := segment(1, 2, ops[2:]...)
+	torn, err := encodeOp(append([]byte(nil), final...), Op{Kind: OpInsert, ID: 3, Point: []float64{5, 6}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	interior := segment(1, 1, ops[:2]...)
+	headerLen := len(encodeHeader(1, 1, opts.Radius, opts.Metric))
+	layout := func(interior []byte) (string, map[string]string) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "t.wal")
+		for name, data := range map[string][]byte{
+			segmentName(path, 0, 1): segment(0, 1, ops[:2]...),
+			segmentName(path, 1, 1): interior,
+			segmentName(path, 1, 2): torn[:len(torn)-3],
+			segmentName(path, 1, 3): encodeHeader(1, 3, opts.Radius, opts.Metric)[:10],
+		} {
+			if err := os.WriteFile(name, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return path, readDir(t, dir)
+	}
+
+	flipped := append([]byte(nil), interior...)
+	flipped[headerLen+frameHeader+1] ^= 0x40
+	path, before := layout(flipped)
+	if _, _, err := Open(path, opts); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Open over an interior bit flip = %v, want ErrCorrupt", err)
+	}
+	if after := readDir(t, filepath.Dir(path)); !reflect.DeepEqual(after, before) {
+		t.Fatalf("refused Open changed the log: before %d files, after %d", len(before), len(after))
+	}
+
+	path, _ = layout(interior)
+	if got := replay(t, path, opts); !opsEqual(got, ops) {
+		t.Fatalf("replay = %v, want %v", got, ops)
+	}
+	want := map[string]string{
+		filepath.Base(segmentName(path, 1, 1)): string(interior),
+		filepath.Base(segmentName(path, 1, 2)): string(final),
+	}
+	if got := readDir(t, filepath.Dir(path)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("cleaned log holds %d files, want the two current segments with the torn tail cut", len(got))
+	}
+}
+
+// readDir maps every file name in dir to its bytes.
+func readDir(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(data)
+	}
+	return out
+}
+
 func TestDescribe(t *testing.T) {
 	opts := Options{Radius: 0.125, Metric: "chebyshev"}
 	l, path := openEmpty(t, t.TempDir(), opts)
@@ -380,14 +463,14 @@ func TestDescribe(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Close()
-	info, err := Describe(path)
+	info, err := DescribeFS(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if info.Epoch != 1 || info.Radius != 0.125 || info.Metric != "chebyshev" {
 		t.Fatalf("Describe = %+v", info)
 	}
-	if _, err := Describe(filepath.Join(t.TempDir(), "absent.wal")); !errors.Is(err, os.ErrNotExist) {
+	if _, err := DescribeFS(vfs.OS, filepath.Join(t.TempDir(), "absent.wal")); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("Describe(absent) = %v, want ErrNotExist", err)
 	}
 }

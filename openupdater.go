@@ -1,8 +1,6 @@
 package disc
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -185,11 +183,11 @@ func OpenUpdater(snapshotPath, walPath string, r float64, opts ...Option) (*Upda
 	}
 
 	// Load the snapshot, when present. The bytes are read through the
-	// storage FS in full, then parsed in memory, so an I/O failure is
-	// distinguishable from corruption (see snap.Verify).
+	// storage FS in full, then decoded in place, so an I/O failure
+	// (*os.PathError) is distinguishable from corruption (snap.ErrCorrupt).
 	var s *snap.Snapshot
 	if data, err := fsys.ReadFile(snapshotPath); err == nil {
-		s, err = snap.Read(bytes.NewReader(data))
+		s, err = snap.Decode(data)
 		if err != nil {
 			return nil, fmt.Errorf("disc: open: %s: %w", snapshotPath, err)
 		}
@@ -313,20 +311,3 @@ func OpenUpdater(snapshotPath, walPath string, r float64, opts ...Option) (*Upda
 	u.fs = fsys
 	return u, nil
 }
-
-// DescribeDurable reports the identity an existing write-ahead log was
-// written under — its newest checkpoint epoch, radius and metric name —
-// without replaying it. It returns an error wrapping os.ErrNotExist
-// (test with errors.Is) when no log segment exists at walPath. Servers
-// use it to rediscover live datasets at boot.
-func DescribeDurable(walPath string) (epoch uint64, radius float64, metric string, err error) {
-	info, err := wal.Describe(walPath)
-	if err != nil {
-		return 0, 0, "", err
-	}
-	return info.Epoch, info.Radius, info.Metric, nil
-}
-
-// IsNotExist reports whether an error from DescribeDurable (or any
-// wrapped file error) means the file is simply absent.
-func IsNotExist(err error) bool { return errors.Is(err, os.ErrNotExist) }
