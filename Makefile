@@ -113,8 +113,9 @@ kernel-props:
 
 ## crash-props: the durability property suites under the race detector
 ## — the WAL's torn-tail/bit-flip/rotation invariants, the snapshot
-## decoder's corruption classification (what quarantine keys on), the fault
-## injectors' own contracts, the every-byte crash-prefix recovery
+## decoder's corruption classification (what quarantine keys on), the
+## crash injector's shared byte budget (faultio.CrashFS, a vfs.FS like
+## every fault injector), the every-byte crash-prefix recovery
 ## property (recovered selection bit-identical to a from-scratch
 ## component Select over the surviving op prefix), the checkpoint
 ## crash-window states, the batch replay's equivalence to the
@@ -133,8 +134,9 @@ crash-props:
 ## keep serving with zero errors throughout, while the faulted one
 ## either recovers a selection bit-identical to its acknowledged op
 ## prefix or quarantines loudly. Also runs the manager's own lifecycle
-## suites (degraded mode, quarantine round-trip, backoff parking) and
-## the root checkpoint-ENOSPC authority test.
+## suites (degraded mode, quarantine round-trip, backoff parking, the
+## boot scan skipping directories that hold no dataset, Create syncing
+## the data directory) and the root checkpoint-ENOSPC authority test.
 chaos-props:
 	$(GO) test -race -count=1 -run 'TestChaos' ./internal/server
 	$(GO) test -race -count=1 ./internal/manager

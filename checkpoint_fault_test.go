@@ -18,9 +18,7 @@ import (
 )
 
 func TestCheckpointENOSPCLeavesStateAuthoritative(t *testing.T) {
-	dir := t.TempDir()
-	snapPath := filepath.Join(dir, "ds.discsnap")
-	walPath := filepath.Join(dir, "ds.wal")
+	snapPath, walPath := home(t, t.TempDir(), "ds")
 	fs := faultio.NewDirFS()
 
 	u, err := OpenUpdater(snapPath, walPath, 0.2, WithFsync(FsyncAlways), WithStorageFS(fs))
@@ -59,7 +57,7 @@ func TestCheckpointENOSPCLeavesStateAuthoritative(t *testing.T) {
 	if len(segsAfter) != len(segsBefore) {
 		t.Fatalf("failed checkpoint changed the segment set: %v -> %v", segsBefore, segsAfter)
 	}
-	if debris, _ := filepath.Glob(filepath.Join(dir, "*.tmp-*")); len(debris) != 0 {
+	if debris, _ := filepath.Glob(filepath.Join(filepath.Dir(snapPath), "*.tmp-*")); len(debris) != 0 {
 		t.Fatalf("aborted save left temp debris: %v", debris)
 	}
 

@@ -119,18 +119,18 @@ func spawnServer(bin string) (string, func(), error) {
 	hostport := l.Addr().String()
 	l.Close() // free the port for the child; the race window is ours alone
 
-	// A throwaway live dir makes the maintainer durable, so the run
+	// A throwaway data dir makes the maintainer durable, so the run
 	// exercises (and the scrape reports) the WAL append/fsync path.
-	liveDir, err := os.MkdirTemp("", "discload-live-*")
+	dataDir, err := os.MkdirTemp("", "discload-data-*")
 	if err != nil {
 		return "", nil, err
 	}
 
 	cmd := exec.Command(bin, "-addr", hostport, "-max-body", "1073741824",
-		"-live", liveDir, "-fsync", "interval")
+		"-data-dir", dataDir, "-fsync", "interval")
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
-		os.RemoveAll(liveDir)
+		os.RemoveAll(dataDir)
 		return "", nil, err
 	}
 	stop := func() {
@@ -143,7 +143,7 @@ func spawnServer(bin string) (string, func(), error) {
 			_ = cmd.Process.Kill()
 			<-done
 		}
-		os.RemoveAll(liveDir)
+		os.RemoveAll(dataDir)
 	}
 
 	base := "http://" + hostport

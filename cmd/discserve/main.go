@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	discserve -addr :8080 [-snapshot demo.discsnap] [-live ./livedir]
+//	discserve -addr :8080 [-snapshot demo.discsnap] [-data-dir ./data]
 //
 //	curl -X POST localhost:8080/v1/datasets -d '{"name":"demo","points":[[0.1,0.2],[0.8,0.9]]}'
 //	curl -X POST localhost:8080/v1/datasets/demo/select -d '{"radius":0.3}'
@@ -34,14 +34,16 @@
 // format and do not survive the restart; re-upload labelled datasets
 // over the API when labels matter.
 //
-// With -live DIR (flat layout) or -data-dir DIR (one home directory
-// per dataset), live maintainers become crash-safe: every insert and
-// delete is written to a per-maintainer write-ahead log before it is
-// acknowledged (fsync policy per -fsync; see docs/DURABILITY.md),
-// POST /v1/live/{name}/snapshot checkpoints the log into a .discsnap,
-// and a restarted discserve replays snapshot+log so acknowledged
-// mutations survive even a SIGKILL. Each dataset recovers under its
-// own supervisor (see docs/OPERATIONS.md): one open per recovery
+// With -data-dir DIR, live maintainers become crash-safe: each owns a
+// home directory DIR/<name>/, every insert and delete is written to
+// its write-ahead log (DIR/<name>/wal.*) before it is acknowledged
+// (fsync policy per -fsync; see docs/DURABILITY.md),
+// POST /v1/live/{name}/snapshot checkpoints the log into
+// DIR/<name>/current.discsnap, and a restarted discserve replays
+// snapshot+log so acknowledged mutations survive even a SIGKILL. Each
+// dataset recovers under its own supervisor (see docs/OPERATIONS.md),
+// and only subdirectories holding a snapshot, a log segment or a
+// QUARANTINE sidecar are datasets. One open per recovery
 // validates every snapshot and log segment byte before it changes a
 // file, transient failures retry with backoff (tune with
 // -recovery-backoff, -recovery-backoff-cap, -recovery-max-attempts),
@@ -84,8 +86,7 @@ const shutdownTimeout = 5 * time.Second
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	snapshot := flag.String("snapshot", "", "warm-start .discsnap file; its directory becomes the snapshot-save target")
-	liveDir := flag.String("live", "", "directory for live-maintainer WAL + checkpoints (flat layout); empty keeps them memory-only")
-	dataDir := flag.String("data-dir", "", "directory of per-dataset homes (<dir>/<name>/); takes precedence over -live")
+	dataDir := flag.String("data-dir", "", "directory of per-dataset homes (<dir>/<name>/) for live-maintainer WAL + checkpoints; empty keeps them memory-only")
 	fsyncMode := flag.String("fsync", "always", "WAL fsync policy for live maintainers: always, interval, or none")
 	fsyncInterval := flag.Duration("fsync-interval", 100*time.Millisecond, "batching window when -fsync=interval")
 	backoffBase := flag.Duration("recovery-backoff", 0, "initial per-dataset recovery retry delay (0 = default 50ms)")
@@ -127,17 +128,11 @@ func main() {
 	if *snapshot != "" {
 		opts = append(opts, server.WithSnapshotDir(filepath.Dir(*snapshot)))
 	}
-	if *liveDir != "" || *dataDir != "" {
-		for _, dir := range []string{*liveDir, *dataDir} {
-			if dir == "" {
-				continue
-			}
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				fatal("discserve: storage dir", "dir", dir, "err", err)
-			}
+	if *dataDir != "" {
+		if err := os.MkdirAll(*dataDir, 0o755); err != nil {
+			fatal("discserve: storage dir", "dir", *dataDir, "err", err)
 		}
 		opts = append(opts,
-			server.WithLiveDir(*liveDir),
 			server.WithDataDir(*dataDir),
 			server.WithLiveFsync(fsync),
 			server.WithLiveFsyncInterval(*fsyncInterval),
@@ -176,19 +171,15 @@ func main() {
 				fatal("discserve: warm start failed", "snapshot", *snapshot, "err", err)
 			}
 		}
-		if *liveDir != "" || *dataDir != "" {
-			dir := *liveDir
-			if *dataDir != "" {
-				dir = *dataDir
-			}
+		if *dataDir != "" {
 			start := time.Now()
 			n, err := srv.RestoreLive()
 			if err != nil {
-				fatal("discserve: live recovery failed", "dir", dir, "err", err)
+				fatal("discserve: live recovery failed", "dir", *dataDir, "err", err)
 			}
 			if n > 0 {
 				logger.Info("discserve: recovered live maintainers",
-					"count", n, "dir", dir, "elapsed", time.Since(start).Round(time.Millisecond).String())
+					"count", n, "dir", *dataDir, "elapsed", time.Since(start).Round(time.Millisecond).String())
 			}
 		}
 		srv.SetReady(true)

@@ -12,7 +12,6 @@ import (
 	"github.com/discdiversity/disc/internal/mtree"
 	"github.com/discdiversity/disc/internal/object"
 	"github.com/discdiversity/disc/internal/vfs"
-	"github.com/discdiversity/disc/internal/wal"
 )
 
 // Algorithm selects the heuristic used by Select. The zero value is
@@ -114,7 +113,6 @@ type options struct {
 	walSync     FsyncPolicy
 	walInterval time.Duration
 	walSegment  int64
-	walOpenFile func(name string, create bool) (wal.File, error)
 	storageFS   vfs.FS
 }
 

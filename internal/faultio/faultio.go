@@ -1,21 +1,25 @@
-// Package faultio wraps wal.File-shaped targets with injected storage
-// failures — short writes, fsync errors, and crash-at-byte-N truncation
-// — so the durability property tests can prove that every crash prefix
-// of the write-ahead log recovers correctly, without needing real power
-// cuts.
+// Package faultio provides vfs.FS implementations that inject storage
+// failures, so the durability and fault-isolation property tests can
+// prove recovery correct without a real bad disk or a real power cut.
 //
-// The model is the standard crash-consistency one: a crash preserves an
-// arbitrary prefix of the bytes written since the last sync. CrashFile
-// realises it literally by buffering writes and only letting the first
-// N bytes ever reach the backing file; FaultFile injects the softer
-// failures (short writes, failing Sync) that exercise the log's
-// poisoning and torn-tail paths.
+// Both injectors are handed to the code under test through the one
+// storage seam (disc.WithStorageFS, manager.Config.FS,
+// server.WithStorageFS):
+//
+//   - DirFS schedules EIO, ENOSPC, failed syncs and torn writes on
+//     exactly the calls a real disk can fail, matched by operation and
+//     path (see Rule).
+//   - CrashFS models a crash: a crash preserves an arbitrary prefix of
+//     the bytes written since the last sync. CrashFS realises it
+//     literally, letting only the first N bytes appended across all
+//     files ever reach the disk while the writer keeps seeing success.
 package faultio
 
 import (
 	"errors"
-	"io"
-	"os"
+	"sync"
+
+	"github.com/discdiversity/disc/internal/vfs"
 )
 
 // ErrInjectedSync is returned by a Sync scheduled to fail.
@@ -24,186 +28,88 @@ var ErrInjectedSync = errors.New("faultio: injected sync failure")
 // ErrInjectedWrite is returned by a write scheduled to fail outright.
 var ErrInjectedWrite = errors.New("faultio: injected write failure")
 
-// ErrCrashed is returned by an OpenCrash factory once its byte budget
-// is exhausted: the simulated process is dead and cannot create files.
+// ErrCrashed is returned by CrashFS.OpenAppend once its byte budget is
+// exhausted: the simulated process is dead and cannot create files.
 var ErrCrashed = errors.New("faultio: crashed (byte budget exhausted)")
 
-// File is the surface both wrappers decorate — identical to wal.File
-// (kept textually separate so faultio does not depend on wal).
-type File interface {
-	io.Writer
-	Sync() error
-	Close() error
+// CrashFS is a vfs.FS whose appended files draw on one cumulative byte
+// budget, in creation order: only the first limit bytes written
+// through OpenAppend files reach the disk, and the rest are silently
+// swallowed while the writer sees success — the image an instant power
+// cut at byte limit of the log's linear byte stream leaves behind,
+// rotation included. Every other call goes to the embedded FS
+// unchanged. Safe for concurrent use.
+type CrashFS struct {
+	vfs.FS
+
+	mu        sync.Mutex
+	budget    int64
+	attempted int64
 }
 
-// FaultFile decorates a File with deterministic, scriptable failures.
-// The zero schedule injects nothing. Not safe for concurrent use (the
-// log serialises all access anyway).
-type FaultFile struct {
-	f File
-
-	// ShortWriteAt makes the n-th Write call (1-based) write only half
-	// its buffer and return io.ErrShortWrite. 0 disables.
-	ShortWriteAt int
-	// FailWriteAt makes the n-th Write call (1-based) fail with
-	// ErrInjectedWrite before writing anything. 0 disables.
-	FailWriteAt int
-	// FailSyncAt makes the n-th Sync call (1-based) return
-	// ErrInjectedSync. 0 disables.
-	FailSyncAt int
-
-	writes int
-	syncs  int
+// NewCrashFS wraps fsys with a crash at byte limit.
+func NewCrashFS(fsys vfs.FS, limit int64) *CrashFS {
+	return &CrashFS{FS: fsys, budget: limit}
 }
 
-// NewFaultFile wraps f; configure the exported schedule fields before
-// handing it to the log.
-func NewFaultFile(f File) *FaultFile { return &FaultFile{f: f} }
+// Attempted reports the total bytes the writer has (logically) written
+// so far, including bytes past the crash point — run with an
+// unreachable limit to learn the full uncrashed length.
+func (c *CrashFS) Attempted() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.attempted
+}
 
-// Writes reports how many Write calls have been observed.
-func (ff *FaultFile) Writes() int { return ff.writes }
-
-// Syncs reports how many Sync calls have been observed.
-func (ff *FaultFile) Syncs() int { return ff.syncs }
-
-func (ff *FaultFile) Write(p []byte) (int, error) {
-	ff.writes++
-	if ff.FailWriteAt != 0 && ff.writes == ff.FailWriteAt {
-		return 0, ErrInjectedWrite
+// OpenAppend implements vfs.FS. Creating a file is itself an act the
+// crashed process cannot perform: once the budget is gone it refuses —
+// otherwise the model could leave empty later segments next to a torn
+// earlier one, an image the log's sync-before-roll protocol rules out.
+func (c *CrashFS) OpenAppend(name string, create bool) (vfs.File, error) {
+	if c.crashed() {
+		return nil, ErrCrashed
 	}
-	if ff.ShortWriteAt != 0 && ff.writes == ff.ShortWriteAt {
-		n, err := ff.f.Write(p[:len(p)/2])
+	f, err := c.FS.OpenAppend(name, create)
+	if err != nil {
+		return nil, err
+	}
+	return &crashFile{f: f, fs: c}, nil
+}
+
+// crashed reports whether the byte budget is exhausted.
+func (c *CrashFS) crashed() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.budget <= 0
+}
+
+// crashFile admits writes only while its CrashFS's budget lasts.
+type crashFile struct {
+	f  vfs.File
+	fs *CrashFS
+}
+
+func (cf *crashFile) Write(p []byte) (int, error) {
+	c := cf.fs
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.attempted += int64(len(p))
+	admit := min(c.budget, int64(len(p)))
+	if admit > 0 {
+		n, err := cf.f.Write(p[:admit])
+		c.budget -= int64(n)
 		if err != nil {
 			return n, err
 		}
-		return n, io.ErrShortWrite
 	}
-	return ff.f.Write(p)
-}
-
-func (ff *FaultFile) Sync() error {
-	ff.syncs++
-	if ff.FailSyncAt != 0 && ff.syncs == ff.FailSyncAt {
-		return ErrInjectedSync
-	}
-	return ff.f.Sync()
-}
-
-func (ff *FaultFile) Close() error { return ff.f.Close() }
-
-// CrashFile admits only the first Limit bytes ever written to the
-// backing file and silently swallows the rest, while reporting full
-// success to the writer — the disk image an instant power cut at byte
-// Limit would leave behind (writes are sequential appends in the WAL,
-// so the surviving prefix is exactly the first Limit bytes). Sync and
-// Close are no-ops once the limit is hit. Offset reports how many
-// logical bytes the writer believes it wrote, so a test can first
-// record a full run's byte count and then re-run with every Limit in
-// [0, total].
-type CrashFile struct {
-	f       File
-	limit   int64
-	written int64
-}
-
-// NewCrashFile wraps f, admitting only the first limit bytes.
-func NewCrashFile(f File, limit int64) *CrashFile {
-	return &CrashFile{f: f, limit: limit}
-}
-
-// Offset returns the number of bytes the writer has (logically)
-// written so far, including bytes past the crash limit.
-func (cf *CrashFile) Offset() int64 { return cf.written }
-
-func (cf *CrashFile) Write(p []byte) (int, error) {
-	admit := cf.limit - cf.written
-	if admit > int64(len(p)) {
-		admit = int64(len(p))
-	}
-	if admit > 0 {
-		if n, err := cf.f.Write(p[:admit]); err != nil {
-			cf.written += int64(n)
-			return n, err
-		}
-	}
-	cf.written += int64(len(p))
 	return len(p), nil
 }
 
-func (cf *CrashFile) Sync() error {
-	if cf.written >= cf.limit {
+func (cf *crashFile) Sync() error {
+	if cf.fs.crashed() {
 		return nil
 	}
 	return cf.f.Sync()
 }
 
-func (cf *CrashFile) Close() error { return cf.f.Close() }
-
-// OpenCrash is an OpenFile factory (matching wal.Options.OpenFile) that
-// wraps every created or appended file in a crash wrapper drawing on
-// one cumulative byte budget across all files, in creation order —
-// rotation mid-crash-window then behaves like a single linear byte
-// stream cut at `limit`. It returns the factory plus a counter of the
-// total bytes the writer attempted (read it after the run to learn the
-// full uncrashed length).
-func OpenCrash(limit int64) (open func(name string, create bool) (File, error), attempted *int64) {
-	st := &crashBudget{budget: limit}
-	open = func(name string, create bool) (File, error) {
-		// Creating a file is itself an act the crashed process cannot
-		// perform: once the budget is gone, refuse — otherwise the
-		// model could leave empty later segments next to a torn earlier
-		// one, an image the real sync-before-roll protocol rules out.
-		if st.budget <= 0 {
-			return nil, ErrCrashed
-		}
-		flags := os.O_WRONLY | os.O_APPEND
-		if create {
-			flags = os.O_WRONLY | os.O_CREATE | os.O_TRUNC
-		}
-		f, err := os.OpenFile(name, flags, 0o644)
-		if err != nil {
-			return nil, err
-		}
-		return &budgetCrashFile{f: f, st: st}, nil
-	}
-	return open, &st.attempted
-}
-
-// crashBudget is the byte budget shared by the files one OpenCrash
-// factory hands out.
-type crashBudget struct {
-	budget    int64
-	attempted int64
-}
-
-// budgetCrashFile admits writes only while the shared budget lasts and
-// silently swallows the rest, reporting success throughout.
-type budgetCrashFile struct {
-	f  File
-	st *crashBudget
-}
-
-func (bf *budgetCrashFile) Write(p []byte) (int, error) {
-	bf.st.attempted += int64(len(p))
-	admit := bf.st.budget
-	if admit > int64(len(p)) {
-		admit = int64(len(p))
-	}
-	if admit > 0 {
-		n, err := bf.f.Write(p[:admit])
-		bf.st.budget -= int64(n)
-		if err != nil {
-			return n, err
-		}
-	}
-	return len(p), nil
-}
-
-func (bf *budgetCrashFile) Sync() error {
-	if bf.st.budget <= 0 {
-		return nil
-	}
-	return bf.f.Sync()
-}
-
-func (bf *budgetCrashFile) Close() error { return bf.f.Close() }
+func (cf *crashFile) Close() error { return cf.f.Close() }

@@ -2,110 +2,44 @@ package faultio
 
 import (
 	"errors"
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"github.com/discdiversity/disc/internal/vfs"
 )
 
-func tmpFile(t *testing.T) *os.File {
-	t.Helper()
-	f, err := os.Create(filepath.Join(t.TempDir(), "f"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { f.Close() })
-	return f
-}
-
-func TestFaultFileShortWrite(t *testing.T) {
-	f := tmpFile(t)
-	ff := NewFaultFile(f)
-	ff.ShortWriteAt = 2
-	if _, err := ff.Write([]byte("abcd")); err != nil {
-		t.Fatalf("write 1: %v", err)
-	}
-	n, err := ff.Write([]byte("efgh"))
-	if !errors.Is(err, io.ErrShortWrite) || n != 2 {
-		t.Fatalf("write 2 = (%d, %v), want (2, ErrShortWrite)", n, err)
-	}
-	data, err := os.ReadFile(f.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != "abcdef" {
-		t.Fatalf("file holds %q, want the short-written prefix \"abcdef\"", data)
-	}
-	if ff.Writes() != 2 {
-		t.Fatalf("Writes() = %d", ff.Writes())
-	}
-}
-
-func TestFaultFileFailures(t *testing.T) {
-	f := tmpFile(t)
-	ff := NewFaultFile(f)
-	ff.FailWriteAt = 1
-	if _, err := ff.Write([]byte("x")); !errors.Is(err, ErrInjectedWrite) {
-		t.Fatalf("write = %v, want ErrInjectedWrite", err)
-	}
-	ff.FailSyncAt = 2
-	if err := ff.Sync(); err != nil {
-		t.Fatalf("sync 1: %v", err)
-	}
-	if err := ff.Sync(); !errors.Is(err, ErrInjectedSync) {
-		t.Fatalf("sync 2 = %v, want ErrInjectedSync", err)
-	}
-}
-
-func TestCrashFilePrefix(t *testing.T) {
-	f := tmpFile(t)
-	cf := NewCrashFile(f, 5)
-	for _, chunk := range []string{"abc", "def", "ghi"} {
-		n, err := cf.Write([]byte(chunk))
-		if err != nil || n != len(chunk) {
-			t.Fatalf("write %q = (%d, %v); the writer must see success", chunk, n, err)
-		}
-	}
-	if err := cf.Sync(); err != nil {
-		t.Fatalf("sync past the limit: %v", err)
-	}
-	if cf.Offset() != 9 {
-		t.Fatalf("Offset() = %d, want 9", cf.Offset())
-	}
-	data, err := os.ReadFile(f.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != "abcde" {
-		t.Fatalf("file holds %q, want exactly the first 5 bytes", data)
-	}
-}
-
-func TestOpenCrashSharedBudget(t *testing.T) {
+// TestCrashFSSharedBudget: the files one CrashFS hands out share one
+// byte budget in creation order, the writer sees success throughout,
+// and a dead process can create no further file.
+func TestCrashFSSharedBudget(t *testing.T) {
 	dir := t.TempDir()
-	open, attempted := OpenCrash(7)
-	a, err := open(filepath.Join(dir, "a"), true)
-	if err != nil {
-		t.Fatal(err)
+	fsys := NewCrashFS(vfs.OS, 7)
+	for _, name := range []string{"a", "b"} {
+		f, err := fsys.OpenAppend(filepath.Join(dir, name), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, err := f.Write([]byte(name + name + name + name)); err != nil || n != 4 {
+			t.Fatalf("write %s = (%d, %v); the writer must see success", name, n, err)
+		}
+		if err := f.Sync(); err != nil {
+			t.Fatalf("sync %s: %v", name, err)
+		}
+		f.Close()
 	}
-	if _, err := a.Write([]byte("aaaa")); err != nil {
-		t.Fatal(err)
-	}
-	a.Close()
-	b, err := open(filepath.Join(dir, "b"), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Write([]byte("bbbb")); err != nil {
-		t.Fatal(err)
-	}
-	b.Close()
-	if *attempted != 8 {
-		t.Fatalf("attempted = %d, want 8", *attempted)
+	if got := fsys.Attempted(); got != 8 {
+		t.Fatalf("Attempted() = %d, want 8", got)
 	}
 	da, _ := os.ReadFile(filepath.Join(dir, "a"))
 	db, _ := os.ReadFile(filepath.Join(dir, "b"))
 	if string(da) != "aaaa" || string(db) != "bbb" {
 		t.Fatalf("crash images %q / %q, want \"aaaa\" / \"bbb\" (7-byte budget)", da, db)
+	}
+	if _, err := fsys.OpenAppend(filepath.Join(dir, "c"), true); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("open after the crash = %v, want ErrCrashed", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "c")); !os.IsNotExist(err) {
+		t.Fatalf("a crashed process created a file: %v", err)
 	}
 }

@@ -73,13 +73,10 @@ var states = []State{StateLoading, StateReady, StateDegraded, StateQuarantined, 
 // manager (no Dir): datasets live and die with the process.
 type Config struct {
 	// Dir is the durable storage directory; empty means memory-only
-	// datasets. With Homes false the layout is flat
-	// (<dir>/<name>.discsnap, <dir>/<name>.wal.*, <dir>/<name>.QUARANTINE);
-	// with Homes true each dataset owns a home directory
+	// datasets. Each durable dataset owns a home directory
 	// (<dir>/<name>/current.discsnap, <dir>/<name>/wal.*,
 	// <dir>/<name>/QUARANTINE).
-	Dir   string
-	Homes bool
+	Dir string
 
 	// Fsync and FsyncInterval configure the write-ahead logs of durable
 	// datasets (see disc.FsyncPolicy).
@@ -144,29 +141,28 @@ func (m *Manager) logger() *slog.Logger {
 	return slog.Default()
 }
 
-// dsPaths are the on-disk homes of one durable dataset.
+// The file names inside a dataset home.
+const (
+	snapFile = "current.discsnap"
+	walBase  = "wal" // segments add .<epoch>-<seq>
+	quarFile = "QUARANTINE"
+)
+
+// dsPaths are the files of one durable dataset, all inside its home.
 type dsPaths struct {
 	snap string // checkpoint snapshot
-	wal  string // write-ahead log base path (segments add .<epoch>-<seq>)
+	wal  string // write-ahead log base path
 	quar string // quarantine sidecar
-	home string // directory that must exist before the first write
+	home string // <dir>/<name>, made by Create
 }
 
 func (m *Manager) paths(name string) dsPaths {
-	if m.cfg.Homes {
-		home := filepath.Join(m.cfg.Dir, name)
-		return dsPaths{
-			snap: filepath.Join(home, "current.discsnap"),
-			wal:  filepath.Join(home, "wal"),
-			quar: filepath.Join(home, "QUARANTINE"),
-			home: home,
-		}
-	}
+	home := filepath.Join(m.cfg.Dir, name)
 	return dsPaths{
-		snap: filepath.Join(m.cfg.Dir, name+".discsnap"),
-		wal:  filepath.Join(m.cfg.Dir, name+".wal"),
-		quar: filepath.Join(m.cfg.Dir, name+".QUARANTINE"),
-		home: m.cfg.Dir,
+		snap: filepath.Join(home, snapFile),
+		wal:  filepath.Join(home, walBase),
+		quar: filepath.Join(home, quarFile),
+		home: home,
 	}
 }
 
@@ -212,7 +208,9 @@ func (m *Manager) openOpts(metric disc.Metric) []disc.Option {
 // metric, seeded with points (which may be empty). Durable managers
 // refuse names whose on-disk state a previous life left behind — that
 // is Recover's job, and seeding on top of it would corrupt the
-// recovered history (ErrExists). The dataset is ready on return.
+// recovered history (ErrExists) — and make the new home durable (the
+// storage directory is synced) before the first write lands in it.
+// The dataset is ready on return.
 func (m *Manager) Create(name, metricName string, r float64, points []disc.Point) (*Dataset, error) {
 	if err := ValidateName(name); err != nil {
 		return nil, err
@@ -239,10 +237,11 @@ func (m *Manager) Create(name, metricName string, r float64, points []disc.Point
 		if err := m.refuseLeftoverState(name, p); err != nil {
 			return nil, err
 		}
-		if m.cfg.Homes {
-			if err := m.fs().MkdirAll(p.home, 0o755); err != nil {
-				return nil, err
-			}
+		if err := m.fs().MkdirAll(p.home, 0o755); err != nil {
+			return nil, err
+		}
+		if err := m.fs().SyncDir(m.cfg.Dir); err != nil {
+			return nil, fmt.Errorf("manager: making the home of %q durable: %w", name, err)
 		}
 		u, err = disc.OpenUpdater(p.snap, p.wal, r, m.openOpts(metric)...)
 		if err != nil {
@@ -387,10 +386,14 @@ func (m *Manager) Recover() (int, error) {
 	return serving, nil
 }
 
-// scan lists the dataset names present on disk, in sorted order.
-// Invalid names (anything ValidateName rejects — a stray "..", a
-// nested path) are skipped with a warning rather than trusted: the
-// scan feeds filepath.Join.
+// scan lists the dataset names present on disk, in sorted order: the
+// subdirectories of Dir that hold a snapshot, a log segment or a
+// quarantine sidecar. Anything else is skipped with a warning rather
+// than trusted — a regular file, an empty home a crash left between
+// Create's mkdir and its first segment, a stray lost+found, or an
+// invalid name (anything ValidateName rejects; the scan feeds
+// filepath.Join). A home whose listing fails is kept: its supervisor
+// retries the fault or quarantines it.
 func (m *Manager) scan() ([]string, error) {
 	entries, err := m.fs().ReadDir(m.cfg.Dir)
 	if err != nil {
@@ -399,36 +402,41 @@ func (m *Manager) scan() ([]string, error) {
 		}
 		return nil, err
 	}
-	found := map[string]bool{}
+	var names []string
 	for _, e := range entries {
 		n := e.Name()
-		if m.cfg.Homes {
-			if e.IsDir() {
-				found[n] = true
-			}
+		if !e.IsDir() {
+			m.logger().Warn("skipping non-directory in the data directory", "name", n)
 			continue
 		}
-		switch {
-		case strings.HasSuffix(n, ".discsnap"):
-			found[strings.TrimSuffix(n, ".discsnap")] = true
-		case strings.HasSuffix(n, ".QUARANTINE"):
-			found[strings.TrimSuffix(n, ".QUARANTINE")] = true
-		default:
-			if i := strings.Index(n, ".wal."); i > 0 {
-				found[n[:i]] = true
-			}
-		}
-	}
-	names := make([]string, 0, len(found))
-	for n := range found {
 		if err := ValidateName(n); err != nil {
 			m.logger().Warn("skipping dataset with invalid name", "name", n, "err", err)
+			continue
+		}
+		if !m.holdsDataset(n) {
+			m.logger().Warn("skipping directory that holds no dataset", "name", n)
 			continue
 		}
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	return names, nil
+}
+
+// holdsDataset reports whether the home of name holds a snapshot, a log
+// segment or a quarantine sidecar — or cannot be listed.
+func (m *Manager) holdsDataset(name string) bool {
+	entries, err := m.fs().ReadDir(filepath.Join(m.cfg.Dir, name))
+	if err != nil {
+		return true
+	}
+	for _, e := range entries {
+		n := e.Name()
+		if n == snapFile || n == quarFile || strings.HasPrefix(n, walBase+".") {
+			return true
+		}
+	}
+	return false
 }
 
 // Unquarantine lifts a quarantine after an operator has repaired or

@@ -5,7 +5,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -13,6 +15,7 @@ import (
 	disc "github.com/discdiversity/disc"
 	"github.com/discdiversity/disc/internal/faultio"
 	"github.com/discdiversity/disc/internal/telemetry"
+	"github.com/discdiversity/disc/internal/vfs"
 )
 
 // fastCfg returns a Config tuned for tests: millisecond backoff so a
@@ -146,7 +149,7 @@ func TestManagerQuarantineAndUnquarantine(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	snapPath := filepath.Join(dir, "victim.discsnap")
+	snapPath := filepath.Join(dir, "victim", "current.discsnap")
 	good, err := os.ReadFile(snapPath)
 	if err != nil {
 		t.Fatalf("read snapshot: %v", err)
@@ -183,7 +186,7 @@ func TestManagerQuarantineAndUnquarantine(t *testing.T) {
 			t.Fatalf("Updater err = %v, want UnavailableError{quarantined}", err)
 		}
 	}
-	sidecar := filepath.Join(dir, "victim.QUARANTINE")
+	sidecar := filepath.Join(dir, "victim", "QUARANTINE")
 	if _, err := os.Stat(sidecar); err != nil {
 		t.Fatalf("quarantine sidecar missing: %v", err)
 	}
@@ -242,7 +245,7 @@ func TestManagerDegradedServesLastSnapshot(t *testing.T) {
 	// Every WAL segment read fails with EIO — transient in kind, but
 	// persistent: recovery retries, exhausts its attempts, and must park
 	// in degraded mode serving the last good snapshot read-only.
-	fs := faultio.NewDirFS(&faultio.Rule{Op: faultio.OpRead, PathContains: ".wal.", Err: syscall.EIO})
+	fs := faultio.NewDirFS(&faultio.Rule{Op: faultio.OpRead, PathContains: "deg/wal.", Err: syscall.EIO})
 	cfg := fastCfg(dir)
 	cfg.FS = fs
 	m2 := New(cfg)
@@ -295,9 +298,12 @@ func TestManagerScanSkipsInvalidNames(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	// A stray file whose derived dataset name contains a separator must
-	// be skipped by the boot scan, never joined into a path.
-	if err := os.WriteFile(filepath.Join(dir, `evil\name.discsnap`), []byte("x"), 0o644); err != nil {
+	// A stray home whose dataset name contains a separator must be
+	// skipped by the boot scan, never joined into a path.
+	if err := os.Mkdir(filepath.Join(dir, `evil\name`), 0o755); err != nil {
+		t.Fatalf("plant stray home: %v", err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, `evil\name`, "current.discsnap"), []byte("x"), 0o644); err != nil {
 		t.Fatalf("plant stray file: %v", err)
 	}
 	m2 := New(fastCfg(dir))
@@ -360,7 +366,7 @@ func dirContents(t *testing.T, dir string) map[string]string {
 	}
 	out := map[string]string{}
 	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".QUARANTINE") {
+		if e.Name() == "QUARANTINE" {
 			continue
 		}
 		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
@@ -378,7 +384,8 @@ func dirContents(t *testing.T, dir string) map[string]string {
 func TestRecoverOutcomes(t *testing.T) {
 	// The one segment the checkpoint started, and the byte offset of
 	// an id byte inside its first record (header, then frame header).
-	const seg = "d.wal.00000001-00000001"
+	// Damage and file comparisons work inside the home d/.
+	const seg = "wal.00000001-00000001"
 	firstRecordID := 36 + len("euclidean") + 4 + 8 + 2
 	flip := func(name string, off func(n int) int) func(t *testing.T, dir string) {
 		return func(t *testing.T, dir string) {
@@ -414,7 +421,7 @@ func TestRecoverOutcomes(t *testing.T) {
 		{name: "snapshot only", damage: remove(seg), want: StateReady, live: 8},
 		{name: "one read EIO", want: StateReady, live: 9,
 			fault: &faultio.Rule{Op: faultio.OpRead, PathContains: ".discsnap", Times: 1, Err: syscall.EIO}},
-		{name: "corrupt snapshot", damage: flip("d.discsnap", func(n int) int { return n / 2 }),
+		{name: "corrupt snapshot", damage: flip("current.discsnap", func(n int) int { return n / 2 }),
 			want: StateQuarantined, reason: "checksum mismatch"},
 		{name: "WAL interior bit flip", damage: flip(seg, func(int) int { return firstRecordID }),
 			want: StateQuarantined, reason: "record checksum mismatch"},
@@ -423,25 +430,26 @@ func TestRecoverOutcomes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(filepath.Join(dir, "d.wal.00000002-00000001"), data, 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(dir, "wal.00000002-00000001"), data, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}, want: StateQuarantined, reason: "from epoch 2"},
-		{name: "snapshot missing after checkpoint", damage: remove("d.discsnap"),
+		{name: "snapshot missing after checkpoint", damage: remove("current.discsnap"),
 			want: StateQuarantined, reason: "missing"},
 		{name: "lone torn-header segment", damage: func(t *testing.T, dir string) {
-			remove("d.discsnap", seg)(t, dir)
-			if err := os.WriteFile(filepath.Join(dir, "d.wal.00000000-00000001"), []byte("DISCWAL1"), 0o644); err != nil {
+			remove("current.discsnap", seg)(t, dir)
+			if err := os.WriteFile(filepath.Join(dir, "wal.00000000-00000001"), []byte("DISCWAL1"), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}, want: StateQuarantined, reason: "no remembered identity"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := checkpointedDir(t)
+			home := filepath.Join(dir, "d")
 			if tc.damage != nil {
-				tc.damage(t, dir)
+				tc.damage(t, home)
 			}
-			before := dirContents(t, dir)
+			before := dirContents(t, home)
 			cfg := fastCfg(dir)
 			var fsys *faultio.DirFS
 			if tc.fault != nil {
@@ -473,7 +481,7 @@ func TestRecoverOutcomes(t *testing.T) {
 			if !strings.Contains(reason, tc.reason) {
 				t.Fatalf("reason %q does not mention %q", reason, tc.reason)
 			}
-			if after := dirContents(t, dir); !reflect.DeepEqual(after, before) {
+			if after := dirContents(t, home); !reflect.DeepEqual(after, before) {
 				t.Fatal("a refused recovery changed the files it refused")
 			}
 		})
@@ -493,5 +501,103 @@ func TestRecoverReadsSnapshotOnce(t *testing.T) {
 	}
 	if got := reads.Count() - before; got != 1 {
 		t.Fatalf("snapshot decodes during recovery = %d, want 1", got)
+	}
+}
+
+// treeContents maps every path under dir, directories included, to the
+// bytes it holds ("" for a directory).
+func treeContents(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	err := filepath.WalkDir(dir, func(p string, e os.DirEntry, err error) error {
+		if err != nil || e.IsDir() {
+			out[p] = ""
+			return err
+		}
+		data, err := os.ReadFile(p)
+		out[p] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestRecoverSkipsNonDatasets: a directory holding no snapshot, log
+// segment or sidecar — the empty home a crash leaves between Create's
+// mkdir and its first segment — and a top-level regular file are not
+// datasets. Recovery serves neither, writes nothing, and the name
+// stays free for a later Create.
+func TestRecoverSkipsNonDatasets(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "ghost"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("not a dataset\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := treeContents(t, dir)
+	m := New(fastCfg(dir))
+	defer m.Close()
+	if serving, err := m.Recover(); err != nil || serving != 0 {
+		t.Fatalf("Recover = (%d, %v), want (0, nil)", serving, err)
+	}
+	if n := len(m.List()); n != 0 {
+		t.Fatalf("recovery registered %d datasets, want 0", n)
+	}
+	if after := treeContents(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatalf("recovery changed the data directory: %v -> %v", before, after)
+	}
+	if _, err := m.Create("ghost", "euclidean", 2.0, seedPoints(3)); err != nil {
+		t.Fatalf("Create over an empty home: %v", err)
+	}
+}
+
+// syncRecorder is a vfs.FS that records every directory it syncs.
+type syncRecorder struct {
+	vfs.FS
+	mu   sync.Mutex
+	dirs []string
+}
+
+func (r *syncRecorder) SyncDir(dir string) error {
+	r.mu.Lock()
+	r.dirs = append(r.dirs, dir)
+	r.mu.Unlock()
+	return r.FS.SyncDir(dir)
+}
+
+// TestCreateSyncsDataDir: a durable Create makes its new home durable
+// by syncing the data directory, and a failure there fails the Create
+// instead of acknowledging a dataset a power loss could drop.
+func TestCreateSyncsDataDir(t *testing.T) {
+	dir := t.TempDir()
+	rec := &syncRecorder{FS: vfs.OS}
+	cfg := fastCfg(dir)
+	cfg.FS = rec
+	m := New(cfg)
+	if _, err := m.Create("alpha", "euclidean", 2.0, seedPoints(3)); err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	m.Close()
+	if !slices.Contains(rec.dirs, dir) {
+		t.Fatalf("Create synced %v, want the data directory %s among them", rec.dirs, dir)
+	}
+
+	fsys := faultio.NewDirFS(&faultio.Rule{Op: faultio.OpSyncDir, PathContains: dir, Times: 1})
+	cfg.FS = fsys
+	m2 := New(cfg)
+	defer m2.Close()
+	_, err := m2.Create("beta", "euclidean", 2.0, seedPoints(3))
+	var pe *os.PathError
+	if !errors.As(err, &pe) || pe.Path != dir || !errors.Is(err, faultio.ErrInjectedSync) {
+		t.Fatalf("Create under a failing sync of %s = %v, want that sync's error", dir, err)
+	}
+	if _, err := m2.Get("beta"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("a failed Create registered the dataset: %v", err)
+	}
+	if _, err := m2.Create("beta", "euclidean", 2.0, seedPoints(3)); err != nil {
+		t.Fatalf("Create retry: %v", err)
 	}
 }

@@ -8,9 +8,9 @@ import (
 
 // ValidateName rejects empty names and anything that is not a plain
 // path component: dataset names become file and directory names
-// (<dir>/<name>.discsnap, <dir>/<name>/wal), so separators, "." and
-// ".." must never reach filepath.Join where they could escape the
-// storage directory. Every route that parses a {name} and every boot
+// (<snapshotDir>/<name>.discsnap, the home <dir>/<name>/), so
+// separators, "." and ".." must never reach filepath.Join where they
+// could escape the storage directory. Every route that parses a {name} and every boot
 // scan shares this one validator.
 func ValidateName(name string) error {
 	if name == "" {

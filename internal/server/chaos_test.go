@@ -56,7 +56,7 @@ func newChaosEnv(t *testing.T, names ...string) *chaosEnv {
 		indeterminate: make(map[string][]disc.Point),
 	}
 	e.srv = New(
-		WithLiveDir(e.dir),
+		WithDataDir(e.dir),
 		WithStorageFS(e.fs),
 		WithRecoveryBackoff(5*time.Millisecond, 50*time.Millisecond, 4),
 	)
@@ -310,19 +310,19 @@ func runTransientFault(t *testing.T, rule *faultio.Rule) {
 
 func TestChaosWALAppendEIO(t *testing.T) {
 	runTransientFault(t, &faultio.Rule{
-		Op: faultio.OpWrite, PathContains: "alpha.wal.", Times: 1, Err: syscall.EIO,
+		Op: faultio.OpWrite, PathContains: "alpha/wal.", Times: 1, Err: syscall.EIO,
 	})
 }
 
 func TestChaosWALSyncFault(t *testing.T) {
 	runTransientFault(t, &faultio.Rule{
-		Op: faultio.OpSync, PathContains: "alpha.wal.", Times: 1,
+		Op: faultio.OpSync, PathContains: "alpha/wal.", Times: 1,
 	})
 }
 
 func TestChaosTornAppend(t *testing.T) {
 	runTransientFault(t, &faultio.Rule{
-		Op: faultio.OpWrite, PathContains: "alpha.wal.", Times: 1, Partial: 7, Err: syscall.EIO,
+		Op: faultio.OpWrite, PathContains: "alpha/wal.", Times: 1, Partial: 7, Err: syscall.EIO,
 	})
 }
 
@@ -336,7 +336,7 @@ func TestChaosCheckpointENOSPC(t *testing.T) {
 	defer stop()
 
 	e.fs.AddRule(&faultio.Rule{
-		Op: faultio.OpWrite, PathContains: "alpha.discsnap.tmp", Err: syscall.ENOSPC,
+		Op: faultio.OpWrite, PathContains: "alpha/current.discsnap.tmp", Err: syscall.ENOSPC,
 	})
 	resp, err := http.Post(e.ts.URL+"/v1/live/alpha/snapshot", "application/json", nil)
 	if err != nil {
@@ -349,7 +349,7 @@ func TestChaosCheckpointENOSPC(t *testing.T) {
 	if e.fs.Fired() == 0 {
 		t.Fatal("ENOSPC rule never fired")
 	}
-	if _, err := os.Stat(filepath.Join(e.dir, "alpha.discsnap")); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(e.dir, "alpha", "current.discsnap")); !os.IsNotExist(err) {
 		t.Fatalf("failed checkpoint left a snapshot behind: %v", err)
 	}
 	// The log is untouched by a failed snapshot write: alpha must still
@@ -362,7 +362,7 @@ func TestChaosCheckpointENOSPC(t *testing.T) {
 	// Space comes back: the retry must succeed where the original failed.
 	e.fs.ClearRules()
 	doJSON(t, "POST", e.ts.URL+"/v1/live/alpha/snapshot", nil, http.StatusCreated, nil)
-	if _, err := os.Stat(filepath.Join(e.dir, "alpha.discsnap")); err != nil {
+	if _, err := os.Stat(filepath.Join(e.dir, "alpha", "current.discsnap")); err != nil {
 		t.Fatalf("retried checkpoint wrote no snapshot: %v", err)
 	}
 	stop()
@@ -382,10 +382,10 @@ func TestChaosBootRecoveryRetries(t *testing.T) {
 	e.ts.Close() // crash: abandon the server un-Closed
 
 	fs2 := faultio.NewDirFS(&faultio.Rule{
-		Op: faultio.OpRead, PathContains: "alpha.wal.", Times: 2, Err: syscall.EIO,
+		Op: faultio.OpRead, PathContains: "alpha/wal.", Times: 2, Err: syscall.EIO,
 	})
 	srv2 := New(
-		WithLiveDir(e.dir),
+		WithDataDir(e.dir),
 		WithStorageFS(fs2),
 		WithRecoveryBackoff(5*time.Millisecond, 50*time.Millisecond, 4),
 	)
@@ -429,7 +429,7 @@ func TestChaosInteriorCorruptionQuarantine(t *testing.T) {
 	wantSel := e.selection("alpha")
 	e.ts.Close() // crash
 
-	segs, err := filepath.Glob(filepath.Join(e.dir, "alpha.wal.*"))
+	segs, err := filepath.Glob(filepath.Join(e.dir, "alpha", "wal.*"))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no WAL segments for alpha: %v (%v)", segs, err)
 	}
@@ -445,7 +445,7 @@ func TestChaosInteriorCorruptionQuarantine(t *testing.T) {
 	}
 
 	srv2 := New(
-		WithLiveDir(e.dir),
+		WithDataDir(e.dir),
 		WithRecoveryBackoff(5*time.Millisecond, 50*time.Millisecond, 4),
 	)
 	n, err := srv2.RestoreLive()
@@ -467,7 +467,7 @@ func TestChaosInteriorCorruptionQuarantine(t *testing.T) {
 	if info.State != "quarantined" || info.Reason == "" {
 		t.Fatalf("alpha info = %+v, want quarantined with a reason", info)
 	}
-	if _, err := os.Stat(filepath.Join(e.dir, "alpha.QUARANTINE")); err != nil {
+	if _, err := os.Stat(filepath.Join(e.dir, "alpha", "QUARANTINE")); err != nil {
 		t.Fatalf("quarantine sidecar missing: %v", err)
 	}
 	for _, probe := range []struct{ method, path string }{
@@ -535,11 +535,11 @@ func TestChaosRandomSweep(t *testing.T) {
 		var rule *faultio.Rule
 		switch rng.IntN(3) {
 		case 0:
-			rule = &faultio.Rule{Op: faultio.OpWrite, PathContains: victim + ".wal.", Times: 1, Err: syscall.EIO}
+			rule = &faultio.Rule{Op: faultio.OpWrite, PathContains: victim + "/wal.", Times: 1, Err: syscall.EIO}
 		case 1:
-			rule = &faultio.Rule{Op: faultio.OpSync, PathContains: victim + ".wal.", Times: 1}
+			rule = &faultio.Rule{Op: faultio.OpSync, PathContains: victim + "/wal.", Times: 1}
 		case 2:
-			rule = &faultio.Rule{Op: faultio.OpWrite, PathContains: victim + ".wal.", Times: 1,
+			rule = &faultio.Rule{Op: faultio.OpWrite, PathContains: victim + "/wal.", Times: 1,
 				Partial: 3 + rng.IntN(16), Err: syscall.EIO}
 		}
 		fired := e.fs.Fired()

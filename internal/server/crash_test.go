@@ -32,7 +32,7 @@ func TestLiveCrashRestart(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewPCG(9, 2))
 
-	srv := New(WithLiveDir(dir)) // fsync defaults to always
+	srv := New(WithDataDir(dir)) // fsync defaults to always
 	ts := httptest.NewServer(srv.Handler())
 	doJSON(t, "POST", ts.URL+"/v1/live",
 		map[string]any{"name": "feed", "radius": 0.2}, http.StatusCreated, nil)
@@ -53,7 +53,7 @@ func TestLiveCrashRestart(t *testing.T) {
 	// Crash: stop routing requests, abandon srv un-Closed.
 	ts.Close()
 
-	srv2 := New(WithLiveDir(dir))
+	srv2 := New(WithDataDir(dir))
 	n, err := srv2.RestoreLive()
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +90,7 @@ func TestLiveCrashRestart(t *testing.T) {
 	doJSON(t, "GET", ts2.URL+"/v1/live/feed/selection", nil, http.StatusOK, &mid)
 	ts2.Close()
 
-	srv3 := New(WithLiveDir(dir))
+	srv3 := New(WithDataDir(dir))
 	if _, err := srv3.RestoreLive(); err != nil {
 		t.Fatal(err)
 	}
@@ -136,14 +136,14 @@ func TestLiveCrashRestart(t *testing.T) {
 // resume (or worse, seed on top of) a previous life's data.
 func TestDurableCreateRefusesLeftoverState(t *testing.T) {
 	dir := t.TempDir()
-	srv := New(WithLiveDir(dir))
+	srv := New(WithDataDir(dir))
 	ts := httptest.NewServer(srv.Handler())
 	doJSON(t, "POST", ts.URL+"/v1/live",
 		map[string]any{"name": "feed", "radius": 0.2, "points": [][]float64{{0.1, 0.1}}},
 		http.StatusCreated, nil)
 	ts.Close()
 
-	srv2 := New(WithLiveDir(dir)) // boots WITHOUT RestoreLive
+	srv2 := New(WithDataDir(dir)) // boots WITHOUT RestoreLive
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
 	doJSON(t, "POST", ts2.URL+"/v1/live",
@@ -151,7 +151,7 @@ func TestDurableCreateRefusesLeftoverState(t *testing.T) {
 }
 
 // TestMemoryOnlyCheckpointRefused: the checkpoint endpoint is a
-// durability feature; without a live directory it must explain itself.
+// durability feature; without a data directory it must explain itself.
 func TestMemoryOnlyCheckpointRefused(t *testing.T) {
 	ts := newTestServer(t)
 	doJSON(t, "POST", ts.URL+"/v1/live",
@@ -340,7 +340,7 @@ func TestPanicRecovery(t *testing.T) {
 func TestLiveFsyncModesOverHTTP(t *testing.T) {
 	for _, mode := range []disc.FsyncPolicy{disc.FsyncInterval, disc.FsyncNone} {
 		dir := t.TempDir()
-		srv := New(WithLiveDir(dir), WithLiveFsync(mode), WithLiveFsyncInterval(time.Millisecond))
+		srv := New(WithDataDir(dir), WithLiveFsync(mode), WithLiveFsyncInterval(time.Millisecond))
 		ts := httptest.NewServer(srv.Handler())
 		doJSON(t, "POST", ts.URL+"/v1/live",
 			map[string]any{"name": "feed", "radius": 0.2, "points": [][]float64{{0.1, 0.1}, {0.9, 0.9}}},
@@ -354,7 +354,7 @@ func TestLiveFsyncModesOverHTTP(t *testing.T) {
 		}
 		ts.Close()
 
-		srv2 := New(WithLiveDir(dir), WithLiveFsync(mode))
+		srv2 := New(WithDataDir(dir), WithLiveFsync(mode))
 		if n, err := srv2.RestoreLive(); err != nil || n != 1 {
 			t.Fatalf("restore under %v: n=%d err=%v", mode, n, err)
 		}

@@ -47,7 +47,11 @@
 // Every live maintainer is owned by a supervised lifecycle (see
 // internal/manager and docs/OPERATIONS.md): a dataset whose disk
 // fails recovers — or quarantines — independently, answering 503 with
-// a Retry-After hint while every other dataset keeps serving.
+// a Retry-After hint while every other dataset keeps serving. With
+// WithDataDir each maintainer is durable in its own home directory
+// (<dir>/<name>/current.discsnap, <dir>/<name>/wal.*,
+// <dir>/<name>/QUARANTINE), and RestoreLive recovers every home after
+// a restart.
 package server
 
 import (
@@ -77,11 +81,11 @@ type Server struct {
 
 	snapshotDir string
 
-	// Live-durability configuration (WithLiveDir and friends): when
-	// liveDir (or dataDir) is set, live maintainers are created through
-	// disc.OpenUpdater with a snapshot + write-ahead log pair in that
-	// directory, and RestoreLive resumes them after a restart.
-	liveDir           string
+	// Live-durability configuration (WithDataDir and friends): when
+	// dataDir is set, each live maintainer is created through
+	// disc.OpenUpdater with a snapshot + write-ahead log pair in its
+	// home under that directory, and RestoreLive resumes them after a
+	// restart.
 	dataDir           string
 	liveFsync         disc.FsyncPolicy
 	liveFsyncInterval time.Duration
@@ -122,14 +126,6 @@ func WithSnapshotDir(dir string) Option {
 	return func(s *Server) { s.snapshotDir = dir }
 }
 
-// WithLiveDir makes live maintainers durable: each is backed by a
-// <dir>/<name>.discsnap checkpoint and a <dir>/<name>.wal write-ahead
-// log, so a crashed or restarted server resumes them with RestoreLive.
-// An empty dir keeps live maintainers memory-only.
-func WithLiveDir(dir string) Option {
-	return func(s *Server) { s.liveDir = dir }
-}
-
 // WithLiveFsync sets the WAL fsync policy for durable live maintainers
 // (default disc.FsyncAlways: every acknowledged mutation survives any
 // crash).
@@ -143,10 +139,11 @@ func WithLiveFsyncInterval(d time.Duration) Option {
 	return func(s *Server) { s.liveFsyncInterval = d }
 }
 
-// WithDataDir makes live maintainers durable in per-dataset home
-// directories (<dir>/<name>/current.discsnap, <dir>/<name>/wal.*)
-// instead of the flat WithLiveDir layout. Takes precedence over
-// WithLiveDir when both are set.
+// WithDataDir makes live maintainers durable: each owns a home
+// directory holding a <dir>/<name>/current.discsnap checkpoint and a
+// <dir>/<name>/wal.* write-ahead log, so a crashed or restarted server
+// resumes them with RestoreLive. An empty dir keeps live maintainers
+// memory-only.
 func WithDataDir(dir string) Option {
 	return func(s *Server) { s.dataDir = dir }
 }
@@ -238,13 +235,8 @@ func New(opts ...Option) *Server {
 	for _, opt := range opts {
 		opt(s)
 	}
-	dir, homes := s.liveDir, false
-	if s.dataDir != "" {
-		dir, homes = s.dataDir, true
-	}
 	s.mgr = manager.New(manager.Config{
-		Dir:           dir,
-		Homes:         homes,
+		Dir:           s.dataDir,
 		Fsync:         s.liveFsync,
 		FsyncInterval: s.liveFsyncInterval,
 		FS:            s.storageFS,
@@ -934,7 +926,7 @@ func (s *Server) handleLiveCheckpoint(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !u.Durable() {
-		writeError(w, http.StatusBadRequest, "live maintainer %q is memory-only (start the server with a live directory)", d.Name())
+		writeError(w, http.StatusBadRequest, "live maintainer %q is memory-only (start the server with a data directory)", d.Name())
 		return
 	}
 	snapPath := d.CheckpointPath()

@@ -1,11 +1,12 @@
-// Package vfs is the narrow filesystem seam the durability stack
+// Package vfs is the one filesystem seam the durability stack
 // (internal/wal, internal/snap, disc.OpenUpdater, internal/manager)
 // writes and recovers through. Production code uses the OS
 // implementation; the fault-injection suites substitute
 // faultio.DirFS to schedule EIO, ENOSPC, torn writes and rename
-// failures on exactly the calls a real disk can fail — which is what
-// lets the chaos properties prove per-dataset fault isolation without
-// a real bad disk.
+// failures on exactly the calls a real disk can fail, or
+// faultio.CrashFS to cut the log's byte stream at any point — which is
+// what lets the crash and chaos properties prove recovery and
+// per-dataset fault isolation without a real bad disk or power cut.
 //
 // The interface is deliberately minimal: only the operations the
 // durability code actually performs. Paths are ordinary OS paths (the
@@ -21,7 +22,7 @@ import (
 )
 
 // File is the writable-file surface the write-ahead log appends
-// through — identical to wal.File, so implementations satisfy both.
+// through; *os.File satisfies it.
 type File interface {
 	io.Writer
 	Sync() error

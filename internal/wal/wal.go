@@ -167,15 +167,6 @@ func SyncModeByName(name string) (SyncMode, error) {
 	}
 }
 
-// File is the append-file surface the log writes through; *os.File
-// satisfies it, and internal/faultio wraps it to inject crashes, short
-// writes and sync failures in the property tests.
-type File interface {
-	io.Writer
-	Sync() error
-	Close() error
-}
-
 // Options configures Open.
 type Options struct {
 	// Epoch is the checkpoint generation to recover and append under —
@@ -195,15 +186,10 @@ type Options struct {
 	// SegmentBytes rotates to a fresh segment once the current one
 	// exceeds it (default DefaultSegmentBytes). Records are never split.
 	SegmentBytes int64
-	// OpenFile, when non-nil, replaces the append-file factory (create
-	// truncates/creates; otherwise the file is opened for appending).
-	// Tests inject fault-wrapped files here. It takes precedence over
-	// FS for the append path.
-	OpenFile func(name string, create bool) (File, error)
 	// FS, when non-nil, replaces every filesystem call the log makes —
 	// listing, reading and truncating segments, removing rotated ones,
-	// syncing directories, and (unless OpenFile overrides it) opening
-	// the append file. The fault-injection suites pass faultio.DirFS
+	// syncing directories, and opening the append file. The
+	// fault-injection suites pass a faultio.DirFS or faultio.CrashFS
 	// here; nil means the real filesystem (vfs.OS).
 	FS vfs.FS
 }
@@ -227,13 +213,6 @@ func (o *Options) interval() time.Duration {
 		return 100 * time.Millisecond
 	}
 	return o.Interval
-}
-
-func (o *Options) openFile(name string, create bool) (File, error) {
-	if o.OpenFile != nil {
-		return o.OpenFile(name, create)
-	}
-	return o.fs().OpenAppend(name, create)
 }
 
 // OpKind discriminates log records.
@@ -269,7 +248,7 @@ type Log struct {
 	path string
 	opts Options
 
-	f        File
+	f        vfs.File
 	name     string
 	size     int64
 	epoch    uint64
@@ -643,7 +622,7 @@ func Open(path string, opts Options) (*Log, []Op, error) {
 			return nil, nil, err
 		}
 	} else {
-		f, err := opts.openFile(l.name, false)
+		f, err := opts.fs().OpenAppend(l.name, false)
 		if err != nil {
 			return nil, nil, fmt.Errorf("wal: %w", err)
 		}
@@ -658,7 +637,7 @@ func Open(path string, opts Options) (*Log, []Op, error) {
 // and synced, directory entry synced.
 func (l *Log) createSegment(seq uint64) error {
 	name := segmentName(l.path, l.epoch, seq)
-	f, err := l.opts.openFile(name, true)
+	f, err := l.opts.fs().OpenAppend(name, true)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}

@@ -100,15 +100,6 @@ func WithWALSegmentBytes(n int64) Option {
 	}
 }
 
-// withWALOpenFile injects the log's file factory (fault-injection
-// tests only; deliberately unexported).
-func withWALOpenFile(open func(name string, create bool) (wal.File, error)) Option {
-	return func(o *options) error {
-		o.walOpenFile = open
-		return nil
-	}
-}
-
 // WithStorageFS routes every file operation OpenUpdater and the
 // returned Updater perform — the snapshot read, WAL segment I/O, and
 // Checkpoint's atomic snapshot save — through fsys instead of the real
@@ -266,7 +257,6 @@ func OpenUpdater(snapshotPath, walPath string, r float64, opts ...Option) (*Upda
 		Sync:         o.walSync.walMode(),
 		Interval:     o.walInterval,
 		SegmentBytes: o.walSegment,
-		OpenFile:     o.walOpenFile,
 		FS:           o.storageFS,
 	})
 	if err != nil {

@@ -7,12 +7,15 @@ package disc
 // plus the checkpoint-protocol crash states and the fault-injected
 // (short write / failed sync / mid-rotation) paths.
 //
-// This file is an internal test (package disc) so it can reach the
-// unexported withWALOpenFile hook that splices internal/faultio into
-// the log's file factory.
+// Every durable file lives in a dataset home (<dir>/d/current.discsnap,
+// <dir>/d/wal.*), the one layout internal/manager gives a dataset.
+// Faults are injected through the storage seam (WithStorageFS):
+// faultio.CrashFS for crashes, faultio.DirFS rules for failed syncs
+// and short writes.
 
 import (
 	"fmt"
+	"io"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -21,20 +24,18 @@ import (
 	"testing"
 
 	"github.com/discdiversity/disc/internal/faultio"
-	"github.com/discdiversity/disc/internal/wal"
+	"github.com/discdiversity/disc/internal/vfs"
 )
 
-// asWALOpen adapts a faultio file factory to the wal.File-returning
-// signature withWALOpenFile expects (the interfaces are textually
-// identical; only the names differ).
-func asWALOpen(open func(name string, create bool) (faultio.File, error)) func(string, bool) (wal.File, error) {
-	return func(name string, create bool) (wal.File, error) {
-		f, err := open(name, create)
-		if err != nil {
-			return nil, err
-		}
-		return f, nil
+// home makes the dataset home <dir>/<name> and returns its checkpoint
+// and write-ahead-log paths.
+func home(t *testing.T, dir, name string) (snapPath, walPath string) {
+	t.Helper()
+	h := filepath.Join(dir, name)
+	if err := os.MkdirAll(h, 0o755); err != nil {
+		t.Fatal(err)
 	}
+	return filepath.Join(h, "current.discsnap"), filepath.Join(h, "wal")
 }
 
 // walOp is one logical operation of a golden run, in log-id space.
@@ -149,15 +150,15 @@ func assertRecovered(t *testing.T, u *Updater, ids []int64, pts [][]float64, r f
 	}
 }
 
-// goldenRun executes ops against a fresh durable updater in dir and
-// returns the cumulative WAL byte boundary after each op (boundary[i]
-// = total log bytes once ops[:i+1] are acknowledged), plus the final
-// total and the segment file names in sequence order.
+// goldenRun executes ops against a fresh durable updater homed at
+// <dir>/d and returns the cumulative WAL byte boundary after each op
+// (boundary[i] = total log bytes once ops[:i+1] are acknowledged),
+// plus the final total and the segment file names in sequence order.
 func goldenRun(t *testing.T, dir string, ops []walOp, r float64, opts ...Option) (boundaries []int64, segs []string) {
 	t.Helper()
-	open, attempted := faultio.OpenCrash(1 << 40)
-	all := append([]Option{withWALOpenFile(asWALOpen(open))}, opts...)
-	u, err := OpenUpdater(filepath.Join(dir, "d.discsnap"), filepath.Join(dir, "d.wal"), r, all...)
+	fsys := faultio.NewCrashFS(vfs.OS, 1<<40)
+	snapPath, walPath := home(t, dir, "d")
+	u, err := OpenUpdater(snapPath, walPath, r, append([]Option{WithStorageFS(fsys)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,17 +171,17 @@ func goldenRun(t *testing.T, dir string, ops []walOp, r float64, opts ...Option)
 		if err != nil {
 			t.Fatalf("golden op: %v", err)
 		}
-		boundaries = append(boundaries, *attempted)
+		boundaries = append(boundaries, fsys.Attempted())
 	}
 	if err := u.Close(); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := os.ReadDir(dir)
+	entries, err := os.ReadDir(filepath.Dir(walPath))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), "d.wal.") {
+		if strings.HasPrefix(e.Name(), "wal.") {
 			segs = append(segs, e.Name())
 		}
 	}
@@ -188,15 +189,17 @@ func goldenRun(t *testing.T, dir string, ops []walOp, r float64, opts ...Option)
 	return boundaries, segs
 }
 
-// crashImage materialises the disk state of a crash at byte `limit` of
-// the golden run's concatenated segment stream: each segment receives
-// its slice of the first `limit` bytes, in order; segments entirely
-// past the limit do not exist.
-func crashImage(t *testing.T, goldenDir, dir string, segs []string, limit int64) {
+// crashImage materialises, in the home <dir>/d, the disk state of a
+// crash at byte `limit` of the golden run's concatenated segment
+// stream: each segment receives its slice of the first `limit` bytes,
+// in order; segments entirely past the limit do not exist. It returns
+// the home's checkpoint and log paths.
+func crashImage(t *testing.T, goldenDir, dir string, segs []string, limit int64) (snapPath, walPath string) {
 	t.Helper()
+	snapPath, walPath = home(t, dir, "d")
 	off := int64(0)
 	for _, name := range segs {
-		data, err := os.ReadFile(filepath.Join(goldenDir, name))
+		data, err := os.ReadFile(filepath.Join(goldenDir, "d", name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,11 +210,12 @@ func crashImage(t *testing.T, goldenDir, dir string, segs []string, limit int64)
 		if take > int64(len(data)) {
 			take = int64(len(data))
 		}
-		if err := os.WriteFile(filepath.Join(dir, name), data[:take], 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, "d", name), data[:take], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		off += int64(len(data))
 	}
+	return snapPath, walPath
 }
 
 // TestCrashPrefixRecoveryEveryByte is the headline durability property:
@@ -236,14 +240,15 @@ func TestCrashPrefixRecoveryEveryByte(t *testing.T) {
 	if testing.Short() {
 		step = 13
 	}
+	cuts := 0
 	for cut := int64(0); cut <= total; cut += step {
-		dir := t.TempDir()
-		crashImage(t, goldenDir, dir, segs, cut)
+		cuts++
+		snapPath, walPath := crashImage(t, goldenDir, t.TempDir(), segs, cut)
 		surviving := 0
 		for surviving < len(ops) && boundaries[surviving] <= cut {
 			surviving++
 		}
-		u, err := OpenUpdater(filepath.Join(dir, "d.discsnap"), filepath.Join(dir, "d.wal"), r)
+		u, err := OpenUpdater(snapPath, walPath, r)
 		if err != nil {
 			t.Fatalf("cut=%d: %v", cut, err)
 		}
@@ -253,10 +258,11 @@ func TestCrashPrefixRecoveryEveryByte(t *testing.T) {
 			t.Fatalf("cut=%d: %v", cut, err)
 		}
 	}
+	t.Logf("swept %d cut points over %d log bytes", cuts, total)
 }
 
-// TestCrashRecoveryInjectedWriter drives the same property through the
-// faultio factory end to end: the byte budget swallows everything past
+// TestCrashRecoveryInjectedWriter drives the same property through
+// faultio.CrashFS end to end: the byte budget swallows everything past
 // the crash point while the writer keeps acknowledging, exactly like a
 // kernel losing un-synced pages — including budget exhaustion during a
 // segment rotation.
@@ -274,10 +280,9 @@ func TestCrashRecoveryInjectedWriter(t *testing.T) {
 		step = 61
 	}
 	for cut := int64(0); cut <= total; cut += step {
-		dir := t.TempDir()
-		open, _ := faultio.OpenCrash(cut)
-		u, err := OpenUpdater(filepath.Join(dir, "d.discsnap"), filepath.Join(dir, "d.wal"), r,
-			withWALOpenFile(asWALOpen(open)), WithFsync(FsyncNone), WithWALSegmentBytes(256))
+		snapPath, walPath := home(t, t.TempDir(), "d")
+		u, err := OpenUpdater(snapPath, walPath, r, WithStorageFS(faultio.NewCrashFS(vfs.OS, cut)),
+			WithFsync(FsyncNone), WithWALSegmentBytes(256))
 		if err != nil {
 			// The budget died before even the first segment header: no
 			// state was ever acknowledged, nothing to check.
@@ -309,7 +314,7 @@ func TestCrashRecoveryInjectedWriter(t *testing.T) {
 		if surviving > acked {
 			t.Fatalf("cut=%d: %d ops survive but only %d were acknowledged", cut, surviving, acked)
 		}
-		u2, err := OpenUpdater(filepath.Join(dir, "d.discsnap"), filepath.Join(dir, "d.wal"), r)
+		u2, err := OpenUpdater(snapPath, walPath, r)
 		if err != nil {
 			t.Fatalf("cut=%d: recover: %v", cut, err)
 		}
@@ -331,9 +336,7 @@ func TestCheckpointCrashStates(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 1))
 	const r = 0.15
 	pre := genOps(rng, 14)
-	goldenDir := t.TempDir()
-	snapPath := filepath.Join(goldenDir, "d.discsnap")
-	walPath := filepath.Join(goldenDir, "d.wal")
+	snapPath, walPath := home(t, t.TempDir(), "d")
 
 	u, err := OpenUpdater(snapPath, walPath, r, WithFsync(FsyncNone))
 	if err != nil {
@@ -423,32 +426,32 @@ func TestCheckpointCrashStates(t *testing.T) {
 	// snapshot sits next to the old epoch's segment. Recovery must load
 	// the snapshot, discard the stale segment, and match the checkpoint
 	// state exactly.
-	dirA := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dirA, "d.discsnap"), snapData, 0o644); err != nil {
+	snapA, walA := home(t, t.TempDir(), "d")
+	if err := os.WriteFile(snapA, snapData, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dirA, "d.wal.00000000-00000001"), preSegData, 0o644); err != nil {
+	if err := os.WriteFile(walA+".00000000-00000001", preSegData, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	uA, err := OpenUpdater(filepath.Join(dirA, "d.discsnap"), filepath.Join(dirA, "d.wal"), r)
+	uA, err := OpenUpdater(snapA, walA, r)
 	if err != nil {
 		t.Fatalf("state A: %v", err)
 	}
 	idsA, ptsA := applyOps(renumbered)
 	assertRecovered(t, uA, idsA, ptsA, r, "state A (pre-rotation crash)")
 	uA.Close()
-	if _, err := os.Stat(filepath.Join(dirA, "d.wal.00000000-00000001")); !os.IsNotExist(err) {
+	if _, err := os.Stat(walA + ".00000000-00000001"); !os.IsNotExist(err) {
 		t.Fatalf("state A: stale epoch-0 segment survived recovery: %v", err)
 	}
 
 	// State B: crash at every byte of the post-checkpoint segment.
 	for cut := int64(0); cut <= int64(len(postSegData)); cut++ {
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "d.discsnap"), snapData, 0o644); err != nil {
+		snapB, walB := home(t, t.TempDir(), "d")
+		if err := os.WriteFile(snapB, snapData, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if cut > 0 {
-			if err := os.WriteFile(filepath.Join(dir, "d.wal.00000001-00000001"), postSegData[:cut], 0o644); err != nil {
+			if err := os.WriteFile(walB+".00000001-00000001", postSegData[:cut], 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -456,7 +459,7 @@ func TestCheckpointCrashStates(t *testing.T) {
 		for surviving < len(post) && postBoundaries[surviving] <= cut {
 			surviving++
 		}
-		uB, err := OpenUpdater(filepath.Join(dir, "d.discsnap"), filepath.Join(dir, "d.wal"), r)
+		uB, err := OpenUpdater(snapB, walB, r)
 		if err != nil {
 			t.Fatalf("state B cut=%d: %v", cut, err)
 		}
@@ -468,23 +471,23 @@ func TestCheckpointCrashStates(t *testing.T) {
 	// State C1: the log rotated but the snapshot is the PRE-checkpoint
 	// one (epoch 0, here: absent entirely) — acknowledged state would be
 	// lost, so recovery must refuse.
-	dirC := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dirC, "d.wal.00000001-00000001"), postSegData, 0o644); err != nil {
+	snapC, walC := home(t, t.TempDir(), "d")
+	if err := os.WriteFile(walC+".00000001-00000001", postSegData, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenUpdater(filepath.Join(dirC, "d.discsnap"), filepath.Join(dirC, "d.wal"), r); err == nil {
+	if _, err := OpenUpdater(snapC, walC, r); err == nil {
 		t.Fatal("state C1: recovery from a checkpointed log with no snapshot succeeded")
 	}
 
 	// State C2: segments from an epoch AHEAD of the snapshot.
-	dirC2 := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dirC2, "d.discsnap"), snapData, 0o644); err != nil {
+	snapC2, walC2 := home(t, t.TempDir(), "d")
+	if err := os.WriteFile(snapC2, snapData, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dirC2, "d.wal.00000002-00000001"), postSegData, 0o644); err != nil {
+	if err := os.WriteFile(walC2+".00000002-00000001", postSegData, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenUpdater(filepath.Join(dirC2, "d.discsnap"), filepath.Join(dirC2, "d.wal"), r); err == nil {
+	if _, err := OpenUpdater(snapC2, walC2, r); err == nil {
 		t.Fatal("state C2: recovery with a future-epoch segment succeeded")
 	}
 }
@@ -497,26 +500,11 @@ func TestCheckpointCrashStates(t *testing.T) {
 // reached the file, only the fsync failed), which is exactly the
 // contract — acked ops always recover, un-acked ops recover or not.
 func TestWALPoisoningOnSyncFailure(t *testing.T) {
-	dir := t.TempDir()
-	snapPath := filepath.Join(dir, "d.discsnap")
-	walPath := filepath.Join(dir, "d.wal")
-	var ff *faultio.FaultFile
-	open := func(name string, create bool) (wal.File, error) {
-		flags := os.O_WRONLY | os.O_APPEND
-		if create {
-			flags = os.O_WRONLY | os.O_CREATE | os.O_TRUNC
-		}
-		f, err := os.OpenFile(name, flags, 0o644)
-		if err != nil {
-			return nil, err
-		}
-		ff = faultio.NewFaultFile(f)
-		// Sync 1 is the segment-creation sync; 2 and 3 ack the first
-		// two inserts; 4 fails.
-		ff.FailSyncAt = 4
-		return ff, nil
-	}
-	u, err := OpenUpdater(snapPath, walPath, 0.15, withWALOpenFile(open), WithFsync(FsyncAlways))
+	snapPath, walPath := home(t, t.TempDir(), "d")
+	// Sync 1 is the segment-creation sync; 2 and 3 ack the first two
+	// inserts; 4 fails.
+	fsys := faultio.NewDirFS(&faultio.Rule{Op: faultio.OpSync, PathContains: "wal.", At: 4, Times: 1})
+	u, err := OpenUpdater(snapPath, walPath, 0.15, WithStorageFS(fsys), WithFsync(FsyncAlways))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -556,24 +544,12 @@ func TestWALPoisoningOnSyncFailure(t *testing.T) {
 // is not acknowledged, and recovery truncates the tail back to the
 // acknowledged prefix.
 func TestWALShortWriteTornTail(t *testing.T) {
-	dir := t.TempDir()
-	snapPath := filepath.Join(dir, "d.discsnap")
-	walPath := filepath.Join(dir, "d.wal")
-	open := func(name string, create bool) (wal.File, error) {
-		flags := os.O_WRONLY | os.O_APPEND
-		if create {
-			flags = os.O_WRONLY | os.O_CREATE | os.O_TRUNC
-		}
-		f, err := os.OpenFile(name, flags, 0o644)
-		if err != nil {
-			return nil, err
-		}
-		ff := faultio.NewFaultFile(f)
-		// Write 1 is the header; write 3 (the second op) tears.
-		ff.ShortWriteAt = 3
-		return ff, nil
-	}
-	u, err := OpenUpdater(snapPath, walPath, 0.15, withWALOpenFile(open), WithFsync(FsyncNone))
+	snapPath, walPath := home(t, t.TempDir(), "d")
+	// Write 1 is the header; write 3 (the second op) tears after 7
+	// bytes.
+	fsys := faultio.NewDirFS(&faultio.Rule{Op: faultio.OpWrite, PathContains: "wal.", At: 3, Times: 1,
+		Partial: 7, Err: io.ErrShortWrite})
+	u, err := OpenUpdater(snapPath, walPath, 0.15, WithStorageFS(fsys), WithFsync(FsyncNone))
 	if err != nil {
 		t.Fatal(err)
 	}
