@@ -130,13 +130,15 @@ crash-props:
 ## detector — randomized multi-dataset fault sweeps against a server
 ## holding three concurrently-served datasets (WAL append EIO, sync
 ## failure, torn writes, checkpoint ENOSPC, boot-time read faults,
-## interior corruption). The property: datasets that were not faulted
+## interior corruption, a corrupt static.discsnap beside a healthy
+## static and a live dataset). The property: datasets that were not faulted
 ## keep serving with zero errors throughout, while the faulted one
 ## either recovers a selection bit-identical to its acknowledged op
 ## prefix or quarantines loudly. Also runs the manager's own lifecycle
 ## suites (degraded mode, quarantine round-trip, backoff parking, the
 ## boot scan skipping directories that hold no dataset, Create syncing
-## the data directory) and the root checkpoint-ENOSPC authority test.
+## the data directory, static-home recovery) and the root
+## checkpoint-ENOSPC authority test.
 chaos-props:
 	$(GO) test -race -count=1 -run 'TestChaos' ./internal/server
 	$(GO) test -race -count=1 ./internal/manager

@@ -1,7 +1,9 @@
 // Command discgen generates the evaluation datasets — as CSV files that
 // can be inspected, plotted externally or fed back through discviz -csv,
-// or directly as .discsnap binary snapshots that discserve -snapshot
-// warm-starts from (see the package documentation's Snapshots section).
+// or directly as .discsnap binary snapshots: placed at
+// DIR/<name>/static.discsnap, one is served as dataset <name> by
+// discserve -data-dir DIR after its next start (see the package
+// documentation's Snapshots section).
 //
 // Usage:
 //

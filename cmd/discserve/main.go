@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	discserve -addr :8080 [-snapshot demo.discsnap] [-data-dir ./data]
+//	discserve -addr :8080 [-data-dir ./data]
 //
 //	curl -X POST localhost:8080/v1/datasets -d '{"name":"demo","points":[[0.1,0.2],[0.8,0.9]]}'
 //	curl -X POST localhost:8080/v1/datasets/demo/select -d '{"radius":0.3}'
@@ -26,35 +26,35 @@
 //	curl -X POST localhost:8080/v1/live/feed/snapshot
 //	curl localhost:8080/v1/live/feed/selection
 //
-// With -snapshot, the file (when present) is loaded at boot — a warm
-// start that skips the index build — and the
-// POST /v1/datasets/{name}/snapshot endpoint persists datasets into the
-// same directory, so a save/restart cycle round-trips the dataset and
-// its prepared index artifacts. Labels are not part of the .discsnap
-// format and do not survive the restart; re-upload labelled datasets
-// over the API when labels matter.
+// With -data-dir DIR, every dataset becomes durable in its own home
+// directory DIR/<name>/. POST /v1/datasets/{name}/snapshot saves an
+// uploaded dataset, with its prepared index artifacts, as
+// DIR/<name>/static.discsnap, and a restart brings back every saved
+// dataset on the index its file records. Labels are not part of the
+// .discsnap format and do not survive the restart; re-upload labelled
+// datasets over the API when labels matter. Live maintainers become
+// crash-safe: every insert and delete is written to the write-ahead
+// log (DIR/<name>/wal.*) before it is acknowledged (fsync policy per
+// -fsync; see docs/DURABILITY.md), POST /v1/live/{name}/snapshot
+// checkpoints the log into DIR/<name>/current.discsnap, and a
+// restarted discserve replays snapshot+log so acknowledged mutations
+// survive even a SIGKILL. Without -data-dir both snapshot routes
+// answer 400.
 //
-// With -data-dir DIR, live maintainers become crash-safe: each owns a
-// home directory DIR/<name>/, every insert and delete is written to
-// its write-ahead log (DIR/<name>/wal.*) before it is acknowledged
-// (fsync policy per -fsync; see docs/DURABILITY.md),
-// POST /v1/live/{name}/snapshot checkpoints the log into
-// DIR/<name>/current.discsnap, and a restarted discserve replays
-// snapshot+log so acknowledged mutations survive even a SIGKILL. Each
-// dataset recovers under its own supervisor (see docs/OPERATIONS.md),
-// and only subdirectories holding a snapshot, a log segment or a
-// QUARANTINE sidecar are datasets. One open per recovery
-// validates every snapshot and log segment byte before it changes a
-// file, transient failures retry with backoff (tune with
+// Each dataset recovers under its own supervisor (see
+// docs/OPERATIONS.md), and only subdirectories holding a snapshot, a
+// log segment or a QUARANTINE sidecar are datasets. One open per
+// recovery validates every snapshot and log segment byte before it
+// changes a file, transient failures retry with backoff (tune with
 // -recovery-backoff, -recovery-backoff-cap, -recovery-max-attempts),
-// interior corruption quarantines that dataset alone, and a dataset
-// with a good last snapshot keeps serving read-only while its log
-// recovery retries. The listener comes up before recovery starts:
-// /healthz answers immediately, while /readyz returns 503 (and API
-// requests are refused) until the replay converges — a load balancer
-// draining on readiness never routes to a half-replayed server. The
-// server drains in-flight requests for up to 5 seconds on
-// SIGINT/SIGTERM, then syncs and closes the logs.
+// corruption quarantines that dataset alone, and a live dataset with a
+// good last snapshot keeps serving read-only while its log recovery
+// retries. The listener comes up before recovery starts: /healthz
+// answers immediately, while /readyz returns 503 (and API requests are
+// refused) until recovery converges — a load balancer draining on
+// readiness never routes to a half-recovered server. The server drains
+// in-flight requests for up to 5 seconds on SIGINT/SIGTERM, then syncs
+// and closes the logs.
 //
 // Observability (see docs/OBSERVABILITY.md): GET /metrics serves the
 // process-wide registry in the Prometheus text format; -log-format and
@@ -71,8 +71,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
@@ -85,8 +83,7 @@ const shutdownTimeout = 5 * time.Second
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	snapshot := flag.String("snapshot", "", "warm-start .discsnap file; its directory becomes the snapshot-save target")
-	dataDir := flag.String("data-dir", "", "directory of per-dataset homes (<dir>/<name>/) for live-maintainer WAL + checkpoints; empty keeps them memory-only")
+	dataDir := flag.String("data-dir", "", "directory of per-dataset homes (<dir>/<name>/) for static snapshots and live-maintainer WAL + checkpoints; empty keeps datasets memory-only")
 	fsyncMode := flag.String("fsync", "always", "WAL fsync policy for live maintainers: always, interval, or none")
 	fsyncInterval := flag.Duration("fsync-interval", 100*time.Millisecond, "batching window when -fsync=interval")
 	backoffBase := flag.Duration("recovery-backoff", 0, "initial per-dataset recovery retry delay (0 = default 50ms)")
@@ -125,9 +122,6 @@ func main() {
 		server.WithMaxBodyBytes(*maxBody),
 		server.WithLogger(logger),
 	}
-	if *snapshot != "" {
-		opts = append(opts, server.WithSnapshotDir(filepath.Dir(*snapshot)))
-	}
 	if *dataDir != "" {
 		if err := os.MkdirAll(*dataDir, 0o755); err != nil {
 			fatal("discserve: storage dir", "dir", *dataDir, "err", err)
@@ -139,7 +133,7 @@ func main() {
 			server.WithRecoveryBackoff(*backoffBase, *backoffCap, *maxAttempts))
 	}
 	srv := server.New(opts...)
-	srv.SetReady(false) // not ready until warm start + recovery converge
+	srv.SetReady(false) // not ready until recovery converges
 
 	httpSrv := &http.Server{
 		Addr:              *addr,
@@ -154,8 +148,8 @@ func main() {
 	defer stop()
 
 	// Listener first, recovery second: health probes and metrics scrapes
-	// answer during a long WAL replay, and /readyz gates traffic until
-	// the replay converges.
+	// answer during a long recovery, and /readyz gates traffic until it
+	// converges.
 	errc := make(chan error, 1)
 	go func() {
 		logger.Info("discserve listening", "addr", *addr)
@@ -166,19 +160,14 @@ func main() {
 	}
 
 	go func() {
-		if *snapshot != "" {
-			if err := warmStart(logger, srv, *snapshot); err != nil {
-				fatal("discserve: warm start failed", "snapshot", *snapshot, "err", err)
-			}
-		}
 		if *dataDir != "" {
 			start := time.Now()
 			n, err := srv.RestoreLive()
 			if err != nil {
-				fatal("discserve: live recovery failed", "dir", *dataDir, "err", err)
+				fatal("discserve: recovery failed", "dir", *dataDir, "err", err)
 			}
 			if n > 0 {
-				logger.Info("discserve: recovered live maintainers",
+				logger.Info("discserve: recovered datasets",
 					"count", n, "dir", *dataDir, "elapsed", time.Since(start).Round(time.Millisecond).String())
 			}
 		}
@@ -240,27 +229,4 @@ func servePprof(logger *slog.Logger, addr string) {
 	if err := http.ListenAndServe(addr, mux); err != nil {
 		logger.Warn("discserve: pprof listener", "err", err)
 	}
-}
-
-// warmStart loads a .discsnap file into the server under the file's
-// base name; a missing file is not an error (first boot has nothing to
-// load yet).
-func warmStart(logger *slog.Logger, srv *server.Server, path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			logger.Info("discserve: snapshot not found; starting cold", "path", path)
-			return nil
-		}
-		return err
-	}
-	defer f.Close()
-	name := strings.TrimSuffix(filepath.Base(path), ".discsnap")
-	start := time.Now()
-	if err := srv.LoadSnapshot(name, f); err != nil {
-		return err
-	}
-	logger.Info("discserve: warm-started dataset",
-		"name", name, "path", path, "elapsed", time.Since(start).Round(time.Millisecond).String())
-	return nil
 }

@@ -196,9 +196,9 @@
 // narrow the gap on multi-core machines). Backends without
 // radius-dependent artifacts snapshot the dataset alone and rebuild
 // deterministically on load. The discserve command exposes the same
-// round trip over HTTP (-snapshot warm start, POST
-// /v1/datasets/{name}/snapshot to save), and discgen emits .discsnap
-// files directly.
+// round trip over HTTP (with -data-dir DIR, POST
+// /v1/datasets/{name}/snapshot saves DIR/<name>/static.discsnap and a
+// restart restores it), and discgen emits .discsnap files directly.
 //
 // # Live updates
 //

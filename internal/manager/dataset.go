@@ -30,6 +30,8 @@ type Dataset struct {
 	reason  string
 	metric  string
 	radius  float64
+	static  bool    // the kind: static (st) rather than live (upd, deg)
+	st      *Static // the ready static engine
 	upd     *disc.Updater
 	deg     *DegradedView
 	retryAt time.Time
@@ -89,6 +91,55 @@ func (d *Dataset) Updater() (*disc.Updater, error) {
 	return nil, d.unavailableLocked()
 }
 
+// IsStatic reports whether the dataset is static (served by Static)
+// rather than live (served by Updater and View).
+func (d *Dataset) IsStatic() bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.static
+}
+
+// Static returns the engine of a ready static dataset; otherwise an
+// *UnavailableError naming the state.
+func (d *Dataset) Static() (*Static, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.state == StateReady && d.st != nil {
+		return d.st, nil
+	}
+	return nil, d.unavailableLocked()
+}
+
+// Static is the engine of a static dataset: a Diversifier over a fixed
+// point set, with the shape and labels its routes report. The
+// Diversifier is not safe for concurrent use, so Do runs every call
+// under the dataset's work lock. That lock is not the dataset's state
+// lock, so Status, Info and /readyz never wait on a select.
+type Static struct {
+	Metric string
+	Dim    int
+	Size   int
+	Labels []string // nil, or one per point
+
+	work sync.Mutex
+	div  *disc.Diversifier
+}
+
+func newStatic(metric string, div *disc.Diversifier, labels []string) *Static {
+	st := &Static{Metric: metric, Size: div.Len(), Labels: labels, div: div}
+	if st.Size > 0 {
+		st.Dim = div.Point(0).Dim()
+	}
+	return st
+}
+
+// Do runs f on the Diversifier under the work lock.
+func (s *Static) Do(f func(*disc.Diversifier) error) error {
+	s.work.Lock()
+	defer s.work.Unlock()
+	return f(s.div)
+}
+
 // ReadView is what a read-path handler gets: exactly one of Upd
 // (ready) or Deg (degraded) is non-nil.
 type ReadView struct {
@@ -119,18 +170,19 @@ func (d *Dataset) unavailableLocked() *UnavailableError {
 	return &UnavailableError{Dataset: d.name, State: d.state, Reason: d.reason, RetryAfter: wait.Round(time.Second)}
 }
 
-// Info is a stable snapshot of a dataset for listing/info endpoints.
-// Counts are zero when the dataset cannot serve reads.
+// Info is a stable snapshot of a live dataset, in the wire form of its
+// listing and info routes. Counts are zero when the dataset cannot
+// serve reads.
 type Info struct {
-	Name     string
-	State    State
-	Reason   string
-	Metric   string
-	Radius   float64
-	Dim      int
-	Live     int
-	Selected int
-	Pending  int
+	Name     string  `json:"name"`
+	Metric   string  `json:"metric"`
+	Radius   float64 `json:"radius"`
+	Dim      int     `json:"dim"`
+	Live     int     `json:"live"`
+	Selected int     `json:"selected"`
+	Pending  int     `json:"pending"`
+	State    State   `json:"state"`
+	Reason   string  `json:"reason,omitempty"`
 }
 
 // Info captures the dataset's externally visible state.
@@ -155,13 +207,54 @@ func (d *Dataset) Info() Info {
 	return info
 }
 
-// CheckpointPath returns where this dataset's checkpoint snapshot
-// lives (empty for memory-only managers).
-func (d *Dataset) CheckpointPath() string {
+// Save writes the dataset into its home and returns the file and its
+// size. A live dataset checkpoints into current.discsnap and rotates
+// its log; a static one writes static.discsnap crash-atomically,
+// prepared index artifacts included. A memory-only manager answers
+// ErrMemoryOnly, and a dataset that cannot serve an *UnavailableError.
+func (d *Dataset) Save() (string, int64, error) {
 	if !d.m.Durable() {
-		return ""
+		return "", 0, fmt.Errorf("%w: %q", ErrMemoryOnly, d.name)
 	}
-	return d.paths.snap
+	fsys := d.m.fs()
+	if !d.IsStatic() {
+		u, err := d.Updater()
+		if err != nil {
+			return "", 0, err
+		}
+		if err := u.Checkpoint(d.paths.snap); err != nil {
+			return "", 0, err
+		}
+		return fileSize(fsys, d.paths.snap)
+	}
+	st, err := d.Static()
+	if err != nil {
+		return "", 0, err
+	}
+	if err := fsys.MkdirAll(d.paths.home, 0o755); err != nil {
+		return "", 0, err
+	}
+	if err := fsys.SyncDir(d.m.cfg.Dir); err != nil {
+		return "", 0, err
+	}
+	var size int64
+	err = st.Do(func(div *disc.Diversifier) (err error) {
+		if err := snap.WriteFileAtomicFS(fsys, d.paths.static, div.WriteSnapshot); err != nil {
+			return err
+		}
+		_, size, err = fileSize(fsys, d.paths.static)
+		return err
+	})
+	return d.paths.static, size, err
+}
+
+// fileSize returns path and the size of the file there.
+func fileSize(fsys vfs.FS, path string) (string, int64, error) {
+	fi, err := fsys.Stat(path)
+	if err != nil {
+		return "", 0, err
+	}
+	return path, fi.Size(), nil
 }
 
 // ReportFault classifies an error from a mutation or checkpoint. A
@@ -365,19 +458,35 @@ func retryable(err error) bool {
 	return errors.As(err, &pe)
 }
 
-// tryOpen performs one full recovery attempt: sidecar check, identity,
-// then disc.OpenUpdater, which validates every snapshot and log byte as
-// it loads them and leaves a refused log untouched. On success the
-// dataset is ready; on failure retryable picks backoff or quarantine.
+// tryOpen performs one full recovery attempt: the home's kind and
+// sidecar check, then the open — disc.LoadDiversifier for a static home;
+// identity and disc.OpenUpdater for a live one, which validates every
+// snapshot and log byte as it loads them and leaves a refused log
+// untouched. On success the dataset is ready; on failure retryable
+// picks backoff or quarantine.
 func (d *Dataset) tryOpen() error {
 	fsys := d.m.fs()
-
+	c, err := d.m.contents(d.paths.home)
+	if err != nil {
+		return err
+	}
+	d.mu.Lock()
+	d.static = c.static
+	d.mu.Unlock()
 	// A sidecar left by a previous life keeps the dataset out until an
 	// operator removes it — rebooting must not clear a quarantine.
-	if data, err := fsys.ReadFile(d.paths.quar); err == nil {
+	if c.quar {
+		data, err := fsys.ReadFile(d.paths.quar)
+		if err != nil {
+			return err
+		}
 		return fmt.Errorf("quarantine sidecar present: %s", bytes.TrimSpace(data))
-	} else if !errors.Is(err, fs.ErrNotExist) {
-		return err
+	}
+	if c.static {
+		if c.live {
+			return fmt.Errorf("home holds both %s and a live dataset's %s or %s.* files; remove one set", staticFile, snapFile, walBase)
+		}
+		return d.openStatic(fsys)
 	}
 
 	radius, metricName, err := d.identity(fsys)
@@ -398,6 +507,28 @@ func (d *Dataset) tryOpen() error {
 	d.metric = metricName
 	d.radius = radius
 	d.deg = nil
+	d.state = StateReady
+	d.reason = ""
+	d.mu.Unlock()
+	setStateGauge(d.name, StateReady)
+	return nil
+}
+
+// openStatic loads the home's static snapshot. The dataset keeps the
+// index its file records; labels are not part of the format.
+func (d *Dataset) openStatic(fsys vfs.FS) error {
+	data, err := fsys.ReadFile(d.paths.static)
+	if err != nil {
+		return err
+	}
+	div, err := disc.LoadDiversifier(bytes.NewReader(data))
+	if err != nil {
+		return fmt.Errorf("%s: %w", d.paths.static, err)
+	}
+	st := newStatic(div.Metric().Name(), div, nil)
+	d.mu.Lock()
+	d.st = st
+	d.metric = st.Metric
 	d.state = StateReady
 	d.reason = ""
 	d.mu.Unlock()

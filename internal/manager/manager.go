@@ -25,9 +25,13 @@
 // exists, a dataset whose log cannot be reopened serves read-only
 // selections from the snapshot instead of going dark (degraded mode).
 //
-// The manager also owns memory-only datasets (no backing files); they
-// are born ready and have no storage to fail, so their supervisor only
-// waits for shutdown. See docs/OPERATIONS.md for the operator's view.
+// A dataset is one of two kinds sharing one namespace: live (an
+// incremental disc.Updater, durable through a snapshot and a
+// write-ahead log) or static (a disc.Diversifier over a fixed point
+// set, durable once Save writes its static.discsnap). Memory-only
+// datasets have no backing files; they are born ready and have no
+// storage to fail, so their supervisor only waits for shutdown. See
+// docs/OPERATIONS.md for the operator's view.
 package manager
 
 import (
@@ -73,9 +77,10 @@ var states = []State{StateLoading, StateReady, StateDegraded, StateQuarantined, 
 // manager (no Dir): datasets live and die with the process.
 type Config struct {
 	// Dir is the durable storage directory; empty means memory-only
-	// datasets. Each durable dataset owns a home directory
-	// (<dir>/<name>/current.discsnap, <dir>/<name>/wal.*,
-	// <dir>/<name>/QUARANTINE).
+	// datasets. Each durable dataset owns a home directory: a live one
+	// holds <dir>/<name>/current.discsnap and <dir>/<name>/wal.*, a
+	// static one <dir>/<name>/static.discsnap, and either may hold a
+	// <dir>/<name>/QUARANTINE sidecar.
 	Dir string
 
 	// Fsync and FsyncInterval configure the write-ahead logs of durable
@@ -143,34 +148,39 @@ func (m *Manager) logger() *slog.Logger {
 
 // The file names inside a dataset home.
 const (
-	snapFile = "current.discsnap"
-	walBase  = "wal" // segments add .<epoch>-<seq>
-	quarFile = "QUARANTINE"
+	snapFile   = "current.discsnap"
+	walBase    = "wal" // segments add .<epoch>-<seq>
+	staticFile = "static.discsnap"
+	quarFile   = "QUARANTINE"
 )
 
 // dsPaths are the files of one durable dataset, all inside its home.
 type dsPaths struct {
-	snap string // checkpoint snapshot
-	wal  string // write-ahead log base path
-	quar string // quarantine sidecar
-	home string // <dir>/<name>, made by Create
+	snap   string // live checkpoint snapshot
+	wal    string // live write-ahead log base path
+	static string // static dataset snapshot
+	quar   string // quarantine sidecar
+	home   string // <dir>/<name>, made by Create or a static Save
 }
 
 func (m *Manager) paths(name string) dsPaths {
 	home := filepath.Join(m.cfg.Dir, name)
 	return dsPaths{
-		snap: filepath.Join(home, snapFile),
-		wal:  filepath.Join(home, walBase),
-		quar: filepath.Join(home, quarFile),
-		home: home,
+		snap:   filepath.Join(home, snapFile),
+		wal:    filepath.Join(home, walBase),
+		static: filepath.Join(home, staticFile),
+		quar:   filepath.Join(home, quarFile),
+		home:   home,
 	}
 }
 
 // ErrNotFound reports a name no dataset answers to; ErrExists a create
-// colliding with a registered dataset or with on-disk durable state.
+// colliding with a registered dataset of either kind or with on-disk
+// durable state; ErrMemoryOnly a Save on a manager without storage.
 var (
-	ErrNotFound = errors.New("manager: no such dataset")
-	ErrExists   = errors.New("manager: dataset already exists")
+	ErrNotFound   = errors.New("manager: no such dataset")
+	ErrExists     = errors.New("manager: dataset already exists")
+	ErrMemoryOnly = errors.New("manager: memory-only dataset")
 )
 
 // UnavailableError explains why a dataset cannot serve a request right
@@ -220,16 +230,9 @@ func (m *Manager) Create(name, metricName string, r float64, points []disc.Point
 		return nil, err
 	}
 
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return nil, fmt.Errorf("manager: closed")
+	if err := m.admit(name, nil); err != nil {
+		return nil, err
 	}
-	if _, exists := m.datasets[name]; exists {
-		m.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrExists, name)
-	}
-	m.mu.Unlock()
 
 	var u *disc.Updater
 	p := m.paths(name)
@@ -266,34 +269,70 @@ func (m *Manager) Create(name, metricName string, r float64, points []disc.Point
 	d.metric = metricName
 	d.radius = r
 	d.upd = u
-
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
+	if err := m.admit(name, d); err != nil {
 		u.Close()
-		return nil, fmt.Errorf("manager: closed")
+		return nil, err
 	}
-	if _, exists := m.datasets[name]; exists {
-		m.mu.Unlock()
-		u.Close()
-		return nil, fmt.Errorf("%w: %q", ErrExists, name)
-	}
-	m.datasets[name] = d
-	m.mu.Unlock()
-	setStateGauge(name, StateReady)
-	go d.supervise()
 	return d, nil
 }
 
+// CreateStatic registers a ready static dataset serving div, with its
+// labels (nil, or one per point) and the metric name the client gave.
+// It lives in memory until Save writes it into its home; a durable
+// manager refuses a name with on-disk state, as Create does.
+func (m *Manager) CreateStatic(name, metricName string, div *disc.Diversifier, labels []string) (*Dataset, error) {
+	if err := ValidateName(name); err != nil {
+		return nil, err
+	}
+	p := m.paths(name)
+	if m.Durable() {
+		if err := m.refuseLeftoverState(name, p); err != nil {
+			return nil, err
+		}
+	}
+	d := m.newDataset(name, p)
+	d.state = StateReady
+	d.metric = metricName
+	d.static = true
+	d.st = newStatic(metricName, div, labels)
+	if err := m.admit(name, d); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// admit errors when the manager is closed or name is taken by a
+// dataset of either kind. A non-nil d is then registered under name,
+// published as ready and handed its supervisor.
+func (m *Manager) admit(name string, d *Dataset) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		return fmt.Errorf("manager: closed")
+	}
+	if _, exists := m.datasets[name]; exists {
+		return fmt.Errorf("%w: %q", ErrExists, name)
+	}
+	if d != nil {
+		m.datasets[name] = d
+		setStateGauge(name, StateReady)
+		go d.supervise()
+	}
+	return nil
+}
+
 // refuseLeftoverState errors when durable state already exists on disk
-// under this name (checkpoint, log segments, or a quarantine sidecar).
+// under this name (a checkpoint or static snapshot, log segments, or a
+// quarantine sidecar).
 func (m *Manager) refuseLeftoverState(name string, p dsPaths) error {
 	fsys := m.fs()
 	if _, err := fsys.Stat(p.quar); err == nil {
 		return fmt.Errorf("%w: %q is quarantined on disk (%s); run the unquarantine runbook", ErrExists, name, p.quar)
 	}
-	if _, err := fsys.Stat(p.snap); err == nil {
-		return fmt.Errorf("%w: %q has a checkpoint on disk; restart with recovery to resume it", ErrExists, name)
+	for _, snap := range []string{p.snap, p.static} {
+		if _, err := fsys.Stat(snap); err == nil {
+			return fmt.Errorf("%w: %q has a snapshot on disk (%s); restart with recovery to resume it", ErrExists, name, snap)
+		}
 	}
 	if _, err := wal.DescribeFS(fsys, p.wal); err == nil {
 		return fmt.Errorf("%w: %q has a write-ahead log on disk; restart with recovery to resume it", ErrExists, name)
@@ -387,13 +426,13 @@ func (m *Manager) Recover() (int, error) {
 }
 
 // scan lists the dataset names present on disk, in sorted order: the
-// subdirectories of Dir that hold a snapshot, a log segment or a
-// quarantine sidecar. Anything else is skipped with a warning rather
-// than trusted — a regular file, an empty home a crash left between
-// Create's mkdir and its first segment, a stray lost+found, or an
-// invalid name (anything ValidateName rejects; the scan feeds
-// filepath.Join). A home whose listing fails is kept: its supervisor
-// retries the fault or quarantines it.
+// subdirectories of Dir that hold a snapshot (live or static), a log
+// segment or a quarantine sidecar. Anything else is skipped with a
+// warning rather than trusted — a regular file, an empty home a crash
+// left between Create's mkdir and its first segment, a stray
+// lost+found, or an invalid name (anything ValidateName rejects; the
+// scan feeds filepath.Join). A home whose listing fails is kept: its
+// supervisor retries the fault or quarantines it.
 func (m *Manager) scan() ([]string, error) {
 	entries, err := m.fs().ReadDir(m.cfg.Dir)
 	if err != nil {
@@ -413,7 +452,8 @@ func (m *Manager) scan() ([]string, error) {
 			m.logger().Warn("skipping dataset with invalid name", "name", n, "err", err)
 			continue
 		}
-		if !m.holdsDataset(n) {
+		c, err := m.contents(filepath.Join(m.cfg.Dir, n))
+		if err == nil && !c.static && !c.live && !c.quar {
 			m.logger().Warn("skipping directory that holds no dataset", "name", n)
 			continue
 		}
@@ -423,20 +463,31 @@ func (m *Manager) scan() ([]string, error) {
 	return names, nil
 }
 
-// holdsDataset reports whether the home of name holds a snapshot, a log
-// segment or a quarantine sidecar — or cannot be listed.
-func (m *Manager) holdsDataset(name string) bool {
-	entries, err := m.fs().ReadDir(filepath.Join(m.cfg.Dir, name))
-	if err != nil {
-		return true
+// contents is what a dataset home holds.
+type contents struct {
+	static bool // static.discsnap
+	live   bool // current.discsnap or a log segment
+	quar   bool // a quarantine sidecar
+}
+
+// contents lists the home at path; a missing home holds nothing.
+func (m *Manager) contents(path string) (contents, error) {
+	var c contents
+	entries, err := m.fs().ReadDir(path)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return c, err
 	}
 	for _, e := range entries {
-		n := e.Name()
-		if n == snapFile || n == quarFile || strings.HasPrefix(n, walBase+".") {
-			return true
+		switch n := e.Name(); {
+		case n == staticFile:
+			c.static = true
+		case n == snapFile || strings.HasPrefix(n, walBase+"."):
+			c.live = true
+		case n == quarFile:
+			c.quar = true
 		}
 	}
-	return false
+	return c, nil
 }
 
 // Unquarantine lifts a quarantine after an operator has repaired or

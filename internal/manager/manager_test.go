@@ -138,11 +138,7 @@ func TestManagerQuarantineAndUnquarantine(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
-	u, err := d.Updater()
-	if err != nil {
-		t.Fatalf("Updater: %v", err)
-	}
-	if err := u.Checkpoint(d.CheckpointPath()); err != nil {
+	if _, _, err := d.Save(); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
 	if err := m.Close(); err != nil {
@@ -230,7 +226,7 @@ func TestManagerDegradedServesLastSnapshot(t *testing.T) {
 		t.Fatalf("Create: %v", err)
 	}
 	u, _ := d.Updater()
-	if err := u.Checkpoint(d.CheckpointPath()); err != nil {
+	if _, _, err := d.Save(); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
 	// A few post-checkpoint mutations so the log carries state the
@@ -344,7 +340,7 @@ func checkpointedDir(t *testing.T) string {
 		t.Fatalf("Create: %v", err)
 	}
 	u, _ := d.Updater()
-	if err := u.Checkpoint(d.CheckpointPath()); err != nil {
+	if _, _, err := d.Save(); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
 	if _, err := u.Insert(disc.Point{100, 100}); err != nil {
@@ -599,5 +595,99 @@ func TestCreateSyncsDataDir(t *testing.T) {
 	}
 	if _, err := m2.Create("beta", "euclidean", 2.0, seedPoints(3)); err != nil {
 		t.Fatalf("Create retry: %v", err)
+	}
+}
+
+// TestRecoverStaticHomes pins where boot recovery leaves a static home
+// (static.discsnap): a whole file serves on the index it records, an
+// I/O fault is retried, and damaged bytes or a home that also holds a
+// live dataset's files quarantine with every file left as found.
+func TestRecoverStaticHomes(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		damage func(t *testing.T, home string)
+		fault  *faultio.Rule
+		want   State
+		reason string // quarantined states: a substring of the reason
+	}{
+		{name: "healthy", want: StateReady},
+		{name: "one read EIO", want: StateReady,
+			fault: &faultio.Rule{Op: faultio.OpRead, PathContains: "static.discsnap", Times: 1, Err: syscall.EIO}},
+		{name: "bit flip", want: StateQuarantined, reason: "static.discsnap", damage: func(t *testing.T, home string) {
+			p := filepath.Join(home, "static.discsnap")
+			data, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[len(data)/2] ^= 0x40
+			if err := os.WriteFile(p, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{name: "static and live files", want: StateQuarantined, reason: "holds both", damage: func(t *testing.T, home string) {
+			if err := os.WriteFile(filepath.Join(home, "wal.00000000-00000001"), []byte("DISCWAL1"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			div, err := disc.New(seedPoints(9))
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := New(fastCfg(dir))
+			d, err := m.CreateStatic("d", "euclidean", div, nil)
+			if err != nil {
+				t.Fatalf("CreateStatic: %v", err)
+			}
+			if _, _, err := d.Save(); err != nil {
+				t.Fatalf("Save: %v", err)
+			}
+			m.Close()
+			home := filepath.Join(dir, "d")
+			if tc.damage != nil {
+				tc.damage(t, home)
+			}
+			before := dirContents(t, home)
+			cfg := fastCfg(dir)
+			var fsys *faultio.DirFS
+			if tc.fault != nil {
+				fsys = faultio.NewDirFS(tc.fault)
+				cfg.FS = fsys
+			}
+			m2 := New(cfg)
+			defer m2.Close()
+			if _, err := m2.Recover(); err != nil {
+				t.Fatalf("Recover: %v", err)
+			}
+			d2, err := m2.Get("d")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !d2.IsStatic() {
+				t.Fatal("a static home recovered as a live dataset")
+			}
+			st, reason := d2.Status()
+			if st != tc.want {
+				t.Fatalf("state = %s (%s), want %s", st, reason, tc.want)
+			}
+			if fsys != nil && fsys.Fired() != 1 {
+				t.Fatalf("faults fired = %d, want 1", fsys.Fired())
+			}
+			if tc.want == StateReady {
+				s, err := d2.Static()
+				if err != nil || s.Size != 9 || s.Dim != 2 || s.Metric != "euclidean" {
+					t.Fatalf("Static = %+v, %v; want 9 2-d euclidean points", s, err)
+				}
+				return
+			}
+			if !strings.Contains(reason, tc.reason) {
+				t.Fatalf("reason %q does not mention %q", reason, tc.reason)
+			}
+			if after := dirContents(t, home); !reflect.DeepEqual(after, before) {
+				t.Fatal("a refused recovery changed the files it refused")
+			}
+		})
 	}
 }

@@ -7,11 +7,11 @@ import (
 )
 
 // ValidateName rejects empty names and anything that is not a plain
-// path component: dataset names become file and directory names
-// (<snapshotDir>/<name>.discsnap, the home <dir>/<name>/), so
-// separators, "." and ".." must never reach filepath.Join where they
-// could escape the storage directory. Every route that parses a {name} and every boot
-// scan shares this one validator.
+// path component: dataset names become home directory names
+// (<dir>/<name>/), so separators, "." and ".." must never reach
+// filepath.Join where they could escape the storage directory. Every
+// route that parses a {name}, every create and every boot scan shares
+// this one validator.
 func ValidateName(name string) error {
 	if name == "" {
 		return fmt.Errorf("dataset name required")

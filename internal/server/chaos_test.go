@@ -17,7 +17,9 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -563,5 +565,92 @@ func TestChaosRandomSweep(t *testing.T) {
 	}
 	for _, n := range names {
 		e.verifyAckedPrefix(n)
+	}
+}
+
+// TestChaosStaticCorruptionQuarantine: a flipped bit in one saved static
+// dataset's static.discsnap quarantines that dataset alone at boot —
+// sidecar on disk, 503 with Retry-After and the reason on its routes,
+// the damaged file left as found — while another static dataset and a
+// live one come back and answer 200 with their answers intact.
+func TestChaosStaticCorruptionQuarantine(t *testing.T) {
+	e := newChaosEnv(t, "alpha")
+	before := map[string][]int{}
+	for i, name := range []string{"north", "south"} {
+		uploadPoints(t, e.ts, name, 150+50*i)
+		var res result
+		doJSON(t, "POST", e.ts.URL+"/v1/datasets/"+name+"/select", map[string]any{"radius": 0.15}, http.StatusCreated, &res)
+		before[name] = res.IDs
+		doJSON(t, "POST", e.ts.URL+"/v1/datasets/"+name+"/snapshot", nil, http.StatusCreated, nil)
+	}
+	wantAlpha := e.selection("alpha")
+	e.ts.Close() // crash
+
+	bad := filepath.Join(e.dir, "south", "static.discsnap")
+	data, err := os.ReadFile(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x40
+	if err := os.WriteFile(bad, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2 := New(WithDataDir(e.dir), WithRecoveryBackoff(5*time.Millisecond, 50*time.Millisecond, 4))
+	defer srv2.Close()
+	if n, err := srv2.RestoreLive(); err != nil || n != 2 {
+		t.Fatalf("RestoreLive = (%d, %v), want (2, nil): south quarantined", n, err)
+	}
+	ts2 := httptest.NewServer(srv2.Handler())
+	defer ts2.Close()
+
+	for _, probe := range []struct{ method, path string }{
+		{"GET", "/v1/datasets/south"},
+		{"POST", "/v1/datasets/south/select"},
+		{"POST", "/v1/datasets/south/snapshot"},
+	} {
+		req, _ := http.NewRequest(probe.method, ts2.URL+probe.path, strings.NewReader(`{"radius": 0.15}`))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct {
+			State  string `json:"state"`
+			Reason string `json:"reason"`
+		}
+		_ = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("%s %s on the corrupt dataset: status %d (Retry-After %q), want 503 with Retry-After",
+				probe.method, probe.path, resp.StatusCode, resp.Header.Get("Retry-After"))
+		}
+		if body.State != "quarantined" || !strings.Contains(body.Reason, "static.discsnap") {
+			t.Fatalf("%s %s: body %+v, want quarantined with the file in the reason", probe.method, probe.path, body)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(e.dir, "south", "QUARANTINE")); err != nil {
+		t.Fatalf("quarantine sidecar missing: %v", err)
+	}
+	if after, err := os.ReadFile(bad); err != nil || !bytes.Equal(after, data) {
+		t.Fatalf("quarantine changed the damaged file (err %v)", err)
+	}
+
+	var ready readyzBody
+	doJSON(t, "GET", ts2.URL+"/readyz", nil, http.StatusOK, &ready)
+	for name, want := range map[string]string{"south": "quarantined", "north": "ready", "alpha": "ready"} {
+		if st := ready.Datasets[name].State; string(st) != want {
+			t.Errorf("/readyz: %s is %q, want %q", name, st, want)
+		}
+	}
+	var res result
+	doJSON(t, "POST", ts2.URL+"/v1/datasets/north/select", map[string]any{"radius": 0.15}, http.StatusCreated, &res)
+	if !slices.Equal(res.IDs, before["north"]) {
+		t.Fatalf("north select after restart %v, want %v", res.IDs, before["north"])
+	}
+	doJSON(t, "POST", ts2.URL+"/v1/live/alpha/flush", nil, http.StatusOK, nil)
+	var sel liveSelection
+	doJSON(t, "GET", ts2.URL+"/v1/live/alpha/selection", nil, http.StatusOK, &sel)
+	if !idsEqual(sel.IDs, wantAlpha) {
+		t.Fatalf("alpha selection after restart %v, want %v", sel.IDs, wantAlpha)
 	}
 }

@@ -2,11 +2,16 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	disc "github.com/discdiversity/disc"
@@ -31,7 +36,7 @@ func TestServedAlgorithmsVerify(t *testing.T) {
 		doJSON(t, "POST", ts.URL+"/v1/datasets",
 			map[string]any{"name": "demo", "metric": metricName, "points": pts},
 			http.StatusCreated, nil)
-		if ix := srv.datasets["demo"].div.Indexed(); ix != disc.IndexCoverageGraph {
+		if ix := indexOf(t, srv, "demo"); ix != disc.IndexCoverageGraph {
 			t.Fatalf("%s: served dataset runs on %v, want the coverage graph", metricName, ix)
 		}
 		m, err := disc.MetricByName(metricName)
@@ -128,13 +133,13 @@ func TestServedDenseRadiusBounded(t *testing.T) {
 
 // TestServedSnapshotRoundTrip: a graph-backed dataset snapshotted before
 // any select (dataset only) and after a select at r (dataset plus the
-// coverage-graph CSR at r) must warm-start, in fresh servers, onto the
-// coverage graph and answer select, zoom-in and zoom-out with ids
-// identical to the original server's.
+// coverage-graph CSR at r) must come back, in fresh servers restarted
+// on a home holding that file, onto the coverage graph and answer
+// select, zoom-in and zoom-out with ids identical to the original
+// server's.
 func TestServedSnapshotRoundTrip(t *testing.T) {
 	const r = 0.08
-	dir := t.TempDir()
-	srv := New(WithSnapshotDir(dir))
+	srv := New(WithDataDir(t.TempDir()))
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	uploadPoints(t, ts, "demo", 400)
@@ -160,16 +165,11 @@ func TestServedSnapshotRoundTrip(t *testing.T) {
 	}
 
 	for name, file := range map[string][]byte{"before-select": cold, "after-select": warm} {
-		fresh := New()
-		fts := httptest.NewServer(fresh.Handler())
-		t.Cleanup(fts.Close)
-		if err := fresh.LoadSnapshot("demo", bytes.NewReader(file)); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if ix := fresh.datasets["demo"].div.Indexed(); ix != disc.IndexCoverageGraph {
+		fresh, furl := restoreStatic(t, "demo", file)
+		if ix := indexOf(t, fresh, "demo"); ix != disc.IndexCoverageGraph {
 			t.Fatalf("%s: restored dataset runs on %v, want the index its file records", name, ix)
 		}
-		got := exploreIDs(t, fts.URL, r)
+		got := exploreIDs(t, furl, r)
 		for i, step := range []string{"select", "zoom-in", "zoom-out"} {
 			if !slices.Equal(got[i], want[i]) {
 				t.Errorf("%s: %s ids differ from the original server's", name, step)
@@ -178,10 +178,11 @@ func TestServedSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadSnapshotKeepsRecordedIndex: a snapshot written by a default
-// (M-tree) diversifier stays on the M-tree when a server loads it, and
-// its greedy select still answers the library's ids.
-func TestLoadSnapshotKeepsRecordedIndex(t *testing.T) {
+// TestRestoredStaticKeepsRecordedIndex: a snapshot written by a default
+// (M-tree) diversifier and placed in a home as static.discsnap stays on
+// the M-tree when a server recovers it, and its greedy select still
+// answers the library's ids.
+func TestRestoredStaticKeepsRecordedIndex(t *testing.T) {
 	const r = 0.1
 	ds, err := disc.ClusteredDataset(300, 2, 5, 9)
 	if err != nil {
@@ -199,21 +200,56 @@ func TestLoadSnapshotKeepsRecordedIndex(t *testing.T) {
 	if err := d.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	srv := New()
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	if err := srv.LoadSnapshot("paper", &buf); err != nil {
-		t.Fatal(err)
-	}
-	if ix := srv.datasets["paper"].div.Indexed(); ix != disc.IndexMTree {
+	srv, url := restoreStatic(t, "paper", buf.Bytes())
+	if ix := indexOf(t, srv, "paper"); ix != disc.IndexMTree {
 		t.Fatalf("restored dataset runs on %v, want the M-tree its file records", ix)
 	}
 	var res result
-	doJSON(t, "POST", ts.URL+"/v1/datasets/paper/select",
+	doJSON(t, "POST", url+"/v1/datasets/paper/select",
 		map[string]any{"radius": r}, http.StatusCreated, &res)
 	if !slices.Equal(res.IDs, lib.SortedIDs()) {
 		t.Fatal("served select on the restored M-tree differs from the library's")
 	}
+}
+
+// restoreStatic writes file as DIR/name/static.discsnap in a fresh data
+// directory and returns a server recovered from it, and its URL.
+func restoreStatic(t *testing.T, name string, file []byte) (*Server, string) {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, name), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, name, "static.discsnap"), file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(WithDataDir(dir))
+	t.Cleanup(func() { srv.Close() })
+	if n, err := srv.RestoreLive(); err != nil || n != 1 {
+		t.Fatalf("RestoreLive = (%d, %v), want (1, nil)", n, err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	return srv, ts.URL
+}
+
+// indexOf returns the index the static dataset name runs on.
+func indexOf(t *testing.T, srv *Server, name string) disc.Index {
+	t.Helper()
+	d, err := srv.mgr.Get(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := d.Static()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ix disc.Index
+	st.Do(func(div *disc.Diversifier) error {
+		ix = div.Indexed()
+		return nil
+	})
+	return ix
 }
 
 // exploreIDs runs the explore interaction against dataset "demo" at base
@@ -226,4 +262,161 @@ func exploreIDs(t *testing.T, url string, r float64) [3][]int {
 	doJSON(t, "POST", url+"/v1/results/"+sel.ID+"/zoom", map[string]any{"radius": r / 2}, http.StatusCreated, &zin)
 	doJSON(t, "POST", url+"/v1/results/"+sel.ID+"/zoom", map[string]any{"radius": 2 * r}, http.StatusCreated, &zout)
 	return [3][]int{sel.IDs, zin.IDs, zout.IDs}
+}
+
+// TestServedConcurrentStaticAndLive: concurrent clients select, zoom
+// and local-zoom on two static datasets while others insert into a live
+// one. Every static answer equals a default diversifier's ids (a local
+// zoom's as a set: its order follows the engine), and the live
+// selection equals the replay of the acknowledged inserts in id order.
+// Under -race this pins each static dataset's work lock and the result
+// registry's own lock.
+func TestServedConcurrentStaticAndLive(t *testing.T) {
+	const n, r, rounds = 300, 0.1, 3
+	ts := newTestServer(t)
+	type answers struct {
+		sel, zin, zout, local []int
+		center                int
+	}
+	names := []string{"north", "south"}
+	want := map[string]answers{}
+	for i, name := range names {
+		coords := clusteredCoords(t, n, uint64(40+i))
+		doJSON(t, "POST", ts.URL+"/v1/datasets", map[string]any{"name": name, "points": coords}, http.StatusCreated, nil)
+		pts := make([]disc.Point, n)
+		for j, c := range coords {
+			pts[j] = c
+		}
+		div, err := disc.New(pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel, err := div.Select(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zin, err := div.ZoomIn(sel, r/2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zout, err := div.ZoomOut(sel, 2*r, disc.ZoomOutGreedyLargest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		center := sel.SortedIDs()[0]
+		lz, err := div.LocalZoomIn(sel, center, r/2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[name] = answers{sel.SortedIDs(), zin.SortedIDs(), zout.SortedIDs(), sortedCopy(lz.Representatives), center}
+	}
+	doJSON(t, "POST", ts.URL+"/v1/live", map[string]any{"name": "feed", "radius": r}, http.StatusCreated, nil)
+
+	post := func(path string, body, out any) error {
+		data, err := json.Marshal(body)
+		if err != nil {
+			return err
+		}
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(data))
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode >= 300 {
+			return fmt.Errorf("POST %s: status %d", path, resp.StatusCode)
+		}
+		return json.NewDecoder(resp.Body).Decode(out)
+	}
+	explore := func(name string) error {
+		w := want[name]
+		var sel, zin, zout result
+		var lz struct {
+			Representatives []int `json:"representatives"`
+		}
+		if err := post("/v1/datasets/"+name+"/select", map[string]any{"radius": r}, &sel); err != nil {
+			return err
+		}
+		if err := post("/v1/results/"+sel.ID+"/zoom", map[string]any{"radius": r / 2}, &zin); err != nil {
+			return err
+		}
+		if err := post("/v1/results/"+sel.ID+"/zoom", map[string]any{"radius": 2 * r}, &zout); err != nil {
+			return err
+		}
+		if err := post("/v1/results/"+sel.ID+"/localzoom", map[string]any{"center": w.center, "radius": r / 2}, &lz); err != nil {
+			return err
+		}
+		for _, c := range []struct {
+			step      string
+			got, want []int
+		}{{"select", sel.IDs, w.sel}, {"zoom-in", zin.IDs, w.zin}, {"zoom-out", zout.IDs, w.zout}, {"local zoom-in", sortedCopy(lz.Representatives), w.local}} {
+			if !slices.Equal(c.got, c.want) {
+				return fmt.Errorf("%s %s: ids %v, want %v", name, c.step, c.got, c.want)
+			}
+		}
+		return nil
+	}
+
+	var mu sync.Mutex
+	inserted := map[int]disc.Point{}
+	var wg sync.WaitGroup
+	errc := make(chan error, 8)
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(name string) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if err := explore(name); err != nil {
+					errc <- err
+					return
+				}
+			}
+		}(names[w%2])
+	}
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewPCG(uint64(w), 11))
+			for i := 0; i < 25; i++ {
+				p := disc.Point{rng.Float64(), rng.Float64()}
+				var mut liveMutation
+				if err := post("/v1/live/feed/insert", map[string]any{"point": []float64(p)}, &mut); err != nil {
+					errc <- err
+					return
+				}
+				mu.Lock()
+				inserted[mut.ID] = p
+				mu.Unlock()
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
+	}
+	if t.Failed() {
+		return
+	}
+
+	doJSON(t, "POST", ts.URL+"/v1/live/feed/flush", nil, http.StatusOK, nil)
+	var sel liveSelection
+	doJSON(t, "GET", ts.URL+"/v1/live/feed/selection", nil, http.StatusOK, &sel)
+	ref, err := disc.NewUpdater(nil, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := 0; id < len(inserted); id++ {
+		p, ok := inserted[id]
+		if !ok {
+			t.Fatalf("live ids are not dense: %d missing of %d", id, len(inserted))
+		}
+		if _, err := ref.Insert(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref.Flush()
+	if !idsEqual(sel.IDs, ref.Selection()) {
+		t.Fatalf("live selection %v, want the replay's %v", sel.IDs, ref.Selection())
+	}
 }

@@ -11,10 +11,10 @@
 //	GET  /v1/datasets                     list datasets
 //	GET  /v1/datasets/{name}              dataset info
 //	POST /v1/datasets/{name}/select      {radius, algorithm?} -> result
-//	POST /v1/datasets/{name}/snapshot    persist the dataset (and any
-//	                                      prepared index artifacts) as a
-//	                                      .discsnap file in the snapshot
-//	                                      directory (see WithSnapshotDir)
+//	POST /v1/datasets/{name}/snapshot    save the dataset (and any
+//	                                      prepared index artifacts) to
+//	                                      <dir>/<name>/static.discsnap
+//	                                      (see WithDataDir)
 //	GET  /v1/results/{id}                 re-fetch a result
 //	POST /v1/results/{id}/zoom           {radius} -> adapted result
 //	POST /v1/results/{id}/localzoom      {center, radius} -> local view
@@ -25,8 +25,8 @@
 // zooms are the ids the library's default M-tree gives. A radius whose
 // graph would pass core.AdjacencyBudget is served by the M-tree (or a
 // flat scan), whose memory does not grow with the edge count, so the
-// client's radius cannot size the server's heap. Datasets restored by LoadSnapshot keep the
-// index their file records.
+// client's radius cannot size the server's heap. A dataset recovered
+// from its static.discsnap keeps the index its file records.
 //
 // Live maintainers (incremental r-DisC under inserts/deletes, backed by
 // disc.Updater — grid-servable metrics only):
@@ -37,6 +37,7 @@
 //	POST /v1/live/{name}/insert          {point, flush?} -> assigned id
 //	POST /v1/live/{name}/delete          {id, flush?} -> updated counts
 //	POST /v1/live/{name}/flush           repair dirty components, publish
+//	POST /v1/live/{name}/snapshot        checkpoint into <dir>/<name>/current.discsnap
 //	GET  /v1/live/{name}/selection       last published representative ids
 //	POST /v1/live/{name}/unquarantine    lift a quarantine after repair
 //
@@ -44,25 +45,27 @@
 // published selection until a flush converges the dirty components.
 // Pass "flush": true on a mutation for per-operation convergence.
 //
-// Every live maintainer is owned by a supervised lifecycle (see
-// internal/manager and docs/OPERATIONS.md): a dataset whose disk
-// fails recovers — or quarantines — independently, answering 503 with
-// a Retry-After hint while every other dataset keeps serving. With
-// WithDataDir each maintainer is durable in its own home directory
-// (<dir>/<name>/current.discsnap, <dir>/<name>/wal.*,
-// <dir>/<name>/QUARANTINE), and RestoreLive recovers every home after
-// a restart.
+// Every dataset, static or live, is owned by the dataset manager
+// (internal/manager; see docs/OPERATIONS.md). The two kinds share one
+// namespace: a create under a taken name answers 409, and each route
+// family answers 404 for a dataset of the other kind. Each static
+// dataset serializes the calls into its Diversifier on its own work
+// lock, so datasets never wait on each other. With WithDataDir every
+// dataset is durable in its own home directory (<dir>/<name>/: a
+// live one's current.discsnap and wal.*, a static one's
+// static.discsnap once saved, and a QUARANTINE sidecar), and
+// RestoreLive recovers every home after a restart under a supervised
+// lifecycle: a dataset whose disk fails recovers — or quarantines —
+// independently, answering 503 with a Retry-After hint and the reason
+// while every other dataset keeps serving.
 package server
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
-	"path/filepath"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -70,89 +73,69 @@ import (
 
 	disc "github.com/discdiversity/disc"
 	"github.com/discdiversity/disc/internal/manager"
-	"github.com/discdiversity/disc/internal/snap"
 	"github.com/discdiversity/disc/internal/vfs"
 )
 
 // Server is the HTTP handler. Create with New; it is safe for concurrent
 // use.
 type Server struct {
-	mux sync.Mutex
-
-	snapshotDir string
-
-	// Live-durability configuration (WithDataDir and friends): when
-	// dataDir is set, each live maintainer is created through
-	// disc.OpenUpdater with a snapshot + write-ahead log pair in its
-	// home under that directory, and RestoreLive resumes them after a
-	// restart.
-	dataDir           string
-	liveFsync         disc.FsyncPolicy
-	liveFsyncInterval time.Duration
-	storageFS         vfs.FS
-	backoffBase       time.Duration
-	backoffCap        time.Duration
-	maxAttempts       int
+	// cfg configures the dataset manager New builds; the storage and
+	// logging options write straight into it.
+	cfg manager.Config
 
 	// Request-hardening configuration (see middleware.go).
 	maxInflight    int
 	requestTimeout time.Duration
 	maxBodyBytes   int64
 
-	// Observability: structured logger (WithLogger), readiness flag
-	// (SetReady; true from birth so embedded servers need no opt-in) and
-	// the per-request id sequence.
-	log    *slog.Logger
+	// Readiness flag (SetReady; true from birth so embedded servers
+	// need no opt-in) and the per-request id sequence.
 	ready  atomic.Bool
 	reqSeq atomic.Uint64
 
-	datasets map[string]*datasetState
-	results  map[string]*resultState
-	nextID   int
+	// resMu guards the result registry only; each static dataset
+	// serializes its own work.
+	resMu   sync.Mutex
+	results map[string]*resultState
+	nextID  int
 
-	// mgr owns every live maintainer's lifecycle: supervised recovery,
-	// corruption quarantine, degraded-mode reads. Built by New after
-	// the options have resolved the storage layout.
+	// mgr is the one dataset registry: it owns every dataset's
+	// lifecycle — supervised recovery, corruption quarantine,
+	// degraded-mode reads.
 	mgr *manager.Manager
 }
 
 // Option configures New.
 type Option func(*Server)
 
-// WithSnapshotDir enables the snapshot-save endpoint, writing
-// <dir>/<dataset>.discsnap files. An empty dir leaves the endpoint
-// disabled.
-func WithSnapshotDir(dir string) Option {
-	return func(s *Server) { s.snapshotDir = dir }
-}
-
 // WithLiveFsync sets the WAL fsync policy for durable live maintainers
 // (default disc.FsyncAlways: every acknowledged mutation survives any
 // crash).
 func WithLiveFsync(p disc.FsyncPolicy) Option {
-	return func(s *Server) { s.liveFsync = p }
+	return func(s *Server) { s.cfg.Fsync = p }
 }
 
 // WithLiveFsyncInterval sets the batching interval used when the fsync
 // policy is disc.FsyncInterval.
 func WithLiveFsyncInterval(d time.Duration) Option {
-	return func(s *Server) { s.liveFsyncInterval = d }
+	return func(s *Server) { s.cfg.FsyncInterval = d }
 }
 
-// WithDataDir makes live maintainers durable: each owns a home
-// directory holding a <dir>/<name>/current.discsnap checkpoint and a
-// <dir>/<name>/wal.* write-ahead log, so a crashed or restarted server
-// resumes them with RestoreLive. An empty dir keeps live maintainers
-// memory-only.
+// WithDataDir makes datasets durable, each in a home directory
+// <dir>/<name>/: a live maintainer keeps a current.discsnap checkpoint
+// and a wal.* write-ahead log there, and a static dataset's snapshot
+// route writes static.discsnap there. RestoreLive resumes every home
+// after a crash or restart. An empty dir keeps datasets memory-only,
+// and both snapshot routes answer 400.
 func WithDataDir(dir string) Option {
-	return func(s *Server) { s.dataDir = dir }
+	return func(s *Server) { s.cfg.Dir = dir }
 }
 
 // WithStorageFS routes every durable-state file operation through fsys
 // — the chaos suite injects a fault-scheduling filesystem here. Nil
 // (the default) means the real filesystem.
 func WithStorageFS(fsys vfs.FS) Option {
-	return func(s *Server) { s.storageFS = fsys }
+	return func(s *Server) { s.cfg.FS = fsys }
 }
 
 // WithRecoveryBackoff tunes per-dataset recovery: the retry delay
@@ -162,9 +145,9 @@ func WithStorageFS(fsys vfs.FS) Option {
 // retries continue at the cap. Zeroes keep the defaults (50ms / 5s / 5).
 func WithRecoveryBackoff(base, cap time.Duration, maxAttempts int) Option {
 	return func(s *Server) {
-		s.backoffBase = base
-		s.backoffCap = cap
-		s.maxAttempts = maxAttempts
+		s.cfg.BackoffBase = base
+		s.cfg.BackoffCap = cap
+		s.cfg.MaxAttempts = maxAttempts
 	}
 }
 
@@ -188,63 +171,47 @@ func WithMaxBodyBytes(n int64) Option {
 	return func(s *Server) { s.maxBodyBytes = n }
 }
 
-// WithLogger sets the structured logger for panic reports and
-// debug-level access logs. Defaults to slog.Default().
+// WithLogger sets the structured logger for panic reports, debug-level
+// access logs and the dataset manager's recovery reports. Defaults to
+// slog.Default().
 func WithLogger(l *slog.Logger) Option {
-	return func(s *Server) { s.log = l }
+	return func(s *Server) { s.cfg.Logger = l }
 }
 
 // SetReady flips the readiness state reported by GET /readyz. A server
-// is ready from birth; discserve clears the flag before boot-time WAL
+// is ready from birth; discserve clears the flag before boot-time
 // recovery (RestoreLive) and restores it once recovery converges, so a
-// load balancer never routes traffic to a half-replayed server. While
+// load balancer never routes traffic to a half-recovered server. While
 // not ready, API requests are refused with 503 (see gateReady).
 func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 
 // logger returns the configured logger, falling back to slog.Default.
 func (s *Server) logger() *slog.Logger {
-	if s.log != nil {
-		return s.log
+	if s.cfg.Logger != nil {
+		return s.cfg.Logger
 	}
 	return slog.Default()
 }
 
-type datasetState struct {
-	name   string
-	metric string
-	div    *disc.Diversifier
-	labels []string
-	dim    int
-	size   int
-}
-
+// resultState is one stored result and the static engine that zooms it.
 type resultState struct {
 	id      string
-	dataset *datasetState
+	dataset string
+	st      *manager.Static
 	res     *disc.Result
 }
 
 // New creates an empty server.
 func New(opts ...Option) *Server {
 	s := &Server{
-		liveFsync: disc.FsyncAlways,
-		datasets:  make(map[string]*datasetState),
-		results:   make(map[string]*resultState),
+		cfg:     manager.Config{Fsync: disc.FsyncAlways},
+		results: make(map[string]*resultState),
 	}
 	s.ready.Store(true)
 	for _, opt := range opts {
 		opt(s)
 	}
-	s.mgr = manager.New(manager.Config{
-		Dir:           s.dataDir,
-		Fsync:         s.liveFsync,
-		FsyncInterval: s.liveFsyncInterval,
-		FS:            s.storageFS,
-		Logger:        s.log,
-		BackoffBase:   s.backoffBase,
-		BackoffCap:    s.backoffCap,
-		MaxAttempts:   s.maxAttempts,
-	})
+	s.mgr = manager.New(s.cfg)
 	return s
 }
 
@@ -263,7 +230,7 @@ func (s *Server) Handler() http.Handler {
 	route("GET", "/v1/datasets", s.handleListDatasets)
 	route("GET", "/v1/datasets/{name}", s.handleGetDataset)
 	route("POST", "/v1/datasets/{name}/select", s.handleSelect)
-	route("POST", "/v1/datasets/{name}/snapshot", s.handleSaveSnapshot)
+	route("POST", "/v1/datasets/{name}/snapshot", s.handleSave(true))
 	route("GET", "/v1/results/{id}", s.handleGetResult)
 	route("POST", "/v1/results/{id}/zoom", s.handleZoom)
 	route("POST", "/v1/results/{id}/localzoom", s.handleLocalZoom)
@@ -273,7 +240,7 @@ func (s *Server) Handler() http.Handler {
 	route("POST", "/v1/live/{name}/insert", s.handleLiveInsert)
 	route("POST", "/v1/live/{name}/delete", s.handleLiveDelete)
 	route("POST", "/v1/live/{name}/flush", s.handleLiveFlush)
-	route("POST", "/v1/live/{name}/snapshot", s.handleLiveCheckpoint)
+	route("POST", "/v1/live/{name}/snapshot", s.handleSave(false))
 	route("GET", "/v1/live/{name}/selection", s.handleLiveSelection)
 	route("POST", "/v1/live/{name}/unquarantine", s.handleLiveUnquarantine)
 
@@ -287,64 +254,34 @@ func (s *Server) Handler() http.Handler {
 
 // Close stops every dataset supervisor and releases every durable live
 // maintainer's write-ahead log, syncing acknowledged mutations to
-// disk. The server keeps answering reads afterwards, but durable
-// mutations fail; call it once the listener has drained.
+// disk. Dataset requests answer 503 afterwards; call it once the
+// listener has drained.
 func (s *Server) Close() error {
 	return s.mgr.Close()
 }
 
-// LoadSnapshot registers a dataset warm-started from a .discsnap stream
-// (see disc.LoadDiversifier): the dataset and any persisted index
-// artifacts are rehydrated, so the first selection at the snapshot's
-// radius skips the index build entirely. The name must not collide with
-// an existing dataset. Labels are not part of the snapshot format, so a
-// warm-started dataset serves results without them.
-func (s *Server) LoadSnapshot(name string, r io.Reader) error {
-	if err := validateDatasetName(name); err != nil {
-		return fmt.Errorf("server: %v", err)
-	}
-	div, err := disc.LoadDiversifier(r)
-	if err != nil {
-		return err
-	}
-	s.mux.Lock()
-	defer s.mux.Unlock()
-	if _, exists := s.datasets[name]; exists {
-		return fmt.Errorf("server: dataset %q already exists", name)
-	}
-	s.datasets[name] = &datasetState{
-		name:   name,
-		metric: div.Metric().Name(),
-		div:    div,
-		dim:    div.Point(0).Dim(),
-		size:   div.Len(),
-	}
-	return nil
-}
-
-// handleHealthz is the liveness probe. Deliberately lock-free: the
-// select/zoom handlers hold the server mutex for their full duration
-// (seconds on large datasets), and a probe that queued behind them
-// would time out exactly when the server is busy — the opposite of
-// what an orchestrator should see.
+// handleHealthz is the liveness probe. It takes no lock, so it answers
+// at once however busy the datasets are — a probe that waited would
+// time out exactly when the server is busy, the opposite of what an
+// orchestrator should see.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// readyzBody is the /readyz payload. Datasets appears once live
-// maintainers exist: each one's lifecycle state, so an orchestrator
-// (or an operator with curl) sees a quarantined or still-recovering
-// dataset without touching its routes.
+// readyzBody is the /readyz payload. Datasets appears once any dataset
+// exists: each one's lifecycle state, so an orchestrator (or an
+// operator with curl) sees a quarantined or still-recovering dataset
+// without touching its routes.
 type readyzBody struct {
 	Status   string                           `json:"status"`
 	Datasets map[string]manager.DatasetStatus `json:"datasets,omitempty"`
 }
 
 // handleReadyz is the readiness probe: 200 once the server may receive
-// traffic, 503 while boot-time WAL recovery is still replaying (see
-// SetReady). It never takes the server's select lock, for the same
-// reason as handleHealthz (the per-dataset status reads take only the
-// manager's brief registry locks).
+// traffic, 503 while boot-time recovery is still running (see
+// SetReady). The per-dataset status reads take only the manager's
+// brief state locks, never a dataset's work lock, so a long select
+// cannot delay the probe.
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	body := readyzBody{Status: "ready"}
 	if states := s.mgr.States(); len(states) > 0 {
@@ -381,55 +318,37 @@ type snapshotBody struct {
 	Bytes   int64  `json:"bytes"`
 }
 
-// handleSaveSnapshot persists a dataset (and whatever per-radius index
-// artifacts its diversifier currently holds) to
-// <snapshotDir>/<name>.discsnap via the shared crash-atomic save
-// (write a temp file, fsync, rename, fsync the directory), so a
-// concurrent warm start never observes a torn snapshot and a power
-// loss right after the response cannot lose it.
-func (s *Server) handleSaveSnapshot(w http.ResponseWriter, r *http.Request) {
-	name, ok := s.pathName(w, r)
-	if !ok {
-		return
-	}
-	s.mux.Lock()
-	defer s.mux.Unlock()
-	if s.snapshotDir == "" {
-		writeError(w, http.StatusBadRequest, "snapshot directory not configured (start discserve with -snapshot)")
-		return
-	}
-	ds, ok := s.datasets[name]
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown dataset %q", name)
-		return
-	}
-	path := filepath.Join(s.snapshotDir, ds.name+".discsnap")
-	var size int64
-	err := snap.WriteFileAtomicFS(s.storageFS, path, func(w io.Writer) error {
-		cw := &countingWriter{w: w}
-		if err := ds.div.WriteSnapshot(cw); err != nil {
-			return err
+// handleSave answers both snapshot routes: it saves the static (or
+// live) dataset into its home and reports the file and the bytes
+// written. A static save writes static.discsnap with whatever
+// per-radius index artifacts its Diversifier holds; a live one
+// checkpoints and rotates the write-ahead log, bounding recovery time.
+// Either write is crash-atomic (temp file, fsync, rename, directory
+// fsync). 400 without a data directory. A failed write (ENOSPC)
+// answers 503 and leaves the previous file authoritative and the
+// dataset serviceable; only a failed log rotation needs recovery, and
+// that is kicked automatically.
+func (s *Server) handleSave(static bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		d := s.lookup(w, r, static)
+		if d == nil {
+			return
 		}
-		size = cw.n
-		return nil
-	})
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
+		path, size, err := d.Save()
+		var ue *manager.UnavailableError
+		switch {
+		case err == nil:
+			writeJSON(w, http.StatusCreated, snapshotBody{Dataset: d.Name(), Path: path, Bytes: size})
+		case errors.Is(err, manager.ErrMemoryOnly):
+			writeError(w, http.StatusBadRequest, "%v (start the server with a data directory)", err)
+		case errors.As(err, &ue):
+			writeUnavailable(w, err)
+		case d.ReportFault(err):
+			writeStorageFault(w, d.Name(), err)
+		default:
+			writeError(w, http.StatusInternalServerError, "%v", err)
+		}
 	}
-	writeJSON(w, http.StatusCreated, snapshotBody{Dataset: ds.name, Path: path, Bytes: size})
-}
-
-// countingWriter counts the bytes passed through to w.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
 }
 
 type errorBody struct {
@@ -446,26 +365,42 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
-// validateDatasetName rejects empty names and anything that is not a
-// plain path component: dataset names become snapshot file names
-// (<dir>/<name>.discsnap), so separators or dot-names must never reach
-// filepath.Join where they could escape the snapshot directory. It is
-// the manager's validator — one rule for every route and boot scan.
-func validateDatasetName(name string) error {
-	return manager.ValidateName(name)
+// lookup resolves the {name} path value to a dataset of the route
+// family's kind — static under /v1/datasets, live under /v1/live —
+// writing the 400 or 404 itself. An invalid name (anything
+// manager.ValidateName rejects) never reaches the registry. The
+// dataset may be in any lifecycle state.
+func (s *Server) lookup(w http.ResponseWriter, r *http.Request, static bool) *manager.Dataset {
+	name := r.PathValue("name")
+	if err := manager.ValidateName(name); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return nil
+	}
+	d, err := s.mgr.Get(name)
+	switch {
+	case err == nil && d.IsStatic() == static:
+		return d
+	case static:
+		writeError(w, http.StatusNotFound, "unknown dataset %q", name)
+	default:
+		writeError(w, http.StatusNotFound, "unknown live maintainer %q", name)
+	}
+	return nil
 }
 
-// pathName extracts and validates the {name} path value. An invalid
-// name (separators, dot-names — anything validateDatasetName rejects)
-// can never name a dataset, so it is refused with 400 before reaching
-// any map lookup or filepath.Join.
-func (s *Server) pathName(w http.ResponseWriter, r *http.Request) (string, bool) {
-	name := r.PathValue("name")
-	if err := validateDatasetName(name); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return "", false
+// static resolves {name} to a ready static dataset's engine, writing
+// the 400, 404 or 503 itself.
+func (s *Server) static(w http.ResponseWriter, r *http.Request) (string, *manager.Static) {
+	d := s.lookup(w, r, true)
+	if d == nil {
+		return "", nil
 	}
-	return name, true
+	st, err := d.Static()
+	if err != nil {
+		writeUnavailable(w, err)
+		return "", nil
+	}
+	return d.Name(), st
 }
 
 type createDatasetRequest struct {
@@ -492,7 +427,7 @@ func (s *Server) handleCreateDataset(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
 		return
 	}
-	if err := validateDatasetName(req.Name); err != nil {
+	if err := manager.ValidateName(req.Name); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -532,49 +467,40 @@ func (s *Server) handleCreateDataset(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-
-	s.mux.Lock()
-	defer s.mux.Unlock()
-	if _, exists := s.datasets[req.Name]; exists {
-		writeError(w, http.StatusConflict, "dataset %q already exists", req.Name)
+	if _, err := s.mgr.CreateStatic(req.Name, metricName, div, req.Labels); err != nil {
+		writeCreateError(w, err)
 		return
 	}
-	ds := &datasetState{
-		name:   req.Name,
-		metric: metricName,
-		div:    div,
-		labels: req.Labels,
-		dim:    len(pts[0]),
-		size:   len(pts),
-	}
-	s.datasets[req.Name] = ds
-	writeJSON(w, http.StatusCreated, datasetInfo{Name: ds.name, Metric: ds.metric, Size: ds.size, Dim: ds.dim})
+	writeJSON(w, http.StatusCreated, datasetInfo{Name: req.Name, Metric: metricName, Size: len(pts), Dim: len(pts[0])})
 }
 
+func staticInfo(name string, st *manager.Static) datasetInfo {
+	return datasetInfo{Name: name, Metric: st.Metric, Size: st.Size, Dim: st.Dim}
+}
+
+// handleListDatasets lists the static datasets; one that cannot serve
+// (loading or quarantined; see /readyz) is listed by name alone.
 func (s *Server) handleListDatasets(w http.ResponseWriter, _ *http.Request) {
-	s.mux.Lock()
-	defer s.mux.Unlock()
-	infos := make([]datasetInfo, 0, len(s.datasets))
-	for _, ds := range s.datasets {
-		infos = append(infos, datasetInfo{Name: ds.name, Metric: ds.metric, Size: ds.size, Dim: ds.dim})
+	infos := []datasetInfo{}
+	for _, d := range s.mgr.List() {
+		if !d.IsStatic() {
+			continue
+		}
+		info := datasetInfo{Name: d.Name()}
+		if st, err := d.Static(); err == nil {
+			info = staticInfo(d.Name(), st)
+		}
+		infos = append(infos, info)
 	}
-	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
 	writeJSON(w, http.StatusOK, infos)
 }
 
 func (s *Server) handleGetDataset(w http.ResponseWriter, r *http.Request) {
-	name, ok := s.pathName(w, r)
-	if !ok {
+	name, st := s.static(w, r)
+	if st == nil {
 		return
 	}
-	s.mux.Lock()
-	defer s.mux.Unlock()
-	ds, ok := s.datasets[name]
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown dataset %q", name)
-		return
-	}
-	writeJSON(w, http.StatusOK, datasetInfo{Name: ds.name, Metric: ds.metric, Size: ds.size, Dim: ds.dim})
+	writeJSON(w, http.StatusOK, staticInfo(name, st))
 }
 
 type selectRequest struct {
@@ -639,69 +565,77 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	name, ok := s.pathName(w, r)
-	if !ok {
-		return
-	}
-
-	s.mux.Lock()
-	defer s.mux.Unlock()
-	ds, ok := s.datasets[name]
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown dataset %q", name)
+	name, st := s.static(w, r)
+	if st == nil {
 		return
 	}
 	sopts := []disc.SelectOption{disc.WithAlgorithm(alg)}
 	if componentSelectable(alg) {
 		sopts = append(sopts, disc.WithSelectMode(disc.SelectComponents))
 	}
-	res, err := ds.div.Select(req.Radius, sopts...)
-	if err != nil {
+	var res *disc.Result
+	if err := st.Do(func(div *disc.Diversifier) (err error) {
+		res, err = div.Select(req.Radius, sopts...)
+		return err
+	}); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	rs := s.storeResultLocked(ds, res)
-	writeJSON(w, http.StatusCreated, s.resultBodyLocked(rs))
+	writeJSON(w, http.StatusCreated, s.storeResult(name, st, res).body())
 }
 
-// storeResultLocked registers a result and assigns it an id. Caller holds
-// the lock.
-func (s *Server) storeResultLocked(ds *datasetState, res *disc.Result) *resultState {
+// storeResult registers a result under a fresh id.
+func (s *Server) storeResult(dataset string, st *manager.Static, res *disc.Result) *resultState {
+	s.resMu.Lock()
+	defer s.resMu.Unlock()
 	s.nextID++
-	rs := &resultState{id: "r" + strconv.Itoa(s.nextID), dataset: ds, res: res}
+	rs := &resultState{id: "r" + strconv.Itoa(s.nextID), dataset: dataset, st: st, res: res}
 	s.results[rs.id] = rs
 	return rs
 }
 
-func (s *Server) resultBodyLocked(rs *resultState) resultBody {
+// result resolves the {id} path value, writing the 404 itself.
+func (s *Server) result(w http.ResponseWriter, r *http.Request) *resultState {
+	id := r.PathValue("id")
+	s.resMu.Lock()
+	rs := s.results[id]
+	s.resMu.Unlock()
+	if rs == nil {
+		writeError(w, http.StatusNotFound, "unknown result %q", id)
+	}
+	return rs
+}
+
+func (rs *resultState) body() resultBody {
 	ids := rs.res.SortedIDs()
-	body := resultBody{
+	return resultBody{
 		ID:        rs.id,
-		Dataset:   rs.dataset.name,
+		Dataset:   rs.dataset,
 		Radius:    rs.res.Radius(),
 		Algorithm: rs.res.Algorithm(),
 		Size:      rs.res.Size(),
 		IDs:       ids,
+		Labels:    rs.labels(ids),
 		Accesses:  rs.res.Accesses(),
 	}
-	if rs.dataset.labels != nil {
-		body.Labels = make([]string, len(ids))
-		for i, id := range ids {
-			body.Labels[i] = rs.dataset.labels[id]
-		}
+}
+
+// labels returns the labels of ids, or nil for an unlabelled dataset.
+func (rs *resultState) labels(ids []int) []string {
+	if rs.st.Labels == nil {
+		return nil
 	}
-	return body
+	out := make([]string, len(ids))
+	for i, id := range ids {
+		out[i] = rs.st.Labels[id]
+	}
+	return out
 }
 
 func (s *Server) handleGetResult(w http.ResponseWriter, r *http.Request) {
-	s.mux.Lock()
-	defer s.mux.Unlock()
-	rs, ok := s.results[r.PathValue("id")]
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown result %q", r.PathValue("id"))
-		return
+	if rs := s.result(w, r); rs != nil {
+		writeJSON(w, http.StatusOK, rs.body())
 	}
-	writeJSON(w, http.StatusOK, s.resultBodyLocked(rs))
 }
 
 type zoomRequest struct {
@@ -714,30 +648,26 @@ func (s *Server) handleZoom(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
 		return
 	}
-	s.mux.Lock()
-	defer s.mux.Unlock()
-	rs, ok := s.results[r.PathValue("id")]
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown result %q", r.PathValue("id"))
+	rs := s.result(w, r)
+	if rs == nil {
 		return
 	}
 	var zoomed *disc.Result
-	var err error
-	switch {
-	case req.Radius < rs.res.Radius():
-		zoomed, err = rs.dataset.div.ZoomIn(rs.res, req.Radius)
-	case req.Radius > rs.res.Radius():
-		zoomed, err = rs.dataset.div.ZoomOut(rs.res, req.Radius, disc.ZoomOutGreedyLargest)
-	default:
-		writeError(w, http.StatusBadRequest, "radius %g equals the current radius", req.Radius)
-		return
-	}
-	if err != nil {
+	if err := rs.st.Do(func(div *disc.Diversifier) (err error) {
+		switch {
+		case req.Radius < rs.res.Radius():
+			zoomed, err = div.ZoomIn(rs.res, req.Radius)
+		case req.Radius > rs.res.Radius():
+			zoomed, err = div.ZoomOut(rs.res, req.Radius, disc.ZoomOutGreedyLargest)
+		default:
+			err = fmt.Errorf("radius %g equals the current radius", req.Radius)
+		}
+		return err
+	}); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	nrs := s.storeResultLocked(rs.dataset, zoomed)
-	writeJSON(w, http.StatusCreated, s.resultBodyLocked(nrs))
+	writeJSON(w, http.StatusCreated, s.storeResult(rs.dataset, rs.st, zoomed).body())
 }
 
 type localZoomRequest struct {
@@ -761,43 +691,34 @@ func (s *Server) handleLocalZoom(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
 		return
 	}
-	s.mux.Lock()
-	defer s.mux.Unlock()
-	rs, ok := s.results[r.PathValue("id")]
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown result %q", r.PathValue("id"))
+	rs := s.result(w, r)
+	if rs == nil {
 		return
 	}
 	var lz *disc.LocalZoom
-	var err error
-	switch {
-	case req.Radius < rs.res.Radius():
-		lz, err = rs.dataset.div.LocalZoomIn(rs.res, req.Center, req.Radius)
-	case req.Radius > rs.res.Radius():
-		lz, err = rs.dataset.div.LocalZoomOut(rs.res, req.Center, req.Radius)
-	default:
-		writeError(w, http.StatusBadRequest, "radius %g equals the current radius", req.Radius)
-		return
-	}
-	if err != nil {
+	if err := rs.st.Do(func(div *disc.Diversifier) (err error) {
+		switch {
+		case req.Radius < rs.res.Radius():
+			lz, err = div.LocalZoomIn(rs.res, req.Center, req.Radius)
+		case req.Radius > rs.res.Radius():
+			lz, err = div.LocalZoomOut(rs.res, req.Center, req.Radius)
+		default:
+			err = fmt.Errorf("radius %g equals the current radius", req.Radius)
+		}
+		return err
+	}); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	body := localZoomBody{
+	writeJSON(w, http.StatusOK, localZoomBody{
 		Center:          lz.Center,
 		LocalRadius:     lz.LocalRadius,
 		RegionSize:      len(lz.Region),
 		Added:           lz.Added,
 		Removed:         lz.Removed,
 		Representatives: lz.Representatives,
-	}
-	if rs.dataset.labels != nil {
-		body.Labels = make([]string, len(lz.Representatives))
-		for i, id := range lz.Representatives {
-			body.Labels[i] = rs.dataset.labels[id]
-		}
-	}
-	writeJSON(w, http.StatusOK, body)
+		Labels:          rs.labels(lz.Representatives),
+	})
 }
 
 type createLiveRequest struct {
@@ -807,40 +728,16 @@ type createLiveRequest struct {
 	Points [][]float64 `json:"points,omitempty"`
 }
 
-type liveInfo struct {
-	Name     string  `json:"name"`
-	Metric   string  `json:"metric"`
-	Radius   float64 `json:"radius"`
-	Dim      int     `json:"dim"`
-	Live     int     `json:"live"`
-	Selected int     `json:"selected"`
-	Pending  int     `json:"pending"`
-	State    string  `json:"state"`
-	Reason   string  `json:"reason,omitempty"`
-}
-
-func liveInfoFrom(in manager.Info) liveInfo {
-	return liveInfo{
-		Name:     in.Name,
-		Metric:   in.Metric,
-		Radius:   in.Radius,
-		Dim:      in.Dim,
-		Live:     in.Live,
-		Selected: in.Selected,
-		Pending:  in.Pending,
-		State:    string(in.State),
-		Reason:   in.Reason,
-	}
-}
-
-// writeUnavailable maps a manager.UnavailableError — the dataset is
-// loading, degraded (for a mutation), or quarantined — to 503 with a
-// Retry-After hint and the machine-readable state. Returns false when
-// err is some other kind, leaving the response to the caller.
-func writeUnavailable(w http.ResponseWriter, err error) bool {
+// writeUnavailable answers an error from a dataset's Static, Updater
+// or View. A manager.UnavailableError — the dataset is loading,
+// degraded (for a mutation), or quarantined — maps to 503 with a
+// Retry-After hint and the machine-readable state and reason; anything
+// else to 500.
+func writeUnavailable(w http.ResponseWriter, err error) {
 	var ue *manager.UnavailableError
 	if !errors.As(err, &ue) {
-		return false
+		writeError(w, http.StatusInternalServerError, "%v", err)
+		return
 	}
 	secs := int(ue.RetryAfter / time.Second)
 	if secs < 1 {
@@ -852,7 +749,6 @@ func writeUnavailable(w http.ResponseWriter, err error) bool {
 		State  string `json:"state"`
 		Reason string `json:"reason,omitempty"`
 	}{Error: ue.Error(), State: string(ue.State), Reason: ue.Reason})
-	return true
 }
 
 // writeStorageFault answers a mutation whose failure was classified as
@@ -861,6 +757,16 @@ func writeUnavailable(w http.ResponseWriter, err error) bool {
 func writeStorageFault(w http.ResponseWriter, name string, err error) {
 	w.Header().Set("Retry-After", "1")
 	writeError(w, http.StatusServiceUnavailable, "dataset %q hit a storage fault; recovery started: %v", name, err)
+}
+
+// writeCreateError answers a refused create: 409 when the name is
+// taken by a dataset of either kind, else 400.
+func writeCreateError(w http.ResponseWriter, err error) {
+	if errors.Is(err, manager.ErrExists) {
+		writeError(w, http.StatusConflict, "%v", err)
+		return
+	}
+	writeError(w, http.StatusBadRequest, "%v", err)
 }
 
 // handleCreateLive builds an incremental maintainer, optionally seeded
@@ -873,10 +779,6 @@ func (s *Server) handleCreateLive(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
 		return
 	}
-	if err := validateDatasetName(req.Name); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 	metricName := req.Metric
 	if metricName == "" {
 		metricName = "euclidean"
@@ -887,58 +789,20 @@ func (s *Server) handleCreateLive(w http.ResponseWriter, r *http.Request) {
 	}
 	d, err := s.mgr.Create(req.Name, metricName, req.Radius, pts)
 	if err != nil {
-		if errors.Is(err, manager.ErrExists) {
-			writeError(w, http.StatusConflict, "%v", err)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "%v", err)
+		writeCreateError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, liveInfoFrom(d.Info()))
+	writeJSON(w, http.StatusCreated, d.Info())
 }
 
-// RestoreLive recovers every dataset a previous process left in the
-// storage directory, each under its own supervisor: a dataset that
-// needs backoff retries — or that is corrupt and gets quarantined —
-// neither delays nor fails the others. It blocks until every dataset
-// settles and returns how many are serving (ready or degraded). Call
-// once at boot, before serving.
+// RestoreLive recovers every dataset, static or live, a previous
+// process left in the storage directory, each under its own
+// supervisor: a dataset that needs backoff retries — or that is
+// corrupt and gets quarantined — neither delays nor fails the others.
+// It blocks until every dataset settles and returns how many are
+// serving (ready or degraded). Call once at boot, before serving.
 func (s *Server) RestoreLive() (int, error) {
 	return s.mgr.Recover()
-}
-
-// handleLiveCheckpoint compacts a durable maintainer into its
-// .discsnap file and rotates the write-ahead log to a fresh epoch,
-// bounding recovery time. 400 on memory-only maintainers. A failed
-// snapshot write (ENOSPC) leaves the old snapshot + log pair
-// authoritative and the dataset fully serviceable; only a failed log
-// rotation needs recovery, and that is kicked automatically.
-func (s *Server) handleLiveCheckpoint(w http.ResponseWriter, r *http.Request) {
-	d := s.lookupDataset(w, r)
-	if d == nil {
-		return
-	}
-	u, err := d.Updater()
-	if err != nil {
-		if !writeUnavailable(w, err) {
-			writeError(w, http.StatusInternalServerError, "%v", err)
-		}
-		return
-	}
-	if !u.Durable() {
-		writeError(w, http.StatusBadRequest, "live maintainer %q is memory-only (start the server with a data directory)", d.Name())
-		return
-	}
-	snapPath := d.CheckpointPath()
-	if err := u.Checkpoint(snapPath); err != nil {
-		if d.ReportFault(err) {
-			writeStorageFault(w, d.Name(), err)
-			return
-		}
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, snapshotBody{Dataset: d.Name(), Path: snapPath})
 }
 
 // handleLiveUnquarantine lifts a quarantine after an operator has
@@ -947,51 +811,25 @@ func (s *Server) handleLiveCheckpoint(w http.ResponseWriter, r *http.Request) {
 // The response reports where the dataset settled — ready, degraded, or
 // quarantined again if the state is still bad.
 func (s *Server) handleLiveUnquarantine(w http.ResponseWriter, r *http.Request) {
-	name, ok := s.pathName(w, r)
-	if !ok {
+	d := s.lookup(w, r, false)
+	if d == nil {
 		return
 	}
-	if err := s.mgr.Unquarantine(name); err != nil {
-		switch {
-		case errors.Is(err, manager.ErrNotFound):
-			writeError(w, http.StatusNotFound, "unknown live maintainer %q", name)
-		default:
-			writeError(w, http.StatusConflict, "%v", err)
-		}
+	if err := s.mgr.Unquarantine(d.Name()); err != nil {
+		writeError(w, http.StatusConflict, "%v", err)
 		return
 	}
-	d, err := s.mgr.Get(name)
-	if err != nil {
-		writeError(w, http.StatusNotFound, "unknown live maintainer %q", name)
-		return
-	}
-	writeJSON(w, http.StatusOK, liveInfoFrom(d.Info()))
+	writeJSON(w, http.StatusOK, d.Info())
 }
 
 func (s *Server) handleListLive(w http.ResponseWriter, _ *http.Request) {
-	ds := s.mgr.List()
-	infos := make([]liveInfo, 0, len(ds))
-	for _, d := range ds {
-		infos = append(infos, liveInfoFrom(d.Info()))
+	infos := []manager.Info{}
+	for _, d := range s.mgr.List() {
+		if !d.IsStatic() {
+			infos = append(infos, d.Info())
+		}
 	}
 	writeJSON(w, http.StatusOK, infos)
-}
-
-// lookupDataset resolves the {name} path value against the dataset
-// manager, writing the 400/404 itself. The returned dataset may be in
-// any lifecycle state — each handler gates on what it needs (Updater
-// for mutations, View for reads).
-func (s *Server) lookupDataset(w http.ResponseWriter, r *http.Request) *manager.Dataset {
-	name, ok := s.pathName(w, r)
-	if !ok {
-		return nil
-	}
-	d, err := s.mgr.Get(name)
-	if err != nil {
-		writeError(w, http.StatusNotFound, "unknown live maintainer %q", name)
-		return nil
-	}
-	return d
 }
 
 // handleGetLive reports the maintainer's info in every lifecycle state
@@ -999,11 +837,24 @@ func (s *Server) lookupDataset(w http.ResponseWriter, r *http.Request) *manager.
 // quarantined datasets answer 200 with their state and reason rather
 // than 503.
 func (s *Server) handleGetLive(w http.ResponseWriter, r *http.Request) {
-	d := s.lookupDataset(w, r)
-	if d == nil {
-		return
+	if d := s.lookup(w, r, false); d != nil {
+		writeJSON(w, http.StatusOK, d.Info())
 	}
-	writeJSON(w, http.StatusOK, liveInfoFrom(d.Info()))
+}
+
+// updater resolves {name} to a ready live maintainer, writing the 400,
+// 404 or 503 itself.
+func (s *Server) updater(w http.ResponseWriter, r *http.Request) (*manager.Dataset, *disc.Updater) {
+	d := s.lookup(w, r, false)
+	if d == nil {
+		return nil, nil
+	}
+	u, err := d.Updater()
+	if err != nil {
+		writeUnavailable(w, err)
+		return nil, nil
+	}
+	return d, u
 }
 
 type liveInsertRequest struct {
@@ -1030,15 +881,8 @@ func (s *Server) handleLiveInsert(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
 		return
 	}
-	d := s.lookupDataset(w, r)
-	if d == nil {
-		return
-	}
-	u, err := d.Updater()
-	if err != nil {
-		if !writeUnavailable(w, err) {
-			writeError(w, http.StatusInternalServerError, "%v", err)
-		}
+	d, u := s.updater(w, r)
+	if u == nil {
 		return
 	}
 	// Dimensionality is validated by the updater itself, which
@@ -1077,15 +921,8 @@ func (s *Server) handleLiveDelete(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
 		return
 	}
-	d := s.lookupDataset(w, r)
-	if d == nil {
-		return
-	}
-	u, err := d.Updater()
-	if err != nil {
-		if !writeUnavailable(w, err) {
-			writeError(w, http.StatusInternalServerError, "%v", err)
-		}
+	d, u := s.updater(w, r)
+	if u == nil {
 		return
 	}
 	if err := u.Delete(req.ID); err != nil {
@@ -1114,15 +951,8 @@ type liveFlushBody struct {
 }
 
 func (s *Server) handleLiveFlush(w http.ResponseWriter, r *http.Request) {
-	d := s.lookupDataset(w, r)
-	if d == nil {
-		return
-	}
-	u, err := d.Updater()
-	if err != nil {
-		if !writeUnavailable(w, err) {
-			writeError(w, http.StatusInternalServerError, "%v", err)
-		}
+	_, u := s.updater(w, r)
+	if u == nil {
 		return
 	}
 	repaired := u.Flush()
@@ -1146,15 +976,13 @@ type liveSelectionBody struct {
 // (read-only, marked by the state field); loading and quarantined
 // datasets answer 503.
 func (s *Server) handleLiveSelection(w http.ResponseWriter, r *http.Request) {
-	d := s.lookupDataset(w, r)
+	d := s.lookup(w, r, false)
 	if d == nil {
 		return
 	}
 	v, err := d.View()
 	if err != nil {
-		if !writeUnavailable(w, err) {
-			writeError(w, http.StatusInternalServerError, "%v", err)
-		}
+		writeUnavailable(w, err)
 		return
 	}
 	if v.Upd != nil {

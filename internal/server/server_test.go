@@ -8,7 +8,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"slices"
 	"testing"
+
+	disc "github.com/discdiversity/disc"
 )
 
 func newTestServer(t *testing.T) *httptest.Server {
@@ -270,63 +274,66 @@ func TestSnapshotSaveDisabledWithoutDir(t *testing.T) {
 	doJSON(t, "POST", ts.URL+"/v1/datasets/demo/snapshot", nil, http.StatusBadRequest, nil)
 }
 
-// TestSnapshotSaveAndWarmStart: POST /snapshot must persist a loadable
-// .discsnap whose warm-started dataset selects identically to the
-// original.
+// TestSnapshotSaveAndWarmStart: POST /snapshot must persist each
+// dataset as a loadable <dir>/<name>/static.discsnap, and a server
+// restarted on the same data directory must bring every saved dataset
+// back, each selecting identically to the original.
 func TestSnapshotSaveAndWarmStart(t *testing.T) {
 	dir := t.TempDir()
-	srv := New(WithSnapshotDir(dir))
+	srv := New(WithDataDir(dir))
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	uploadPoints(t, ts, "demo", 200)
-
-	var before result
-	doJSON(t, "POST", ts.URL+"/v1/datasets/demo/select",
-		map[string]any{"radius": 0.15}, http.StatusCreated, &before)
-
-	var saved map[string]any
-	doJSON(t, "POST", ts.URL+"/v1/datasets/demo/snapshot", nil, http.StatusCreated, &saved)
-	path, _ := saved["path"].(string)
-	if path == "" || saved["bytes"].(float64) <= 0 {
-		t.Fatalf("snapshot response %v", saved)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-
-	warm := New()
-	wts := httptest.NewServer(warm.Handler())
-	t.Cleanup(wts.Close)
-	if err := warm.LoadSnapshot("demo", f); err != nil {
-		t.Fatal(err)
-	}
-	var info map[string]any
-	doJSON(t, "GET", wts.URL+"/v1/datasets/demo", nil, http.StatusOK, &info)
-	if info["size"].(float64) != 200 {
-		t.Fatalf("warm dataset info %v", info)
-	}
-	var after result
-	doJSON(t, "POST", wts.URL+"/v1/datasets/demo/select",
-		map[string]any{"radius": 0.15}, http.StatusCreated, &after)
-	if len(after.IDs) != len(before.IDs) {
-		t.Fatalf("warm selection size %d, want %d", after.Size, before.Size)
-	}
-	for i := range after.IDs {
-		if after.IDs[i] != before.IDs[i] {
-			t.Fatalf("warm selection diverges at %d", i)
+	names := []string{"demo", "other"}
+	before := map[string]result{}
+	for i, name := range names {
+		uploadPoints(t, ts, name, 200+100*i)
+		var res result
+		doJSON(t, "POST", ts.URL+"/v1/datasets/"+name+"/select",
+			map[string]any{"radius": 0.15}, http.StatusCreated, &res)
+		before[name] = res
+		var saved snapshotBody
+		doJSON(t, "POST", ts.URL+"/v1/datasets/"+name+"/snapshot", nil, http.StatusCreated, &saved)
+		if want := filepath.Join(dir, name, "static.discsnap"); saved.Path != want || saved.Dataset != name || saved.Bytes <= 0 {
+			t.Fatalf("snapshot response %+v, want a positive byte count at %s", saved, want)
 		}
 	}
-	// Unknown dataset 404s; duplicate warm load conflicts.
+	// Unknown dataset 404s.
 	doJSON(t, "POST", ts.URL+"/v1/datasets/nope/snapshot", nil, http.StatusNotFound, nil)
-	if err := warm.LoadSnapshot("demo", bytes.NewReader(nil)); err == nil {
-		t.Fatal("duplicate/garbage warm load accepted")
+	ts.Close()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
 	}
+
+	warm := New(WithDataDir(dir))
+	t.Cleanup(func() { warm.Close() })
+	if n, err := warm.RestoreLive(); err != nil || n != len(names) {
+		t.Fatalf("RestoreLive = (%d, %v), want (%d, nil)", n, err, len(names))
+	}
+	wts := httptest.NewServer(warm.Handler())
+	t.Cleanup(wts.Close)
+	for i, name := range names {
+		var info map[string]any
+		doJSON(t, "GET", wts.URL+"/v1/datasets/"+name, nil, http.StatusOK, &info)
+		if info["size"].(float64) != float64(200+100*i) {
+			t.Fatalf("%s: warm dataset info %v", name, info)
+		}
+		var after result
+		doJSON(t, "POST", wts.URL+"/v1/datasets/"+name+"/select",
+			map[string]any{"radius": 0.15}, http.StatusCreated, &after)
+		if !slices.Equal(after.IDs, before[name].IDs) {
+			t.Fatalf("%s: warm selection %v, want %v", name, after.IDs, before[name].IDs)
+		}
+	}
+	// A restored name is taken for both kinds.
+	doJSON(t, "POST", wts.URL+"/v1/datasets",
+		map[string]any{"name": "demo", "points": [][]float64{{0, 0}}}, http.StatusConflict, nil)
+	doJSON(t, "POST", wts.URL+"/v1/live",
+		map[string]any{"name": "demo", "radius": 0.1}, http.StatusConflict, nil)
 }
 
-// TestDatasetNameValidation: names become snapshot file names, so
-// separators and dot-names must be rejected at creation and warm start.
+// TestDatasetNameValidation: names become home directory names, so
+// separators and dot-names must be rejected at creation and on every
+// route, and a home whose name the routes refuse is never restored.
 func TestDatasetNameValidation(t *testing.T) {
 	ts := newTestServer(t)
 	for _, name := range []string{"a/b", "..", ".", "../escape", "c\\d"} {
@@ -334,10 +341,32 @@ func TestDatasetNameValidation(t *testing.T) {
 			map[string]any{"name": name, "points": [][]float64{{0, 0}, {1, 1}}},
 			http.StatusBadRequest, nil)
 	}
-	srv := New()
-	if err := srv.LoadSnapshot("a/b", bytes.NewReader(nil)); err == nil {
-		t.Fatal("warm start accepted a path-separator name")
+
+	dir := t.TempDir()
+	home := filepath.Join(dir, "c\\d")
+	if err := os.Mkdir(home, 0o755); err != nil {
+		t.Fatal(err)
 	}
+	div, err := disc.New([]disc.Point{{0, 0}, {1, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := div.SaveSnapshot(filepath.Join(home, "static.discsnap")); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(WithDataDir(dir))
+	t.Cleanup(func() { srv.Close() })
+	if n, err := srv.RestoreLive(); err != nil || n != 0 {
+		t.Fatalf("RestoreLive = (%d, %v), want (0, nil): a separator name was restored", n, err)
+	}
+	rts := httptest.NewServer(srv.Handler())
+	t.Cleanup(rts.Close)
+	var list []datasetInfo
+	doJSON(t, "GET", rts.URL+"/v1/datasets", nil, http.StatusOK, &list)
+	if len(list) != 0 {
+		t.Fatalf("list = %v, want empty", list)
+	}
+	doJSON(t, "GET", rts.URL+"/v1/datasets/c%5Cd", nil, http.StatusBadRequest, nil)
 }
 
 type liveInfoBody struct {
@@ -597,7 +626,7 @@ func TestUnknownJSONFieldsRejected(t *testing.T) {
 		{"/v1/datasets/pts/select", map[string]any{"radius": 0.1}, "r"},
 		{"/v1/results/" + res.ID + "/zoom", map[string]any{"radius": 0.05}, "r"},
 		{"/v1/results/" + res.ID + "/localzoom", map[string]any{"center": 0, "radius": 0.05}, "localRadius"},
-		{"/v1/live", map[string]any{"name": "other", "radius": 0.1, "points": [][]float64{{0, 0}}}, "pts"},
+		{"/v1/live", map[string]any{"name": "other-live", "radius": 0.1, "points": [][]float64{{0, 0}}}, "pts"},
 		{"/v1/live/feed/insert", map[string]any{"point": []float64{0.2, 0.2}, "flush": true}, "flsh"},
 		{"/v1/live/feed/delete", map[string]any{"id": 0, "flush": true}, "flsh"},
 	} {
@@ -611,5 +640,64 @@ func TestUnknownJSONFieldsRejected(t *testing.T) {
 		if code := post(tc.path, tc.valid); code >= 300 {
 			t.Errorf("POST %s without the stray field: status %d", tc.path, code)
 		}
+	}
+}
+
+// TestSharedNamespace: static and live datasets share one namespace. A
+// create under a name the other kind holds answers 409, each route
+// family answers 404 for a dataset of the other kind and lists only its
+// own, and /readyz lists both kinds.
+func TestSharedNamespace(t *testing.T) {
+	ts := newTestServer(t)
+	uploadPoints(t, ts, "pics", 50)
+	doJSON(t, "POST", ts.URL+"/v1/live",
+		map[string]any{"name": "feed", "radius": 0.1, "points": [][]float64{{0.5, 0.5}}}, http.StatusCreated, nil)
+
+	doJSON(t, "POST", ts.URL+"/v1/live", map[string]any{"name": "pics", "radius": 0.1}, http.StatusConflict, nil)
+	doJSON(t, "POST", ts.URL+"/v1/datasets",
+		map[string]any{"name": "feed", "points": [][]float64{{0, 0}}}, http.StatusConflict, nil)
+
+	doJSON(t, "GET", ts.URL+"/v1/live/pics", nil, http.StatusNotFound, nil)
+	doJSON(t, "GET", ts.URL+"/v1/live/pics/selection", nil, http.StatusNotFound, nil)
+	doJSON(t, "POST", ts.URL+"/v1/live/pics/insert", map[string]any{"point": []float64{0.1, 0.1}}, http.StatusNotFound, nil)
+	doJSON(t, "POST", ts.URL+"/v1/datasets/feed/select", map[string]any{"radius": 0.1}, http.StatusNotFound, nil)
+	doJSON(t, "GET", ts.URL+"/v1/datasets/feed", nil, http.StatusNotFound, nil)
+	doJSON(t, "POST", ts.URL+"/v1/datasets/feed/snapshot", nil, http.StatusNotFound, nil)
+
+	var static []datasetInfo
+	doJSON(t, "GET", ts.URL+"/v1/datasets", nil, http.StatusOK, &static)
+	if len(static) != 1 || static[0].Name != "pics" {
+		t.Fatalf("GET /v1/datasets = %+v, want pics alone", static)
+	}
+	var live []liveInfoBody
+	doJSON(t, "GET", ts.URL+"/v1/live", nil, http.StatusOK, &live)
+	if len(live) != 1 || live[0].Name != "feed" {
+		t.Fatalf("GET /v1/live = %+v, want feed alone", live)
+	}
+
+	var ready readyzBody
+	doJSON(t, "GET", ts.URL+"/readyz", nil, http.StatusOK, &ready)
+	for _, name := range []string{"pics", "feed"} {
+		if st := ready.Datasets[name].State; st != "ready" {
+			t.Errorf("/readyz lists %s as %q, want ready (%+v)", name, st, ready)
+		}
+	}
+}
+
+// TestLiveCheckpointReportsBytes: the live snapshot route reports the
+// size of the checkpoint it wrote, as the static one does.
+func TestLiveCheckpointReportsBytes(t *testing.T) {
+	ts := httptest.NewServer(New(WithDataDir(t.TempDir())).Handler())
+	t.Cleanup(ts.Close)
+	doJSON(t, "POST", ts.URL+"/v1/live",
+		map[string]any{"name": "feed", "radius": 0.1, "points": [][]float64{{0.5, 0.5}, {0.9, 0.1}}}, http.StatusCreated, nil)
+	var saved snapshotBody
+	doJSON(t, "POST", ts.URL+"/v1/live/feed/snapshot", nil, http.StatusCreated, &saved)
+	fi, err := os.Stat(saved.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if saved.Bytes <= 0 || saved.Bytes != fi.Size() {
+		t.Fatalf("checkpoint reports %d bytes, file %s has %d", saved.Bytes, saved.Path, fi.Size())
 	}
 }
