@@ -19,7 +19,7 @@ SERVE_N ?= 2000
 SERVE_WORKERS ?= 4
 SERVE_DURATION ?= 10s
 
-.PHONY: build test lint bench bench-guard bench-serve snapshot-bench doclint kernel-props crash-props chaos-props
+.PHONY: build test lint bench bench-guard bench-serve snapshot-bench doclint kernel-props crash-props chaos-props fuzz
 
 ## build: compile every package and command
 build:
@@ -119,12 +119,12 @@ kernel-props:
 ## property (recovered selection bit-identical to a from-scratch
 ## component Select over the surviving op prefix), the checkpoint
 ## crash-window states, the batch replay's equivalence to the
-## per-mutation live path, and the server's crash-restart and
-## load-shedding behaviour.
+## per-mutation live path, and the server's crash-restart (Lp and
+## non-Lp metrics) and load-shedding behaviour.
 crash-props:
 	$(GO) test -race -count=1 ./internal/wal ./internal/faultio ./internal/snap
 	$(GO) test -race -count=1 -run 'TestCrashPrefixRecoveryEveryByte|TestCrashRecoveryInjectedWriter|TestCheckpointCrashStates|TestWALPoisoningOnSyncFailure|TestWALShortWriteTornTail|TestLiveReplayMatchesIncremental|TestLiveReplayRejectsDeadDelete' . ./internal/core
-	$(GO) test -race -count=1 -run 'TestLiveCrashRestart|TestDurableCreateRefusesLeftoverState|TestAdmissionControl|TestRequestTimeout|TestPanicRecovery|TestLiveFsyncModesOverHTTP' ./internal/server
+	$(GO) test -race -count=1 -run 'TestLiveCrashRestart|TestLiveNonLpCrashRestart|TestDurableCreateRefusesLeftoverState|TestAdmissionControl|TestRequestTimeout|TestPanicRecovery|TestLiveFsyncModesOverHTTP' ./internal/server
 
 ## chaos-props: the fault-isolation property suites under the race
 ## detector — randomized multi-dataset fault sweeps against a server
@@ -143,6 +143,17 @@ chaos-props:
 	$(GO) test -race -count=1 -run 'TestChaos' ./internal/server
 	$(GO) test -race -count=1 ./internal/manager
 	$(GO) test -race -count=1 -run 'TestCheckpointENOSPCLeavesStateAuthoritative' .
+
+## fuzz: run FuzzLiveMatchesBatch (internal/core) for 10 seconds past
+## its committed seed corpus, which plain `go test ./...` replays: byte
+## strings decode into a metric, a radius and an insert/delete
+## sequence, and the live maintainer must equal the batch component
+## greedy after every flush. A failing input lands in
+## internal/core/testdata/fuzz/FuzzLiveMatchesBatch/. Minimizing a new
+## coverage input may take the default 60 s, the whole budget, so it is
+## capped at 1 s.
+fuzz:
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzLiveMatchesBatch$$' -fuzztime=10s -fuzzminimizetime=1s
 
 ## doclint: verify that relative links and file references in the
 ## repo's markdown docs resolve (the CI doc-link gate; see

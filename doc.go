@@ -203,10 +203,12 @@
 // # Live updates
 //
 // Updater maintains an r-DisC diverse selection under live inserts and
-// deletes on the same grid/CSR substrate, with the connected component
-// as the unit of invalidation: Insert splices the new point into the
-// grid occupancy and CSR adjacency and dirties the component it
-// touches (or the few it merges); Delete re-partitions its component
+// deletes on the same CSR substrate, under every metric, with the
+// connected component as the unit of invalidation: Insert splices the
+// new point into the CSR adjacency (finding its neighbours through the
+// grid occupancy for Euclidean, Manhattan and Chebyshev, by a scan of
+// the live points otherwise) and dirties the component it touches (or
+// the few it merges); Delete re-partitions its component
 // (a removal can split it) and dirties each part; Flush repairs
 // exactly the dirty components and atomically publishes the converged
 // selection. Reads (Selection, Size, IsRepresentative) are lock-free
@@ -217,14 +219,12 @@
 // After Flush the selection is property-tested to be identical to
 // Select(r, WithSelectMode(SelectComponents)) run from scratch over
 // the live points: incremental maintenance is an optimisation, never a
-// different answer. Incremental repair requires a grid-servable metric
-// (Euclidean, Manhattan, Chebyshev) and runs on the coverage-graph
+// different answer. Incremental repair runs on the coverage-graph
 // substrate; requesting any other index is an error. On the 50k
 // clustered reference workload the Updater sustains ~1,205 updates/sec
 // on a single core with per-operation convergence (repair p50 0.0075
 // ms, p99 4.8 ms — BENCH_PR6.json, guarded in CI). Stream wraps an
-// Updater with per-operation convergence for grid-servable metrics
-// and falls back to an arrival-order M-tree maintainer otherwise;
+// Updater with per-operation convergence;
 // Updater.WriteSnapshot compacts tombstones into a standard .discsnap
 // (refusing while repairs are pending), and discserve exposes the
 // whole lifecycle under /v1/live. docs/ARCHITECTURE.md walks the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -16,11 +17,18 @@ import (
 // LiveDisC maintains an r-DisC diverse selection under inserts and
 // deletes by repairing only the connected components a mutation touches.
 // It is the incremental counterpart of GreedyDisCComponents on the same
-// substrate — mutable grid occupancy (grid.MutGrid), copy-on-write CSR
-// adjacency (grid.DynAdj), component labels — and reproduces the batch
-// algorithm exactly: after Flush, the selection is what
-// GreedyDisCComponents would compute over the live points from scratch
-// (sequence-equal through the monotone id remap of a compaction).
+// substrate — copy-on-write CSR adjacency (grid.DynAdj), component
+// labels — and reproduces the batch algorithm exactly: after Flush, the
+// selection is what GreedyDisCComponents would compute over the live
+// points from scratch (sequence-equal through the monotone id remap of
+// a compaction). Works under every metric.
+//
+// An insert finds its in-range neighbours through one of two sources.
+// Lp metrics (grid.Supports) keep a mutable grid occupancy
+// (grid.MutGrid) and scan the ±1 cell ring, as grid.Join does; every
+// other metric scans the live rows, as grid.FlatJoin does, so a
+// non-Lp insert costs O(n) distance tests. Both test candidates with the
+// compiled kernel, so the adjacency is bit-identical to the batch join's.
 //
 // The unit of invalidation is the connected component, following the
 // decomposition argument of the parallel selection: a dominating set of
@@ -47,7 +55,7 @@ import (
 type LiveDisC struct {
 	r   float64
 	dyn *object.DynDataset
-	mg  *grid.MutGrid
+	mg  *grid.MutGrid // nil: the metric is not grid-servable, inserts scan
 	adj *grid.DynAdj
 
 	label   []int32
@@ -81,9 +89,8 @@ type liveSnap struct {
 	ids   []int
 }
 
-// NewLiveDisC returns an empty maintainer for radius r under m. The
-// metric must be grid-servable (Lp family); the dimensionality is fixed
-// by the first insert.
+// NewLiveDisC returns an empty maintainer for radius r under m; the
+// dimensionality is fixed by the first insert.
 func NewLiveDisC(m object.Metric, r float64) (*LiveDisC, error) {
 	return finished(NewLiveReplay(m, r))
 }
@@ -129,14 +136,22 @@ func NewLiveReplay(m object.Metric, r float64) (*LiveReplay, error) {
 	return newLiveReplay(dyn, nil, r, 0)
 }
 
-// SeedLiveReplay starts a replay from flat, running the grid build and
-// ε-join (see SeedLiveDisC).
+// SeedLiveReplay starts a replay from flat, running the ε-join (see
+// SeedLiveDisC): the grid build and cell join for Lp metrics, the flat
+// join for every other metric.
 func SeedLiveReplay(flat *object.FlatDataset, r float64, workers int) (*LiveReplay, error) {
-	g, err := grid.Build(flat, r)
-	if err != nil {
-		return nil, err
+	var csr *grid.CSR
+	var joinAcc int64
+	var err error
+	if grid.Supports(flat.Metric()) {
+		var g *grid.Grid
+		if g, err = grid.Build(flat, r); err != nil {
+			return nil, err
+		}
+		csr, joinAcc, err = grid.Join(g, r, workers)
+	} else {
+		csr, joinAcc, err = grid.FlatJoin(flat, r, workers)
 	}
-	csr, joinAcc, err := grid.Join(g, r, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -149,6 +164,8 @@ func SeedLiveReplay(flat *object.FlatDataset, r float64, workers int) (*LiveRepl
 // is structurally validated and the component decomposition recomputed
 // from it by Finish (never trusted from the caller), so a tampered or
 // stale adjacency fails here rather than corrupting repairs later.
+// Only NaN and distances above r are refused: cosine and dot-product
+// distances between parallel vectors may round a few ulps below zero.
 func RestoreLiveReplay(flat *object.FlatDataset, csr *grid.CSR, r float64) (*LiveReplay, error) {
 	n := flat.Len()
 	if len(csr.Offsets) != n+1 || csr.Offsets[0] != 0 {
@@ -166,17 +183,24 @@ func RestoreLiveReplay(flat *object.FlatDataset, csr *grid.CSR, r float64) (*Liv
 		if nb.ID < 0 || nb.ID >= n {
 			return nil, fmt.Errorf("core: live: adjacency names id %d outside the dataset", nb.ID)
 		}
-		if !(nb.Dist >= 0) || nb.Dist > r {
-			return nil, fmt.Errorf("core: live: adjacency distance %g outside [0, r]", nb.Dist)
+		if !(nb.Dist <= r) {
+			return nil, fmt.Errorf("core: live: adjacency distance %g above r = %g", nb.Dist, r)
 		}
 	}
 	return newLiveReplay(object.DynFromFlat(flat), csr, r, 0)
 }
 
+// newLiveReplay picks the neighbour source: the mutable grid for Lp
+// metrics, the row scan (mg == nil) for every other metric.
 func newLiveReplay(dyn *object.DynDataset, csr *grid.CSR, r float64, accesses int64) (*LiveReplay, error) {
-	mg, err := grid.NewMutGrid(dyn, r)
-	if err != nil {
-		return nil, err
+	var mg *grid.MutGrid
+	if grid.Supports(dyn.Metric()) {
+		var err error
+		if mg, err = grid.NewMutGrid(dyn, r); err != nil {
+			return nil, err
+		}
+	} else if r < 0 || math.IsNaN(r) || math.IsInf(r, 0) {
+		return nil, fmt.Errorf("core: live: invalid radius %g", r)
 	}
 	return &LiveReplay{l: &LiveDisC{
 		r:        r,
@@ -245,6 +269,10 @@ func (l *LiveDisC) Alive(id int) bool { return l.dyn.Alive(id) }
 // Point returns the coordinates of object id (tombstones included).
 func (l *LiveDisC) Point(id int) object.Point { return l.dyn.Point(id).Clone() }
 
+// Gridded reports whether inserts find their neighbours through the
+// grid occupancy (Lp metrics) rather than the row scan.
+func (l *LiveDisC) Gridded() bool { return l.mg != nil }
+
 // Pending returns the number of components awaiting repair.
 func (l *LiveDisC) Pending() int { return len(l.dirty) }
 
@@ -267,12 +295,17 @@ func (l *LiveDisC) Insert(p object.Point) (int, error) {
 }
 
 // splice is the substrate step of an insert, shared by the live path
-// and replay: append p, splice it into the adjacency and the grid. It
-// leaves p's in-range neighbours in l.qbuf.
+// and replay: append p, splice it into the adjacency and the grid (when
+// there is one). It leaves p's in-range neighbours in l.qbuf.
 func (l *LiveDisC) splice(p object.Point) (int, error) {
 	id, err := l.dyn.Append(p)
 	if err != nil {
 		return 0, err
+	}
+	if l.mg == nil {
+		l.qbuf = l.scanRange(l.qbuf[:0], p, id)
+		l.adj.AddVertex(id, l.qbuf)
+		return id, nil
 	}
 	if l.gs == nil {
 		l.gs = grid.NewScratch(l.dyn.Dim())
@@ -281,6 +314,29 @@ func (l *LiveDisC) splice(p object.Point) (int, error) {
 	l.adj.AddVertex(id, l.qbuf)
 	l.mg.Insert(id)
 	return id, nil
+}
+
+// scanRange is the neighbour source for metrics the grid cannot serve:
+// it appends every live row within r of q, excluding id exclude, in
+// ascending id order. Candidates pass the test MutGrid.AppendRange
+// applies (kernel Within, then Finish(Raw) against r), so the
+// distances are bit-identical to grid.FlatJoin's.
+func (l *LiveDisC) scanRange(dst []object.Neighbor, q []float64, exclude int) []object.Neighbor {
+	k := l.dyn.Kernel()
+	rawR := k.RawThreshold(l.r)
+	for id := range l.dyn.Slots() {
+		if id == exclude || !l.dyn.Alive(id) {
+			continue
+		}
+		l.accesses++
+		row := l.dyn.Row(id)
+		if k.Within(q, row, rawR) {
+			if d := k.Finish(k.Raw(row, q)); d <= l.r {
+				dst = append(dst, object.Neighbor{ID: id, Dist: d})
+			}
+		}
+	}
+	return dst
 }
 
 // join is the component step of an insert: union the components of the
@@ -346,7 +402,8 @@ func (l *LiveDisC) Delete(id int) error {
 
 // unsplice is the substrate step of a delete, shared by the live path
 // and replay: check id is live, then remove it from the adjacency, the
-// dataset and the grid. It leaves id's former neighbours in l.grey.
+// dataset and the grid (when there is one). It leaves id's former
+// neighbours in l.grey.
 func (l *LiveDisC) unsplice(id int) error {
 	if !l.dyn.Alive(id) {
 		return fmt.Errorf("core: live: id %d is not a live object", id)
@@ -363,7 +420,9 @@ func (l *LiveDisC) unsplice(id int) error {
 	if err := l.dyn.Delete(id); err != nil {
 		return err
 	}
-	l.mg.Remove(id)
+	if l.mg != nil {
+		l.mg.Remove(id)
+	}
 	return nil
 }
 
@@ -639,10 +698,11 @@ func (l *LiveDisC) OrderedSelection() []int {
 // Compact squeezes the tombstones out of every maintained structure:
 // the live rows become a dense FlatDataset, the adjacency a canonical
 // CSR, the labels a canonical grid.Components — all in the new id space
-// of the returned remap (monotone over live ids). A from-scratch
-// grid.Build + grid.Join + ComponentsOfCSR over the returned dataset
-// yields bit-identical structures whenever the incremental maintenance
-// is correct; the conformance tests assert exactly that.
+// of the returned remap (monotone over live ids). A from-scratch join
+// (grid.Join, or grid.FlatJoin for metrics the grid cannot serve) and
+// ComponentsOfCSR over the returned dataset yield bit-identical
+// structures whenever the incremental maintenance is correct; the
+// conformance tests assert exactly that.
 func (l *LiveDisC) Compact() (*object.FlatDataset, []int32, *grid.CSR, *grid.Components, error) {
 	flat, remap, err := l.dyn.CompactFlat()
 	if err != nil {

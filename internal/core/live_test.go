@@ -10,11 +10,18 @@ import (
 	"github.com/discdiversity/disc/internal/object"
 )
 
-// batchReference runs the from-scratch pipeline (grid build, ε-join,
-// canonical components, component-decomposed greedy) over a dense
-// dataset, returning the structures the incremental path must reproduce.
-func batchReference(t *testing.T, flat *object.FlatDataset, r float64) (*grid.CSR, *grid.Components, []int) {
+// batchJoin runs the from-scratch ε-join the seed path uses for flat's
+// metric: the grid build and cell join for Lp metrics, the flat join
+// for every other metric.
+func batchJoin(t *testing.T, flat *object.FlatDataset, r float64) *grid.CSR {
 	t.Helper()
+	if !grid.Supports(flat.Metric()) {
+		csr, _, err := grid.FlatJoin(flat, r, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return csr
+	}
 	g, err := grid.Build(flat, r)
 	if err != nil {
 		t.Fatal(err)
@@ -23,6 +30,15 @@ func batchReference(t *testing.T, flat *object.FlatDataset, r float64) (*grid.CS
 	if err != nil {
 		t.Fatal(err)
 	}
+	return csr
+}
+
+// batchReference runs the from-scratch pipeline (ε-join, canonical
+// components, component-decomposed greedy) over a dense dataset,
+// returning the structures the incremental path must reproduce.
+func batchReference(t *testing.T, flat *object.FlatDataset, r float64) (*grid.CSR, *grid.Components, []int) {
+	t.Helper()
+	csr := batchJoin(t, flat, r)
 	comp := grid.ComponentsOfCSR(csr, flat.Len(), r)
 	sol := newSolution(flat.Len(), r, "ref")
 	ids, _ := runComponentRange(csr, comp, 0, comp.Count, r, sol, newComponentScratch(flat.Len()), nil)
@@ -87,6 +103,9 @@ func TestLiveDisCMatchesBatchUnderInterleavings(t *testing.T) {
 		{2, object.Euclidean{}, 0.12},
 		{2, object.Manhattan{}, 0.15},
 		{3, object.Chebyshev{}, 0.2},
+		{12, object.Hamming{}, 2},
+		{4, object.Cosine{}, 0.01},
+		{3, object.DotProduct{}, 0.4},
 	} {
 		rng := rand.New(rand.NewPCG(11, uint64(tc.dim)))
 		l, err := NewLiveDisC(tc.m, tc.r)
@@ -96,11 +115,7 @@ func TestLiveDisCMatchesBatchUnderInterleavings(t *testing.T) {
 		var live []int
 		for step := 0; step < 400; step++ {
 			if len(live) == 0 || rng.Float64() < 0.68 {
-				p := make(object.Point, tc.dim)
-				for i := range p {
-					p[i] = rng.Float64()
-				}
-				id, err := l.Insert(p)
+				id, err := l.Insert(randomPointFor(rng, tc.m, tc.dim))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -240,5 +255,180 @@ func TestLiveDisCStalenessSemantics(t *testing.T) {
 	}
 	if err := l.Verify(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The properties of the online problem (Section 8): after every
+// flushed insert or delete the selection is an r-DisC diverse subset of
+// the live objects, and deleting a representative repairs coverage.
+
+func TestOnlineAddMaintainsInvariant(t *testing.T) {
+	for _, m := range []object.Metric{object.Euclidean{}, object.Cosine{}} {
+		l, err := NewLiveDisC(m, 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range randomPoints(300, 2, 60) {
+			if _, err := l.Insert(p); err != nil {
+				t.Fatal(err)
+			}
+			l.Flush()
+			// Verify after every 25th insertion (full check is O(n·|S|)).
+			if i%25 == 0 {
+				if err := l.Verify(); err != nil {
+					t.Fatalf("%s: after %d inserts: %v", m.Name(), i+1, err)
+				}
+			}
+		}
+		if err := l.Verify(); err != nil {
+			t.Fatal(err)
+		}
+		if l.Len() != 300 {
+			t.Errorf("%s: live count %d", m.Name(), l.Len())
+		}
+		if l.Size() == 0 || l.Size() != len(l.Selection()) {
+			t.Errorf("%s: size %d vs %d representatives", m.Name(), l.Size(), len(l.Selection()))
+		}
+	}
+}
+
+func TestOnlineRemoveGrey(t *testing.T) {
+	l, err := NewLiveDisC(object.Euclidean{}, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := l.Insert(object.Point{0.5, 0.5})
+	b, _ := l.Insert(object.Point{0.55, 0.5})
+	l.Flush()
+	if l.IsRepresentative(b) {
+		t.Fatal("covered newcomer promoted")
+	}
+	if err := l.Delete(b); err != nil {
+		t.Fatal(err)
+	}
+	l.Flush()
+	if l.Size() != 1 || !l.IsRepresentative(a) {
+		t.Error("removing a grey object disturbed the representatives")
+	}
+	if err := l.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestOnlineRemoveRepresentativeRepairs(t *testing.T) {
+	l, err := NewLiveDisC(object.Euclidean{}, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A representative with two dependents on opposite sides.
+	center, _ := l.Insert(object.Point{0.5, 0.5})
+	left, _ := l.Insert(object.Point{0.42, 0.5})
+	right, _ := l.Insert(object.Point{0.58, 0.5})
+	l.Flush()
+	if l.Size() != 1 || !l.IsRepresentative(center) {
+		t.Fatalf("setup: %v selected", l.Selection())
+	}
+	if err := l.Delete(center); err != nil {
+		t.Fatal(err)
+	}
+	l.Flush()
+	if err := l.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	// left and right are 0.16 apart (> r): each must now cover itself.
+	if !l.IsRepresentative(left) || !l.IsRepresentative(right) {
+		t.Errorf("repair failed: left=%v right=%v",
+			l.IsRepresentative(left), l.IsRepresentative(right))
+	}
+}
+
+func TestOnlineRandomChurnKeepsInvariant(t *testing.T) {
+	for _, tc := range []struct {
+		m   object.Metric
+		dim int
+		r   float64
+	}{
+		{object.Euclidean{}, 2, 0.08},
+		{object.Hamming{}, 12, 2},
+		{object.Cosine{}, 3, 0.01},
+	} {
+		l, err := NewLiveDisC(tc.m, tc.r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewPCG(9, 9))
+		var liveIDs []int
+		for step := 0; step < 400; step++ {
+			if len(liveIDs) == 0 || rng.Float64() < 0.7 {
+				id, err := l.Insert(randomPointFor(rng, tc.m, tc.dim))
+				if err != nil {
+					t.Fatal(err)
+				}
+				liveIDs = append(liveIDs, id)
+			} else {
+				k := rng.IntN(len(liveIDs))
+				id := liveIDs[k]
+				liveIDs = append(liveIDs[:k], liveIDs[k+1:]...)
+				if err := l.Delete(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			l.Flush()
+			if step%40 == 0 {
+				if err := l.Verify(); err != nil {
+					t.Fatalf("%s: step %d: %v", tc.m.Name(), step, err)
+				}
+			}
+		}
+		if err := l.Verify(); err != nil {
+			t.Fatal(err)
+		}
+		if l.Len() != len(liveIDs) {
+			t.Errorf("%s: live %d, want %d", tc.m.Name(), l.Len(), len(liveIDs))
+		}
+	}
+}
+
+func TestOnlineValidation(t *testing.T) {
+	if _, err := NewLiveDisC(nil, 0.1); err == nil {
+		t.Error("nil metric accepted")
+	}
+	for _, m := range []object.Metric{object.Euclidean{}, object.Hamming{}} {
+		if _, err := NewLiveDisC(m, -1); err == nil {
+			t.Errorf("%s: negative radius accepted", m.Name())
+		}
+		l, err := NewLiveDisC(m, 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Delete(0); err == nil {
+			t.Errorf("%s: removing unknown id accepted", m.Name())
+		}
+		id, _ := l.Insert(object.Point{0.1, 0.1})
+		if err := l.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+		l.Flush()
+		if err := l.Delete(id); err == nil {
+			t.Errorf("%s: double removal accepted", m.Name())
+		}
+		if l.IsRepresentative(id) {
+			t.Errorf("%s: removed object still a representative", m.Name())
+		}
+		if _, err := l.Insert(object.Point{0.1, 0.2, 0.3}); err == nil {
+			t.Errorf("%s: dimension mismatch accepted", m.Name())
+		}
+	}
+}
+
+func TestOnlineEmptyVerify(t *testing.T) {
+	for _, m := range []object.Metric{object.Euclidean{}, object.Cosine{}} {
+		l, err := NewLiveDisC(m, 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Verify(); err != nil {
+			t.Errorf("%s: empty maintainer invalid: %v", m.Name(), err)
+		}
 	}
 }

@@ -1,12 +1,12 @@
 package core
 
 import (
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"slices"
 	"testing"
 
-	"github.com/discdiversity/disc/internal/grid"
 	"github.com/discdiversity/disc/internal/object"
 )
 
@@ -31,16 +31,42 @@ type replayScenario struct {
 	splits []int
 }
 
-// scriptedPoint places a point on the line y = 2.5 (axis 1), far from
-// the random points in [0,1]^d, so the scripted components stay apart
-// from them: points differing only on axis 0 are |dx| apart under every
-// Lp metric.
-func scriptedPoint(dim int, x float64) object.Point {
+// scriptedPoint places a point at position x, in units of r, on a line
+// along which m's distance grows with the position gap and which no
+// point of randomPointFor comes within r of, so the scripted components
+// stay apart from the random ones:
+//   - Lp: axis 0 at x·r, axis 1 at 2.5, the rest at 0.5 (random points
+//     lie in [0,1]^d). Points differing only on axis 0 are |Δx|·r apart.
+//   - Hamming: a thermometer code over {5, 6} (random points are
+//     binary) with round(x·r) leading sixes. Two codes differ in the
+//     gap of their counts.
+//   - cosine: the angle x·θr in the plane of axes 0 and 1, every other
+//     axis at -1 (random points lie in the positive orthant, so their
+//     cosine similarity to it is at most 1/√(dim-1)). Two such points
+//     are (1-cos Δθ)/(dim-1) apart, which is r at Δθ = θr.
+func scriptedPoint(m object.Metric, dim int, r, x float64) object.Point {
 	p := make(object.Point, dim)
-	for i := range p {
-		p[i] = 0.5
+	switch m.(type) {
+	case object.Hamming:
+		k := int(math.Round(x * r))
+		for i := range p {
+			p[i] = 5
+			if i < k {
+				p[i] = 6
+			}
+		}
+	case object.Cosine:
+		theta := x * math.Acos(1-r*float64(dim-1))
+		for i := range p {
+			p[i] = -1
+		}
+		p[0], p[1] = math.Cos(theta), math.Sin(theta)
+	default:
+		for i := range p {
+			p[i] = 0.5
+		}
+		p[0], p[1] = x*r, 2.5
 	}
-	p[0], p[1] = x, 2.5
 	return p
 }
 
@@ -52,19 +78,43 @@ func randomPoint(rng *rand.Rand, dim int) object.Point {
 	return p
 }
 
+// randomPointFor draws a point suited to m: binary coordinates under
+// Hamming, a unit vector under dot product (the dissimilarity is meant
+// for normalised embeddings; on them no object is farther than r from
+// itself), [0,1)^dim otherwise.
+func randomPointFor(rng *rand.Rand, m object.Metric, dim int) object.Point {
+	p := randomPoint(rng, dim)
+	switch m.(type) {
+	case object.Hamming:
+		for i := range p {
+			p[i] = math.Floor(2 * p[i])
+		}
+	case object.DotProduct:
+		var n float64
+		for i := range p {
+			p[i] = 2*p[i] - 1
+			n += p[i] * p[i]
+		}
+		for i := range p {
+			p[i] /= math.Sqrt(n)
+		}
+	}
+	return p
+}
+
 // newReplayScenario draws n random base points, appends a three-point
 // chain and two components one bridge apart, and builds a tail of
 // random inserts and deletes (of base and of tail ids) around the
 // scripted ops: the bridging insert, the delete of the chain's middle
 // (a checkpointed id) and the delete of the bridge (a tail id).
-func newReplayScenario(rng *rand.Rand, dim, n, ops int, r float64) replayScenario {
+func newReplayScenario(rng *rand.Rand, m object.Metric, dim, n, ops int, r float64) replayScenario {
 	var sc replayScenario
 	for i := 0; i < n; i++ {
-		sc.base = append(sc.base, randomPoint(rng, dim))
+		sc.base = append(sc.base, randomPointFor(rng, m, dim))
 	}
 	chain := len(sc.base)
-	for _, x := range []float64{0, 0.8 * r, 1.6 * r, 4 * r, 5.5 * r} {
-		sc.base = append(sc.base, scriptedPoint(dim, x))
+	for _, x := range []float64{0, 0.8, 1.6, 4, 5.5} {
+		sc.base = append(sc.base, scriptedPoint(m, dim, r, x))
 	}
 	live := make([]int, 0, len(sc.base)+ops)
 	for id := 0; id < n; id++ { // scripted ids are deleted only by script
@@ -74,7 +124,7 @@ func newReplayScenario(rng *rand.Rand, dim, n, ops int, r float64) replayScenari
 	random := func(k int) {
 		for ; k > 0; k-- {
 			if len(live) == 0 || rng.Float64() < 0.6 {
-				sc.tail = append(sc.tail, replayOp{p: randomPoint(rng, dim)})
+				sc.tail = append(sc.tail, replayOp{p: randomPointFor(rng, m, dim)})
 				live = append(live, next)
 				next++
 				continue
@@ -87,7 +137,7 @@ func newReplayScenario(rng *rand.Rand, dim, n, ops int, r float64) replayScenari
 	random(ops / 3)
 	sc.merge = len(sc.tail)
 	bridge := next
-	sc.tail = append(sc.tail, replayOp{p: scriptedPoint(dim, 4.75*r)})
+	sc.tail = append(sc.tail, replayOp{p: scriptedPoint(m, dim, r, 4.75)})
 	next++
 	random(ops / 3)
 	sc.splits = append(sc.splits, len(sc.tail))
@@ -196,24 +246,20 @@ func TestLiveReplayMatchesIncremental(t *testing.T) {
 		{"euclidean-2d", object.Euclidean{}, 2, 0.06, 400},
 		{"manhattan-2d", object.Manhattan{}, 2, 0.08, 300},
 		{"chebyshev-3d", object.Chebyshev{}, 3, 0.12, 300},
+		{"hamming-12d", object.Hamming{}, 12, 2, 300},
+		{"cosine-4d", object.Cosine{}, 4, 0.02, 300},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 3; seed++ {
 				rng := rand.New(rand.NewPCG(seed, uint64(tc.dim)))
-				sc := newReplayScenario(rng, tc.dim, tc.n, 240, tc.r)
+				sc := newReplayScenario(rng, tc.m, tc.dim, tc.n, 240, tc.r)
 				flat, err := object.Flatten(sc.base, tc.m)
 				if err != nil {
 					t.Fatal(err)
 				}
-				// The checkpoint persists the joined coverage graph.
-				g, err := grid.Build(flat, tc.r)
-				if err != nil {
-					t.Fatal(err)
-				}
-				csr, _, err := grid.Join(g, tc.r, 2)
-				if err != nil {
-					t.Fatal(err)
-				}
+				// The checkpoint persists the coverage graph the seed
+				// joins.
+				csr := batchJoin(t, flat, tc.r)
 				for _, tail := range [][]replayOp{nil, sc.tail} {
 					merge, splits := -1, []int(nil)
 					if tail != nil {
@@ -255,7 +301,7 @@ func TestLiveReplayMatchesIncremental(t *testing.T) {
 				// Recovered state keeps converging to the batch answer.
 				for step := 0; step < 30; step++ {
 					if rng.Float64() < 0.5 {
-						if _, err := got.Insert(randomPoint(rng, tc.dim)); err != nil {
+						if _, err := got.Insert(randomPointFor(rng, tc.m, tc.dim)); err != nil {
 							t.Fatal(err)
 						}
 					} else {

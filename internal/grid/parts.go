@@ -142,8 +142,9 @@ func FromParts(flat *object.FlatDataset, p Parts) (*Grid, error) {
 // adjacency for an n-point coverage graph built at radius r: the offsets
 // must be a nondecreasing span of the packed array, and every row must
 // hold strictly ascending neighbour ids in [0, n) excluding the row's
-// own id, with distances in [0, r]. The NaN case is rejected by the
-// range comparison. O(edges).
+// own id, with distances at most r. A negative distance is accepted:
+// cosine and dot-product distances between parallel vectors may round a
+// few ulps below zero. NaN is rejected by the comparison. O(edges).
 func (c *CSR) Validate(n int, r float64) error {
 	if len(c.Offsets) != n+1 {
 		return fmt.Errorf("grid: csr: %d offsets for %d points", len(c.Offsets), n)
@@ -162,8 +163,8 @@ func (c *CSR) Validate(n int, r float64) error {
 				return fmt.Errorf("grid: csr: point %d has an invalid neighbour list", id)
 			}
 			prev = nb.ID
-			if !(nb.Dist >= 0 && nb.Dist <= r) {
-				return fmt.Errorf("grid: csr: point %d records neighbour %d at distance %g outside [0, %g]", id, nb.ID, nb.Dist, r)
+			if !(nb.Dist <= r) {
+				return fmt.Errorf("grid: csr: point %d records neighbour %d at distance %g above %g", id, nb.ID, nb.Dist, r)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"math"
 	"testing"
 
 	"github.com/discdiversity/disc/internal/object"
@@ -132,7 +133,7 @@ func TestCSRValidate(t *testing.T) {
 		{"id out of range", func(c *CSR) { c.Nbrs[first].ID = flat.Len() }},
 		{"self loop", func(c *CSR) { c.Nbrs[first].ID = row }},
 		{"distance beyond radius", func(c *CSR) { c.Nbrs[first].Dist = 1e9 }},
-		{"negative distance", func(c *CSR) { c.Nbrs[first].Dist = -0.5 }},
+		{"NaN distance", func(c *CSR) { c.Nbrs[first].Dist = math.NaN() }},
 	}
 	for _, tc := range cases {
 		c := clone()
@@ -140,5 +141,12 @@ func TestCSRValidate(t *testing.T) {
 		if err := c.Validate(flat.Len(), 0.12); err == nil {
 			t.Fatalf("%s: accepted", tc.name)
 		}
+	}
+	// Cosine and dot-product distances between parallel vectors round a
+	// few ulps below zero, so a negative distance is not corruption.
+	c := clone()
+	c.Nbrs[first].Dist = -0x1p-52
+	if err := c.Validate(flat.Len(), 0.12); err != nil {
+		t.Fatalf("negative distance rejected: %v", err)
 	}
 }

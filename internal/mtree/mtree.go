@@ -167,9 +167,8 @@ type Tree struct {
 	rng       *rand.Rand
 	tracking  bool       // coverage (white-count) tracking enabled
 	white     bitset.Set // per-object uncovered flag (tracking only)
-	// kern is the distance kernel compiled once the dimensionality is
-	// known (at New for a non-empty universe, at the first Add
-	// otherwise); query paths use it instead of Metric interface
+	// kern is the distance kernel, compiled at New for a non-empty
+	// universe; query paths use it instead of Metric interface
 	// dispatch.
 	kern object.Kernel
 }
@@ -252,27 +251,6 @@ func (t *Tree) Accesses() int64 { return t.accesses }
 func (t *Tree) ResetAccesses() { t.accesses = 0 }
 
 func (t *Tree) touch(*node) { t.accesses++ }
-
-// Add appends a new point to the tree's universe and indexes it,
-// returning its assigned id. It enables streaming use where the point set
-// is not known up front. The tree grows its own copy of the universe; the
-// original slice passed to New is never reallocated from under the
-// caller.
-func (t *Tree) Add(p object.Point) (int, error) {
-	if len(t.pts) > 0 && len(p) != len(t.pts[0]) {
-		return 0, fmt.Errorf("mtree: point dimension %d, want %d", len(p), len(t.pts[0]))
-	}
-	id := len(t.pts)
-	t.pts = append(t.pts, p)
-	t.loc = append(t.loc, locator{idx: -1})
-	if !t.kern.Compiled() {
-		t.kern = object.CompileKernel(t.cfg.Metric, len(p))
-	}
-	if t.tracking {
-		t.white.Grow(len(t.pts)) // Insert marks it white
-	}
-	return id, t.Insert(id)
-}
 
 // Insert adds object id to the index.
 func (t *Tree) Insert(id int) error {

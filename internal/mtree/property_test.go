@@ -74,36 +74,6 @@ func TestIncrementalInsertQueryInterleaving(t *testing.T) {
 	}
 }
 
-// TestAddGrowsUniverse: the streaming Add API assigns dense ids and keeps
-// queries exact.
-func TestAddGrowsUniverse(t *testing.T) {
-	tr, err := New(DefaultConfig(object.Euclidean{}), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewPCG(12, 12))
-	var pts []object.Point
-	for i := 0; i < 300; i++ {
-		p := object.Point{rng.Float64(), rng.Float64()}
-		id, err := tr.Add(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if id != i {
-			t.Fatalf("id %d, want %d", id, i)
-		}
-		pts = append(pts, p)
-	}
-	got := neighborIDs(tr.RangeQuery(object.Point{0.5, 0.5}, 0.2))
-	want := bruteNeighbors(pts, object.Euclidean{}, object.Point{0.5, 0.5}, 0.2, -1)
-	if !equalIDs(got, want) {
-		t.Fatalf("got %d want %d results", len(got), len(want))
-	}
-	if _, err := tr.Add(object.Point{1, 2, 3}); err == nil {
-		t.Error("dimension mismatch accepted")
-	}
-}
-
 // TestLeafChainAfterHeavySplitting: the leaf chain must remain a
 // consistent doubly linked list spanning all objects no matter how many
 // splits occur.

@@ -15,6 +15,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -127,6 +128,148 @@ func TestLiveCrashRestart(t *testing.T) {
 		t.Fatalf("live count after checkpointed restart = %d, want 28", info3.Live)
 	}
 	if err := srv3.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLiveNonLpCrashRestart runs the durability loop for metrics the
+// grid cannot serve: durable hamming and cosine maintainers are
+// mutated, checkpointed, mutated again (a WAL tail), and abandoned. A
+// fresh server over the same directory must recover, for each, the
+// selection an Updater reaches replaying the same ops in the recovered
+// id space: the checkpoint's live points seeded densely, then the tail.
+func TestLiveNonLpCrashRestart(t *testing.T) {
+	type op struct {
+		p  []float64 // insert p, or (p == nil) delete the handle id
+		id int
+	}
+	cases := []struct {
+		metric string
+		r      float64
+		point  func(*rand.Rand) []float64
+	}{
+		{"hamming", 2, func(rng *rand.Rand) []float64 {
+			p := make([]float64, 10)
+			for i := range p {
+				p[i] = float64(rng.IntN(2))
+			}
+			return p
+		}},
+		{"cosine", 0.02, func(rng *rand.Rand) []float64 {
+			return []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+		}},
+	}
+	dir := t.TempDir()
+	rng := rand.New(rand.NewPCG(21, 5))
+	srv := New(WithDataDir(dir))
+	ts := httptest.NewServer(srv.Handler())
+	want := make(map[string][]int)
+	for _, tc := range cases {
+		doJSON(t, "POST", ts.URL+"/v1/live",
+			map[string]any{"name": tc.metric, "radius": tc.r, "metric": tc.metric}, http.StatusCreated, nil)
+		// pts[h] is the point behind server handle h; alive tracks it.
+		var pts [][]float64
+		var alive []bool
+		mutate := func(n int) []op {
+			var ops []op
+			for i := 0; i < n; i++ {
+				if len(pts) > 0 && rng.Float64() < 0.3 {
+					h := rng.IntN(len(pts))
+					if !alive[h] {
+						continue
+					}
+					doJSON(t, "POST", ts.URL+"/v1/live/"+tc.metric+"/delete",
+						map[string]any{"id": h}, http.StatusOK, nil)
+					alive[h] = false
+					ops = append(ops, op{id: h})
+					continue
+				}
+				p := tc.point(rng)
+				var body struct {
+					ID int `json:"id"`
+				}
+				doJSON(t, "POST", ts.URL+"/v1/live/"+tc.metric+"/insert",
+					map[string]any{"point": p}, http.StatusCreated, &body)
+				if body.ID != len(pts) {
+					t.Fatalf("%s: insert got handle %d, want %d", tc.metric, body.ID, len(pts))
+				}
+				pts, alive = append(pts, p), append(alive, true)
+				ops = append(ops, op{p: p})
+			}
+			return ops
+		}
+		mutate(150)
+		doJSON(t, "POST", ts.URL+"/v1/live/"+tc.metric+"/snapshot", nil, http.StatusCreated, nil)
+		// The replay seeds the checkpoint's live points densely, in
+		// handle order: that is the id space recovery speaks.
+		var seed []disc.Point
+		replayID := make(map[int]int)
+		for h, p := range pts {
+			if alive[h] {
+				replayID[h] = len(seed)
+				seed = append(seed, disc.Point(p))
+			}
+		}
+		checkpointed := len(pts)
+		tail := mutate(60)
+		doJSON(t, "POST", ts.URL+"/v1/live/"+tc.metric+"/flush", nil, http.StatusOK, nil)
+
+		m, err := disc.MetricByName(tc.metric)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u, err := disc.NewUpdater(seed, tc.r, disc.WithMetric(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := len(seed)
+		for h := checkpointed; h < len(pts); h++ {
+			replayID[h] = next
+			next++
+		}
+		for _, o := range tail {
+			if o.p != nil {
+				if _, err := u.Insert(disc.Point(o.p)); err != nil {
+					t.Fatal(err)
+				}
+			} else if err := u.Delete(replayID[o.id]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		u.Flush()
+		want[tc.metric] = u.Selection()
+		if len(want[tc.metric]) == 0 {
+			t.Fatalf("%s: replay selects nothing", tc.metric)
+		}
+
+		// The running server answers the same selection in handle space.
+		var before liveSelection
+		doJSON(t, "GET", ts.URL+"/v1/live/"+tc.metric+"/selection", nil, http.StatusOK, &before)
+		mapped := make([]int, len(before.IDs))
+		for i, h := range before.IDs {
+			mapped[i] = replayID[h]
+		}
+		if !slices.Equal(mapped, want[tc.metric]) {
+			t.Fatalf("%s: served selection %v, replay %v", tc.metric, mapped, want[tc.metric])
+		}
+	}
+	// Crash: stop routing requests, abandon srv un-Closed.
+	ts.Close()
+
+	srv2 := New(WithDataDir(dir))
+	if n, err := srv2.RestoreLive(); err != nil || n != len(cases) {
+		t.Fatalf("restored %d maintainers (err %v), want %d", n, err, len(cases))
+	}
+	ts2 := httptest.NewServer(srv2.Handler())
+	defer ts2.Close()
+	for _, tc := range cases {
+		var after liveSelection
+		doJSON(t, "GET", ts2.URL+"/v1/live/"+tc.metric+"/selection", nil, http.StatusOK, &after)
+		if !slices.Equal(after.IDs, want[tc.metric]) {
+			t.Fatalf("%s: recovered selection %v, replay %v", tc.metric, after.IDs, want[tc.metric])
+		}
+	}
+	if err := srv2.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -29,7 +29,7 @@
 // from its static.discsnap keeps the index its file records.
 //
 // Live maintainers (incremental r-DisC under inserts/deletes, backed by
-// disc.Updater — grid-servable metrics only):
+// disc.Updater, under any built-in metric):
 //
 //	POST /v1/live                         create {name, radius, metric?, points?}
 //	GET  /v1/live                         list live maintainers

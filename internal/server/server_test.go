@@ -470,9 +470,9 @@ func TestLiveLifecycle(t *testing.T) {
 
 func TestLiveValidation(t *testing.T) {
 	ts := newTestServer(t)
-	// Non-grid metric cannot ride the incremental path.
+	// Unknown metric.
 	doJSON(t, "POST", ts.URL+"/v1/live",
-		map[string]any{"name": "h", "radius": 1.0, "metric": "hamming"},
+		map[string]any{"name": "h", "radius": 1.0, "metric": "jaccard"},
 		http.StatusBadRequest, nil)
 	// Negative radius.
 	doJSON(t, "POST", ts.URL+"/v1/live",

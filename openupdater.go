@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/discdiversity/disc/internal/core"
-	"github.com/discdiversity/disc/internal/grid"
 	"github.com/discdiversity/disc/internal/object"
 	"github.com/discdiversity/disc/internal/snap"
 	"github.com/discdiversity/disc/internal/vfs"
@@ -203,9 +202,6 @@ func OpenUpdater(snapshotPath, walPath string, r float64, opts ...Option) (*Upda
 		}
 	} else if metric == nil {
 		metric = Euclidean()
-	}
-	if !grid.Supports(metric) {
-		return nil, fmt.Errorf("disc: updater: metric %q does not dominate per-coordinate differences; incremental repair needs the grid substrate (use Euclidean, Manhattan or Chebyshev)", metric.Name())
 	}
 
 	epoch := uint64(0)

@@ -1,11 +1,6 @@
 package disc
 
-import (
-	"fmt"
-
-	"github.com/discdiversity/disc/internal/core"
-	"github.com/discdiversity/disc/internal/grid"
-)
+import "fmt"
 
 // Stream maintains an r-DisC diverse subset of a changing object stream —
 // the online version of the problem the paper lists as future work.
@@ -13,26 +8,21 @@ import (
 // operation the representative set is a valid r-DisC diverse subset of
 // the live objects.
 //
-// For grid-servable metrics (Euclidean, Manhattan, Chebyshev — the
-// default) a Stream rides the incremental Updater: every operation
-// patches the grid occupancy and CSR adjacency, repairs only the
-// affected components and converges immediately, so the representative
-// set after each call is exactly what a from-scratch component-mode
-// Select over the live objects would choose. Other metrics fall back to
-// the arrival-order online maintainer over an M-tree, which keeps the
-// DisC invariants but makes promotion decisions in arrival order rather
-// than batch-greedy order. Callers that want to batch mutations and
-// control convergence themselves should use Updater directly.
+// A Stream is an Updater that flushes after every operation: each call
+// patches the coverage adjacency, repairs only the affected components
+// and converges immediately, so the representative set after each call
+// is exactly what a from-scratch component-mode Select over the live
+// objects would choose, under every metric. Callers that want to batch
+// mutations and control convergence themselves should use Updater
+// directly.
 //
 // A Stream is not safe for concurrent use.
 type Stream struct {
-	updater *Updater
-	online  *core.OnlineDisC
+	u *Updater
 }
 
 type streamOptions struct {
-	metric   Metric
-	capacity int
+	metric Metric
 }
 
 // StreamOption configures NewStream.
@@ -49,132 +39,81 @@ func StreamMetric(m Metric) StreamOption {
 	}
 }
 
-// StreamCapacity sets the M-tree node capacity of the fallback
-// arrival-order maintainer (default 50). The incremental path has no
-// tree and ignores it.
+// StreamCapacity checks capacity (minimum 4) and otherwise has no
+// effect.
+//
+// Deprecated: a Stream keeps no tree; it once sized the node capacity
+// of an M-tree maintainer that is gone.
 func StreamCapacity(capacity int) StreamOption {
-	return func(o *streamOptions) error {
+	return func(*streamOptions) error {
 		if capacity < 4 {
 			return fmt.Errorf("disc: stream capacity %d below minimum 4", capacity)
 		}
-		o.capacity = capacity
 		return nil
 	}
 }
 
 // NewStream creates an empty online maintainer for radius r.
 func NewStream(r float64, opts ...StreamOption) (*Stream, error) {
-	o := streamOptions{metric: Euclidean(), capacity: 50}
+	o := streamOptions{metric: Euclidean()}
 	for _, opt := range opts {
 		if err := opt(&o); err != nil {
 			return nil, err
 		}
 	}
-	if grid.Supports(o.metric) {
-		u, err := NewUpdater(nil, r, WithMetric(o.metric))
-		if err != nil {
-			return nil, err
-		}
-		return &Stream{updater: u}, nil
-	}
-	online, err := core.NewOnlineDisC(o.metric, r, o.capacity)
+	u, err := NewUpdater(nil, r, WithMetric(o.metric))
 	if err != nil {
 		return nil, err
 	}
-	return &Stream{online: online}, nil
+	return &Stream{u: u}, nil
 }
 
 // Add indexes a new object, returning its assigned id and whether it
 // became a representative.
 func (s *Stream) Add(p Point) (id int, selected bool, err error) {
-	if s.updater != nil {
-		id, err = s.updater.Insert(p)
-		if err != nil {
-			return 0, false, err
-		}
-		s.updater.Flush()
-		return id, s.updater.IsRepresentative(id), nil
+	id, err = s.u.Insert(p)
+	if err != nil {
+		return 0, false, err
 	}
-	return s.online.Add(p)
+	s.u.Flush()
+	return id, s.u.IsRepresentative(id), nil
 }
 
 // Remove retracts a previously added object; retracting a representative
 // repairs coverage locally.
 func (s *Stream) Remove(id int) error {
-	if s.updater != nil {
-		if err := s.updater.Delete(id); err != nil {
-			return err
-		}
-		s.updater.Flush()
-		return nil
+	if err := s.u.Delete(id); err != nil {
+		return err
 	}
-	return s.online.Remove(id)
+	s.u.Flush()
+	return nil
 }
 
 // Radius returns the maintained diversification radius.
-func (s *Stream) Radius() float64 {
-	if s.updater != nil {
-		return s.updater.Radius()
-	}
-	return s.online.Radius()
-}
+func (s *Stream) Radius() float64 { return s.u.Radius() }
 
 // Len returns the number of live objects.
-func (s *Stream) Len() int {
-	if s.updater != nil {
-		return s.updater.Len()
-	}
-	return s.online.Len()
-}
+func (s *Stream) Len() int { return s.u.Len() }
 
 // Size returns the number of current representatives.
-func (s *Stream) Size() int {
-	if s.updater != nil {
-		return s.updater.Size()
-	}
-	return s.online.Size()
-}
+func (s *Stream) Size() int { return s.u.Size() }
 
 // Representatives returns the current representative ids in ascending
 // order.
 func (s *Stream) Representatives() []int {
-	if s.updater != nil {
-		sel := s.updater.Selection()
-		return append([]int(nil), sel...)
-	}
-	return s.online.Representatives()
+	return append([]int(nil), s.u.Selection()...)
 }
 
 // IsRepresentative reports whether live object id is currently selected.
-func (s *Stream) IsRepresentative(id int) bool {
-	if s.updater != nil {
-		return s.updater.IsRepresentative(id)
-	}
-	return s.online.IsRepresentative(id)
-}
+func (s *Stream) IsRepresentative(id int) bool { return s.u.IsRepresentative(id) }
 
 // Point returns the coordinates of object id (including retracted ones).
-func (s *Stream) Point(id int) Point {
-	if s.updater != nil {
-		return s.updater.Point(id)
-	}
-	return s.online.Point(id)
-}
+func (s *Stream) Point(id int) Point { return s.u.Point(id) }
 
-// Accesses returns cumulative index node accesses (objects examined on
-// the incremental path).
-func (s *Stream) Accesses() int64 {
-	if s.updater != nil {
-		return s.updater.Accesses()
-	}
-	return s.online.Accesses()
-}
+// Accesses returns the cumulative objects-examined count across
+// neighbourhood queries and repairs.
+func (s *Stream) Accesses() int64 { return s.u.Accesses() }
 
 // Verify checks the DisC invariants over the live objects by direct
 // distance computation (O(n·|S|); for tests and debugging).
-func (s *Stream) Verify() error {
-	if s.updater != nil {
-		return s.updater.Verify()
-	}
-	return s.online.Verify()
-}
+func (s *Stream) Verify() error { return s.u.Verify() }

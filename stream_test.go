@@ -1,7 +1,10 @@
 package disc_test
 
 import (
+	"math"
 	"math/rand/v2"
+	"slices"
+	"sort"
 	"testing"
 
 	disc "github.com/discdiversity/disc"
@@ -84,6 +87,82 @@ func TestStreamHammingMetric(t *testing.T) {
 	}
 	if err := s.Verify(); err != nil {
 		t.Fatal(err)
+	}
+
+	// Under churn, the representatives are exactly a from-scratch
+	// component-mode Select over the live points.
+	s, err = disc.NewStream(2, disc.StreamMetric(disc.Hamming()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(8, 3))
+	var live []int
+	for step := 0; step < 2000; step++ {
+		if len(live) > 0 && rng.Float64() < 0.2 {
+			k := rng.IntN(len(live))
+			if err := s.Remove(live[k]); err != nil {
+				t.Fatal(err)
+			}
+			live = append(live[:k], live[k+1:]...)
+			continue
+		}
+		p := make(disc.Point, 8)
+		for i := range p {
+			p[i] = float64(rng.IntN(3))
+		}
+		id, _, err := s.Add(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, id)
+	}
+	pts := make([]disc.Point, len(live))
+	for i, id := range live {
+		pts[i] = s.Point(id)
+	}
+	d, err := disc.New(pts, disc.WithIndex(disc.IndexCoverageGraph), disc.WithMetric(disc.Hamming()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := d.Select(2, disc.WithSelectMode(disc.SelectComponents))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]int, 0, res.Size())
+	for _, i := range res.IDs() {
+		want = append(want, live[i])
+	}
+	sort.Ints(want)
+	if got := s.Representatives(); !slices.Equal(got, want) {
+		t.Fatalf("stream keeps %d representatives, component select %d", len(got), len(want))
+	}
+	if err := s.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStreamAcceptsEmbeddingMetrics: the dissimilarities the M-tree
+// refuses run on the same maintainer as every other metric.
+func TestStreamAcceptsEmbeddingMetrics(t *testing.T) {
+	for _, m := range []disc.Metric{disc.Cosine(), disc.InnerProduct()} {
+		s, err := disc.NewStream(0.05, disc.StreamMetric(m))
+		if err != nil {
+			t.Fatalf("%s: %v", m.Name(), err)
+		}
+		rng := rand.New(rand.NewPCG(4, 4))
+		for i := 0; i < 200; i++ {
+			p := disc.Point{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+			n := math.Sqrt(p[0]*p[0] + p[1]*p[1] + p[2]*p[2])
+			for j := range p {
+				p[j] /= n
+			}
+			if _, _, err := s.Add(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Verify(); err != nil {
+			t.Fatalf("%s: %v", m.Name(), err)
+		}
 	}
 }
 

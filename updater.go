@@ -18,9 +18,10 @@ import (
 // Updater maintains an r-DisC diverse selection under live inserts and
 // deletes, repairing only the connected components a mutation touches
 // instead of re-running the batch selection. It is built on the same
-// grid/CSR substrate as IndexCoverageGraph — mutable grid occupancy,
-// spliced CSR adjacency, component labels — and is property-tested to
-// stay exactly equivalent to a rebuild: after Flush, the selection is
+// substrate as IndexCoverageGraph — spliced CSR adjacency, component
+// labels, and a mutable grid occupancy for Euclidean, Manhattan and
+// Chebyshev — and is property-tested to stay exactly equivalent to a
+// rebuild under every built-in metric: after Flush, the selection is
 // the one Select(r, WithSelectMode(SelectComponents)) would compute
 // over the current live points from scratch.
 //
@@ -41,10 +42,7 @@ import (
 // readers alongside one or more writers.
 //
 // Ids are assigned densely at insert and never reused; deleted ids stay
-// tombstoned internally until a snapshot compaction. Only grid-servable
-// metrics (Euclidean, Manhattan, Chebyshev) support incremental repair
-// — for other metrics use Stream's arrival-order maintainer or batch
-// Select.
+// tombstoned internally until a snapshot compaction.
 //
 // Inserts, deletes and Flush repairs feed the process-wide telemetry
 // registry (disc_live_insert_seconds, disc_live_delete_seconds,
@@ -82,7 +80,7 @@ type Updater struct {
 // component labeling, component-decomposed greedy), so the first
 // published selection is exactly the batch selection.
 //
-// Respected options: WithMetric (must be grid-servable), WithParallelism
+// Respected options: WithMetric (any metric), WithParallelism
 // (ε-join sharding for the seed build), WithSeed and WithMTreeCapacity
 // (recorded for snapshot round trips). The index is not configurable —
 // an Updater is the coverage-graph substrate — so WithIndex of anything
@@ -99,9 +97,6 @@ func NewUpdater(points []Point, r float64, opts ...Option) (*Updater, error) {
 	}
 	if o.indexSet && o.index != IndexCoverageGraph {
 		return nil, fmt.Errorf("disc: updater: index %v is not applicable; incremental repair runs on the coverage-graph substrate", o.index)
-	}
-	if !grid.Supports(o.metric) {
-		return nil, fmt.Errorf("disc: updater: metric %q does not dominate per-coordinate differences; incremental repair needs the grid substrate (use Euclidean, Manhattan or Chebyshev)", o.metric.Name())
 	}
 	u := &Updater{metric: o.metric, parallelism: o.parallelism, capacity: o.capacity, seed: o.seed}
 	if len(points) == 0 {
@@ -260,10 +255,10 @@ func (u *Updater) Verify() error {
 // WriteSnapshot persists the updater's compacted state to the .discsnap
 // format (see docs/SNAPSHOT_FORMAT.md): tombstones are squeezed out, so
 // the snapshot carries the live points densely re-identified in
-// ascending id order, together with the grid occupancy, the coverage
-// CSR and the component labels — exactly what a coverage-graph snapshot
-// written by Diversifier.WriteSnapshot after Prepare carries, so
-// LoadDiversifier warm-starts from it directly.
+// ascending id order, together with the grid occupancy (Lp metrics
+// only), the coverage CSR and the component labels — exactly what a
+// coverage-graph snapshot written by Diversifier.WriteSnapshot after
+// Prepare carries, so LoadDiversifier warm-starts from it directly.
 //
 // Snapshotting dirty state would persist a selection the repairs have
 // already invalidated, so WriteSnapshot refuses while Pending > 0; call
@@ -296,11 +291,15 @@ func (u *Updater) buildSnapshot() (*snap.Snapshot, []int32, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("disc: snapshot: %w", err)
 	}
-	g, err := grid.Build(flat, u.live.Radius())
-	if err != nil {
-		return nil, nil, fmt.Errorf("disc: snapshot: %w", err)
+	var parts *grid.Parts
+	if u.live.Gridded() {
+		g, err := grid.Build(flat, u.live.Radius())
+		if err != nil {
+			return nil, nil, fmt.Errorf("disc: snapshot: %w", err)
+		}
+		p := g.Parts()
+		parts = &p
 	}
-	parts := g.Parts()
 	return &snap.Snapshot{
 		Index:           IndexCoverageGraph.String(),
 		Parallelism:     u.parallelism,
@@ -310,7 +309,7 @@ func (u *Updater) buildSnapshot() (*snap.Snapshot, []int32, error) {
 		N:               flat.Len(),
 		Dim:             flat.Dim(),
 		Coords:          flat.Coords(),
-		Grid:            &parts,
+		Grid:            parts,
 		GraphRadius:     u.live.Radius(),
 		Graph:           csr,
 		ComponentCount:  comp.Count,

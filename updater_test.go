@@ -2,12 +2,17 @@ package disc_test
 
 import (
 	"bytes"
+	"math"
 	"math/rand/v2"
+	"os"
+	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
 
 	disc "github.com/discdiversity/disc"
+	"github.com/discdiversity/disc/internal/snap"
 )
 
 // rebuildSelection runs the from-scratch component-mode Select over the
@@ -77,6 +82,8 @@ func TestUpdaterEquivalentToRebuild(t *testing.T) {
 		{"euclidean-2d", disc.Euclidean(), 2, 0.1},
 		{"manhattan-2d", disc.Manhattan(), 2, 0.12},
 		{"chebyshev-3d", disc.Chebyshev(), 3, 0.18},
+		{"hamming-10d", disc.Hamming(), 10, 2},
+		{"cosine-3d", disc.Cosine(), 3, 0.01},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewPCG(17, uint64(tc.dim)))
@@ -91,6 +98,9 @@ func TestUpdaterEquivalentToRebuild(t *testing.T) {
 					p := make(disc.Point, tc.dim)
 					for i := range p {
 						p[i] = rng.Float64()
+						if tc.m.Name() == "hamming" {
+							p[i] = float64(rng.IntN(3))
+						}
 					}
 					id, err := u.Insert(p)
 					if err != nil {
@@ -153,8 +163,10 @@ func TestUpdaterOptionValidation(t *testing.T) {
 	if _, err := disc.NewUpdater(nil, -0.1); err == nil {
 		t.Error("negative radius accepted")
 	}
-	if _, err := disc.NewUpdater(nil, 0.1, disc.WithMetric(disc.Hamming())); err == nil {
-		t.Error("non-grid metric accepted")
+	for _, m := range []disc.Metric{disc.Hamming(), disc.Cosine(), disc.InnerProduct()} {
+		if _, err := disc.NewUpdater(nil, 0.1, disc.WithMetric(m)); err != nil {
+			t.Errorf("metric %s rejected: %v", m.Name(), err)
+		}
 	}
 	if _, err := disc.NewUpdater(nil, 0.1, disc.WithIndex(disc.IndexMTree)); err == nil {
 		t.Error("conflicting index accepted")
@@ -230,6 +242,135 @@ func TestUpdaterSnapshotRoundTrip(t *testing.T) {
 	}
 	if err := empty.WriteSnapshot(&buf); err == nil {
 		t.Fatal("snapshot of empty updater accepted")
+	}
+}
+
+// TestUpdaterSnapshotNonLp: an updater under a metric the grid cannot
+// serve writes a snapshot without a grid section, which both
+// LoadDiversifier and OpenUpdater warm-start to the same selection.
+func TestUpdaterSnapshotNonLp(t *testing.T) {
+	const r = 0.02
+	pts := randomPoints(300, 3, 44)
+	u, err := disc.NewUpdater(pts, r, disc.WithMetric(disc.Cosine()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "cosine.discsnap")
+	if err := u.SaveSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := snap.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Grid != nil || s.Graph == nil {
+		t.Fatalf("snapshot has grid %v, graph %v; want a graph and no grid", s.Grid != nil, s.Graph != nil)
+	}
+	d, err := disc.LoadDiversifier(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := d.Select(r, disc.WithSelectMode(disc.SelectComponents))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]int(nil), res.IDs()...)
+	sort.Ints(want)
+	if got := u.Selection(); !slices.Equal(got, want) {
+		t.Fatalf("loaded diversifier selects %v, updater %v", want, got)
+	}
+	warm, err := disc.OpenUpdater(path, filepath.Join(t.TempDir(), "wal"), r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer warm.Close()
+	if got := warm.Selection(); !slices.Equal(got, want) {
+		t.Fatalf("reopened updater selects %v, want %v", got, want)
+	}
+}
+
+// TestUpdaterSnapshotParallelVectors: under dot product and cosine, the
+// distance between parallel vectors can round a few ulps below zero
+// (the unit vector (1,5)/√26 has a self inner product above 1). Such a
+// pair lands in the checkpoint's adjacency with a negative distance,
+// and reopening the snapshot, live or static, must still reproduce the
+// selection.
+func TestUpdaterSnapshotParallelVectors(t *testing.T) {
+	unit := func(x, y float64) disc.Point {
+		n := math.Sqrt(x*x + y*y)
+		return disc.Point{x / n, y / n}
+	}
+	for _, tc := range []struct {
+		metric disc.Metric
+		a, b   disc.Point // parallel, at a negative distance
+	}{
+		{disc.InnerProduct(), unit(1, 5), unit(1, 5)},
+		{disc.Cosine(), disc.Point{0.6790846759202163, 0.21855305259276428}, disc.Point{3 * 0.6790846759202163, 3 * 0.21855305259276428}},
+	} {
+		t.Run(tc.metric.Name(), func(t *testing.T) {
+			if d := tc.metric.Dist(tc.a, tc.b); !(d < 0) {
+				t.Fatalf("precondition: parallel pair at distance %g, want a negative rounding", d)
+			}
+			const r = 0.05
+			pts := []disc.Point{tc.a, tc.b, unit(5, 1), unit(-1, 2)}
+			u, err := disc.NewUpdater(pts, r, disc.WithMetric(tc.metric))
+			if err != nil {
+				t.Fatal(err)
+			}
+			more := []disc.Point{tc.a, unit(5, 1), unit(0, 1)}
+			for _, p := range more {
+				if _, err := u.Insert(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := u.Delete(2); err != nil {
+				t.Fatal(err)
+			}
+			u.Flush()
+			// The snapshot compacts the deleted slot away: map the
+			// selection onto dense ids.
+			var want []int
+			for dense, id := 0, 0; id < len(pts)+len(more); id++ {
+				if !u.Alive(id) {
+					continue
+				}
+				if u.IsRepresentative(id) {
+					want = append(want, dense)
+				}
+				dense++
+			}
+			path := filepath.Join(t.TempDir(), "parallel.discsnap")
+			if err := u.SaveSnapshot(path); err != nil {
+				t.Fatal(err)
+			}
+			warm, err := disc.OpenUpdater(path, filepath.Join(t.TempDir(), "wal"), r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer warm.Close()
+			if got := warm.Selection(); !slices.Equal(got, want) {
+				t.Fatalf("reopened updater selects %v, want %v", got, want)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := disc.LoadDiversifier(bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := d.Select(r, disc.WithSelectMode(disc.SelectComponents))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := len(res.IDs()); got != len(want) {
+				t.Fatalf("loaded diversifier selects %d, updater %d", got, len(want))
+			}
+		})
 	}
 }
 
