@@ -62,9 +62,13 @@ func TestDenseRadiusChainMatchesReference(t *testing.T) {
 					t.Errorf("%s: %s ids differ from the reference (%d vs %d ids)", name, step, len(got[i]), len(want[i]))
 				}
 			}
-			engine := fmt.Sprintf("%T", graph.engine)
+			served, err := graph.engineForRadius(r, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			engine := fmt.Sprintf("%T", served)
 			if r == tc.sparse {
-				if _, ok := graph.engine.(*core.ParallelGraphEngine); !ok {
+				if _, ok := served.(*core.ParallelGraphEngine); !ok {
 					t.Errorf("%s: sparse radius served by %s, want the coverage graph", name, engine)
 				}
 			} else if engine != tc.engine {

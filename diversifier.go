@@ -87,9 +87,10 @@ type Diversifier struct {
 	capacity int
 	seed     uint64
 	// engine answers neighbourhood queries. The radius-dependent
-	// backends (IndexCoverageGraph, IndexGrid) are (re)built lazily per
-	// selection radius and are nil before the first Select; every other
-	// index is built once in New.
+	// backends (IndexCoverageGraph, IndexGrid) are built lazily and are
+	// nil before the first Select; for IndexCoverageGraph it is the
+	// ceiling graph (see engineForRadius). Every other index is built
+	// once in New.
 	engine core.Engine
 	// denseFrom is the smallest radius whose coverage graph was refused
 	// for passing core.AdjacencyBudget (+Inf until one is): the edge
@@ -320,36 +321,43 @@ func buildMTree(m Metric, capacity int, seed uint64, points []Point) (core.Engin
 func (d *Diversifier) Indexed() Index { return d.index }
 
 // engineForRadius returns the engine answering queries at radius r. The
-// radius-dependent backends are (re)built lazily: for
-// IndexCoverageGraph the materialised graph is rebuilt at r when
-// rebuild is set and the cached graph was built for a different radius
-// — reusing the grid occupancy whenever the new radius still fits its
-// cell side (zooming in re-joins without re-bucketing). For IndexGrid
-// only the O(n) bucketing is radius-dependent; it is reused as long as
-// one cell ring covers r and coarsened otherwise. With rebuild unset
-// (the zoom and extension paths) the cached engine is reused — both
-// backends answer any radius exactly, only the cost differs.
+// radius-dependent backends are built lazily. IndexCoverageGraph keeps
+// one graph, joined at its ceiling: the largest radius selected so far.
+// With rebuild set (Select, Prepare and the extensions) a radius above
+// the ceiling raises it with one join — reusing the grid occupancy
+// whenever the new radius still fits its cell side — and every radius
+// at or below it is served by the same graph as row-prefix views, with
+// no join. For IndexGrid only the O(n) bucketing is radius-dependent;
+// it is reused as long as one cell ring covers r and coarsened
+// otherwise. With rebuild unset (the zoom paths) nothing is built when
+// an engine exists: the graph answers any radius exactly, above its
+// ceiling through its substrate's fallback scans, so a zoom out never
+// raises the ceiling.
 //
 // A coverage graph with more than core.AdjacencyBudget entries is never
 // materialised: the join stops at the budget and that radius, like
-// every larger one, is served by denseEngine instead.
+// every larger one, is served by denseEngine instead. The ceiling graph
+// stays and keeps serving the radii below it.
 func (d *Diversifier) engineForRadius(r float64, rebuild bool) (core.Engine, error) {
 	switch d.index {
 	case IndexCoverageGraph:
-		if d.engine != nil && !rebuild {
-			return d.engine, nil
+		g, _ := d.engine.(*core.ParallelGraphEngine)
+		if !rebuild && (g != nil || d.dense != nil) {
+			if g != nil && r < d.denseFrom {
+				return g, nil
+			}
+			return d.dense, nil
 		}
 		if r >= d.denseFrom {
 			return d.denseEngine()
 		}
+		if g != nil && r <= g.Radius() {
+			return g, nil
+		}
 		budget := core.AdjacencyBudget(d.flat.Len())
-		var g *core.ParallelGraphEngine
 		var err error
-		if cached, ok := d.engine.(*core.ParallelGraphEngine); ok {
-			if cached.Radius() == r {
-				return cached, nil
-			}
-			g, err = cached.Rebuild(r, budget)
+		if g != nil {
+			g, err = g.Rebuild(r, budget)
 		} else {
 			g, err = core.BuildParallelGraphEngineCapped(d.flat, r, d.parallelism, budget)
 		}
@@ -386,8 +394,9 @@ func (d *Diversifier) engineForRadius(r float64, rebuild bool) (core.Engine, err
 // adjacency budget, on an engine whose memory does not grow with the
 // edge count: the M-tree where the metric keeps the triangle inequality
 // (on dense radii its pruning beats the grid's ring scans), the flat
-// scan otherwise. It is built once and kept. Greedy selections and
-// zooms are the same ids on every engine; only the cost differs.
+// scan otherwise. It is built once and kept beside the ceiling graph.
+// Greedy selections and zooms are the same ids on every engine; only
+// the cost differs.
 func (d *Diversifier) denseEngine() (core.Engine, error) {
 	if d.dense == nil {
 		if object.TriangleSafe(d.metric) {
@@ -400,7 +409,6 @@ func (d *Diversifier) denseEngine() (core.Engine, error) {
 			d.dense = core.NewFlatEngineOn(d.flat)
 		}
 	}
-	d.engine = d.dense
 	return d.dense, nil
 }
 

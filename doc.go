@@ -101,11 +101,12 @@
 //     metrics, and any metric above seven dimensions, use a batched
 //     flat all-pairs join. The adjacency is stored as CSR (one offsets
 //     array plus one packed, exactly sized neighbour array), so
-//     steady-state memory equals the edge count. Radii other than the
-//     build radius remain correct: smaller ones filter the adjacency
-//     lists (a selection at a smaller radius filters the cached graph
-//     instead of joining again), larger ones fall back to grid or flat
-//     scans underneath. The edge count is capped: a radius whose graph
+//     steady-state memory equals the edge count. The graph is kept at
+//     its ceiling, the largest selection radius so far, with every row
+//     sorted by distance: any smaller radius is served as row prefixes
+//     of the same graph, with no join, and larger radii fall back to
+//     grid or flat scans underneath until a selection raises the
+//     ceiling. The edge count is capped: a radius whose graph
 //     would hold more than 128 adjacency entries per object (and more
 //     than 2^20 in all) is not materialised. The join stops at the cap,
 //     and that radius and every larger one are served by the M-tree

@@ -6,6 +6,7 @@ package core
 // instrumentation, hence the build tag; `go test -race` skips this file.
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -38,6 +39,55 @@ func TestNeighborsAppendZeroAlloc(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("%s: NeighborsWhiteAppend allocates %.1f/op in steady state", name, allocs)
+		}
+	}
+}
+
+// TestCeilingViewZeroAlloc extends the steady-state contract to the
+// coverage graph's two non-ceiling paths, on both join substrates: row
+// prefixes below the ceiling (NeighborsAppend, NeighborsWhiteAppend and
+// WhiteCount) and the substrate fallback above it, whose grid scans
+// answer in cell order without a sort.
+func TestCeilingViewZeroAlloc(t *testing.T) {
+	pts := randomPoints(600, 2, 101)
+	flat, err := object.Flatten(pts, object.Euclidean{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ceiling = 0.15
+	for _, flatsub := range []bool{false, true} {
+		g, err := buildGraph(flat, nil, nil, ceiling, 2, flatsub, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.StartCoverage(nil)
+		for id := 0; id < len(pts); id += 3 {
+			g.Cover(id)
+		}
+		buf := make([]object.Neighbor, 0, len(pts))
+		for _, r := range []float64{ceiling / 2, 2 * ceiling} {
+			name := fmt.Sprintf("flatjoin=%v r=%g", flatsub, r)
+			id := 0
+			allocs := testing.AllocsPerRun(200, func() {
+				buf = g.NeighborsAppend(buf[:0], id, r)
+				buf = g.NeighborsWhiteAppend(buf[:0], id, r)
+				id = (id + 7) % len(pts)
+			})
+			if allocs != 0 {
+				t.Errorf("%s: NeighborsAppend/NeighborsWhiteAppend allocate %.1f/op", name, allocs)
+			}
+			if r > ceiling {
+				continue
+			}
+			allocs = testing.AllocsPerRun(200, func() {
+				if _, ok := g.WhiteCount(id, r); !ok {
+					t.Fatal("WhiteCount declined a radius under the ceiling")
+				}
+				id = (id + 7) % len(pts)
+			})
+			if allocs != 0 {
+				t.Errorf("%s: WhiteCount allocates %.1f/op", name, allocs)
+			}
 		}
 	}
 }

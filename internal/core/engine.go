@@ -86,9 +86,10 @@ type CoverageEngine interface {
 	// every engine returns the identical decomposition for the same
 	// objects and radius. Engines without a materialised adjacency
 	// derive it with one range query per object; the coverage-graph
-	// engine labels its CSR directly and caches the result for its
-	// build radius. The returned value is shared or cached state —
-	// treat it as read-only.
+	// engine labels its CSR (or a row-prefix view of it) directly and
+	// caches the result for its ceiling and the last few radii below
+	// it. The returned value is shared or cached state — treat it as
+	// read-only.
 	Components(r float64) *grid.Components
 }
 

@@ -36,18 +36,26 @@ import (
 // count and walking many adjacency lists scans two contiguous
 // allocations.
 //
-// The graph is exact for any query radius up to the build radius
-// (adjacency lists are filtered by distance); larger radii fall back to
-// the substrate (grid scan or flat scan), so every Engine call stays
-// correct at any radius — only the cost differs. Because |N_r(p)| is
-// known for every p after the build, the engine also implements
-// CountingEngine and makes Greedy-DisC's initialisation pass free; the
-// packed white bitset lets it also implement WhiteCounter, refreshing
-// white-neighbourhood counts with O(degree) bit tests.
+// Every row is sorted by ascending (distance, id), so the graph built at
+// the ceiling radius C serves every r ≤ C: the r-neighbourhood of a
+// point is a prefix of its row, found by binary search. Neighbors,
+// NeighborsWhite and WhiteCount cut the row per call; AdjacencyCSR and
+// Components serve a view (grid.CSR.Prefix: one row end per point,
+// sharing the ceiling's arrays), cached with its component
+// decomposition for the last few radii in a fixed-size cache. Radii
+// above C fall back to the substrate (grid scan or flat scan), so every
+// Engine call stays correct at any radius — only the cost differs.
+// Because |N_C(p)| is known for every p after the build, the engine
+// also implements CountingEngine and makes Greedy-DisC's initialisation
+// pass free at C; the packed white bitset lets it also implement
+// WhiteCounter, refreshing white-neighbourhood counts with O(degree)
+// bit tests.
 //
 // The access counter charges one unit per adjacency entry examined
-// (minimum one per lookup), mirroring the flat engine's objects-examined
-// measure; grid builds and grid fallback scans charge one unit per
+// within the query radius (the row prefix; minimum one per lookup),
+// mirroring the flat engine's objects-examined measure; the binary
+// search that finds a prefix, like deriving a view's row ends, is not
+// charged. Grid builds and grid fallback scans charge one unit per
 // candidate examined, and flat builds and fallback scans one unit per
 // object examined. Like every other engine it is not safe for
 // concurrent use after construction.
@@ -55,19 +63,37 @@ type ParallelGraphEngine struct {
 	flat    *object.FlatDataset
 	hash    *grid.Grid    // substrate of the grid path; nil on the flat-join path
 	scratch *grid.Scratch // grid-path scratch for beyond-radius ring scans
-	radius  float64
+	radius  float64       // the ceiling: the join radius
 	workers int
-	csr     *grid.CSR // adjacency rows sorted by id; exclude self
+	csr     *grid.CSR // rows sorted by (distance, id); exclude self
 	counts  []int     // csr.Degree(i), for CountingEngine
 	scan    []int
-	// comps caches the connected-component decomposition at the build
-	// radius: it is a pure function of the CSR, so computing (or
+	// comps caches the connected-component decomposition at the
+	// ceiling: it is a pure function of the CSR, so computing (or
 	// installing from a snapshot) it once serves every later selection.
 	comps *grid.Components
+	// views caches the row-prefix views below the ceiling, each with
+	// its decomposition once derived; next is the slot the next new
+	// radius overwrites.
+	views [viewSlots]radiusView
+	next  int
 
 	accesses int64
 	tracking bool
 	white    bitset.Set
+}
+
+// viewSlots bounds the per-radius cache: a view costs one int32 per
+// point and its decomposition about three, so the cache stays a small
+// multiple of n however many radii are asked for. Four slots hold the
+// interactive pattern of a few alternating radii below one ceiling.
+const viewSlots = 4
+
+// radiusView is one cached radius below the ceiling.
+type radiusView struct {
+	csr   *grid.CSR // nil: slot unused
+	r     float64
+	comps *grid.Components // nil until Components(r) derives it
 }
 
 var (
@@ -131,29 +157,23 @@ func AdjacencyBudget(n int) int64 {
 	return max(int64(n)*128, 1<<20)
 }
 
-// Rebuild returns an engine over the same points with the adjacency
-// lists rebuilt for a different radius, reusing the grid occupancy
-// whenever the new radius still fits its cell side — so zooming in
-// re-joins without re-bucketing and zooming out pays only an O(n)
-// re-bucket. A smaller radius that keeps the substrate (always on the
-// flat join, while the occupancy suits it on the grid) skips the join:
-// the receiver's adjacency is filtered down to r, which yields the
-// same graph, scan order and component numbering a join at r would,
-// for one pass over the edges. A join that would pass maxEntries
-// adjacency entries (<= 0: no cap) is refused as in
-// BuildParallelGraphEngineCapped. The substrate is shared with the
-// receiver, which must be discarded afterwards.
+// Rebuild returns an engine over the same points joined at a new
+// ceiling r, reusing the grid occupancy whenever r still fits its cell
+// side, so a larger ceiling pays at most an O(n) re-bucket besides the
+// join. Radii at or below the current ceiling need no rebuild: the
+// receiver serves them as row prefixes. A join that would pass
+// maxEntries adjacency entries (<= 0: no cap) is refused as in
+// BuildParallelGraphEngineCapped. The substrate is shared read-only,
+// so the receiver stays valid either way.
 func (g *ParallelGraphEngine) Rebuild(r float64, maxEntries int64) (*ParallelGraphEngine, error) {
-	if 0 <= r && r < g.radius && (g.hash == nil || keepsGrid(g.hash, r)) {
-		return newGraph(g.flat, g.hash, g.scan, r, g.workers, g.csr.Within(r), int64(len(g.csr.Nbrs))), nil
-	}
 	return buildGraph(g.flat, g.hash, g.scan, r, g.workers, g.hash == nil, maxEntries)
 }
 
 // buildGraph materialises the coverage graph at radius r: via the
 // batched flat all-pairs join when flatsub is set, and via the grid
 // ε-join otherwise (hash, when non-nil, is reused as long as its cell
-// side suits r), refusing more than maxEntries adjacency entries.
+// side suits r), refusing more than maxEntries adjacency entries. Rows
+// come out of the join's merge sorted by (distance, id).
 func buildGraph(flat *object.FlatDataset, hash *grid.Grid, scan []int, r float64, workers int, flatsub bool, maxEntries int64) (*ParallelGraphEngine, error) {
 	if r < 0 || math.IsNaN(r) || math.IsInf(r, 0) {
 		return nil, fmt.Errorf("core: graph engine: invalid radius %g", r)
@@ -165,7 +185,7 @@ func buildGraph(flat *object.FlatDataset, hash *grid.Grid, scan []int, r float64
 		workers = n
 	}
 	if flatsub {
-		csr, examined, err := grid.FlatJoinCapped(flat, r, workers, maxEntries)
+		csr, examined, err := grid.FlatJoinByDist(flat, r, workers, maxEntries)
 		if err != nil {
 			return nil, fmt.Errorf("core: graph engine: %w", err)
 		}
@@ -181,7 +201,7 @@ func buildGraph(flat *object.FlatDataset, hash *grid.Grid, scan []int, r float64
 		}
 		scan = nil // cell order changed with the bucketing
 	}
-	csr, examined, err := grid.JoinCapped(hash, r, workers, maxEntries)
+	csr, examined, err := grid.JoinByDist(hash, r, workers, maxEntries)
 	if err != nil {
 		return nil, fmt.Errorf("core: graph engine: %w", err)
 	}
@@ -202,9 +222,10 @@ func keepsGrid(hash *grid.Grid, r float64) bool {
 	return hash != nil && (hash.Radius() == r || hash.Suits(r))
 }
 
-// newGraph assembles an engine around an exact r-adjacency csr whose
-// construction examined the given number of candidates; hash is the
-// grid substrate (nil on the flat join) and scan its cell order.
+// newGraph assembles an engine around an exact r-adjacency csr, rows
+// sorted by (distance, id), whose construction examined the given
+// number of candidates; hash is the grid substrate (nil on the flat
+// join) and scan its cell order.
 func newGraph(flat *object.FlatDataset, hash *grid.Grid, scan []int, r float64, workers int, csr *grid.CSR, examined int64) *ParallelGraphEngine {
 	g := &ParallelGraphEngine{
 		flat:     flat,
@@ -225,13 +246,14 @@ func newGraph(flat *object.FlatDataset, hash *grid.Grid, scan []int, r float64, 
 	return g
 }
 
-// Radius returns the radius the coverage graph was built for.
+// Radius returns the ceiling: the radius the coverage graph was joined
+// at, and the largest one it serves from its rows.
 func (g *ParallelGraphEngine) Radius() float64 { return g.radius }
 
 // Workers returns the parallelism used during construction.
 func (g *ParallelGraphEngine) Workers() int { return g.workers }
 
-// Degree returns |N_r(id)| at the build radius.
+// Degree returns |N_C(id)| at the ceiling C.
 func (g *ParallelGraphEngine) Degree(id int) int { return g.csr.Degree(id) }
 
 // GridJoined reports whether the adjacency was built by the grid ε-join
@@ -259,28 +281,31 @@ func (g *ParallelGraphEngine) charge(n int) {
 	g.accesses += int64(n)
 }
 
-// Neighbors implements Engine. Radii up to the build radius are answered
-// from the materialised graph; larger radii fall back to the substrate.
+// prefix returns id's r-neighbourhood for r ≤ the ceiling: its whole
+// row at the ceiling, a binary-searched prefix below it.
+func (g *ParallelGraphEngine) prefix(id int, r float64) []object.Neighbor {
+	row := g.csr.Row(id)
+	if r < g.radius {
+		row = row[:grid.PrefixLen(row, r)]
+	}
+	return row
+}
+
+// Neighbors implements Engine. Radii up to the ceiling are answered
+// from the materialised rows; larger radii fall back to the substrate.
 func (g *ParallelGraphEngine) Neighbors(id int, r float64) []object.Neighbor {
 	return g.NeighborsAppend(nil, id, r)
 }
 
-// NeighborsAppend implements Engine.
+// NeighborsAppend implements Engine. Up to the ceiling the neighbours
+// come in (distance, id) order; above it in the substrate's order (cell
+// order on the grid, id order on the flat scan).
 func (g *ParallelGraphEngine) NeighborsAppend(dst []object.Neighbor, id int, r float64) []object.Neighbor {
 	switch {
-	case r == g.radius:
-		row := g.csr.Row(id)
+	case r <= g.radius:
+		row := g.prefix(id, r)
 		g.charge(len(row))
 		return append(dst, row...)
-	case r < g.radius:
-		row := g.csr.Row(id)
-		g.charge(len(row))
-		for _, nb := range row {
-			if nb.Dist <= r {
-				dst = append(dst, nb)
-			}
-		}
-		return dst
 	case g.hash != nil:
 		return g.hash.AppendRange(dst, g.flat.Row(id), r, id, &g.accesses, g.scratch)
 	default:
@@ -321,7 +346,8 @@ func (g *ParallelGraphEngine) Accesses() int64 { return g.accesses }
 func (g *ParallelGraphEngine) ResetAccesses() { g.accesses = 0 }
 
 // InitialCounts implements CountingEngine: the build already knows every
-// neighbourhood size, so Greedy-DisC initialisation costs nothing.
+// neighbourhood size at the ceiling, so Greedy-DisC initialisation
+// there costs nothing.
 func (g *ParallelGraphEngine) InitialCounts() ([]int, float64, bool) {
 	return g.counts, g.radius, true
 }
@@ -369,10 +395,10 @@ func (g *ParallelGraphEngine) NeighborsWhiteAppend(dst []object.Neighbor, id int
 		}
 		return g.appendWhiteScan(dst, id, r)
 	}
-	row := g.csr.Row(id)
+	row := g.prefix(id, r)
 	g.charge(len(row))
 	for _, nb := range row {
-		if g.white.Test(nb.ID) && nb.Dist <= r {
+		if g.white.Test(nb.ID) {
 			dst = append(dst, nb)
 		}
 	}
@@ -404,16 +430,16 @@ func (g *ParallelGraphEngine) appendWhiteScan(dst []object.Neighbor, id int, r f
 	return dst
 }
 
-// Components implements CoverageEngine. At the build radius the
-// decomposition is one depth-first pass over the materialised CSR —
-// charged like any adjacency walk, one access per entry examined — and
-// is cached: it is a pure function of the graph, so later calls (every
-// selection in component mode) return it for free, exactly like
-// InitialCounts. A snapshot-loaded decomposition (InstallComponents)
-// pre-fills the cache, which is what lets warm starts skip the pass
-// entirely. Smaller radii are answered by a filtered, uncached pass;
-// radii beyond the build radius fall back to the substrate's range
-// queries.
+// Components implements CoverageEngine. The decomposition at radius r
+// ≤ the ceiling is one depth-first pass over the rows within r — charged
+// like any adjacency walk, one access per entry — and is cached: it is a
+// pure function of the graph, so later calls (every selection in
+// component mode) return it for free, exactly like InitialCounts. The
+// ceiling's decomposition is kept for the engine's lifetime, and a
+// snapshot-loaded one (InstallComponents) pre-fills it, which is what
+// lets warm starts skip the pass entirely; smaller radii share the
+// fixed-size view cache. Radii above the ceiling fall back to the
+// substrate's range queries, uncached.
 func (g *ParallelGraphEngine) Components(r float64) *grid.Components {
 	switch {
 	case r == g.radius:
@@ -423,51 +449,76 @@ func (g *ParallelGraphEngine) Components(r float64) *grid.Components {
 		}
 		return g.comps
 	case r < g.radius:
-		g.charge(len(g.csr.Nbrs))
-		return grid.ComponentsOfCSR(g.csr, g.flat.Len(), r)
+		v := g.view(r)
+		if v.comps == nil {
+			g.charge(v.csr.Entries())
+			v.comps = grid.ComponentsOfCSR(v.csr, g.flat.Len(), r)
+		}
+		return v.comps
 	default:
 		return componentsViaQueries(g, r)
 	}
 }
 
+// view returns the cached view at r < the ceiling, deriving it (one
+// binary search per row, uncharged) into the oldest slot on a miss.
+func (g *ParallelGraphEngine) view(r float64) *radiusView {
+	for i := range g.views {
+		if v := &g.views[i]; v.csr != nil && v.r == r {
+			return v
+		}
+	}
+	v := &g.views[g.next]
+	g.next = (g.next + 1) % viewSlots
+	*v = radiusView{csr: g.csr.Prefix(r), r: r}
+	return v
+}
+
+// CachedRadii returns the radii below the ceiling whose views are
+// cached, at most the cache's fixed slot count.
+func (g *ParallelGraphEngine) CachedRadii() []float64 {
+	var rs []float64
+	for _, v := range g.views {
+		if v.csr != nil {
+			rs = append(rs, v.r)
+		}
+	}
+	return rs
+}
+
 // CachedComponents returns the decomposition computed or installed for
-// the build radius, nil when none has been derived yet. Snapshots
-// persist it opportunistically through this accessor.
+// the ceiling, nil when none has been derived yet. Snapshots persist it
+// opportunistically through this accessor.
 func (g *ParallelGraphEngine) CachedComponents() *grid.Components { return g.comps }
 
 // AdjacencyCSR implements adjacencySource: the materialised graph serves
-// the component-decomposed selection directly when the query radius is
-// exactly the build radius.
+// the component-decomposed selection directly at any radius up to the
+// ceiling — the graph itself at the ceiling, its cached row-prefix view
+// below it.
 func (g *ParallelGraphEngine) AdjacencyCSR(r float64) (*grid.CSR, bool) {
-	if r == g.radius {
+	switch {
+	case r == g.radius:
 		return g.csr, true
+	case r < g.radius:
+		return g.view(r).csr, true
+	default:
+		return nil, false
 	}
-	return nil, false
 }
 
-// WhiteCount implements WhiteCounter: at radii covered by the
-// materialised graph, |white ∩ N_r(id)| is a popcount-style sweep of
-// packed bit tests over the adjacency list — no distance evaluation.
-// No accesses are charged: the caller's fallback (direct metric
-// evaluations in Greedy-DisC's White-update refresh) is likewise
-// uncharged, keeping the paper-style access tables comparable across
-// engines and strategies.
+// WhiteCount implements WhiteCounter: at radii up to the ceiling,
+// |white ∩ N_r(id)| is a popcount-style sweep of packed bit tests over
+// the row prefix — no distance evaluation. No accesses are charged: the
+// caller's fallback (direct metric evaluations in Greedy-DisC's
+// White-update refresh) is likewise uncharged, keeping the paper-style
+// access tables comparable across engines and strategies.
 func (g *ParallelGraphEngine) WhiteCount(id int, r float64) (int, bool) {
 	if !g.tracking || r > g.radius {
 		return 0, false
 	}
-	row := g.csr.Row(id)
 	cnt := 0
-	if r == g.radius {
-		for _, nb := range row {
-			if g.white.Test(nb.ID) {
-				cnt++
-			}
-		}
-		return cnt, true
-	}
-	for _, nb := range row {
-		if nb.Dist <= r && g.white.Test(nb.ID) {
+	for _, nb := range g.prefix(id, r) {
+		if g.white.Test(nb.ID) {
 			cnt++
 		}
 	}

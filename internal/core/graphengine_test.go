@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/discdiversity/disc/internal/grid"
 	"github.com/discdiversity/disc/internal/object"
 )
 
@@ -19,8 +20,9 @@ func graphEngine(t *testing.T, pts []object.Point, m object.Metric, r float64, w
 }
 
 // TestGraphEngineAdjacencyMatchesFlat: the materialised graph must agree
-// with brute force at the build radius, below it (filter path) and above
-// it (grid ring-scan fallback), for every worker count.
+// with brute force at the ceiling, below it (row prefix) and above it
+// (grid ring-scan fallback), for every worker count. The engine answers
+// in (distance, id) or cell order, so lists are compared by id.
 func TestGraphEngineAdjacencyMatchesFlat(t *testing.T) {
 	pts := randomPoints(400, 2, 90)
 	m := object.Euclidean{}
@@ -29,7 +31,7 @@ func TestGraphEngineAdjacencyMatchesFlat(t *testing.T) {
 		g := graphEngine(t, pts, m, 0.1, workers)
 		for _, r := range []float64{0.04, 0.1, 0.25} {
 			for _, id := range []int{0, 199, 399} {
-				got := g.Neighbors(id, r)
+				got := sortNeighbors(g.Neighbors(id, r))
 				want := sortNeighbors(flat.Neighbors(id, r))
 				if len(got) != len(want) {
 					t.Fatalf("workers=%d r=%g id=%d: %d neighbours, want %d", workers, r, id, len(got), len(want))
@@ -140,26 +142,29 @@ func TestGraphEngineRebuild(t *testing.T) {
 	}
 }
 
-// TestGraphEngineRebuildFiltersDown: a rebuild at a smaller radius that
-// keeps the substrate filters the receiver's adjacency instead of
-// joining; the result must be the engine a join at that radius over the
-// same substrate builds — CSR entry for entry (distances bit for bit),
-// scan order, degree counts and component numbering — on the grid
-// substrate (three Lp metrics) and on the flat join (Hamming, cosine).
-func TestGraphEngineRebuildFiltersDown(t *testing.T) {
+// TestCeilingViewsMatchJoin: a graph joined at the ceiling C serves
+// every r ≤ C as a row-prefix view; each view must be the graph a fresh
+// join at r builds over the same substrate — rows compared in id order,
+// entry for entry, distances bit for bit — with the same component
+// numbering and the same component-mode selection. Every built-in
+// metric, both join substrates (the grid and the flat join, forced for
+// the Lp metrics too) and both precisions, at r ∈ {C, 0.75C, C/2, 0}.
+func TestCeilingViewsMatchJoin(t *testing.T) {
 	cases := []struct {
 		m   object.Metric
 		dim int
-		r   float64
+		c   float64
 	}{
 		{object.Euclidean{}, 2, 0.12},
 		{object.Manhattan{}, 3, 0.2},
 		{object.Chebyshev{}, 2, 0.1},
 		{object.Hamming{}, 6, 3},
 		{object.Cosine{}, 4, 0.1},
+		{object.DotProduct{}, 4, 0.3},
 	}
+	opts := GreedyOptions{Update: UpdateGrey, Pruned: true}
 	for _, tc := range cases {
-		pts := randomPoints(500, tc.dim, 131)
+		pts := randomPoints(400, tc.dim, 131)
 		if tc.m.Name() == "hamming" {
 			for _, p := range pts {
 				for j := range p {
@@ -167,29 +172,48 @@ func TestGraphEngineRebuildFiltersDown(t *testing.T) {
 				}
 			}
 		}
-		base := graphEngine(t, pts, tc.m, tc.r, 2)
-		for _, r := range []float64{tc.r * 0.75, tc.r / 2} {
-			filtered, err := base.Rebuild(r, 0)
+		for _, f32 := range []bool{false, true} {
+			flatten := object.Flatten
+			if f32 {
+				flatten = object.Flatten32
+			}
+			flat, err := flatten(pts, tc.m)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if filtered.hash != base.hash || filtered.Accesses() != int64(len(base.csr.Nbrs)) {
-				t.Fatalf("%s r=%g: rebuild did not take the filter path", tc.m.Name(), r)
+			substrates := []bool{true}
+			if grid.Supports(tc.m) {
+				substrates = append(substrates, false)
 			}
-			joined, err := buildGraph(base.flat, base.hash, base.scan, r, 2, base.hash == nil, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			name := fmt.Sprintf("%s r=%g", tc.m.Name(), r)
-			if !slices.Equal(filtered.csr.Offsets, joined.csr.Offsets) || !slices.Equal(filtered.csr.Nbrs, joined.csr.Nbrs) {
-				t.Fatalf("%s: filtered adjacency differs from the join's", name)
-			}
-			if !slices.Equal(filtered.ScanOrder(), joined.ScanOrder()) || !slices.Equal(filtered.counts, joined.counts) {
-				t.Fatalf("%s: filtered scan order or degree counts differ from the join's", name)
-			}
-			fc, jc := filtered.Components(r), joined.Components(r)
-			if fc.Count != jc.Count || !slices.Equal(fc.Label, jc.Label) {
-				t.Fatalf("%s: filtered components differ from the join's", name)
+			for _, flatsub := range substrates {
+				ceil, err := buildGraph(flat, nil, nil, tc.c, 2, flatsub, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range []float64{tc.c, 0.75 * tc.c, tc.c / 2, 0} {
+					name := fmt.Sprintf("%s f32=%v flatjoin=%v r=%g", tc.m.Name(), f32, flatsub, r)
+					fresh, err := buildGraph(flat, nil, nil, r, 2, flatsub, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					view, ok := ceil.AdjacencyCSR(r)
+					if !ok {
+						t.Fatalf("%s: no adjacency under the ceiling", name)
+					}
+					got, want := view.SortedByID(1), fresh.csr.SortedByID(1)
+					if !slices.Equal(got.Offsets, want.Offsets) || !slices.Equal(got.Nbrs, want.Nbrs) {
+						t.Fatalf("%s: view rows differ from a join at r", name)
+					}
+					vc, fc := ceil.Components(r), fresh.Components(r)
+					if vc.Count != fc.Count || !slices.Equal(vc.Label, fc.Label) {
+						t.Fatalf("%s: view components differ from the join's", name)
+					}
+					vs := GreedyDisCComponents(ceil, r, opts, 2)
+					fs := GreedyDisCComponents(fresh, r, opts, 2)
+					if !slices.Equal(vs.IDs, fs.IDs) {
+						t.Fatalf("%s: component selection on the view differs from the join's", name)
+					}
+				}
 			}
 		}
 	}

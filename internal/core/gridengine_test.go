@@ -26,7 +26,7 @@ func TestGridEngineMatchesFlat(t *testing.T) {
 	e := gridEngine(t, pts, m, 0.1)
 	for _, r := range []float64{0.04, 0.1, 0.3} {
 		for _, id := range []int{0, 177, 399} {
-			got := e.Neighbors(id, r)
+			got := sortNeighbors(e.Neighbors(id, r))
 			want := sortNeighbors(flat.Neighbors(id, r))
 			if len(got) != len(want) {
 				t.Fatalf("r=%g id=%d: %d neighbours, want %d", r, id, len(got), len(want))
@@ -174,7 +174,7 @@ func TestGraphEngineHammingPath(t *testing.T) {
 	flat := flatEngine(t, pts, m)
 	for _, r := range []float64{1, 2, 3} { // below, at and beyond the build radius
 		for _, id := range []int{0, 150, 299} {
-			got := g.Neighbors(id, r)
+			got := sortNeighbors(g.Neighbors(id, r))
 			want := sortNeighbors(flat.Neighbors(id, r))
 			if len(got) != len(want) {
 				t.Fatalf("r=%g id=%d: %d neighbours, want %d", r, id, len(got), len(want))

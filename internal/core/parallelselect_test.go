@@ -114,13 +114,15 @@ func TestGreedyComponentsDenseRunsGlobal(t *testing.T) {
 
 // TestGreedyComponentsDeterministicAcrossWorkers: the full solution —
 // selection order included — must be bit-identical for every worker
-// count, on every engine.
+// count, on every engine. A first run warms the graph engine's
+// per-radius cache, so every compared run is charged alike.
 func TestGreedyComponentsDeterministicAcrossWorkers(t *testing.T) {
 	pts := randomPoints(350, 3, 94)
 	m := object.Manhattan{}
 	const r = 0.12
 	opts := GreedyOptions{Update: UpdateGrey, Pruned: true}
 	for name, e := range allEngines(t, pts, m) {
+		GreedyDisCComponents(e, r, opts, 1)
 		ref := GreedyDisCComponents(e, r, opts, 1)
 		for _, workers := range []int{2, 3, 8} {
 			got := GreedyDisCComponents(e, r, opts, workers)

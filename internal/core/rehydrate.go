@@ -8,8 +8,8 @@ import (
 	"github.com/discdiversity/disc/internal/object"
 )
 
-// CSR exposes the materialised adjacency (read-only) so snapshots can
-// persist it.
+// CSR exposes the materialised adjacency (read-only), rows sorted by
+// (distance, id). Snapshots persist its CSR.SortedByID copy.
 func (g *ParallelGraphEngine) CSR() *grid.CSR { return g.csr }
 
 // Grid exposes the grid substrate, nil when the engine was built by the
@@ -26,13 +26,16 @@ func RehydrateGridEngine(g *grid.Grid) *GridEngine {
 
 // RehydrateGraphEngine reassembles a grid-path ParallelGraphEngine from
 // deserialised parts: the grid occupancy (also the beyond-radius
-// fallback substrate) and the coverage-graph CSR joined at radius r.
-// The CSR is structurally validated first — a snapshot must never be
-// able to turn into out-of-range adjacency entries. Everything a fresh
-// build derives beyond the join itself (per-point degree counts for
+// fallback substrate) and the coverage-graph CSR joined at radius r,
+// rows sorted by id as snapshots store them. The CSR is structurally
+// validated first — a snapshot must never be able to turn into
+// out-of-range adjacency entries — and then its rows are re-sorted in
+// place by (distance, id), the order the engine serves prefixes from;
+// the engine takes ownership of csr. Everything else a fresh build
+// derives beyond the join itself (per-point degree counts for
 // CountingEngine, the locality-preserving scan order) is recomputed in
 // O(n), which is what makes warm starts cheap: the O(n + edges) join
-// and the O(edges) row sorts are replaced by a contiguous read.
+// is replaced by a contiguous read and a per-row sort.
 func RehydrateGraphEngine(hash *grid.Grid, csr *grid.CSR, r float64, workers int) (*ParallelGraphEngine, error) {
 	if hash == nil || csr == nil {
 		return nil, fmt.Errorf("core: rehydrate graph engine: missing substrate")
@@ -54,6 +57,7 @@ func RehydrateGraphEngine(hash *grid.Grid, csr *grid.CSR, r float64, workers int
 	if workers > n {
 		workers = n
 	}
+	csr.SortByDist(workers)
 	return newGraph(flat, hash, hash.ScanOrder(), r, workers, csr, 0), nil
 }
 
@@ -61,8 +65,9 @@ func RehydrateGraphEngine(hash *grid.Grid, csr *grid.CSR, r float64, workers int
 // from a deserialised CSR joined at radius r over flat (the flat-join
 // substrate persists no grid section — beyond-radius fallback queries
 // are whole-dataset scans, derived from the dataset alone). The CSR is
-// structurally validated exactly like the grid path's; degree counts
-// are recomputed in O(n).
+// validated and re-sorted by (distance, id) exactly like the grid
+// path's, and owned by the engine afterwards; degree counts are
+// recomputed in O(n).
 func RehydrateFlatGraphEngine(flat *object.FlatDataset, csr *grid.CSR, r float64, workers int) (*ParallelGraphEngine, error) {
 	if flat == nil || csr == nil {
 		return nil, fmt.Errorf("core: rehydrate graph engine: missing substrate")
@@ -77,11 +82,12 @@ func RehydrateFlatGraphEngine(flat *object.FlatDataset, csr *grid.CSR, r float64
 	if workers > n {
 		workers = n
 	}
+	csr.SortByDist(workers)
 	return newGraph(flat, nil, nil, r, workers, csr, 0), nil
 }
 
 // InstallComponents adopts a deserialised component decomposition for
-// the engine's build radius, so warm starts skip the labeling pass a
+// the engine's ceiling, so warm starts skip the labeling pass a
 // fresh engine would pay on its first component-mode selection. The
 // labels are revalidated before they are trusted: structurally
 // (ComponentsFromLabels — range and canonical numbering) and against

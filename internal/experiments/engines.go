@@ -51,7 +51,12 @@ func Engines(cfg Config, datasetName string) (*stats.Table, error) {
 		{"graph", func(r float64) (core.Engine, error) {
 			return core.BuildParallelGraphEngine(pts, w.metric, r, workers)
 		}, func(e core.Engine, r float64) (core.Engine, error) {
-			return e.(*core.ParallelGraphEngine).Rebuild(r, 0)
+			// Radii up to the ceiling are row-prefix views of the
+			// graph; only a larger one joins again.
+			if g := e.(*core.ParallelGraphEngine); r > g.Radius() {
+				return g.Rebuild(r, 0)
+			}
+			return e, nil
 		}},
 	}
 

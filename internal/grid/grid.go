@@ -305,32 +305,42 @@ func (g *Grid) next(s *Scratch, idx int32) int32 {
 	return ringNext(s.cur, s.lo, s.hi, g.stride, idx)
 }
 
-// sortByID orders a neighbour list by id in place without allocating,
-// the canonical order every engine reports. Sorting adjacency rows is
-// the hottest post-join phase, so this is a hand-rolled median-of-three
-// quicksort with direct field comparisons (no comparator indirection)
-// and insertion sort for short ranges — several times faster than the
-// generic comparison sort on the short, nearly-run-sorted lists the
-// cell scans produce. IDs are unique per list, so pathological
-// equal-key partitions cannot arise.
-func sortByID(ns []object.Neighbor) {
+// before reports whether a sorts before b: by id, or by ascending
+// (distance, id) when byDist is set.
+func before(a, b *object.Neighbor, byDist bool) bool {
+	if byDist && a.Dist != b.Dist {
+		return a.Dist < b.Dist
+	}
+	return a.ID < b.ID
+}
+
+// sortRow orders a neighbour list in place without allocating: by id,
+// the order CSR.Validate checks, or by (distance, id), the order
+// CSR.Prefix reads. Sorting adjacency rows is the hottest post-join
+// phase, so this is a hand-rolled median-of-three quicksort with direct
+// field comparisons (no comparator indirection) and insertion sort for
+// short ranges — several times faster than the generic comparison sort
+// on the short, nearly-run-sorted lists the cell scans produce. IDs are
+// unique per list, so both keys are total and pathological equal-key
+// partitions cannot arise.
+func sortRow(ns []object.Neighbor, byDist bool) {
 	for len(ns) > 16 {
 		// Median of three to the pivot position 0.
 		m, last := len(ns)/2, len(ns)-1
-		if ns[m].ID < ns[0].ID {
+		if before(&ns[m], &ns[0], byDist) {
 			ns[m], ns[0] = ns[0], ns[m]
 		}
-		if ns[last].ID < ns[0].ID {
+		if before(&ns[last], &ns[0], byDist) {
 			ns[last], ns[0] = ns[0], ns[last]
 		}
-		if ns[last].ID < ns[m].ID {
+		if before(&ns[last], &ns[m], byDist) {
 			ns[last], ns[m] = ns[m], ns[last]
 		}
 		ns[0], ns[m] = ns[m], ns[0]
-		pivot := ns[0].ID
+		pivot := ns[0]
 		store := 0
 		for k := 1; k < len(ns); k++ {
-			if ns[k].ID < pivot {
+			if before(&ns[k], &pivot, byDist) {
 				store++
 				ns[store], ns[k] = ns[k], ns[store]
 			}
@@ -338,17 +348,17 @@ func sortByID(ns []object.Neighbor) {
 		ns[0], ns[store] = ns[store], ns[0]
 		// Recurse on the smaller half, iterate on the larger.
 		if store < len(ns)-store-1 {
-			sortByID(ns[:store])
+			sortRow(ns[:store], byDist)
 			ns = ns[store+1:]
 		} else {
-			sortByID(ns[store+1:])
+			sortRow(ns[store+1:], byDist)
 			ns = ns[:store]
 		}
 	}
 	for i := 1; i < len(ns); i++ {
 		v := ns[i]
 		j := i - 1
-		for j >= 0 && ns[j].ID > v.ID {
+		for j >= 0 && before(&v, &ns[j], byDist) {
 			ns[j+1] = ns[j]
 			j--
 		}
@@ -357,14 +367,15 @@ func sortByID(ns []object.Neighbor) {
 }
 
 // AppendRange appends every point within rq of q (excluding id exclude;
-// -1 for none) to dst in ascending id order and returns the extended
-// slice, allocating only when dst must grow. Each cell's candidate ids
+// -1 for none) to dst in cell order — the cells of the scanned range in
+// flattened order, ascending ids within a cell; no consumer needs id
+// order, so none is paid for — and returns the extended slice,
+// allocating only when dst must grow. Each cell's candidate ids
 // are ranged through the dataset's batched gather filter (fused
 // threshold test, float32 pre-filter when the mirror exists), so
 // distances stay bit-identical to a brute-force scan. Each candidate
 // examined adds one to *examined when it is non-nil.
 func (g *Grid) AppendRange(dst []object.Neighbor, q []float64, rq float64, exclude int, examined *int64, s *Scratch) []object.Neighbor {
-	base := len(dst)
 	var acc int64
 	qid := -1
 	if exclude >= 0 && g.flat.IsRow(q, exclude) {
@@ -404,12 +415,12 @@ func (g *Grid) AppendRange(dst []object.Neighbor, q []float64, rq float64, exclu
 	if examined != nil {
 		*examined += acc
 	}
-	sortByID(dst[base:])
 	return dst
 }
 
 // AppendRangeWhite is AppendRange restricted to the ids whose bit is
-// set in white — the coverage engines' pruned query. Cleared ids are
+// set in white — the coverage engines' pruned query, in the same cell
+// order. Cleared ids are
 // neither examined nor charged, mirroring how the scan engines account
 // skipped covered objects; when cellWhite is non-nil it must hold the
 // per-cell count of set bits, and cells at zero are skipped without
@@ -420,7 +431,6 @@ func (g *Grid) AppendRangeWhite(dst []object.Neighbor, q []float64, rq float64, 
 	rawR := k.RawThreshold(rq)
 	coords := g.flat.Coords()
 	dim := g.flat.Dim()
-	base := len(dst)
 	var acc int64
 	for c := g.setup(s, q, rq); c >= 0; c = g.next(s, c) {
 		if cellWhite != nil && cellWhite[c] == 0 {
@@ -445,6 +455,5 @@ func (g *Grid) AppendRangeWhite(dst []object.Neighbor, q []float64, rq float64, 
 	if examined != nil {
 		*examined += acc
 	}
-	sortByID(dst[base:])
 	return dst
 }

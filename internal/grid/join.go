@@ -12,48 +12,101 @@ import (
 )
 
 // CSR is a compressed-sparse-row adjacency: point id's neighbours are
-// Nbrs[Offsets[id]:Offsets[id+1]], sorted by id. One offsets array plus
-// one packed neighbour array replaces per-point slices, so walking many
-// adjacency lists in sequence stays inside two contiguous allocations
-// and the steady-state memory is exactly the edge count.
+// Nbrs[Offsets[id]:Offsets[id+1]]. One offsets array plus one packed
+// neighbour array replaces per-point slices, so walking many adjacency
+// lists in sequence stays inside two contiguous allocations and the
+// steady-state memory is exactly the edge count.
+//
+// Rows are sorted by id (the order Validate checks and snapshots
+// store) or, from the ByDist joins, by ascending (distance, id): then
+// the neighbourhood at any radius up to the join radius is a row
+// prefix, and Prefix derives a view at that radius. A view carries
+// Ends, one row end per point, and shares Offsets and Nbrs with the CSR
+// it was derived from; Ends is nil on every other CSR.
 type CSR struct {
 	Offsets []int32
 	Nbrs    []object.Neighbor
+	Ends    []int32
 }
 
 // Row returns the adjacency list of id. The slice aliases the packed
 // array and must not be modified.
 func (c *CSR) Row(id int) []object.Neighbor {
+	if c.Ends != nil {
+		return c.Nbrs[c.Offsets[id]:c.Ends[id]]
+	}
 	return c.Nbrs[c.Offsets[id]:c.Offsets[id+1]]
 }
 
 // Degree returns len(Row(id)) without slicing.
 func (c *CSR) Degree(id int) int {
+	if c.Ends != nil {
+		return int(c.Ends[id] - c.Offsets[id])
+	}
 	return int(c.Offsets[id+1] - c.Offsets[id])
 }
 
-// Within returns the sub-graph of c at radius r: every row keeps the
-// entries with Dist ≤ r, in their order. An exact r'-graph filtered
-// this way equals an exact join at any r ≤ r' entry for entry, since
-// both carry the same kernel distances in ascending id order. The
-// result is exactly sized and shares nothing with c.
-func (c *CSR) Within(r float64) *CSR {
-	n := len(c.Offsets) - 1
+// Entries returns the number of adjacency entries in c's rows.
+func (c *CSR) Entries() int {
+	if c.Ends == nil {
+		return len(c.Nbrs)
+	}
 	m := 0
-	for _, nb := range c.Nbrs {
-		if nb.Dist <= r {
-			m++
+	for id, end := range c.Ends {
+		m += int(end - c.Offsets[id])
+	}
+	return m
+}
+
+// PrefixLen returns how many leading entries of a (distance, id)-sorted
+// row lie within r: a binary search, so the row's r-neighbourhood is
+// row[:PrefixLen(row, r)].
+func PrefixLen(row []object.Neighbor, r float64) int {
+	lo, hi := 0, len(row)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if row[m].Dist <= r {
+			lo = m + 1
+		} else {
+			hi = m
 		}
 	}
-	out := &CSR{Offsets: make([]int32, n+1), Nbrs: make([]object.Neighbor, 0, m)}
+	return lo
+}
+
+// Prefix returns the view of a (distance, id)-sorted c at radius r:
+// every row cut to its entries within r, found by one binary search
+// per row. The view shares Offsets and Nbrs with c and owns only its
+// Ends, so it costs one int32 per point however many edges it holds.
+// Its rows keep the (distance, id) order.
+func (c *CSR) Prefix(r float64) *CSR {
+	n := len(c.Offsets) - 1
+	ends := make([]int32, n)
 	for id := 0; id < n; id++ {
-		for _, nb := range c.Row(id) {
-			if nb.Dist <= r {
-				out.Nbrs = append(out.Nbrs, nb)
-			}
-		}
+		ends[id] = c.Offsets[id] + int32(PrefixLen(c.Row(id), r))
+	}
+	return &CSR{Offsets: c.Offsets, Nbrs: c.Nbrs, Ends: ends}
+}
+
+// SortByDist reorders every row of c in place by ascending (distance,
+// id), sharding the rows over workers (<= 0 selects 1): it turns an
+// id-sorted CSR (a loaded snapshot's) into the form Prefix reads.
+func (c *CSR) SortByDist(workers int) {
+	c.sortRows(true, workers)
+}
+
+// SortedByID returns a copy of c with every row sorted by id, sharding
+// the sort over workers (<= 0 selects 1): the form Validate checks and
+// snapshots store. A view's copy holds its rows only, with fresh
+// offsets and no Ends.
+func (c *CSR) SortedByID(workers int) *CSR {
+	n := len(c.Offsets) - 1
+	out := &CSR{Offsets: make([]int32, n+1), Nbrs: make([]object.Neighbor, 0, c.Entries())}
+	for id := 0; id < n; id++ {
+		out.Nbrs = append(out.Nbrs, c.Row(id)...)
 		out.Offsets[id+1] = int32(len(out.Nbrs))
 	}
+	out.sortRows(false, workers)
 	return out
 }
 
@@ -127,10 +180,11 @@ func (g *Grid) Suits(r float64) bool {
 // private edge and degree buffers, so the only synchronisation is the
 // final merge. The returned examined count charges one access per
 // candidate considered per direction (two per pair), mirroring the
-// objects-examined measure of the scan engines. Join requires
-// Covers(r); callers holding a finer-bucketed grid must re-bucket first.
+// objects-examined measure of the scan engines. Every adjacency row is
+// sorted by id. Join requires Covers(r); callers holding a
+// finer-bucketed grid must re-bucket first.
 func Join(g *Grid, r float64, workers int) (*CSR, int64, error) {
-	return JoinCapped(g, r, workers, 0)
+	return join(g, r, workers, 0, false)
 }
 
 // JoinCapped is Join refusing graphs of more than maxEntries adjacency
@@ -138,6 +192,17 @@ func Join(g *Grid, r float64, workers int) (*CSR, int64, error) {
 // total passes the cap and returns ErrTooDense, before the merge
 // allocates the CSR.
 func JoinCapped(g *Grid, r float64, workers int, maxEntries int64) (*CSR, int64, error) {
+	return join(g, r, workers, maxEntries, false)
+}
+
+// JoinByDist is JoinCapped with every adjacency row sorted by
+// ascending (distance, id) instead of id, in the same merge pass, so
+// CSR.Prefix can serve any radius up to r from the one graph.
+func JoinByDist(g *Grid, r float64, workers int, maxEntries int64) (*CSR, int64, error) {
+	return join(g, r, workers, maxEntries, true)
+}
+
+func join(g *Grid, r float64, workers int, maxEntries int64, byDist bool) (*CSR, int64, error) {
 	defer telemetry.Since(metJoin, time.Now())
 	if !g.Covers(r) {
 		return nil, 0, fmt.Errorf("grid: join radius %g exceeds cell side %g; rebucket first", r, g.cell)
@@ -174,8 +239,8 @@ func JoinCapped(g *Grid, r float64, workers int, maxEntries int64) (*CSR, int64,
 
 	// Merge: per-point degrees become CSR offsets, each (worker, point)
 	// pair gets a reserved sub-range for a lock-free scatter, and every
-	// adjacency row is re-sorted by id (hits arrive in cell-pair order).
-	csr, err := mergeEdges(n, workers, degs, edgeLists)
+	// adjacency row is re-sorted (hits arrive in cell-pair order).
+	csr, err := mergeEdges(n, workers, degs, edgeLists, byDist)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -32,13 +32,19 @@ import (
 // bit-identical for every worker count: edge ownership is determined
 // by u alone and each adjacency row is canonically re-sorted by id.
 func FlatJoin(f *object.FlatDataset, r float64, workers int) (*CSR, int64, error) {
-	return flatJoin(f, r, workers, false, 0)
+	return flatJoin(f, r, workers, false, 0, false)
 }
 
 // FlatJoinCapped is FlatJoin refusing graphs of more than maxEntries
 // adjacency entries (<= 0: no cap) with ErrTooDense, like JoinCapped.
 func FlatJoinCapped(f *object.FlatDataset, r float64, workers int, maxEntries int64) (*CSR, int64, error) {
-	return flatJoin(f, r, workers, false, maxEntries)
+	return flatJoin(f, r, workers, false, maxEntries, false)
+}
+
+// FlatJoinByDist is FlatJoinCapped with every adjacency row sorted by
+// ascending (distance, id), like JoinByDist.
+func FlatJoinByDist(f *object.FlatDataset, r float64, workers int, maxEntries int64) (*CSR, int64, error) {
+	return flatJoin(f, r, workers, false, maxEntries, true)
 }
 
 // FlatJoinScalar is FlatJoin with the batch filters replaced by the
@@ -47,7 +53,7 @@ func FlatJoinCapped(f *object.FlatDataset, r float64, workers int, maxEntries in
 // exists as the measured baseline for the batched path — same sharding,
 // same merge, same output — so benchmark deltas isolate the kernel.
 func FlatJoinScalar(f *object.FlatDataset, r float64, workers int) (*CSR, int64, error) {
-	return flatJoin(f, r, workers, true, 0)
+	return flatJoin(f, r, workers, true, 0, false)
 }
 
 // flatChunk is the row-claim granularity: large enough that the atomic
@@ -77,7 +83,7 @@ func flatTileRows(f *object.FlatDataset, n int) int {
 	return tile
 }
 
-func flatJoin(f *object.FlatDataset, r float64, workers int, scalar bool, maxEntries int64) (*CSR, int64, error) {
+func flatJoin(f *object.FlatDataset, r float64, workers int, scalar bool, maxEntries int64, byDist bool) (*CSR, int64, error) {
 	if r < 0 || math.IsNaN(r) || math.IsInf(r, 0) {
 		return nil, 0, fmt.Errorf("grid: flat join: invalid radius %g", r)
 	}
@@ -169,7 +175,7 @@ func flatJoin(f *object.FlatDataset, r float64, workers int, scalar bool, maxEnt
 	if err := b.err(r); err != nil {
 		return nil, 0, err
 	}
-	csr, err := mergeEdges(n, workers, degs, edgeLists)
+	csr, err := mergeEdges(n, workers, degs, edgeLists, byDist)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -201,8 +207,9 @@ func scalarRangeRows(f *object.FlatDataset, dst []object.Neighbor, u, lo, hi int
 // mergeEdges turns per-worker degree counts and undirected edge lists
 // into the canonical CSR: per-point degrees become offsets, each
 // (point, worker) pair gets a reserved sub-range so the scatter needs
-// no locks, and every adjacency row is sorted by id.
-func mergeEdges(n, workers int, degs [][]int32, edgeLists [][]edge) (*CSR, error) {
+// no locks, and every adjacency row is sorted by id, or by (distance,
+// id) when byDist is set.
+func mergeEdges(n, workers int, degs [][]int32, edgeLists [][]edge, byDist bool) (*CSR, error) {
 	offsets := make([]int32, n+1)
 	var total int64
 	for p := 0; p < n; p++ {
@@ -232,23 +239,27 @@ func mergeEdges(n, workers int, degs [][]int32, edgeLists [][]edge) (*CSR, error
 		}(w)
 	}
 	wg.Wait()
+	csr := &CSR{Offsets: offsets, Nbrs: nbrs}
+	csr.sortRows(byDist, workers)
+	return csr, nil
+}
+
+// sortRows sorts every row of c in place — by id, or by (distance, id)
+// when byDist is set — sharding the rows over workers (<= 0 selects 1).
+func (c *CSR) sortRows(byDist bool, workers int) {
+	n := len(c.Offsets) - 1
+	workers = max(1, min(workers, n))
 	shard := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*shard, (w+1)*shard
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
+	var wg sync.WaitGroup
+	for lo := 0; lo < n; lo += shard {
+		hi := min(lo+shard, n)
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
 			for p := lo; p < hi; p++ {
-				sortByID(nbrs[offsets[p]:offsets[p+1]])
+				sortRow(c.Row(p), byDist)
 			}
 		}(lo, hi)
 	}
 	wg.Wait()
-	return &CSR{Offsets: offsets, Nbrs: nbrs}, nil
 }

@@ -205,10 +205,11 @@ func removeID(s []int32, id int32) []int32 {
 }
 
 // AppendRange appends every live point within rq of q (excluding id
-// exclude; -1 for none) to dst in ascending id order, exactly as
-// Grid.AppendRange does — candidates come from the clamped cell range
-// covering rq and are verified with the compiled kernel, so distances
-// are bit-identical to the batch ε-join's.
+// exclude; -1 for none) to dst in ascending id order, the order the
+// live adjacency merges rely on. Candidates come from the clamped cell
+// range covering rq, as in Grid.AppendRange, and are verified with the
+// compiled kernel, so distances are bit-identical to the batch
+// ε-join's.
 func (g *MutGrid) AppendRange(dst []object.Neighbor, q []float64, rq float64, exclude int, examined *int64, s *Scratch) []object.Neighbor {
 	if g.ncells == 0 {
 		return dst
@@ -258,7 +259,7 @@ func (g *MutGrid) AppendRange(dst []object.Neighbor, q []float64, rq float64, ex
 	if examined != nil {
 		*examined += acc
 	}
-	sortByID(dst[base:])
+	sortRow(dst[base:], false)
 	return dst
 }
 

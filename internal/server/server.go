@@ -22,11 +22,14 @@
 //
 // Uploaded datasets run on disc.IndexCoverageGraph, and the Greedy-DisC
 // algorithms select with disc.SelectComponents; their selections and
-// zooms are the ids the library's default M-tree gives. A radius whose
-// graph would pass core.AdjacencyBudget is served by the M-tree (or a
-// flat scan), whose memory does not grow with the edge count, so the
-// client's radius cannot size the server's heap. A dataset recovered
-// from its static.discsnap keeps the index its file records.
+// zooms are the ids the library's default M-tree gives. Each dataset
+// keeps one coverage graph, joined at the largest select radius so
+// far; selects and zoom-ins at smaller radii read its rows as prefixes
+// without joining, and zoom-outs above it scan the substrate. A radius
+// whose graph would pass core.AdjacencyBudget is served by the M-tree
+// (or a flat scan), whose memory does not grow with the edge count, so
+// the client's radius cannot size the server's heap. A dataset
+// recovered from its static.discsnap keeps the index its file records.
 //
 // Live maintainers (incremental r-DisC under inserts/deletes, backed by
 // disc.Updater, under any built-in metric):

@@ -12,13 +12,15 @@ import (
 )
 
 // Prepare eagerly builds the radius-dependent index artifacts for
-// selection radius r — the grid occupancy for IndexGrid, the occupancy
-// plus the coverage-graph CSR and its connected-component decomposition
-// for IndexCoverageGraph — without running a selection. For the
-// radius-independent backends it is a no-op. Use it before WriteSnapshot
-// to capture a warm snapshot for a radius that has not been selected at
-// yet, or at service start to pay the build cost before the first
-// request.
+// selection radius r — the grid occupancy for IndexGrid; for
+// IndexCoverageGraph the occupancy, the coverage graph (joined at r
+// when r raises its ceiling, otherwise the existing graph's row-prefix
+// view at r) and the connected-component decomposition at r — without
+// running a selection. For the radius-independent backends it is a
+// no-op. Use it before WriteSnapshot to capture a warm snapshot for a
+// radius that has not been selected at yet, or at service start to pay
+// the build cost before the first request; preparing the largest
+// radius first makes every smaller one a view.
 func (d *Diversifier) Prepare(r float64) error {
 	if r < 0 || math.IsNaN(r) || math.IsInf(r, 0) {
 		return fmt.Errorf("disc: invalid radius %g", r)
@@ -27,9 +29,10 @@ func (d *Diversifier) Prepare(r float64) error {
 	if err != nil {
 		return err
 	}
-	if g, ok := e.(*core.ParallelGraphEngine); ok && g.Radius() == r {
-		// Populate the component cache so component-mode selections — and
-		// the snapshot's components section — are ready before first use.
+	if g, ok := e.(*core.ParallelGraphEngine); ok {
+		// Populate the component cache so component-mode selections — and,
+		// at the ceiling, the snapshot's components section — are ready
+		// before first use.
 		g.Components(r)
 	}
 	return nil
@@ -43,10 +46,13 @@ func (d *Diversifier) Prepare(r float64) error {
 // configured backend with its build parameters (seed, parallelism,
 // M-tree capacity), plus whatever prepared per-radius artifacts the
 // current engine holds — the grid occupancy for IndexGrid; for
-// IndexCoverageGraph the coverage-graph CSR and (when already derived)
-// its connected-component decomposition, together with the grid
-// occupancy when the graph was grid-joined (the flat-join substrate has
-// no occupancy to persist). Backends that rebuild cheaply or
+// IndexCoverageGraph the ceiling graph (rows sorted by id, as
+// CSR.Validate checks them; the load restores distance order) and (when
+// already derived) its connected-component decomposition at the
+// ceiling, together with the grid occupancy when the graph was
+// grid-joined (the flat-join substrate has no occupancy to persist).
+// Views below the ceiling are not persisted: they are re-derived from
+// the graph on demand. Backends that rebuild cheaply or
 // deterministically from the dataset (M-tree and linear scan) persist
 // the dataset only and are rebuilt on load.
 //
@@ -67,7 +73,7 @@ func (d *Diversifier) WriteSnapshot(w io.Writer) error {
 			p := e.Grid().Parts()
 			s.Grid = &p
 		}
-		s.Graph = e.CSR()
+		s.Graph = e.CSR().SortedByID(e.Workers())
 		s.GraphRadius = e.Radius()
 		// The component decomposition is persisted opportunistically:
 		// present whenever the engine has derived (or loaded) it —
