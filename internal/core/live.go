@@ -115,16 +115,22 @@ func finished(rp *LiveReplay, err error) (*LiveDisC, error) {
 
 // LiveReplay is a maintainer under reconstruction: a base state (empty,
 // seeded or restored from a persisted coverage graph) plus a stream of
-// logged inserts and deletes applied to the substrate only — the
-// dataset append or tombstone, the grid occupancy and the adjacency
-// splice, O(degree) per record — with no component bookkeeping. Finish
-// then runs the batch tail once over the final state: component
-// labeling over the live ids and the component greedy. The result is
-// the state the same mutations applied through LiveDisC.Insert/Delete
-// and a Flush reach, at a fraction of the cost: recovery never needs
-// the per-mutation component state the live path keeps.
+// logged inserts and deletes. A replayed record only records its edges:
+// an insert appends the point, finds its in-range neighbours and
+// buckets it, a delete tombstones and unbuckets, and neither touches
+// the adjacency or keeps component state. Finish then builds the
+// adjacency once — the base rows and the recorded edges folded into one
+// CSR — and runs the batch tail once over it: component labeling over
+// the live ids and the component greedy. The result is the state the
+// same mutations applied through LiveDisC.Insert/Delete and a Flush
+// reach, at a fraction of the cost: recovery never needs the
+// per-mutation adjacency splices and component state the live path
+// keeps.
 type LiveReplay struct {
-	l *LiveDisC
+	l        *LiveDisC
+	base     *grid.CSR   // nil: no checkpoint adjacency
+	edges    []grid.Edge // one per in-range pair a replayed insert found
+	replayed bool        // a record was applied; Finish must fold
 }
 
 // NewLiveReplay starts a replay from the empty state (see NewLiveDisC).
@@ -161,31 +167,16 @@ func SeedLiveReplay(flat *object.FlatDataset, r float64, workers int) (*LiveRepl
 // RestoreLiveReplay starts a replay from a dataset plus an
 // already-joined coverage-graph CSR — the warm-start path snapshot
 // recovery uses, skipping the grid build and ε-join entirely. The CSR
-// is structurally validated and the component decomposition recomputed
-// from it by Finish (never trusted from the caller), so a tampered or
-// stale adjacency fails here rather than corrupting repairs later.
-// Only NaN and distances above r are refused: cosine and dot-product
-// distances between parallel vectors may round a few ulps below zero.
+// must pass CSR.Validate (ascending rows with no self-loop or repeated
+// neighbour, ids in range, distances at most r; NaN is refused, while
+// a distance a few ulps below zero passes, as cosine and dot-product
+// distances between parallel vectors may round there), and the
+// component decomposition is recomputed from it by Finish (never
+// trusted from the caller), so a tampered or stale adjacency fails here
+// rather than corrupting repairs later.
 func RestoreLiveReplay(flat *object.FlatDataset, csr *grid.CSR, r float64) (*LiveReplay, error) {
-	n := flat.Len()
-	if len(csr.Offsets) != n+1 || csr.Offsets[0] != 0 {
-		return nil, fmt.Errorf("core: live: adjacency offsets sized for %d points, dataset has %d", len(csr.Offsets)-1, n)
-	}
-	for i := 0; i < n; i++ {
-		if csr.Offsets[i+1] < csr.Offsets[i] {
-			return nil, fmt.Errorf("core: live: adjacency offsets not monotone at %d", i)
-		}
-	}
-	if int(csr.Offsets[n]) != len(csr.Nbrs) {
-		return nil, fmt.Errorf("core: live: adjacency offsets do not span the %d packed neighbours", len(csr.Nbrs))
-	}
-	for _, nb := range csr.Nbrs {
-		if nb.ID < 0 || nb.ID >= n {
-			return nil, fmt.Errorf("core: live: adjacency names id %d outside the dataset", nb.ID)
-		}
-		if !(nb.Dist <= r) {
-			return nil, fmt.Errorf("core: live: adjacency distance %g above r = %g", nb.Dist, r)
-		}
+	if err := csr.Validate(flat.Len(), r); err != nil {
+		return nil, fmt.Errorf("core: live: checkpoint adjacency: %w", err)
 	}
 	return newLiveReplay(object.DynFromFlat(flat), csr, r, 0)
 }
@@ -202,11 +193,10 @@ func newLiveReplay(dyn *object.DynDataset, csr *grid.CSR, r float64, accesses in
 	} else if r < 0 || math.IsNaN(r) || math.IsInf(r, 0) {
 		return nil, fmt.Errorf("core: live: invalid radius %g", r)
 	}
-	return &LiveReplay{l: &LiveDisC{
+	return &LiveReplay{base: csr, l: &LiveDisC{
 		r:        r,
 		dyn:      dyn,
 		mg:       mg,
-		adj:      grid.NewDynAdj(csr),
 		comps:    make(map[int32][]int32),
 		compSel:  make(map[int32][]int32),
 		dirty:    make(map[int32]struct{}),
@@ -214,28 +204,57 @@ func newLiveReplay(dyn *object.DynDataset, csr *grid.CSR, r float64, accesses in
 	}}, nil
 }
 
-// Insert applies a logged insert to the substrate and returns the id it
-// was assigned.
+// Insert applies a logged insert: it appends p, buckets it and records
+// one edge per in-range neighbour for Finish to fold. It returns the id
+// p was assigned.
 func (rp *LiveReplay) Insert(p object.Point) (int, error) {
 	defer telemetry.Since(metLiveInsert, time.Now())
-	return rp.l.splice(p)
+	l := rp.l
+	id, err := l.place(p)
+	if err != nil {
+		return 0, err
+	}
+	entries := 2 * int64(len(rp.edges)+len(l.qbuf))
+	if rp.base != nil {
+		entries += int64(len(rp.base.Nbrs))
+	}
+	if entries > math.MaxInt32 {
+		return 0, fmt.Errorf("core: live: coverage graph exceeds %d adjacency entries", math.MaxInt32)
+	}
+	for _, nb := range l.qbuf {
+		rp.edges = append(rp.edges, grid.Edge{New: int32(id), Old: int32(nb.ID), Dist: nb.Dist})
+	}
+	rp.replayed = true
+	return id, nil
 }
 
-// Delete applies a logged delete to the substrate; id must be live.
+// Delete applies a logged delete: id must be live; it is tombstoned and
+// unbucketed, and Finish drops its edges.
 func (rp *LiveReplay) Delete(id int) error {
 	defer telemetry.Since(metLiveDelete, time.Now())
-	return rp.l.unsplice(id)
+	if err := rp.l.retire(id); err != nil {
+		return err
+	}
+	rp.replayed = true
+	return nil
 }
 
-// Finish labels the components of the replayed state (label = minimum
-// live member, dead slots -1), runs the component greedy over every
-// component in ascending label order — the batch processing order — and
-// returns the maintainer with that selection published. The replay must
-// not be used afterwards.
+// Finish folds the base adjacency and the recorded edges into one CSR
+// (grid.Fold; with no record applied the base is kept as is), labels
+// the components of the replayed state (label = minimum live member,
+// dead slots -1), runs the component greedy over every component in
+// ascending label order — the batch processing order — and returns the
+// maintainer with that selection published. The replay must not be
+// used afterwards.
 func (rp *LiveReplay) Finish() *LiveDisC {
 	l := rp.l
-	rp.l = nil
 	slots := l.dyn.Slots()
+	adj := rp.base
+	if rp.replayed {
+		adj = grid.Fold(rp.base, slots, l.dyn.Alive, rp.edges)
+	}
+	*rp = LiveReplay{}
+	l.adj = grid.NewDynAdj(adj)
 	l.label = grid.MinMemberLabels(slots, l.r, l.adj.Row, l.dyn.Alive)
 	for id, lab := range l.label {
 		if lab < 0 {
@@ -286,32 +305,32 @@ func (l *LiveDisC) Accesses() int64 { return l.accesses }
 // dirty. The published selection is unchanged until the next Flush.
 func (l *LiveDisC) Insert(p object.Point) (int, error) {
 	defer telemetry.Since(metLiveInsert, time.Now())
-	id, err := l.splice(p)
+	id, err := l.place(p)
 	if err != nil {
 		return 0, err
 	}
+	l.adj.AddVertex(id, l.qbuf)
 	l.join(id)
 	return id, nil
 }
 
-// splice is the substrate step of an insert, shared by the live path
-// and replay: append p, splice it into the adjacency and the grid (when
-// there is one). It leaves p's in-range neighbours in l.qbuf.
-func (l *LiveDisC) splice(p object.Point) (int, error) {
+// place is the dataset and grid step of an insert, shared by the live
+// path and replay: append p, find its in-range neighbours and bucket it
+// in the grid (when there is one). It leaves the neighbours in l.qbuf,
+// ascending by id.
+func (l *LiveDisC) place(p object.Point) (int, error) {
 	id, err := l.dyn.Append(p)
 	if err != nil {
 		return 0, err
 	}
 	if l.mg == nil {
 		l.qbuf = l.scanRange(l.qbuf[:0], p, id)
-		l.adj.AddVertex(id, l.qbuf)
 		return id, nil
 	}
 	if l.gs == nil {
 		l.gs = grid.NewScratch(l.dyn.Dim())
 	}
 	l.qbuf = l.mg.AppendRange(l.qbuf[:0], p, l.r, id, &l.accesses, l.gs)
-	l.adj.AddVertex(id, l.qbuf)
 	l.mg.Insert(id)
 	return id, nil
 }
@@ -393,26 +412,25 @@ func (l *LiveDisC) join(id int) {
 // The published selection is unchanged until the next Flush.
 func (l *LiveDisC) Delete(id int) error {
 	defer telemetry.Since(metLiveDelete, time.Now())
-	if err := l.unsplice(id); err != nil {
+	if err := l.retire(id); err != nil {
 		return err
-	}
-	l.split(id)
-	return nil
-}
-
-// unsplice is the substrate step of a delete, shared by the live path
-// and replay: check id is live, then remove it from the adjacency, the
-// dataset and the grid (when there is one). It leaves id's former
-// neighbours in l.grey.
-func (l *LiveDisC) unsplice(id int) error {
-	if !l.dyn.Alive(id) {
-		return fmt.Errorf("core: live: id %d is not a live object", id)
 	}
 	l.grey = l.grey[:0]
 	for _, nb := range l.adj.Row(id) {
 		l.grey = append(l.grey, int32(nb.ID))
 	}
 	l.adj.RemoveVertex(id)
+	l.split(id)
+	return nil
+}
+
+// retire is the dataset and grid step of a delete, shared by the live
+// path and replay: check id is live, then tombstone it and unbucket it
+// from the grid (when there is one).
+func (l *LiveDisC) retire(id int) error {
+	if !l.dyn.Alive(id) {
+		return fmt.Errorf("core: live: id %d is not a live object", id)
+	}
 	// Tombstone before unbucketing: a shrink-triggered re-bucket inside
 	// mg.Remove walks live ids, and the dying id must not be among them
 	// (it would be re-admitted and stay bucketed forever, feeding dead

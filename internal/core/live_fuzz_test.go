@@ -7,7 +7,7 @@ import (
 	"github.com/discdiversity/disc/internal/object"
 )
 
-// fuzzMetrics are the built-in distances FuzzLiveMatchesBatch draws
+// fuzzMetrics are the built-in distances the live fuzz targets draw
 // from: the three the grid serves and the three the row scan serves.
 var fuzzMetrics = []object.Metric{
 	object.Euclidean{}, object.Manhattan{}, object.Chebyshev{},
@@ -65,15 +65,44 @@ func fuzzPoint(m object.Metric, bs []byte) object.Point {
 	return p
 }
 
+// fuzzOps decodes an insert/delete tail of at most 64 ops over the
+// live ids, numbering inserts from next. An op byte ≡ 3 (mod 4) with a
+// live object deletes live[next byte mod len]; any other op byte
+// inserts the point decoded from the next dim bytes. A truncated op
+// ends the tail.
+func fuzzOps(m object.Metric, dim int, rest []byte, live []int, next int) []replayOp {
+	var ops []replayOp
+	for len(rest) > 0 && len(ops) < 64 {
+		op := rest[0]
+		rest = rest[1:]
+		if op%4 == 3 && len(live) > 0 {
+			if len(rest) == 0 {
+				break
+			}
+			k := int(rest[0]) % len(live)
+			rest = rest[1:]
+			ops = append(ops, replayOp{id: live[k]})
+			live = append(live[:k], live[k+1:]...)
+		} else {
+			if len(rest) < dim {
+				break
+			}
+			ops = append(ops, replayOp{p: fuzzPoint(m, rest[:dim])})
+			rest = rest[dim:]
+			live = append(live, next)
+			next++
+		}
+	}
+	return ops
+}
+
 // FuzzLiveMatchesBatch decodes bytes into a metric, a dimensionality, a
 // radius and an insert/delete sequence, and after every flushed
 // mutation requires the live selection to be a valid r-DisC subset that
 // equals GreedyDisCComponents over the compacted dataset and adjacency
 // — and that adjacency to equal a from-scratch join (assertConverged).
 //
-// Layout: metric, dim, radius, then ops. An op byte ≡ 3 (mod 4) with a
-// live object deletes live[next byte mod len]; any other op byte
-// inserts the point decoded from the next dim bytes. The seed corpus
+// Layout: metric, dim, radius, then ops (fuzzOps). The seed corpus
 // under testdata/fuzz covers every metric, deletes, and radius zero.
 func FuzzLiveMatchesBatch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -87,34 +116,101 @@ func FuzzLiveMatchesBatch(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var live []int
-		for ops, rest := 0, data[3:]; len(rest) > 0 && ops < 64; ops++ {
-			op := rest[0]
-			rest = rest[1:]
-			if op%4 == 3 && len(live) > 0 {
-				if len(rest) == 0 {
-					break
-				}
-				k := int(rest[0]) % len(live)
-				rest = rest[1:]
-				if err := l.Delete(live[k]); err != nil {
+		for _, op := range fuzzOps(m, dim, data[3:], nil, 0) {
+			if op.p != nil {
+				if _, err := l.Insert(op.p); err != nil {
 					t.Fatal(err)
 				}
-				live = append(live[:k], live[k+1:]...)
-			} else {
-				if len(rest) < dim {
-					break
-				}
-				id, err := l.Insert(fuzzPoint(m, rest[:dim]))
-				if err != nil {
-					t.Fatal(err)
-				}
-				rest = rest[dim:]
-				live = append(live, id)
+			} else if err := l.Delete(op.id); err != nil {
+				t.Fatal(err)
 			}
 			assertConverged(t, l, r)
 			assertMatchesComponentGreedy(t, l, r)
 		}
+	})
+}
+
+// FuzzReplayMatchesLive decodes bytes into a metric, a dimensionality,
+// a radius, an optional checkpoint and an insert/delete tail, and
+// requires recovery — the tail replayed onto the checkpoint, then
+// Finish — to reach exactly the state the per-op live path reaches
+// (assertSameState), with the folded adjacency a valid CSR.
+//
+// Layout: metric, dim, radius, checkpoint size k (byte mod 32; 0 means
+// no checkpoint), k·dim point bytes, then the tail (fuzzOps). The seed
+// corpus under testdata/fuzz covers every metric, deletes of
+// checkpointed and of tail ids, no checkpoint, no tail, and radius
+// zero.
+func FuzzReplayMatchesLive(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		m := fuzzMetrics[int(data[0])%len(fuzzMetrics)]
+		dim := 1 + int(data[1])%4
+		r := fuzzRadius(m, data[2], dim)
+		k := int(data[3]) % 32
+		rest := data[4:]
+		if len(rest) < k*dim {
+			return
+		}
+		var want *LiveDisC
+		var rp *LiveReplay
+		var err error
+		live := make([]int, k)
+		if k == 0 {
+			if want, err = NewLiveDisC(m, r); err != nil {
+				t.Fatal(err)
+			}
+			rp, err = NewLiveReplay(m, r)
+		} else {
+			base := make([]object.Point, k)
+			for i := range base {
+				base[i] = fuzzPoint(m, rest[i*dim:(i+1)*dim])
+				live[i] = i
+			}
+			var flat *object.FlatDataset
+			if flat, err = object.Flatten(base, m); err != nil {
+				t.Fatal(err)
+			}
+			if want, err = SeedLiveDisC(flat, r, 1); err != nil {
+				t.Fatal(err)
+			}
+			rp, err = RestoreLiveReplay(flat, batchJoin(t, flat, r), r)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range fuzzOps(m, dim, rest[k*dim:], live, k) {
+			if op.p != nil {
+				id, err := want.Insert(op.p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, err := rp.Insert(op.p); err != nil || got != id {
+					t.Fatalf("replayed insert = (%d, %v), live path assigned %d", got, err, id)
+				}
+				continue
+			}
+			if err := want.Delete(op.id); err != nil {
+				t.Fatal(err)
+			}
+			if err := rp.Delete(op.id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want.Flush()
+		got := rp.Finish()
+		if err := foldedCSR(got).Validate(got.Slots(), r); err != nil {
+			t.Fatal(err)
+		}
+		if got.Len() == 0 {
+			if want.Len() != 0 || got.Size() != 0 || got.Slots() != want.Slots() {
+				t.Fatalf("recovered %d live, %d selected, %d slots; live path %d live, %d slots", got.Len(), got.Size(), got.Slots(), want.Len(), want.Slots())
+			}
+			return
+		}
+		assertSameState(t, got, want)
 	})
 }
 

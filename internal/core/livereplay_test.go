@@ -5,8 +5,10 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
+	"github.com/discdiversity/disc/internal/grid"
 	"github.com/discdiversity/disc/internal/object"
 )
 
@@ -344,5 +346,85 @@ func TestLiveReplayRejectsDeadDelete(t *testing.T) {
 	}
 	if l := rp.Finish(); l.Len() != 0 || l.Size() != 0 || l.Slots() != 1 {
 		t.Fatalf("finished replay: %d live, %d selected, %d slots", l.Len(), l.Size(), l.Slots())
+	}
+}
+
+// foldedCSR packs l's adjacency rows over every slot (dead ones empty)
+// into one CSR. After Finish the adjacency has no overrides, so this is
+// the CSR the fold built, row for row.
+func foldedCSR(l *LiveDisC) *grid.CSR {
+	c := &grid.CSR{Offsets: make([]int32, 1, l.Slots()+1)}
+	for id := range l.Slots() {
+		c.Nbrs = append(c.Nbrs, l.adj.Row(id)...)
+		c.Offsets = append(c.Offsets, int32(len(c.Nbrs)))
+	}
+	return c
+}
+
+// TestLiveReplayFoldIsValid: the CSR Finish folds from a checkpoint
+// and an insert/delete tail is well formed without any sort (ascending
+// rows, no self-loop or repeated neighbour, distances within r), and a
+// replay with no records keeps the checkpoint's CSR itself.
+func TestLiveReplayFoldIsValid(t *testing.T) {
+	const r = 0.06
+	rng := rand.New(rand.NewPCG(11, 2))
+	sc := newReplayScenario(rng, object.Euclidean{}, 2, 400, 240, r)
+	flat, err := object.Flatten(sc.base, object.Euclidean{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	csr := batchJoin(t, flat, r)
+
+	rp, err := RestoreLiveReplay(flat, csr, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := applyReplay(t, rp, sc.tail)
+	folded := foldedCSR(l)
+	if err := folded.Validate(l.Slots(), r); err != nil {
+		t.Fatal(err)
+	}
+	if len(folded.Nbrs) == len(csr.Nbrs) {
+		t.Fatal("the tail changed no adjacency entry")
+	}
+
+	rp, err = RestoreLiveReplay(flat, csr, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l = rp.Finish()
+	for id := range flat.Len() {
+		if row := l.adj.Row(id); len(row) > 0 && &row[0] != &csr.Nbrs[csr.Offsets[id]] {
+			t.Fatalf("row %d was copied; a replay without records must keep the checkpoint CSR", id)
+		}
+	}
+}
+
+// TestRestoreRefusesMalformedAdjacency: the checkpoint adjacency must
+// pass CSR.Validate. A self-loop, an unsorted row and a repeated
+// neighbour are each refused, where offsets, id range and distance
+// alone would accept them.
+func TestRestoreRefusesMalformedAdjacency(t *testing.T) {
+	const r = 0.2
+	flat, err := object.Flatten([]object.Point{{0}, {0.05}, {0.1}}, object.Euclidean{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		row0 []object.Neighbor
+	}{
+		{"self-loop", []object.Neighbor{{ID: 0, Dist: 0}, {ID: 1, Dist: 0.05}}},
+		{"unsorted", []object.Neighbor{{ID: 2, Dist: 0.1}, {ID: 1, Dist: 0.05}}},
+		{"duplicate", []object.Neighbor{{ID: 1, Dist: 0.05}, {ID: 1, Dist: 0.05}}},
+	} {
+		k := int32(len(tc.row0))
+		csr := &grid.CSR{Offsets: []int32{0, k, k, k}, Nbrs: tc.row0}
+		if _, err := RestoreLiveReplay(flat, csr, r); err == nil || !strings.Contains(err.Error(), "invalid neighbour list") {
+			t.Fatalf("%s: RestoreLiveReplay = %v, want the invalid neighbour list refused", tc.name, err)
+		}
+	}
+	if _, err := RestoreLiveReplay(flat, batchJoin(t, flat, r), r); err != nil {
+		t.Fatalf("well-formed adjacency refused: %v", err)
 	}
 }

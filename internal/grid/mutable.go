@@ -3,8 +3,10 @@ package grid
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"github.com/discdiversity/disc/internal/object"
+	"github.com/discdiversity/disc/internal/telemetry"
 )
 
 // MutGrid is the mutable counterpart of Grid: the same uniform directory
@@ -416,6 +418,96 @@ func removeNeighbor(row []object.Neighbor, id int) []object.Neighbor {
 		}
 	}
 	return row
+}
+
+// Edge is one undirected coverage-graph edge a replayed insert
+// records: vertex New joined the graph within Dist of the older vertex
+// Old.
+type Edge struct {
+	New, Old int32
+	Dist     float64
+}
+
+// Fold builds the id-sorted CSR over slots vertices that base (nil for
+// none) plus the recorded edges describe, in two passes (count, then
+// fill). A vertex alive reports dead gets an empty row and is dropped
+// from every other row. Each live row holds its base row, then its
+// edges in arrival order, in both directions.
+//
+// The edges must arrive in insertion order, as a replay of appended ids
+// records them: New ascending and at least base's vertex count, and
+// each New's Old ids ascending and below it. Every row is then
+// ascending without a sort: base neighbours (all below base's vertex
+// count), then the older vertices it joined, then the newer vertices
+// that joined it. The caller bounds the entry count to int32 offsets
+// (base entries plus two per edge). The fold produces a coverage
+// graph, so it is timed as one join.
+func Fold(base *CSR, slots int, alive func(int) bool, edges []Edge) *CSR {
+	defer telemetry.Since(metJoin, time.Now())
+	baseN := 0
+	if base != nil {
+		baseN = len(base.Offsets) - 1
+	}
+	live := make([]bool, slots)
+	for id := range live {
+		live[id] = alive(id)
+	}
+	// Count: offsets[id+1] holds id's degree until the prefix sum turns
+	// offsets[id] into the start of id's row.
+	offsets := make([]int32, slots+1)
+	for id := 0; id < baseN; id++ {
+		if !live[id] {
+			continue
+		}
+		deg := int32(0)
+		for _, nb := range base.Row(id) {
+			if live[nb.ID] {
+				deg++
+			}
+		}
+		offsets[id+1] = deg
+	}
+	for _, e := range edges {
+		if live[e.New] && live[e.Old] {
+			offsets[e.New+1]++
+			offsets[e.Old+1]++
+		}
+	}
+	var total int64
+	for id := 1; id <= slots; id++ {
+		total += int64(offsets[id])
+		if total > math.MaxInt32 {
+			panic(fmt.Sprintf("grid: fold exceeds %d adjacency entries", math.MaxInt32))
+		}
+		offsets[id] = int32(total)
+	}
+	// Fill, using offsets[id] as id's cursor: it ends at the start of
+	// row id+1, so one shift restores the offsets.
+	nbrs := make([]object.Neighbor, total)
+	for id := 0; id < baseN; id++ {
+		if !live[id] {
+			continue
+		}
+		at := offsets[id]
+		for _, nb := range base.Row(id) {
+			if live[nb.ID] {
+				nbrs[at] = nb
+				at++
+			}
+		}
+		offsets[id] = at
+	}
+	for _, e := range edges {
+		if live[e.New] && live[e.Old] {
+			nbrs[offsets[e.New]] = object.Neighbor{ID: int(e.Old), Dist: e.Dist}
+			offsets[e.New]++
+			nbrs[offsets[e.Old]] = object.Neighbor{ID: int(e.New), Dist: e.Dist}
+			offsets[e.Old]++
+		}
+	}
+	copy(offsets[1:], offsets[:slots])
+	offsets[0] = 0
+	return &CSR{Offsets: offsets, Nbrs: nbrs}
 }
 
 // Compact packs the live rows into a canonical CSR under remap (old id →

@@ -3,6 +3,7 @@ package grid
 import (
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/discdiversity/disc/internal/object"
@@ -224,5 +225,79 @@ func TestDynAdjOverBase(t *testing.T) {
 	}
 	if r1 := csr.Row(1); r1[0].ID != 2 || r1[1].ID != 4 {
 		t.Fatalf("compacted row 1: %v", r1)
+	}
+}
+
+// TestFoldMatchesDynAdj: folding a base CSR and the edges a churn of
+// inserts and deletes records gives, row for row, the adjacency the
+// same churn spliced into a DynAdj — and a valid CSR with no sort,
+// from a joined base and from none.
+func TestFoldMatchesDynAdj(t *testing.T) {
+	const r = 0.12
+	for _, n := range []int{0, 150} {
+		rng := rand.New(rand.NewPCG(5, uint64(n)))
+		pts := make([]object.Point, n)
+		for i := range pts {
+			pts[i] = object.Point{rng.Float64(), rng.Float64()}
+		}
+		dyn, err := object.NewDynDataset(object.Euclidean{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var base *CSR
+		if n > 0 {
+			flat, err := object.Flatten(pts, object.Euclidean{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := Build(flat, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if base, _, err = Join(g, r, 1); err != nil {
+				t.Fatal(err)
+			}
+			dyn = object.DynFromFlat(flat)
+		}
+		mg, err := NewMutGrid(dyn, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		adj := NewDynAdj(base)
+		s := NewScratch(2)
+		var edges []Edge
+		live := make([]int, n)
+		for i := range live {
+			live[i] = i
+		}
+		for step := 0; step < 300; step++ {
+			if len(live) == 0 || rng.Float64() < 0.7 {
+				p := object.Point{rng.Float64(), rng.Float64()}
+				id, err := dyn.Append(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				nbrs := mg.AppendRange(nil, p, r, id, nil, s)
+				adj.AddVertex(id, nbrs)
+				mg.Insert(id)
+				for _, nb := range nbrs {
+					edges = append(edges, Edge{New: int32(id), Old: int32(nb.ID), Dist: nb.Dist})
+				}
+				live = append(live, id)
+				continue
+			}
+			k := rng.IntN(len(live))
+			applyDelete(t, dyn, mg, adj, live[k])
+			live = append(live[:k], live[k+1:]...)
+		}
+		folded := Fold(base, dyn.Slots(), dyn.Alive, edges)
+		if err := folded.Validate(dyn.Slots(), r); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		for id := range dyn.Slots() {
+			if !slices.Equal(folded.Row(id), adj.Row(id)) {
+				t.Fatalf("n=%d: folded row %d = %v, spliced %v", n, id, folded.Row(id), adj.Row(id))
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package manager
 
 import (
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,6 +15,9 @@ import (
 
 	disc "github.com/discdiversity/disc"
 	"github.com/discdiversity/disc/internal/faultio"
+	"github.com/discdiversity/disc/internal/grid"
+	"github.com/discdiversity/disc/internal/object"
+	"github.com/discdiversity/disc/internal/snap"
 	"github.com/discdiversity/disc/internal/telemetry"
 	"github.com/discdiversity/disc/internal/vfs"
 )
@@ -476,6 +480,60 @@ func TestRecoverOutcomes(t *testing.T) {
 			}
 			if !strings.Contains(reason, tc.reason) {
 				t.Fatalf("reason %q does not mention %q", reason, tc.reason)
+			}
+			if after := dirContents(t, home); !reflect.DeepEqual(after, before) {
+				t.Fatal("a refused recovery changed the files it refused")
+			}
+		})
+	}
+}
+
+// TestRecoverQuarantinesMalformedAdjacency: a checkpoint whose
+// coverage graph is well framed and checksummed but not a valid
+// adjacency — a self-loop, an unsorted row, a repeated neighbour — is
+// refused by the open, so the dataset quarantines and its files are
+// left as found.
+func TestRecoverQuarantinesMalformedAdjacency(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		row0 []object.Neighbor
+	}{
+		{"self-loop", []object.Neighbor{{ID: 0, Dist: 0}, {ID: 1, Dist: 0.5}}},
+		{"unsorted", []object.Neighbor{{ID: 2, Dist: 0.5}, {ID: 1, Dist: 0.5}}},
+		{"duplicate", []object.Neighbor{{ID: 1, Dist: 0.5}, {ID: 1, Dist: 0.5}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := checkpointedDir(t)
+			home := filepath.Join(dir, "d")
+			path := filepath.Join(home, "current.discsnap")
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := snap.Decode(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			offsets := make([]int32, s.N+1)
+			for i := 1; i <= s.N; i++ {
+				offsets[i] = int32(len(tc.row0))
+			}
+			s.Graph = &grid.CSR{Offsets: offsets, Nbrs: tc.row0}
+			if err := snap.WriteFileAtomic(path, func(w io.Writer) error { return snap.Write(w, s) }); err != nil {
+				t.Fatal(err)
+			}
+			before := dirContents(t, home)
+			m := New(fastCfg(dir))
+			defer m.Close()
+			if _, err := m.Recover(); err != nil {
+				t.Fatalf("Recover: %v", err)
+			}
+			d, err := m.Get("d")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st, reason := d.Status(); st != StateQuarantined || !strings.Contains(reason, "invalid neighbour list") {
+				t.Fatalf("state = %s (%s), want %s over the invalid neighbour list", st, reason, StateQuarantined)
 			}
 			if after := dirContents(t, home); !reflect.DeepEqual(after, before) {
 				t.Fatal("a refused recovery changed the files it refused")
