@@ -144,19 +144,23 @@ chaos-props:
 	$(GO) test -race -count=1 ./internal/manager
 	$(GO) test -race -count=1 -run 'TestCheckpointENOSPCLeavesStateAuthoritative' .
 
-## fuzz: run each live fuzz target in internal/core for 10 seconds
-## (20 s in all; go test fuzzes one target per run) past its committed
-## seed corpus, which plain `go test ./...` replays. Both decode byte
-## strings into a metric, a radius and an insert/delete sequence:
-## FuzzLiveMatchesBatch requires the live maintainer to equal the batch
-## component greedy after every flush, FuzzReplayMatchesLive requires a
-## replayed checkpoint plus tail to equal the live path. A failing
-## input lands in internal/core/testdata/fuzz/<target>/. Minimizing a
-## new coverage input may take the default 60 s, the whole budget, so
-## it is capped at 1 s.
+## fuzz: run each fuzz target for 10 seconds (30 s in all; go test
+## fuzzes one target per run) past its committed seed corpus, which
+## plain `go test ./...` replays. The two live targets in internal/core
+## decode byte strings into a metric, a radius and an insert/delete
+## sequence: FuzzLiveMatchesBatch requires the live maintainer to equal
+## the batch component greedy after every flush, FuzzReplayMatchesLive
+## requires a replayed checkpoint plus tail to equal the live path.
+## FuzzDecode in internal/snap requires snap.Decode to reject or
+## canonically re-encode any byte string, without panicking or
+## allocating beyond a small multiple of the input. A failing input
+## lands in <package>/testdata/fuzz/<target>/. Minimizing a new
+## coverage input may take the default 60 s, the whole budget, so it is
+## capped at 1 s.
 fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzLiveMatchesBatch$$' -fuzztime=10s -fuzzminimizetime=1s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzReplayMatchesLive$$' -fuzztime=10s -fuzzminimizetime=1s
+	$(GO) test ./internal/snap -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime=10s -fuzzminimizetime=1s
 
 ## doclint: verify that relative links and file references in the
 ## repo's markdown docs resolve (the CI doc-link gate; see

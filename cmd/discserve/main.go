@@ -30,9 +30,8 @@
 // directory DIR/<name>/. POST /v1/datasets/{name}/snapshot saves an
 // uploaded dataset, with its prepared index artifacts, as
 // DIR/<name>/static.discsnap, and a restart brings back every saved
-// dataset on the index its file records. Labels are not part of the
-// .discsnap format and do not survive the restart; re-upload labelled
-// datasets over the API when labels matter. Live maintainers become
+// dataset, with its labels, on the index its file records. Live
+// maintainers become
 // crash-safe: every insert and delete is written to the write-ahead
 // log (DIR/<name>/wal.*) before it is acknowledged (fsync policy per
 // -fsync; see docs/DURABILITY.md), POST /v1/live/{name}/snapshot

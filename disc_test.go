@@ -1,6 +1,7 @@
 package disc_test
 
 import (
+	"math"
 	"math/rand/v2"
 	"slices"
 	"strings"
@@ -65,7 +66,6 @@ func TestSelectAllAlgorithmsVerify(t *testing.T) {
 	for _, engineOpts := range [][]disc.Option{
 		nil,
 		{disc.WithLinearScan()},
-		{disc.WithIndex(disc.IndexGrid)},
 		{disc.WithIndex(disc.IndexCoverageGraph), disc.WithParallelism(4)},
 	} {
 		d := newDiversifier(t, pts, engineOpts...)
@@ -92,9 +92,7 @@ func TestSelectAllAlgorithmsVerify(t *testing.T) {
 
 func TestIndexBackendsIdenticalSelections(t *testing.T) {
 	pts := randomPoints(600, 2, 17)
-	indexes := []disc.Index{
-		disc.IndexMTree, disc.IndexLinearScan, disc.IndexCoverageGraph, disc.IndexGrid,
-	}
+	indexes := []disc.Index{disc.IndexMTree, disc.IndexLinearScan, disc.IndexCoverageGraph}
 	var want []int
 	for _, ix := range indexes {
 		d := newDiversifier(t, pts, disc.WithIndex(ix))
@@ -165,10 +163,10 @@ func TestCoverageGraphZoomAndReuse(t *testing.T) {
 
 func TestIndexOptionValidation(t *testing.T) {
 	pts := randomPoints(20, 2, 19)
-	if _, err := disc.New(pts, disc.WithLinearScan(), disc.WithIndex(disc.IndexGrid)); err == nil {
+	if _, err := disc.New(pts, disc.WithLinearScan(), disc.WithIndex(disc.IndexCoverageGraph)); err == nil {
 		t.Error("conflicting index selections accepted")
 	}
-	if _, err := disc.New(pts, disc.WithIndex(disc.IndexGrid), disc.WithIndex(disc.IndexGrid)); err != nil {
+	if _, err := disc.New(pts, disc.WithIndex(disc.IndexCoverageGraph), disc.WithIndex(disc.IndexCoverageGraph)); err != nil {
 		t.Errorf("repeated identical index rejected: %v", err)
 	}
 	// A retired name is the M-tree, so pairing it with the M-tree is a
@@ -179,9 +177,9 @@ func TestIndexOptionValidation(t *testing.T) {
 	if _, err := disc.New(pts, disc.WithIndexName("rtree"), disc.WithIndex(disc.IndexCoverageGraph)); err == nil {
 		t.Error("retired alias combined with a different backend accepted")
 	}
-	// 2 and 3 were the removed backends' values; they must not alias
-	// any live backend.
-	for _, ix := range []int{2, 3, 42} {
+	// 2, 3 and 5 were the removed backends' values; they must not
+	// alias any live backend.
+	for _, ix := range []int{2, 3, 5, 42} {
 		if _, err := disc.New(pts, disc.WithIndex(disc.Index(ix))); err == nil {
 			t.Errorf("unknown index %d accepted", ix)
 		}
@@ -201,14 +199,7 @@ func TestIndexOptionValidation(t *testing.T) {
 	if _, err := disc.New(pts, disc.WithMetric(weirdMetric{}), disc.WithIndex(disc.IndexMTree)); err != nil {
 		t.Errorf("metric-only index rejected a custom metric: %v", err)
 	}
-	// The grid needs a metric dominating per-coordinate differences:
-	// Hamming (and custom metrics) must fail at New, not at Select.
-	if _, err := disc.New(pts, disc.WithMetric(disc.Hamming()), disc.WithIndex(disc.IndexGrid)); err == nil {
-		t.Error("IndexGrid accepted the Hamming metric")
-	}
-	for _, ix := range []disc.Index{
-		disc.IndexMTree, disc.IndexLinearScan, disc.IndexCoverageGraph, disc.IndexGrid,
-	} {
+	for _, ix := range []disc.Index{disc.IndexMTree, disc.IndexLinearScan, disc.IndexCoverageGraph} {
 		if ix.String() == "" {
 			t.Errorf("index %d: empty String()", int(ix))
 		}
@@ -233,22 +224,66 @@ func TestIndexByNameAndWithIndexName(t *testing.T) {
 			t.Fatalf("WithIndexName(%q): Indexed() = %v", name, d.Indexed())
 		}
 	}
-	// The retired backend names resolve to the M-tree, but are not
+	// The retired backend names resolve to a live backend, but are not
 	// advertised as backends of their own.
-	for _, name := range []string{"vptree", "rtree"} {
+	for name, want := range map[string]disc.Index{
+		"vptree": disc.IndexMTree, "rtree": disc.IndexMTree, "grid": disc.IndexCoverageGraph,
+	} {
 		ix, err := disc.IndexByName(name)
-		if err != nil || ix != disc.IndexMTree {
-			t.Fatalf("IndexByName(%q) = %v, %v; want the M-tree", name, ix, err)
+		if err != nil || ix != want {
+			t.Fatalf("IndexByName(%q) = %v, %v; want %v", name, ix, err, want)
 		}
 		if slices.Contains(disc.SupportedIndexNames(), name) {
 			t.Fatalf("SupportedIndexNames lists the retired name %q", name)
 		}
 	}
-	if got := len(disc.SupportedIndexNames()); got != 4 {
-		t.Fatalf("SupportedIndexNames lists %d backends, want 4", got)
+	if got := len(disc.SupportedIndexNames()); got != 3 {
+		t.Fatalf("SupportedIndexNames lists %d backends, want 3", got)
 	}
 	if disc.IndexVPTree != disc.IndexMTree || disc.IndexRTree != disc.IndexMTree {
 		t.Fatal("retired Index constants are not M-tree aliases")
+	}
+	if disc.IndexGrid != disc.IndexCoverageGraph {
+		t.Fatal("IndexGrid is not a coverage-graph alias")
+	}
+	// The retired grid backend, by constant or by name, selects exactly
+	// the ids a fresh coverage-graph select does, in both select modes,
+	// and now takes metrics it used to refuse (Hamming, over category
+	// codes).
+	codes := make([]disc.Point, len(pts))
+	for i, p := range pts {
+		codes[i] = disc.Point{math.Floor(4 * p[0]), math.Floor(4 * p[1])}
+	}
+	for _, tc := range []struct {
+		m     disc.Metric
+		pts   []disc.Point
+		radii []float64
+	}{
+		{disc.Euclidean(), pts, []float64{0.1, 0.25}},
+		{disc.Hamming(), codes, []float64{1}},
+	} {
+		fresh := newDiversifier(t, tc.pts, disc.WithMetric(tc.m), disc.WithIndex(disc.IndexCoverageGraph))
+		for _, opt := range []disc.Option{disc.WithIndex(disc.IndexGrid), disc.WithIndexName("grid")} {
+			d := newDiversifier(t, tc.pts, disc.WithMetric(tc.m), opt)
+			if d.Indexed() != disc.IndexCoverageGraph {
+				t.Fatalf("%s: retired grid backend built %v", tc.m.Name(), d.Indexed())
+			}
+			for _, r := range tc.radii {
+				for _, mode := range []disc.SelectMode{disc.SelectGlobal, disc.SelectComponents} {
+					want, err := fresh.Select(r, disc.WithSelectMode(mode))
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := d.Select(r, disc.WithSelectMode(mode))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(got.IDs(), want.IDs()) {
+						t.Fatalf("%s r=%g %v: retired grid backend selected %v, coverage graph %v", tc.m.Name(), r, mode, got.IDs(), want.IDs())
+					}
+				}
+			}
+		}
 	}
 	// Unknown names fail when the option is parsed — before any index
 	// or engine work — and the error teaches the supported list.
@@ -273,8 +308,8 @@ func TestGridIndexZoomAndRebucket(t *testing.T) {
 	if err := d.Verify(res); err != nil {
 		t.Fatal(err)
 	}
-	// Zoom-in reuses the bucketing; a coarser Select re-buckets; both
-	// must verify.
+	// IndexGrid is the coverage graph: zoom-in reads row prefixes, a
+	// coarser Select re-joins; all must verify.
 	finer, err := d.ZoomIn(res, 0.05)
 	if err != nil {
 		t.Fatal(err)

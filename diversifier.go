@@ -86,11 +86,13 @@ type Diversifier struct {
 	// bit-identical to the one that wrote the snapshot.
 	capacity int
 	seed     uint64
-	// engine answers neighbourhood queries. The radius-dependent
-	// backends (IndexCoverageGraph, IndexGrid) are built lazily and are
-	// nil before the first Select; for IndexCoverageGraph it is the
-	// ceiling graph (see engineForRadius). Every other index is built
-	// once in New.
+	// labels holds one display label per point, or nil (see
+	// NewFromDataset); snapshots carry them.
+	labels []string
+	// engine answers neighbourhood queries. IndexCoverageGraph, the
+	// radius-dependent backend, is built lazily: nil before the first
+	// Select, then the ceiling graph (see engineForRadius). Every other
+	// index is built once in New.
 	engine core.Engine
 	// denseFrom is the smallest radius whose coverage graph was refused
 	// for passing core.AdjacencyBudget (+Inf until one is): the edge
@@ -153,7 +155,7 @@ func WithIndex(ix Index) Option {
 }
 
 // WithIndexName is WithIndex resolved from a backend name ("mtree",
-// "flat", "coverage-graph", "grid", or a retired alias) — the form
+// "flat", "coverage-graph", or a retired alias) — the form
 // configuration files and command lines carry. Unknown names fail
 // eagerly with the supported list in the error (see IndexByName).
 func WithIndexName(name string) Option {
@@ -186,7 +188,7 @@ func WithLinearScan() Option {
 
 func (o *options) setIndex(ix Index) error {
 	switch ix {
-	case IndexMTree, IndexLinearScan, IndexCoverageGraph, IndexGrid:
+	case IndexMTree, IndexLinearScan, IndexCoverageGraph:
 	default:
 		return fmt.Errorf("disc: unknown index %v (supported: %s)", ix, strings.Join(SupportedIndexNames(), ", "))
 	}
@@ -281,8 +283,8 @@ func New(points []Point, opts ...Option) (*Diversifier, error) {
 
 // initialEngine builds the engine New installs for the chosen index: a
 // concrete engine for the radius-independent backends, nil for the
-// radius-dependent ones (which engineForRadius builds lazily) after
-// failing fast on a metric they could never serve. LoadDiversifier
+// coverage graph (which engineForRadius builds lazily), after failing
+// fast on a metric the M-tree could never serve. LoadDiversifier
 // shares it for snapshots that carry no prepared artifacts. points must
 // be flat.Points() (the dataset's own view).
 func initialEngine(o options, flat *object.FlatDataset, points []Point) (core.Engine, error) {
@@ -293,13 +295,6 @@ func initialEngine(o options, flat *object.FlatDataset, points []Point) (core.En
 		// Built lazily: the coverage graph needs the selection radius.
 		// Every metric is served — the build picks the grid or batched
 		// flat-join substrate per metric and dimensionality.
-		return nil, nil
-	case IndexGrid:
-		// Built lazily: the grid buckets at the selection radius. Fail
-		// fast on a metric the cell-ring scan cannot serve.
-		if !grid.Supports(o.metric) {
-			return nil, fmt.Errorf("disc: metric %q does not dominate per-coordinate differences; IndexGrid's cell scan would miss true neighbours (use Euclidean, Manhattan or Chebyshev)", o.metric.Name())
-		}
 		return nil, nil
 	default:
 		// The M-tree's ball pruning assumes the triangle inequality;
@@ -320,83 +315,64 @@ func buildMTree(m Metric, capacity int, seed uint64, points []Point) (core.Engin
 // Indexed returns the backend this diversifier queries.
 func (d *Diversifier) Indexed() Index { return d.index }
 
-// engineForRadius returns the engine answering queries at radius r. The
-// radius-dependent backends are built lazily. IndexCoverageGraph keeps
-// one graph, joined at its ceiling: the largest radius selected so far.
-// With rebuild set (Select, Prepare and the extensions) a radius above
-// the ceiling raises it with one join — reusing the grid occupancy
-// whenever the new radius still fits its cell side — and every radius
-// at or below it is served by the same graph as row-prefix views, with
-// no join. For IndexGrid only the O(n) bucketing is radius-dependent;
-// it is reused as long as one cell ring covers r and coarsened
-// otherwise. With rebuild unset (the zoom paths) nothing is built when
-// an engine exists: the graph answers any radius exactly, above its
-// ceiling through its substrate's fallback scans, so a zoom out never
-// raises the ceiling.
+// engineForRadius returns the engine answering queries at radius r.
+// IndexCoverageGraph is built lazily and keeps one graph, joined at its
+// ceiling: the largest radius selected so far. With rebuild set
+// (Select, Prepare and the extensions) a radius above the ceiling
+// raises it with one join — reusing the grid occupancy whenever the new
+// radius still fits its cell side — and every radius at or below it is
+// served by the same graph as row-prefix views, with no join. With
+// rebuild unset (the zoom paths) nothing is built when an engine
+// exists: the graph answers any radius exactly, above its ceiling
+// through its substrate's fallback scans, so a zoom out never raises
+// the ceiling.
 //
 // A coverage graph with more than core.AdjacencyBudget entries is never
 // materialised: the join stops at the budget and that radius, like
 // every larger one, is served by denseEngine instead. The ceiling graph
 // stays and keeps serving the radii below it.
 func (d *Diversifier) engineForRadius(r float64, rebuild bool) (core.Engine, error) {
-	switch d.index {
-	case IndexCoverageGraph:
-		g, _ := d.engine.(*core.ParallelGraphEngine)
-		if !rebuild && (g != nil || d.dense != nil) {
-			if g != nil && r < d.denseFrom {
-				return g, nil
-			}
-			return d.dense, nil
-		}
-		if r >= d.denseFrom {
-			return d.denseEngine()
-		}
-		if g != nil && r <= g.Radius() {
-			return g, nil
-		}
-		budget := core.AdjacencyBudget(d.flat.Len())
-		var err error
-		if g != nil {
-			g, err = g.Rebuild(r, budget)
-		} else {
-			g, err = core.BuildParallelGraphEngineCapped(d.flat, r, d.parallelism, budget)
-		}
-		if errors.Is(err, grid.ErrTooDense) {
-			d.denseFrom = r
-			return d.denseEngine()
-		}
-		if err != nil {
-			return nil, err
-		}
-		d.engine = g
-		return g, nil
-	case IndexGrid:
-		if e, ok := d.engine.(*core.GridEngine); ok {
-			if rebuild {
-				if err := e.EnsureRadius(r); err != nil {
-					return nil, err
-				}
-			}
-			return e, nil
-		}
-		e, err := core.BuildGridEngineOn(d.flat, r)
-		if err != nil {
-			return nil, err
-		}
-		d.engine = e
-		return e, nil
-	default:
+	if d.index != IndexCoverageGraph {
 		return d.engine, nil
 	}
+	g, _ := d.engine.(*core.ParallelGraphEngine)
+	if !rebuild && (g != nil || d.dense != nil) {
+		if g != nil && r < d.denseFrom {
+			return g, nil
+		}
+		return d.dense, nil
+	}
+	if r >= d.denseFrom {
+		return d.denseEngine()
+	}
+	if g != nil && r <= g.Radius() {
+		return g, nil
+	}
+	budget := core.AdjacencyBudget(d.flat.Len())
+	var err error
+	if g != nil {
+		g, err = g.Rebuild(r, budget)
+	} else {
+		g, err = core.BuildParallelGraphEngineCapped(d.flat, r, d.parallelism, budget)
+	}
+	if errors.Is(err, grid.ErrTooDense) {
+		d.denseFrom = r
+		return d.denseEngine()
+	}
+	if err != nil {
+		return nil, err
+	}
+	d.engine = g
+	return g, nil
 }
 
 // denseEngine serves IndexCoverageGraph radii whose graph passes the
 // adjacency budget, on an engine whose memory does not grow with the
 // edge count: the M-tree where the metric keeps the triangle inequality
-// (on dense radii its pruning beats the grid's ring scans), the flat
-// scan otherwise. It is built once and kept beside the ceiling graph.
-// Greedy selections and zooms are the same ids on every engine; only
-// the cost differs.
+// (README "Serving" prices it past the budget in its density table),
+// the flat scan otherwise. It is built once and kept beside the ceiling
+// graph. Greedy selections and zooms are the same ids on every engine;
+// only the cost differs.
 func (d *Diversifier) denseEngine() (core.Engine, error) {
 	if d.dense == nil {
 		if object.TriangleSafe(d.metric) {
@@ -412,13 +388,30 @@ func (d *Diversifier) denseEngine() (core.Engine, error) {
 	return d.dense, nil
 }
 
-// NewFromDataset is New over ds.Points.
+// NewFromDataset is New over ds.Points that also keeps ds.Labels (nil,
+// empty, or one per point), which Labels returns and snapshots persist.
+// Both slices are retained and must not be mutated afterwards.
 func NewFromDataset(ds *Dataset, opts ...Option) (*Diversifier, error) {
 	if ds == nil {
 		return nil, fmt.Errorf("disc: nil dataset")
 	}
-	return New(ds.Points, opts...)
+	if len(ds.Labels) != 0 && len(ds.Labels) != len(ds.Points) {
+		return nil, fmt.Errorf("disc: %d labels for %d points", len(ds.Labels), len(ds.Points))
+	}
+	d, err := New(ds.Points, opts...)
+	if err != nil {
+		return nil, err
+	}
+	if len(ds.Labels) != 0 {
+		d.labels = ds.Labels
+	}
+	return d, nil
 }
+
+// Labels returns the label of every object, indexed by id, or nil when
+// the diversifier was built without labels. The slice must not be
+// mutated.
+func (d *Diversifier) Labels() []string { return d.labels }
 
 // Len returns the number of objects under diversification.
 func (d *Diversifier) Len() int { return len(d.points) }

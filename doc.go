@@ -80,21 +80,13 @@
 //   - IndexLinearScan: exact scan with zero build cost. Best for small
 //     inputs and the correctness reference everything is validated
 //     against.
-//   - IndexGrid: a uniform-grid spatial hash bucketed at the selection
-//     radius (cell side = r), answering a query by scanning only the ±1
-//     ring of cells. Bucketing is one O(n) counting sort — the cheapest
-//     build of any backend — so it shines when the radius changes often
-//     or datasets are short-lived; larger radii stay exact by scanning
-//     more rings until a coarser re-bucket. Restricted to metrics whose
-//     distance dominates every per-coordinate difference (Euclidean,
-//     Manhattan, Chebyshev — not Hamming), and degrades on sparse data
-//     at large radii, where cells hold many non-neighbours.
 //   - IndexCoverageGraph: materialises the entire r-coverage graph once
 //     per selection radius, then answers every neighbourhood query in
 //     O(degree) and hands Greedy-DisC its initial counts for free. The
 //     fastest choice when one radius is queried repeatedly — exactly
 //     the access pattern of the DisC heuristics. For grid-supported
-//     metrics the graph is built by a cell-pair ε-join over the grid
+//     metrics the graph is built by a cell-pair ε-join over a uniform
+//     grid of cell side r
 //     (each candidate pair evaluated once, both edge directions
 //     emitted, no tree traversal — O(n + candidate pairs)), sharded
 //     over a worker pool (WithParallelism, default all cores); other
@@ -115,19 +107,18 @@
 //     selections there run the global pass, which returns the same
 //     subset.
 //
-// The names of two retired backends still resolve: IndexVPTree and
+// The names of three retired backends still resolve: IndexVPTree and
 // IndexRTree (and the names "vptree" and "rtree" in IndexByName and in
-// snapshot metadata) are aliases of IndexMTree, which returns the same
-// greedy selections.
+// snapshot metadata) are aliases of IndexMTree, and IndexGrid (and
+// "grid") of IndexCoverageGraph, whose Lp builds run on the same
+// uniform grid. Each returns the same greedy selections as the backend
+// it names.
 //
 // Rule of thumb: pick the coverage graph when you will run whole
 // selections (thousands of queries) at each radius and can afford the
-// one-off join; pick the grid when builds must be instant — frequent
-// re-radiusing, streaming refreshes, zooming exploration — or memory
-// for a materialised graph is tight; pick the M-tree when the workload
-// mixes radii and arbitrary-point queries or the paper's access counts
-// matter; dense data (radius well above the point spacing) favours the
-// graph, sparse data and tiny radii favour grid queries on demand.
+// one-off join; pick the M-tree when the workload mixes radii and
+// arbitrary-point queries, memory for a materialised graph is tight,
+// or the paper's access counts matter.
 //
 // # The zero-allocation query path
 //
@@ -177,10 +168,11 @@
 // A Diversifier can be persisted to the .discsnap binary format and
 // restored without rebuilding its indexes: WriteSnapshot serialises the
 // dataset (metric plus row-major coordinates) together with whatever
-// per-radius artifacts the current backend holds — the grid occupancy
-// for IndexGrid; the occupancy, the coverage-graph CSR and (when
-// derived) its connected-component decomposition for IndexCoverageGraph
-// — and LoadDiversifier rehydrates them straight into the lazy-engine
+// per-radius artifacts the current backend holds — for
+// IndexCoverageGraph the coverage-graph CSR, the grid occupancy it was
+// joined on and (when derived) its connected-component decomposition —
+// plus the labels of a diversifier built by NewFromDataset, and
+// LoadDiversifier rehydrates them straight into the lazy-engine
 // machinery, so the first Select at the persisted radius starts from
 // the loaded graph instead of re-running the ε-join, and component-mode
 // selections skip the labeling pass too (the loaded labels are

@@ -16,7 +16,7 @@ import (
 // allEngines32 builds every engine that can serve metric m over one
 // shared Float32 dataset. The M-tree is fed the dataset's float64 view
 // (the rounded coordinates), so every engine answers over identical
-// values; the flat, grid and graph engines additionally run the float32
+// values; the flat and graph engines additionally run the float32
 // pre-filter. Engines whose pruning rules m violates are omitted — for
 // cosine/dot that leaves exactly the scan-based pair, mirroring the
 // public API's validation.
@@ -31,11 +31,6 @@ func allEngines32(t *testing.T, flat *object.FlatDataset, r float64) map[string]
 	engines["graph"] = g
 	if object.TriangleSafe(m) {
 		engines["tree"] = treeEngine(t, flat.Points(), m)
-	}
-	if flat.Dim() <= GraphFlatJoinDim {
-		if ge, err := BuildGridEngineOn(flat, r); err == nil {
-			engines["grid"] = ge
-		}
 	}
 	return engines
 }
@@ -103,7 +98,7 @@ func TestEngineConformanceFloat32Identical(t *testing.T) {
 // TestEngineConformanceFloat32Neighbors: every engine's neighbour lists
 // over a Float32 dataset must match brute force over the rounded
 // coordinates with bit-exact distances, at radii below, at, and above
-// the graph/grid build radius (the latter exercising each substrate's
+// the graph build radius (the latter exercising each substrate's
 // fallback scan, including the flat substrate's whole-dataset scan).
 func TestEngineConformanceFloat32Neighbors(t *testing.T) {
 	for _, m := range []object.Metric{object.Euclidean{}, object.Cosine{}} {

@@ -8,10 +8,10 @@ import (
 )
 
 // allEngines builds every engine implementation over the same points.
-// The parallel graph engine and the grid engine are built for radius
-// 0.2: conformance queries at or below that radius exercise the
-// materialised-graph / single-ring paths, larger ones the multi-ring
-// scan fallbacks — all must agree with brute force.
+// The parallel graph engine is built for radius 0.2: conformance
+// queries at or below that radius exercise the materialised graph,
+// larger ones its multi-ring scan fallback — all must agree with brute
+// force.
 func allEngines(t *testing.T, pts []object.Point, m object.Metric) map[string]Engine {
 	t.Helper()
 	engines := map[string]Engine{
@@ -23,11 +23,6 @@ func allEngines(t *testing.T, pts []object.Point, m object.Metric) map[string]En
 		t.Fatal(err)
 	}
 	engines["graph"] = g
-	ge, err := BuildGridEngine(pts, m, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engines["grid"] = ge
 	return engines
 }
 

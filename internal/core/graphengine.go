@@ -389,9 +389,8 @@ func (g *ParallelGraphEngine) NeighborsWhiteAppend(dst []object.Neighbor, id int
 		if g.hash != nil {
 			// Multi-ring white-filtered cell scan; covered objects are
 			// neither examined nor charged, matching the flat engine's
-			// accounting (the graph path keeps no per-cell counts — the
-			// fallback is cold, a bitset test per candidate suffices).
-			return g.hash.AppendRangeWhite(dst, g.flat.Row(id), r, id, &g.white, nil, &g.accesses, g.scratch)
+			// accounting.
+			return g.hash.AppendRangeWhite(dst, g.flat.Row(id), r, id, &g.white, &g.accesses, g.scratch)
 		}
 		return g.appendWhiteScan(dst, id, r)
 	}

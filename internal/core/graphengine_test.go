@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -244,6 +245,132 @@ func TestGraphEngineInvalidRadius(t *testing.T) {
 	for _, r := range []float64{-0.1, math.NaN(), math.Inf(1)} {
 		if _, err := BuildParallelGraphEngine(pts, object.Euclidean{}, r, 2); err == nil {
 			t.Fatalf("radius %g accepted", r)
+		}
+	}
+}
+
+// TestGraphEngineJoinPathsAgree: the grid ε-join fast path and the
+// flat all-pairs join path must produce identical CSR adjacency — same
+// offsets, same neighbours, bit-identical distances. The grid path is
+// the default for Lp metrics, so this pins the flat path against drift
+// too.
+func TestGraphEngineJoinPathsAgree(t *testing.T) {
+	pts := randomPoints(350, 3, 123)
+	m := object.Manhattan{}
+	flat, err := object.Flatten(pts, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []float64{0.05, 0.25} {
+		viaGrid := graphEngine(t, pts, m, r, 3)
+		if !viaGrid.GridJoined() {
+			t.Fatal("Lp metric did not take the grid join path")
+		}
+		viaFlat, err := buildGraph(flat, nil, nil, r, 3, true, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(viaFlat.csr.Nbrs) != len(viaGrid.csr.Nbrs) {
+			t.Fatalf("r=%g: flat join has %d entries, grid join %d", r, len(viaFlat.csr.Nbrs), len(viaGrid.csr.Nbrs))
+		}
+		for id := range pts {
+			a, b := viaFlat.csr.Row(id), viaGrid.csr.Row(id)
+			for i := range a {
+				if a[i] != b[i] {
+					t.Fatalf("r=%g id=%d entry %d: flat %+v grid %+v", r, id, i, a[i], b[i])
+				}
+			}
+		}
+	}
+}
+
+// TestGraphEngineHammingPath: metrics the grid cannot serve (Hamming)
+// take the flat join path at low dimensionality; its materialised
+// graph, fallback queries, white-filtered fallback scans and greedy
+// selections must all match the flat engine.
+func TestGraphEngineHammingPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(125))
+	pts := make([]object.Point, 300)
+	for i := range pts {
+		pts[i] = object.Point{float64(rng.Intn(4)), float64(rng.Intn(4)), float64(rng.Intn(4)), float64(rng.Intn(4))}
+	}
+	m := object.Hamming{}
+	g := graphEngine(t, pts, m, 2, 3)
+	if g.GridJoined() {
+		t.Fatal("Hamming did not take the flat join path")
+	}
+	flat := flatEngine(t, pts, m)
+	for _, r := range []float64{1, 2, 3} { // below, at and beyond the build radius
+		for _, id := range []int{0, 150, 299} {
+			got := sortNeighbors(g.Neighbors(id, r))
+			want := sortNeighbors(flat.Neighbors(id, r))
+			if len(got) != len(want) {
+				t.Fatalf("r=%g id=%d: %d neighbours, want %d", r, id, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("r=%g id=%d neighbour %d: %+v want %+v", r, id, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	gs := GreedyDisC(g, 2, GreedyOptions{Update: UpdateGrey, Pruned: true}).SortedIDs()
+	fs := GreedyDisC(flat, 2, GreedyOptions{Update: UpdateGrey, Pruned: true}).SortedIDs()
+	if !equalInts(gs, fs) {
+		t.Fatal("flat-join-path greedy differs from flat")
+	}
+	// The white-filtered fallback beyond the build radius must skip
+	// exactly the covered objects.
+	g.StartCoverage(nil)
+	for id := 0; id < len(pts); id += 4 {
+		g.Cover(id)
+	}
+	for _, id := range []int{1, 99} {
+		got := map[int]bool{}
+		for _, nb := range g.NeighborsWhite(id, 3) {
+			got[nb.ID] = true
+		}
+		for j := range pts {
+			want := j != id && g.IsWhite(j) && m.Dist(pts[id], pts[j]) <= 3
+			if got[j] != want {
+				t.Fatalf("id=%d: neighbour %d reported=%v want %v", id, j, got[j], want)
+			}
+		}
+	}
+}
+
+// TestGraphEngineRebuildReusesGrid: zooming in (smaller radius) must
+// re-join within the existing grid occupancy, zooming out must
+// re-bucket — and both must match a from-scratch build exactly.
+func TestGraphEngineRebuildReusesGrid(t *testing.T) {
+	pts := randomPoints(400, 2, 124)
+	m := object.Euclidean{}
+	base := graphEngine(t, pts, m, 0.1, 2)
+	for _, r := range []float64{0.05, 0.2, 0.01} { // r/2, 2r, far finer
+		rebuilt, err := base.Rebuild(r, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r == 0.05 && rebuilt.hash != base.hash {
+			t.Fatalf("r=%g: rebuild re-bucketed although the occupancy suits it", r)
+		}
+		// Both a larger radius (one ring cannot cover it) and a far
+		// smaller one (the ring would hold mostly non-neighbours) must
+		// re-bucket.
+		if r != 0.05 && rebuilt.hash == base.hash {
+			t.Fatalf("r=%g: rebuild kept a grid whose cell side does not suit it", r)
+		}
+		fresh := graphEngine(t, pts, m, r, 2)
+		for id := range pts {
+			a, b := rebuilt.Neighbors(id, r), fresh.Neighbors(id, r)
+			if len(a) != len(b) {
+				t.Fatalf("r=%g id=%d: rebuilt %d neighbours, fresh %d", r, id, len(a), len(b))
+			}
+			for i := range a {
+				if a[i] != b[i] {
+					t.Fatalf("r=%g id=%d neighbour %d: rebuilt %+v, fresh %+v", r, id, i, a[i], b[i])
+				}
+			}
 		}
 	}
 }

@@ -226,7 +226,7 @@ func assertMatchesComponentGreedy(t *testing.T, l *LiveDisC, r float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := RehydrateFlatGraphEngine(flat, csr, r, 1)
+	e, err := RehydrateGraphEngine(flat, nil, csr, r, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,59 +16,21 @@ func (g *ParallelGraphEngine) CSR() *grid.CSR { return g.csr }
 // flat join (see GridJoined).
 func (g *ParallelGraphEngine) Grid() *grid.Grid { return g.hash }
 
-// RehydrateGridEngine wraps an already-reconstructed grid occupancy
-// (grid.FromParts) as a query engine, skipping the O(n) bucketing a
-// fresh build would pay. The engine starts with clean access and
-// coverage state, exactly like a freshly built one.
-func RehydrateGridEngine(g *grid.Grid) *GridEngine {
-	return &GridEngine{grid: g, scratch: grid.NewScratch(g.Flat().Dim())}
-}
-
-// RehydrateGraphEngine reassembles a grid-path ParallelGraphEngine from
-// deserialised parts: the grid occupancy (also the beyond-radius
-// fallback substrate) and the coverage-graph CSR joined at radius r,
-// rows sorted by id as snapshots store them. The CSR is structurally
-// validated first — a snapshot must never be able to turn into
-// out-of-range adjacency entries — and then its rows are re-sorted in
-// place by (distance, id), the order the engine serves prefixes from;
-// the engine takes ownership of csr. Everything else a fresh build
-// derives beyond the join itself (per-point degree counts for
-// CountingEngine, the locality-preserving scan order) is recomputed in
-// O(n), which is what makes warm starts cheap: the O(n + edges) join
-// is replaced by a contiguous read and a per-row sort.
-func RehydrateGraphEngine(hash *grid.Grid, csr *grid.CSR, r float64, workers int) (*ParallelGraphEngine, error) {
-	if hash == nil || csr == nil {
-		return nil, fmt.Errorf("core: rehydrate graph engine: missing substrate")
-	}
-	flat := hash.Flat()
-	n := flat.Len()
-	if err := csr.Validate(n, r); err != nil {
-		return nil, fmt.Errorf("core: rehydrate graph engine: %w", err)
-	}
-	if !hash.Covers(r) {
-		// Adjacency joined at r must have come from an occupancy whose
-		// cell ring covers r (Join enforces it at build time); a finer
-		// grid cannot have produced this CSR.
-		return nil, fmt.Errorf("core: rehydrate graph engine: grid bucketed for %g cannot carry a graph joined at %g", hash.Radius(), r)
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	csr.SortByDist(workers)
-	return newGraph(flat, hash, hash.ScanOrder(), r, workers, csr, 0), nil
-}
-
-// RehydrateFlatGraphEngine reassembles a flat-join ParallelGraphEngine
-// from a deserialised CSR joined at radius r over flat (the flat-join
-// substrate persists no grid section — beyond-radius fallback queries
-// are whole-dataset scans, derived from the dataset alone). The CSR is
-// validated and re-sorted by (distance, id) exactly like the grid
-// path's, and owned by the engine afterwards; degree counts are
-// recomputed in O(n).
-func RehydrateFlatGraphEngine(flat *object.FlatDataset, csr *grid.CSR, r float64, workers int) (*ParallelGraphEngine, error) {
+// RehydrateGraphEngine reassembles a ParallelGraphEngine from
+// deserialised parts: the coverage-graph CSR joined at radius r over
+// flat, rows sorted by id as snapshots store them, plus the grid
+// occupancy it was joined on — nil when the graph was flat-joined, whose
+// beyond-radius fallback queries are whole-dataset scans derived from
+// the dataset alone. A non-nil hash must be bucketed over flat. The CSR
+// is structurally validated first — a snapshot must never be able to
+// turn into out-of-range adjacency entries — and then its rows are
+// re-sorted in place by (distance, id), the order the engine serves
+// prefixes from; the engine takes ownership of csr. Everything else a
+// fresh build derives beyond the join itself (per-point degree counts
+// for CountingEngine, the grid's locality-preserving scan order) is
+// recomputed in O(n), which is what makes warm starts cheap: the
+// O(n + edges) join is replaced by a contiguous read and a per-row sort.
+func RehydrateGraphEngine(flat *object.FlatDataset, hash *grid.Grid, csr *grid.CSR, r float64, workers int) (*ParallelGraphEngine, error) {
 	if flat == nil || csr == nil {
 		return nil, fmt.Errorf("core: rehydrate graph engine: missing substrate")
 	}
@@ -76,6 +38,16 @@ func RehydrateFlatGraphEngine(flat *object.FlatDataset, csr *grid.CSR, r float64
 	if err := csr.Validate(n, r); err != nil {
 		return nil, fmt.Errorf("core: rehydrate graph engine: %w", err)
 	}
+	var scan []int
+	if hash != nil {
+		if !hash.Covers(r) {
+			// Adjacency joined at r must have come from an occupancy
+			// whose cell ring covers r (Join enforces it at build time);
+			// a finer grid cannot have produced this CSR.
+			return nil, fmt.Errorf("core: rehydrate graph engine: grid bucketed for %g cannot carry a graph joined at %g", hash.Radius(), r)
+		}
+		scan = hash.ScanOrder()
+	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -83,7 +55,7 @@ func RehydrateFlatGraphEngine(flat *object.FlatDataset, csr *grid.CSR, r float64
 		workers = n
 	}
 	csr.SortByDist(workers)
-	return newGraph(flat, nil, nil, r, workers, csr, 0), nil
+	return newGraph(flat, hash, scan, r, workers, csr, 0), nil
 }
 
 // InstallComponents adopts a deserialised component decomposition for

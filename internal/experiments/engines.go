@@ -12,8 +12,8 @@ import (
 // Engines compares every index backend on the same workload and
 // algorithm — the experiment the paper's future work asks for ("index
 // structures beyond the M-tree"). For each radius of the standard sweep
-// it runs pruned Grey-Greedy-DisC on the flat scan, the M-tree, the
-// grid and the parallel coverage graph, reporting
+// it runs pruned Grey-Greedy-DisC on the flat scan, the M-tree and the
+// parallel coverage graph, reporting
 // solution size (identical across engines by construction), index build
 // time, selection wall time and the engine's access measure. The graph
 // engine's build uses cfg.Parallelism workers (0 = GOMAXPROCS).
@@ -43,11 +43,6 @@ func Engines(cfg Config, datasetName string) (*stats.Table, error) {
 		{"mtree", func(float64) (core.Engine, error) {
 			return core.BuildTreeEngine(cfg.treeConfig(w.metric), pts)
 		}, nil},
-		{"grid", func(r float64) (core.Engine, error) { return core.BuildGridEngine(pts, w.metric, r) },
-			func(e core.Engine, r float64) (core.Engine, error) {
-				ge := e.(*core.GridEngine)
-				return ge, ge.EnsureRadius(r)
-			}},
 		{"graph", func(r float64) (core.Engine, error) {
 			return core.BuildParallelGraphEngine(pts, w.metric, r, workers)
 		}, func(e core.Engine, r float64) (core.Engine, error) {

@@ -24,10 +24,10 @@ func TestEnginesExperimentSizesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 4 engines x 3 quick radii; the greedy solution size at a given
+	// 3 engines x 3 quick radii; the greedy solution size at a given
 	// radius must be identical on every engine (deterministic greedy).
-	if len(tab.Rows) != 12 {
-		t.Fatalf("expected 12 rows, got %d", len(tab.Rows))
+	if len(tab.Rows) != 9 {
+		t.Fatalf("expected 9 rows, got %d", len(tab.Rows))
 	}
 	sizeAt := map[string]string{}
 	for _, row := range tab.Rows {

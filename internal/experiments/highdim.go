@@ -239,7 +239,7 @@ func highDimJoin(pts []object.Point, m object.Metric, r float64, workers int) (*
 
 	// Steady-state selection over the already-built adjacency (warm
 	// substrate; the joins above are the build cost).
-	e, err := core.RehydrateFlatGraphEngine(flat32, csr32, r, workers)
+	e, err := core.RehydrateGraphEngine(flat32, nil, csr32, r, workers)
 	if err != nil {
 		return nil, err
 	}

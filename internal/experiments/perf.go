@@ -95,10 +95,10 @@ func (c Config) perfRadius(datasetName string) float64 {
 	return rs[len(rs)/2]
 }
 
-// Perf measures all four index backends on the same pruned Greedy-DisC
+// Perf measures all three index backends on the same pruned Greedy-DisC
 // workload and returns the snapshot. The linear-scan engine is skipped
 // above 20k objects, where a single quadratic selection would dominate
-// the whole snapshot's runtime; the suite then records the three indexed
+// the whole snapshot's runtime; the suite then records the two indexed
 // engines. Builds are measured like selections (repeated under a fixed
 // budget), since build time is a guarded metric of the snapshot.
 func Perf(cfg Config, datasetName string) (*PerfSnapshot, error) {
@@ -129,7 +129,6 @@ func Perf(cfg Config, datasetName string) (*PerfSnapshot, error) {
 		{"mtree", func() (core.Engine, error) {
 			return core.BuildTreeEngine(cfg.treeConfig(w.metric), pts)
 		}},
-		{"grid", func() (core.Engine, error) { return core.BuildGridEngine(pts, w.metric, r) }},
 		{"graph", func() (core.Engine, error) {
 			return core.BuildParallelGraphEngine(pts, w.metric, r, workers)
 		}},

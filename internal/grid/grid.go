@@ -1,7 +1,7 @@
 // Package grid implements a uniform-grid spatial hash over an
 // object.FlatDataset, the substrate of the cell-pair ε-join that builds
-// the r-coverage graph in O(n + |edges|) and of the grid index engine in
-// internal/core.
+// the r-coverage graph in O(n + |edges|) and of that graph's range scans
+// beyond its build radius.
 //
 // Points are bucketed by counting sort into a flat, contiguous
 // cell→points layout: one pass counts occupancy per cell, a prefix sum
@@ -246,9 +246,6 @@ func (g *Grid) Cell() float64 { return g.cell }
 // Cells returns the total number of directory cells.
 func (g *Grid) Cells() int { return g.ncells }
 
-// CellOf returns the flattened cell index of point id.
-func (g *Grid) CellOf(id int) int { return int(g.cellOf[id]) }
-
 // ScanOrder appends the ids in cell order — a locality-preserving scan
 // order (points in the same or adjacent cells are close in the order).
 func (g *Grid) ScanOrder() []int {
@@ -419,23 +416,16 @@ func (g *Grid) AppendRange(dst []object.Neighbor, q []float64, rq float64, exclu
 }
 
 // AppendRangeWhite is AppendRange restricted to the ids whose bit is
-// set in white — the coverage engines' pruned query, in the same cell
-// order. Cleared ids are
-// neither examined nor charged, mirroring how the scan engines account
-// skipped covered objects; when cellWhite is non-nil it must hold the
-// per-cell count of set bits, and cells at zero are skipped without
-// visiting their points (the grid's version of the paper's grey-subtree
-// pruning).
-func (g *Grid) AppendRangeWhite(dst []object.Neighbor, q []float64, rq float64, exclude int, white *bitset.Set, cellWhite []int32, examined *int64, s *Scratch) []object.Neighbor {
+// set in white — the coverage graph's pruned query beyond its ceiling,
+// in the same cell order. Cleared ids are neither examined nor charged,
+// mirroring how the scan engines account skipped covered objects.
+func (g *Grid) AppendRangeWhite(dst []object.Neighbor, q []float64, rq float64, exclude int, white *bitset.Set, examined *int64, s *Scratch) []object.Neighbor {
 	k := g.flat.Kernel()
 	rawR := k.RawThreshold(rq)
 	coords := g.flat.Coords()
 	dim := g.flat.Dim()
 	var acc int64
 	for c := g.setup(s, q, rq); c >= 0; c = g.next(s, c) {
-		if cellWhite != nil && cellWhite[c] == 0 {
-			continue
-		}
 		for _, id := range g.ids[g.start[c]:g.start[c+1]] {
 			if int(id) == exclude || !white.Test(int(id)) {
 				continue

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/discdiversity/disc/internal/bitset"
 	"github.com/discdiversity/disc/internal/object"
 )
 
@@ -77,6 +78,74 @@ func TestGridMatchesBruteForce(t *testing.T) {
 			if !equalNeighbors(got, want) {
 				t.Fatalf("dim=%d metric=%s buildR=%g rq=%g id=%d: grid %v want %v",
 					dim, m.Name(), buildR, rq, id, got, want)
+			}
+		}
+	}
+}
+
+// TestGridAppendRangeWhite: the white-filtered scan must return exactly
+// AppendRange's answer with the cleared ids dropped — same order,
+// bit-identical distances — at radii within one cell ring and beyond
+// it, for row and free-point queries. Only white candidates may be
+// charged: with every bit set the charge equals AppendRange's, and
+// otherwise it counts the white ids in the scanned cells.
+func TestGridAppendRangeWhite(t *testing.T) {
+	metrics := []object.Metric{object.Euclidean{}, object.Manhattan{}, object.Chebyshev{}}
+	rng := rand.New(rand.NewSource(29))
+	for dim := 1; dim <= 4; dim++ {
+		m := metrics[dim%len(metrics)]
+		n := 150 + rng.Intn(150)
+		flat := randomFlat(t, n, dim, m, int64(200+dim))
+		const buildR = 0.1
+		g, err := Build(flat, buildR)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewScratch(dim)
+		var all, some bitset.Set
+		all.Reset(n)
+		all.Fill()
+		some.Reset(n)
+		for id := 0; id < n; id++ {
+			if rng.Intn(3) > 0 {
+				some.Set(id)
+			}
+		}
+		for trial := 0; trial < 30; trial++ {
+			id := rng.Intn(n)
+			q, exclude := flat.Row(id), id
+			if trial%5 == 0 {
+				q = make([]float64, dim)
+				for j := range q {
+					q[j] = rng.Float64()
+				}
+				exclude = -1
+			}
+			for _, rq := range []float64{buildR / 2, buildR, 2.5 * buildR} {
+				var scanned int64
+				full := g.AppendRange(nil, q, rq, exclude, &scanned, s)
+				var charged int64
+				if got := g.AppendRangeWhite(nil, q, rq, exclude, &all, &charged, s); !equalNeighbors(got, full) || charged != scanned {
+					t.Fatalf("dim=%d rq=%g id=%d, all white: %v charged %d, want %v charged %d", dim, rq, exclude, got, charged, full, scanned)
+				}
+				var want []object.Neighbor
+				for _, nb := range full {
+					if some.Test(nb.ID) {
+						want = append(want, nb)
+					}
+				}
+				var whiteScanned int64
+				for c := g.setup(s, q, rq); c >= 0; c = g.next(s, c) {
+					for _, cid := range g.ids[g.start[c]:g.start[c+1]] {
+						if int(cid) != exclude && some.Test(int(cid)) {
+							whiteScanned++
+						}
+					}
+				}
+				charged = 0
+				if got := g.AppendRangeWhite(nil, q, rq, exclude, &some, &charged, s); !equalNeighbors(got, want) || charged != whiteScanned {
+					t.Fatalf("dim=%d rq=%g id=%d: %v charged %d, want %v charged %d", dim, rq, exclude, got, charged, want, whiteScanned)
+				}
 			}
 		}
 	}

@@ -111,7 +111,7 @@ func (d *Dataset) Static() (*Static, error) {
 }
 
 // Static is the engine of a static dataset: a Diversifier over a fixed
-// point set, with the shape and labels its routes report. The
+// point set, with the shape its routes report. The
 // Diversifier is not safe for concurrent use, so Do runs every call
 // under the dataset's work lock. That lock is not the dataset's state
 // lock, so Status, Info and /readyz never wait on a select.
@@ -119,19 +119,22 @@ type Static struct {
 	Metric string
 	Dim    int
 	Size   int
-	Labels []string // nil, or one per point
 
 	work sync.Mutex
 	div  *disc.Diversifier
 }
 
-func newStatic(metric string, div *disc.Diversifier, labels []string) *Static {
-	st := &Static{Metric: metric, Size: div.Len(), Labels: labels, div: div}
+func newStatic(metric string, div *disc.Diversifier) *Static {
+	st := &Static{Metric: metric, Size: div.Len(), div: div}
 	if st.Size > 0 {
 		st.Dim = div.Point(0).Dim()
 	}
 	return st
 }
+
+// Labels returns the dataset's labels (nil, or one per point). The
+// Diversifier owns them and never changes them, so no lock is taken.
+func (s *Static) Labels() []string { return s.div.Labels() }
 
 // Do runs f on the Diversifier under the work lock.
 func (s *Static) Do(f func(*disc.Diversifier) error) error {
@@ -515,7 +518,7 @@ func (d *Dataset) tryOpen() error {
 }
 
 // openStatic loads the home's static snapshot. The dataset keeps the
-// index its file records; labels are not part of the format.
+// index and labels its file records.
 func (d *Dataset) openStatic(fsys vfs.FS) error {
 	data, err := fsys.ReadFile(d.paths.static)
 	if err != nil {
@@ -525,7 +528,7 @@ func (d *Dataset) openStatic(fsys vfs.FS) error {
 	if err != nil {
 		return fmt.Errorf("%s: %w", d.paths.static, err)
 	}
-	st := newStatic(div.Metric().Name(), div, nil)
+	st := newStatic(div.Metric().Name(), div)
 	d.mu.Lock()
 	d.st = st
 	d.metric = st.Metric

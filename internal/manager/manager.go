@@ -276,11 +276,11 @@ func (m *Manager) Create(name, metricName string, r float64, points []disc.Point
 	return d, nil
 }
 
-// CreateStatic registers a ready static dataset serving div, with its
-// labels (nil, or one per point) and the metric name the client gave.
+// CreateStatic registers a ready static dataset serving div (and the
+// labels div carries) under the metric name the client gave.
 // It lives in memory until Save writes it into its home; a durable
 // manager refuses a name with on-disk state, as Create does.
-func (m *Manager) CreateStatic(name, metricName string, div *disc.Diversifier, labels []string) (*Dataset, error) {
+func (m *Manager) CreateStatic(name, metricName string, div *disc.Diversifier) (*Dataset, error) {
 	if err := ValidateName(name); err != nil {
 		return nil, err
 	}
@@ -294,7 +294,7 @@ func (m *Manager) CreateStatic(name, metricName string, div *disc.Diversifier, l
 	d.state = StateReady
 	d.metric = metricName
 	d.static = true
-	d.st = newStatic(metricName, div, labels)
+	d.st = newStatic(metricName, div)
 	if err := m.admit(name, d); err != nil {
 		return nil, err
 	}

@@ -695,7 +695,7 @@ func TestRecoverStaticHomes(t *testing.T) {
 				t.Fatal(err)
 			}
 			m := New(fastCfg(dir))
-			d, err := m.CreateStatic("d", "euclidean", div, nil)
+			d, err := m.CreateStatic("d", "euclidean", div)
 			if err != nil {
 				t.Fatalf("CreateStatic: %v", err)
 			}

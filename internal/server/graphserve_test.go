@@ -178,6 +178,38 @@ func TestServedSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRestoredStaticKeepsLabels: a labelled dataset uploaded over the
+// API, saved, and recovered by a server restarted on the same data
+// directory answers a select with the same body — ids and labels.
+func TestRestoredStaticKeepsLabels(t *testing.T) {
+	const r = 0.1
+	dir := t.TempDir()
+	srv := New(WithDataDir(dir))
+	ts := httptest.NewServer(srv.Handler())
+	uploadPoints(t, ts, "demo", 300)
+	var want result
+	doJSON(t, "POST", ts.URL+"/v1/datasets/demo/select", map[string]any{"radius": r}, http.StatusCreated, &want)
+	doJSON(t, "POST", ts.URL+"/v1/datasets/demo/snapshot", nil, http.StatusCreated, nil)
+	ts.Close()
+	srv.Close()
+
+	srv2 := New(WithDataDir(dir))
+	t.Cleanup(func() { srv2.Close() })
+	if n, err := srv2.RestoreLive(); err != nil || n != 1 {
+		t.Fatalf("RestoreLive = (%d, %v), want (1, nil)", n, err)
+	}
+	ts2 := httptest.NewServer(srv2.Handler())
+	t.Cleanup(ts2.Close)
+	var got result
+	doJSON(t, "POST", ts2.URL+"/v1/datasets/demo/select", map[string]any{"radius": r}, http.StatusCreated, &got)
+	if len(want.Labels) != want.Size || want.Labels[0] == "" {
+		t.Fatalf("labels missing before the restart: %v", want.Labels)
+	}
+	if !slices.Equal(got.IDs, want.IDs) || !slices.Equal(got.Labels, want.Labels) {
+		t.Fatalf("after the restart select answers ids %v labels %v, want %v %v", got.IDs, got.Labels, want.IDs, want.Labels)
+	}
+}
+
 // TestRestoredStaticKeepsRecordedIndex: a snapshot written by a default
 // (M-tree) diversifier and placed in a home as static.discsnap stays on
 // the M-tree when a server recovers it, and its greedy select still

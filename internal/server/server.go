@@ -465,12 +465,12 @@ func (s *Server) handleCreateDataset(w http.ResponseWriter, r *http.Request) {
 	for i, p := range req.Points {
 		pts[i] = disc.Point(p)
 	}
-	div, err := disc.New(pts, opts...)
+	div, err := disc.NewFromDataset(&disc.Dataset{Points: pts, Labels: req.Labels}, opts...)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if _, err := s.mgr.CreateStatic(req.Name, metricName, div, req.Labels); err != nil {
+	if _, err := s.mgr.CreateStatic(req.Name, metricName, div); err != nil {
 		writeCreateError(w, err)
 		return
 	}
@@ -625,12 +625,13 @@ func (rs *resultState) body() resultBody {
 
 // labels returns the labels of ids, or nil for an unlabelled dataset.
 func (rs *resultState) labels(ids []int) []string {
-	if rs.st.Labels == nil {
+	all := rs.st.Labels()
+	if all == nil {
 		return nil
 	}
 	out := make([]string, len(ids))
 	for i, id := range ids {
-		out[i] = rs.st.Labels[id]
+		out[i] = all[id]
 	}
 	return out
 }

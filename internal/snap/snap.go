@@ -30,9 +30,11 @@
 // embedding metrics — the per-row squared norms; written instead of
 // kind 2 when the writer's dataset is Float32), and walepoch (7, the
 // uint64 write-ahead-log epoch this snapshot begins — written only by
-// durable checkpoints; see docs/DURABILITY.md). Kinds 5–7 were
-// added after version 1 shipped and are readable by all version-1
-// readers through the unknown-kind skip; a reader too old to know
+// durable checkpoints; see docs/DURABILITY.md), and labels (8, one
+// display string per point: uint64 count, which must equal the
+// dataset's n, then count uint32 byte lengths, then the concatenated
+// bytes). Kinds 5–8 were added after version 1 shipped and are
+// readable by all version-1 readers through the unknown-kind skip; a reader too old to know
 // kind 6 fails a float32 snapshot safely with "no dataset section"
 // rather than misreading it. Every multi-byte value is little-endian;
 // float64s and float32s are IEEE 754 bit patterns; neighbour entries
@@ -105,6 +107,7 @@ const (
 	kindComponents = 5
 	kindDataset32  = 6
 	kindWALEpoch   = 7
+	kindLabels     = 8
 )
 
 // castagnoli is the CRC-32C polynomial table; hardware-accelerated on
@@ -133,8 +136,9 @@ var neighborWireLayout = func() bool {
 // Graph may alias a decoded file buffer (see the package comment) and
 // must be treated as read-only.
 type Snapshot struct {
-	// Index is the configured backend name ("mtree", "grid", ...); empty
-	// when the writer recorded none.
+	// Index is the configured backend name ("mtree", "coverage-graph",
+	// or a retired alias such as "grid"); empty when the writer recorded
+	// none.
 	Index string
 	// Parallelism is the coverage-graph build worker count (0 = default).
 	Parallelism int
@@ -155,6 +159,11 @@ type Snapshot struct {
 	Coords   []float64
 	Coords32 []float32
 	SqNorms  []float64
+
+	// Labels, when non-nil, holds one display label per point. Unlike
+	// the arrays above, the strings are copies and do not alias the
+	// decoded buffer.
+	Labels []string
 
 	// Grid, when non-nil, is the persisted uniform-grid occupancy.
 	Grid *grid.Parts
@@ -211,6 +220,14 @@ func (s *Snapshot) validate() error {
 	}
 	if len(s.Metric) > math.MaxInt32/2 || len(s.Index) > math.MaxInt32/2 {
 		return fmt.Errorf("snap: unreasonable name length")
+	}
+	if s.Labels != nil && len(s.Labels) != s.N {
+		return fmt.Errorf("snap: %d labels for %d points", len(s.Labels), s.N)
+	}
+	for i, l := range s.Labels {
+		if uint64(len(l)) > math.MaxUint32 {
+			return fmt.Errorf("snap: label %d is %d bytes, more than its uint32 length can say", i, len(l))
+		}
 	}
 	if g := s.Grid; g != nil {
 		if len(g.Min) != s.Dim || len(g.ND) != s.Dim {
@@ -418,6 +435,21 @@ func Write(w io.Writer, s *Snapshot) error {
 	if s.WALEpoch != 0 {
 		secs = append(secs, section{kindWALEpoch, 8, func(e *enc) {
 			e.u64(s.WALEpoch)
+		}})
+	}
+	if l := s.Labels; l != nil {
+		size := 8 + 4*len(l)
+		for _, x := range l {
+			size += len(x)
+		}
+		secs = append(secs, section{kindLabels, size, func(e *enc) {
+			e.u64(uint64(len(l)))
+			for _, x := range l {
+				e.u32(uint32(len(x)))
+			}
+			for _, x := range l {
+				e.off += copy(e.b[e.off:], x)
+			}
 		}})
 	}
 
@@ -637,8 +669,8 @@ func decode(data []byte) (*Snapshot, error) {
 
 	s := &Snapshot{}
 	seen := map[uint32]bool{}
-	var gridSec, graphSec, compSec *dec
-	var gridLen, graphLen, compLen int
+	var gridSec, graphSec, compSec, labelSec *dec
+	var gridLen, graphLen, compLen, labelLen int
 	for i := 0; i < nsec; i++ {
 		t := &dec{b: data, off: headerSize + entrySize*i}
 		kind := t.u32()
@@ -731,6 +763,8 @@ func decode(data []byte) (*Snapshot, error) {
 			// Decoded after the graph section: the labels are only
 			// meaningful against its adjacency and radius.
 			compSec, compLen = d, length
+		case kindLabels:
+			labelSec, labelLen = d, length
 		case kindWALEpoch:
 			if length != 8 {
 				return nil, fmt.Errorf("snap: walepoch section length %d, want 8", length)
@@ -745,6 +779,9 @@ func decode(data []byte) (*Snapshot, error) {
 	}
 	if s.Coords == nil && s.Coords32 == nil {
 		return nil, fmt.Errorf("snap: no dataset section")
+	}
+	if s.Metric == "" {
+		return nil, fmt.Errorf("snap: dataset section names no metric")
 	}
 
 	if d := gridSec; d != nil {
@@ -822,5 +859,51 @@ func decode(data []byte) (*Snapshot, error) {
 		s.ComponentCount = int(count64)
 		s.ComponentLabels = d.i32s(s.N)
 	}
+	if d := labelSec; d != nil {
+		if s.Labels, err = decodeLabels(d, labelLen, s.N); err != nil {
+			return nil, err
+		}
+	}
 	return s, nil
+}
+
+// decodeLabels decodes a labels section of length bytes for n points.
+// The count must equal n and the lengths must sum to exactly the bytes
+// that follow them, both checked before anything is allocated, so the
+// allocation is bounded by the section: one copy of the label bytes and
+// one string header per point, each of which owns at least four bytes
+// of the section.
+func decodeLabels(d *dec, length, n int) ([]string, error) {
+	if length < 8 {
+		return nil, fmt.Errorf("snap: labels section truncated")
+	}
+	if count := d.u64(); count != uint64(n) {
+		return nil, fmt.Errorf("snap: labels section is for %d points, dataset has %d", count, n)
+	}
+	body := length - 8
+	if body/4 < n {
+		return nil, fmt.Errorf("snap: labels section length %d cannot hold %d label lengths", length, n)
+	}
+	body -= 4 * n
+	lens := d.off
+	total := 0
+	for i := 0; i < n; i++ {
+		total += int(binary.LittleEndian.Uint32(d.b[lens+4*i:]))
+		if total > body {
+			return nil, fmt.Errorf("snap: label lengths overrun the labels section")
+		}
+	}
+	if total != body {
+		return nil, fmt.Errorf("snap: labels section length %d does not match its label lengths", length)
+	}
+	at := lens + 4*n
+	blob := string(d.b[at : at+total])
+	labels := make([]string, n)
+	off := 0
+	for i := range labels {
+		l := int(binary.LittleEndian.Uint32(d.b[lens+4*i:]))
+		labels[i] = blob[off : off+l]
+		off += l
+	}
+	return labels, nil
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"math/rand/v2"
+	"slices"
 	"syscall"
 	"testing"
 
@@ -303,23 +304,12 @@ func TestComponentsSectionConsistency(t *testing.T) {
 	// Reader: rewrite the components section's radius field in place and
 	// fix up its CRC — a structurally valid file lying about the radius.
 	data := encode(t, good)
-	nsec := int(binary.LittleEndian.Uint32(data[12:]))
-	for i := 0; i < nsec; i++ {
-		entry := headerSize + entrySize*i
-		if binary.LittleEndian.Uint32(data[entry:]) != kindComponents {
-			continue
-		}
-		off := int(binary.LittleEndian.Uint64(data[entry+8:]))
-		length := int(binary.LittleEndian.Uint64(data[entry+16:]))
-		binary.LittleEndian.PutUint64(data[off:], 0x3ff0000000000000) // 1.0, not the join radius
-		binary.LittleEndian.PutUint32(data[entry+4:], crc32.Checksum(data[off:off+length], castagnoli))
-		retable(data)
-		if _, err := Read(bytes.NewReader(data)); err == nil {
-			t.Fatal("radius-mismatched components section accepted")
-		}
-		return
+	patchSection(t, data, kindComponents, func(p []byte) {
+		binary.LittleEndian.PutUint64(p, 0x3ff0000000000000) // 1.0, not the join radius
+	})
+	if _, err := Read(bytes.NewReader(data)); err == nil {
+		t.Fatal("radius-mismatched components section accepted")
 	}
-	t.Fatal("no components section found")
 }
 
 // TestUnknownSectionSkipped: a reader must skip section kinds it does
@@ -507,4 +497,68 @@ func TestRejectTwoDatasetSections(t *testing.T) {
 	if err := Write(&bytes.Buffer{}, &merged); err == nil {
 		t.Fatal("writer accepted both dataset precisions")
 	}
+}
+
+// TestLabelsSection: labels (empty and multi-byte ones included) survive
+// the round trip byte for byte; the writer refuses a label count other
+// than n, and the reader refuses a section whose count or lengths do not
+// fit it, before allocating anything.
+func TestLabelsSection(t *testing.T) {
+	s := buildSnapshot(t, 5, 2, 0.2, 23, true, true, true)
+	s.Labels = []string{"Αθήνα", "", "b", "Θεσσαλονίκη", "e"}
+	data := encode(t, s)
+	loaded, err := Read(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(loaded.Labels, s.Labels) {
+		t.Fatalf("labels drifted: %q", loaded.Labels)
+	}
+	if !bytes.Equal(encode(t, loaded), data) {
+		t.Fatal("save→load→save with labels is not byte-identical")
+	}
+	if noLabels := encode(t, buildSnapshot(t, 5, 2, 0.2, 23, true, true, true)); len(noLabels) >= len(data) {
+		t.Fatal("labels section not written")
+	}
+
+	bad := *s
+	bad.Labels = s.Labels[:4]
+	if err := Write(&bytes.Buffer{}, &bad); err == nil {
+		t.Fatal("writer accepted 4 labels for 5 points")
+	}
+
+	for name, edit := range map[string]func(p []byte){
+		"count above n":   func(p []byte) { binary.LittleEndian.PutUint64(p, 6) },
+		"count below n":   func(p []byte) { binary.LittleEndian.PutUint64(p, 4) },
+		"huge count":      func(p []byte) { binary.LittleEndian.PutUint64(p, 1<<40) },
+		"length overruns": func(p []byte) { binary.LittleEndian.PutUint32(p[8:], 1<<31) },
+		"length short":    func(p []byte) { binary.LittleEndian.PutUint32(p[8+4*3:], 1) },
+	} {
+		tampered := append([]byte(nil), data...)
+		patchSection(t, tampered, kindLabels, edit)
+		if _, err := Decode(tampered); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: decode returned %v, want corruption", name, err)
+		}
+	}
+}
+
+// patchSection applies edit to the payload of the first section of the
+// given kind and fixes up its checksum and the table's, producing a
+// structurally valid file that lies about its contents.
+func patchSection(t *testing.T, data []byte, kind uint32, edit func(payload []byte)) {
+	t.Helper()
+	nsec := int(binary.LittleEndian.Uint32(data[12:]))
+	for i := 0; i < nsec; i++ {
+		entry := headerSize + entrySize*i
+		if binary.LittleEndian.Uint32(data[entry:]) != kind {
+			continue
+		}
+		off := int(binary.LittleEndian.Uint64(data[entry+8:]))
+		length := int(binary.LittleEndian.Uint64(data[entry+16:]))
+		edit(data[off : off+length])
+		binary.LittleEndian.PutUint32(data[entry+4:], crc32.Checksum(data[off:off+length], castagnoli))
+		retable(data)
+		return
+	}
+	t.Fatalf("no section of kind %d", kind)
 }

@@ -34,10 +34,10 @@ func (r *Result) Algorithm() string { return r.sol.Algorithm }
 
 // Accesses returns the index cost consumed computing this result, in
 // the backend's own unit: tree node accesses for IndexMTree, objects
-// examined for IndexLinearScan, candidates examined for IndexGrid, and
-// adjacency entries examined (plus candidates examined on fallback
-// scans beyond the build radius) for IndexCoverageGraph. Compare across
-// backends with that caveat.
+// examined for IndexLinearScan, and adjacency entries examined (plus
+// candidates examined on fallback scans beyond the build radius) for
+// IndexCoverageGraph and its alias IndexGrid. Compare across backends
+// with that caveat.
 func (r *Result) Accesses() int64 { return r.sol.Accesses }
 
 // Contains reports whether object id was selected.

@@ -12,11 +12,10 @@ import (
 )
 
 // Prepare eagerly builds the radius-dependent index artifacts for
-// selection radius r — the grid occupancy for IndexGrid; for
-// IndexCoverageGraph the occupancy, the coverage graph (joined at r
-// when r raises its ceiling, otherwise the existing graph's row-prefix
-// view at r) and the connected-component decomposition at r — without
-// running a selection. For the radius-independent backends it is a
+// selection radius r — for IndexCoverageGraph the grid occupancy, the
+// coverage graph (joined at r when r raises its ceiling, otherwise the
+// existing graph's row-prefix view at r) and the connected-component
+// decomposition at r — without running a selection. For the radius-independent backends it is a
 // no-op. Use it before WriteSnapshot to capture a warm snapshot for a
 // radius that has not been selected at yet, or at service start to pay
 // the build cost before the first request; preparing the largest
@@ -42,19 +41,19 @@ func (d *Diversifier) Prepare(r float64) error {
 // binary format (see internal/snap for the layout): always the dataset
 // (metric plus row-major coordinates, at the diversifier's configured
 // precision — a Float32 diversifier persists the float32 coordinates
-// and the squared-norm cache of the embedding metrics) and the
+// and the squared-norm cache of the embedding metrics), the dataset's
+// labels when it was built by NewFromDataset with labels, and the
 // configured backend with its build parameters (seed, parallelism,
 // M-tree capacity), plus whatever prepared per-radius artifacts the
-// current engine holds — the grid occupancy for IndexGrid; for
-// IndexCoverageGraph the ceiling graph (rows sorted by id, as
-// CSR.Validate checks them; the load restores distance order) and (when
-// already derived) its connected-component decomposition at the
-// ceiling, together with the grid occupancy when the graph was
-// grid-joined (the flat-join substrate has no occupancy to persist).
-// Views below the ceiling are not persisted: they are re-derived from
-// the graph on demand. Backends that rebuild cheaply or
-// deterministically from the dataset (M-tree and linear scan) persist
-// the dataset only and are rebuilt on load.
+// current engine holds — for IndexCoverageGraph the ceiling graph
+// (rows sorted by id, as CSR.Validate checks them; the load restores
+// distance order) and (when already derived) its connected-component
+// decomposition at the ceiling, together with the grid occupancy when
+// the graph was grid-joined (the flat-join substrate has no occupancy
+// to persist). Views below the ceiling are not persisted: they are
+// re-derived from the graph on demand. Backends that rebuild cheaply
+// or deterministically from the dataset (M-tree and linear scan)
+// persist the dataset only and are rebuilt on load.
 //
 // A snapshot written before any Select or Prepare call carries no
 // artifacts; LoadDiversifier then behaves like New over the same
@@ -66,6 +65,7 @@ func (d *Diversifier) WriteSnapshot(w io.Writer) error {
 		Capacity:    d.capacity,
 		Seed:        d.seed,
 		Metric:      d.metric.Name(),
+		Labels:      d.labels,
 	}
 	switch e := d.engine.(type) {
 	case *core.ParallelGraphEngine:
@@ -83,9 +83,6 @@ func (d *Diversifier) WriteSnapshot(w io.Writer) error {
 			s.ComponentCount = cp.Count
 			s.ComponentLabels = cp.Label
 		}
-	case *core.GridEngine:
-		p := e.Grid().Parts()
-		s.Grid = &p
 	}
 	flat := d.flat
 	s.N, s.Dim = flat.Len(), flat.Dim()
@@ -120,13 +117,13 @@ func (d *Diversifier) SaveSnapshot(path string) error {
 
 // LoadDiversifier reconstructs a Diversifier from a snapshot written by
 // WriteSnapshot. The dataset is aliased straight out of the decoded
-// buffer (no per-point copies), and any persisted artifacts are
-// rehydrated into the same lazy-engine machinery a fresh Diversifier
-// uses: a Select or zoom at the snapshot's radius starts from the
-// loaded coverage graph or grid occupancy instead of rebuilding it,
-// and other radii degrade to exactly the rebuild rules of a fresh
-// instance. Loaded engines are bit-identical to freshly built ones —
-// same selections, same neighbour lists.
+// buffer (no per-point copies), its labels come back with it, and any
+// persisted artifacts are rehydrated into the same lazy-engine
+// machinery a fresh Diversifier uses: a Select or zoom at the
+// snapshot's radius starts from the loaded coverage graph instead of
+// rebuilding it, and other radii degrade to exactly the rebuild rules
+// of a fresh instance. Loaded engines are bit-identical to freshly
+// built ones — same selections, same neighbour lists.
 //
 // Options are applied on top of the snapshot's recorded configuration
 // (index, parallelism, M-tree capacity, construction seed):
@@ -193,52 +190,34 @@ func LoadDiversifier(r io.Reader, opts ...Option) (*Diversifier, error) {
 		parallelism: o.parallelism,
 		capacity:    o.capacity,
 		seed:        o.seed,
+		labels:      s.Labels,
 		denseFrom:   math.Inf(1),
 	}
 
-	// Rehydrate persisted artifacts when the chosen backend can use
-	// them; FromParts and the Rehydrate constructors revalidate every
+	// Rehydrate a persisted coverage graph when the chosen backend can
+	// use it; FromParts and RehydrateGraphEngine revalidate every
 	// structural invariant, so a logically inconsistent snapshot fails
-	// here instead of answering queries wrongly.
-	switch o.index {
-	case IndexCoverageGraph:
-		if s.Graph != nil {
-			var e *core.ParallelGraphEngine
-			switch {
-			case s.Grid != nil && grid.Supports(o.metric):
-				h, err := grid.FromParts(flat, *s.Grid)
-				if err != nil {
-					return nil, fmt.Errorf("disc: load: %w", err)
-				}
-				if e, err = core.RehydrateGraphEngine(h, s.Graph, s.GraphRadius, o.parallelism); err != nil {
-					return nil, fmt.Errorf("disc: load: %w", err)
-				}
-			case s.Grid == nil:
-				// A graph without an occupancy was flat-joined; its only
-				// substrate is the dataset itself.
-				if e, err = core.RehydrateFlatGraphEngine(flat, s.Graph, s.GraphRadius, o.parallelism); err != nil {
-					return nil, fmt.Errorf("disc: load: %w", err)
-				}
-			}
-			if e != nil {
-				if s.ComponentLabels != nil {
-					if err := e.InstallComponents(s.ComponentLabels, s.ComponentCount); err != nil {
-						return nil, fmt.Errorf("disc: load: %w", err)
-					}
-				}
-				d.engine = e
-				return d, nil
-			}
-		}
-	case IndexGrid:
+	// here instead of answering queries wrongly. An occupancy without a
+	// graph (written by the retired grid backend) is ignored, and so is
+	// a graph whose occupancy the metric cannot use: both build lazily.
+	if o.index == IndexCoverageGraph && s.Graph != nil && (s.Grid == nil || grid.Supports(o.metric)) {
+		var h *grid.Grid
 		if s.Grid != nil {
-			h, err := grid.FromParts(flat, *s.Grid)
-			if err != nil {
+			if h, err = grid.FromParts(flat, *s.Grid); err != nil {
 				return nil, fmt.Errorf("disc: load: %w", err)
 			}
-			d.engine = core.RehydrateGridEngine(h)
-			return d, nil
 		}
+		e, err := core.RehydrateGraphEngine(flat, h, s.Graph, s.GraphRadius, o.parallelism)
+		if err != nil {
+			return nil, fmt.Errorf("disc: load: %w", err)
+		}
+		if s.ComponentLabels != nil {
+			if err := e.InstallComponents(s.ComponentLabels, s.ComponentCount); err != nil {
+				return nil, fmt.Errorf("disc: load: %w", err)
+			}
+		}
+		d.engine = e
+		return d, nil
 	}
 	e, err := initialEngine(o, flat, d.points)
 	if err != nil {

@@ -117,7 +117,6 @@ func TestSnapshotWarmEngineReused(t *testing.T) {
 		ix   Index
 	}{
 		{"coverage-graph", IndexCoverageGraph},
-		{"grid", IndexGrid},
 	} {
 		d, err := New(pts, WithIndex(tc.ix))
 		if err != nil {
@@ -226,14 +225,14 @@ func TestSnapshotOptionOverrides(t *testing.T) {
 	if _, err := over.Select(0.1); err != nil {
 		t.Fatal(err)
 	}
-	// Grid override of a coverage-graph snapshot reuses the persisted
-	// occupancy.
+	// The retired grid backend is the coverage graph, so naming it
+	// reuses the persisted graph.
 	gridDiv, err := LoadDiversifier(bytes.NewReader(data), WithIndex(IndexGrid))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gridDiv.engine == nil {
-		t.Fatal("grid override did not rehydrate the persisted occupancy")
+		t.Fatal("grid override did not rehydrate the persisted graph")
 	}
 }
 
@@ -345,47 +344,74 @@ func TestSnapshotBuildParamsPersisted(t *testing.T) {
 	}
 }
 
-// TestSnapshotRetiredIndexLoads: a snapshot whose metadata names the
-// retired "rtree" or "vptree" backend loads onto the M-tree and selects
-// exactly the ids a fresh M-tree select does.
+// TestSnapshotRetiredIndexLoads: a snapshot whose metadata names a
+// retired backend loads onto the backend that replaced it and selects
+// exactly the ids a fresh select on that backend does — "rtree" and
+// "vptree" onto the M-tree, and "grid" onto the coverage graph, which
+// ignores the grid-only occupancy section such a file carries and
+// builds lazily.
 func TestSnapshotRetiredIndexLoads(t *testing.T) {
 	pts := snapshotTestPoints(400, 2, 48)
-	fresh, err := New(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := fresh.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := snap.Read(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"rtree", "vptree"} {
-		parsed.Index = name
+	for _, tc := range []struct {
+		name string
+		want Index
+	}{
+		{"rtree", IndexMTree},
+		{"vptree", IndexMTree},
+		{"grid", IndexCoverageGraph},
+	} {
+		fresh, err := New(pts, WithIndex(tc.want))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Prepare gives the coverage graph an occupancy to persist; the
+		// retired grid backend wrote that section and nothing else.
+		if err := fresh.Prepare(0.12); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := fresh.WriteSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		parsed, err := snap.Read(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		parsed.Index = tc.name
+		if tc.name == "grid" {
+			if parsed.Grid == nil {
+				t.Fatal("prepared coverage graph persisted no occupancy")
+			}
+			parsed.Graph, parsed.GraphRadius = nil, 0
+			parsed.ComponentLabels, parsed.ComponentCount = nil, 0
+		}
 		var old bytes.Buffer
 		if err := snap.Write(&old, parsed); err != nil {
 			t.Fatal(err)
 		}
 		loaded, err := LoadDiversifier(bytes.NewReader(old.Bytes()))
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if loaded.Indexed() != IndexMTree {
-			t.Fatalf("%s: loaded onto %v, want the M-tree", name, loaded.Indexed())
+		if loaded.Indexed() != tc.want {
+			t.Fatalf("%s: loaded onto %v, want %v", tc.name, loaded.Indexed(), tc.want)
+		}
+		if tc.name == "grid" && loaded.engine != nil {
+			t.Fatalf("grid: occupancy-only snapshot rehydrated %T", loaded.engine)
 		}
 		for _, r := range []float64{0.05, 0.12} {
-			want, err := fresh.Select(r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := loaded.Select(r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !equalIDs(want.IDs(), got.IDs()) {
-				t.Fatalf("%s r=%g: selection differs from a fresh M-tree select", name, r)
+			for _, mode := range []SelectMode{SelectGlobal, SelectComponents} {
+				want, err := fresh.Select(r, WithSelectMode(mode))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := loaded.Select(r, WithSelectMode(mode))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !equalIDs(want.IDs(), got.IDs()) {
+					t.Fatalf("%s r=%g %v: selection differs from a fresh %v select", tc.name, r, mode, tc.want)
+				}
 			}
 		}
 	}

@@ -47,23 +47,20 @@ const (
 	// radius using all cores (see WithParallelism), then answers every
 	// neighbourhood query in O(degree). The best choice when one radius
 	// is queried repeatedly, as the greedy heuristics do. For Lp metrics
-	// the graph is built by the grid ε-join (see IndexGrid) in
+	// the graph is built by the uniform-grid ε-join in
 	// O(n + candidate pairs). Radii whose graph would pass 128 adjacency
 	// entries per object are served by the M-tree or a flat scan
 	// instead (see the package documentation), so memory stays linear
 	// in n at any radius.
 	IndexCoverageGraph
-	// IndexGrid is a uniform-grid spatial hash with cell side equal to
-	// the selection radius: queries scan only the ±1 cell ring, and the
-	// O(n) counting-sort bucketing makes it the cheapest index to
-	// (re)build. Restricted to metrics whose distance dominates every
-	// per-coordinate difference (Euclidean, Manhattan, Chebyshev — not
-	// Hamming).
-	IndexGrid
+	// Value 5 belonged to the removed uniform-grid backend; like 2 and
+	// 3 it stays unassigned, so a stored 5 is rejected rather than
+	// remapped (IndexGrid now names the coverage graph).
 )
 
-// Retired backends. Both names resolve to the M-tree, which returns the
-// same greedy selections, so old code, flags and snapshots keep working.
+// Retired backends. Each name resolves to a live backend that returns
+// the same greedy selections, so old code, flags and snapshots keep
+// working.
 const (
 	// IndexVPTree named the removed vantage-point tree backend.
 	//
@@ -73,6 +70,11 @@ const (
 	//
 	// Deprecated: use IndexMTree, which IndexRTree aliases.
 	IndexRTree = IndexMTree
+	// IndexGrid named the removed uniform-grid backend, whose cell
+	// scans the coverage graph's Lp builds run on.
+	//
+	// Deprecated: use IndexCoverageGraph, which IndexGrid aliases.
+	IndexGrid = IndexCoverageGraph
 )
 
 // SelectMode chooses how Select executes the Greedy-DisC family. All
@@ -119,8 +121,6 @@ func (ix Index) String() string {
 		return "flat"
 	case IndexCoverageGraph:
 		return "coverage-graph"
-	case IndexGrid:
-		return "grid"
 	default:
 		return fmt.Sprintf("index(%d)", int(ix))
 	}
@@ -129,11 +129,11 @@ func (ix Index) String() string {
 // indexNames maps every supported backend to its String() name, in
 // display order; IndexByName and option errors derive from it so the
 // supported-name list can never drift from the Index constants.
-var indexNames = []Index{IndexMTree, IndexLinearScan, IndexCoverageGraph, IndexGrid}
+var indexNames = []Index{IndexMTree, IndexLinearScan, IndexCoverageGraph}
 
 // indexAliases maps the names of retired backends to the backend that
 // now serves them.
-var indexAliases = map[string]Index{"vptree": IndexMTree, "rtree": IndexMTree}
+var indexAliases = map[string]Index{"vptree": IndexMTree, "rtree": IndexMTree, "grid": IndexCoverageGraph}
 
 // SupportedIndexNames returns the names of the supported backends, in
 // display order. IndexByName also accepts the retired aliases.
@@ -146,10 +146,10 @@ func SupportedIndexNames() []string {
 }
 
 // IndexByName resolves an index backend from its String() name
-// ("mtree", "flat", "coverage-graph", "grid"). The retired names
-// "vptree" and "rtree" resolve to IndexMTree. Unknown names fail
-// immediately with the supported list in the error, so
-// misconfiguration surfaces when the option is parsed rather than at
+// ("mtree", "flat", "coverage-graph"). The retired names "vptree" and
+// "rtree" resolve to IndexMTree, and "grid" to IndexCoverageGraph.
+// Unknown names fail immediately with the supported list in the error,
+// so misconfiguration surfaces when the option is parsed rather than at
 // Diversify time.
 func IndexByName(name string) (Index, error) {
 	for _, ix := range indexNames {
