@@ -18,8 +18,11 @@
 //     recorded in the baseline apply, so a baseline pins its gates);
 //   - a baseline row missing from the current run fails, once per
 //     subject, since losing a measurement is how a regression hides;
-//   - current-only rows warn, once per subject, so adding a metric
-//     never requires regenerating the baseline in the same commit.
+//   - current-only gated rows warn, once per subject, so adding a metric
+//     never requires regenerating the baseline in the same commit;
+//   - current-only rows without rules (better "none", no bounds) are
+//     listed once per subject as INFO and are not warnings: no baseline
+//     refresh could ever gate them.
 //
 // Improvements never fail. The exit status is 1 on any regression.
 //
@@ -189,7 +192,8 @@ func check(b experiments.Row, now, tolerance float64) (bounds []string, fail boo
 // diff checks cur against base, printing one line per gated row and
 // per subject with missing or new rows to w. It returns the number of
 // regressions (failed rows, plus one per subject with rows missing
-// from cur) and of warnings (one per subject with rows only cur has).
+// from cur) and of warnings (one per subject with gated rows only cur
+// has).
 func diff(w io.Writer, base, cur *experiments.Suite, tolerance float64) (regressions, warnings int) {
 	type key struct{ subject, name string }
 	current := map[key]experiments.Row{}
@@ -224,10 +228,15 @@ func diff(w io.Writer, base, cur *experiments.Suite, tolerance float64) (regress
 		fmt.Fprintf(w, "%s %-16s %-28s %12.6g -> %12.6g %-5s (%s%s)\n",
 			status, b.Subject, b.Name, b.Value, c.Value, b.Unit, strings.Join(bounds, ", "), change)
 	}
-	var fresh rowsBySubject
+	var fresh, ungated rowsBySubject
 	for _, c := range cur.Rows {
-		if _, ok := current[key{c.Subject, c.Name}]; ok {
+		if _, ok := current[key{c.Subject, c.Name}]; !ok {
+			continue
+		}
+		if gated(c) {
 			fresh.add(c)
+		} else {
+			ungated.add(c)
 		}
 	}
 	for i, subject := range missing.subjects {
@@ -237,6 +246,9 @@ func diff(w io.Writer, base, cur *experiments.Suite, tolerance float64) (regress
 	for i, subject := range fresh.subjects {
 		fmt.Fprintf(w, "WARN %-16s not in baseline (add on the next baseline refresh): %s\n", subject, strings.Join(fresh.names[i], ", "))
 		warnings++
+	}
+	for i, subject := range ungated.subjects {
+		fmt.Fprintf(w, "INFO %-16s not in baseline, never gated: %s\n", subject, strings.Join(ungated.names[i], ", "))
 	}
 	return regressions, warnings
 }

@@ -18,9 +18,11 @@ type diffCase struct {
 	base, cur             experiments.Suite
 	regressions, warnings int
 	// fails lists "subject name" pairs that must appear on a FAIL
-	// line; warns lists subjects that must appear on a WARN line.
+	// line; warns and infos list subjects that must appear on a WARN
+	// and an INFO line.
 	fails []string
 	warns []string
+	infos []string
 }
 
 func runDiffCases(t *testing.T, cases []diffCase) {
@@ -43,6 +45,11 @@ func runDiffCases(t *testing.T, cases []diffCase) {
 			for _, s := range tc.warns {
 				if !hasLine(out.String(), "WARN", s) {
 					t.Errorf("no WARN line for %q:\n%s", s, out.String())
+				}
+			}
+			for _, s := range tc.infos {
+				if !hasLine(out.String(), "INFO", s) {
+					t.Errorf("no INFO line for %q:\n%s", s, out.String())
 				}
 			}
 		})
@@ -86,6 +93,24 @@ func TestCompareNewEngineWarnsOnly(t *testing.T) {
 		warnings: 1,
 		warns:    []string{"hyper"},
 	}})
+}
+
+// TestCompareFreshTelemetryIsInfo: the perf suite's telemetry rows
+// are better "none" by design, so a baseline without them lists them
+// once as INFO, not as a warning; a fresh gated row in the same run
+// still warns.
+func TestCompareFreshTelemetryIsInfo(t *testing.T) {
+	withTelemetry := func(engines ...experiments.PerfEngine) experiments.Suite {
+		return (&experiments.PerfSnapshot{Dataset: "clustered", N: 100, Dim: 2, Radius: 0.1, Engines: engines,
+			Telemetry: &experiments.ExperimentTelemetry{SelectP50Ms: 1.5, SelectP99Ms: 4, GridBuildP50Ms: 2}}).Suite()
+	}
+	runDiffCases(t, []diffCase{
+		{name: "telemetry only", base: perf(engine("grid", 2, 130, 0)),
+			cur: withTelemetry(engine("grid", 2, 130, 0)), infos: []string{"telemetry"}},
+		{name: "telemetry and a new engine", base: perf(engine("grid", 2, 130, 0)),
+			cur:      withTelemetry(engine("grid", 2, 130, 0), engine("hyper", 1, 10, 0)),
+			warnings: 1, warns: []string{"hyper"}, infos: []string{"telemetry"}},
+	})
 }
 
 // TestCompareMissingEngineFails: losing a baseline engine's rows is how

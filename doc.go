@@ -196,15 +196,15 @@
 // # Live updates
 //
 // Updater maintains an r-DisC diverse selection under live inserts and
-// deletes on the same CSR substrate, under every metric, with the
-// connected component as the unit of invalidation: Insert splices the
-// new point into the CSR adjacency (finding its neighbours through the
-// grid occupancy for Euclidean, Manhattan and Chebyshev, by a scan of
-// the live points otherwise) and dirties the component it touches (or
-// the few it merges); Delete re-partitions its component
-// (a removal can split it) and dirties each part; Flush repairs
-// exactly the dirty components and atomically publishes the converged
-// selection. Reads (Selection, Size, IsRepresentative) are lock-free
+// deletes on the same CSR substrate, under every metric: Insert splices
+// the new point into the CSR adjacency (finding its neighbours through
+// the grid occupancy for Euclidean, Manhattan and Chebyshev, by a scan
+// of the live points otherwise) and dirties the component it touches
+// (or the few it merges); Delete re-partitions its component (a removal
+// can split it) and dirties each part; Flush replays the greedy from
+// the objects the mutations touched, against the time every object left
+// the white set in the last run, until the replay agrees with that
+// record, and atomically publishes the converged selection. Reads (Selection, Size, IsRepresentative) are lock-free
 // and bounded-stale: they answer from the last published selection —
 // always a consistent DisC-diverse subset of some recent state, never
 // a half-repaired one — while mutations and Flush serialise on an

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -15,8 +16,8 @@ import (
 )
 
 // LiveDisC maintains an r-DisC diverse selection under inserts and
-// deletes by repairing only the connected components a mutation touches.
-// It is the incremental counterpart of GreedyDisCComponents on the same
+// deletes by replaying only the part of the greedy run a mutation
+// changes. It is the incremental counterpart of GreedyDisCComponents on the same
 // substrate — copy-on-write CSR adjacency (grid.DynAdj), component
 // labels — and reproduces the batch algorithm exactly: after Flush, the
 // selection is what GreedyDisCComponents would compute over the live
@@ -30,15 +31,21 @@ import (
 // non-Lp insert costs O(n) distance tests. Both test candidates with the
 // compiled kernel, so the adjacency is bit-identical to the batch join's.
 //
-// The unit of invalidation is the connected component, following the
-// decomposition argument of the parallel selection: a dominating set of
-// a disconnected graph is the union of per-component dominating sets,
-// so a mutation can only change the selection of the components it
-// touches. An insert joins (or merges) the components of its in-range
+// Each object keeps its leave time in the converged greedy run: the
+// priority of the pick that stopped it being white (see liverepair.go).
+// A mutation only queues the objects whose neighbourhood it changed —
+// an insert's new id and its neighbours, a delete's severed neighbours
+// — and Flush replays the greedy from them outwards, pulling in an
+// object only once a neighbour leaves at another time than recorded.
+// So a write into a giant component costs the part of the run it
+// changes, not the component. The seed and LiveReplay.Finish run the
+// pruned component greedy in full once, recording every leave time.
+//
+// Components are still maintained, for the batch output order and for
+// Compact: an insert joins (or merges) the components of its in-range
 // neighbours; a delete can split its component, which a bounded BFS
 // over the remaining members re-partitions. Touched components are
-// marked dirty and their members' selection discarded; Flush re-runs
-// the pruned component greedy over exactly the dirty components.
+// marked dirty until the next Flush.
 //
 // Reads are bounded-stale: the last converged selection is published as
 // an immutable snapshot behind an atomic pointer, so Selection,
@@ -50,26 +57,32 @@ import (
 //
 // Component labels are the component's minimum live member id (-1 for
 // dead slots) — the id-stable form of the canonical
-// ascending-minimum-member numbering, which is what keeps repair order
-// and heap tie-breaks identical to the batch run's.
+// ascending-minimum-member numbering, which is what keeps the ordered
+// selection's component order identical to the batch run's.
 type LiveDisC struct {
 	r   float64
 	dyn *object.DynDataset
 	mg  *grid.MutGrid // nil: the metric is not grid-servable, inserts scan
 	adj *grid.DynAdj
 
-	label   []int32
-	comps   map[int32][]int32 // label -> live members, ascending
-	compSel map[int32][]int32 // label -> selected ids, greedy order
-	dirty   map[int32]struct{}
+	label []int32
+	comps map[int32][]int32 // label -> live members, ascending
+	dirty map[int32]struct{}
 
-	sel      bitset.Set // converging selection (cleared for dirty comps)
+	// trace[id] is the leave time of id in the converged greedy run:
+	// the priority (leaveTime) of the pick that stopped it being white,
+	// its own pick's when it was selected; 0 for dead slots and for
+	// inserts not yet flushed.
+	trace []uint64
+
+	sel      bitset.Set // converging selection
 	selCount int
 
 	published atomic.Pointer[liveSnap]
 	accesses  int64
 
 	// Repair and traversal scratch, grown lazily to the slot domain.
+	rs    liveRepair
 	bq    bucketQueue
 	white bitset.Set
 	pend  bitset.Set
@@ -198,7 +211,6 @@ func newLiveReplay(dyn *object.DynDataset, csr *grid.CSR, r float64, accesses in
 		dyn:      dyn,
 		mg:       mg,
 		comps:    make(map[int32][]int32),
-		compSel:  make(map[int32][]int32),
 		dirty:    make(map[int32]struct{}),
 		accesses: accesses,
 	}}, nil
@@ -242,10 +254,9 @@ func (rp *LiveReplay) Delete(id int) error {
 // Finish folds the base adjacency and the recorded edges into one CSR
 // (grid.Fold; with no record applied the base is kept as is), labels
 // the components of the replayed state (label = minimum live member,
-// dead slots -1), runs the component greedy over every component in
-// ascending label order — the batch processing order — and returns the
-// maintainer with that selection published. The replay must not be
-// used afterwards.
+// dead slots -1), runs the component greedy over every component,
+// recording every object's leave time, and returns the maintainer with
+// that selection published. The replay must not be used afterwards.
 func (rp *LiveReplay) Finish() *LiveDisC {
 	l := rp.l
 	slots := l.dyn.Slots()
@@ -257,16 +268,26 @@ func (rp *LiveReplay) Finish() *LiveDisC {
 	l.adj = grid.NewDynAdj(adj)
 	l.label = grid.MinMemberLabels(slots, l.r, l.adj.Row, l.dyn.Alive)
 	for id, lab := range l.label {
-		if lab < 0 {
-			continue
+		if lab >= 0 {
+			l.comps[lab] = append(l.comps[lab], int32(id))
 		}
-		if lab == int32(id) {
-			l.dirty[lab] = struct{}{}
-		}
-		l.comps[lab] = append(l.comps[lab], int32(id))
 	}
 	l.sel.Grow(slots)
-	l.Flush()
+	l.rs.grow(slots)
+	l.trace = make([]uint64, slots)
+	if len(l.comps) > 0 {
+		start := time.Now()
+		metLiveRepaired.Add(uint64(len(l.comps)))
+		l.white.Grow(slots)
+		for len(l.nw) < slots {
+			l.nw = append(l.nw, 0)
+		}
+		for _, members := range l.comps {
+			l.runComponent(members)
+		}
+		telemetry.Since(metLiveRepair, start)
+	}
+	l.publish()
 	return l
 }
 
@@ -301,8 +322,9 @@ func (l *LiveDisC) Pending() int { return len(l.dirty) }
 func (l *LiveDisC) Accesses() int64 { return l.accesses }
 
 // Insert adds p, splices it into the grid and the adjacency, merges the
-// components of its in-range neighbours and marks the merged component
-// dirty. The published selection is unchanged until the next Flush.
+// components of its in-range neighbours, marks the merged component
+// dirty and queues p and its neighbours for repair. The published
+// selection is unchanged until the next Flush.
 func (l *LiveDisC) Insert(p object.Point) (int, error) {
 	defer telemetry.Since(metLiveInsert, time.Now())
 	id, err := l.place(p)
@@ -311,6 +333,12 @@ func (l *LiveDisC) Insert(p object.Point) (int, error) {
 	}
 	l.adj.AddVertex(id, l.qbuf)
 	l.join(id)
+	l.trace = append(l.trace, 0)
+	l.rs.grow(l.dyn.Slots())
+	l.queue(int32(id))
+	for _, nb := range l.qbuf {
+		l.queue(int32(nb.ID))
+	}
 	return id, nil
 }
 
@@ -360,8 +388,7 @@ func (l *LiveDisC) scanRange(dst []object.Neighbor, q []float64, exclude int) []
 
 // join is the component step of an insert: union the components of the
 // new id's neighbours (l.qbuf; usually one) with it under the minimum
-// label, discard every absorbed component's selection and mark the
-// union dirty.
+// label and mark the union dirty.
 func (l *LiveDisC) join(id int) {
 	for len(l.label) < l.dyn.Slots() {
 		l.label = append(l.label, -1)
@@ -383,7 +410,6 @@ func (l *LiveDisC) join(id int) {
 		// label (its minimum) unchanged.
 		if len(merged) == 1 {
 			newLab = merged[0]
-			l.invalidate(newLab)
 			members = l.comps[newLab]
 		}
 		members = append(members, int32(id))
@@ -392,7 +418,6 @@ func (l *LiveDisC) join(id int) {
 		members = []int32{int32(id)}
 		for _, lab := range merged {
 			newLab = min(newLab, lab)
-			l.invalidate(lab)
 			members = append(members, l.comps[lab]...)
 			delete(l.comps, lab)
 			delete(l.dirty, lab)
@@ -408,8 +433,9 @@ func (l *LiveDisC) join(id int) {
 
 // Delete retracts a live object, unsplices it everywhere, re-partitions
 // its component (a bounded BFS over the remaining members decides
-// whether the removal split it) and marks every resulting part dirty.
-// The published selection is unchanged until the next Flush.
+// whether the removal split it), marks every resulting part dirty and
+// queues the severed neighbours for repair. The published selection is
+// unchanged until the next Flush.
 func (l *LiveDisC) Delete(id int) error {
 	defer telemetry.Since(metLiveDelete, time.Now())
 	if err := l.retire(id); err != nil {
@@ -421,6 +447,15 @@ func (l *LiveDisC) Delete(id int) error {
 	}
 	l.adj.RemoveVertex(id)
 	l.split(id)
+	for _, nb := range l.grey {
+		l.queue(nb)
+	}
+	l.rs.st[id] &^= stWhite // a queued seed that is gone
+	if picked(l.trace[id], id) {
+		l.sel.Clear(id)
+		l.selCount--
+	}
+	l.trace[id] = 0
 	return nil
 }
 
@@ -450,7 +485,6 @@ func (l *LiveDisC) retire(id int) error {
 // leaves contains one of them).
 func (l *LiveDisC) split(id int) {
 	lab := l.label[id]
-	l.invalidate(lab)
 	l.label[id] = -1
 	members := l.comps[lab]
 	delete(l.comps, lab)
@@ -554,67 +588,38 @@ func (l *LiveDisC) adopt(members []int32) {
 	l.dirty[lab] = struct{}{}
 }
 
-// invalidate discards the selection of component lab (no-op when it has
-// none, e.g. it is already dirty).
-func (l *LiveDisC) invalidate(lab int32) {
-	sel, ok := l.compSel[lab]
-	if !ok {
-		return
-	}
-	for _, id := range sel {
-		l.sel.Clear(int(id))
-	}
-	l.selCount -= len(sel)
-	delete(l.compSel, lab)
-}
-
-// Flush repairs every dirty component in ascending label order —
-// exactly the batch processing order — and publishes the converged
-// selection. It returns the number of components repaired.
+// Flush replays the greedy from every object a mutation queued since
+// the last Flush (see repair) and publishes the converged selection. It
+// returns the number of dirty components it converged.
 func (l *LiveDisC) Flush() int {
 	repaired := len(l.dirty)
-	if repaired > 0 {
+	if repaired > 0 || len(l.rs.members) > 0 {
 		defer telemetry.Since(metLiveRepair, time.Now())
 		metLiveRepaired.Add(uint64(repaired))
-		order := make([]int32, 0, repaired)
-		for lab := range l.dirty {
-			order = append(order, lab)
-		}
-		slices.Sort(order)
-		slots := l.dyn.Slots()
-		l.white.Grow(slots)
-		for len(l.nw) < slots {
-			l.nw = append(l.nw, 0)
-		}
-		for _, lab := range order {
-			sel := l.repairComponent(l.comps[lab])
-			l.compSel[lab] = sel
-			for _, id := range sel {
-				l.sel.Set(int(id))
-			}
-			l.selCount += len(sel)
-			delete(l.dirty, lab)
-		}
+		l.repair()
+		clear(l.dirty)
 	}
 	l.publish()
 	return repaired
 }
 
-// repairComponent re-runs the component-confined pruned greedy over one
-// member list, mirroring runComponentRange/greedyComponent from the
-// batch path: the same singleton and pair fast paths, the same
+// runComponent runs the component-confined pruned greedy over one
+// member list in full, mirroring runComponentRange/greedyComponent from
+// the batch path: the same singleton and pair fast paths, the same
 // (count desc, id asc) pop order with deferred invalidation (served by
 // a bucketQueue, order-equivalent to the batch lazyHeap), the same
-// grey-update decrements — so the selected ids (and their order) are
-// what the batch run would emit for this component.
-func (l *LiveDisC) repairComponent(members []int32) []int32 {
+// grey-update decrements. It selects what the batch run selects for
+// this component and records every member's leave time.
+func (l *LiveDisC) runComponent(members []int32) {
 	switch len(members) {
 	case 1:
 		l.accesses++
-		return []int32{members[0]}
+		l.pick(int(members[0]), 0)
+		return
 	case 2:
 		l.accesses += 2
-		return []int32{members[0]}
+		l.trace[members[1]] = l.pick(int(members[0]), 1)
+		return
 	}
 	q := &l.bq
 	for _, id32 := range members {
@@ -625,7 +630,6 @@ func (l *LiveDisC) repairComponent(members []int32) []int32 {
 		q.push(id32, deg)
 	}
 	q.start()
-	sel := make([]int32, 0, 1+len(members)/8)
 	for {
 		id32, key, ok := q.pop()
 		if !ok {
@@ -640,13 +644,14 @@ func (l *LiveDisC) repairComponent(members []int32) []int32 {
 			continue
 		}
 		l.white.Clear(pi)
-		sel = append(sel, int32(pi))
+		t := l.pick(pi, int32(key))
 		row := l.adj.Row(pi)
 		l.accesses += int64(len(row))
 		l.grey = l.grey[:0]
 		for _, nb := range row {
 			if l.white.Test(nb.ID) {
 				l.white.Clear(nb.ID)
+				l.trace[nb.ID] = t
 				l.grey = append(l.grey, int32(nb.ID))
 			}
 		}
@@ -654,13 +659,21 @@ func (l *LiveDisC) repairComponent(members []int32) []int32 {
 			grow := l.adj.Row(int(gj))
 			l.accesses += int64(len(grow))
 			for _, nb := range grow {
-				if nb.Dist <= l.r && l.white.Test(nb.ID) {
+				if l.white.Test(nb.ID) {
 					l.nw[nb.ID]--
 				}
 			}
 		}
 	}
-	return sel
+}
+
+// pick selects id at count key and returns the leave time it records.
+func (l *LiveDisC) pick(id int, key int32) uint64 {
+	t := leaveTime(key, id)
+	l.trace[id] = t
+	l.sel.Set(id)
+	l.selCount++
+	return t
 }
 
 // publish freezes the current selection into an immutable snapshot for
@@ -692,24 +705,21 @@ func (l *LiveDisC) IsRepresentative(id int) bool {
 }
 
 // OrderedSelection returns the converged selection in the batch output
-// order — components ascending by label, greedy order within each.
-// Callers must Flush first; with repairs pending the result would mix
-// selection generations, so pending state returns nil.
+// order — components ascending by label, greedy order (leave time
+// descending) within each. Callers must Flush first; with repairs
+// pending the result would mix selection generations, so pending state
+// returns nil.
 func (l *LiveDisC) OrderedSelection() []int {
-	if len(l.dirty) > 0 {
+	if len(l.dirty) > 0 || len(l.rs.members) > 0 {
 		return nil
 	}
-	labs := make([]int32, 0, len(l.compSel))
-	for lab := range l.compSel {
-		labs = append(labs, lab)
-	}
-	slices.Sort(labs)
-	out := make([]int, 0, l.selCount)
-	for _, lab := range labs {
-		for _, id := range l.compSel[lab] {
-			out = append(out, int(id))
+	out := l.sel.AppendSet(make([]int, 0, l.selCount))
+	slices.SortFunc(out, func(a, b int) int {
+		if c := cmp.Compare(l.label[a], l.label[b]); c != 0 {
+			return c
 		}
-	}
+		return cmp.Compare(l.trace[b], l.trace[a])
+	})
 	return out
 }
 

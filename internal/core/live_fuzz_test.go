@@ -100,10 +100,15 @@ func fuzzOps(m object.Metric, dim int, rest []byte, live []int, next int) []repl
 // radius and an insert/delete sequence, and after every flushed
 // mutation requires the live selection to be a valid r-DisC subset that
 // equals GreedyDisCComponents over the compacted dataset and adjacency
-// — and that adjacency to equal a from-scratch join (assertConverged).
+// — and that adjacency to equal a from-scratch join, and the leave-time
+// trace a full run's (assertConverged). A second maintainer takes the
+// same ops but flushes only after every third op and at the end, so
+// one repair also starts from the seeds of several writes, a seed
+// deleted before its flush among them.
 //
 // Layout: metric, dim, radius, then ops (fuzzOps). The seed corpus
-// under testdata/fuzz covers every metric, deletes, and radius zero.
+// under testdata/fuzz covers every metric, deletes, radius zero, and a
+// dense 1-d giant component under churn.
 func FuzzLiveMatchesBatch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
@@ -116,16 +121,27 @@ func FuzzLiveMatchesBatch(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, op := range fuzzOps(m, dim, data[3:], nil, 0) {
-			if op.p != nil {
-				if _, err := l.Insert(op.p); err != nil {
+		batched, err := NewLiveDisC(m, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops := fuzzOps(m, dim, data[3:], nil, 0)
+		for i, op := range ops {
+			for _, live := range []*LiveDisC{l, batched} {
+				if op.p != nil {
+					if _, err := live.Insert(op.p); err != nil {
+						t.Fatal(err)
+					}
+				} else if err := live.Delete(op.id); err != nil {
 					t.Fatal(err)
 				}
-			} else if err := l.Delete(op.id); err != nil {
-				t.Fatal(err)
 			}
 			assertConverged(t, l, r)
 			assertMatchesComponentGreedy(t, l, r)
+			if i%3 == 2 || i == len(ops)-1 {
+				assertConverged(t, batched, r)
+				assertMatchesComponentGreedy(t, batched, r)
+			}
 		}
 	})
 }

@@ -69,6 +69,7 @@ func assertConverged(t *testing.T, l *LiveDisC, r float64) {
 	if !reflect.DeepEqual(csr, refCSR) {
 		t.Fatal("compacted CSR differs from batch join")
 	}
+	assertTraceMatchesRerun(t, l, flat, remap, csr, r)
 	if !reflect.DeepEqual(comp, refComp) {
 		t.Fatal("compacted components differ from canonical labeling")
 	}

@@ -205,6 +205,9 @@ func assertSameState(t *testing.T, got, want *LiveDisC) {
 	if !slices.Equal(got.OrderedSelection(), want.OrderedSelection()) {
 		t.Fatal("ordered selection differs from the incremental replay")
 	}
+	if !slices.Equal(got.trace, want.trace) {
+		t.Fatal("leave-time trace differs from the incremental replay")
+	}
 	gf, gr, gc, gl, err := got.Compact()
 	if err != nil {
 		t.Fatal(err)

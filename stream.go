@@ -9,8 +9,8 @@ import "fmt"
 // the live objects.
 //
 // A Stream is an Updater that flushes after every operation: each call
-// patches the coverage adjacency, repairs only the affected components
-// and converges immediately, so the representative set after each call
+// patches the coverage adjacency, repairs only the part of the greedy
+// run it changes and converges immediately, so the representative set after each call
 // is exactly what a from-scratch component-mode Select over the live
 // objects would choose, under every metric. Callers that want to batch
 // mutations and control convergence themselves should use Updater

@@ -16,8 +16,11 @@ import (
 )
 
 // Updater maintains an r-DisC diverse selection under live inserts and
-// deletes, repairing only the connected components a mutation touches
-// instead of re-running the batch selection. It is built on the same
+// deletes, repairing only the part of the greedy run a mutation changes
+// instead of re-running the batch selection: every object keeps the
+// time it left the white set in the last run, and a Flush replays the
+// run from the objects the mutations touched until it agrees with
+// that record again. It is built on the same
 // substrate as IndexCoverageGraph — spliced CSR adjacency, component
 // labels, and a mutable grid occupancy for Euclidean, Manhattan and
 // Chebyshev — and is property-tested to stay exactly equivalent to a
@@ -32,10 +35,10 @@ import (
 // by the constructor). Mutations mark the touched components dirty but
 // never change what readers see, so a read during a burst of updates is
 // a consistent DisC-diverse selection of some recent state — never a
-// half-repaired one. Flush is the convergence barrier: it re-runs the
-// pruned component greedy over exactly the dirty components and
-// publishes the result; Pending reports the number of components
-// awaiting repair.
+// half-repaired one. Flush is the convergence barrier: it replays the
+// pruned greedy from the objects the mutations touched and publishes
+// the result; Pending reports the number of components awaiting
+// repair.
 //
 // Mutations and Flush serialise on an internal lock; reads are
 // lock-free. An Updater is therefore safe for any number of concurrent
@@ -173,10 +176,11 @@ func (u *Updater) Delete(id int) error {
 	return u.log.Append(wal.Op{Kind: wal.OpDelete, ID: u.epochID[id]})
 }
 
-// Flush repairs every dirty component and publishes the converged
-// selection, returning the number of components repaired. After Flush,
-// reads see a selection identical to a from-scratch component-mode
-// Select over the live points.
+// Flush repairs every dirty component — replaying the greedy from the
+// objects the mutations touched, not re-running it over the component —
+// and publishes the converged selection, returning the number of
+// components repaired. After Flush, reads see a selection identical to
+// a from-scratch component-mode Select over the live points.
 func (u *Updater) Flush() int {
 	u.mu.Lock()
 	defer u.mu.Unlock()
