@@ -6,7 +6,7 @@
 // the server's Retry-After hint with capped jitter, and every shed
 // attempt counts against availability), scrapes GET /metrics before
 // and after for the server-side counter deltas (WAL appends, fsyncs,
-// shed requests, repaired components), and writes the result as a
+// shed requests, re-simulated objects), and writes the result as a
 // "serve" suite in the bench row schema that cmd/benchguard diffs
 // against BENCH_SERVE.json (README.md, "Benchmarks").
 //

@@ -199,12 +199,12 @@
 // deletes on the same CSR substrate, under every metric: Insert splices
 // the new point into the CSR adjacency (finding its neighbours through
 // the grid occupancy for Euclidean, Manhattan and Chebyshev, by a scan
-// of the live points otherwise) and dirties the component it touches
-// (or the few it merges); Delete re-partitions its component (a removal
-// can split it) and dirties each part; Flush replays the greedy from
-// the objects the mutations touched, against the time every object left
-// the white set in the last run, until the replay agrees with that
-// record, and atomically publishes the converged selection. Reads (Selection, Size, IsRepresentative) are lock-free
+// of the live points otherwise) and queues it and its neighbours;
+// Delete unsplices the point and queues its former neighbours; Flush
+// replays the greedy from the queued objects, against the time every
+// object left the white set in the last run, until the replay agrees
+// with that record, and atomically publishes the converged selection.
+// No component decomposition is maintained. Reads (Selection, Size, IsRepresentative) are lock-free
 // and bounded-stale: they answer from the last published selection —
 // always a consistent DisC-diverse subset of some recent state, never
 // a half-repaired one — while mutations and Flush serialise on an

@@ -2,9 +2,9 @@ package core
 
 import "slices"
 
-// bucketQueue is an order-equivalent replacement for lazyHeap on the
-// repair path, exploiting two properties of the pruned component
-// greedy: keys (white-neighbour counts) are small non-negative integers
+// bucketQueue is an order-equivalent replacement for lazyHeap in the
+// live maintainer's full greedy run, exploiting two properties of the
+// pruned greedy: keys (white-neighbour counts) are small non-negative integers
 // that only ever decrease, and the pop order is (key desc, id asc) with
 // deferred invalidation — a stale pop re-enters at its current, strictly
 // lower key. Under that protocol a bucket never receives an element at
@@ -14,7 +14,7 @@ import "slices"
 // O(1) pushes instead of O(log n) sift operations.
 //
 // The zero value is ready to use; a drained queue is empty and can be
-// refilled, retaining its bucket storage across repairs.
+// refilled, retaining its bucket storage.
 type bucketQueue struct {
 	buckets [][]int32
 	// unsorted marks buckets whose appends broke ascending id order;

@@ -2,8 +2,10 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"github.com/discdiversity/disc/internal/grid"
 	"github.com/discdiversity/disc/internal/object"
 )
 
@@ -104,11 +106,13 @@ func fuzzOps(m object.Metric, dim int, rest []byte, live []int, next int) []repl
 // trace a full run's (assertConverged). A second maintainer takes the
 // same ops but flushes only after every third op and at the end, so
 // one repair also starts from the seeds of several writes, a seed
-// deleted before its flush among them.
+// deleted before its flush among them. Every unflushed write must read
+// as pending, and none may after a Flush.
 //
 // Layout: metric, dim, radius, then ops (fuzzOps). The seed corpus
-// under testdata/fuzz covers every metric, deletes, radius zero, and a
-// dense 1-d giant component under churn.
+// under testdata/fuzz covers every metric, deletes, radius zero, a
+// dense 1-d giant component under churn, and deletes of isolated
+// representatives (which queue no neighbour).
 func FuzzLiveMatchesBatch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
@@ -134,6 +138,9 @@ func FuzzLiveMatchesBatch(f *testing.F) {
 					}
 				} else if err := live.Delete(op.id); err != nil {
 					t.Fatal(err)
+				}
+				if live.Pending() == 0 {
+					t.Fatalf("op %d: unflushed write not pending", i)
 				}
 			}
 			assertConverged(t, l, r)
@@ -232,13 +239,14 @@ func FuzzReplayMatchesLive(f *testing.F) {
 
 // assertMatchesComponentGreedy runs GreedyDisCComponents over a graph
 // engine on l's compacted dataset and adjacency and requires its
-// selection, in order, to be l's converged one through the remap.
+// selection, in order, to be l's converged one through the remap,
+// regrouped by the canonical labels of that adjacency (byComponent).
 func assertMatchesComponentGreedy(t *testing.T, l *LiveDisC, r float64) {
 	t.Helper()
 	if l.Len() == 0 {
 		return
 	}
-	flat, remap, csr, _, err := l.Compact()
+	flat, remap, csr, err := l.Compact()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,13 +255,8 @@ func assertMatchesComponentGreedy(t *testing.T, l *LiveDisC, r float64) {
 		t.Fatal(err)
 	}
 	want := GreedyDisCComponents(e, r, GreedyOptions{Update: UpdateGrey, Pruned: true}, 1).IDs
-	got := l.OrderedSelection()
-	if len(got) != len(want) {
-		t.Fatalf("live selects %d, component greedy %d", len(got), len(want))
-	}
-	for i, id := range got {
-		if int(remap[id]) != want[i] {
-			t.Fatalf("selection[%d] = %d (remaps to %d), component greedy selects %d", i, id, remap[id], want[i])
-		}
+	got := byComponent(l.OrderedSelection(), remap, grid.ComponentsOfCSR(csr, flat.Len(), r))
+	if !slices.Equal(got, want) {
+		t.Fatalf("live selects %v (remapped, by component), component greedy %v", got, want)
 	}
 }

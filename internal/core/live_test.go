@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math/rand/v2"
 	"reflect"
 	"slices"
@@ -45,13 +46,33 @@ func batchReference(t *testing.T, flat *object.FlatDataset, r float64) (*grid.CS
 	return csr, comp, ids
 }
 
+// byComponent maps an ordered selection through remap (nil: identity)
+// and regroups it, stably, by comp's canonical labels: the global
+// greedy's pick order becomes the component greedy's output order, its
+// components ascending and each in pick order.
+func byComponent(ids []int, remap []int32, comp *grid.Components) []int {
+	out := make([]int, len(ids))
+	for i, id := range ids {
+		out[i] = id
+		if remap != nil {
+			out[i] = int(remap[id])
+		}
+	}
+	slices.SortStableFunc(out, func(a, b int) int { return cmp.Compare(comp.Label[a], comp.Label[b]) })
+	return out
+}
+
 // assertConverged flushes l and checks full equivalence with the batch
-// pipeline over the same live points: bit-identical CSR and canonical
-// labels after compaction, sequence-equal ordered selection through the
-// monotone remap, and the DisC invariants by direct distance check.
+// pipeline over the same live points: bit-identical CSR after
+// compaction, the ordered selection through the monotone remap and
+// regrouped by the canonical labels sequence-equal to the component
+// greedy's, and the DisC invariants by direct distance check.
 func assertConverged(t *testing.T, l *LiveDisC, r float64) {
 	t.Helper()
 	l.Flush()
+	if p := l.Pending(); p != 0 {
+		t.Fatalf("%d writes pending after Flush", p)
+	}
 	if err := l.Verify(); err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +82,7 @@ func assertConverged(t *testing.T, l *LiveDisC, r float64) {
 		}
 		return
 	}
-	flat, remap, csr, comp, err := l.Compact()
+	flat, remap, csr, err := l.Compact()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,17 +91,9 @@ func assertConverged(t *testing.T, l *LiveDisC, r float64) {
 		t.Fatal("compacted CSR differs from batch join")
 	}
 	assertTraceMatchesRerun(t, l, flat, remap, csr, r)
-	if !reflect.DeepEqual(comp, refComp) {
-		t.Fatal("compacted components differ from canonical labeling")
-	}
 	got := l.OrderedSelection()
-	if len(got) != len(refIDs) {
-		t.Fatalf("selection size %d, batch selects %d", len(got), len(refIDs))
-	}
-	for i, id := range got {
-		if int(remap[id]) != refIDs[i] {
-			t.Fatalf("selection[%d] = %d (remaps to %d), batch selects %d", i, id, remap[id], refIDs[i])
-		}
+	if grouped := byComponent(got, remap, refComp); !slices.Equal(grouped, refIDs) {
+		t.Fatalf("selection %v (remapped, by component), batch selects %v", grouped, refIDs)
 	}
 	// The published ascending view must agree with the ordered one.
 	pub := l.Selection()
@@ -176,12 +189,12 @@ func TestLiveDisCSeededMatchesBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The seed itself must already be the batch selection.
-	_, _, refIDs := batchReference(t, flat, r)
-	if got := l.OrderedSelection(); !reflect.DeepEqual(got, refIDs) {
+	_, refComp, refIDs := batchReference(t, flat, r)
+	if got := byComponent(l.OrderedSelection(), nil, refComp); !slices.Equal(got, refIDs) {
 		t.Fatal("seeded selection differs from batch")
 	}
 	if l.Pending() != 0 {
-		t.Fatalf("seeded maintainer has %d dirty components", l.Pending())
+		t.Fatalf("seeded maintainer has %d writes pending", l.Pending())
 	}
 	// Mutations on top of the seed stay equivalent.
 	for step := 0; step < 150; step++ {
@@ -218,13 +231,16 @@ func TestLiveDisCStalenessSemantics(t *testing.T) {
 		t.Fatal("unflushed insert leaked into the published selection")
 	}
 	if got := l.Flush(); got != 1 {
-		t.Fatalf("flush repaired %d components, want 1", got)
+		t.Fatalf("flush converged %d writes, want 1", got)
+	}
+	if l.Pending() != 0 || l.Flush() != 0 {
+		t.Fatal("a flushed maintainer still reports pending writes")
 	}
 	if l.Size() != 1 || !l.IsRepresentative(a) {
 		t.Fatal("flush did not publish the repaired selection")
 	}
-	// A covered insert keeps the selection but still dirties the
-	// component; the stale read persists until the next Flush.
+	// A covered insert keeps the selection but is still pending; the
+	// stale read persists until the next Flush.
 	b, _ := l.Insert(object.Point{0.52, 0.5})
 	if !l.IsRepresentative(a) || l.IsRepresentative(b) {
 		t.Fatal("published state changed before Flush")
@@ -250,6 +266,25 @@ func TestLiveDisCStalenessSemantics(t *testing.T) {
 	l.Flush()
 	if l.Size() != 0 || l.Len() != 0 {
 		t.Fatal("emptied maintainer still publishes state")
+	}
+	// Deleting an isolated representative queues no neighbour, yet the
+	// published selection names it until a Flush: the write is pending.
+	c, _ := l.Insert(object.Point{0.2, 0.2})
+	l.Flush()
+	if err := l.Delete(c); err != nil {
+		t.Fatal(err)
+	}
+	if !l.IsRepresentative(c) {
+		t.Fatal("unflushed delete leaked into the published selection")
+	}
+	if p := l.Pending(); p != 1 {
+		t.Fatalf("pending %d after deleting an isolated representative, want 1", p)
+	}
+	if got := l.Flush(); got != 1 {
+		t.Fatalf("flush converged %d writes, want 1", got)
+	}
+	if l.IsRepresentative(c) || l.Size() != 0 {
+		t.Fatal("flush left the deleted representative published")
 	}
 	if err := l.Delete(b); err == nil {
 		t.Fatal("double delete accepted")

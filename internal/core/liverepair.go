@@ -4,7 +4,7 @@ import "math"
 
 // The trace-bounded repair.
 //
-// A pick of the pruned component greedy happens at a priority
+// A pick of the pruned greedy happens at a priority
 // key<<32 | ^id — white-neighbour count descending, id ascending —
 // and these priorities strictly decrease over a run. Read the run as a
 // sweep of that priority downwards: an object picks itself when the
@@ -115,6 +115,7 @@ func (l *LiveDisC) repair() {
 	for len(rs.heap) > 0 {
 		l.sweepStep()
 	}
+	metLiveResimulated.Add(uint64(len(rs.members)))
 	for _, x := range rs.members {
 		if rs.is(int(x), stWhite) {
 			panic("core: live: repair left an active object white")

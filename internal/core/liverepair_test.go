@@ -103,11 +103,20 @@ func (c *liveChurn) apply(tb testing.TB, del int, p object.Point) int {
 	return id
 }
 
-// componentEntries is the adjacency entry count of component lab.
-func componentEntries(l *LiveDisC, lab int32) int64 {
+// componentEntries is the adjacency entry count of the component of
+// live object id, found by a breadth-first walk.
+func componentEntries(l *LiveDisC, id int) int64 {
+	seen := map[int]bool{id: true}
 	var n int64
-	for _, m := range l.comps[lab] {
-		n += int64(l.adj.Degree(int(m)))
+	for queue := []int{id}; len(queue) > 0; queue = queue[1:] {
+		row := l.adj.Row(queue[0])
+		n += int64(len(row))
+		for _, nb := range row {
+			if !seen[nb.ID] {
+				seen[nb.ID] = true
+				queue = append(queue, nb.ID)
+			}
+		}
 	}
 	return n
 }
@@ -129,16 +138,16 @@ func TestLiveRepairBounded(t *testing.T) {
 		var entries int64
 		if p == nil {
 			// A delete's component is measured before it can split.
-			entries = componentEntries(l, l.label[del])
+			entries = componentEntries(l, del)
 		}
 		if id := c.apply(t, del, p); p != nil {
-			entries = componentEntries(l, l.label[id])
+			entries = componentEntries(l, id)
 		}
 		l.Flush()
 		ratios = append(ratios, float64(l.Accesses()-acc)/float64(max(entries, 1)))
 		if i%25 == 0 {
 			assertMatchesComponentGreedy(t, l, churnR)
-			flat, remap, csr, _, err := l.Compact()
+			flat, remap, csr, err := l.Compact()
 			if err != nil {
 				t.Fatal(err)
 			}

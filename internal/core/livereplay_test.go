@@ -152,12 +152,17 @@ func newReplayScenario(rng *rand.Rand, m object.Metric, dim, n, ops int, r float
 }
 
 // applyIncremental runs ops through the live path (Insert/Delete, which
-// maintain components per mutation) and flushes once, asserting the
-// scripted ops' effect on the component count along the way.
+// splice the adjacency per mutation) and flushes once, asserting the
+// scripted ops' effect on the component count of the compacted
+// adjacency along the way.
 func applyIncremental(t *testing.T, l *LiveDisC, ops []replayOp, merge int, splits []int) {
 	t.Helper()
 	for i, op := range ops {
-		before := len(l.comps)
+		scripted := i == merge || slices.Contains(splits, i)
+		before := 0
+		if scripted {
+			before = componentCount(t, l)
+		}
 		if op.p != nil {
 			if _, err := l.Insert(op.p); err != nil {
 				t.Fatal(err)
@@ -165,14 +170,28 @@ func applyIncremental(t *testing.T, l *LiveDisC, ops []replayOp, merge int, spli
 		} else if err := l.Delete(op.id); err != nil {
 			t.Fatal(err)
 		}
-		switch {
-		case i == merge && len(l.comps) != before-1:
-			t.Fatalf("op %d: bridging insert left %d components from %d", i, len(l.comps), before)
-		case slices.Contains(splits, i) && len(l.comps) != before+1:
-			t.Fatalf("op %d: splitting delete left %d components from %d", i, len(l.comps), before)
+		if !scripted {
+			continue
+		}
+		switch after := componentCount(t, l); {
+		case i == merge && after != before-1:
+			t.Fatalf("op %d: bridging insert left %d components from %d", i, after, before)
+		case i != merge && after != before+1:
+			t.Fatalf("op %d: splitting delete left %d components from %d", i, after, before)
 		}
 	}
 	l.Flush()
+}
+
+// componentCount is the number of connected components of l's
+// adjacency over the live objects.
+func componentCount(t *testing.T, l *LiveDisC) int {
+	t.Helper()
+	flat, _, csr, err := l.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return grid.ComponentsOfCSR(csr, flat.Len(), l.Radius()).Count
 }
 
 // applyReplay runs ops through the substrate-only replay and finishes
@@ -192,8 +211,8 @@ func applyReplay(t *testing.T, rp *LiveReplay, ops []replayOp) *LiveDisC {
 }
 
 // assertSameState checks that two maintainers hold bit-identical
-// converged state: published and ordered selections, and the compacted
-// dataset, remap, adjacency and canonical labels.
+// converged state: published and ordered selections, leave times, and
+// the compacted dataset, remap and adjacency.
 func assertSameState(t *testing.T, got, want *LiveDisC) {
 	t.Helper()
 	if got.Pending() != 0 || want.Pending() != 0 {
@@ -208,11 +227,11 @@ func assertSameState(t *testing.T, got, want *LiveDisC) {
 	if !slices.Equal(got.trace, want.trace) {
 		t.Fatal("leave-time trace differs from the incremental replay")
 	}
-	gf, gr, gc, gl, err := got.Compact()
+	gf, gr, gc, err := got.Compact()
 	if err != nil {
 		t.Fatal(err)
 	}
-	wf, wr, wc, wl, err := want.Compact()
+	wf, wr, wc, err := want.Compact()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +243,7 @@ func assertSameState(t *testing.T, got, want *LiveDisC) {
 	for _, c := range []struct {
 		what      string
 		got, want any
-	}{{"coordinates", gf.Coords(), wf.Coords()}, {"remap", gr, wr}, {"adjacency", gc, wc}, {"labels", gl, wl}} {
+	}{{"coordinates", gf.Coords(), wf.Coords()}, {"remap", gr, wr}, {"adjacency", gc, wc}} {
 		if !reflect.DeepEqual(c.got, c.want) {
 			t.Fatalf("compacted %s differs from the incremental replay", c.what)
 		}

@@ -12,11 +12,11 @@ var (
 	metSelectComponents = telemetry.Default().Histogram(`disc_select_seconds{mode="components"}`, "")
 
 	metLiveInsert = telemetry.Default().Histogram("disc_live_insert_seconds",
-		"Wall time of one LiveDisC insert (grid splice + component merge) or one replayed WAL insert (splice only).")
+		"Wall time of one LiveDisC insert (neighbour search + adjacency splice) or one replayed WAL insert (neighbour search + edge record).")
 	metLiveDelete = telemetry.Default().Histogram("disc_live_delete_seconds",
-		"Wall time of one LiveDisC delete (unsplice + split re-partition) or one replayed WAL delete (unsplice only).")
+		"Wall time of one LiveDisC delete (unsplice + seed queueing) or one replayed WAL delete (tombstone + unbucket).")
 	metLiveRepair = telemetry.Default().Histogram("disc_live_repair_seconds",
-		"Wall time of one Flush that repaired at least one dirty component, including the one greedy over every component that ends a seed, snapshot load or WAL replay.")
-	metLiveRepaired = telemetry.Default().Counter("disc_live_repaired_components_total",
-		"Components re-selected by Flush repairs since process start.")
+		"Wall time of one Flush with at least one write pending, including the one full greedy run that ends a seed, snapshot load or WAL replay.")
+	metLiveResimulated = telemetry.Default().Counter("disc_live_resimulated_objects_total",
+		"Objects re-simulated since process start: those a Flush repair activated, plus every live object of the full greedy run that ends a seed, snapshot load or WAL replay.")
 )

@@ -91,7 +91,7 @@ func telemetryRows(t *ExperimentTelemetry) []Row {
 		info("telemetry", "repair_ms_p50", "ms", t.RepairP50Ms),
 		info("telemetry", "repair_ms_p99", "ms", t.RepairP99Ms),
 		info("telemetry", "repairs", "count", float64(t.Repairs)),
-		info("telemetry", "repaired_components", "count", float64(t.RepairedComponents)),
+		info("telemetry", "resimulated_objects", "count", float64(t.ResimulatedObjects)),
 		info("telemetry", "wal_appends", "count", float64(t.WALAppends)),
 		info("telemetry", "wal_fsyncs", "count", float64(t.WALFsyncs)),
 		info("telemetry", "select_ms_p50", "ms", t.SelectP50Ms),

@@ -65,12 +65,12 @@ type ServeEndpoint struct {
 // are summed over their label variants, so e.g. Requests aggregates all
 // routes and status classes.
 type ServeMetricsDelta struct {
-	Requests   float64
-	Shed       float64
-	Panics     float64
-	WALAppends float64
-	WALFsyncs  float64
-	Repaired   float64
+	Requests    float64
+	Shed        float64
+	Panics      float64
+	WALAppends  float64
+	WALFsyncs   float64
+	Resimulated float64
 }
 
 // ServeBench is the machine-readable result of one load run; its Suite
@@ -468,12 +468,12 @@ func RunServe(cfg ServeConfig) (*ServeBench, error) {
 	b, a := parseProm(before), parseProm(after)
 	delta := func(name string) float64 { return a[name] - b[name] }
 	bench.Server = &ServeMetricsDelta{
-		Requests:   delta("disc_http_requests_total"),
-		Shed:       delta("disc_http_shed_total"),
-		Panics:     delta("disc_http_panics_total"),
-		WALAppends: delta("disc_wal_appends_total"),
-		WALFsyncs:  delta("disc_wal_fsyncs_total"),
-		Repaired:   delta("disc_live_repaired_components_total"),
+		Requests:    delta("disc_http_requests_total"),
+		Shed:        delta("disc_http_shed_total"),
+		Panics:      delta("disc_http_panics_total"),
+		WALAppends:  delta("disc_wal_appends_total"),
+		WALFsyncs:   delta("disc_wal_fsyncs_total"),
+		Resimulated: delta("disc_live_resimulated_objects_total"),
 	}
 	return bench, nil
 }
@@ -517,7 +517,7 @@ func (s *ServeBench) Rows() []Row {
 			info("server", "http_panics", "count", v.Panics),
 			info("server", "wal_appends", "count", v.WALAppends),
 			info("server", "wal_fsyncs", "count", v.WALFsyncs),
-			info("server", "live_repaired_components", "count", v.Repaired),
+			info("server", "live_resimulated_objects", "count", v.Resimulated),
 		)
 	}
 	return rows

@@ -13,13 +13,13 @@ import (
 // its experiment actually drove.
 type ExperimentTelemetry struct {
 	// The live-repair histogram (disc_live_repair_seconds) over the
-	// measured mutations, plus the repaired-component counter — the
+	// measured mutations, plus the re-simulated-object counter — the
 	// instrumented view of the same Flush calls the client-side repair
 	// percentiles time from outside.
 	RepairP50Ms        float64
 	RepairP99Ms        float64
 	Repairs            uint64
-	RepairedComponents uint64
+	ResimulatedObjects uint64
 
 	// WAL counter deltas (disc_wal_appends_total /
 	// disc_wal_fsyncs_total); their ratio is the fsync batching factor.
@@ -42,9 +42,9 @@ type ExperimentTelemetry struct {
 // instrumented packages have not touched yet (their deltas stay zero).
 type telemetryProbe struct {
 	repairH, selG, selC, buildH   *telemetry.Histogram
-	appendC, fsyncC, repairedC    *telemetry.Counter
+	appendC, fsyncC, resimC       *telemetry.Counter
 	repair0, selG0, selC0, build0 telemetry.HistSnapshot
-	appends0, fsyncs0, repaired0  uint64
+	appends0, fsyncs0, resim0     uint64
 }
 
 // newTelemetryProbe snapshots the relevant series of the process-wide
@@ -52,13 +52,13 @@ type telemetryProbe struct {
 func newTelemetryProbe() *telemetryProbe {
 	reg := telemetry.Default()
 	p := &telemetryProbe{
-		repairH:   reg.Histogram("disc_live_repair_seconds", ""),
-		selG:      reg.Histogram(`disc_select_seconds{mode="global"}`, ""),
-		selC:      reg.Histogram(`disc_select_seconds{mode="components"}`, ""),
-		buildH:    reg.Histogram("disc_grid_build_seconds", ""),
-		appendC:   reg.Counter("disc_wal_appends_total", ""),
-		fsyncC:    reg.Counter("disc_wal_fsyncs_total", ""),
-		repairedC: reg.Counter("disc_live_repaired_components_total", ""),
+		repairH: reg.Histogram("disc_live_repair_seconds", ""),
+		selG:    reg.Histogram(`disc_select_seconds{mode="global"}`, ""),
+		selC:    reg.Histogram(`disc_select_seconds{mode="components"}`, ""),
+		buildH:  reg.Histogram("disc_grid_build_seconds", ""),
+		appendC: reg.Counter("disc_wal_appends_total", ""),
+		fsyncC:  reg.Counter("disc_wal_fsyncs_total", ""),
+		resimC:  reg.Counter("disc_live_resimulated_objects_total", ""),
 	}
 	p.repair0 = p.repairH.Snapshot()
 	p.selG0 = p.selG.Snapshot()
@@ -66,7 +66,7 @@ func newTelemetryProbe() *telemetryProbe {
 	p.build0 = p.buildH.Snapshot()
 	p.appends0 = p.appendC.Value()
 	p.fsyncs0 = p.fsyncC.Value()
-	p.repaired0 = p.repairedC.Value()
+	p.resim0 = p.resimC.Value()
 	return p
 }
 
@@ -89,7 +89,7 @@ func (p *telemetryProbe) Report() *ExperimentTelemetry {
 		RepairP50Ms:        msQuantile(repair, 0.50),
 		RepairP99Ms:        msQuantile(repair, 0.99),
 		Repairs:            repair.Count,
-		RepairedComponents: p.repairedC.Value() - p.repaired0,
+		ResimulatedObjects: p.resimC.Value() - p.resim0,
 		WALAppends:         p.appendC.Value() - p.appends0,
 		WALFsyncs:          p.fsyncC.Value() - p.fsyncs0,
 

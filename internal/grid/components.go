@@ -68,62 +68,33 @@ func (cp *Components) Largest() int {
 // the row calls.
 func ComponentsOf(n int, r float64, row func(id int) []object.Neighbor) *Components {
 	defer telemetry.Since(metLabel, time.Now())
-	label, count := labelComponents(n, r, row, nil)
-	cp := &Components{Count: count, Label: label}
-	cp.BuildIndex()
-	return cp
-}
-
-// MinMemberLabels labels the connected components of the r-coverage
-// graph over the live ids of a tombstoned id space: every live id gets
-// its component's minimum member id, every id alive rejects gets -1 —
-// the id-stable form of the canonical numbering that a maintained
-// decomposition keeps. The traversal is ComponentsOf's, with dead roots
-// skipped (a live row never names a dead id).
-func MinMemberLabels(n int, r float64, row func(id int) []object.Neighbor, alive func(id int) bool) []int32 {
-	defer telemetry.Since(metLabel, time.Now())
-	label, _ := labelComponents(n, r, row, alive)
-	return label
-}
-
-// labelComponents is the one depth-first labeling behind both forms:
-// roots in ascending id order, so the k-th component found is the one
-// whose minimum member is its root. Without alive it numbers components
-// 0, 1, ...; with alive it skips rejected roots and labels each
-// component by its root id.
-func labelComponents(n int, r float64, row func(id int) []object.Neighbor, alive func(id int) bool) ([]int32, int) {
 	label := make([]int32, n)
 	for i := range label {
 		label[i] = -1
 	}
 	stack := make([]int32, 0, 256)
-	count := 0
+	count := int32(0)
 	for root := 0; root < n; root++ {
 		if label[root] >= 0 {
 			continue
 		}
-		lab := int32(count)
-		if alive != nil {
-			if !alive(root) {
-				continue
-			}
-			lab = int32(root)
-		}
-		count++
-		label[root] = lab
+		label[root] = count
 		stack = append(stack[:0], int32(root))
 		for len(stack) > 0 {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			for _, nb := range row(int(u)) {
 				if nb.Dist <= r && label[nb.ID] < 0 {
-					label[nb.ID] = lab
+					label[nb.ID] = count
 					stack = append(stack, int32(nb.ID))
 				}
 			}
 		}
+		count++
 	}
-	return label, count
+	cp := &Components{Count: int(count), Label: label}
+	cp.buildIndex()
+	return cp
 }
 
 // ComponentsOfCSR is ComponentsOf over a materialised CSR adjacency.
@@ -131,12 +102,10 @@ func ComponentsOfCSR(c *CSR, n int, r float64) *Components {
 	return ComponentsOf(n, r, c.Row)
 }
 
-// BuildIndex derives Offsets and Members from Label by counting sort;
+// buildIndex derives Offsets and Members from Label by counting sort;
 // scattering ids in ascending order leaves every component's member
-// list ascending. It is exported for constructors that already hold a
-// trusted, canonically numbered label array (an engine's own traversal);
-// deserialised labels go through ComponentsFromLabels instead.
-func (cp *Components) BuildIndex() {
+// list ascending.
+func (cp *Components) buildIndex() {
 	offsets := make([]int32, cp.Count+1)
 	for _, l := range cp.Label {
 		offsets[l+1]++
@@ -185,7 +154,7 @@ func ComponentsFromLabels(labels []int32, count int) (*Components, error) {
 		return nil, fmt.Errorf("grid: components: only %d of %d declared components are populated", next, count)
 	}
 	cp := &Components{Count: count, Label: append([]int32(nil), labels...)}
-	cp.BuildIndex()
+	cp.buildIndex()
 	return cp, nil
 }
 

@@ -232,7 +232,7 @@ func TestComponentsFromLabelsRoundTrip(t *testing.T) {
 	victim := want.MemberIDs(big)[want.Size(big)-1]
 	labels[victim] = (labels[victim] + 1) % int32(want.Count)
 	split := &Components{Count: want.Count, Label: labels}
-	split.BuildIndex()
+	split.buildIndex()
 	if err := split.Validate(csr, r); err == nil {
 		t.Errorf("split component accepted by Validate")
 	}

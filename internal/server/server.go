@@ -39,13 +39,13 @@
 //	GET  /v1/live/{name}                  maintainer info (live, selected, pending, state)
 //	POST /v1/live/{name}/insert          {point, flush?} -> assigned id
 //	POST /v1/live/{name}/delete          {id, flush?} -> updated counts
-//	POST /v1/live/{name}/flush           repair dirty components, publish
+//	POST /v1/live/{name}/flush           repair pending writes, publish
 //	POST /v1/live/{name}/snapshot        checkpoint into <dir>/<name>/current.discsnap
 //	GET  /v1/live/{name}/selection       last published representative ids
 //	POST /v1/live/{name}/unquarantine    lift a quarantine after repair
 //
 // Mutations are bounded-stale by default: reads keep serving the last
-// published selection until a flush converges the dirty components.
+// published selection until a flush converges the pending writes.
 // Pass "flush": true on a mutation for per-operation convergence.
 //
 // Every dataset, static or live, is owned by the dataset manager
@@ -876,7 +876,7 @@ type liveMutationBody struct {
 
 // handleLiveInsert adds a point. By default the mutation is
 // bounded-stale — the published selection is unchanged and Pending
-// reports the dirty components; with "flush": true the operation
+// counts the writes since the last flush; with "flush": true the operation
 // converges before responding and Selected reports whether the new
 // point became a representative.
 func (s *Server) handleLiveInsert(w http.ResponseWriter, r *http.Request) {
@@ -949,7 +949,7 @@ func (s *Server) handleLiveDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 type liveFlushBody struct {
-	Repaired int `json:"repaired"`
+	Repaired int `json:"repaired"` // writes the flush converged
 	Size     int `json:"size"`
 	Pending  int `json:"pending"`
 }

@@ -118,9 +118,9 @@ func WithStorageFS(fsys vfs.FS) Option {
 // OpenUpdater opens (or creates) a crash-safe Updater backed by a
 // snapshot file and a write-ahead log: the state at snapshotPath is
 // loaded (when present), the log segments at walPath are replayed onto
-// the substrate (dataset, grid, adjacency; no per-record component
-// work), then one component labeling and greedy runs over the final
-// state, and every subsequent Insert/Delete is appended to the log
+// the substrate (dataset, grid, recorded edges; no per-record
+// adjacency splice or repair), then the adjacency is folded once and one
+// greedy runs over the final state, and every subsequent Insert/Delete is appended to the log
 // before it is acknowledged, under the configured FsyncPolicy.
 // Checkpoint writes a fresh snapshot crash-atomically and truncates the
 // log; a process killed at any instant reopens with OpenUpdater to
@@ -282,7 +282,7 @@ func OpenUpdater(snapshotPath, walPath string, r float64, opts ...Option) (*Upda
 			}
 		}
 	}
-	// Then one component labeling and greedy over the final state.
+	// Then one adjacency fold and greedy run over the final state.
 	u.live = rp.Finish()
 
 	// The in-memory id space now coincides with the log id space:

@@ -21,9 +21,9 @@ import (
 // time it left the white set in the last run, and a Flush replays the
 // run from the objects the mutations touched until it agrees with
 // that record again. It is built on the same
-// substrate as IndexCoverageGraph — spliced CSR adjacency, component
-// labels, and a mutable grid occupancy for Euclidean, Manhattan and
-// Chebyshev — and is property-tested to stay exactly equivalent to a
+// substrate as IndexCoverageGraph — spliced CSR adjacency and a mutable
+// grid occupancy for Euclidean, Manhattan and Chebyshev — and is
+// property-tested to stay exactly equivalent to a
 // rebuild under every built-in metric: after Flush, the selection is
 // the one Select(r, WithSelectMode(SelectComponents)) would compute
 // over the current live points from scratch.
@@ -32,13 +32,13 @@ import (
 //
 // Reads are bounded-stale: Selection, IsRepresentative and Size answer
 // from the last converged selection, published atomically by Flush (and
-// by the constructor). Mutations mark the touched components dirty but
+// by the constructor). Mutations queue the objects they touched but
 // never change what readers see, so a read during a burst of updates is
 // a consistent DisC-diverse selection of some recent state — never a
 // half-repaired one. Flush is the convergence barrier: it replays the
 // pruned greedy from the objects the mutations touched and publishes
-// the result; Pending reports the number of components awaiting
-// repair.
+// the result; Pending reports the number of writes since the last
+// Flush, nonzero exactly while reads may be stale.
 //
 // Mutations and Flush serialise on an internal lock; reads are
 // lock-free. An Updater is therefore safe for any number of concurrent
@@ -49,7 +49,7 @@ import (
 //
 // Inserts, deletes and Flush repairs feed the process-wide telemetry
 // registry (disc_live_insert_seconds, disc_live_delete_seconds,
-// disc_live_repair_seconds, disc_live_repaired_components_total —
+// disc_live_repair_seconds, disc_live_resimulated_objects_total —
 // exposed by discserve at GET /metrics; see docs/OBSERVABILITY.md).
 // The instrumentation is atomic adds only, so the lock-free reads stay
 // 0 alloc/op with telemetry enabled (pinned by test).
@@ -80,8 +80,8 @@ type Updater struct {
 // NewUpdater builds an Updater for radius r, seeded with points (which
 // may be empty — the dimensionality is then fixed by the first Insert).
 // A non-empty seed runs the batch pipeline once (grid build, ε-join,
-// component labeling, component-decomposed greedy), so the first
-// published selection is exactly the batch selection.
+// one full greedy run), so the first published selection is exactly the
+// batch selection.
 //
 // Respected options: WithMetric (any metric), WithParallelism
 // (ε-join sharding for the seed build), WithSeed and WithMTreeCapacity
@@ -129,9 +129,9 @@ func NewUpdater(points []Point, r float64, opts ...Option) (*Updater, error) {
 	return u, nil
 }
 
-// Insert adds p and returns its assigned id. The affected component
-// (the union of the components of p's in-range neighbours) is marked
-// dirty; the published selection is unchanged until Flush. A durable
+// Insert adds p and returns its assigned id. p and its in-range
+// neighbours are queued for repair; the published selection is
+// unchanged until Flush. A durable
 // updater (OpenUpdater) appends the op to its write-ahead log — under
 // the configured fsync policy — before returning; an error means the
 // op is not acknowledged and may not survive a restart.
@@ -157,9 +157,8 @@ func (u *Updater) Insert(p Point) (int, error) {
 	return id, nil
 }
 
-// Delete retracts a live object. Its component is re-partitioned (a
-// delete can split it) and every resulting part marked dirty; the
-// published selection is unchanged until Flush. A durable updater
+// Delete retracts a live object. Its former neighbours are queued for
+// repair; the published selection is unchanged until Flush. A durable updater
 // logs the op before returning, like Insert.
 func (u *Updater) Delete(id int) error {
 	u.mu.Lock()
@@ -176,10 +175,10 @@ func (u *Updater) Delete(id int) error {
 	return u.log.Append(wal.Op{Kind: wal.OpDelete, ID: u.epochID[id]})
 }
 
-// Flush repairs every dirty component — replaying the greedy from the
-// objects the mutations touched, not re-running it over the component —
-// and publishes the converged selection, returning the number of
-// components repaired. After Flush, reads see a selection identical to
+// Flush replays the greedy from the objects the writes since the last
+// Flush touched — not re-running it over their components — and
+// publishes the converged selection, returning the number of writes it
+// converged (Pending before the call). After Flush, reads see a selection identical to
 // a from-scratch component-mode Select over the live points.
 func (u *Updater) Flush() int {
 	u.mu.Lock()
@@ -187,7 +186,8 @@ func (u *Updater) Flush() int {
 	return u.live.Flush()
 }
 
-// Pending returns the number of components awaiting repair.
+// Pending returns the number of writes (inserts and deletes) since the
+// last Flush.
 func (u *Updater) Pending() int {
 	u.mu.Lock()
 	defer u.mu.Unlock()
@@ -260,11 +260,11 @@ func (u *Updater) Verify() error {
 // format (see docs/SNAPSHOT_FORMAT.md): tombstones are squeezed out, so
 // the snapshot carries the live points densely re-identified in
 // ascending id order, together with the grid occupancy (Lp metrics
-// only), the coverage CSR and the component labels — exactly what a
-// coverage-graph snapshot written by Diversifier.WriteSnapshot after
-// Prepare carries, so LoadDiversifier warm-starts from it directly.
+// only) and the coverage CSR, so LoadDiversifier warm-starts from it
+// without a join (it labels components on first select). No component
+// labels are written: recovery never reads them.
 //
-// Snapshotting dirty state would persist a selection the repairs have
+// Snapshotting unflushed writes would persist a selection they have
 // already invalidated, so WriteSnapshot refuses while Pending > 0; call
 // Flush first. An empty updater has nothing to persist and is refused
 // too.
@@ -272,7 +272,7 @@ func (u *Updater) WriteSnapshot(w io.Writer) error {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	if p := u.live.Pending(); p > 0 {
-		return fmt.Errorf("disc: snapshot: %d components pending repair; call Flush first", p)
+		return fmt.Errorf("disc: snapshot: %d writes pending repair; call Flush first", p)
 	}
 	s, _, err := u.buildSnapshot()
 	if err != nil {
@@ -291,7 +291,7 @@ func (u *Updater) buildSnapshot() (*snap.Snapshot, []int32, error) {
 	if u.live.Len() == 0 {
 		return nil, nil, fmt.Errorf("disc: snapshot: updater holds no live objects")
 	}
-	flat, remap, csr, comp, err := u.live.Compact()
+	flat, remap, csr, err := u.live.Compact()
 	if err != nil {
 		return nil, nil, fmt.Errorf("disc: snapshot: %w", err)
 	}
@@ -305,19 +305,17 @@ func (u *Updater) buildSnapshot() (*snap.Snapshot, []int32, error) {
 		parts = &p
 	}
 	return &snap.Snapshot{
-		Index:           IndexCoverageGraph.String(),
-		Parallelism:     u.parallelism,
-		Capacity:        u.capacity,
-		Seed:            u.seed,
-		Metric:          u.metric.Name(),
-		N:               flat.Len(),
-		Dim:             flat.Dim(),
-		Coords:          flat.Coords(),
-		Grid:            parts,
-		GraphRadius:     u.live.Radius(),
-		Graph:           csr,
-		ComponentCount:  comp.Count,
-		ComponentLabels: comp.Label,
+		Index:       IndexCoverageGraph.String(),
+		Parallelism: u.parallelism,
+		Capacity:    u.capacity,
+		Seed:        u.seed,
+		Metric:      u.metric.Name(),
+		N:           flat.Len(),
+		Dim:         flat.Dim(),
+		Coords:      flat.Coords(),
+		Grid:        parts,
+		GraphRadius: u.live.Radius(),
+		Graph:       csr,
 	}, remap, nil
 }
 

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	disc "github.com/discdiversity/disc"
+	"github.com/discdiversity/disc/internal/grid"
 	"github.com/discdiversity/disc/internal/snap"
 )
 
@@ -133,7 +134,7 @@ func TestUpdaterSeededMatchesBatchSelect(t *testing.T) {
 	}
 	// The seed is already converged and published.
 	if u.Pending() != 0 {
-		t.Fatalf("seeded updater has %d dirty components", u.Pending())
+		t.Fatalf("seeded updater has %d writes pending", u.Pending())
 	}
 	d, err := disc.New(pts, disc.WithIndex(disc.IndexCoverageGraph))
 	if err != nil {
@@ -196,14 +197,14 @@ func TestUpdaterSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Mutate, then try to snapshot dirty state: must refuse.
+	// Mutate, then try to snapshot unflushed state: must refuse.
 	id, err := u.Insert(disc.Point{0.5, 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	if err := u.WriteSnapshot(&buf); err == nil {
-		t.Fatal("snapshot of dirty state accepted")
+		t.Fatal("snapshot of unflushed state accepted")
 	}
 	u.Flush()
 	if err := u.Delete(id); err != nil {
@@ -290,6 +291,54 @@ func TestUpdaterSnapshotNonLp(t *testing.T) {
 	defer warm.Close()
 	if got := warm.Selection(); !slices.Equal(got, want) {
 		t.Fatalf("reopened updater selects %v, want %v", got, want)
+	}
+}
+
+// TestUpdaterSnapshotComponentsSection: an Updater checkpoint carries
+// no components section (recovery never reads one), and a checkpoint
+// written with the section, as older writers did, still reopens to the
+// same selection.
+func TestUpdaterSnapshotComponentsSection(t *testing.T) {
+	const r = 0.06
+	u, err := disc.NewUpdater(randomPoints(300, 2, 45), r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "live.discsnap")
+	if err := u.SaveSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := snap.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.ComponentLabels != nil {
+		t.Fatal("updater snapshot carries a components section")
+	}
+	cp := grid.ComponentsOfCSR(s.Graph, s.N, r)
+	s.ComponentCount, s.ComponentLabels = cp.Count, cp.Label
+	var old bytes.Buffer
+	if err := snap.Write(&old, s); err != nil {
+		t.Fatal(err)
+	}
+	oldPath := filepath.Join(dir, "old.discsnap")
+	if err := os.WriteFile(oldPath, old.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{path, oldPath} {
+		warm, err := disc.OpenUpdater(p, filepath.Join(t.TempDir(), "wal"), r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := warm.Selection(); !slices.Equal(got, u.Selection()) {
+			t.Fatalf("%s: reopened updater selects %v, want %v", filepath.Base(p), got, u.Selection())
+		}
+		warm.Close()
 	}
 }
 
