@@ -144,13 +144,17 @@ chaos-props:
 	$(GO) test -race -count=1 ./internal/manager
 	$(GO) test -race -count=1 -run 'TestCheckpointENOSPCLeavesStateAuthoritative' .
 
-## fuzz: run each fuzz target for 10 seconds (30 s in all; go test
+## fuzz: run each fuzz target for 10 seconds (40 s in all; go test
 ## fuzzes one target per run) past its committed seed corpus, which
 ## plain `go test ./...` replays. The two live targets in internal/core
 ## decode byte strings into a metric, a radius and an insert/delete
 ## sequence: FuzzLiveMatchesBatch requires the live maintainer to equal
 ## the batch component greedy after every flush, FuzzReplayMatchesLive
 ## requires a replayed checkpoint plus tail to equal the live path.
+## FuzzSelectModes (internal/core) decodes a metric, a radius and a
+## point set, sparse or past core.AdjacencyBudget, and requires the
+## global and component-mode greedy to pick the same ids in the same
+## order on every engine, each result passing CheckDisC.
 ## FuzzDecode in internal/snap requires snap.Decode to reject or
 ## canonically re-encode any byte string, without panicking or
 ## allocating beyond a small multiple of the input. A failing input
@@ -160,6 +164,7 @@ chaos-props:
 fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzLiveMatchesBatch$$' -fuzztime=10s -fuzzminimizetime=1s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzReplayMatchesLive$$' -fuzztime=10s -fuzzminimizetime=1s
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzSelectModes$$' -fuzztime=10s -fuzzminimizetime=1s
 	$(GO) test ./internal/snap -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime=10s -fuzzminimizetime=1s
 
 ## doclint: verify that relative links and file references in the

@@ -491,7 +491,7 @@ func BenchmarkServedSelectDensity(b *testing.B) {
 					if g, err = core.BuildParallelGraphEngineOn(flat, r, 0); err != nil {
 						b.Fatal(err)
 					}
-					core.GreedyDisCComponents(g, r, core.GreedyOptions{Update: core.UpdateGrey, Pruned: true}, 0)
+					core.GreedyDisCComponents(g, r, core.GreedyOptions{Update: core.UpdateGrey, Pruned: true})
 				}
 				b.StopTimer()
 				b.ReportMetric(liveHeapMB(g)-base, "heap-MB")

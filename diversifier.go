@@ -423,10 +423,9 @@ func (d *Diversifier) Metric() Metric { return d.metric }
 func (d *Diversifier) Point(id int) Point { return d.points[id] }
 
 type selectOptions struct {
-	algorithm   Algorithm
-	noPrune     bool
-	mode        SelectMode
-	parallelism int
+	algorithm Algorithm
+	noPrune   bool
+	mode      SelectMode
 }
 
 // SelectOption configures Select.
@@ -444,19 +443,19 @@ func WithoutPruning() SelectOption {
 }
 
 // WithSelectMode picks the execution strategy (default SelectGlobal).
-// SelectComponents decomposes the selection over the r-coverage graph's
-// connected components — same subset, parallel and usually cheaper on
-// clustered data; see the SelectMode constants for the trade-offs.
+// SelectComponents runs the greedy over the materialised r-adjacency —
+// the same ids in the same order, usually cheaper; see the SelectMode
+// constants for the trade-offs.
 func WithSelectMode(m SelectMode) SelectOption {
 	return func(o *selectOptions) { o.mode = m }
 }
 
-// WithSelectParallelism sets the worker count for SelectComponents
-// (<= 0, the default, selects GOMAXPROCS). The selected subset and its
-// order are bit-identical for every worker count; only wall-clock time
-// changes. SelectGlobal ignores it.
+// WithSelectParallelism has no effect.
+//
+// Deprecated: SelectComponents is one sequential run over the
+// adjacency; it once sized a per-component worker pool that is gone.
 func WithSelectParallelism(workers int) SelectOption {
-	return func(o *selectOptions) { o.parallelism = workers }
+	return func(*selectOptions) {}
 }
 
 // greedyUpdate maps a Greedy-DisC family member to its count-update
@@ -515,7 +514,7 @@ func (d *Diversifier) Select(r float64, opts ...SelectOption) (*Result, error) {
 	// A radius too dense for the coverage graph runs the global pass,
 	// which returns the same subset without materialising the adjacency.
 	case isGreedy && o.mode == SelectComponents && r < d.denseFrom:
-		sol = core.GreedyDisCComponents(e, r, core.GreedyOptions{Update: update, Pruned: pruned}, o.parallelism)
+		sol = core.GreedyDisCComponents(e, r, core.GreedyOptions{Update: update, Pruned: pruned})
 	case isGreedy:
 		sol = core.GreedyDisC(e, r, core.GreedyOptions{Update: update, Pruned: pruned})
 	case o.algorithm == AlgorithmBasic:

@@ -43,29 +43,20 @@
 // and AlgorithmCoverage / AlgorithmFastCoverage for coverage-only (r-C)
 // subsets that drop the dissimilarity requirement.
 //
-// # Parallel (component-decomposed) selection
+// # Component-mode selection
 //
-// A dominating set of a disconnected graph is the union of dominating
-// sets of its connected components, and at DisC-typical radii the
-// r-coverage graph shatters into thousands of components. Select with
-// WithSelectMode(SelectComponents) exploits that: components are
-// labeled in O(n + edges) (cached per radius on the coverage-graph
-// engine and persisted in snapshots, so warm starts skip the pass) and
-// the Greedy-DisC family then runs per component — singletons
-// short-circuit, two-member components resolve in O(1), larger ones run
-// the pruned greedy against component-sized heaps and white sets — on a
-// worker pool sized by WithSelectParallelism. The selected subset is
-// identical to SelectGlobal's, and the full output (selection order
-// included) is bit-identical for every worker count; components are
-// processed and emitted in ascending minimum-member-id order. On the
-// canonical 50k clustered workload the coverage-graph select drops
-// about 4x on a single core — the fast paths and cache-local heaps pay
-// even before the worker pool can scale with cores — while a graph
-// that is one giant component degrades gracefully to the global
-// algorithm plus the labeling pass. AlgorithmLazyWhite falls back to
-// the global path (its 1.5r refresh queries cannot be served from the
-// materialised r-adjacency); Basic-DisC and the coverage-only
-// algorithms do not support component mode.
+// Select with WithSelectMode(SelectComponents) runs the Greedy-DisC
+// family over the materialised r-adjacency — the coverage graph's rows,
+// or one range query per object on the other backends — as one
+// sequential pruned greedy popping (count desc, id asc) from a bucket
+// queue. It selects SelectGlobal's ids in SelectGlobal's order, with
+// exact distances to the nearest representative. Picks in one connected
+// component never change counts in another, so no component
+// decomposition is computed; the name is historical.
+// AlgorithmLazyWhite, whose 1.5r refresh queries the r-adjacency
+// cannot answer, and radii whose adjacency would pass the memory budget
+// run the global path; Basic-DisC and the coverage-only algorithms do
+// not support component mode.
 //
 // # Index backends
 //
@@ -169,14 +160,11 @@
 // restored without rebuilding its indexes: WriteSnapshot serialises the
 // dataset (metric plus row-major coordinates) together with whatever
 // per-radius artifacts the current backend holds — for
-// IndexCoverageGraph the coverage-graph CSR, the grid occupancy it was
-// joined on and (when derived) its connected-component decomposition —
-// plus the labels of a diversifier built by NewFromDataset, and
-// LoadDiversifier rehydrates them straight into the lazy-engine
-// machinery, so the first Select at the persisted radius starts from
-// the loaded graph instead of re-running the ε-join, and component-mode
-// selections skip the labeling pass too (the loaded labels are
-// revalidated against the adjacency before they are trusted).
+// IndexCoverageGraph the coverage-graph CSR and the grid occupancy it
+// was joined on — plus the labels of a diversifier built by
+// NewFromDataset, and LoadDiversifier rehydrates them straight into the
+// lazy-engine machinery, so the first Select at the persisted radius
+// starts from the loaded graph instead of re-running the ε-join.
 // Prepare builds those artifacts eagerly when no selection has run yet.
 // The format is sectioned, versioned and CRC-32C-checksummed: readers
 // reject other format versions but skip unknown section kinds, so new
@@ -252,8 +240,8 @@
 // atomic adds — lock-free and allocation-free, so the standing
 // 0 alloc/op invariants on steady-state query and repair paths hold
 // with telemetry enabled (AllocsPerRun tests pin both). Stage timers
-// cover the grid build, the ε-join, component labeling, global and
-// component-mode selection, live insert/delete/repair, WAL
+// cover the grid build, the ε-join, global and component-mode
+// selection, live insert/delete/repair, WAL
 // append/fsync/rotate/replay and snapshot save/load; discserve adds
 // per-route request counters, latency histograms and an inflight
 // gauge, and serves the whole registry at GET /metrics in the

@@ -1,0 +1,182 @@
+package core
+
+import (
+	"math"
+	"time"
+
+	"github.com/discdiversity/disc/internal/bitset"
+	"github.com/discdiversity/disc/internal/grid"
+	"github.com/discdiversity/disc/internal/object"
+	"github.com/discdiversity/disc/internal/telemetry"
+)
+
+// GreedyDisCComponents is Greedy-DisC run over the materialised
+// r-adjacency in CSR form: one sequential pruned greedy that pops
+// (count desc, id asc) from a bucketQueue, so it selects GreedyDisC's
+// ids in GreedyDisC's order. The name is historical: picks in one
+// connected component never change white counts in another, so the
+// run needs no component decomposition to select what per-component
+// runs would.
+//
+// The coverage-graph engine serves its materialised graph directly (or
+// a cached row-prefix view of it); every other engine pays one range
+// query per object to materialise the adjacency first — the cost of
+// the count-initialisation pass a global run issues anyway. Solutions
+// carry exact DistBlack entries (full adjacency rows are walked, so
+// every closest-black distance is observed — pruned global runs only
+// bound them), and Accesses mirrors the global pruned run's
+// accounting: one unit per adjacency entry examined, at least one per
+// query.
+//
+// UpdateGrey and UpdateLazyGrey run natively. UpdateWhite maintains the
+// same exact counts through grey-side decrements (the recount a 2r
+// candidate query feeds equals the decremented count — see
+// updateWhiteCounts — so selections are identical; only the access
+// profile differs). UpdateLazyWhite's 1.5r candidate queries cannot be
+// answered from the materialised r-adjacency, so it falls back to the
+// global path, as does a radius whose adjacency would pass
+// AdjacencyBudget.
+func GreedyDisCComponents(e Engine, r float64, opts GreedyOptions) *Solution {
+	if opts.Update == UpdateLazyWhite {
+		return GreedyDisC(e, r, opts)
+	}
+	start := e.Accesses()
+	csr, ok := adjacency(e, r)
+	if !ok {
+		return GreedyDisC(e, r, opts)
+	}
+	// From here on the run is over the adjacency; fallback runs above
+	// land in the mode="global" series via GreedyDisC.
+	defer telemetry.Since(metSelectComponents, time.Now())
+	updR := r
+	if opts.Update == UpdateLazyGrey {
+		updR = r / 2
+	}
+	n := e.Size()
+	s := newSolution(n, r, greedyName(opts, true))
+	ids, acc := newAdjGreedy(n).run(csr, updR, s, nil)
+	// Results outlive the run (the server keeps them), so the id list is
+	// copied out of the append-grown buffer at its exact size.
+	s.IDs = append(make([]int, 0, len(ids)), ids...)
+	s.DistBlackExact = true
+	s.Accesses = (e.Accesses() - start) + acc
+	return s
+}
+
+// adjGreedy is the reusable state of the pruned greedy over a CSR.
+// Every structure is sized once for the id domain: a finished run
+// leaves the white set empty (every object ends covered) and the queue
+// drained with its bucket storage kept, and count entries are
+// rewritten before they are read, so a second run over the same domain
+// allocates nothing.
+type adjGreedy struct {
+	white bitset.Set
+	nw    []int32
+	grey  []int32
+	q     bucketQueue
+}
+
+func newAdjGreedy(n int) *adjGreedy {
+	g := &adjGreedy{nw: make([]int32, n)}
+	g.white.Reset(n)
+	return g
+}
+
+// run selects over the whole id domain, writing colors and closest-black
+// distances into s and appending the selected ids, in pick order, to
+// ids. It returns them with the entries-examined access count. Counts
+// start at the exact degrees; each pick greys its white neighbours and
+// decrements, for every white object within updR of a new grey, its
+// count — the grey update of the global algorithm. Decrements touch
+// only the count array: a popped entry whose key went stale re-enters
+// the queue at its current count (the deferred invalidation
+// bucketQueue is built for), so the queue sees one push per object
+// plus one per stale pop instead of one per decrement.
+func (g *adjGreedy) run(csr *grid.CSR, updR float64, s *Solution, ids []int) ([]int, int64) {
+	var acc int64
+	for id := range g.nw {
+		g.white.Set(id)
+		deg := csr.Degree(id)
+		g.nw[id] = int32(deg)
+		g.q.push(int32(id), deg)
+	}
+	g.q.start()
+	for {
+		id32, key, ok := g.q.pop()
+		if !ok {
+			break
+		}
+		pi := int(id32)
+		if !g.white.Test(pi) {
+			continue
+		}
+		if int(g.nw[pi]) != key {
+			g.q.push(id32, int(g.nw[pi]))
+			continue
+		}
+		g.white.Clear(pi)
+		s.Colors[pi] = Black
+		s.DistBlack[pi] = 0
+		ids = append(ids, pi)
+		row := csr.Row(pi)
+		acc += int64(max(len(row), 1))
+		g.grey = g.grey[:0]
+		for _, nb := range row {
+			if g.white.Test(nb.ID) {
+				g.white.Clear(nb.ID)
+				s.Colors[nb.ID] = Grey
+				g.grey = append(g.grey, int32(nb.ID))
+			}
+			// Full rows are walked (unlike the white-filtered queries of
+			// the global pruned run), so closest-black distances are
+			// exact and the solution reports DistBlackExact.
+			if nb.Dist < s.DistBlack[nb.ID] {
+				s.DistBlack[nb.ID] = nb.Dist
+			}
+		}
+		for _, gj := range g.grey {
+			grow := csr.Row(int(gj))
+			acc += int64(len(grow))
+			for _, nb := range grow {
+				if nb.Dist <= updR && g.white.Test(nb.ID) {
+					g.nw[nb.ID]--
+				}
+			}
+		}
+	}
+	return ids, acc
+}
+
+// adjacency returns the exact r-adjacency of the engine's objects: the
+// coverage-graph engine's own graph or view when r is at most its
+// ceiling, otherwise one materialised by range queries. ok is false
+// when that adjacency would pass AdjacencyBudget.
+func adjacency(e Engine, r float64) (*grid.CSR, bool) {
+	if g, ok := e.(*ParallelGraphEngine); ok {
+		if csr, have := g.AdjacencyCSR(r); have {
+			return csr, true
+		}
+	}
+	return materializeAdjacency(e, r)
+}
+
+// materializeAdjacency builds the exact r-adjacency of the engine's
+// objects as a CSR, one range query per object in ascending id order:
+// the queries cost what Greedy-DisC's count initialisation would, and
+// afterwards every scan is an array walk. ok is false when the
+// adjacency would pass AdjacencyBudget (callers fall back to the global
+// path, whose memory does not grow with the edge count).
+func materializeAdjacency(e Engine, r float64) (csr *grid.CSR, ok bool) {
+	n := e.Size()
+	limit := min(AdjacencyBudget(n), math.MaxInt32)
+	offsets := make([]int32, n+1)
+	var nbrs []object.Neighbor
+	for id := 0; id < n; id++ {
+		nbrs = e.NeighborsAppend(nbrs, id, r)
+		if int64(len(nbrs)) > limit {
+			return nil, false
+		}
+		offsets[id+1] = int32(len(nbrs))
+	}
+	return &grid.CSR{Offsets: offsets, Nbrs: nbrs}, true
+}

@@ -92,12 +92,11 @@ func TestCeilingViewZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestComponentSelectZeroAlloc pins the component-decomposed selection's
-// steady-state contract: once a worker's scratch has grown to its
-// high-water mark, sweeping the whole component range — singleton and
-// pair fast paths and full per-component greedy runs alike — allocates
-// nothing. Only per-selection setup (solution arrays, scratch, chunk
-// slots) may allocate.
+// TestComponentSelectZeroAlloc pins the steady-state contract of the
+// component-mode run over the adjacency: once its state (white set,
+// counts, grey list, bucket queue) and the id buffer have grown to
+// their high-water marks, a full run allocates nothing. Only
+// per-selection setup (solution arrays, the run state) may allocate.
 func TestComponentSelectZeroAlloc(t *testing.T) {
 	pts := randomPoints(600, 2, 100)
 	const r = 0.05
@@ -105,17 +104,16 @@ func TestComponentSelectZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp := g.Components(r)
-	if comp.Count < 10 || comp.Largest() < 3 {
-		t.Fatalf("workload too degenerate for the sweep (%d components, largest %d)", comp.Count, comp.Largest())
-	}
 	csr, ok := g.AdjacencyCSR(r)
 	if !ok {
 		t.Fatal("no adjacency at build radius")
 	}
 	s := newSolution(len(pts), r, "alloc probe")
-	sc := newComponentScratch(len(pts))
-	ids, _ := runComponentRange(csr, comp, 0, comp.Count, r, s, sc, nil) // grow to high-water
+	run := newAdjGreedy(len(pts))
+	ids, _ := run.run(csr, r, s, nil) // grow to high-water
+	if len(ids) < 10 {
+		t.Fatalf("workload too degenerate for the run (%d picks)", len(ids))
+	}
 	buf := ids[:0]
 	inf := math.Inf(1)
 	allocs := testing.AllocsPerRun(20, func() {
@@ -123,10 +121,10 @@ func TestComponentSelectZeroAlloc(t *testing.T) {
 			s.Colors[id] = White
 			s.DistBlack[id] = inf
 		}
-		buf, _ = runComponentRange(csr, comp, 0, comp.Count, r, s, sc, buf[:0])
+		buf, _ = run.run(csr, r, s, buf[:0])
 	})
 	if allocs != 0 {
-		t.Errorf("component sweep allocates %.1f/op in steady state", allocs)
+		t.Errorf("component run allocates %.1f/op in steady state", allocs)
 	}
 }
 

@@ -2,12 +2,16 @@ package core
 
 import "slices"
 
-// bucketQueue is an order-equivalent replacement for lazyHeap in the
-// live maintainer's full greedy run, exploiting two properties of the
-// pruned greedy: keys (white-neighbour counts) are small non-negative integers
+// bucketQueue is the priority structure of the greedy runs over an
+// adjacency (adjGreedy.run, LiveDisC.run), an order-equivalent
+// replacement for lazyHeap. It exploits two properties of the pruned
+// greedy: keys (white-neighbour counts) are small non-negative integers
 // that only ever decrease, and the pop order is (key desc, id asc) with
 // deferred invalidation — a stale pop re-enters at its current, strictly
-// lower key. Under that protocol a bucket never receives an element at
+// lower key. An entry popped with a stale key still dominates every
+// live key below it, so re-entering it before acting preserves the
+// exact (key desc, id asc) selection order while skipping the
+// per-decrement pushes lazyHeap.popValid relies on. Under that protocol a bucket never receives an element at
 // or above the bucket currently draining, so every bucket's membership
 // is complete before its first pop: sorting it once at drain start
 // reproduces the heap's global (key desc, id asc) order exactly, with

@@ -86,7 +86,7 @@ func TestEngineConformanceFloat32Identical(t *testing.T) {
 						t.Errorf("%s(pruned=%v): selection differs from the float64 reference", name, pruned)
 					}
 				}
-				cs := GreedyDisCComponents(e, tc.r, GreedyOptions{Update: UpdateGrey, Pruned: true}, 4)
+				cs := GreedyDisCComponents(e, tc.r, GreedyOptions{Update: UpdateGrey, Pruned: true})
 				if !equalInts(want, cs.SortedIDs()) {
 					t.Errorf("%s: component mode differs from the float64 reference", name)
 				}

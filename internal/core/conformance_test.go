@@ -143,7 +143,7 @@ func TestEngineConformanceScanOrder(t *testing.T) {
 
 // TestEngineConformanceGreedyIdentical: exact-count greedy selection must
 // be identical on every engine, pruned or not, global or
-// component-decomposed — the strongest cross-validation of the index
+// component mode — the strongest cross-validation of the index
 // implementations.
 func TestEngineConformanceGreedyIdentical(t *testing.T) {
 	pts := randomPoints(450, 2, 82)
@@ -163,7 +163,7 @@ func TestEngineConformanceGreedyIdentical(t *testing.T) {
 					t.Errorf("r=%g: %s(pruned=%v) differs from %s", r, name, pruned, refName)
 				}
 			}
-			cs := GreedyDisCComponents(e, r, GreedyOptions{Update: UpdateGrey, Pruned: true}, 4)
+			cs := GreedyDisCComponents(e, r, GreedyOptions{Update: UpdateGrey, Pruned: true})
 			if !equalInts(ref, cs.SortedIDs()) {
 				t.Errorf("r=%g: %s component mode differs from %s", r, name, refName)
 			}

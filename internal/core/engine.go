@@ -25,7 +25,6 @@
 package core
 
 import (
-	"github.com/discdiversity/disc/internal/grid"
 	"github.com/discdiversity/disc/internal/object"
 )
 
@@ -80,17 +79,6 @@ type CoverageEngine interface {
 	NeighborsWhite(id int, r float64) []object.Neighbor
 	// NeighborsWhiteAppend is the buffer-reusing form of NeighborsWhite.
 	NeighborsWhiteAppend(dst []object.Neighbor, id int, r float64) []object.Neighbor
-	// Components returns the connected-component decomposition of the
-	// r-coverage graph over the engine's objects, in the canonical
-	// numbering (components ascend with their minimum member id), so
-	// every engine returns the identical decomposition for the same
-	// objects and radius. Engines without a materialised adjacency
-	// derive it with one range query per object; the coverage-graph
-	// engine labels its CSR (or a row-prefix view of it) directly and
-	// caches the result for its ceiling and the last few radii below
-	// it. The returned value is shared or cached state — treat it as
-	// read-only.
-	Components(r float64) *grid.Components
 }
 
 // WhiteCounter is implemented by engines that can recount the white

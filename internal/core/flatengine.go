@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/discdiversity/disc/internal/bitset"
-	"github.com/discdiversity/disc/internal/grid"
 	"github.com/discdiversity/disc/internal/object"
 )
 
@@ -147,10 +146,4 @@ func (f *FlatEngine) NeighborsWhiteAppend(dst []object.Neighbor, id int, r float
 		}
 	}
 	return dst
-}
-
-// Components implements CoverageEngine by breadth-first traversal over
-// per-object range queries.
-func (f *FlatEngine) Components(r float64) *grid.Components {
-	return componentsViaQueries(f, r)
 }

@@ -39,12 +39,12 @@ import (
 // Every row is sorted by ascending (distance, id), so the graph built at
 // the ceiling radius C serves every r ≤ C: the r-neighbourhood of a
 // point is a prefix of its row, found by binary search. Neighbors,
-// NeighborsWhite and WhiteCount cut the row per call; AdjacencyCSR and
-// Components serve a view (grid.CSR.Prefix: one row end per point,
-// sharing the ceiling's arrays), cached with its component
-// decomposition for the last few radii in a fixed-size cache. Radii
-// above C fall back to the substrate (grid scan or flat scan), so every
-// Engine call stays correct at any radius — only the cost differs.
+// NeighborsWhite and WhiteCount cut the row per call; AdjacencyCSR
+// serves a view (grid.CSR.Prefix: one row end per point, sharing the
+// ceiling's arrays), cached for the last few radii in a fixed-size
+// cache. Radii above C fall back to the substrate (grid scan or flat
+// scan), so every Engine call stays correct at any radius — only the
+// cost differs.
 // Because |N_C(p)| is known for every p after the build, the engine
 // also implements CountingEngine and makes Greedy-DisC's initialisation
 // pass free at C; the packed white bitset lets it also implement
@@ -68,13 +68,8 @@ type ParallelGraphEngine struct {
 	csr     *grid.CSR // rows sorted by (distance, id); exclude self
 	counts  []int     // csr.Degree(i), for CountingEngine
 	scan    []int
-	// comps caches the connected-component decomposition at the
-	// ceiling: it is a pure function of the CSR, so computing (or
-	// installing from a snapshot) it once serves every later selection.
-	comps *grid.Components
-	// views caches the row-prefix views below the ceiling, each with
-	// its decomposition once derived; next is the slot the next new
-	// radius overwrites.
+	// views caches the row-prefix views below the ceiling; next is the
+	// slot the next new radius overwrites.
 	views [viewSlots]radiusView
 	next  int
 
@@ -84,16 +79,15 @@ type ParallelGraphEngine struct {
 }
 
 // viewSlots bounds the per-radius cache: a view costs one int32 per
-// point and its decomposition about three, so the cache stays a small
-// multiple of n however many radii are asked for. Four slots hold the
-// interactive pattern of a few alternating radii below one ceiling.
+// point, so the cache stays a small multiple of n however many radii
+// are asked for. Four slots hold the interactive pattern of a few
+// alternating radii below one ceiling.
 const viewSlots = 4
 
 // radiusView is one cached radius below the ceiling.
 type radiusView struct {
-	csr   *grid.CSR // nil: slot unused
-	r     float64
-	comps *grid.Components // nil until Components(r) derives it
+	csr *grid.CSR // nil: slot unused
+	r   float64
 }
 
 var (
@@ -429,36 +423,6 @@ func (g *ParallelGraphEngine) appendWhiteScan(dst []object.Neighbor, id int, r f
 	return dst
 }
 
-// Components implements CoverageEngine. The decomposition at radius r
-// ≤ the ceiling is one depth-first pass over the rows within r — charged
-// like any adjacency walk, one access per entry — and is cached: it is a
-// pure function of the graph, so later calls (every selection in
-// component mode) return it for free, exactly like InitialCounts. The
-// ceiling's decomposition is kept for the engine's lifetime, and a
-// snapshot-loaded one (InstallComponents) pre-fills it, which is what
-// lets warm starts skip the pass entirely; smaller radii share the
-// fixed-size view cache. Radii above the ceiling fall back to the
-// substrate's range queries, uncached.
-func (g *ParallelGraphEngine) Components(r float64) *grid.Components {
-	switch {
-	case r == g.radius:
-		if g.comps == nil {
-			g.charge(len(g.csr.Nbrs))
-			g.comps = grid.ComponentsOfCSR(g.csr, g.flat.Len(), r)
-		}
-		return g.comps
-	case r < g.radius:
-		v := g.view(r)
-		if v.comps == nil {
-			g.charge(v.csr.Entries())
-			v.comps = grid.ComponentsOfCSR(v.csr, g.flat.Len(), r)
-		}
-		return v.comps
-	default:
-		return componentsViaQueries(g, r)
-	}
-}
-
 // view returns the cached view at r < the ceiling, deriving it (one
 // binary search per row, uncharged) into the oldest slot on a miss.
 func (g *ParallelGraphEngine) view(r float64) *radiusView {
@@ -485,15 +449,10 @@ func (g *ParallelGraphEngine) CachedRadii() []float64 {
 	return rs
 }
 
-// CachedComponents returns the decomposition computed or installed for
-// the ceiling, nil when none has been derived yet. Snapshots persist it
-// opportunistically through this accessor.
-func (g *ParallelGraphEngine) CachedComponents() *grid.Components { return g.comps }
-
-// AdjacencyCSR implements adjacencySource: the materialised graph serves
-// the component-decomposed selection directly at any radius up to the
-// ceiling — the graph itself at the ceiling, its cached row-prefix view
-// below it.
+// AdjacencyCSR returns the exact r-adjacency when the materialised
+// graph holds it — the graph itself at the ceiling, its cached
+// row-prefix view below it — so GreedyDisCComponents runs over it with
+// no materialisation pass; ok is false above the ceiling.
 func (g *ParallelGraphEngine) AdjacencyCSR(r float64) (*grid.CSR, bool) {
 	switch {
 	case r == g.radius:

@@ -146,8 +146,8 @@ func TestGraphEngineRebuild(t *testing.T) {
 // TestCeilingViewsMatchJoin: a graph joined at the ceiling C serves
 // every r ≤ C as a row-prefix view; each view must be the graph a fresh
 // join at r builds over the same substrate — rows compared in id order,
-// entry for entry, distances bit for bit — with the same component
-// numbering and the same component-mode selection. Every built-in
+// entry for entry, distances bit for bit — with the same component-mode
+// selection and closest-black distances. Every built-in
 // metric, both join substrates (the grid and the flat join, forced for
 // the Lp metrics too) and both precisions, at r ∈ {C, 0.75C, C/2, 0}.
 func TestCeilingViewsMatchJoin(t *testing.T) {
@@ -205,13 +205,9 @@ func TestCeilingViewsMatchJoin(t *testing.T) {
 					if !slices.Equal(got.Offsets, want.Offsets) || !slices.Equal(got.Nbrs, want.Nbrs) {
 						t.Fatalf("%s: view rows differ from a join at r", name)
 					}
-					vc, fc := ceil.Components(r), fresh.Components(r)
-					if vc.Count != fc.Count || !slices.Equal(vc.Label, fc.Label) {
-						t.Fatalf("%s: view components differ from the join's", name)
-					}
-					vs := GreedyDisCComponents(ceil, r, opts, 2)
-					fs := GreedyDisCComponents(fresh, r, opts, 2)
-					if !slices.Equal(vs.IDs, fs.IDs) {
+					vs := GreedyDisCComponents(ceil, r, opts)
+					fs := GreedyDisCComponents(fresh, r, opts)
+					if !slices.Equal(vs.IDs, fs.IDs) || !slices.Equal(vs.DistBlack, fs.DistBlack) {
 						t.Fatalf("%s: component selection on the view differs from the join's", name)
 					}
 				}

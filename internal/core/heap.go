@@ -44,28 +44,6 @@ func (h *lazyHeap) push(id, key int) {
 	h.up(len(h.items) - 1)
 }
 
-// pop removes and returns the maximum entry, stale or not. Callers
-// using deferred invalidation (the component-decomposed greedy) compare
-// the key against their authoritative count themselves and re-push
-// corrected entries: with keys that only ever decrease, an entry popped
-// with a stale key still dominates every live key below it, so
-// re-pushing it at its current count before acting preserves the exact
-// (key desc, id asc) selection order while skipping the per-decrement
-// pushes popValid's protocol relies on.
-func (h *lazyHeap) pop() (heapItem, bool) {
-	if len(h.items) == 0 {
-		return heapItem{}, false
-	}
-	it := h.items[0]
-	last := len(h.items) - 1
-	h.items[0] = h.items[last]
-	h.items = h.items[:last]
-	if last > 0 {
-		h.down(0)
-	}
-	return it, true
-}
-
 // popValid returns the id with the largest current key for which
 // valid(id, key) holds, discarding stale entries. ok is false when the
 // heap is exhausted.

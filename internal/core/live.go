@@ -19,10 +19,10 @@ import (
 // deletes by replaying only the part of the greedy run a mutation
 // changes. It is the incremental counterpart of GreedyDisCComponents on
 // the same substrate — copy-on-write CSR adjacency (grid.DynAdj) — and
-// reproduces the batch algorithm exactly: after Flush, the selection is
-// the set GreedyDisCComponents would compute over the live points from
-// scratch (through the monotone id remap of a compaction). Works under
-// every metric.
+// reproduces the batch algorithm exactly: after Flush, the selection,
+// in pick order, is what GreedyDisCComponents would compute over the
+// live points from scratch (through the monotone id remap of a
+// compaction). Works under every metric.
 //
 // An insert finds its in-range neighbours through one of two sources.
 // Lp metrics (grid.Supports) keep a mutable grid occupancy
@@ -41,9 +41,7 @@ import (
 // changes, not the component. The seed and LiveReplay.Finish run the
 // pruned greedy over every live object once, recording every leave
 // time. No component decomposition is kept: picks in one component
-// never change white counts in another, so one global run in
-// (count desc, id asc) order selects what the per-component runs
-// select and records the same leave times.
+// never change white counts in another, so the run needs none.
 //
 // Reads are bounded-stale: the last converged selection is published as
 // an immutable snapshot behind an atomic pointer, so Selection,
@@ -411,12 +409,11 @@ func (l *LiveDisC) Flush() int {
 }
 
 // run is the pruned greedy over every live object in full, mirroring
-// greedyComponent from the batch path: the same (count desc, id asc)
-// pop order with deferred invalidation (served by a bucketQueue,
-// order-equivalent to the batch lazyHeap), the same grey-update
-// decrements. Picks in one component never change white counts in
-// another, so it selects what the per-component batch runs select and
-// records every object's leave time.
+// adjGreedy.run from the batch path: the same (count desc, id asc) pop
+// order with deferred invalidation from a bucketQueue, the same
+// grey-update decrements. It selects what GreedyDisCComponents selects
+// over the live points, in the same order, and records every object's
+// leave time.
 func (l *LiveDisC) run() {
 	slots := l.dyn.Slots()
 	white := bitset.New(slots)

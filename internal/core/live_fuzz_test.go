@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"github.com/discdiversity/disc/internal/grid"
 	"github.com/discdiversity/disc/internal/object"
 )
 
@@ -239,8 +238,7 @@ func FuzzReplayMatchesLive(f *testing.F) {
 
 // assertMatchesComponentGreedy runs GreedyDisCComponents over a graph
 // engine on l's compacted dataset and adjacency and requires its
-// selection, in order, to be l's converged one through the remap,
-// regrouped by the canonical labels of that adjacency (byComponent).
+// selection, in order, to be l's converged one through the remap.
 func assertMatchesComponentGreedy(t *testing.T, l *LiveDisC, r float64) {
 	t.Helper()
 	if l.Len() == 0 {
@@ -254,9 +252,8 @@ func assertMatchesComponentGreedy(t *testing.T, l *LiveDisC, r float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := GreedyDisCComponents(e, r, GreedyOptions{Update: UpdateGrey, Pruned: true}, 1).IDs
-	got := byComponent(l.OrderedSelection(), remap, grid.ComponentsOfCSR(csr, flat.Len(), r))
-	if !slices.Equal(got, want) {
-		t.Fatalf("live selects %v (remapped, by component), component greedy %v", got, want)
+	want := GreedyDisCComponents(e, r, GreedyOptions{Update: UpdateGrey, Pruned: true}).IDs
+	if got := remapIDs(l.OrderedSelection(), remap); !slices.Equal(got, want) {
+		t.Fatalf("live selects %v (remapped), component greedy %v", got, want)
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"math/rand/v2"
 	"reflect"
 	"slices"
@@ -34,39 +33,32 @@ func batchJoin(t *testing.T, flat *object.FlatDataset, r float64) *grid.CSR {
 	return csr
 }
 
-// batchReference runs the from-scratch pipeline (ε-join, canonical
-// components, component-decomposed greedy) over a dense dataset,
-// returning the structures the incremental path must reproduce.
-func batchReference(t *testing.T, flat *object.FlatDataset, r float64) (*grid.CSR, *grid.Components, []int) {
+// batchReference runs the from-scratch pipeline (ε-join, then the
+// greedy over the adjacency) over a dense dataset, returning the
+// adjacency and the selection, in pick order, the incremental path
+// must reproduce.
+func batchReference(t *testing.T, flat *object.FlatDataset, r float64) (*grid.CSR, []int) {
 	t.Helper()
 	csr := batchJoin(t, flat, r)
-	comp := grid.ComponentsOfCSR(csr, flat.Len(), r)
 	sol := newSolution(flat.Len(), r, "ref")
-	ids, _ := runComponentRange(csr, comp, 0, comp.Count, r, sol, newComponentScratch(flat.Len()), nil)
-	return csr, comp, ids
+	ids, _ := newAdjGreedy(flat.Len()).run(csr, r, sol, nil)
+	return csr, ids
 }
 
-// byComponent maps an ordered selection through remap (nil: identity)
-// and regroups it, stably, by comp's canonical labels: the global
-// greedy's pick order becomes the component greedy's output order, its
-// components ascending and each in pick order.
-func byComponent(ids []int, remap []int32, comp *grid.Components) []int {
+// remapIDs maps ids through a compaction's remap.
+func remapIDs(ids []int, remap []int32) []int {
 	out := make([]int, len(ids))
 	for i, id := range ids {
-		out[i] = id
-		if remap != nil {
-			out[i] = int(remap[id])
-		}
+		out[i] = int(remap[id])
 	}
-	slices.SortStableFunc(out, func(a, b int) int { return cmp.Compare(comp.Label[a], comp.Label[b]) })
 	return out
 }
 
 // assertConverged flushes l and checks full equivalence with the batch
 // pipeline over the same live points: bit-identical CSR after
-// compaction, the ordered selection through the monotone remap and
-// regrouped by the canonical labels sequence-equal to the component
-// greedy's, and the DisC invariants by direct distance check.
+// compaction, the ordered selection through the monotone remap
+// sequence-equal to the batch greedy's, and the DisC invariants by
+// direct distance check.
 func assertConverged(t *testing.T, l *LiveDisC, r float64) {
 	t.Helper()
 	l.Flush()
@@ -86,14 +78,14 @@ func assertConverged(t *testing.T, l *LiveDisC, r float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refCSR, refComp, refIDs := batchReference(t, flat, r)
+	refCSR, refIDs := batchReference(t, flat, r)
 	if !reflect.DeepEqual(csr, refCSR) {
 		t.Fatal("compacted CSR differs from batch join")
 	}
 	assertTraceMatchesRerun(t, l, flat, remap, csr, r)
 	got := l.OrderedSelection()
-	if grouped := byComponent(got, remap, refComp); !slices.Equal(grouped, refIDs) {
-		t.Fatalf("selection %v (remapped, by component), batch selects %v", grouped, refIDs)
+	if mapped := remapIDs(got, remap); !slices.Equal(mapped, refIDs) {
+		t.Fatalf("selection %v (remapped), batch selects %v", mapped, refIDs)
 	}
 	// The published ascending view must agree with the ordered one.
 	pub := l.Selection()
@@ -189,8 +181,8 @@ func TestLiveDisCSeededMatchesBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The seed itself must already be the batch selection.
-	_, refComp, refIDs := batchReference(t, flat, r)
-	if got := byComponent(l.OrderedSelection(), nil, refComp); !slices.Equal(got, refIDs) {
+	_, refIDs := batchReference(t, flat, r)
+	if got := l.OrderedSelection(); !slices.Equal(got, refIDs) {
 		t.Fatal("seeded selection differs from batch")
 	}
 	if l.Pending() != 0 {

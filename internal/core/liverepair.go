@@ -128,15 +128,11 @@ func (l *LiveDisC) repair() {
 		rs.watchers[y] = 0
 	}
 	rs.watches = rs.watches[:0]
-	// A replay over most of a dense graph can leave the links and the
-	// heap many times the slot count; keep them only up to four times.
+	// The links and the heap keep their capacity for the next sweep:
+	// links holds at most one entry per adjacency entry and the heap a
+	// few events per object, so both stay bounded by the adjacency
+	// already resident.
 	rs.links = rs.links[:0]
-	if cap(rs.links) > 4*len(rs.st) {
-		rs.links = nil
-	}
-	if cap(rs.heap) > 4*len(rs.st) {
-		rs.heap = nil
-	}
 }
 
 // enter adds an outside object to the active set (not yet white).

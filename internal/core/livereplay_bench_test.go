@@ -14,7 +14,7 @@ import (
 // checkpoint (d=2, 10 clusters, euclidean) restored with its coverage
 // graph at r = 0.01, then a WAL tail of 750 inserts and deletes of
 // every third of them in a seeded order, then Finish. One op is the
-// whole replay: restore, tail, fold, labeling and greedy.
+// whole replay: restore, tail, fold and greedy.
 func BenchmarkLiveReplayTail(b *testing.B) {
 	const (
 		n       = 8000

@@ -184,14 +184,34 @@ func applyIncremental(t *testing.T, l *LiveDisC, ops []replayOp, merge int, spli
 }
 
 // componentCount is the number of connected components of l's
-// adjacency over the live objects.
+// adjacency over the live objects, by union-find over its edges.
 func componentCount(t *testing.T, l *LiveDisC) int {
 	t.Helper()
 	flat, _, csr, err := l.Compact()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return grid.ComponentsOfCSR(csr, flat.Len(), l.Radius()).Count
+	parent := make([]int, flat.Len())
+	for id := range parent {
+		parent[id] = id
+	}
+	var find func(int) int
+	find = func(x int) int {
+		if parent[x] != x {
+			parent[x] = find(parent[x])
+		}
+		return parent[x]
+	}
+	count := len(parent)
+	for id := range parent {
+		for _, nb := range csr.Row(id) {
+			if a, b := find(id), find(nb.ID); a != b {
+				parent[a] = b
+				count--
+			}
+		}
+	}
+	return count
 }
 
 // applyReplay runs ops through the substrate-only replay and finishes

@@ -5,10 +5,10 @@ import "github.com/discdiversity/disc/internal/telemetry"
 // Stage timers for selection and live maintenance. Handles resolve once
 // at package init; the observation calls are atomic adds only, so the
 // instrumented wrappers stay outside the 0 alloc/op pinned inner loops
-// (runComponentRange, NeighborsAppend) and add nothing to them.
+// (adjGreedy.run, NeighborsAppend) and add nothing to them.
 var (
 	metSelectGlobal = telemetry.Default().Histogram(`disc_select_seconds{mode="global"}`,
-		"Wall time of one greedy DisC selection (global heap or component-decomposed).")
+		"Wall time of one greedy DisC selection (global heap, or the run over the materialised adjacency).")
 	metSelectComponents = telemetry.Default().Histogram(`disc_select_seconds{mode="components"}`, "")
 
 	metLiveInsert = telemetry.Default().Histogram("disc_live_insert_seconds",

@@ -57,24 +57,3 @@ func RehydrateGraphEngine(flat *object.FlatDataset, hash *grid.Grid, csr *grid.C
 	csr.SortByDist(workers)
 	return newGraph(flat, hash, scan, r, workers, csr, 0), nil
 }
-
-// InstallComponents adopts a deserialised component decomposition for
-// the engine's ceiling, so warm starts skip the labeling pass a
-// fresh engine would pay on its first component-mode selection. The
-// labels are revalidated before they are trusted: structurally
-// (ComponentsFromLabels — range and canonical numbering) and against
-// the adjacency (Validate — no edge may cross components), so a corrupt
-// or mismatched snapshot fails here rather than as a wrong selection
-// later. O(n + edges), a contiguous scan rather than the traversal it
-// replaces.
-func (g *ParallelGraphEngine) InstallComponents(labels []int32, count int) error {
-	cp, err := grid.ComponentsFromLabels(labels, count)
-	if err != nil {
-		return fmt.Errorf("core: install components: %w", err)
-	}
-	if err := cp.Validate(g.csr, g.radius); err != nil {
-		return fmt.Errorf("core: install components: %w", err)
-	}
-	g.comps = cp
-	return nil
-}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"github.com/discdiversity/disc/internal/grid"
 	"github.com/discdiversity/disc/internal/mtree"
 	"github.com/discdiversity/disc/internal/object"
 )
@@ -143,10 +142,4 @@ func (te *TreeEngine) InitialCounts() ([]int, float64, bool) {
 		return nil, 0, false
 	}
 	return te.counts, te.countsR, true
-}
-
-// Components implements CoverageEngine by breadth-first traversal over
-// per-object range queries.
-func (te *TreeEngine) Components(r float64) *grid.Components {
-	return componentsViaQueries(te, r)
 }

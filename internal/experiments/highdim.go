@@ -51,8 +51,8 @@ type HighDimJoin struct {
 	// ScalarBuildMS/Batch32BuildMS. Speedup is the gated ratio.
 	Speedup   float64
 	Speedup32 float64
-	// SelectMSOp is the pruned component-decomposed Greedy-DisC over the
-	// built graph (steady-state: adjacency and components cached).
+	// SelectMSOp is the pruned component-mode Greedy-DisC over the built
+	// graph (steady-state: the adjacency is the graph itself).
 	SelectMSOp   float64
 	SolutionSize int
 }
@@ -245,7 +245,7 @@ func highDimJoin(pts []object.Point, m object.Metric, r float64, workers int) (*
 	}
 	var sol *core.Solution
 	nsOp, _, _ := measure(func() {
-		sol = core.GreedyDisCComponents(e, r, core.GreedyOptions{Update: core.UpdateGrey, Pruned: true}, workers)
+		sol = core.GreedyDisCComponents(e, r, core.GreedyOptions{Update: core.UpdateGrey, Pruned: true})
 	}, 2*time.Second)
 	row.SelectMSOp = float64(nsOp) / 1e6
 	row.SolutionSize = sol.Size()

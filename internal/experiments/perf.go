@@ -13,8 +13,8 @@ import (
 // PerfEngine is one engine's measurement in a performance snapshot: a
 // repeated index build (wall time per op — the metric the bench guard
 // diffs alongside the selections), a repeated pruned Greedy-DisC
-// selection in both execution modes (global, and component-decomposed
-// with the default worker count — SelectComponents* rows) and the
+// selection in both execution modes (global, and the component-mode run
+// over the materialised adjacency — SelectComponents* rows) and the
 // steady-state reusable-buffer neighbour query.
 type PerfEngine struct {
 	Engine               string
@@ -44,9 +44,8 @@ type PerfSnapshot struct {
 	GoVersion  string
 	Algorithm  string
 	// Components and LargestComponent describe the r-coverage graph's
-	// connected-component structure at Radius (identical for every
-	// engine), the shape that determines how much the component-
-	// decomposed selection can exploit.
+	// connected-component structure at Radius, counted on the graph
+	// engine (componentStats); they describe the workload only.
 	Components       int
 	LargestComponent int
 	Engines          []PerfEngine
@@ -160,24 +159,21 @@ func Perf(cfg Config, datasetName string) (*PerfSnapshot, error) {
 		pe.SolutionSize = sol.Size()
 		pe.Accesses = sol.Accesses
 
-		// Component-decomposed selection, same workload. The graph
-		// engine labels its CSR once and serves the cached decomposition
-		// thereafter (the steady-state a warm-started or repeatedly
-		// selecting process sees); engines without a materialised
-		// adjacency pay their per-selection query pass inside the loop.
+		// Component-mode selection, same workload: the greedy over the
+		// materialised adjacency. The graph engine serves its own CSR;
+		// engines without one pay their per-selection query pass inside
+		// the loop.
 		var csol *core.Solution
 		pe.SelectComponentsNsOp, _, _ = measure(func() {
 			e.ResetAccesses()
-			csol = core.GreedyDisCComponents(e, r, core.GreedyOptions{Update: core.UpdateGrey, Pruned: true}, workers)
+			csol = core.GreedyDisCComponents(e, r, core.GreedyOptions{Update: core.UpdateGrey, Pruned: true})
 		}, 2*time.Second)
 		pe.SelectComponentsMSOp = float64(pe.SelectComponentsNsOp) / 1e6
 		if csol.Size() != sol.Size() {
 			return nil, fmt.Errorf("experiments: perf: %s: component selection size %d differs from global %d", b.name, csol.Size(), sol.Size())
 		}
-		if cov, ok := e.(core.CoverageEngine); ok && snap.Components == 0 {
-			cp := cov.Components(r)
-			snap.Components = cp.Count
-			snap.LargestComponent = cp.Largest()
+		if b.name == "graph" {
+			snap.Components, snap.LargestComponent = componentStats(e, r)
 		}
 
 		buf := make([]object.Neighbor, 0, 4096)
@@ -191,6 +187,39 @@ func Perf(cfg Config, datasetName string) (*PerfSnapshot, error) {
 	}
 	snap.Telemetry = probe.Report()
 	return snap, nil
+}
+
+// componentStats counts the connected components of the r-coverage
+// graph and the size of the largest, by one depth-first pass over e's
+// range queries. It describes the workload only: no selection needs
+// the decomposition.
+func componentStats(e core.Engine, r float64) (count, largest int) {
+	seen := make([]bool, e.Size())
+	var stack []int
+	var buf []object.Neighbor
+	for root := range seen {
+		if seen[root] {
+			continue
+		}
+		seen[root] = true
+		stack = append(stack[:0], root)
+		size := 0
+		for len(stack) > 0 {
+			u := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			size++
+			buf = e.NeighborsAppend(buf[:0], u, r)
+			for _, nb := range buf {
+				if !seen[nb.ID] {
+					seen[nb.ID] = true
+					stack = append(stack, nb.ID)
+				}
+			}
+		}
+		count++
+		largest = max(largest, size)
+	}
+	return count, largest
 }
 
 // Suite renders the snapshot in the bench row schema.

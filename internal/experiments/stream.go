@@ -36,7 +36,7 @@ type StreamBench struct {
 	Deletes int
 
 	// SeedBuildMS is the one-time batch pipeline over the N starting
-	// points (grid ε-join, labeling, component-decomposed greedy).
+	// points (grid ε-join, one greedy run over the adjacency).
 	SeedBuildMS float64
 
 	// UpdatesPerSec counts converged operations (mutation + Flush) per

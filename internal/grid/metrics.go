@@ -12,6 +12,4 @@ var (
 		"Wall time of the cell-pair epsilon-join producing the CSR coverage graph.")
 	metJoinEdges = telemetry.Default().Counter("disc_grid_join_edges_total",
 		"Directed coverage-graph edges emitted by epsilon-joins since process start.")
-	metLabel = telemetry.Default().Histogram("disc_component_label_seconds",
-		"Wall time of connected-component labeling over a coverage graph.")
 )

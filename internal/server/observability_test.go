@@ -44,7 +44,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE disc_http_inflight_requests gauge",
 		"# TYPE disc_select_seconds histogram",
 		"# TYPE disc_grid_build_seconds histogram",
-		"# TYPE disc_component_label_seconds histogram",
+		"# TYPE disc_grid_join_seconds histogram",
 		"# TYPE disc_wal_appends_total counter",
 		"# TYPE disc_snapshot_write_seconds histogram",
 	} {

@@ -546,7 +546,7 @@ func algorithmByName(name string) (disc.Algorithm, error) {
 
 // componentSelectable reports whether alg is a Greedy-DisC variant, the
 // algorithms disc.SelectComponents serves. Component mode returns the
-// same subset as the global pass, with exact representative distances,
+// global pass's ids in the same order, with exact representative distances,
 // so later zoom-outs skip their recompute. Basic-DisC and the
 // coverage-only algorithms stay on the global path.
 func componentSelectable(alg disc.Algorithm) bool {

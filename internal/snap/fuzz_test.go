@@ -20,8 +20,9 @@ import (
 // its checksums recomputed, so mutations reach the section decoders
 // instead of stopping at a CRC mismatch. The committed corpus under
 // testdata/fuzz/FuzzDecode holds Write's output for every section kind,
-// labels included, and a snapshot written by the retired grid backend
-// (meta index "grid" with an occupancy and no graph).
+// labels included, a snapshot written by the retired grid backend
+// (meta index "grid" with an occupancy and no graph), and one with the
+// retired components section (graph-components-labels).
 func FuzzDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkDecode(t, data)

@@ -21,24 +21,25 @@
 //
 // Section kinds of version 1: meta (1, index name and the build
 // parameters: seed, parallelism, M-tree capacity), dataset (2, metric
-// name plus the n×dim row-major
-// coordinate array), grid (3, the uniform-grid occupancy of
-// internal/grid), graph (4, the coverage-graph CSR with its build
-// radius), components (5, the graph's connected-component labels at
-// that radius), dataset32 (6, the float32-precision dataset: metric
-// name, unpadded n×dim row-major float32 coordinates, and — for the
-// embedding metrics — the per-row squared norms; written instead of
-// kind 2 when the writer's dataset is Float32), and walepoch (7, the
-// uint64 write-ahead-log epoch this snapshot begins — written only by
-// durable checkpoints; see docs/DURABILITY.md), and labels (8, one
-// display string per point: uint64 count, which must equal the
-// dataset's n, then count uint32 byte lengths, then the concatenated
-// bytes). Kinds 5–8 were added after version 1 shipped and are
-// readable by all version-1 readers through the unknown-kind skip; a reader too old to know
-// kind 6 fails a float32 snapshot safely with "no dataset section"
-// rather than misreading it. Every multi-byte value is little-endian;
-// float64s and float32s are IEEE 754 bit patterns; neighbour entries
-// are (int64 id, float64 dist) pairs.
+// name plus the n×dim row-major coordinate array), grid (3, the
+// uniform-grid occupancy of internal/grid), graph (4, the
+// coverage-graph CSR with its build radius), dataset32 (6, the
+// float32-precision dataset: metric name, unpadded n×dim row-major
+// float32 coordinates, and — for the embedding metrics — the per-row
+// squared norms; written instead of kind 2 when the writer's dataset
+// is Float32), walepoch (7, the uint64 write-ahead-log epoch this
+// snapshot begins — written only by durable checkpoints; see
+// docs/DURABILITY.md), and labels (8, one display string per point:
+// uint64 count, which must equal the dataset's n, then count uint32
+// byte lengths, then the concatenated bytes). Kinds 6–8 were added
+// after version 1 shipped and are readable by all version-1 readers
+// through the unknown-kind skip; a reader too old to know kind 6 fails
+// a float32 snapshot safely with "no dataset section" rather than
+// misreading it. Kind 5 (the graph's connected-component labels) is
+// retired: nothing writes it any more, and readers skip it like an
+// unknown kind, after checking its checksum. Every multi-byte value is
+// little-endian; float64s and float32s are IEEE 754 bit patterns;
+// neighbour entries are (int64 id, float64 dist) pairs.
 //
 // # Versioning policy
 //
@@ -100,14 +101,14 @@ const (
 	headerSize = 20
 	entrySize  = 24
 
-	kindMeta       = 1
-	kindDataset    = 2
-	kindGrid       = 3
-	kindGraph      = 4
-	kindComponents = 5
-	kindDataset32  = 6
-	kindWALEpoch   = 7
-	kindLabels     = 8
+	kindMeta    = 1
+	kindDataset = 2
+	kindGrid    = 3
+	kindGraph   = 4
+	// Kind 5 is retired (see the package comment); do not reuse it.
+	kindDataset32 = 6
+	kindWALEpoch  = 7
+	kindLabels    = 8
 )
 
 // castagnoli is the CRC-32C polynomial table; hardware-accelerated on
@@ -173,16 +174,6 @@ type Snapshot struct {
 	GraphRadius float64
 	Graph       *grid.CSR
 
-	// ComponentLabels, when non-nil, is the connected-component label of
-	// every point in the graph section's adjacency at GraphRadius, with
-	// ComponentCount distinct components — the decomposition the
-	// component-parallel selection path derives in O(n + edges), persisted
-	// so warm starts skip the pass. Only meaningful alongside a graph
-	// section; loaders revalidate the labels against the adjacency before
-	// trusting them.
-	ComponentCount  int
-	ComponentLabels []int32
-
 	// WALEpoch, when non-zero, marks this snapshot as a durable
 	// checkpoint: the write-ahead log of the same state begins a new
 	// epoch with this number, and recovery replays exactly the log
@@ -246,17 +237,6 @@ func (s *Snapshot) validate() error {
 		}
 		if int(c.Offsets[s.N]) != len(c.Nbrs) {
 			return fmt.Errorf("snap: graph offsets do not span the packed neighbours")
-		}
-	}
-	if l := s.ComponentLabels; l != nil {
-		if s.Graph == nil {
-			return fmt.Errorf("snap: component labels without a graph section")
-		}
-		if len(l) != s.N {
-			return fmt.Errorf("snap: %d component labels for %d points", len(l), s.N)
-		}
-		if s.ComponentCount < 1 || s.ComponentCount > s.N {
-			return fmt.Errorf("snap: implausible component count %d for %d points", s.ComponentCount, s.N)
 		}
 	}
 	return nil
@@ -420,16 +400,6 @@ func Write(w io.Writer, s *Snapshot) error {
 				e.i32s(c.Offsets)
 				e.pad8()
 				e.neighbors(c.Nbrs)
-			}})
-	}
-	if l := s.ComponentLabels; l != nil {
-		secs = append(secs, section{kindComponents,
-			24 + 4*len(l),
-			func(e *enc) {
-				e.f64(s.GraphRadius)
-				e.u64(uint64(s.N))
-				e.u64(uint64(s.ComponentCount))
-				e.i32s(l)
 			}})
 	}
 	if s.WALEpoch != 0 {
@@ -669,8 +639,8 @@ func decode(data []byte) (*Snapshot, error) {
 
 	s := &Snapshot{}
 	seen := map[uint32]bool{}
-	var gridSec, graphSec, compSec, labelSec *dec
-	var gridLen, graphLen, compLen, labelLen int
+	var gridSec, graphSec, labelSec *dec
+	var gridLen, graphLen, labelLen int
 	for i := 0; i < nsec; i++ {
 		t := &dec{b: data, off: headerSize + entrySize*i}
 		kind := t.u32()
@@ -759,10 +729,6 @@ func decode(data []byte) (*Snapshot, error) {
 			gridSec, gridLen = d, length
 		case kindGraph:
 			graphSec, graphLen = d, length
-		case kindComponents:
-			// Decoded after the graph section: the labels are only
-			// meaningful against its adjacency and radius.
-			compSec, compLen = d, length
 		case kindLabels:
 			labelSec, labelLen = d, length
 		case kindWALEpoch:
@@ -774,7 +740,8 @@ func decode(data []byte) (*Snapshot, error) {
 				return nil, fmt.Errorf("snap: walepoch section with epoch 0 (durable checkpoints start at 1)")
 			}
 		default:
-			// Unknown kind: a forward-compatible addition; skip.
+			// Unknown kind: a forward-compatible addition, or the
+			// retired kind 5; skip.
 		}
 	}
 	if s.Coords == nil && s.Coords32 == nil {
@@ -834,30 +801,6 @@ func decode(data []byte) (*Snapshot, error) {
 		}
 		s.GraphRadius = radius
 		s.Graph = c
-	}
-	if d := compSec; d != nil {
-		if compLen < 24 {
-			return nil, fmt.Errorf("snap: components section truncated")
-		}
-		if s.Graph == nil {
-			return nil, fmt.Errorf("snap: components section without a graph section")
-		}
-		radius := d.f64()
-		n64, count64 := d.u64(), d.u64()
-		if radius != s.GraphRadius {
-			return nil, fmt.Errorf("snap: components labeled at radius %g, graph joined at %g", radius, s.GraphRadius)
-		}
-		if n64 != uint64(s.N) {
-			return nil, fmt.Errorf("snap: components section is for %d points, dataset has %d", n64, s.N)
-		}
-		if count64 == 0 || count64 > uint64(s.N) {
-			return nil, fmt.Errorf("snap: implausible component count %d for %d points", count64, s.N)
-		}
-		if compLen != 24+4*s.N {
-			return nil, fmt.Errorf("snap: components section length %d does not match %d points", compLen, s.N)
-		}
-		s.ComponentCount = int(count64)
-		s.ComponentLabels = d.i32s(s.N)
 	}
 	if d := labelSec; d != nil {
 		if s.Labels, err = decodeLabels(d, labelLen, s.N); err != nil {

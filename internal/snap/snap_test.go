@@ -6,7 +6,10 @@ import (
 	"errors"
 	"hash/crc32"
 	"math/rand/v2"
+	"os"
 	"slices"
+	"strconv"
+	"strings"
 	"syscall"
 	"testing"
 
@@ -18,7 +21,7 @@ import (
 // points: dataset always, grid occupancy and coverage-graph CSR when
 // withGrid/withGraph are set (built by the real grid code so the
 // layouts are genuine).
-func buildSnapshot(t *testing.T, n, dim int, r float64, seed uint64, withGrid, withGraph, withComps bool) *Snapshot {
+func buildSnapshot(t *testing.T, n, dim int, r float64, seed uint64, withGrid, withGraph bool) *Snapshot {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(seed, seed))
 	pts := make([]object.Point, n)
@@ -58,11 +61,6 @@ func buildSnapshot(t *testing.T, n, dim int, r float64, seed uint64, withGrid, w
 			}
 			s.GraphRadius = r
 			s.Graph = csr
-			if withComps {
-				cp := grid.ComponentsOfCSR(csr, n, r)
-				s.ComponentCount = cp.Count
-				s.ComponentLabels = cp.Label
-			}
 		}
 	}
 	return s
@@ -82,19 +80,19 @@ func encode(t *testing.T, s *Snapshot) []byte {
 // property that makes snapshots content-addressable and diffable.
 func TestRoundTripByteIdentity(t *testing.T) {
 	cases := []struct {
-		n, dim                         int
-		r                              float64
-		withGrid, withGraph, withComps bool
+		n, dim              int
+		r                   float64
+		withGrid, withGraph bool
 	}{
-		{50, 2, 0.2, false, false, false},
-		{120, 2, 0.15, true, false, false},
-		{120, 2, 0.15, true, true, false},
-		{200, 3, 0.25, true, true, true},
-		{77, 1, 0.1, true, true, true},
-		{300, 5, 0.4, true, true, true},
+		{50, 2, 0.2, false, false},
+		{120, 2, 0.15, true, false},
+		{120, 2, 0.15, true, true},
+		{200, 3, 0.25, true, true},
+		{77, 1, 0.1, true, true},
+		{300, 5, 0.4, true, true},
 	}
 	for i, tc := range cases {
-		s := buildSnapshot(t, tc.n, tc.dim, tc.r, uint64(100+i), tc.withGrid, tc.withGraph, tc.withComps)
+		s := buildSnapshot(t, tc.n, tc.dim, tc.r, uint64(100+i), tc.withGrid, tc.withGraph)
 		first := encode(t, s)
 		loaded, err := Read(bytes.NewReader(first))
 		if err != nil {
@@ -109,8 +107,7 @@ func TestRoundTripByteIdentity(t *testing.T) {
 			loaded.Metric != s.Metric || loaded.N != s.N || loaded.Dim != s.Dim {
 			t.Fatalf("case %d: metadata drifted: %+v", i, loaded)
 		}
-		if (loaded.Grid != nil) != tc.withGrid || (loaded.Graph != nil) != tc.withGraph ||
-			(loaded.ComponentLabels != nil) != tc.withComps {
+		if (loaded.Grid != nil) != tc.withGrid || (loaded.Graph != nil) != tc.withGraph {
 			t.Fatalf("case %d: section presence drifted", i)
 		}
 		if tc.withGraph && loaded.GraphRadius != s.GraphRadius {
@@ -123,7 +120,7 @@ func TestRoundTripByteIdentity(t *testing.T) {
 // was written (the byte-identity test covers re-encoding; this pins the
 // decoded in-memory values themselves).
 func TestRoundTripValues(t *testing.T) {
-	s := buildSnapshot(t, 150, 2, 0.12, 7, true, true, true)
+	s := buildSnapshot(t, 150, 2, 0.12, 7, true, true)
 	loaded, err := Read(bytes.NewReader(encode(t, s)))
 	if err != nil {
 		t.Fatal(err)
@@ -151,19 +148,11 @@ func TestRoundTripValues(t *testing.T) {
 			t.Fatalf("neighbour %d drifted", i)
 		}
 	}
-	if loaded.ComponentCount != s.ComponentCount {
-		t.Fatalf("component count drifted")
-	}
-	for i, v := range s.ComponentLabels {
-		if loaded.ComponentLabels[i] != v {
-			t.Fatalf("component label %d drifted", i)
-		}
-	}
 }
 
 // TestRejectBadMagic: any corruption of the magic must be rejected.
 func TestRejectBadMagic(t *testing.T) {
-	data := encode(t, buildSnapshot(t, 60, 2, 0.2, 3, true, true, true))
+	data := encode(t, buildSnapshot(t, 60, 2, 0.2, 3, true, true))
 	for i := 0; i < 8; i++ {
 		bad := append([]byte(nil), data...)
 		bad[i] ^= 0x01
@@ -175,7 +164,7 @@ func TestRejectBadMagic(t *testing.T) {
 
 // TestRejectBadVersion: future or zero versions must be rejected.
 func TestRejectBadVersion(t *testing.T) {
-	data := encode(t, buildSnapshot(t, 60, 2, 0.2, 3, false, false, false))
+	data := encode(t, buildSnapshot(t, 60, 2, 0.2, 3, false, false))
 	for _, v := range []byte{0, 2, 0xff} {
 		bad := append([]byte(nil), data...)
 		bad[8] = v
@@ -189,7 +178,7 @@ func TestRejectBadVersion(t *testing.T) {
 // included, must error as corruption, never panic or silently succeed —
 // the property a crashed writer or torn copy relies on.
 func TestRejectTruncation(t *testing.T) {
-	data := encode(t, buildSnapshot(t, 80, 2, 0.2, 5, true, true, true))
+	data := encode(t, buildSnapshot(t, 80, 2, 0.2, 5, true, true))
 	for cut := 0; cut < len(data); cut++ {
 		if _, err := Decode(data[:cut]); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("truncation to %d of %d bytes: Decode = %v, want ErrCorrupt", cut, len(data), err)
@@ -218,7 +207,7 @@ func TestReadErrorIsNotCorruption(t *testing.T) {
 // between sections are the only bytes outside the checksummed regions;
 // flips there must not corrupt the decoded snapshot.
 func TestRejectFlippedBytes(t *testing.T) {
-	s := buildSnapshot(t, 64, 2, 0.2, 9, true, true, true)
+	s := buildSnapshot(t, 64, 2, 0.2, 9, true, true)
 	data := encode(t, s)
 	reference := encode(t, s)
 
@@ -246,7 +235,7 @@ func TestRejectFlippedBytes(t *testing.T) {
 // declared shapes must still be rejected (the CRC protects bits, the
 // size equations protect logic).
 func TestRejectShapeLies(t *testing.T) {
-	s := buildSnapshot(t, 64, 2, 0.2, 11, true, true, true)
+	s := buildSnapshot(t, 64, 2, 0.2, 11, true, true)
 	// Graph offsets that do not span the packed array.
 	s.Graph.Offsets[len(s.Graph.Offsets)-1]++
 	var buf bytes.Buffer
@@ -259,7 +248,7 @@ func TestRejectShapeLies(t *testing.T) {
 // invariants do not hold, so corrupt files cannot be produced in the
 // first place.
 func TestWriterValidation(t *testing.T) {
-	good := buildSnapshot(t, 40, 2, 0.2, 13, true, true, true)
+	good := buildSnapshot(t, 40, 2, 0.2, 13, true, true)
 	cases := []func(*Snapshot){
 		func(s *Snapshot) { s.Metric = "" },
 		func(s *Snapshot) { s.N = 0 },
@@ -280,35 +269,82 @@ func TestWriterValidation(t *testing.T) {
 	}
 }
 
-// TestComponentsSectionConsistency: the writer must refuse label arrays
-// that do not fit the snapshot, and the reader must reject a components
-// section whose radius disagrees with the graph section — labels for a
-// different decomposition must never be grafted onto this adjacency.
+// TestComponentsSectionConsistency: a snapshot written while the
+// writer still persisted component labels (kind 5, now retired) must
+// decode with the section skipped — but only after its checksum
+// passes — and re-encode without it. The bytes are the committed
+// graph-components-labels FuzzDecode corpus entry, which Write produced
+// with the section.
 func TestComponentsSectionConsistency(t *testing.T) {
-	good := buildSnapshot(t, 64, 2, 0.2, 19, true, true, true)
-	writerCases := []func(*Snapshot){
-		func(s *Snapshot) { s.ComponentLabels = s.ComponentLabels[:10] },
-		func(s *Snapshot) { s.ComponentCount = 0 },
-		func(s *Snapshot) { s.ComponentCount = s.N + 1 },
-		func(s *Snapshot) { s.Graph = nil }, // labels without a graph
+	raw, err := os.ReadFile("testdata/fuzz/FuzzDecode/graph-components-labels")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, mutate := range writerCases {
-		bad := *good
-		bad.ComponentLabels = append([]int32(nil), good.ComponentLabels...)
-		mutate(&bad)
-		if err := Write(&bytes.Buffer{}, &bad); err == nil {
-			t.Fatalf("case %d: writer accepted inconsistent component labels", i)
-		}
+	lines := strings.SplitN(string(raw), "\n", 2)
+	body := strings.TrimSuffix(strings.TrimSpace(lines[1]), ")")
+	quoted, ok := strings.CutPrefix(body, "[]byte(")
+	if !ok {
+		t.Fatalf("corpus entry is not a []byte value: %.40q", body)
+	}
+	unquoted, err := strconv.Unquote(quoted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := []byte(unquoted)
+	const retiredComponents = 5
+	if !hasSection(data, retiredComponents) {
+		t.Fatal("corpus entry carries no components section")
 	}
 
-	// Reader: rewrite the components section's radius field in place and
-	// fix up its CRC — a structurally valid file lying about the radius.
-	data := encode(t, good)
-	patchSection(t, data, kindComponents, func(p []byte) {
-		binary.LittleEndian.PutUint64(p, 0x3ff0000000000000) // 1.0, not the join radius
-	})
-	if _, err := Read(bytes.NewReader(data)); err == nil {
-		t.Fatal("radius-mismatched components section accepted")
+	s, err := Decode(append([]byte(nil), data...))
+	if err != nil {
+		t.Fatalf("snapshot with a components section rejected: %v", err)
+	}
+	if s.Graph == nil || s.Grid == nil || s.N == 0 {
+		t.Fatalf("sections lost alongside the skipped one: %+v", s)
+	}
+	again := encode(t, s)
+	if hasSection(again, retiredComponents) {
+		t.Fatal("re-encoding wrote a components section")
+	}
+	if len(again) >= len(data) {
+		t.Fatalf("re-encoding is %d bytes, the original %d", len(again), len(data))
+	}
+
+	// Its payload is no longer read (a resealed edit decodes), but its
+	// checksum is still checked.
+	bad := append([]byte(nil), data...)
+	patchSection(t, bad, retiredComponents, func(p []byte) { p[len(p)-1] ^= 0x01 })
+	if _, err := Decode(bad); err != nil {
+		t.Fatalf("resealed components section rejected: %v", err)
+	}
+	flipSection(bad, retiredComponents)
+	if _, err := Decode(bad); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("components section with a bad checksum: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// hasSection reports whether data's section table lists kind.
+func hasSection(data []byte, kind uint32) bool {
+	nsec := int(binary.LittleEndian.Uint32(data[12:]))
+	for i := 0; i < nsec; i++ {
+		if binary.LittleEndian.Uint32(data[headerSize+entrySize*i:]) == kind {
+			return true
+		}
+	}
+	return false
+}
+
+// flipSection flips one payload byte of the first section of kind
+// without resealing its checksum.
+func flipSection(data []byte, kind uint32) {
+	nsec := int(binary.LittleEndian.Uint32(data[12:]))
+	for i := 0; i < nsec; i++ {
+		entry := headerSize + entrySize*i
+		if binary.LittleEndian.Uint32(data[entry:]) == kind {
+			data[binary.LittleEndian.Uint64(data[entry+8:])] ^= 0x01
+			return
+		}
 	}
 }
 
@@ -316,7 +352,7 @@ func TestComponentsSectionConsistency(t *testing.T) {
 // not know — the forward-compatibility contract that lets future
 // writers add sections without a version bump.
 func TestUnknownSectionSkipped(t *testing.T) {
-	data := encode(t, buildSnapshot(t, 50, 2, 0.2, 17, false, false, false))
+	data := encode(t, buildSnapshot(t, 50, 2, 0.2, 17, false, false))
 	// Retag the meta section (kind 1, first table entry) as an unknown
 	// kind and fix up the table CRC.
 	bad := append([]byte(nil), data...)
@@ -492,7 +528,7 @@ func TestFloat32UnknownToOldReader(t *testing.T) {
 // not constructible through the public API, and the reader additionally
 // rejects a second dataset section of either kind).
 func TestRejectTwoDatasetSections(t *testing.T) {
-	merged := *buildSnapshot(t, 30, 2, 0.2, 29, false, false, false)
+	merged := *buildSnapshot(t, 30, 2, 0.2, 29, false, false)
 	merged.Coords32 = buildSnapshot32(t, 30, 2, 0.2, 29, object.Euclidean{}, false).Coords32
 	if err := Write(&bytes.Buffer{}, &merged); err == nil {
 		t.Fatal("writer accepted both dataset precisions")
@@ -504,7 +540,7 @@ func TestRejectTwoDatasetSections(t *testing.T) {
 // than n, and the reader refuses a section whose count or lengths do not
 // fit it, before allocating anything.
 func TestLabelsSection(t *testing.T) {
-	s := buildSnapshot(t, 5, 2, 0.2, 23, true, true, true)
+	s := buildSnapshot(t, 5, 2, 0.2, 23, true, true)
 	s.Labels = []string{"Αθήνα", "", "b", "Θεσσαλονίκη", "e"}
 	data := encode(t, s)
 	loaded, err := Read(bytes.NewReader(data))
@@ -517,7 +553,7 @@ func TestLabelsSection(t *testing.T) {
 	if !bytes.Equal(encode(t, loaded), data) {
 		t.Fatal("save→load→save with labels is not byte-identical")
 	}
-	if noLabels := encode(t, buildSnapshot(t, 5, 2, 0.2, 23, true, true, true)); len(noLabels) >= len(data) {
+	if noLabels := encode(t, buildSnapshot(t, 5, 2, 0.2, 23, true, true)); len(noLabels) >= len(data) {
 		t.Fatal("labels section not written")
 	}
 

@@ -2,7 +2,11 @@ package disc_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"hash/crc32"
 	"math/rand/v2"
+	"os"
 	"slices"
 	"testing"
 
@@ -20,9 +24,9 @@ func clusteredPoints(t *testing.T, n int, seed uint64) []disc.Point {
 
 // TestSelectModeProperty: across random clustered workloads, every
 // engine, every Greedy-DisC algorithm and several radii, the
-// component-mode selection must (a) verify as r-DisC diverse, (b) pick
-// exactly the global mode's subset, and (c) be bit-identical — selection
-// order included — across WithSelectParallelism(1/2/8).
+// component-mode selection must (a) verify as r-DisC diverse and (b)
+// pick exactly the global mode's ids in the global mode's order, with
+// the deprecated WithSelectParallelism changing nothing.
 func TestSelectModeProperty(t *testing.T) {
 	algorithms := []disc.Algorithm{
 		disc.AlgorithmGreedy, disc.AlgorithmGreedyWhite,
@@ -42,24 +46,20 @@ func TestSelectModeProperty(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%v: %v", name, alg, err)
 				}
-				var order []int
-				for _, workers := range []int{1, 2, 8} {
-					res, err := d.Select(r, disc.WithAlgorithm(alg),
-						disc.WithSelectMode(disc.SelectComponents),
-						disc.WithSelectParallelism(workers))
+				for _, workers := range []int{0, 8} {
+					opts := []disc.SelectOption{disc.WithAlgorithm(alg), disc.WithSelectMode(disc.SelectComponents)}
+					if workers > 0 {
+						opts = append(opts, disc.WithSelectParallelism(workers))
+					}
+					res, err := d.Select(r, opts...)
 					if err != nil {
 						t.Fatalf("%s/%v workers=%d: %v", name, alg, workers, err)
 					}
 					if err := d.Verify(res); err != nil {
 						t.Errorf("%s/%v workers=%d: %v", name, alg, workers, err)
 					}
-					if !slices.Equal(global.SortedIDs(), res.SortedIDs()) {
-						t.Errorf("%s/%v workers=%d: component subset differs from global", name, alg, workers)
-					}
-					if order == nil {
-						order = res.IDs()
-					} else if !slices.Equal(order, res.IDs()) {
-						t.Errorf("%s/%v workers=%d: selection order differs across parallelism", name, alg, workers)
+					if !slices.Equal(global.IDs(), res.IDs()) {
+						t.Errorf("%s/%v workers=%d: component selection differs from global", name, alg, workers)
 					}
 				}
 			}
@@ -87,48 +87,149 @@ func TestSelectModeValidation(t *testing.T) {
 	}
 }
 
-// TestSnapshotCarriesComponents: Prepare must leave the component
-// decomposition in the snapshot, a warm start must reuse it (selections
-// identical to the fresh diversifier's, in both modes), and a second
-// save must reproduce the file byte for byte — the round-trip property
-// of the new section at the public API level.
-func TestSnapshotCarriesComponents(t *testing.T) {
-	pts := clusteredPoints(t, 400, 11)
-	const r = 0.03
-	d, err := disc.New(pts, disc.WithIndex(disc.IndexCoverageGraph))
-	if err != nil {
-		t.Fatal(err)
+// componentsFixture is a coverage-graph snapshot (200 clustered
+// points, ceiling 0.03) written while snapshots still carried a
+// components section (kind 5, now retired), with the selections the
+// writer's version made from it: per radius and algorithm, the global
+// mode's ids in pick order and the component mode's in the component
+// order it then emitted.
+type componentsFixture struct {
+	data []byte
+	sels []struct {
+		Radius     float64 `json:"radius"`
+		Algorithm  string  `json:"algorithm"`
+		Global     []int   `json:"global"`
+		Components []int   `json:"components"`
 	}
-	if err := d.Prepare(r); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := d.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := d.Select(r, disc.WithSelectMode(disc.SelectComponents))
-	if err != nil {
-		t.Fatal(err)
-	}
+}
 
-	warm, err := disc.LoadDiversifier(bytes.NewReader(buf.Bytes()))
+// retiredComponentsKind is the section kind the fixture carries.
+const retiredComponentsKind = 5
+
+func loadComponentsFixture(t *testing.T) *componentsFixture {
+	t.Helper()
+	var fx componentsFixture
+	var err error
+	if fx.data, err = os.ReadFile("testdata/components-section.discsnap"); err != nil {
+		t.Fatal(err)
+	}
+	js, err := os.ReadFile("testdata/components-section.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []disc.SelectMode{disc.SelectGlobal, disc.SelectComponents} {
-		res, err := warm.Select(r, disc.WithSelectMode(mode))
-		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
+	if err := json.Unmarshal(js, &fx.sels); err != nil {
+		t.Fatal(err)
+	}
+	if sectionAt(fx.data, retiredComponentsKind) < 0 {
+		t.Fatal("fixture carries no components section")
+	}
+	return &fx
+}
+
+// sectionAt returns the offset of the section-table entry of kind in a
+// .discsnap stream, or -1 when the table lists none.
+func sectionAt(data []byte, kind uint32) int {
+	nsec := int(binary.LittleEndian.Uint32(data[12:]))
+	for i := 0; i < nsec; i++ {
+		if entry := 20 + 24*i; binary.LittleEndian.Uint32(data[entry:]) == kind {
+			return entry
 		}
-		if !slices.Equal(fresh.SortedIDs(), res.SortedIDs()) {
-			t.Fatalf("%v: warm selection differs from fresh", mode)
+	}
+	return -1
+}
+
+// sortedInts returns an ascending copy of ids.
+func sortedInts(ids []int) []int {
+	out := slices.Clone(ids)
+	slices.Sort(out)
+	return out
+}
+
+// algorithmNamed maps an Algorithm.String name back to the algorithm.
+func algorithmNamed(t *testing.T, name string) disc.Algorithm {
+	t.Helper()
+	for _, a := range []disc.Algorithm{disc.AlgorithmGreedy, disc.AlgorithmGreedyWhite, disc.AlgorithmLazyGrey} {
+		if a.String() == name {
+			return a
 		}
+	}
+	t.Fatalf("unknown algorithm %q", name)
+	return 0
+}
+
+// TestSnapshotCarriesComponents: a snapshot with a components section
+// still loads, and selects what its writer's version selected — the
+// global ids in the same order, and in component mode the same ids, now
+// in that global pick order. Saving it again writes no components
+// section, and the re-saved file selects the same.
+func TestSnapshotCarriesComponents(t *testing.T) {
+	fx := loadComponentsFixture(t)
+	warm, err := disc.LoadDiversifier(bytes.NewReader(fx.data))
+	if err != nil {
+		t.Fatal(err)
 	}
 	var again bytes.Buffer
 	if err := warm.WriteSnapshot(&again); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
-		t.Fatalf("save→load→save with components is not byte-identical (%d vs %d bytes)", buf.Len(), again.Len())
+	if sectionAt(again.Bytes(), retiredComponentsKind) >= 0 {
+		t.Fatal("re-saved snapshot carries a components section")
+	}
+	resaved, err := disc.LoadDiversifier(bytes.NewReader(again.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []*disc.Diversifier{warm, resaved} {
+		for _, sel := range fx.sels {
+			alg := algorithmNamed(t, sel.Algorithm)
+			global, err := d.Select(sel.Radius, disc.WithAlgorithm(alg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			comp, err := d.Select(sel.Radius, disc.WithAlgorithm(alg), disc.WithSelectMode(disc.SelectComponents))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(global.IDs(), sel.Global) || !slices.Equal(comp.IDs(), sel.Global) {
+				t.Fatalf("r=%g %s: selects %v (global) and %v (components), recorded %v", sel.Radius, sel.Algorithm, global.IDs(), comp.IDs(), sel.Global)
+			}
+			if !slices.Equal(comp.SortedIDs(), sortedInts(sel.Components)) {
+				t.Fatalf("r=%g %s: component ids differ from the recorded component selection", sel.Radius, sel.Algorithm)
+			}
+		}
+	}
+}
+
+// TestSnapshotTamperedComponentsRejected: the retired components section
+// is skipped, not trusted blindly — a flipped byte in it fails the
+// section checksum and the load, while the same edit with the checksum
+// resealed loads and selects as before (the labels are never read).
+func TestSnapshotTamperedComponentsRejected(t *testing.T) {
+	fx := loadComponentsFixture(t)
+	entry := sectionAt(fx.data, retiredComponentsKind)
+	off := int(binary.LittleEndian.Uint64(fx.data[entry+8:]))
+	length := int(binary.LittleEndian.Uint64(fx.data[entry+16:]))
+
+	bad := slices.Clone(fx.data)
+	bad[off+length-1] ^= 0x01 // the last label
+	if _, err := disc.LoadDiversifier(bytes.NewReader(bad)); err == nil {
+		t.Fatal("components section with a bad checksum accepted")
+	}
+
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	binary.LittleEndian.PutUint32(bad[entry+4:], crc32.Checksum(bad[off:off+length], castagnoli))
+	nsec := int(binary.LittleEndian.Uint32(bad[12:]))
+	binary.LittleEndian.PutUint32(bad[16:], crc32.Checksum(bad[20:20+24*nsec], castagnoli))
+	d, err := disc.LoadDiversifier(bytes.NewReader(bad))
+	if err != nil {
+		t.Fatalf("resealed components section rejected: %v", err)
+	}
+	sel := fx.sels[0]
+	res, err := d.Select(sel.Radius, disc.WithAlgorithm(algorithmNamed(t, sel.Algorithm)), disc.WithSelectMode(disc.SelectComponents))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(res.IDs(), sel.Global) {
+		t.Fatalf("resealed snapshot selects %v, recorded %v", res.IDs(), sel.Global)
 	}
 }

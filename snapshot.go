@@ -14,27 +14,18 @@ import (
 // Prepare eagerly builds the radius-dependent index artifacts for
 // selection radius r — for IndexCoverageGraph the grid occupancy, the
 // coverage graph (joined at r when r raises its ceiling, otherwise the
-// existing graph's row-prefix view at r) and the connected-component
-// decomposition at r — without running a selection. For the radius-independent backends it is a
-// no-op. Use it before WriteSnapshot to capture a warm snapshot for a
-// radius that has not been selected at yet, or at service start to pay
-// the build cost before the first request; preparing the largest
-// radius first makes every smaller one a view.
+// existing graph's row-prefix view at r) — without running a
+// selection. For the radius-independent backends it is a no-op. Use it
+// before WriteSnapshot to capture a warm snapshot for a radius that has
+// not been selected at yet, or at service start to pay the build cost
+// before the first request; preparing the largest radius first makes
+// every smaller one a view.
 func (d *Diversifier) Prepare(r float64) error {
 	if r < 0 || math.IsNaN(r) || math.IsInf(r, 0) {
 		return fmt.Errorf("disc: invalid radius %g", r)
 	}
-	e, err := d.engineForRadius(r, true)
-	if err != nil {
-		return err
-	}
-	if g, ok := e.(*core.ParallelGraphEngine); ok {
-		// Populate the component cache so component-mode selections — and,
-		// at the ceiling, the snapshot's components section — are ready
-		// before first use.
-		g.Components(r)
-	}
-	return nil
+	_, err := d.engineForRadius(r, true)
+	return err
 }
 
 // WriteSnapshot serialises the diversifier to the versioned .discsnap
@@ -47,9 +38,8 @@ func (d *Diversifier) Prepare(r float64) error {
 // M-tree capacity), plus whatever prepared per-radius artifacts the
 // current engine holds — for IndexCoverageGraph the ceiling graph
 // (rows sorted by id, as CSR.Validate checks them; the load restores
-// distance order) and (when already derived) its connected-component
-// decomposition at the ceiling, together with the grid occupancy when
-// the graph was grid-joined (the flat-join substrate has no occupancy
+// distance order), together with the grid occupancy when the graph was
+// grid-joined (the flat-join substrate has no occupancy
 // to persist). Views below the ceiling are not persisted: they are
 // re-derived from the graph on demand. Backends that rebuild cheaply
 // or deterministically from the dataset (M-tree and linear scan)
@@ -75,14 +65,6 @@ func (d *Diversifier) WriteSnapshot(w io.Writer) error {
 		}
 		s.Graph = e.CSR().SortedByID(e.Workers())
 		s.GraphRadius = e.Radius()
-		// The component decomposition is persisted opportunistically:
-		// present whenever the engine has derived (or loaded) it —
-		// Prepare and component-mode selections both populate it — so a
-		// warm start skips the labeling pass too.
-		if cp := e.CachedComponents(); cp != nil {
-			s.ComponentCount = cp.Count
-			s.ComponentLabels = cp.Label
-		}
 	}
 	flat := d.flat
 	s.N, s.Dim = flat.Len(), flat.Dim()
@@ -210,11 +192,6 @@ func LoadDiversifier(r io.Reader, opts ...Option) (*Diversifier, error) {
 		e, err := core.RehydrateGraphEngine(flat, h, s.Graph, s.GraphRadius, o.parallelism)
 		if err != nil {
 			return nil, fmt.Errorf("disc: load: %w", err)
-		}
-		if s.ComponentLabels != nil {
-			if err := e.InstallComponents(s.ComponentLabels, s.ComponentCount); err != nil {
-				return nil, fmt.Errorf("disc: load: %w", err)
-			}
 		}
 		d.engine = e
 		return d, nil

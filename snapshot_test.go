@@ -383,7 +383,6 @@ func TestSnapshotRetiredIndexLoads(t *testing.T) {
 				t.Fatal("prepared coverage graph persisted no occupancy")
 			}
 			parsed.Graph, parsed.GraphRadius = nil, 0
-			parsed.ComponentLabels, parsed.ComponentCount = nil, 0
 		}
 		var old bytes.Buffer
 		if err := snap.Write(&old, parsed); err != nil {
@@ -477,73 +476,6 @@ func TestSnapshotWithoutArtifacts(t *testing.T) {
 	}
 	if !equalIDs(want.SortedIDs(), got.SortedIDs()) {
 		t.Fatal("selections diverge")
-	}
-}
-
-// TestSnapshotTamperedComponentsRejected: a snapshot whose component
-// labels were rewritten to split a connected component must fail to
-// load — InstallComponents' cross-edge validation — while the untouched
-// snapshot loads with the decomposition pre-installed.
-func TestSnapshotTamperedComponentsRejected(t *testing.T) {
-	pts := snapshotTestPoints(300, 2, 29)
-	const r = 0.05
-	d, err := New(pts, WithIndex(IndexCoverageGraph))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Prepare(r); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := d.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	parsed, err := snap.Read(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parsed.ComponentLabels == nil {
-		t.Fatal("prepared snapshot carries no component labels")
-	}
-	warm, err := LoadDiversifier(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, ok := warm.engine.(*core.ParallelGraphEngine)
-	if !ok || g.CachedComponents() == nil {
-		t.Fatal("loaded engine did not install the persisted decomposition")
-	}
-
-	// Split a multi-member component: relabel its highest member with
-	// the neighbouring component's number (keeping the canonical
-	// numbering intact so only the edge check can catch it).
-	cp := g.CachedComponents()
-	victim := -1
-	for c := 0; c < cp.Count && victim < 0; c++ {
-		if cp.Size(c) >= 2 && c+1 < cp.Count {
-			m := cp.MemberIDs(c)
-			victim = int(m[len(m)-1])
-		}
-	}
-	if victim < 0 {
-		t.Skip("decomposition has no splittable component")
-	}
-	labels := append([]int32(nil), parsed.ComponentLabels...)
-	labels[victim]++
-	tampered := &snap.Snapshot{
-		Index: parsed.Index, Parallelism: parsed.Parallelism,
-		Capacity: parsed.Capacity, Seed: parsed.Seed,
-		Metric: parsed.Metric, N: parsed.N, Dim: parsed.Dim, Coords: parsed.Coords,
-		Grid: parsed.Grid, GraphRadius: parsed.GraphRadius, Graph: parsed.Graph,
-		ComponentCount: parsed.ComponentCount, ComponentLabels: labels,
-	}
-	var bad bytes.Buffer
-	if err := snap.Write(&bad, tampered); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadDiversifier(bytes.NewReader(bad.Bytes())); err == nil {
-		t.Fatal("tampered component labels accepted")
 	}
 }
 
@@ -669,9 +601,6 @@ func TestSnapshotFlatGraphWarmStart(t *testing.T) {
 	}
 	if g.GridJoined() {
 		t.Fatal("rehydrated engine lost its flat-join substrate")
-	}
-	if g.CachedComponents() == nil {
-		t.Fatal("component decomposition not rehydrated")
 	}
 	before := loaded.engine
 	if _, err := loaded.Select(r, WithSelectMode(SelectComponents)); err != nil {

@@ -78,25 +78,26 @@ const (
 )
 
 // SelectMode chooses how Select executes the Greedy-DisC family. All
-// modes return the same selected subset; they differ in execution
-// strategy and cost.
+// modes return the same selection in the same order; they differ in
+// execution strategy and cost.
 type SelectMode int
 
 const (
 	// SelectGlobal (the default) runs the heuristic sequentially over
 	// the whole object universe, exactly as the paper describes it.
 	SelectGlobal SelectMode = iota
-	// SelectComponents decomposes the r-coverage graph into connected
-	// components and runs the greedy per component on a worker pool
-	// (see WithSelectParallelism): a dominating set of a disconnected
-	// graph is the union of its components' dominating sets, so the
-	// selected subset is identical to SelectGlobal's while singleton and
-	// two-member components short-circuit, large components run against
-	// component-sized state, and independent components execute
-	// concurrently. Output is bit-identical for every worker count.
+	// SelectComponents runs the greedy over the materialised
+	// r-adjacency — the coverage graph's own rows, or one range query
+	// per object on the other backends — with a bucket queue in place
+	// of the heap. It selects SelectGlobal's ids in SelectGlobal's pick
+	// order, and its results carry exact closest-black distances. The
+	// name is historical: picks in one connected component never change
+	// counts in another, so the run needs no component decomposition.
 	// Supported by the Greedy-DisC algorithms (AlgorithmGreedy,
-	// AlgorithmGreedyWhite, AlgorithmLazyGrey, AlgorithmLazyWhite);
-	// Basic-DisC and the coverage-only algorithms reject it.
+	// AlgorithmGreedyWhite, AlgorithmLazyGrey, AlgorithmLazyWhite;
+	// the last, like a radius too dense for the adjacency budget, runs
+	// the global path); Basic-DisC and the coverage-only algorithms
+	// reject it.
 	SelectComponents
 )
 

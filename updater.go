@@ -176,7 +176,7 @@ func (u *Updater) Delete(id int) error {
 }
 
 // Flush replays the greedy from the objects the writes since the last
-// Flush touched — not re-running it over their components — and
+// Flush touched — not re-running it over every object — and
 // publishes the converged selection, returning the number of writes it
 // converged (Pending before the call). After Flush, reads see a selection identical to
 // a from-scratch component-mode Select over the live points.
@@ -261,8 +261,7 @@ func (u *Updater) Verify() error {
 // the snapshot carries the live points densely re-identified in
 // ascending id order, together with the grid occupancy (Lp metrics
 // only) and the coverage CSR, so LoadDiversifier warm-starts from it
-// without a join (it labels components on first select). No component
-// labels are written: recovery never reads them.
+// without a join.
 //
 // Snapshotting unflushed writes would persist a selection they have
 // already invalidated, so WriteSnapshot refuses while Pending > 0; call

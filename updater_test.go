@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	disc "github.com/discdiversity/disc"
-	"github.com/discdiversity/disc/internal/grid"
 	"github.com/discdiversity/disc/internal/snap"
 )
 
@@ -295,17 +294,16 @@ func TestUpdaterSnapshotNonLp(t *testing.T) {
 }
 
 // TestUpdaterSnapshotComponentsSection: an Updater checkpoint carries
-// no components section (recovery never reads one), and a checkpoint
-// written with the section, as older writers did, still reopens to the
-// same selection.
+// no components section, and a snapshot written with one, as older
+// writers did, still reopens as an Updater selecting what its writer's
+// version selected.
 func TestUpdaterSnapshotComponentsSection(t *testing.T) {
 	const r = 0.06
 	u, err := disc.NewUpdater(randomPoints(300, 2, 45), r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "live.discsnap")
+	path := filepath.Join(t.TempDir(), "live.discsnap")
 	if err := u.SaveSnapshot(path); err != nil {
 		t.Fatal(err)
 	}
@@ -313,32 +311,23 @@ func TestUpdaterSnapshotComponentsSection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := snap.Decode(data)
+	if sectionAt(data, retiredComponentsKind) >= 0 {
+		t.Fatal("updater snapshot carries a components section")
+	}
+
+	fx := loadComponentsFixture(t)
+	old := filepath.Join(t.TempDir(), "old.discsnap")
+	if err := os.WriteFile(old, fx.data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sel := fx.sels[0] // greedy at the graph's radius
+	warm, err := disc.OpenUpdater(old, filepath.Join(t.TempDir(), "wal"), sel.Radius)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.ComponentLabels != nil {
-		t.Fatal("updater snapshot carries a components section")
-	}
-	cp := grid.ComponentsOfCSR(s.Graph, s.N, r)
-	s.ComponentCount, s.ComponentLabels = cp.Count, cp.Label
-	var old bytes.Buffer
-	if err := snap.Write(&old, s); err != nil {
-		t.Fatal(err)
-	}
-	oldPath := filepath.Join(dir, "old.discsnap")
-	if err := os.WriteFile(oldPath, old.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []string{path, oldPath} {
-		warm, err := disc.OpenUpdater(p, filepath.Join(t.TempDir(), "wal"), r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := warm.Selection(); !slices.Equal(got, u.Selection()) {
-			t.Fatalf("%s: reopened updater selects %v, want %v", filepath.Base(p), got, u.Selection())
-		}
-		warm.Close()
+	defer warm.Close()
+	if got, want := warm.Selection(), sortedInts(sel.Global); !slices.Equal(got, want) {
+		t.Fatalf("reopened updater selects %v, recorded %v", got, want)
 	}
 }
 
