@@ -356,7 +356,6 @@ func BenchmarkServedSelectHamming(b *testing.B) {
 	hamming := disc.WithMetric(disc.Hamming())
 	mtree := disc.WithIndex(disc.IndexMTree)
 	graph := disc.WithIndex(disc.IndexCoverageGraph)
-	components := disc.WithSelectMode(disc.SelectComponents)
 	for _, dim := range []int{6, 8} {
 		pts := hammingCodes(5000, dim, 4, 7)
 		for _, r := range []float64{1, 2} {
@@ -365,27 +364,27 @@ func BenchmarkServedSelectHamming(b *testing.B) {
 				benchServedSelect(b, pts, r, false, []disc.Option{hamming, mtree})
 			})
 			b.Run("graph-cold/"+name, func(b *testing.B) {
-				benchServedSelect(b, pts, r, true, []disc.Option{hamming, graph}, components)
+				benchServedSelect(b, pts, r, true, []disc.Option{hamming, graph})
 			})
 			b.Run("graph-warm/"+name, func(b *testing.B) {
-				benchServedSelect(b, pts, r, false, []disc.Option{hamming, graph}, components)
+				benchServedSelect(b, pts, r, false, []disc.Option{hamming, graph})
 			})
 		}
 	}
 }
 
-// benchServedSelect times Select(r, sel...) on a diversifier built with
+// benchServedSelect times Select(r) on a diversifier built with
 // opts. A cold run builds a fresh diversifier (untimed) before every
 // select; a warm run selects once before the timer starts and reuses
 // the diversifier. Index accesses per select are reported alongside.
-func benchServedSelect(b *testing.B, pts []disc.Point, r float64, cold bool, opts []disc.Option, sel ...disc.SelectOption) {
+func benchServedSelect(b *testing.B, pts []disc.Point, r float64, cold bool, opts []disc.Option) {
 	b.Helper()
 	d, err := disc.New(pts, opts...)
 	if err != nil {
 		b.Fatal(err)
 	}
 	if !cold {
-		if _, err := d.Select(r, sel...); err != nil {
+		if _, err := d.Select(r); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -400,7 +399,7 @@ func benchServedSelect(b *testing.B, pts []disc.Point, r float64, cold bool, opt
 			}
 			b.StartTimer()
 		}
-		res, err := d.Select(r, sel...)
+		res, err := d.Select(r)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -415,10 +414,9 @@ func benchServedSelect(b *testing.B, pts []disc.Point, r float64, cold bool, opt
 // does not. This sweep prices one served greedy select on uniform 2-d
 // Euclidean points at radii chosen for an average degree of 8 to 2048
 // (r = sqrt(deg/(nπ)), ignoring the border), plus r = 1.5, where every
-// pair is an edge: on the M-tree in global mode, the earlier served path
-// (built at dataset creation, so only the select is timed), on the
-// coverage graph in component mode as served (the select
-// pays the join; a graph past core.AdjacencyBudget is refused and the
+// pair is an edge: on the M-tree, the earlier served path (built at
+// dataset creation, so only the select is timed), on the coverage graph
+// as served (the select pays the join; a graph past core.AdjacencyBudget is refused and the
 // select runs on the M-tree), and, while the graph stays under 4M
 // entries, on an uncapped graph built directly. heap-MB is the live heap
 // the engine holds after the select. n=5000; DISC_BENCH_FULL=1 adds
@@ -429,7 +427,6 @@ func BenchmarkServedSelectDensity(b *testing.B) {
 	if os.Getenv("DISC_BENCH_FULL") != "" {
 		sizes = append(sizes, 50000)
 	}
-	components := disc.WithSelectMode(disc.SelectComponents)
 	for _, n := range sizes {
 		ds, err := disc.UniformDataset(n, 2, 11)
 		if err != nil {
@@ -473,7 +470,7 @@ func BenchmarkServedSelectDensity(b *testing.B) {
 					if d, err = disc.New(pts, disc.WithIndex(disc.IndexCoverageGraph)); err != nil {
 						b.Fatal(err)
 					}
-					if _, err := d.Select(r, components); err != nil {
+					if _, err := d.Select(r); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -45,7 +45,7 @@ func TestCeilingCacheBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	const ceiling = 0.05
-	if _, err := d.Select(ceiling, WithSelectMode(SelectComponents)); err != nil {
+	if _, err := d.Select(ceiling); err != nil {
 		t.Fatal(err)
 	}
 	g := ceilingGraph(t, d)
@@ -53,7 +53,7 @@ func TestCeilingCacheBounded(t *testing.T) {
 	edges := joinEdges()
 	for i := 0; i < 1000; i++ {
 		r := ceiling * float64(i+1) / 1001
-		res, err := d.Select(r, WithSelectMode(SelectComponents))
+		res, err := d.Select(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,17 +103,17 @@ func TestCeilingSurvivesDenseSelect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Select(0.06, WithSelectMode(SelectComponents)); err != nil {
+	if _, err := d.Select(0.06); err != nil {
 		t.Fatal(err)
 	}
 	g := ceilingGraph(t, d)
-	denseChain(t, d, 1.5, WithSelectMode(SelectComponents))
+	denseChain(t, d, 1.5)
 	if d.denseFrom != 1.5 || d.engine != g {
 		t.Fatalf("dense select: floor %g, engine %T; want floor 1.5 and the ceiling graph kept", d.denseFrom, d.engine)
 	}
 	edges := joinEdges()
 	for _, r := range []float64{0.04, 0.06} {
-		got := denseChain(t, d, r, WithSelectMode(SelectComponents))
+		got := denseChain(t, d, r)
 		want := denseChain(t, ref, r)
 		for i, step := range []string{"select", "zoom-in", "zoom-out"} {
 			if !slices.Equal(got[i], want[i]) {
@@ -150,7 +150,7 @@ func TestCeilingSnapshotByteStable(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, r := range []float64{0.05, 0.12, 0.08} {
-			if _, err := d.Select(r, WithSelectMode(SelectComponents)); err != nil {
+			if _, err := d.Select(r); err != nil {
 				t.Fatal(err)
 			}
 		}

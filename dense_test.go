@@ -56,7 +56,7 @@ func TestDenseRadiusChainMatchesReference(t *testing.T) {
 		for _, r := range []float64{tc.dense, tc.sparse, tc.dense} {
 			name := fmt.Sprintf("%s r=%g", tc.metric.Name(), r)
 			want := denseChain(t, ref, r)
-			got := denseChain(t, graph, r, WithSelectMode(SelectComponents))
+			got := denseChain(t, graph, r)
 			for i, step := range []string{"select", "zoom-in", "zoom-out"} {
 				if !slices.Equal(got[i], want[i]) {
 					t.Errorf("%s: %s ids differ from the reference (%d vs %d ids)", name, step, len(got[i]), len(want[i]))
@@ -83,9 +83,9 @@ func TestDenseRadiusChainMatchesReference(t *testing.T) {
 
 // denseChain runs select(r), ZoomIn(r/2) and ZoomOut(2r) on d, verifies
 // each result and returns their sorted ids.
-func denseChain(t *testing.T, d *Diversifier, r float64, opts ...SelectOption) [3][]int {
+func denseChain(t *testing.T, d *Diversifier, r float64) [3][]int {
 	t.Helper()
-	sel, err := d.Select(r, opts...)
+	sel, err := d.Select(r)
 	if err != nil {
 		t.Fatal(err)
 	}

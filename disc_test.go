@@ -269,18 +269,16 @@ func TestIndexByNameAndWithIndexName(t *testing.T) {
 				t.Fatalf("%s: retired grid backend built %v", tc.m.Name(), d.Indexed())
 			}
 			for _, r := range tc.radii {
-				for _, mode := range []disc.SelectMode{disc.SelectGlobal, disc.SelectComponents} {
-					want, err := fresh.Select(r, disc.WithSelectMode(mode))
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := d.Select(r, disc.WithSelectMode(mode))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !slices.Equal(got.IDs(), want.IDs()) {
-						t.Fatalf("%s r=%g %v: retired grid backend selected %v, coverage graph %v", tc.m.Name(), r, mode, got.IDs(), want.IDs())
-					}
+				want, err := fresh.Select(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := d.Select(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got.IDs(), want.IDs()) {
+					t.Fatalf("%s r=%g: retired grid backend selected %v, coverage graph %v", tc.m.Name(), r, got.IDs(), want.IDs())
 				}
 			}
 		}

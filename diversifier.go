@@ -425,7 +425,6 @@ func (d *Diversifier) Point(id int) Point { return d.points[id] }
 type selectOptions struct {
 	algorithm Algorithm
 	noPrune   bool
-	mode      SelectMode
 }
 
 // SelectOption configures Select.
@@ -442,18 +441,19 @@ func WithoutPruning() SelectOption {
 	return func(o *selectOptions) { o.noPrune = true }
 }
 
-// WithSelectMode picks the execution strategy (default SelectGlobal).
-// SelectComponents runs the greedy over the materialised r-adjacency —
-// the same ids in the same order, usually cheaper; see the SelectMode
-// constants for the trade-offs.
+// WithSelectMode has no effect.
+//
+// Deprecated: Select picks the Greedy-DisC run from the engine that
+// serves the radius (the adjacency run on the coverage graph, the
+// global run elsewhere); both return the same ids in the same order.
 func WithSelectMode(m SelectMode) SelectOption {
-	return func(o *selectOptions) { o.mode = m }
+	return func(*selectOptions) {}
 }
 
 // WithSelectParallelism has no effect.
 //
-// Deprecated: SelectComponents is one sequential run over the
-// adjacency; it once sized a per-component worker pool that is gone.
+// Deprecated: the greedy run over the coverage graph is sequential; it
+// once sized a per-component worker pool that is gone.
 func WithSelectParallelism(workers int) SelectOption {
 	return func(*selectOptions) {}
 }
@@ -477,6 +477,13 @@ func greedyUpdate(a Algorithm) (core.UpdateStrategy, bool) {
 
 // Select computes an r-DisC diverse subset (or an r-C subset for the
 // coverage-only algorithms) of the indexed objects.
+//
+// The Greedy-DisC family runs on whichever engine serves r. On the
+// coverage graph (IndexCoverageGraph below the adjacency budget) it is
+// one pruned greedy over the graph's rows with a bucket queue, whose
+// results carry exact closest-black distances; on every other engine
+// (the M-tree, the linear scan, the coverage graph's dense fallback) it
+// is the paper's global run. Both pick the same ids in the same order.
 func (d *Diversifier) Select(r float64, opts ...SelectOption) (*Result, error) {
 	if r < 0 || math.IsNaN(r) || math.IsInf(r, 0) {
 		return nil, fmt.Errorf("disc: invalid radius %g", r)
@@ -485,9 +492,8 @@ func (d *Diversifier) Select(r float64, opts ...SelectOption) (*Result, error) {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	// Validate before engineForRadius: an unknown algorithm or an
-	// unsupported mode combination must not pay for a coverage-graph
-	// build.
+	// Validate before engineForRadius: an unknown algorithm must not pay
+	// for a coverage-graph build.
 	update, isGreedy := greedyUpdate(o.algorithm)
 	switch o.algorithm {
 	case AlgorithmGreedy, AlgorithmBasic, AlgorithmGreedyWhite, AlgorithmLazyGrey,
@@ -495,25 +501,15 @@ func (d *Diversifier) Select(r float64, opts ...SelectOption) (*Result, error) {
 	default:
 		return nil, fmt.Errorf("disc: unknown algorithm %v", o.algorithm)
 	}
-	switch o.mode {
-	case SelectGlobal:
-	case SelectComponents:
-		if !isGreedy {
-			return nil, fmt.Errorf("disc: select mode %v supports only the Greedy-DisC algorithms, not %v", o.mode, o.algorithm)
-		}
-	default:
-		return nil, fmt.Errorf("disc: unknown select mode %v", o.mode)
-	}
 	pruned := !o.noPrune
 	e, err := d.engineForRadius(r, true)
 	if err != nil {
 		return nil, err
 	}
+	_, onGraph := e.(*core.ParallelGraphEngine)
 	var sol *core.Solution
 	switch {
-	// A radius too dense for the coverage graph runs the global pass,
-	// which returns the same subset without materialising the adjacency.
-	case isGreedy && o.mode == SelectComponents && r < d.denseFrom:
+	case isGreedy && onGraph:
 		sol = core.GreedyDisCComponents(e, r, core.GreedyOptions{Update: update, Pruned: pruned})
 	case isGreedy:
 		sol = core.GreedyDisC(e, r, core.GreedyOptions{Update: update, Pruned: pruned})

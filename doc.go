@@ -43,20 +43,17 @@
 // and AlgorithmCoverage / AlgorithmFastCoverage for coverage-only (r-C)
 // subsets that drop the dissimilarity requirement.
 //
-// # Component-mode selection
+// # Greedy selection on the coverage graph
 //
-// Select with WithSelectMode(SelectComponents) runs the Greedy-DisC
-// family over the materialised r-adjacency — the coverage graph's rows,
-// or one range query per object on the other backends — as one
-// sequential pruned greedy popping (count desc, id asc) from a bucket
-// queue. It selects SelectGlobal's ids in SelectGlobal's order, with
-// exact distances to the nearest representative. Picks in one connected
-// component never change counts in another, so no component
-// decomposition is computed; the name is historical.
-// AlgorithmLazyWhite, whose 1.5r refresh queries the r-adjacency
-// cannot answer, and radii whose adjacency would pass the memory budget
-// run the global path; Basic-DisC and the coverage-only algorithms do
-// not support component mode.
+// Select runs the Greedy-DisC family on whichever engine serves the
+// radius. On the coverage graph (IndexCoverageGraph below the adjacency
+// budget) it is one sequential pruned greedy over the graph's rows (or
+// a cached row-prefix view of them) popping (count desc, id asc) from a
+// bucket queue; on every other engine it is the paper's global run over
+// range queries. Both select the same ids in the same order; the
+// coverage-graph run also reports exact distances to the nearest
+// representative. AlgorithmLazyWhite, whose 1.5r refresh queries the
+// r-adjacency cannot answer, runs the global path on every engine.
 //
 // # Index backends
 //
@@ -94,7 +91,7 @@
 //     than 2^20 in all) is not materialised. The join stops at the cap,
 //     and that radius and every larger one are served by the M-tree
 //     (metrics with the triangle inequality) or the flat scan (the
-//     rest), whose memory does not grow with the edges. Component-mode
+//     rest), whose memory does not grow with the edges, and greedy
 //     selections there run the global pass, which returns the same
 //     subset.
 //
@@ -192,15 +189,15 @@
 // replays the greedy from the queued objects, against the time every
 // object left the white set in the last run, until the replay agrees
 // with that record, and atomically publishes the converged selection.
-// No component decomposition is maintained. Reads (Selection, Size, IsRepresentative) are lock-free
-// and bounded-stale: they answer from the last published selection —
-// always a consistent DisC-diverse subset of some recent state, never
-// a half-repaired one — while mutations and Flush serialise on an
-// internal lock, so any number of readers can run beside the writers.
-// After Flush the selection is property-tested to be identical to
-// Select(r, WithSelectMode(SelectComponents)) run from scratch over
-// the live points: incremental maintenance is an optimisation, never a
-// different answer. Incremental repair runs on the coverage-graph
+// No component decomposition is maintained. Reads (Selection, Size,
+// IsRepresentative) are lock-free and bounded-stale: they answer from
+// the last published selection — always a consistent DisC-diverse
+// subset of some recent state, never a half-repaired one — while
+// mutations and Flush serialise on an internal lock, so any number of
+// readers can run beside the writers. After Flush the selection is
+// property-tested to be identical to a coverage-graph Select(r) run
+// from scratch over the live points: incremental maintenance is an
+// optimisation, never a different answer. Incremental repair runs on the coverage-graph
 // substrate; requesting any other index is an error. On the 50k
 // clustered reference workload the Updater sustains ~1,205 updates/sec
 // on a single core with per-operation convergence (repair p50 0.0075
@@ -228,7 +225,7 @@
 // later mutations fail fast instead of acknowledging into an unknown
 // state. The property suite behind the guarantee cuts the log at
 // every byte boundary under fault injection and asserts the recovered
-// selection is bit-identical to a from-scratch component-mode Select
+// selection is bit-identical to a from-scratch coverage-graph Select
 // over the surviving operation prefix (make crash-props, in CI under
 // the race detector). docs/DURABILITY.md is the normative wire format
 // and the per-policy guarantee table.
@@ -240,8 +237,8 @@
 // atomic adds — lock-free and allocation-free, so the standing
 // 0 alloc/op invariants on steady-state query and repair paths hold
 // with telemetry enabled (AllocsPerRun tests pin both). Stage timers
-// cover the grid build, the ε-join, global and component-mode
-// selection, live insert/delete/repair, WAL
+// cover the grid build, the ε-join, the global and coverage-graph
+// greedy runs, live insert/delete/repair, WAL
 // append/fsync/rotate/replay and snapshot save/load; discserve adds
 // per-route request counters, latency histograms and an inflight
 // gauge, and serves the whole registry at GET /metrics in the

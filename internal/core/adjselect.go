@@ -29,13 +29,13 @@ import (
 // query.
 //
 // UpdateGrey and UpdateLazyGrey run natively. UpdateWhite maintains the
-// same exact counts through grey-side decrements (the recount a 2r
-// candidate query feeds equals the decremented count — see
-// updateWhiteCounts — so selections are identical; only the access
-// profile differs). UpdateLazyWhite's 1.5r candidate queries cannot be
-// answered from the materialised r-adjacency, so it falls back to the
-// global path, as does a radius whose adjacency would pass
-// AdjacencyBudget.
+// same exact counts through grey-side decrements (the objects that
+// leave the white set with a pick are the pick and its new greys, so
+// the count a 2r candidate query refreshes equals the decremented one
+// and selections are identical; only the access profile differs).
+// UpdateLazyWhite's 1.5r candidate queries cannot be answered from the
+// materialised r-adjacency, so it falls back to the global path, as
+// does a radius whose adjacency would pass AdjacencyBudget.
 func GreedyDisCComponents(e Engine, r float64, opts GreedyOptions) *Solution {
 	if opts.Update == UpdateLazyWhite {
 		return GreedyDisC(e, r, opts)

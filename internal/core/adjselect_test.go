@@ -90,6 +90,33 @@ func TestGreedyComponentsMatchesGlobal(t *testing.T) {
 	}
 }
 
+// TestGreedyWhiteNonMetricMatchesComponents: under cosine, which breaks
+// the triangle inequality, a 2r candidate query around the pick misses
+// white objects within r of a new grey, so White-Greedy's global run
+// must take its exact counts from the grey side as the adjacency run
+// does; both must then pick the same ids in the same order.
+func TestGreedyWhiteNonMetricMatchesComponents(t *testing.T) {
+	pts := randomPoints(300, 2, 98)
+	for _, p := range pts {
+		for j := range p {
+			p[j] -= 0.5
+		}
+	}
+	m := object.Cosine{}
+	e := flatEngine(t, pts, m)
+	opts := GreedyOptions{Update: UpdateWhite, Pruned: true}
+	for _, r := range []float64{0.05, 0.2} {
+		global := GreedyDisC(e, r, opts)
+		comp := GreedyDisCComponents(e, r, opts)
+		if !slices.Equal(global.IDs, comp.IDs) {
+			t.Errorf("r=%g: global White-Greedy selects %d ids %v, the adjacency run %d ids %v", r, len(global.IDs), global.IDs, len(comp.IDs), comp.IDs)
+		}
+		if err := CheckDisC(pts, m, global.IDs, r); err != nil {
+			t.Errorf("r=%g: %v", r, err)
+		}
+	}
+}
+
 // TestGreedyComponentsDenseRunsGlobal: on an engine without a
 // materialised graph, a radius whose adjacency passes AdjacencyBudget
 // (every pair of 1,100 points: 1.21M entries) is not materialised; the

@@ -45,9 +45,9 @@ func TestNeighborsAppendZeroAlloc(t *testing.T) {
 
 // TestCeilingViewZeroAlloc extends the steady-state contract to the
 // coverage graph's two non-ceiling paths, on both join substrates: row
-// prefixes below the ceiling (NeighborsAppend, NeighborsWhiteAppend and
-// WhiteCount) and the substrate fallback above it, whose grid scans
-// answer in cell order without a sort.
+// prefixes below the ceiling (NeighborsAppend and NeighborsWhiteAppend)
+// and the substrate fallback above it, whose grid scans answer in cell
+// order without a sort.
 func TestCeilingViewZeroAlloc(t *testing.T) {
 	pts := randomPoints(600, 2, 101)
 	flat, err := object.Flatten(pts, object.Euclidean{})
@@ -75,18 +75,6 @@ func TestCeilingViewZeroAlloc(t *testing.T) {
 			})
 			if allocs != 0 {
 				t.Errorf("%s: NeighborsAppend/NeighborsWhiteAppend allocate %.1f/op", name, allocs)
-			}
-			if r > ceiling {
-				continue
-			}
-			allocs = testing.AllocsPerRun(200, func() {
-				if _, ok := g.WhiteCount(id, r); !ok {
-					t.Fatal("WhiteCount declined a radius under the ceiling")
-				}
-				id = (id + 7) % len(pts)
-			})
-			if allocs != 0 {
-				t.Errorf("%s: WhiteCount allocates %.1f/op", name, allocs)
 			}
 		}
 	}

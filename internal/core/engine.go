@@ -81,19 +81,6 @@ type CoverageEngine interface {
 	NeighborsWhiteAppend(dst []object.Neighbor, id int, r float64) []object.Neighbor
 }
 
-// WhiteCounter is implemented by engines that can recount the white
-// neighbourhood of an object directly — in O(degree) packed-bitset tests
-// over a materialised adjacency list — instead of the caller deriving
-// the count from per-pair distance evaluations. The White-update
-// strategies of Greedy-DisC use it to refresh candidate counts.
-type WhiteCounter interface {
-	CoverageEngine
-	// WhiteCount returns |{white objects within r of id}|, excluding id.
-	// ok is false when the engine cannot answer from materialised state
-	// (the caller must fall back to distance computations).
-	WhiteCount(id int, r float64) (count int, ok bool)
-}
-
 // BottomUpEngine is implemented by engines that can answer neighbourhood
 // queries starting from the object's own storage location, optionally
 // stopping at the first fully covered ancestor (Fast-C's approximate

@@ -38,18 +38,15 @@ import (
 //
 // Every row is sorted by ascending (distance, id), so the graph built at
 // the ceiling radius C serves every r ≤ C: the r-neighbourhood of a
-// point is a prefix of its row, found by binary search. Neighbors,
-// NeighborsWhite and WhiteCount cut the row per call; AdjacencyCSR
-// serves a view (grid.CSR.Prefix: one row end per point, sharing the
-// ceiling's arrays), cached for the last few radii in a fixed-size
-// cache. Radii above C fall back to the substrate (grid scan or flat
+// point is a prefix of its row, found by binary search. Neighbors and
+// NeighborsWhite cut the row per call; AdjacencyCSR serves a view
+// (grid.CSR.Prefix: one row end per point, sharing the ceiling's
+// arrays), cached for the last few radii in a fixed-size cache. Radii above C fall back to the substrate (grid scan or flat
 // scan), so every Engine call stays correct at any radius — only the
 // cost differs.
 // Because |N_C(p)| is known for every p after the build, the engine
 // also implements CountingEngine and makes Greedy-DisC's initialisation
-// pass free at C; the packed white bitset lets it also implement
-// WhiteCounter, refreshing white-neighbourhood counts with O(degree)
-// bit tests.
+// pass free at C.
 //
 // The access counter charges one unit per adjacency entry examined
 // within the query radius (the row prefix; minimum one per lookup),
@@ -94,7 +91,6 @@ var (
 	_ Engine         = (*ParallelGraphEngine)(nil)
 	_ CoverageEngine = (*ParallelGraphEngine)(nil)
 	_ CountingEngine = (*ParallelGraphEngine)(nil)
-	_ WhiteCounter   = (*ParallelGraphEngine)(nil)
 )
 
 // GraphFlatJoinDim is the dimensionality above which the coverage-graph
@@ -145,7 +141,7 @@ func BuildParallelGraphEngineCapped(flat *object.FlatDataset, r float64, workers
 // materialises for a dataset of n objects: an average degree of 128
 // (2 KiB of entries per object), and never less than 1<<20 entries
 // (16 MiB), so small datasets keep their graph at any radius. Above it
-// the coverage graph and the component-mode materialisation give way
+// the coverage graph and GreedyDisCComponents' materialisation give way
 // to paths whose memory does not grow with the edge count.
 func AdjacencyBudget(n int) int64 {
 	return max(int64(n)*128, 1<<20)
@@ -462,23 +458,4 @@ func (g *ParallelGraphEngine) AdjacencyCSR(r float64) (*grid.CSR, bool) {
 	default:
 		return nil, false
 	}
-}
-
-// WhiteCount implements WhiteCounter: at radii up to the ceiling,
-// |white ∩ N_r(id)| is a popcount-style sweep of packed bit tests over
-// the row prefix — no distance evaluation. No accesses are charged: the
-// caller's fallback (direct metric evaluations in Greedy-DisC's
-// White-update refresh) is likewise uncharged, keeping the paper-style
-// access tables comparable across engines and strategies.
-func (g *ParallelGraphEngine) WhiteCount(id int, r float64) (int, bool) {
-	if !g.tracking || r > g.radius {
-		return 0, false
-	}
-	cnt := 0
-	for _, nb := range g.prefix(id, r) {
-		if g.white.Test(nb.ID) {
-			cnt++
-		}
-	}
-	return cnt, true
 }

@@ -178,8 +178,13 @@ func updateWhiteCounts(e Engine, cov CoverageEngine, usePrune bool, s *Solution,
 		}
 		return e.NeighborsAppend(dst, id, radius)
 	}
-	switch strategy {
-	case UpdateGrey, UpdateLazyGrey:
+	switch {
+	// White-Greedy's 2r candidate query finds every white object within r
+	// of a new grey only under the triangle inequality; without it (cosine,
+	// dot product) the exact count comes from the grey side, as in the
+	// grey update.
+	case strategy == UpdateGrey, strategy == UpdateLazyGrey,
+		strategy == UpdateWhite && !object.TriangleSafe(e.Metric()):
 		radius := r
 		if strategy == UpdateLazyGrey {
 			radius = r / 2
@@ -193,34 +198,16 @@ func updateWhiteCounts(e Engine, cov CoverageEngine, usePrune bool, s *Solution,
 				}
 			}
 		}
-	case UpdateWhite, UpdateLazyWhite:
+	default: // UpdateWhite, UpdateLazyWhite
 		radius := 2 * r
 		if strategy == UpdateLazyWhite {
 			radius = 1.5 * r
 		}
 		sc.upd = whiteNeighbors(sc.upd[:0], pi, radius)
-		// Exact-count runs on engines with a materialised adjacency can
-		// refresh each candidate's count with packed bit tests instead
-		// of |newGrey| distance evaluations. The recount equals the
-		// decremented count — the objects that left the white set this
-		// round are exactly pi (never within r of a still-white
-		// candidate, or it would have been greyed) and newGrey — so
-		// selections are identical either way.
-		wc, canRecount := e.(WhiteCounter)
-		canRecount = canRecount && strategy == UpdateWhite && usePrune
 		m := e.Metric()
 		for _, wk := range sc.upd {
 			if s.Colors[wk.ID] != White {
 				continue
-			}
-			if canRecount {
-				if cnt, ok := wc.WhiteCount(wk.ID, r); ok {
-					if cnt != nw[wk.ID] {
-						nw[wk.ID] = cnt
-						h.push(wk.ID, cnt)
-					}
-					continue
-				}
 			}
 			cnt := 0
 			for _, gj := range newGrey {

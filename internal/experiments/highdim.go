@@ -51,7 +51,7 @@ type HighDimJoin struct {
 	// ScalarBuildMS/Batch32BuildMS. Speedup is the gated ratio.
 	Speedup   float64
 	Speedup32 float64
-	// SelectMSOp is the pruned component-mode Greedy-DisC over the built
+	// SelectMSOp is the pruned Greedy-DisC run over the built
 	// graph (steady-state: the adjacency is the graph itself).
 	SelectMSOp   float64
 	SolutionSize int

@@ -61,7 +61,7 @@ type StreamBench struct {
 
 	// EquivalentToRebuild records the end-state conformance check: the
 	// incrementally maintained selection must be exactly what a
-	// from-scratch component-mode Select over the surviving points
+	// from-scratch coverage-graph Select over the surviving points
 	// computes.
 	EquivalentToRebuild bool
 
@@ -262,8 +262,8 @@ func streamWALRun(cfg Config, pts []disc.Point, r float64, m disc.Metric, policy
 	return float64(ops) / elapsed.Seconds(), nil
 }
 
-// streamRebuildCheck re-runs the batch component-mode selection over the
-// updater's surviving points and compares it to the incrementally
+// streamRebuildCheck re-runs the batch coverage-graph selection over
+// the updater's surviving points and compares it to the incrementally
 // maintained one (ids mapped through the monotone live-id order).
 func streamRebuildCheck(u *disc.Updater, slots int, r float64, m disc.Metric) (bool, error) {
 	var pts []disc.Point
@@ -281,7 +281,7 @@ func streamRebuildCheck(u *disc.Updater, slots int, r float64, m disc.Metric) (b
 	if err != nil {
 		return false, fmt.Errorf("experiments: stream: rebuild check: %w", err)
 	}
-	batch, err := d.Select(r, disc.WithSelectMode(disc.SelectComponents))
+	batch, err := d.Select(r)
 	if err != nil {
 		return false, fmt.Errorf("experiments: stream: rebuild check: %w", err)
 	}

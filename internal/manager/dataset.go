@@ -608,7 +608,7 @@ func (d *Dataset) quarantine(cause error) {
 
 // DegradedView is the read-only stand-in served while recovery keeps
 // failing: the last good checkpoint's points and the selection a
-// from-scratch component-mode Select computes over them.
+// from-scratch coverage-graph Select computes over them.
 type DegradedView struct {
 	Radius    float64
 	Metric    string
@@ -641,7 +641,7 @@ func (d *Dataset) tryDegrade() bool {
 	if err != nil {
 		return false
 	}
-	res, err := div.Select(s.GraphRadius, disc.WithSelectMode(disc.SelectComponents))
+	res, err := div.Select(s.GraphRadius)
 	if err != nil {
 		return false
 	}

@@ -20,16 +20,17 @@
 //	POST /v1/results/{id}/localzoom      {center, radius} -> local view
 //	GET  /healthz                         liveness probe
 //
-// Uploaded datasets run on disc.IndexCoverageGraph, and the Greedy-DisC
-// algorithms select with disc.SelectComponents; their selections and
-// zooms are the ids the library's default M-tree gives. Each dataset
-// keeps one coverage graph, joined at the largest select radius so
-// far; selects and zoom-ins at smaller radii read its rows as prefixes
-// without joining, and zoom-outs above it scan the substrate. A radius
-// whose graph would pass core.AdjacencyBudget is served by the M-tree
-// (or a flat scan), whose memory does not grow with the edge count, so
-// the client's radius cannot size the server's heap. A dataset
-// recovered from its static.discsnap keeps the index its file records.
+// Uploaded datasets run on disc.IndexCoverageGraph, where the
+// Greedy-DisC algorithms run one greedy over the graph's rows; their
+// selections and zooms are the ids the library's default M-tree gives.
+// Each dataset keeps one coverage graph, joined at the largest select
+// radius so far; selects and zoom-ins at smaller radii read its rows as
+// prefixes without joining, and zoom-outs above it scan the substrate.
+// A radius whose graph would pass core.AdjacencyBudget is served by the
+// M-tree (or a flat scan), whose memory does not grow with the edge
+// count, so the client's radius cannot size the server's heap. A
+// dataset recovered from its static.discsnap keeps the index its file
+// records.
 //
 // Live maintainers (incremental r-DisC under inserts/deletes, backed by
 // disc.Updater, under any built-in metric):
@@ -544,19 +545,6 @@ func algorithmByName(name string) (disc.Algorithm, error) {
 	}
 }
 
-// componentSelectable reports whether alg is a Greedy-DisC variant, the
-// algorithms disc.SelectComponents serves. Component mode returns the
-// global pass's ids in the same order, with exact representative distances,
-// so later zoom-outs skip their recompute. Basic-DisC and the
-// coverage-only algorithms stay on the global path.
-func componentSelectable(alg disc.Algorithm) bool {
-	switch alg {
-	case disc.AlgorithmGreedy, disc.AlgorithmGreedyWhite, disc.AlgorithmLazyGrey, disc.AlgorithmLazyWhite:
-		return true
-	}
-	return false
-}
-
 func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	var req selectRequest
 	if err := s.decodeJSON(r, &req); err != nil {
@@ -572,13 +560,9 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	if st == nil {
 		return
 	}
-	sopts := []disc.SelectOption{disc.WithAlgorithm(alg)}
-	if componentSelectable(alg) {
-		sopts = append(sopts, disc.WithSelectMode(disc.SelectComponents))
-	}
 	var res *disc.Result
 	if err := st.Do(func(div *disc.Diversifier) (err error) {
-		res, err = div.Select(req.Radius, sopts...)
+		res, err = div.Select(req.Radius, disc.WithAlgorithm(alg))
 		return err
 	}); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)

@@ -8,6 +8,7 @@ import (
 	"math/rand/v2"
 	"os"
 	"slices"
+	"strings"
 	"testing"
 
 	disc "github.com/discdiversity/disc"
@@ -23,67 +24,62 @@ func clusteredPoints(t *testing.T, n int, seed uint64) []disc.Point {
 }
 
 // TestSelectModeProperty: across random clustered workloads, every
-// engine, every Greedy-DisC algorithm and several radii, the
-// component-mode selection must (a) verify as r-DisC diverse and (b)
-// pick exactly the global mode's ids in the global mode's order, with
-// the deprecated WithSelectParallelism changing nothing.
+// index, every Greedy-DisC algorithm and several radii, Select must (a)
+// verify as r-DisC diverse, (b) pick the same ids in the same order on
+// every index, and (c) run the adjacency greedy exactly on the coverage
+// graph (its Algorithm names the run) and the global one elsewhere —
+// lazy-white, which the adjacency cannot serve, runs global everywhere.
+// The deprecated WithSelectMode and WithSelectParallelism change
+// nothing.
 func TestSelectModeProperty(t *testing.T) {
 	algorithms := []disc.Algorithm{
 		disc.AlgorithmGreedy, disc.AlgorithmGreedyWhite,
 		disc.AlgorithmLazyGrey, disc.AlgorithmLazyWhite,
 	}
+	noops := [][]disc.SelectOption{
+		{disc.WithSelectMode(disc.SelectGlobal)},
+		{disc.WithSelectMode(disc.SelectComponents)},
+		{disc.WithSelectMode(disc.SelectMode(99))},
+		{disc.WithSelectParallelism(8)},
+	}
 	rng := rand.New(rand.NewPCG(61, 61))
 	for trial := 0; trial < 2; trial++ {
 		pts := clusteredPoints(t, 300+trial*150, uint64(400+trial))
 		r := 0.02 + rng.Float64()*0.04
+		want := map[disc.Algorithm][]int{}
 		for _, name := range disc.SupportedIndexNames() {
 			d, err := disc.New(pts, disc.WithIndexName(name))
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, alg := range algorithms {
-				global, err := d.Select(r, disc.WithAlgorithm(alg))
+				res, err := d.Select(r, disc.WithAlgorithm(alg))
 				if err != nil {
 					t.Fatalf("%s/%v: %v", name, alg, err)
 				}
-				for _, workers := range []int{0, 8} {
-					opts := []disc.SelectOption{disc.WithAlgorithm(alg), disc.WithSelectMode(disc.SelectComponents)}
-					if workers > 0 {
-						opts = append(opts, disc.WithSelectParallelism(workers))
-					}
-					res, err := d.Select(r, opts...)
+				if err := d.Verify(res); err != nil {
+					t.Errorf("%s/%v: %v", name, alg, err)
+				}
+				if ref, ok := want[alg]; !ok {
+					want[alg] = res.IDs()
+				} else if !slices.Equal(ref, res.IDs()) {
+					t.Errorf("%s/%v: selection differs from %s's", name, alg, disc.SupportedIndexNames()[0])
+				}
+				adjacency := d.Indexed() == disc.IndexCoverageGraph && alg != disc.AlgorithmLazyWhite
+				if got := strings.Contains(res.Algorithm(), "Components"); got != adjacency {
+					t.Errorf("%s/%v: ran %q, want the adjacency run %v", name, alg, res.Algorithm(), adjacency)
+				}
+				for _, opts := range noops {
+					again, err := d.Select(r, append([]disc.SelectOption{disc.WithAlgorithm(alg)}, opts...)...)
 					if err != nil {
-						t.Fatalf("%s/%v workers=%d: %v", name, alg, workers, err)
+						t.Fatalf("%s/%v: %v", name, alg, err)
 					}
-					if err := d.Verify(res); err != nil {
-						t.Errorf("%s/%v workers=%d: %v", name, alg, workers, err)
-					}
-					if !slices.Equal(global.IDs(), res.IDs()) {
-						t.Errorf("%s/%v workers=%d: component selection differs from global", name, alg, workers)
+					if again.Algorithm() != res.Algorithm() || !slices.Equal(again.IDs(), res.IDs()) {
+						t.Errorf("%s/%v: a deprecated option changed the selection", name, alg)
 					}
 				}
 			}
 		}
-	}
-}
-
-// TestSelectModeValidation: unsupported algorithm/mode combinations and
-// unknown modes must fail before any index work.
-func TestSelectModeValidation(t *testing.T) {
-	d, err := disc.New(clusteredPoints(t, 60, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, alg := range []disc.Algorithm{disc.AlgorithmBasic, disc.AlgorithmCoverage, disc.AlgorithmFastCoverage} {
-		if _, err := d.Select(0.1, disc.WithAlgorithm(alg), disc.WithSelectMode(disc.SelectComponents)); err == nil {
-			t.Errorf("%v accepted component mode", alg)
-		}
-	}
-	if _, err := d.Select(0.1, disc.WithSelectMode(disc.SelectMode(99))); err == nil {
-		t.Error("unknown select mode accepted")
-	}
-	if got := disc.SelectComponents.String(); got != "components" {
-		t.Errorf("SelectComponents.String() = %q", got)
 	}
 }
 
@@ -159,8 +155,8 @@ func algorithmNamed(t *testing.T, name string) disc.Algorithm {
 
 // TestSnapshotCarriesComponents: a snapshot with a components section
 // still loads, and selects what its writer's version selected — the
-// global ids in the same order, and in component mode the same ids, now
-// in that global pick order. Saving it again writes no components
+// global mode's ids in its pick order, which are the ids the component
+// mode emitted in component order. Saving it again writes no components
 // section, and the re-saved file selects the same.
 func TestSnapshotCarriesComponents(t *testing.T) {
 	fx := loadComponentsFixture(t)
@@ -182,18 +178,14 @@ func TestSnapshotCarriesComponents(t *testing.T) {
 	for _, d := range []*disc.Diversifier{warm, resaved} {
 		for _, sel := range fx.sels {
 			alg := algorithmNamed(t, sel.Algorithm)
-			global, err := d.Select(sel.Radius, disc.WithAlgorithm(alg))
+			res, err := d.Select(sel.Radius, disc.WithAlgorithm(alg))
 			if err != nil {
 				t.Fatal(err)
 			}
-			comp, err := d.Select(sel.Radius, disc.WithAlgorithm(alg), disc.WithSelectMode(disc.SelectComponents))
-			if err != nil {
-				t.Fatal(err)
+			if !slices.Equal(res.IDs(), sel.Global) {
+				t.Fatalf("r=%g %s: selects %v, recorded %v", sel.Radius, sel.Algorithm, res.IDs(), sel.Global)
 			}
-			if !slices.Equal(global.IDs(), sel.Global) || !slices.Equal(comp.IDs(), sel.Global) {
-				t.Fatalf("r=%g %s: selects %v (global) and %v (components), recorded %v", sel.Radius, sel.Algorithm, global.IDs(), comp.IDs(), sel.Global)
-			}
-			if !slices.Equal(comp.SortedIDs(), sortedInts(sel.Components)) {
+			if !slices.Equal(res.SortedIDs(), sortedInts(sel.Components)) {
 				t.Fatalf("r=%g %s: component ids differ from the recorded component selection", sel.Radius, sel.Algorithm)
 			}
 		}
@@ -225,7 +217,7 @@ func TestSnapshotTamperedComponentsRejected(t *testing.T) {
 		t.Fatalf("resealed components section rejected: %v", err)
 	}
 	sel := fx.sels[0]
-	res, err := d.Select(sel.Radius, disc.WithAlgorithm(algorithmNamed(t, sel.Algorithm)), disc.WithSelectMode(disc.SelectComponents))
+	res, err := d.Select(sel.Radius, disc.WithAlgorithm(algorithmNamed(t, sel.Algorithm)))
 	if err != nil {
 		t.Fatal(err)
 	}

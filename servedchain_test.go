@@ -9,7 +9,7 @@ import (
 )
 
 // TestGraphChainMatchesMTree: the served interaction — a
-// component-mode select on the coverage graph, then ZoomIn(r/2) and
+// greedy select on the coverage graph, then ZoomIn(r/2) and
 // ZoomOut(2r, ZoomOutGreedyLargest) on that result — must return ids
 // identical to the same chain on a default (M-tree) diversifier, for
 // clustered and uniform points, d ∈ {2,3}, the three Lp metrics,
@@ -43,7 +43,7 @@ func TestGraphChainMatchesMTree(t *testing.T) {
 					for _, alg := range algorithms {
 						name := fmt.Sprintf("%s/d=%d/%s/r=%g/%v", layout, dim, m.Name(), r, alg)
 						want := zoomChain(t, ref, r, disc.WithAlgorithm(alg))
-						got := zoomChain(t, graph, r, disc.WithAlgorithm(alg), disc.WithSelectMode(disc.SelectComponents))
+						got := zoomChain(t, graph, r, disc.WithAlgorithm(alg))
 						for i, step := range []string{"select", "zoom-in", "zoom-out"} {
 							if !slices.Equal(got[i], want[i]) {
 								t.Errorf("%s: %s ids differ from the M-tree chain (%d vs %d ids)", name, step, len(got[i]), len(want[i]))

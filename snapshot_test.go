@@ -399,18 +399,16 @@ func TestSnapshotRetiredIndexLoads(t *testing.T) {
 			t.Fatalf("grid: occupancy-only snapshot rehydrated %T", loaded.engine)
 		}
 		for _, r := range []float64{0.05, 0.12} {
-			for _, mode := range []SelectMode{SelectGlobal, SelectComponents} {
-				want, err := fresh.Select(r, WithSelectMode(mode))
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := loaded.Select(r, WithSelectMode(mode))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !equalIDs(want.IDs(), got.IDs()) {
-					t.Fatalf("%s r=%g %v: selection differs from a fresh %v select", tc.name, r, mode, tc.want)
-				}
+			want, err := fresh.Select(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := loaded.Select(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !equalIDs(want.IDs(), got.IDs()) {
+				t.Fatalf("%s r=%g: selection differs from a fresh %v select", tc.name, r, tc.want)
 			}
 		}
 	}
@@ -603,7 +601,7 @@ func TestSnapshotFlatGraphWarmStart(t *testing.T) {
 		t.Fatal("rehydrated engine lost its flat-join substrate")
 	}
 	before := loaded.engine
-	if _, err := loaded.Select(r, WithSelectMode(SelectComponents)); err != nil {
+	if _, err := loaded.Select(r); err != nil {
 		t.Fatal(err)
 	}
 	if loaded.engine != before {

@@ -11,7 +11,7 @@ import "fmt"
 // A Stream is an Updater that flushes after every operation: each call
 // patches the coverage adjacency, repairs only the part of the greedy
 // run it changes and converges immediately, so the representative set after each call
-// is exactly what a from-scratch component-mode Select over the live
+// is exactly what a from-scratch coverage-graph Select over the live
 // objects would choose, under every metric. Callers that want to batch
 // mutations and control convergence themselves should use Updater
 // directly.

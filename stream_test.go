@@ -90,7 +90,7 @@ func TestStreamHammingMetric(t *testing.T) {
 	}
 
 	// Under churn, the representatives are exactly a from-scratch
-	// component-mode Select over the live points.
+	// coverage-graph Select over the live points.
 	s, err = disc.NewStream(2, disc.StreamMetric(disc.Hamming()))
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +124,7 @@ func TestStreamHammingMetric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.Select(2, disc.WithSelectMode(disc.SelectComponents))
+	res, err := d.Select(2)
 	if err != nil {
 		t.Fatal(err)
 	}

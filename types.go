@@ -77,41 +77,18 @@ const (
 	IndexGrid = IndexCoverageGraph
 )
 
-// SelectMode chooses how Select executes the Greedy-DisC family. All
-// modes return the same selection in the same order; they differ in
-// execution strategy and cost.
+// SelectMode named the ways Select could run the Greedy-DisC family.
+//
+// Deprecated: Select picks the run from the engine that serves the
+// radius, and WithSelectMode has no effect.
 type SelectMode int
 
 const (
-	// SelectGlobal (the default) runs the heuristic sequentially over
-	// the whole object universe, exactly as the paper describes it.
+	// Deprecated: see SelectMode.
 	SelectGlobal SelectMode = iota
-	// SelectComponents runs the greedy over the materialised
-	// r-adjacency — the coverage graph's own rows, or one range query
-	// per object on the other backends — with a bucket queue in place
-	// of the heap. It selects SelectGlobal's ids in SelectGlobal's pick
-	// order, and its results carry exact closest-black distances. The
-	// name is historical: picks in one connected component never change
-	// counts in another, so the run needs no component decomposition.
-	// Supported by the Greedy-DisC algorithms (AlgorithmGreedy,
-	// AlgorithmGreedyWhite, AlgorithmLazyGrey, AlgorithmLazyWhite;
-	// the last, like a radius too dense for the adjacency budget, runs
-	// the global path); Basic-DisC and the coverage-only algorithms
-	// reject it.
+	// Deprecated: see SelectMode.
 	SelectComponents
 )
-
-// String implements fmt.Stringer.
-func (m SelectMode) String() string {
-	switch m {
-	case SelectGlobal:
-		return "global"
-	case SelectComponents:
-		return "components"
-	default:
-		return fmt.Sprintf("select-mode(%d)", int(m))
-	}
-}
 
 // String implements fmt.Stringer.
 func (ix Index) String() string {

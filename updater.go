@@ -25,8 +25,8 @@ import (
 // grid occupancy for Euclidean, Manhattan and Chebyshev — and is
 // property-tested to stay exactly equivalent to a
 // rebuild under every built-in metric: after Flush, the selection is
-// the one Select(r, WithSelectMode(SelectComponents)) would compute
-// over the current live points from scratch.
+// the one a coverage-graph Select(r) would compute over the current
+// live points from scratch.
 //
 // # Staleness contract
 //
@@ -178,8 +178,9 @@ func (u *Updater) Delete(id int) error {
 // Flush replays the greedy from the objects the writes since the last
 // Flush touched — not re-running it over every object — and
 // publishes the converged selection, returning the number of writes it
-// converged (Pending before the call). After Flush, reads see a selection identical to
-// a from-scratch component-mode Select over the live points.
+// converged (Pending before the call). After Flush, reads see a
+// selection identical to a from-scratch coverage-graph Select over the
+// live points.
 func (u *Updater) Flush() int {
 	u.mu.Lock()
 	defer u.mu.Unlock()

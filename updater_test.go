@@ -15,7 +15,7 @@ import (
 	"github.com/discdiversity/disc/internal/snap"
 )
 
-// rebuildSelection runs the from-scratch component-mode Select over the
+// rebuildSelection runs the from-scratch coverage-graph Select over the
 // updater's live points and returns the selected ids mapped back to the
 // updater's id space (the remap old→dense is monotone, so the inverse
 // is just the ascending list of live ids).
@@ -36,7 +36,7 @@ func rebuildSelection(t *testing.T, u *disc.Updater, m disc.Metric, slots int, r
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.Select(r, disc.WithSelectMode(disc.SelectComponents))
+	res, err := d.Select(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func assertEqualsRebuild(t *testing.T, u *disc.Updater, m disc.Metric, slots int
 // TestUpdaterEquivalentToRebuild is the conformance property test of the
 // incremental path: across metrics, dimensionalities and random
 // insert/delete interleavings, the converged selection must be exactly
-// the one a from-scratch component-mode Select over the live points
+// the one a from-scratch coverage-graph Select over the live points
 // computes.
 func TestUpdaterEquivalentToRebuild(t *testing.T) {
 	for _, tc := range []struct {
@@ -139,7 +139,7 @@ func TestUpdaterSeededMatchesBatchSelect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.Select(r, disc.WithSelectMode(disc.SelectComponents))
+	res, err := d.Select(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,14 +213,14 @@ func TestUpdaterSnapshotRoundTrip(t *testing.T) {
 	if err := u.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	// The snapshot warm-starts a Diversifier whose component-mode
+	// The snapshot warm-starts a Diversifier whose coverage-graph
 	// selection equals the updater's (dense ids: no deletions survive
 	// compaction here, so the id spaces coincide).
 	d, err := disc.LoadDiversifier(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.Select(r, disc.WithSelectMode(disc.SelectComponents))
+	res, err := d.Select(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestUpdaterSnapshotNonLp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.Select(r, disc.WithSelectMode(disc.SelectComponents))
+	res, err := d.Select(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +401,7 @@ func TestUpdaterSnapshotParallelVectors(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := d.Select(r, disc.WithSelectMode(disc.SelectComponents))
+			res, err := d.Select(r)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,7 +3,7 @@ package disc
 // The durability property suite (`make crash-props`): for randomized
 // insert/delete sequences and a crash at EVERY byte boundary of the
 // write-ahead log, recovery must yield a selection bit-identical to a
-// from-scratch component-mode Select over the surviving op prefix —
+// from-scratch coverage-graph Select over the surviving op prefix —
 // plus the checkpoint-protocol crash states and the fault-injected
 // (short write / failed sync / mid-rotation) paths.
 //
@@ -89,7 +89,7 @@ func applyOps(ops []walOp) (ids []int64, pts [][]float64) {
 
 // assertRecovered checks that u's live state is exactly (ids, pts) and
 // that its published selection is bit-identical to a from-scratch
-// component-mode Select over those points.
+// coverage-graph Select over those points.
 func assertRecovered(t *testing.T, u *Updater, ids []int64, pts [][]float64, r float64, ctx string) {
 	t.Helper()
 	if u.Len() != len(ids) {
@@ -125,7 +125,7 @@ func assertRecovered(t *testing.T, u *Updater, ids []int64, pts [][]float64, r f
 	if err != nil {
 		t.Fatalf("%s: %v", ctx, err)
 	}
-	res, err := d.Select(r, WithSelectMode(SelectComponents))
+	res, err := d.Select(r)
 	if err != nil {
 		t.Fatalf("%s: %v", ctx, err)
 	}
@@ -221,7 +221,7 @@ func crashImage(t *testing.T, goldenDir, dir string, segs []string, limit int64)
 // TestCrashPrefixRecoveryEveryByte is the headline durability property:
 // truncate the log at every byte boundary; recovery must succeed and
 // produce exactly the surviving op prefix, with a selection
-// bit-identical to the from-scratch component-mode Select over it.
+// bit-identical to the from-scratch coverage-graph Select over it.
 // Small segments force the stream across several rotations, so cuts
 // land in headers, mid-record, and between segments.
 func TestCrashPrefixRecoveryEveryByte(t *testing.T) {
