@@ -117,7 +117,7 @@ kernel-props:
 ## crash injector's shared byte budget (faultio.CrashFS, a vfs.FS like
 ## every fault injector), the every-byte crash-prefix recovery
 ## property (recovered selection bit-identical to a from-scratch
-## component Select over the surviving op prefix), the checkpoint
+## coverage-graph Select over the surviving op prefix), the checkpoint
 ## crash-window states, the batch replay's equivalence to the
 ## per-mutation live path, and the server's crash-restart (Lp and
 ## non-Lp metrics) and load-shedding behaviour.
@@ -149,12 +149,13 @@ chaos-props:
 ## plain `go test ./...` replays. The two live targets in internal/core
 ## decode byte strings into a metric, a radius and an insert/delete
 ## sequence: FuzzLiveMatchesBatch requires the live maintainer to equal
-## the batch component greedy after every flush, FuzzReplayMatchesLive
-## requires a replayed checkpoint plus tail to equal the live path.
-## FuzzSelectModes (internal/core) decodes a metric, a radius and a
-## point set, sparse or past core.AdjacencyBudget, and requires the
-## global and component-mode greedy to pick the same ids in the same
-## order on every engine, each result passing CheckDisC.
+## the batch greedy run over the graph's rows after every flush,
+## FuzzReplayMatchesLive requires a replayed checkpoint plus tail to
+## equal the live path. FuzzSelectModes (internal/core) decodes a
+## metric, a radius and a point set, sparse or past
+## core.AdjacencyBudget, and requires the global greedy run and the run
+## over the graph's rows to pick the same ids in the same order on
+## every engine, each result passing CheckDisC.
 ## FuzzDecode in internal/snap requires snap.Decode to reject or
 ## canonically re-encode any byte string, without panicking or
 ## allocating beyond a small multiple of the input. A failing input

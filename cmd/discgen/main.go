@@ -19,8 +19,8 @@
 // model widths), served under the cosine distance.
 //
 // With -format snap and -r > 0 the snapshot additionally carries the
-// prepared per-radius artifacts (grid occupancy and coverage-graph CSR
-// for grid-servable metrics), so loading it skips the index build for
+// prepared coverage-graph CSR (with the radius its grid was bucketed
+// at, for grid-servable metrics), so loading it skips the join for
 // selections at that radius.
 package main
 

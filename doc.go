@@ -157,8 +157,9 @@
 // restored without rebuilding its indexes: WriteSnapshot serialises the
 // dataset (metric plus row-major coordinates) together with whatever
 // per-radius artifacts the current backend holds — for
-// IndexCoverageGraph the coverage-graph CSR and the grid occupancy it
-// was joined on — plus the labels of a diversifier built by
+// IndexCoverageGraph the coverage-graph CSR and the radius its grid was
+// bucketed at, which the load re-buckets in O(n) — plus the labels of a
+// diversifier built by
 // NewFromDataset, and LoadDiversifier rehydrates them straight into the
 // lazy-engine machinery, so the first Select at the persisted radius
 // starts from the loaded graph instead of re-running the ε-join.
@@ -183,7 +184,7 @@
 // Updater maintains an r-DisC diverse selection under live inserts and
 // deletes on the same CSR substrate, under every metric: Insert splices
 // the new point into the CSR adjacency (finding its neighbours through
-// the grid occupancy for Euclidean, Manhattan and Chebyshev, by a scan
+// the mutable grid for Euclidean, Manhattan and Chebyshev, by a scan
 // of the live points otherwise) and queues it and its neighbours;
 // Delete unsplices the point and queues its former neighbours; Flush
 // replays the greedy from the queued objects, against the time every

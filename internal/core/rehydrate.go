@@ -18,19 +18,22 @@ func (g *ParallelGraphEngine) Grid() *grid.Grid { return g.hash }
 
 // RehydrateGraphEngine reassembles a ParallelGraphEngine from
 // deserialised parts: the coverage-graph CSR joined at radius r over
-// flat, rows sorted by id as snapshots store them, plus the grid
-// occupancy it was joined on — nil when the graph was flat-joined, whose
-// beyond-radius fallback queries are whole-dataset scans derived from
-// the dataset alone. A non-nil hash must be bucketed over flat. The CSR
-// is structurally validated first — a snapshot must never be able to
-// turn into out-of-range adjacency entries — and then its rows are
-// re-sorted in place by (distance, id), the order the engine serves
-// prefixes from; the engine takes ownership of csr. Everything else a
-// fresh build derives beyond the join itself (per-point degree counts
-// for CountingEngine, the grid's locality-preserving scan order) is
+// flat, rows sorted by id as snapshots store them, and the radius the
+// grid it was joined on was bucketed at — nil when the graph was
+// flat-joined, whose beyond-radius fallback queries are whole-dataset
+// scans derived from the dataset alone. The grid is re-bucketed at
+// exactly *gridR, which can be coarser than r (Rebuild keeps a grid
+// whose cells still cover a raised ceiling), so the cell order that
+// ScanOrder reports is the writer's. The CSR is structurally validated
+// first — a snapshot must never be able to turn into out-of-range
+// adjacency entries — and then its rows are re-sorted in place by
+// (distance, id), the order the engine serves prefixes from; the engine
+// takes ownership of csr. Everything else a fresh build derives beyond
+// the join itself (the grid, per-point degree counts for
+// CountingEngine, the grid's locality-preserving scan order) is
 // recomputed in O(n), which is what makes warm starts cheap: the
 // O(n + edges) join is replaced by a contiguous read and a per-row sort.
-func RehydrateGraphEngine(flat *object.FlatDataset, hash *grid.Grid, csr *grid.CSR, r float64, workers int) (*ParallelGraphEngine, error) {
+func RehydrateGraphEngine(flat *object.FlatDataset, gridR *float64, csr *grid.CSR, r float64, workers int) (*ParallelGraphEngine, error) {
 	if flat == nil || csr == nil {
 		return nil, fmt.Errorf("core: rehydrate graph engine: missing substrate")
 	}
@@ -38,13 +41,18 @@ func RehydrateGraphEngine(flat *object.FlatDataset, hash *grid.Grid, csr *grid.C
 	if err := csr.Validate(n, r); err != nil {
 		return nil, fmt.Errorf("core: rehydrate graph engine: %w", err)
 	}
+	var hash *grid.Grid
 	var scan []int
-	if hash != nil {
+	if gridR != nil {
+		var err error
+		if hash, err = grid.Build(flat, *gridR); err != nil {
+			return nil, fmt.Errorf("core: rehydrate graph engine: %w", err)
+		}
 		if !hash.Covers(r) {
-			// Adjacency joined at r must have come from an occupancy
-			// whose cell ring covers r (Join enforces it at build time);
-			// a finer grid cannot have produced this CSR.
-			return nil, fmt.Errorf("core: rehydrate graph engine: grid bucketed for %g cannot carry a graph joined at %g", hash.Radius(), r)
+			// Adjacency joined at r must have come from a grid whose
+			// cell ring covers r (Join enforces it at build time); a
+			// finer grid cannot have produced this CSR.
+			return nil, fmt.Errorf("core: rehydrate graph engine: grid bucketed for %g cannot carry a graph joined at %g", *gridR, r)
 		}
 		scan = hash.ScanOrder()
 	}

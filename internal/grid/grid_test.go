@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -353,5 +354,61 @@ func TestGridDuplicatesAndZeroRadius(t *testing.T) {
 	}
 	if csr.Degree(2) != 0 {
 		t.Fatalf("isolated point has degree %d", csr.Degree(2))
+	}
+}
+
+// TestCSRValidate: structural lies in a deserialised adjacency must be
+// rejected.
+func TestCSRValidate(t *testing.T) {
+	flat := randomFlat(t, 180, 2, object.Euclidean{}, 78)
+	g, err := Build(flat, 0.12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	csr, _, err := Join(g, 0.12, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := csr.Validate(flat.Len(), 0.12); err != nil {
+		t.Fatalf("genuine CSR rejected: %v", err)
+	}
+	if len(csr.Nbrs) == 0 {
+		t.Skip("degenerate workload: no edges")
+	}
+	clone := func() *CSR {
+		return &CSR{
+			Offsets: append([]int32(nil), csr.Offsets...),
+			Nbrs:    append([]object.Neighbor(nil), csr.Nbrs...),
+		}
+	}
+	row := 0
+	for csr.Degree(row) == 0 {
+		row++
+	}
+	first := int(csr.Offsets[row])
+	cases := []struct {
+		name   string
+		mutate func(*CSR)
+	}{
+		{"short offsets", func(c *CSR) { c.Offsets = c.Offsets[:len(c.Offsets)-1] }},
+		{"offsets overrun", func(c *CSR) { c.Offsets[len(c.Offsets)-1]++ }},
+		{"id out of range", func(c *CSR) { c.Nbrs[first].ID = flat.Len() }},
+		{"self loop", func(c *CSR) { c.Nbrs[first].ID = row }},
+		{"distance beyond radius", func(c *CSR) { c.Nbrs[first].Dist = 1e9 }},
+		{"NaN distance", func(c *CSR) { c.Nbrs[first].Dist = math.NaN() }},
+	}
+	for _, tc := range cases {
+		c := clone()
+		tc.mutate(c)
+		if err := c.Validate(flat.Len(), 0.12); err == nil {
+			t.Fatalf("%s: accepted", tc.name)
+		}
+	}
+	// Cosine and dot-product distances between parallel vectors round a
+	// few ulps below zero, so a negative distance is not corruption.
+	c := clone()
+	c.Nbrs[first].Dist = -0x1p-52
+	if err := c.Validate(flat.Len(), 0.12); err != nil {
+		t.Fatalf("negative distance rejected: %v", err)
 	}
 }

@@ -110,6 +110,39 @@ func (c *CSR) SortedByID(workers int) *CSR {
 	return out
 }
 
+// Validate checks the structural invariants of a deserialised CSR
+// adjacency for an n-point coverage graph built at radius r: the offsets
+// must be a nondecreasing span of the packed array, and every row must
+// hold strictly ascending neighbour ids in [0, n) excluding the row's
+// own id, with distances at most r. A negative distance is accepted:
+// cosine and dot-product distances between parallel vectors may round a
+// few ulps below zero. NaN is rejected by the comparison. O(edges).
+func (c *CSR) Validate(n int, r float64) error {
+	if len(c.Offsets) != n+1 {
+		return fmt.Errorf("grid: csr: %d offsets for %d points", len(c.Offsets), n)
+	}
+	if c.Offsets[0] != 0 || int(c.Offsets[n]) != len(c.Nbrs) {
+		return fmt.Errorf("grid: csr: offsets do not span the %d packed neighbours", len(c.Nbrs))
+	}
+	for id := 0; id < n; id++ {
+		lo, hi := c.Offsets[id], c.Offsets[id+1]
+		if lo > hi {
+			return fmt.Errorf("grid: csr: point %d has negative degree", id)
+		}
+		prev := -1
+		for _, nb := range c.Nbrs[lo:hi] {
+			if nb.ID <= prev || nb.ID >= n || nb.ID == id {
+				return fmt.Errorf("grid: csr: point %d has an invalid neighbour list", id)
+			}
+			prev = nb.ID
+			if !(nb.Dist <= r) {
+				return fmt.Errorf("grid: csr: point %d records neighbour %d at distance %g above %g", id, nb.ID, nb.Dist, r)
+			}
+		}
+	}
+	return nil
+}
+
 // edge is one undirected hit of the ε-join; it is scattered into the CSR
 // in both directions.
 type edge struct {

@@ -27,6 +27,7 @@ import (
 
 	disc "github.com/discdiversity/disc"
 	"github.com/discdiversity/disc/internal/faultio"
+	"github.com/discdiversity/disc/internal/telemetry"
 )
 
 const chaosRadius = 2.0
@@ -153,6 +154,26 @@ func (e *chaosEnv) waitReady(name string) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	e.t.Fatalf("dataset %q never returned to ready (state %s)", name, e.state(name))
+}
+
+// recoveries reads the process-wide disc_dataset_recoveries_total.
+func recoveries() uint64 {
+	return telemetry.Default().Counter("disc_dataset_recoveries_total", "").Value()
+}
+
+// waitFaultHandled waits until the supervisor has taken up a fault on
+// name: the dataset has left ready, or a recovery has completed since
+// the counter read before (a fast one can finish between two polls).
+func (e *chaosEnv) waitFaultHandled(name string, before uint64) {
+	e.t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		if recoveries() > before || e.state(name) != "ready" {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	e.t.Fatalf("dataset %q never took up the fault (state %s)", name, e.state(name))
 }
 
 // selection flushes and fetches the published selection ids.
@@ -287,6 +308,7 @@ func runTransientFault(t *testing.T, rule *faultio.Rule) {
 	stop := e.hammer("beta", "gamma")
 	defer stop()
 
+	before := recoveries()
 	sawFault := false
 	for i := 0; i < 20 && !sawFault; i++ {
 		if st := e.insert("alpha"); st == "indeterminate" {
@@ -299,6 +321,9 @@ func runTransientFault(t *testing.T, rule *faultio.Rule) {
 	if !sawFault {
 		t.Fatalf("fault %v never fired", rule)
 	}
+	// The supervisor learns of the poisoned log asynchronously: until it
+	// has, alpha still reads ready and would refuse the next insert.
+	e.waitFaultHandled("alpha", before)
 	e.waitReady("alpha")
 	e.verifyAckedPrefix("alpha")
 	if st := e.insert("alpha"); st != "acked" {

@@ -14,15 +14,20 @@ import (
 // accepts and re-encodes canonically — decoding that encoding and
 // writing it again reproduces it byte for byte. (The input itself may
 // differ from its encoding only where the format leaves the writer free:
-// section order, padding bytes, skipped unknown kinds.) Decode must
+// section order, padding bytes, skipped unknown kinds, and a retired
+// occupancy section re-encoded as its radius.) Decode must
 // also allocate no more than a small multiple of the input, however
 // large the counts the input declares. Each input is also decoded with
 // its checksums recomputed, so mutations reach the section decoders
 // instead of stopping at a CRC mismatch. The committed corpus under
-// testdata/fuzz/FuzzDecode holds Write's output for every section kind,
-// labels included, a snapshot written by the retired grid backend
-// (meta index "grid" with an occupancy and no graph), and one with the
-// retired components section (graph-components-labels).
+// testdata/fuzz/FuzzDecode holds Write's output — dataset-only,
+// labels-only, float32-cosine-graph, and gridradius (a graph joined at
+// 0.5 over a grid bucketed at 0) — plus three files written while Write
+// still emitted the grid occupancy (kind 3, now retired), which the
+// reader must keep accepting: walepoch (a durable checkpoint),
+// grid-retired (the retired grid backend's meta index "grid" with an
+// occupancy and no graph), and graph-components-labels (with the
+// retired components section, kind 5, too).
 func FuzzDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkDecode(t, data)

@@ -1,8 +1,11 @@
 // Package snap implements the .discsnap binary snapshot format: a
 // versioned, checksummed, little-endian container that persists a flat
-// dataset together with the prepared per-radius artifacts the engines
-// are expensive to rebuild — the grid occupancy and the coverage-graph
-// CSR — so a process can warm-start instead of re-deriving them.
+// dataset together with the coverage-graph CSR, the prepared per-radius
+// artifact the engines are expensive to rebuild, so a process can
+// warm-start instead of re-joining. The grid the graph was joined on is
+// not persisted: it is a pure function of the points, the metric and the
+// radius it was bucketed at, so a snapshot records that radius and the
+// loader re-buckets.
 //
 // # Layout
 //
@@ -21,25 +24,27 @@
 //
 // Section kinds of version 1: meta (1, index name and the build
 // parameters: seed, parallelism, M-tree capacity), dataset (2, metric
-// name plus the n×dim row-major coordinate array), grid (3, the
-// uniform-grid occupancy of internal/grid), graph (4, the
+// name plus the n×dim row-major coordinate array), graph (4, the
 // coverage-graph CSR with its build radius), dataset32 (6, the
 // float32-precision dataset: metric name, unpadded n×dim row-major
 // float32 coordinates, and — for the embedding metrics — the per-row
 // squared norms; written instead of kind 2 when the writer's dataset
 // is Float32), walepoch (7, the uint64 write-ahead-log epoch this
 // snapshot begins — written only by durable checkpoints; see
-// docs/DURABILITY.md), and labels (8, one display string per point:
+// docs/DURABILITY.md), labels (8, one display string per point:
 // uint64 count, which must equal the dataset's n, then count uint32
-// byte lengths, then the concatenated bytes). Kinds 6–8 were added
-// after version 1 shipped and are readable by all version-1 readers
-// through the unknown-kind skip; a reader too old to know kind 6 fails
-// a float32 snapshot safely with "no dataset section" rather than
-// misreading it. Kind 5 (the graph's connected-component labels) is
-// retired: nothing writes it any more, and readers skip it like an
-// unknown kind, after checking its checksum. Every multi-byte value is
-// little-endian; float64s and float32s are IEEE 754 bit patterns;
-// neighbour entries are (int64 id, float64 dist) pairs.
+// byte lengths, then the concatenated bytes), and gridradius (9, the
+// f64 radius the grid under a grid-joined graph was bucketed at).
+// Kinds 6–9 were added after version 1 shipped and are readable by all
+// version-1 readers through the unknown-kind skip; a reader too old to
+// know kind 6 fails a float32 snapshot safely with "no dataset section"
+// rather than misreading it. Kind 5 (the graph's connected-component
+// labels) is retired: nothing writes it any more, and readers skip it
+// like an unknown kind, after checking its checksum. Kind 3 (the grid
+// occupancy) is retired too: nothing writes it, and readers take only
+// its leading f64, the bucketing radius, as if it were kind 9. Every
+// multi-byte value is little-endian; float64s and float32s are IEEE 754
+// bit patterns; neighbour entries are (int64 id, float64 dist) pairs.
 //
 // # Versioning policy
 //
@@ -52,7 +57,7 @@
 //
 // # Decoding
 //
-// Decode aliases the large arrays (coordinates, occupancy, adjacency)
+// Decode aliases the large arrays (coordinates, adjacency)
 // directly into the byte buffer via unsafe.Slice — no per-element
 // copies — whenever the platform is little-endian and the in-memory
 // layout matches the wire layout (8-byte-aligned offsets are guaranteed
@@ -103,12 +108,14 @@ const (
 
 	kindMeta    = 1
 	kindDataset = 2
-	kindGrid    = 3
-	kindGraph   = 4
-	// Kind 5 is retired (see the package comment); do not reuse it.
-	kindDataset32 = 6
-	kindWALEpoch  = 7
-	kindLabels    = 8
+	// Kinds 3 and 5 are retired (see the package comment); do not
+	// reuse them. Kind 3 is still read for its radius.
+	kindGridRetired = 3
+	kindGraph       = 4
+	kindDataset32   = 6
+	kindWALEpoch    = 7
+	kindLabels      = 8
+	kindGridRadius  = 9
 )
 
 // castagnoli is the CRC-32C polynomial table; hardware-accelerated on
@@ -133,8 +140,8 @@ var neighborWireLayout = func() bool {
 		unsafe.Sizeof(int(0)) == 8
 }()
 
-// Snapshot is the in-memory form of a .discsnap file. Coords, Grid and
-// Graph may alias a decoded file buffer (see the package comment) and
+// Snapshot is the in-memory form of a .discsnap file. Coords and Graph
+// may alias a decoded file buffer (see the package comment) and
 // must be treated as read-only.
 type Snapshot struct {
 	// Index is the configured backend name ("mtree", "coverage-graph",
@@ -166,8 +173,13 @@ type Snapshot struct {
 	// decoded buffer.
 	Labels []string
 
-	// Grid, when non-nil, is the persisted uniform-grid occupancy.
-	Grid *grid.Parts
+	// GridRadius, when non-nil, is the radius the grid under the graph
+	// was bucketed at; nil when the graph was flat-joined. It can be
+	// coarser than GraphRadius (a raised ceiling keeps a grid whose
+	// cells still cover it), and loaders re-bucket at exactly this
+	// radius, since the grid's cell order decides scan-order selections.
+	// Decode passes the stored value through unchecked.
+	GridRadius *float64
 
 	// Graph, when non-nil, is the persisted coverage-graph adjacency,
 	// joined at GraphRadius.
@@ -218,17 +230,6 @@ func (s *Snapshot) validate() error {
 	for i, l := range s.Labels {
 		if uint64(len(l)) > math.MaxUint32 {
 			return fmt.Errorf("snap: label %d is %d bytes, more than its uint32 length can say", i, len(l))
-		}
-	}
-	if g := s.Grid; g != nil {
-		if len(g.Min) != s.Dim || len(g.ND) != s.Dim {
-			return fmt.Errorf("snap: grid layout dimensionality %d, dataset %d", len(g.ND), s.Dim)
-		}
-		if len(g.IDs) != s.N || len(g.CellOf) != s.N {
-			return fmt.Errorf("snap: grid occupancy sized for %d points, dataset has %d", len(g.IDs), s.N)
-		}
-		if len(g.Start) < 2 {
-			return fmt.Errorf("snap: grid directory has no cells")
 		}
 	}
 	if c := s.Graph; c != nil {
@@ -374,22 +375,6 @@ func Write(w io.Writer, s *Snapshot) error {
 				e.f64s(s.Coords)
 			}})
 	}
-	if g := s.Grid; g != nil {
-		secs = append(secs, section{kindGrid,
-			40 + 8*len(g.Min) + 4*(len(g.ND)+len(g.Start)+len(g.IDs)+len(g.CellOf)),
-			func(e *enc) {
-				e.f64(g.R)
-				e.f64(g.Cell)
-				e.u64(uint64(s.Dim))
-				e.u64(uint64(len(g.Start) - 1))
-				e.u64(uint64(s.N))
-				e.f64s(g.Min)
-				e.i32s(g.ND)
-				e.i32s(g.Start)
-				e.i32s(g.IDs)
-				e.i32s(g.CellOf)
-			}})
-	}
 	if c := s.Graph; c != nil {
 		secs = append(secs, section{kindGraph,
 			align8(8+8+8+4*len(c.Offsets)) + 16*len(c.Nbrs),
@@ -420,6 +405,12 @@ func Write(w io.Writer, s *Snapshot) error {
 			for _, x := range l {
 				e.off += copy(e.b[e.off:], x)
 			}
+		}})
+	}
+
+	if g := s.GridRadius; g != nil {
+		secs = append(secs, section{kindGridRadius, 8, func(e *enc) {
+			e.f64(*g)
 		}})
 	}
 
@@ -639,8 +630,8 @@ func decode(data []byte) (*Snapshot, error) {
 
 	s := &Snapshot{}
 	seen := map[uint32]bool{}
-	var gridSec, graphSec, labelSec *dec
-	var gridLen, graphLen, labelLen int
+	var graphSec, labelSec *dec
+	var graphLen, labelLen int
 	for i := 0; i < nsec; i++ {
 		t := &dec{b: data, off: headerSize + entrySize*i}
 		kind := t.u32()
@@ -723,10 +714,17 @@ func decode(data []byte) (*Snapshot, error) {
 				d.pad8()
 				s.SqNorms = d.f64s(s.N)
 			}
-		case kindGrid:
-			// Decoded after the loop: shape checks need the dataset
-			// section, which may come later in the table.
-			gridSec, gridLen = d, length
+		case kindGridRadius, kindGridRetired:
+			// A retired occupancy section opens with the same f64;
+			// its arrays are not read.
+			if length != 8 && (kind == kindGridRadius || length < 8) {
+				return nil, fmt.Errorf("snap: section kind %d is %d bytes, not a grid radius", kind, length)
+			}
+			if s.GridRadius != nil {
+				return nil, fmt.Errorf("snap: more than one grid radius section")
+			}
+			r := d.f64()
+			s.GridRadius = &r
 		case kindGraph:
 			graphSec, graphLen = d, length
 		case kindLabels:
@@ -751,31 +749,6 @@ func decode(data []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("snap: dataset section names no metric")
 	}
 
-	if d := gridSec; d != nil {
-		if gridLen < 40 {
-			return nil, fmt.Errorf("snap: grid section truncated")
-		}
-		g := &grid.Parts{}
-		g.R = d.f64()
-		g.Cell = d.f64()
-		dim64, ncells64, n64 := d.u64(), d.u64(), d.u64()
-		if dim64 != uint64(s.Dim) || n64 != uint64(s.N) {
-			return nil, fmt.Errorf("snap: grid section shape %dx%d does not match the dataset", n64, dim64)
-		}
-		if ncells64 == 0 || ncells64 > math.MaxInt32/4 {
-			return nil, fmt.Errorf("snap: implausible grid directory size %d", ncells64)
-		}
-		ncells := int(ncells64)
-		if gridLen != 40+8*s.Dim+4*(s.Dim+ncells+1+2*s.N) {
-			return nil, fmt.Errorf("snap: grid section length %d does not match its declared shape", gridLen)
-		}
-		g.Min = d.f64s(s.Dim)
-		g.ND = d.i32s(s.Dim)
-		g.Start = d.i32s(ncells + 1)
-		g.IDs = d.i32s(s.N)
-		g.CellOf = d.i32s(s.N)
-		s.Grid = g
-	}
 	if d := graphSec; d != nil {
 		if graphLen < 24 {
 			return nil, fmt.Errorf("snap: graph section truncated")

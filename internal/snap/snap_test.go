@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"math/rand/v2"
 	"os"
 	"slices"
@@ -18,9 +19,9 @@ import (
 )
 
 // buildSnapshot assembles a realistic snapshot over random clustered
-// points: dataset always, grid occupancy and coverage-graph CSR when
-// withGrid/withGraph are set (built by the real grid code so the
-// layouts are genuine).
+// points: dataset always, the grid radius and coverage-graph CSR when
+// withGrid/withGraph are set (the CSR joined by the real grid code so
+// the layout is genuine).
 func buildSnapshot(t *testing.T, n, dim int, r float64, seed uint64, withGrid, withGraph bool) *Snapshot {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(seed, seed))
@@ -52,8 +53,7 @@ func buildSnapshot(t *testing.T, n, dim int, r float64, seed uint64, withGrid, w
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := g.Parts()
-		s.Grid = &p
+		s.GridRadius = &r
 		if withGraph {
 			csr, _, err := grid.Join(g, r, 2)
 			if err != nil {
@@ -107,8 +107,11 @@ func TestRoundTripByteIdentity(t *testing.T) {
 			loaded.Metric != s.Metric || loaded.N != s.N || loaded.Dim != s.Dim {
 			t.Fatalf("case %d: metadata drifted: %+v", i, loaded)
 		}
-		if (loaded.Grid != nil) != tc.withGrid || (loaded.Graph != nil) != tc.withGraph {
+		if (loaded.GridRadius != nil) != tc.withGrid || (loaded.Graph != nil) != tc.withGraph {
 			t.Fatalf("case %d: section presence drifted", i)
+		}
+		if tc.withGrid && *loaded.GridRadius != tc.r {
+			t.Fatalf("case %d: grid radius %g, want %g", i, *loaded.GridRadius, tc.r)
 		}
 		if tc.withGraph && loaded.GraphRadius != s.GraphRadius {
 			t.Fatalf("case %d: graph radius %g, want %g", i, loaded.GraphRadius, s.GraphRadius)
@@ -130,13 +133,8 @@ func TestRoundTripValues(t *testing.T) {
 			t.Fatalf("coord %d: %g != %g", i, loaded.Coords[i], v)
 		}
 	}
-	if loaded.Grid.R != s.Grid.R || loaded.Grid.Cell != s.Grid.Cell {
-		t.Fatalf("grid params drifted")
-	}
-	for i, v := range s.Grid.IDs {
-		if loaded.Grid.IDs[i] != v {
-			t.Fatalf("grid id %d drifted", i)
-		}
+	if *loaded.GridRadius != *s.GridRadius {
+		t.Fatalf("grid radius drifted")
 	}
 	for i, v := range s.Graph.Offsets {
 		if loaded.Graph.Offsets[i] != v {
@@ -253,15 +251,12 @@ func TestWriterValidation(t *testing.T) {
 		func(s *Snapshot) { s.Metric = "" },
 		func(s *Snapshot) { s.N = 0 },
 		func(s *Snapshot) { s.Coords = s.Coords[:len(s.Coords)-1] },
-		func(s *Snapshot) { s.Grid.IDs = s.Grid.IDs[:10] },
-		func(s *Snapshot) { s.Grid.Min = s.Grid.Min[:1] },
 		func(s *Snapshot) { s.Graph.Offsets = s.Graph.Offsets[:5] },
 	}
 	for i, mutate := range cases {
 		bad := *good
-		gridCopy := *good.Grid
 		graphCopy := *good.Graph
-		bad.Grid, bad.Graph = &gridCopy, &graphCopy
+		bad.Graph = &graphCopy
 		mutate(&bad)
 		if err := Write(&bytes.Buffer{}, &bad); err == nil {
 			t.Fatalf("case %d: writer accepted an inconsistent snapshot", i)
@@ -276,21 +271,7 @@ func TestWriterValidation(t *testing.T) {
 // graph-components-labels FuzzDecode corpus entry, which Write produced
 // with the section.
 func TestComponentsSectionConsistency(t *testing.T) {
-	raw, err := os.ReadFile("testdata/fuzz/FuzzDecode/graph-components-labels")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.SplitN(string(raw), "\n", 2)
-	body := strings.TrimSuffix(strings.TrimSpace(lines[1]), ")")
-	quoted, ok := strings.CutPrefix(body, "[]byte(")
-	if !ok {
-		t.Fatalf("corpus entry is not a []byte value: %.40q", body)
-	}
-	unquoted, err := strconv.Unquote(quoted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := []byte(unquoted)
+	data := corpusEntry(t, "graph-components-labels")
 	const retiredComponents = 5
 	if !hasSection(data, retiredComponents) {
 		t.Fatal("corpus entry carries no components section")
@@ -300,7 +281,7 @@ func TestComponentsSectionConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatalf("snapshot with a components section rejected: %v", err)
 	}
-	if s.Graph == nil || s.Grid == nil || s.N == 0 {
+	if s.Graph == nil || s.GridRadius == nil || s.N == 0 {
 		t.Fatalf("sections lost alongside the skipped one: %+v", s)
 	}
 	again := encode(t, s)
@@ -324,29 +305,123 @@ func TestComponentsSectionConsistency(t *testing.T) {
 	}
 }
 
-// hasSection reports whether data's section table lists kind.
-func hasSection(data []byte, kind uint32) bool {
-	nsec := int(binary.LittleEndian.Uint32(data[12:]))
-	for i := 0; i < nsec; i++ {
-		if binary.LittleEndian.Uint32(data[headerSize+entrySize*i:]) == kind {
-			return true
+// corpusEntry returns the bytes of a committed FuzzDecode corpus entry.
+func corpusEntry(t *testing.T, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/fuzz/FuzzDecode/" + name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitN(string(raw), "\n", 2)
+	body := strings.TrimSuffix(strings.TrimSpace(lines[1]), ")")
+	quoted, ok := strings.CutPrefix(body, "[]byte(")
+	if !ok {
+		t.Fatalf("corpus entry is not a []byte value: %.40q", body)
+	}
+	unquoted, err := strconv.Unquote(quoted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []byte(unquoted)
+}
+
+// TestRetiredGridSection: a snapshot written while the writer still
+// persisted the grid occupancy (kind 3, now retired) decodes with only
+// the section's leading radius read, and re-encodes it as a gridradius
+// section (kind 9). The files are the committed FuzzDecode corpus
+// entries that Write produced with the occupancy.
+func TestRetiredGridSection(t *testing.T) {
+	for _, name := range []string{"grid-retired", "graph-components-labels"} {
+		data := corpusEntry(t, name)
+		if !hasSection(data, kindGridRetired) {
+			t.Fatalf("%s: corpus entry carries no occupancy section", name)
+		}
+		want := math.Float64frombits(binary.LittleEndian.Uint64(data[sectionOffset(data, kindGridRetired):]))
+		s, err := Decode(append([]byte(nil), data...))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if s.GridRadius == nil || *s.GridRadius != want {
+			t.Fatalf("%s: grid radius %v, want %g", name, s.GridRadius, want)
+		}
+		again := encode(t, s)
+		if hasSection(again, kindGridRetired) || !hasSection(again, kindGridRadius) {
+			t.Fatalf("%s: re-encoding did not replace the occupancy with a grid radius", name)
+		}
+		if len(again) >= len(data) {
+			t.Fatalf("%s: re-encoding is %d bytes, the original %d", name, len(again), len(data))
 		}
 	}
-	return false
 }
+
+// TestGridRadiusSectionShape: a gridradius section is exactly one f64,
+// and a file may not carry it twice — neither as two kind-9 sections
+// nor as kind 9 alongside a retired kind 3.
+func TestGridRadiusSectionShape(t *testing.T) {
+	data := encode(t, buildSnapshot(t, 40, 2, 0.2, 31, true, true))
+	if !hasSection(data, kindGridRadius) {
+		t.Fatal("no gridradius section written")
+	}
+	// Retag the graph section as a gridradius section: 9 bytes or more,
+	// not 8.
+	long := append([]byte(nil), data...)
+	retag(long, kindGraph, kindGridRadius)
+	if _, err := Decode(long); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("oversized gridradius section: err = %v, want ErrCorrupt", err)
+	}
+	// Retag the graph section as a retired occupancy: a second radius.
+	both := append([]byte(nil), data...)
+	retag(both, kindGraph, kindGridRetired)
+	if _, err := Decode(both); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("gridradius plus occupancy: err = %v, want ErrCorrupt", err)
+	}
+	// A retired occupancy too short to hold its radius.
+	short := append([]byte(nil), data...)
+	retag(short, kindGridRadius, kindGridRetired)
+	patchLength(short, kindGridRetired, 4)
+	if _, err := Decode(short); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("4-byte occupancy section: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// sectionEntry returns the offset of the section-table entry of the
+// first section of kind, or -1.
+func sectionEntry(data []byte, kind uint32) int {
+	nsec := int(binary.LittleEndian.Uint32(data[12:]))
+	for i := 0; i < nsec; i++ {
+		if entry := headerSize + entrySize*i; binary.LittleEndian.Uint32(data[entry:]) == kind {
+			return entry
+		}
+	}
+	return -1
+}
+
+// sectionOffset returns the payload offset of the first section of kind.
+func sectionOffset(data []byte, kind uint32) int {
+	return int(binary.LittleEndian.Uint64(data[sectionEntry(data, kind)+8:]))
+}
+
+// retag relabels the first section of kind from as kind to and reseals
+// the table.
+func retag(data []byte, from, to uint32) {
+	binary.LittleEndian.PutUint32(data[sectionEntry(data, from):], to)
+	retable(data)
+}
+
+// patchLength shortens the first section of kind to length bytes,
+// resealing its checksum and the table's.
+func patchLength(data []byte, kind uint32, length int) {
+	entry := sectionEntry(data, kind)
+	binary.LittleEndian.PutUint64(data[entry+16:], uint64(length))
+	reseal(data, entry)
+}
+
+// hasSection reports whether data's section table lists kind.
+func hasSection(data []byte, kind uint32) bool { return sectionEntry(data, kind) >= 0 }
 
 // flipSection flips one payload byte of the first section of kind
 // without resealing its checksum.
-func flipSection(data []byte, kind uint32) {
-	nsec := int(binary.LittleEndian.Uint32(data[12:]))
-	for i := 0; i < nsec; i++ {
-		entry := headerSize + entrySize*i
-		if binary.LittleEndian.Uint32(data[entry:]) == kind {
-			data[binary.LittleEndian.Uint64(data[entry+8:])] ^= 0x01
-			return
-		}
-	}
-}
+func flipSection(data []byte, kind uint32) { data[sectionOffset(data, kind)] ^= 0x01 }
 
 // TestUnknownSectionSkipped: a reader must skip section kinds it does
 // not know — the forward-compatibility contract that lets future
@@ -475,7 +550,7 @@ func TestRoundTripFloat32(t *testing.T) {
 		if (loaded.Graph != nil) != tc.withGraph {
 			t.Fatalf("case %d: graph presence drifted", i)
 		}
-		if tc.withGraph && loaded.Grid != nil {
+		if tc.withGraph && loaded.GridRadius != nil {
 			t.Fatalf("case %d: grid section appeared from nowhere", i)
 		}
 	}
@@ -583,18 +658,20 @@ func TestLabelsSection(t *testing.T) {
 // structurally valid file that lies about its contents.
 func patchSection(t *testing.T, data []byte, kind uint32, edit func(payload []byte)) {
 	t.Helper()
-	nsec := int(binary.LittleEndian.Uint32(data[12:]))
-	for i := 0; i < nsec; i++ {
-		entry := headerSize + entrySize*i
-		if binary.LittleEndian.Uint32(data[entry:]) != kind {
-			continue
-		}
-		off := int(binary.LittleEndian.Uint64(data[entry+8:]))
-		length := int(binary.LittleEndian.Uint64(data[entry+16:]))
-		edit(data[off : off+length])
-		binary.LittleEndian.PutUint32(data[entry+4:], crc32.Checksum(data[off:off+length], castagnoli))
-		retable(data)
-		return
+	entry := sectionEntry(data, kind)
+	if entry < 0 {
+		t.Fatalf("no section of kind %d", kind)
 	}
-	t.Fatalf("no section of kind %d", kind)
+	off := int(binary.LittleEndian.Uint64(data[entry+8:]))
+	edit(data[off : off+int(binary.LittleEndian.Uint64(data[entry+16:]))])
+	reseal(data, entry)
+}
+
+// reseal recomputes the payload checksum of the section at table entry
+// and the table's.
+func reseal(data []byte, entry int) {
+	off := binary.LittleEndian.Uint64(data[entry+8:])
+	length := binary.LittleEndian.Uint64(data[entry+16:])
+	binary.LittleEndian.PutUint32(data[entry+4:], crc32.Checksum(data[off:off+length], castagnoli))
+	retable(data)
 }

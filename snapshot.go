@@ -38,9 +38,10 @@ func (d *Diversifier) Prepare(r float64) error {
 // M-tree capacity), plus whatever prepared per-radius artifacts the
 // current engine holds — for IndexCoverageGraph the ceiling graph
 // (rows sorted by id, as CSR.Validate checks them; the load restores
-// distance order), together with the grid occupancy when the graph was
-// grid-joined (the flat-join substrate has no occupancy
-// to persist). Views below the ceiling are not persisted: they are
+// distance order), together with the radius its grid was bucketed at
+// when the graph was grid-joined (the load re-buckets the grid there;
+// the flat-join substrate has no grid). Views below the ceiling are
+// not persisted: they are
 // re-derived from the graph on demand. Backends that rebuild cheaply
 // or deterministically from the dataset (M-tree and linear scan)
 // persist the dataset only and are rebuilt on load.
@@ -60,8 +61,8 @@ func (d *Diversifier) WriteSnapshot(w io.Writer) error {
 	switch e := d.engine.(type) {
 	case *core.ParallelGraphEngine:
 		if e.GridJoined() {
-			p := e.Grid().Parts()
-			s.Grid = &p
+			r := e.Grid().Radius()
+			s.GridRadius = &r
 		}
 		s.Graph = e.CSR().SortedByID(e.Workers())
 		s.GraphRadius = e.Radius()
@@ -177,19 +178,14 @@ func LoadDiversifier(r io.Reader, opts ...Option) (*Diversifier, error) {
 	}
 
 	// Rehydrate a persisted coverage graph when the chosen backend can
-	// use it; FromParts and RehydrateGraphEngine revalidate every
-	// structural invariant, so a logically inconsistent snapshot fails
-	// here instead of answering queries wrongly. An occupancy without a
-	// graph (written by the retired grid backend) is ignored, and so is
-	// a graph whose occupancy the metric cannot use: both build lazily.
-	if o.index == IndexCoverageGraph && s.Graph != nil && (s.Grid == nil || grid.Supports(o.metric)) {
-		var h *grid.Grid
-		if s.Grid != nil {
-			if h, err = grid.FromParts(flat, *s.Grid); err != nil {
-				return nil, fmt.Errorf("disc: load: %w", err)
-			}
-		}
-		e, err := core.RehydrateGraphEngine(flat, h, s.Graph, s.GraphRadius, o.parallelism)
+	// use it; RehydrateGraphEngine revalidates the graph and re-buckets
+	// its grid, refusing a grid radius that could not have carried the
+	// graph, so a logically inconsistent snapshot fails here instead of
+	// answering queries wrongly. A grid radius without a graph (written
+	// by the retired grid backend) is ignored, and so is a graph whose
+	// grid the metric cannot use: both build lazily.
+	if o.index == IndexCoverageGraph && s.Graph != nil && (s.GridRadius == nil || grid.Supports(o.metric)) {
+		e, err := core.RehydrateGraphEngine(flat, s.GridRadius, s.Graph, s.GraphRadius, o.parallelism)
 		if err != nil {
 			return nil, fmt.Errorf("disc: load: %w", err)
 		}

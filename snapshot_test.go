@@ -2,11 +2,13 @@ package disc
 
 import (
 	"bytes"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"testing"
 
 	"github.com/discdiversity/disc/internal/core"
+	"github.com/discdiversity/disc/internal/grid"
 	"github.com/discdiversity/disc/internal/object"
 	"github.com/discdiversity/disc/internal/snap"
 )
@@ -348,8 +350,7 @@ func TestSnapshotBuildParamsPersisted(t *testing.T) {
 // retired backend loads onto the backend that replaced it and selects
 // exactly the ids a fresh select on that backend does — "rtree" and
 // "vptree" onto the M-tree, and "grid" onto the coverage graph, which
-// ignores the grid-only occupancy section such a file carries and
-// builds lazily.
+// ignores a grid section without a graph and builds lazily.
 func TestSnapshotRetiredIndexLoads(t *testing.T) {
 	pts := snapshotTestPoints(400, 2, 48)
 	for _, tc := range []struct {
@@ -364,7 +365,7 @@ func TestSnapshotRetiredIndexLoads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Prepare gives the coverage graph an occupancy to persist; the
+		// Prepare gives the coverage graph a grid to persist; the
 		// retired grid backend wrote that section and nothing else.
 		if err := fresh.Prepare(0.12); err != nil {
 			t.Fatal(err)
@@ -379,8 +380,8 @@ func TestSnapshotRetiredIndexLoads(t *testing.T) {
 		}
 		parsed.Index = tc.name
 		if tc.name == "grid" {
-			if parsed.Grid == nil {
-				t.Fatal("prepared coverage graph persisted no occupancy")
+			if parsed.GridRadius == nil {
+				t.Fatal("prepared coverage graph persisted no grid radius")
 			}
 			parsed.Graph, parsed.GraphRadius = nil, 0
 		}
@@ -396,7 +397,7 @@ func TestSnapshotRetiredIndexLoads(t *testing.T) {
 			t.Fatalf("%s: loaded onto %v, want %v", tc.name, loaded.Indexed(), tc.want)
 		}
 		if tc.name == "grid" && loaded.engine != nil {
-			t.Fatalf("grid: occupancy-only snapshot rehydrated %T", loaded.engine)
+			t.Fatalf("grid: graph-less snapshot rehydrated %T", loaded.engine)
 		}
 		for _, r := range []float64{0.05, 0.12} {
 			want, err := fresh.Select(r)
@@ -481,7 +482,7 @@ func TestSnapshotWithoutArtifacts(t *testing.T) {
 // float32 coordinates (and, for the embedding metrics, the squared-norm
 // cache) and load back at the same precision with bit-identical
 // selections — including the flat-joined coverage graph, which has no
-// grid occupancy to persist and must rehydrate from the CSR alone.
+// grid to persist and must rehydrate from the CSR alone.
 func TestSnapshotFloat32RoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -606,5 +607,139 @@ func TestSnapshotFlatGraphWarmStart(t *testing.T) {
 	}
 	if loaded.engine != before {
 		t.Fatal("Select at the prepared radius rebuilt the engine")
+	}
+}
+
+// TestSnapshotKeepsCoarseGrid: raising the ceiling from 0 to 0.5 keeps
+// the grid bucketed at 0, whose unit cells still cover 0.5, so the
+// snapshot must carry that bucketing radius rather than the graph's:
+// re-bucketing at 0.5 changes the cell order, and with it every
+// selection that walks ScanOrder. The loaded copy must match the writer
+// on scan order, Basic-DisC, plain Zoom-In and local zoom-in, and
+// re-save to the same bytes.
+func TestSnapshotKeepsCoarseGrid(t *testing.T) {
+	pts := snapshotTestPoints(300, 2, 53)
+	d, err := New(pts, WithIndex(IndexCoverageGraph))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []float64{0, 0.5} {
+		if _, err := d.Select(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, ok := d.engine.(*core.ParallelGraphEngine)
+	if !ok || g.Grid() == nil || g.Grid().Radius() != 0 || g.Radius() != 0.5 {
+		t.Fatal("the raised ceiling did not keep the grid bucketed at 0")
+	}
+	// The workload must tell the two bucketing radii apart.
+	fine, err := grid.Build(d.flat, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.Equal(fine.ScanOrder(), g.ScanOrder()) {
+		t.Fatal("grids bucketed at 0 and 0.5 scan in the same order")
+	}
+
+	var buf bytes.Buffer
+	if err := d.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadDiversifier(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lg, ok := loaded.engine.(*core.ParallelGraphEngine)
+	if !ok {
+		t.Fatalf("rehydrated engine is %T", loaded.engine)
+	}
+	if !slices.Equal(lg.ScanOrder(), g.ScanOrder()) {
+		t.Fatal("loaded scan order differs from the writer's")
+	}
+
+	type answers struct{ basic, zoom, local, localGreedy []int }
+	ask := func(d *Diversifier) answers {
+		t.Helper()
+		basic, err := d.Select(0.5, WithAlgorithm(AlgorithmBasic))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := d.engineForRadius(0.25, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zoom, err := core.ZoomIn(e, basic.sol.Clone(), 0.25, false, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		center := basic.IDs()[0]
+		local, err := core.LocalZoomIn(e, basic.sol.Clone(), center, 0.25, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		localGreedy, err := d.LocalZoomIn(basic, center, 0.25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return answers{basic.IDs(), zoom.IDs, local.Final, localGreedy.Representatives}
+	}
+	want, got := ask(d), ask(loaded)
+	for _, c := range []struct {
+		name      string
+		want, got []int
+	}{
+		{"Basic-DisC", want.basic, got.basic},
+		{"plain Zoom-In", want.zoom, got.zoom},
+		{"plain local zoom-in", want.local, got.local},
+		{"LocalZoomIn", want.localGreedy, got.localGreedy},
+	} {
+		if !slices.Equal(c.want, c.got) {
+			t.Fatalf("%s: loaded copy answers %v, writer %v", c.name, c.got, c.want)
+		}
+	}
+
+	var again bytes.Buffer
+	if err := loaded.WriteSnapshot(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), buf.Bytes()) {
+		t.Fatal("re-saved snapshot differs from the original")
+	}
+}
+
+// TestSnapshotBadGridRadiusRefused: a grid radius the graph could not
+// have been joined on — NaN, negative, infinite, or too fine for its
+// cells to cover the graph radius — fails the load with an error.
+func TestSnapshotBadGridRadiusRefused(t *testing.T) {
+	pts := snapshotTestPoints(300, 2, 59)
+	d, err := New(pts, WithIndex(IndexCoverageGraph))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Prepare(0.1); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := d.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// 0.001 doubles to cells of 1/32 at most under 300 points' cell cap,
+	// too fine to cover 0.1.
+	for _, bad := range []float64{math.NaN(), -0.1, math.Inf(1), 0.001} {
+		s, err := snap.Read(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.GridRadius == nil {
+			t.Fatal("prepared coverage graph persisted no grid radius")
+		}
+		s.GridRadius = &bad
+		var tampered bytes.Buffer
+		if err := snap.Write(&tampered, s); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadDiversifier(bytes.NewReader(tampered.Bytes())); err == nil {
+			t.Fatalf("grid radius %g accepted for a graph joined at 0.1", bad)
+		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"github.com/discdiversity/disc/internal/core"
-	"github.com/discdiversity/disc/internal/grid"
 	"github.com/discdiversity/disc/internal/object"
 	"github.com/discdiversity/disc/internal/snap"
 	"github.com/discdiversity/disc/internal/vfs"
@@ -22,7 +21,7 @@ import (
 // run from the objects the mutations touched until it agrees with
 // that record again. It is built on the same
 // substrate as IndexCoverageGraph — spliced CSR adjacency and a mutable
-// grid occupancy for Euclidean, Manhattan and Chebyshev — and is
+// grid for Euclidean, Manhattan and Chebyshev — and is
 // property-tested to stay exactly equivalent to a
 // rebuild under every built-in metric: after Flush, the selection is
 // the one a coverage-graph Select(r) would compute over the current
@@ -260,9 +259,9 @@ func (u *Updater) Verify() error {
 // WriteSnapshot persists the updater's compacted state to the .discsnap
 // format (see docs/SNAPSHOT_FORMAT.md): tombstones are squeezed out, so
 // the snapshot carries the live points densely re-identified in
-// ascending id order, together with the grid occupancy (Lp metrics
-// only) and the coverage CSR, so LoadDiversifier warm-starts from it
-// without a join.
+// ascending id order, together with the coverage CSR and, for Lp
+// metrics, the updater's radius as the grid's bucketing radius, so
+// LoadDiversifier warm-starts from it without a join.
 //
 // Snapshotting unflushed writes would persist a selection they have
 // already invalidated, so WriteSnapshot refuses while Pending > 0; call
@@ -295,14 +294,10 @@ func (u *Updater) buildSnapshot() (*snap.Snapshot, []int32, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("disc: snapshot: %w", err)
 	}
-	var parts *grid.Parts
+	var gridR *float64
 	if u.live.Gridded() {
-		g, err := grid.Build(flat, u.live.Radius())
-		if err != nil {
-			return nil, nil, fmt.Errorf("disc: snapshot: %w", err)
-		}
-		p := g.Parts()
-		parts = &p
+		r := u.live.Radius()
+		gridR = &r
 	}
 	return &snap.Snapshot{
 		Index:       IndexCoverageGraph.String(),
@@ -313,7 +308,7 @@ func (u *Updater) buildSnapshot() (*snap.Snapshot, []int32, error) {
 		N:           flat.Len(),
 		Dim:         flat.Dim(),
 		Coords:      flat.Coords(),
-		Grid:        parts,
+		GridRadius:  gridR,
 		GraphRadius: u.live.Radius(),
 		Graph:       csr,
 	}, remap, nil

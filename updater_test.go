@@ -267,8 +267,8 @@ func TestUpdaterSnapshotNonLp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Grid != nil || s.Graph == nil {
-		t.Fatalf("snapshot has grid %v, graph %v; want a graph and no grid", s.Grid != nil, s.Graph != nil)
+	if s.GridRadius != nil || s.Graph == nil {
+		t.Fatalf("snapshot has grid %v, graph %v; want a graph and no grid", s.GridRadius != nil, s.Graph != nil)
 	}
 	d, err := disc.LoadDiversifier(bytes.NewReader(data))
 	if err != nil {
