@@ -48,9 +48,10 @@
 // Select runs the Greedy-DisC family on whichever engine serves the
 // radius. On the coverage graph (IndexCoverageGraph below the adjacency
 // budget) it is one sequential pruned greedy over the graph's rows (or
-// a cached row-prefix view of them) popping (count desc, id asc) from a
-// bucket queue; on every other engine it is the paper's global run over
-// range queries. Both select the same ids in the same order; the
+// a cached row-prefix view of them); on every other engine it is the
+// paper's global run over range queries. Both pop (count desc, id asc)
+// from the same bucket queue with deferred invalidation, the structure
+// every greedy run in the module keeps the paper's list L′ in. Both select the same ids in the same order; the
 // coverage-graph run also reports exact distances to the nearest
 // representative. AlgorithmLazyWhite, whose 1.5r refresh queries the
 // r-adjacency cannot answer, runs the global path on every engine.
@@ -117,8 +118,8 @@
 // scan, grid, coverage graph) additionally store coordinates
 // in one contiguous row-major array; the M-tree keeps its dynamic
 // per-node layout and gains the kernels only. Every neighbourhood query
-// also has a buffer-reusing form (NeighborsAppend-style) that extends a
-// caller-owned slice, and the selection/zoom algorithms thread one
+// of the engines under the Diversifier extends a caller-owned slice
+// (NeighborsAppend-style), and the selection/zoom algorithms thread one
 // scratch buffer per query role through their loops: in steady state a
 // selection performs zero allocations per query.
 //
@@ -126,8 +127,8 @@
 // the destination buffer, so its contents are invalidated by the next
 // appending call that reuses the same buffer (the algorithms' internal
 // scratch is reused on every iteration). Callers that retain a
-// neighbourhood across queries must copy it out. The allocating forms
-// (Neighbors, NeighborsWhite) return fresh slices and are unaffected.
+// neighbourhood across queries must copy it out, or query into a nil
+// buffer.
 //
 // # High-dimensional embeddings
 //

@@ -12,11 +12,11 @@ import (
 
 // GreedyDisCComponents is Greedy-DisC run over the materialised
 // r-adjacency in CSR form: one sequential pruned greedy that pops
-// (count desc, id asc) from a bucketQueue, so it selects GreedyDisC's
-// ids in GreedyDisC's order. The name is historical: picks in one
-// connected component never change white counts in another, so the
-// run needs no component decomposition to select what per-component
-// runs would.
+// (count desc, id asc) from a bucketQueue, as GreedyDisC does, so it
+// selects GreedyDisC's ids in GreedyDisC's order. The name is
+// historical: picks in one connected component never change white
+// counts in another, so the run needs no component decomposition to
+// select what per-component runs would.
 //
 // The coverage-graph engine serves its materialised graph directly (or
 // a cached row-prefix view of it); every other engine pays one range
@@ -88,10 +88,8 @@ func newAdjGreedy(n int) *adjGreedy {
 // start at the exact degrees; each pick greys its white neighbours and
 // decrements, for every white object within updR of a new grey, its
 // count — the grey update of the global algorithm. Decrements touch
-// only the count array: a popped entry whose key went stale re-enters
-// the queue at its current count (the deferred invalidation
-// bucketQueue is built for), so the queue sees one push per object
-// plus one per stale pop instead of one per decrement.
+// only the count array; popLive re-enters a stale entry at its current
+// count, as in every other greedy run.
 func (g *adjGreedy) run(csr *grid.CSR, updR float64, s *Solution, ids []int) ([]int, int64) {
 	var acc int64
 	for id := range g.nw {
@@ -102,17 +100,9 @@ func (g *adjGreedy) run(csr *grid.CSR, updR float64, s *Solution, ids []int) ([]
 	}
 	g.q.start()
 	for {
-		id32, key, ok := g.q.pop()
+		pi, ok := popLive(&g.q, g.nw, g.white.Test)
 		if !ok {
 			break
-		}
-		pi := int(id32)
-		if !g.white.Test(pi) {
-			continue
-		}
-		if int(g.nw[pi]) != key {
-			g.q.push(id32, int(g.nw[pi]))
-			continue
 		}
 		g.white.Clear(pi)
 		s.Colors[pi] = Black

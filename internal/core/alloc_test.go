@@ -147,23 +147,32 @@ func TestLiveSelectionZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestLazyHeapZeroAlloc: pushes within capacity and pops must not
-// allocate (the former container/heap implementation boxed every item).
-func TestLazyHeapZeroAlloc(t *testing.T) {
-	h := newLazyHeap(1024)
+// TestBucketQueueZeroAlloc: refilling and draining a queue that has
+// been drained once reuses its bucket storage and allocates nothing,
+// stale re-entries included.
+func TestBucketQueueZeroAlloc(t *testing.T) {
+	var q bucketQueue
 	counts := make([]int, 256)
-	for i := range counts {
-		counts[i] = i % 17
-		h.push(i, counts[i])
+	live := func(int) bool { return true }
+	round := func() {
+		for i := range counts {
+			counts[i] = i % 17
+			q.push(int32(len(counts)-1-i), counts[i])
+		}
+		q.start()
+		for {
+			id, ok := popLive(&q, counts, live)
+			if !ok {
+				break
+			}
+			// Stale the next object's key so it re-enters lower.
+			if next := (id + 1) % len(counts); counts[next] > 0 {
+				counts[next]--
+			}
+		}
 	}
-	valid := func(id, key int) bool { return counts[id] == key }
-	i := 0
-	allocs := testing.AllocsPerRun(100, func() {
-		h.push(i%256, counts[i%256])
-		h.popValid(valid)
-		i++
-	})
-	if allocs != 0 {
-		t.Errorf("lazyHeap allocates %.1f/op", allocs)
+	round()
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Errorf("bucketQueue refill allocates %.1f/op", allocs)
 	}
 }

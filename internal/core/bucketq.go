@@ -2,20 +2,22 @@ package core
 
 import "slices"
 
-// bucketQueue is the priority structure of the greedy runs over an
-// adjacency (adjGreedy.run, LiveDisC.run), an order-equivalent
-// replacement for lazyHeap. It exploits two properties of the pruned
-// greedy: keys (white-neighbour counts) are small non-negative integers
-// that only ever decrease, and the pop order is (key desc, id asc) with
-// deferred invalidation — a stale pop re-enters at its current, strictly
-// lower key. An entry popped with a stale key still dominates every
-// live key below it, so re-entering it before acting preserves the
-// exact (key desc, id asc) selection order while skipping the
-// per-decrement pushes lazyHeap.popValid relies on. Under that protocol a bucket never receives an element at
+// bucketQueue is L′, the paper's priority list of white-neighbourhood
+// sizes, for every greedy run in this package: Greedy-DisC over an
+// engine or an adjacency, the live run, Greedy-C and Fast-C, the
+// greedy zooms (global and local) and greedy multi-radius DisC. It
+// exploits two properties of those runs: keys (neighbourhood counts)
+// are small non-negative integers that only ever decrease, and the pop
+// order is (key desc, id asc) with deferred invalidation — a decrement
+// writes only the caller's count array, and an entry popped with a
+// stale key re-enters at its current, strictly lower key (popLive). An
+// entry popped with a stale key still dominates every live key below
+// it, so re-entering it before acting preserves the exact (key desc,
+// id asc) selection order with one push per candidate plus one per
+// stale pop. Under that protocol a bucket never receives an element at
 // or above the bucket currently draining, so every bucket's membership
 // is complete before its first pop: sorting it once at drain start
-// reproduces the heap's global (key desc, id asc) order exactly, with
-// O(1) pushes instead of O(log n) sift operations.
+// gives the global (key desc, id asc) order exactly, with O(1) pushes.
 //
 // The zero value is ready to use; a drained queue is empty and can be
 // refilled, retaining its bucket storage.
@@ -64,9 +66,9 @@ func (q *bucketQueue) start() {
 	q.sortBucket(q.cur)
 }
 
-// pop returns the (max key, min id) element under the deferred-
-// invalidation protocol, or ok=false when the queue is exhausted (which
-// also resets it for the next fill).
+// pop returns the (max key, min id) entry, or ok=false when the queue
+// is exhausted (which also resets it for the next fill). Callers go
+// through popLive, which keeps the deferred-invalidation protocol.
 func (q *bucketQueue) pop() (id int32, key int, ok bool) {
 	for q.cur >= 0 {
 		if q.cur < len(q.buckets) {
@@ -85,4 +87,27 @@ func (q *bucketQueue) pop() (id int32, key int, ok bool) {
 	q.maxKey = 0
 	q.cur = -1
 	return 0, 0, false
+}
+
+// popLive returns the live candidate with the largest current count,
+// ties to the smaller id: a popped entry whose object live rejects is
+// dropped, and one whose key no longer equals counts[id] re-enters at
+// its current count. live must stay false once it turns false, and
+// counts may only decrease. ok is false when no candidate is left.
+func popLive[C int | int32](q *bucketQueue, counts []C, live func(id int) bool) (id int, ok bool) {
+	for {
+		id32, key, ok := q.pop()
+		if !ok {
+			return 0, false
+		}
+		id = int(id32)
+		if !live(id) {
+			continue
+		}
+		if c := int(counts[id]); c != key {
+			q.push(id32, c)
+			continue
+		}
+		return id, true
+	}
 }

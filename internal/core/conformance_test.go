@@ -35,7 +35,7 @@ func TestEngineConformanceNeighbors(t *testing.T) {
 		for _, id := range []int{0, 17, 349} {
 			for _, r := range []float64{0.05, 0.2, 0.8} {
 				got := map[int]float64{}
-				for _, nb := range e.Neighbors(id, r) {
+				for _, nb := range e.NeighborsAppend(nil, id, r) {
 					got[nb.ID] = nb.Dist
 				}
 				want := map[int]float64{}
@@ -59,12 +59,11 @@ func TestEngineConformanceNeighbors(t *testing.T) {
 	}
 }
 
-// TestEngineConformanceNeighborsAppend: for every engine, the
-// buffer-reusing query forms must return exactly what the allocating
-// forms return (same neighbours, same distances, same order), must
-// append after any existing content, and must leave that content
-// untouched — the zero-allocation path cannot be allowed to drift from
-// the reference path.
+// TestEngineConformanceNeighborsAppend: for every engine, a query
+// appended into a reused, non-empty buffer must return exactly what the
+// same query into a nil buffer returns (same neighbours, same
+// distances, same order), after the existing content, which it must
+// leave untouched.
 func TestEngineConformanceNeighborsAppend(t *testing.T) {
 	pts := randomPoints(400, 3, 86)
 	m := object.Euclidean{}
@@ -84,7 +83,7 @@ func TestEngineConformanceNeighborsAppend(t *testing.T) {
 		buf := make([]object.Neighbor, 0, 8) // deliberately small: must grow correctly
 		for _, id := range []int{0, 11, 399} {
 			for _, r := range []float64{0.05, 0.2, 0.9} {
-				want := e.Neighbors(id, r)
+				want := e.NeighborsAppend(nil, id, r)
 				buf = append(buf[:0], sentinel)
 				got := e.NeighborsAppend(buf, id, r)
 				if len(got) == 0 || got[0] != sentinel {
@@ -104,7 +103,7 @@ func TestEngineConformanceNeighborsAppend(t *testing.T) {
 		for _, id := range []int{3, 42} {
 			cov.Cover((id + 13) % len(pts)) // perturb the white set
 			for _, r := range []float64{0.1, 0.5} {
-				want := cov.NeighborsWhite(id, r)
+				want := cov.NeighborsWhiteAppend(nil, id, r)
 				got := cov.NeighborsWhiteAppend([]object.Neighbor{sentinel}, id, r)
 				if len(got) == 0 || got[0] != sentinel || !equalNeighbors(want, got[1:]) {
 					t.Fatalf("%s id=%d r=%g: NeighborsWhiteAppend=%v want %v", name, id, r, got[1:], want)
@@ -113,7 +112,7 @@ func TestEngineConformanceNeighborsAppend(t *testing.T) {
 		}
 		if bu, ok := e.(BottomUpEngine); ok {
 			for _, stop := range []bool{false, true} {
-				want := bu.NeighborsBottomUp(9, 0.2, stop)
+				want := bu.NeighborsBottomUpAppend(nil, 9, 0.2, stop)
 				got := bu.NeighborsBottomUpAppend([]object.Neighbor{sentinel}, 9, 0.2, stop)
 				if len(got) == 0 || got[0] != sentinel || !equalNeighbors(want, got[1:]) {
 					t.Fatalf("%s stop=%v: NeighborsBottomUpAppend drifted", name, stop)
@@ -226,7 +225,7 @@ func TestEngineConformanceAccessCounting(t *testing.T) {
 		if e.Accesses() != 0 {
 			t.Errorf("%s: reset failed", name)
 		}
-		e.Neighbors(0, 0.2)
+		e.NeighborsAppend(nil, 0, 0.2)
 		if e.Accesses() == 0 {
 			t.Errorf("%s: query charged nothing", name)
 		}

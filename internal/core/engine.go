@@ -12,16 +12,15 @@
 //
 // # Buffer reuse
 //
-// Every neighbourhood query has two forms: an allocating convenience
-// form (Neighbors, NeighborsWhite) and an appending form
-// (NeighborsAppend, NeighborsWhiteAppend) that extends a caller-owned
-// buffer and allocates nothing once the buffer has grown to the working
-// set's high-water mark. The selection and zoom algorithms hold one
-// scratch buffer per query role and reuse it across iterations, which is
-// what makes their steady-state query loops allocation-free. Results
-// appended into a reused buffer are invalidated by the next appending
-// call on the same buffer; callers that need to retain a neighbourhood
-// must copy it out.
+// Every neighbourhood query (NeighborsAppend, NeighborsWhiteAppend,
+// NeighborsBottomUpAppend) appends to a caller-owned buffer and
+// allocates nothing once the buffer has grown to the working set's
+// high-water mark; a nil buffer gets a fresh slice. The selection and
+// zoom algorithms hold one scratch buffer per query role and reuse it
+// across iterations, which is what makes their steady-state query
+// loops allocation-free. Results appended into a reused buffer are
+// invalidated by the next appending call on the same buffer; callers
+// that need to retain a neighbourhood must copy it out.
 package core
 
 import (
@@ -37,18 +36,11 @@ type Engine interface {
 	Metric() object.Metric
 	// Point returns the coordinates of object id.
 	Point(id int) object.Point
-	// Neighbors returns every object within distance r of object id,
-	// excluding id itself, with distances. Equivalent to
-	// NeighborsAppend(nil, id, r).
-	Neighbors(id int, r float64) []object.Neighbor
 	// NeighborsAppend appends every object within distance r of object
-	// id (excluding id itself) to dst and returns the extended slice. It
-	// performs no allocation when dst has sufficient capacity, and
-	// reports neighbours in the same order as Neighbors.
+	// id (excluding id itself), with distances, to dst and returns the
+	// extended slice. It performs no allocation when dst has sufficient
+	// capacity.
 	NeighborsAppend(dst []object.Neighbor, id int, r float64) []object.Neighbor
-	// NeighborsOfPoint returns every object within distance r of an
-	// arbitrary point.
-	NeighborsOfPoint(q object.Point, r float64) []object.Neighbor
 	// ScanOrder returns all ids in a locality-preserving order (leaf
 	// order for the M-tree, id order for the flat engine).
 	ScanOrder() []int
@@ -61,8 +53,8 @@ type Engine interface {
 
 // CoverageEngine is implemented by engines that support the paper's
 // pruning rule. Cover(id) informs the engine that id is no longer white;
-// NeighborsWhite then reports only still-white neighbours, skipping
-// fully-covered regions.
+// NeighborsWhiteAppend then reports only still-white neighbours,
+// skipping fully-covered regions.
 type CoverageEngine interface {
 	Engine
 	// StartCoverage (re)initialises coverage state; white[id]==false
@@ -73,11 +65,8 @@ type CoverageEngine interface {
 	Cover(id int)
 	// IsWhite reports whether id is still uncovered.
 	IsWhite(id int) bool
-	// NeighborsWhite returns the white objects within distance r of id,
-	// pruning fully covered regions. Equivalent to
-	// NeighborsWhiteAppend(nil, id, r).
-	NeighborsWhite(id int, r float64) []object.Neighbor
-	// NeighborsWhiteAppend is the buffer-reusing form of NeighborsWhite.
+	// NeighborsWhiteAppend appends the white objects within distance r
+	// of id to dst, pruning fully covered regions.
 	NeighborsWhiteAppend(dst []object.Neighbor, id int, r float64) []object.Neighbor
 }
 
@@ -87,11 +76,8 @@ type CoverageEngine interface {
 // query).
 type BottomUpEngine interface {
 	Engine
-	// NeighborsBottomUp answers Neighbors(id, r) bottom-up. With
-	// stopAtGrey set the result may be incomplete.
-	NeighborsBottomUp(id int, r float64, stopAtGrey bool) []object.Neighbor
-	// NeighborsBottomUpAppend is the buffer-reusing form of
-	// NeighborsBottomUp.
+	// NeighborsBottomUpAppend answers NeighborsAppend(dst, id, r)
+	// bottom-up. With stopAtGrey set the result may be incomplete.
 	NeighborsBottomUpAppend(dst []object.Neighbor, id int, r float64, stopAtGrey bool) []object.Neighbor
 }
 

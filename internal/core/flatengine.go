@@ -56,21 +56,10 @@ func (f *FlatEngine) Metric() object.Metric { return f.flat.Metric() }
 // Point implements Engine.
 func (f *FlatEngine) Point(id int) object.Point { return f.flat.Point(id) }
 
-// Neighbors implements Engine by scanning every object.
-func (f *FlatEngine) Neighbors(id int, r float64) []object.Neighbor {
-	return f.NeighborsAppend(nil, id, r)
-}
-
-// NeighborsAppend implements Engine.
+// NeighborsAppend implements Engine by scanning every object.
 func (f *FlatEngine) NeighborsAppend(dst []object.Neighbor, id int, r float64) []object.Neighbor {
 	f.accesses += int64(f.flat.Len())
 	return f.flat.AppendRange(dst, f.flat.Row(id), r, id)
-}
-
-// NeighborsOfPoint implements Engine.
-func (f *FlatEngine) NeighborsOfPoint(q object.Point, r float64) []object.Neighbor {
-	f.accesses += int64(f.flat.Len())
-	return f.flat.AppendRange(nil, q, r, -1)
 }
 
 // ScanOrder implements Engine; the flat engine has no locality structure,
@@ -110,22 +99,17 @@ func (f *FlatEngine) Cover(id int) {
 // IsWhite implements CoverageEngine.
 func (f *FlatEngine) IsWhite(id int) bool { return f.tracking && f.white.Test(id) }
 
-// NeighborsWhite implements CoverageEngine. Covered objects are skipped
-// and, analogously to grey M-tree subtrees, not charged as accesses.
-func (f *FlatEngine) NeighborsWhite(id int, r float64) []object.Neighbor {
-	return f.NeighborsWhiteAppend(nil, id, r)
-}
-
-// NeighborsWhiteAppend implements CoverageEngine. The loop mirrors
-// FlatDataset.AppendRange (fused threshold test per candidate, exact
-// recomputation on survivors) with the white-bit test and per-object
-// access accounting woven in; it is kept inline rather than funnelled
-// through a predicate callback so the steady-state query stays
-// allocation-free — keep the two in sync when the surrogate protocol
-// changes.
+// NeighborsWhiteAppend implements CoverageEngine. Covered objects are
+// skipped and, analogously to grey M-tree subtrees, not charged as
+// accesses. The loop mirrors FlatDataset.AppendRange (fused threshold
+// test per candidate, exact recomputation on survivors) with the
+// white-bit test and per-object access accounting woven in; it is kept
+// inline rather than funnelled through a predicate callback so the
+// steady-state query stays allocation-free — keep the two in sync when
+// the surrogate protocol changes.
 func (f *FlatEngine) NeighborsWhiteAppend(dst []object.Neighbor, id int, r float64) []object.Neighbor {
 	if !f.tracking {
-		panic("core: NeighborsWhite without StartCoverage")
+		panic("core: NeighborsWhiteAppend without StartCoverage")
 	}
 	k := f.flat.Kernel()
 	rawR := k.RawThreshold(r)

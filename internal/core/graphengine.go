@@ -38,8 +38,8 @@ import (
 //
 // Every row is sorted by ascending (distance, id), so the graph built at
 // the ceiling radius C serves every r ≤ C: the r-neighbourhood of a
-// point is a prefix of its row, found by binary search. Neighbors and
-// NeighborsWhite cut the row per call; AdjacencyCSR serves a view
+// point is a prefix of its row, found by binary search. NeighborsAppend
+// and NeighborsWhiteAppend cut the row per call; AdjacencyCSR serves a view
 // (grid.CSR.Prefix: one row end per point, sharing the ceiling's
 // arrays), cached for the last few radii in a fixed-size cache. Radii above C fall back to the substrate (grid scan or flat
 // scan), so every Engine call stays correct at any radius — only the
@@ -250,10 +250,6 @@ func (g *ParallelGraphEngine) Degree(id int) int { return g.csr.Degree(id) }
 // (as opposed to the batched flat all-pairs join).
 func (g *ParallelGraphEngine) GridJoined() bool { return g.hash != nil }
 
-// Dataset exposes the engine's flat dataset (read-only by convention);
-// the snapshot writer persists its storage.
-func (g *ParallelGraphEngine) Dataset() *object.FlatDataset { return g.flat }
-
 // Size implements Engine.
 func (g *ParallelGraphEngine) Size() int { return g.flat.Len() }
 
@@ -281,15 +277,10 @@ func (g *ParallelGraphEngine) prefix(id int, r float64) []object.Neighbor {
 	return row
 }
 
-// Neighbors implements Engine. Radii up to the ceiling are answered
-// from the materialised rows; larger radii fall back to the substrate.
-func (g *ParallelGraphEngine) Neighbors(id int, r float64) []object.Neighbor {
-	return g.NeighborsAppend(nil, id, r)
-}
-
-// NeighborsAppend implements Engine. Up to the ceiling the neighbours
-// come in (distance, id) order; above it in the substrate's order (cell
-// order on the grid, id order on the flat scan).
+// NeighborsAppend implements Engine. Radii up to the ceiling are
+// answered from the materialised rows, in (distance, id) order; larger
+// radii fall back to the substrate, in its order (cell order on the
+// grid, id order on the flat scan).
 func (g *ParallelGraphEngine) NeighborsAppend(dst []object.Neighbor, id int, r float64) []object.Neighbor {
 	switch {
 	case r <= g.radius:
@@ -303,16 +294,6 @@ func (g *ParallelGraphEngine) NeighborsAppend(dst []object.Neighbor, id int, r f
 		g.accesses += int64(g.flat.Len())
 		return g.flat.AppendRange(dst, g.flat.Row(id), r, id)
 	}
-}
-
-// NeighborsOfPoint implements Engine via the substrate (arbitrary points
-// have no slot in the graph).
-func (g *ParallelGraphEngine) NeighborsOfPoint(q object.Point, r float64) []object.Neighbor {
-	if g.hash != nil {
-		return g.hash.AppendRange(nil, q, r, -1, &g.accesses, g.scratch)
-	}
-	g.accesses += int64(g.flat.Len())
-	return g.flat.AppendRange(nil, q, r, -1)
 }
 
 // ScanOrder implements Engine: cell order on the grid path — captured
@@ -364,16 +345,11 @@ func (g *ParallelGraphEngine) Cover(id int) {
 // IsWhite implements CoverageEngine.
 func (g *ParallelGraphEngine) IsWhite(id int) bool { return g.tracking && g.white.Test(id) }
 
-// NeighborsWhite implements CoverageEngine: an adjacency scan that keeps
-// only still-white neighbours.
-func (g *ParallelGraphEngine) NeighborsWhite(id int, r float64) []object.Neighbor {
-	return g.NeighborsWhiteAppend(nil, id, r)
-}
-
-// NeighborsWhiteAppend implements CoverageEngine.
+// NeighborsWhiteAppend implements CoverageEngine: an adjacency scan
+// that keeps only still-white neighbours.
 func (g *ParallelGraphEngine) NeighborsWhiteAppend(dst []object.Neighbor, id int, r float64) []object.Neighbor {
 	if !g.tracking {
-		panic("core: NeighborsWhite without StartCoverage")
+		panic("core: NeighborsWhiteAppend without StartCoverage")
 	}
 	if r > g.radius {
 		if g.hash != nil {

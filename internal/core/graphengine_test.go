@@ -32,8 +32,8 @@ func TestGraphEngineAdjacencyMatchesFlat(t *testing.T) {
 		g := graphEngine(t, pts, m, 0.1, workers)
 		for _, r := range []float64{0.04, 0.1, 0.25} {
 			for _, id := range []int{0, 199, 399} {
-				got := sortNeighbors(g.Neighbors(id, r))
-				want := sortNeighbors(flat.Neighbors(id, r))
+				got := sortNeighbors(g.NeighborsAppend(nil, id, r))
+				want := sortNeighbors(flat.NeighborsAppend(nil, id, r))
 				if len(got) != len(want) {
 					t.Fatalf("workers=%d r=%g id=%d: %d neighbours, want %d", workers, r, id, len(got), len(want))
 				}
@@ -83,7 +83,7 @@ func TestGraphEngineNeighborsWhite(t *testing.T) {
 	for _, r := range []float64{0.15, 0.4} {
 		for _, id := range []int{1, 100} {
 			got := map[int]bool{}
-			for _, nb := range g.NeighborsWhite(id, r) {
+			for _, nb := range g.NeighborsWhiteAppend(nil, id, r) {
 				got[nb.ID] = true
 			}
 			for j := range pts {
@@ -131,7 +131,7 @@ func TestGraphEngineRebuild(t *testing.T) {
 		t.Fatalf("rebuilt radius %g", rebuilt.Radius())
 	}
 	for id := range pts {
-		a, b := rebuilt.Neighbors(id, 0.12), fresh.Neighbors(id, 0.12)
+		a, b := rebuilt.NeighborsAppend(nil, id, 0.12), fresh.NeighborsAppend(nil, id, 0.12)
 		if len(a) != len(b) {
 			t.Fatalf("id=%d: rebuilt %d neighbours, fresh %d", id, len(a), len(b))
 		}
@@ -228,7 +228,7 @@ func TestGraphEngineBuildCostOnCounter(t *testing.T) {
 	if g.Accesses() != 0 {
 		t.Fatal("reset failed")
 	}
-	g.Neighbors(0, 0.1)
+	g.NeighborsAppend(nil, 0, 0.1)
 	if g.Accesses() == 0 {
 		t.Fatal("graph lookup charged nothing")
 	}
@@ -298,8 +298,8 @@ func TestGraphEngineHammingPath(t *testing.T) {
 	flat := flatEngine(t, pts, m)
 	for _, r := range []float64{1, 2, 3} { // below, at and beyond the build radius
 		for _, id := range []int{0, 150, 299} {
-			got := sortNeighbors(g.Neighbors(id, r))
-			want := sortNeighbors(flat.Neighbors(id, r))
+			got := sortNeighbors(g.NeighborsAppend(nil, id, r))
+			want := sortNeighbors(flat.NeighborsAppend(nil, id, r))
 			if len(got) != len(want) {
 				t.Fatalf("r=%g id=%d: %d neighbours, want %d", r, id, len(got), len(want))
 			}
@@ -323,7 +323,7 @@ func TestGraphEngineHammingPath(t *testing.T) {
 	}
 	for _, id := range []int{1, 99} {
 		got := map[int]bool{}
-		for _, nb := range g.NeighborsWhite(id, 3) {
+		for _, nb := range g.NeighborsWhiteAppend(nil, id, 3) {
 			got[nb.ID] = true
 		}
 		for j := range pts {
@@ -358,7 +358,7 @@ func TestGraphEngineRebuildReusesGrid(t *testing.T) {
 		}
 		fresh := graphEngine(t, pts, m, r, 2)
 		for id := range pts {
-			a, b := rebuilt.Neighbors(id, r), fresh.Neighbors(id, r)
+			a, b := rebuilt.NeighborsAppend(nil, id, r), fresh.NeighborsAppend(nil, id, r)
 			if len(a) != len(b) {
 				t.Fatalf("r=%g id=%d: rebuilt %d neighbours, fresh %d", r, id, len(a), len(b))
 			}

@@ -67,9 +67,10 @@ type queryScratch struct {
 
 // GreedyDisC computes an r-DisC diverse subset with Algorithm 1 of the
 // paper: repeatedly select the white object covering the most white
-// objects. The white-neighbourhood sizes live in the priority structure
-// L' (a lazy max-heap); how they are maintained after each selection is
-// governed by opts.Update.
+// objects. The white-neighbourhood sizes live in the priority list L′,
+// a bucketQueue as in every greedy run (one push per object, stale
+// entries re-enter at their current count when popped); how they are
+// maintained after each selection is governed by opts.Update.
 //
 // If the engine collected neighbourhood counts during construction
 // (CountingEngine, radius matching r), initialisation is free; otherwise
@@ -88,15 +89,13 @@ func GreedyDisC(e Engine, r float64, opts GreedyOptions) *Solution {
 
 	var sc queryScratch
 	nw := initialWhiteCounts(e, r, &sc)
-	h := newLazyHeap(n)
+	var q bucketQueue
 	for id, c := range nw {
-		h.push(id, c)
+		q.push(int32(id), c)
 	}
-
+	q.start()
 	for {
-		pi, ok := h.popValid(func(id, key int) bool {
-			return s.Colors[id] == White && key == nw[id]
-		})
+		pi, ok := popLive(&q, nw, s.isWhite)
 		if !ok {
 			break
 		}
@@ -120,7 +119,7 @@ func GreedyDisC(e Engine, r float64, opts GreedyOptions) *Solution {
 				s.DistBlack[nb.ID] = nb.Dist
 			}
 		}
-		updateWhiteCounts(e, cov, usePrune, s, r, opts.Update, pi, sc.grey, nw, h, &sc)
+		updateWhiteCounts(e, cov, usePrune, s, r, opts.Update, pi, sc.grey, nw, &sc)
 	}
 
 	s.DistBlackExact = !usePrune
@@ -169,9 +168,10 @@ func initialWhiteCounts(e Engine, r float64, sc *queryScratch) []int {
 }
 
 // updateWhiteCounts applies the chosen maintenance strategy after pi was
-// selected and newGrey turned grey. newGrey aliases sc.grey; the queries
-// issued here land in sc.upd, never in sc.ns or sc.grey.
-func updateWhiteCounts(e Engine, cov CoverageEngine, usePrune bool, s *Solution, r float64, strategy UpdateStrategy, pi int, newGrey []object.Neighbor, nw []int, h *lazyHeap, sc *queryScratch) {
+// selected and newGrey turned grey, decrementing nw in place (the queue
+// catches up when it pops a stale entry). newGrey aliases sc.grey; the
+// queries issued here land in sc.upd, never in sc.ns or sc.grey.
+func updateWhiteCounts(e Engine, cov CoverageEngine, usePrune bool, s *Solution, r float64, strategy UpdateStrategy, pi int, newGrey []object.Neighbor, nw []int, sc *queryScratch) {
 	whiteNeighbors := func(dst []object.Neighbor, id int, radius float64) []object.Neighbor {
 		if usePrune {
 			return cov.NeighborsWhiteAppend(dst, id, radius)
@@ -194,7 +194,6 @@ func updateWhiteCounts(e Engine, cov CoverageEngine, usePrune bool, s *Solution,
 			for _, nk := range sc.upd {
 				if s.Colors[nk.ID] == White {
 					nw[nk.ID]--
-					h.push(nk.ID, nw[nk.ID])
 				}
 			}
 		}
@@ -215,10 +214,7 @@ func updateWhiteCounts(e Engine, cov CoverageEngine, usePrune bool, s *Solution,
 					cnt++
 				}
 			}
-			if cnt > 0 {
-				nw[wk.ID] -= cnt
-				h.push(wk.ID, nw[wk.ID])
-			}
+			nw[wk.ID] -= cnt
 		}
 	}
 }

@@ -64,9 +64,15 @@ func greedyCoverage(e Engine, r float64, name string, colorNeighbors, updateNeig
 	// object is a candidate keyed by it.
 	var sc queryScratch
 	nw := initialWhiteCounts(e, r, &sc)
-	h := newLazyHeap(n)
+	var q bucketQueue
 	for id, c := range nw {
-		h.push(id, c)
+		q.push(int32(id), c)
+	}
+	q.start()
+	// A grey candidate covering nothing new is useless (its count only
+	// falls); a white one still covers itself.
+	candidate := func(id int) bool {
+		return s.Colors[id] != Black && (nw[id] > 0 || s.Colors[id] == White)
 	}
 
 	whitesLeft := n
@@ -79,16 +85,9 @@ func greedyCoverage(e Engine, r float64, name string, colorNeighbors, updateNeig
 	}
 
 	for whitesLeft > 0 {
-		pc, ok := h.popValid(func(id, key int) bool {
-			if s.Colors[id] == Black || key != nw[id] {
-				return false
-			}
-			// A grey candidate covering nothing new is useless;
-			// a white one still covers itself.
-			return key > 0 || s.Colors[id] == White
-		})
+		pc, ok := popLive(&q, nw, candidate)
 		if !ok {
-			break // unreachable: every white stays valid in the heap
+			break // unreachable: every white stays a candidate
 		}
 		wasWhite := s.Colors[pc] == White
 		s.selectBlack(pc)
@@ -116,7 +115,6 @@ func greedyCoverage(e Engine, r float64, name string, colorNeighbors, updateNeig
 			for _, nb := range sc.ns {
 				if s.Colors[nb.ID] != Black {
 					nw[nb.ID]--
-					h.push(nb.ID, nw[nb.ID])
 				}
 			}
 		}
@@ -125,7 +123,6 @@ func greedyCoverage(e Engine, r float64, name string, colorNeighbors, updateNeig
 			for _, nk := range sc.upd {
 				if s.Colors[nk.ID] != Black {
 					nw[nk.ID]--
-					h.push(nk.ID, nw[nk.ID])
 				}
 			}
 		}

@@ -410,10 +410,9 @@ func (l *LiveDisC) Flush() int {
 
 // run is the pruned greedy over every live object in full, mirroring
 // adjGreedy.run from the batch path: the same (count desc, id asc) pop
-// order with deferred invalidation from a bucketQueue, the same
-// grey-update decrements. It selects what GreedyDisCComponents selects
-// over the live points, in the same order, and records every object's
-// leave time.
+// order from a bucketQueue, the same grey-update decrements. It selects
+// what GreedyDisCComponents selects over the live points, in the same
+// order, and records every object's leave time.
 func (l *LiveDisC) run() {
 	slots := l.dyn.Slots()
 	white := bitset.New(slots)
@@ -433,20 +432,12 @@ func (l *LiveDisC) run() {
 	}
 	q.start()
 	for {
-		id32, key, ok := q.pop()
+		pi, ok := popLive(&q, l.nw, white.Test)
 		if !ok {
 			break
 		}
-		pi := int(id32)
-		if !white.Test(pi) {
-			continue
-		}
-		if int(l.nw[pi]) != key {
-			q.push(id32, int(l.nw[pi]))
-			continue
-		}
 		white.Clear(pi)
-		t := leaveTime(int32(key), pi)
+		t := leaveTime(l.nw[pi], pi)
 		l.trace[pi] = t
 		l.sel.Set(pi)
 		l.selCount++

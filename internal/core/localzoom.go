@@ -76,47 +76,58 @@ func LocalZoomIn(e Engine, prev *Solution, center int, rNew float64, greedy bool
 		}
 		return kept
 	}
+	// left collects the objects the last selectLocal took out of the
+	// white set: the pick and its white neighbours in the region.
+	var left []int
 	selectLocal := func(pi int) {
 		res.Added = append(res.Added, pi)
+		left = append(left[:0], pi)
 		delete(white, pi)
 		for _, nb := range neighborsInRegion(pi) {
+			if white[nb.ID] {
+				left = append(left, nb.ID)
+			}
 			delete(white, nb.ID)
 		}
 	}
 
 	if greedy {
-		nw := make(map[int]int, len(white))
-		for id := range white {
+		// The white-neighbourhood sizes are indexed by region position;
+		// region is in ascending id order, so the queue's ties by
+		// position are ties by id. Each pick's leavers decrement the
+		// remaining whites by direct distance checks (the region is
+		// small), which charge no accesses.
+		m := e.Metric()
+		nw := make([]int, len(region))
+		var q bucketQueue
+		for j, id := range region {
+			if !white[id] {
+				continue
+			}
 			for _, nb := range neighborsInRegion(id) {
 				if white[nb.ID] {
-					nw[id]++
+					nw[j]++
 				}
 			}
+			q.push(int32(j), nw[j])
 		}
-		for len(white) > 0 {
-			best, bestKey := -1, -1
-			for id := range white {
-				k := nw[id]
-				if k > bestKey || (k == bestKey && id < best) {
-					best, bestKey = id, k
-				}
+		q.start()
+		live := func(j int) bool { return white[region[j]] }
+		for {
+			j, ok := popLive(&q, nw, live)
+			if !ok {
+				break
 			}
-			selectLocal(best)
-			// Recompute keys among the survivors; the region is small
-			// so direct distance checks suffice.
-			m := e.Metric()
-			for id := range nw {
+			selectLocal(region[j])
+			for k, id := range region {
 				if !white[id] {
-					delete(nw, id)
 					continue
 				}
-				cnt := 0
-				for other := range white {
-					if other != id && m.Dist(e.Point(id), e.Point(other)) <= rNew {
-						cnt++
+				for _, g := range left {
+					if m.Dist(e.Point(id), e.Point(g)) <= rNew {
+						nw[k]--
 					}
 				}
-				nw[id] = cnt
 			}
 		}
 	} else {
@@ -223,7 +234,7 @@ func LocalZoomOut(e Engine, prev *Solution, center int, rNew float64) (*LocalRes
 // regionAround returns N_r(center) ∪ {center} as a sorted id slice plus a
 // membership map.
 func regionAround(e Engine, center int, r float64) ([]int, map[int]bool) {
-	ns := e.Neighbors(center, r)
+	ns := e.NeighborsAppend(nil, center, r)
 	region := make([]int, 0, len(ns)+1)
 	inRegion := make(map[int]bool, len(ns)+1)
 	region = append(region, center)

@@ -8,7 +8,7 @@ import "github.com/discdiversity/disc/internal/telemetry"
 // (adjGreedy.run, NeighborsAppend) and add nothing to them.
 var (
 	metSelectGlobal = telemetry.Default().Histogram(`disc_select_seconds{mode="global"}`,
-		"Wall time of one greedy DisC selection (global heap, or the run over the materialised adjacency).")
+		"Wall time of one greedy DisC selection (the global run over range queries, or the run over the materialised adjacency).")
 	metSelectComponents = telemetry.Default().Histogram(`disc_select_seconds{mode="components"}`, "")
 
 	metLiveInsert = telemetry.Default().Histogram("disc_live_insert_seconds",

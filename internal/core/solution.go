@@ -82,6 +82,9 @@ func (s *Solution) selectBlack(pi int) {
 	s.IDs = append(s.IDs, pi)
 }
 
+// isWhite reports whether id is still uncovered.
+func (s *Solution) isWhite(id int) bool { return s.Colors[id] == White }
+
 // Size returns the number of selected objects.
 func (s *Solution) Size() int { return len(s.IDs) }
 

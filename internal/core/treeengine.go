@@ -77,19 +77,9 @@ func (te *TreeEngine) Metric() object.Metric { return te.tree.Metric() }
 // Point implements Engine.
 func (te *TreeEngine) Point(id int) object.Point { return te.tree.Point(id) }
 
-// Neighbors implements Engine via a top-down range query.
-func (te *TreeEngine) Neighbors(id int, r float64) []object.Neighbor {
-	return te.tree.RangeQueryAround(id, r)
-}
-
-// NeighborsAppend implements Engine.
+// NeighborsAppend implements Engine via a top-down range query.
 func (te *TreeEngine) NeighborsAppend(dst []object.Neighbor, id int, r float64) []object.Neighbor {
 	return te.tree.AppendRangeQueryAround(dst, id, r)
-}
-
-// NeighborsOfPoint implements Engine.
-func (te *TreeEngine) NeighborsOfPoint(q object.Point, r float64) []object.Neighbor {
-	return te.tree.RangeQuery(q, r)
 }
 
 // ScanOrder implements Engine using the linked-leaf chain.
@@ -116,19 +106,10 @@ func (te *TreeEngine) Cover(id int) { te.tree.Cover(id) }
 // IsWhite implements CoverageEngine.
 func (te *TreeEngine) IsWhite(id int) bool { return te.tree.IsWhite(id) }
 
-// NeighborsWhite implements CoverageEngine via the pruned range query.
-func (te *TreeEngine) NeighborsWhite(id int, r float64) []object.Neighbor {
-	return te.tree.RangeQueryPruned(id, r)
-}
-
-// NeighborsWhiteAppend implements CoverageEngine.
+// NeighborsWhiteAppend implements CoverageEngine via the pruned range
+// query.
 func (te *TreeEngine) NeighborsWhiteAppend(dst []object.Neighbor, id int, r float64) []object.Neighbor {
 	return te.tree.AppendRangeQueryPruned(dst, id, r)
-}
-
-// NeighborsBottomUp implements BottomUpEngine.
-func (te *TreeEngine) NeighborsBottomUp(id int, r float64, stopAtGrey bool) []object.Neighbor {
-	return te.tree.RangeQueryBottomUp(id, r, stopAtGrey, false)
 }
 
 // NeighborsBottomUpAppend implements BottomUpEngine.

@@ -157,14 +157,13 @@ func MultiRadiusDisC(e Engine, radii []float64, greedy bool) (*Solution, error) 
 			sc.upd = appendMultiRadiusNeighbors(sc.upd, e, id, radii, maxRad)
 			nw[id] = len(sc.upd)
 		}
-		h := newLazyHeap(n)
+		var q bucketQueue
 		for id, c := range nw {
-			h.push(id, c)
+			q.push(int32(id), c)
 		}
+		q.start()
 		for {
-			pi, ok := h.popValid(func(id, key int) bool {
-				return s.Colors[id] == White && key == nw[id]
-			})
+			pi, ok := popLive(&q, nw, s.isWhite)
 			if !ok {
 				break
 			}
@@ -175,7 +174,6 @@ func MultiRadiusDisC(e Engine, radii []float64, greedy bool) (*Solution, error) 
 				for _, nk := range sc.upd {
 					if s.Colors[nk.ID] == White {
 						nw[nk.ID]--
-						h.push(nk.ID, nw[nk.ID])
 					}
 				}
 			}

@@ -105,7 +105,7 @@ func ZoomIn(e Engine, prev *Solution, rNew float64, greedy, pruned bool) (*Solut
 	} else {
 		// White-neighbourhood sizes for the white objects only.
 		nw := make([]int, n)
-		h := newLazyHeap(64)
+		var q bucketQueue
 		for id := 0; id < n; id++ {
 			if s.Colors[id] != White {
 				continue
@@ -116,12 +116,11 @@ func ZoomIn(e Engine, prev *Solution, rNew float64, greedy, pruned bool) (*Solut
 					nw[id]++
 				}
 			}
-			h.push(id, nw[id])
+			q.push(int32(id), nw[id])
 		}
+		q.start()
 		for {
-			pi, ok := h.popValid(func(id, key int) bool {
-				return s.Colors[id] == White && key == nw[id]
-			})
+			pi, ok := popLive(&q, nw, s.isWhite)
 			if !ok {
 				break
 			}
@@ -135,7 +134,6 @@ func ZoomIn(e Engine, prev *Solution, rNew float64, greedy, pruned bool) (*Solut
 				for _, nk := range sc.upd {
 					if s.Colors[nk.ID] == White {
 						nw[nk.ID]--
-						h.push(nk.ID, nw[nk.ID])
 					}
 				}
 			}

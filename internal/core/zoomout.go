@@ -235,28 +235,22 @@ func zoomOutPassOneWhiteKey(e Engine, s *Solution, prev *Solution, rNew float64,
 func zoomOutPassTwoGreedy(e Engine, s *Solution, rNew float64, colorNeighbors func([]object.Neighbor), sc *queryScratch) {
 	n := e.Size()
 	nw := make([]int, n)
-	h := newLazyHeap(64)
-	any := false
+	var q bucketQueue
 	for id := 0; id < n; id++ {
 		if s.Colors[id] != White {
 			continue
 		}
-		any = true
 		sc.upd = e.NeighborsAppend(sc.upd[:0], id, rNew)
 		for _, nb := range sc.upd {
 			if s.Colors[nb.ID] == White {
 				nw[id]++
 			}
 		}
-		h.push(id, nw[id])
+		q.push(int32(id), nw[id])
 	}
-	if !any {
-		return
-	}
+	q.start()
 	for {
-		pi, ok := h.popValid(func(id, key int) bool {
-			return s.Colors[id] == White && key == nw[id]
-		})
+		pi, ok := popLive(&q, nw, s.isWhite)
 		if !ok {
 			return
 		}
@@ -274,7 +268,6 @@ func zoomOutPassTwoGreedy(e Engine, s *Solution, rNew float64, colorNeighbors fu
 			for _, nk := range sc.upd {
 				if s.Colors[nk.ID] == White {
 					nw[nk.ID]--
-					h.push(nk.ID, nw[nk.ID])
 				}
 			}
 		}

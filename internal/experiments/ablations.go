@@ -86,15 +86,10 @@ func independentShare(w *workload, s *core.Solution, r float64) float64 {
 	return 100 * float64(independent) / float64(s.Size())
 }
 
-// bottomUpBasicEngine overrides both neighbour-query forms to use
-// bottom-up range queries, turning Basic-DisC into its bottom-up variant
-// for the ablation below. Overriding NeighborsAppend matters: the
-// algorithms query through the buffer-reusing form.
+// bottomUpBasicEngine overrides the neighbour query to use bottom-up
+// range queries, turning Basic-DisC into its bottom-up variant for the
+// ablation below.
 type bottomUpBasicEngine struct{ *core.TreeEngine }
-
-func (b bottomUpBasicEngine) Neighbors(id int, r float64) []object.Neighbor {
-	return b.NeighborsBottomUp(id, r, false)
-}
 
 func (b bottomUpBasicEngine) NeighborsAppend(dst []object.Neighbor, id int, r float64) []object.Neighbor {
 	return b.NeighborsBottomUpAppend(dst, id, r, false)
