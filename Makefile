@@ -76,7 +76,7 @@ bench-serve:
 ## and the gating rules). All outputs are CI artifacts.
 bench-guard:
 	$(GO) vet ./...
-	$(GO) test ./internal/core ./internal/telemetry -run ZeroAlloc -v -count=1
+	$(GO) test ./internal/core ./internal/telemetry -run 'ZeroAlloc|Allocs' -v -count=1
 	@$(GO) test -run '^$$' -bench='Select|Neighbors|GreedyDisC' -benchtime=1x -benchmem -timeout 20m ./... > bench-guard.txt 2>&1; \
 	status=$$?; cat bench-guard.txt; exit $$status
 	$(GO) run ./cmd/discbench -exp perf -n $(BENCH_N) -r $(BENCH_R) -format=json > bench-current.json

@@ -130,7 +130,7 @@ func BenchmarkMTreeRangeQuery(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tree.RangeQueryAround(i%len(pts), 0.05)
+		tree.AppendRangeQueryAround(nil, i%len(pts), 0.05)
 	}
 }
 

@@ -171,7 +171,7 @@ func TestIndexOptionValidation(t *testing.T) {
 	}
 	// A retired name is the M-tree, so pairing it with the M-tree is a
 	// repeat, and pairing it with any other backend is a conflict.
-	if _, err := disc.New(pts, disc.WithIndex(disc.IndexRTree), disc.WithIndexName("mtree")); err != nil {
+	if _, err := disc.New(pts, disc.WithIndexName("rtree"), disc.WithIndex(disc.IndexMTree)); err != nil {
 		t.Errorf("retired alias conflicted with its own backend: %v", err)
 	}
 	if _, err := disc.New(pts, disc.WithIndexName("rtree"), disc.WithIndex(disc.IndexCoverageGraph)); err == nil {
@@ -240,13 +240,7 @@ func TestIndexByNameAndWithIndexName(t *testing.T) {
 	if got := len(disc.SupportedIndexNames()); got != 3 {
 		t.Fatalf("SupportedIndexNames lists %d backends, want 3", got)
 	}
-	if disc.IndexVPTree != disc.IndexMTree || disc.IndexRTree != disc.IndexMTree {
-		t.Fatal("retired Index constants are not M-tree aliases")
-	}
-	if disc.IndexGrid != disc.IndexCoverageGraph {
-		t.Fatal("IndexGrid is not a coverage-graph alias")
-	}
-	// The retired grid backend, by constant or by name, selects exactly
+	// The retired grid backend's name selects exactly
 	// the ids a fresh coverage-graph select does, in both select modes,
 	// and now takes metrics it used to refuse (Hamming, over category
 	// codes).
@@ -263,23 +257,21 @@ func TestIndexByNameAndWithIndexName(t *testing.T) {
 		{disc.Hamming(), codes, []float64{1}},
 	} {
 		fresh := newDiversifier(t, tc.pts, disc.WithMetric(tc.m), disc.WithIndex(disc.IndexCoverageGraph))
-		for _, opt := range []disc.Option{disc.WithIndex(disc.IndexGrid), disc.WithIndexName("grid")} {
-			d := newDiversifier(t, tc.pts, disc.WithMetric(tc.m), opt)
-			if d.Indexed() != disc.IndexCoverageGraph {
-				t.Fatalf("%s: retired grid backend built %v", tc.m.Name(), d.Indexed())
+		d := newDiversifier(t, tc.pts, disc.WithMetric(tc.m), disc.WithIndexName("grid"))
+		if d.Indexed() != disc.IndexCoverageGraph {
+			t.Fatalf("%s: retired grid backend built %v", tc.m.Name(), d.Indexed())
+		}
+		for _, r := range tc.radii {
+			want, err := fresh.Select(r)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, r := range tc.radii {
-				want, err := fresh.Select(r)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := d.Select(r)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !slices.Equal(got.IDs(), want.IDs()) {
-					t.Fatalf("%s r=%g: retired grid backend selected %v, coverage graph %v", tc.m.Name(), r, got.IDs(), want.IDs())
-				}
+			got, err := d.Select(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got.IDs(), want.IDs()) {
+				t.Fatalf("%s r=%g: retired grid backend selected %v, coverage graph %v", tc.m.Name(), r, got.IDs(), want.IDs())
 			}
 		}
 	}
@@ -298,7 +290,7 @@ func TestIndexByNameAndWithIndexName(t *testing.T) {
 
 func TestGridIndexZoomAndRebucket(t *testing.T) {
 	pts := randomPoints(500, 2, 22)
-	d := newDiversifier(t, pts, disc.WithIndex(disc.IndexGrid))
+	d := newDiversifier(t, pts, disc.WithIndexName("grid"))
 	res, err := d.Select(0.1)
 	if err != nil {
 		t.Fatal(err)
@@ -306,7 +298,7 @@ func TestGridIndexZoomAndRebucket(t *testing.T) {
 	if err := d.Verify(res); err != nil {
 		t.Fatal(err)
 	}
-	// IndexGrid is the coverage graph: zoom-in reads row prefixes, a
+	// "grid" is the coverage graph: zoom-in reads row prefixes, a
 	// coarser Select re-joins; all must verify.
 	finer, err := d.ZoomIn(res, 0.05)
 	if err != nil {
@@ -498,6 +490,55 @@ func TestDistanceToRepresentative(t *testing.T) {
 		}
 		if !found {
 			t.Fatalf("object %d: distance %g matches no representative", id, got)
+		}
+	}
+}
+
+// TestDistanceToRepresentativeExact: on the flat scan, the M-tree and the
+// coverage graph, for pruned and unpruned Greedy-DisC and Basic-DisC,
+// Greedy-C and a zoomed result, DistanceToRepresentative equals the
+// brute-force minimum over the selected ids.
+func TestDistanceToRepresentativeExact(t *testing.T) {
+	pts := randomPoints(300, 2, 23)
+	const r = 0.1
+	for _, ix := range []disc.Index{disc.IndexLinearScan, disc.IndexMTree, disc.IndexCoverageGraph} {
+		d := newDiversifier(t, pts, disc.WithIndex(ix))
+		var results []*disc.Result
+		for _, opts := range [][]disc.SelectOption{
+			nil,
+			{disc.WithoutPruning()},
+			{disc.WithAlgorithm(disc.AlgorithmBasic)},
+			{disc.WithAlgorithm(disc.AlgorithmBasic), disc.WithoutPruning()},
+			{disc.WithAlgorithm(disc.AlgorithmCoverage)},
+		} {
+			res, err := d.Select(r, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			results = append(results, res)
+		}
+		zoomed, err := d.ZoomIn(results[0], r/2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, zoomed)
+		m := d.Metric()
+		for _, res := range results {
+			for id := range pts {
+				want := math.Inf(1)
+				for _, b := range res.IDs() {
+					want = min(want, m.Dist(pts[id], pts[b]))
+				}
+				if res.Contains(id) {
+					want = 0
+				}
+				if got := res.DistanceToRepresentative(id); got != want {
+					t.Fatalf("%v %s: object %d at %g from its representative, brute force %g", ix, res.Algorithm(), id, got, want)
+				}
+				if want > res.Radius() {
+					t.Fatalf("%v %s: object %d uncovered (%g)", ix, res.Algorithm(), id, want)
+				}
+			}
 		}
 	}
 }

@@ -450,14 +450,6 @@ func WithSelectMode(m SelectMode) SelectOption {
 	return func(*selectOptions) {}
 }
 
-// WithSelectParallelism has no effect.
-//
-// Deprecated: the greedy run over the coverage graph is sequential; it
-// once sized a per-component worker pool that is gone.
-func WithSelectParallelism(workers int) SelectOption {
-	return func(*selectOptions) {}
-}
-
 // greedyUpdate maps a Greedy-DisC family member to its count-update
 // strategy; ok is false for the non-greedy algorithms.
 func greedyUpdate(a Algorithm) (core.UpdateStrategy, bool) {
@@ -480,8 +472,8 @@ func greedyUpdate(a Algorithm) (core.UpdateStrategy, bool) {
 //
 // The Greedy-DisC family runs on whichever engine serves r. On the
 // coverage graph (IndexCoverageGraph below the adjacency budget) it is
-// one pruned greedy over the graph's rows with a bucket queue, whose
-// results carry exact closest-black distances; on every other engine
+// one pruned greedy over the graph's rows with a bucket queue; on every
+// other engine
 // (the M-tree, the linear scan, the coverage graph's dense fallback) it
 // is the paper's global run. Both pick the same ids in the same order.
 func (d *Diversifier) Select(r float64, opts ...SelectOption) (*Result, error) {

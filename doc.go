@@ -30,6 +30,14 @@
 // seen result. Local variants re-diversify only the neighbourhood of one
 // representative.
 //
+// A Result is its ids in pick order, its radius, its algorithm and its
+// access count; it keeps nothing per object. Zooms derive what they
+// need from the ids: ZoomIn finds the objects the previous answer still
+// covers at the new radius with one uncharged pass over its ids (the
+// paper's post-processing step), and ZoomOut reads only the ids and the
+// radius. Result.DistanceToRepresentative computes an exact distance
+// from the ids on each call.
+//
 //	finer, err := d.ZoomIn(res, 0.05)           // res.IDs() ⊆ finer.IDs()
 //	coarser, err := d.ZoomOut(res, 0.2, disc.ZoomOutGreedyLargest)
 //	local, err := d.LocalZoomIn(res, res.IDs()[0], 0.02)
@@ -51,9 +59,8 @@
 // a cached row-prefix view of them); on every other engine it is the
 // paper's global run over range queries. Both pop (count desc, id asc)
 // from the same bucket queue with deferred invalidation, the structure
-// every greedy run in the module keeps the paper's list L′ in. Both select the same ids in the same order; the
-// coverage-graph run also reports exact distances to the nearest
-// representative. AlgorithmLazyWhite, whose 1.5r refresh queries the
+// every greedy run in the module keeps the paper's list L′ in. Both
+// select the same ids in the same order. AlgorithmLazyWhite, whose 1.5r refresh queries the
 // r-adjacency cannot answer, runs the global path on every engine.
 //
 // # Index backends
@@ -96,10 +103,9 @@
 //     selections there run the global pass, which returns the same
 //     subset.
 //
-// The names of three retired backends still resolve: IndexVPTree and
-// IndexRTree (and the names "vptree" and "rtree" in IndexByName and in
-// snapshot metadata) are aliases of IndexMTree, and IndexGrid (and
-// "grid") of IndexCoverageGraph, whose Lp builds run on the same
+// The names of three retired backends still resolve in IndexByName and
+// in snapshot metadata: "vptree" and "rtree" name IndexMTree, and
+// "grid" names IndexCoverageGraph, whose Lp builds run on the same
 // uniform grid. Each returns the same greedy selections as the backend
 // it names.
 //

@@ -21,12 +21,9 @@ import (
 // The coverage-graph engine serves its materialised graph directly (or
 // a cached row-prefix view of it); every other engine pays one range
 // query per object to materialise the adjacency first — the cost of
-// the count-initialisation pass a global run issues anyway. Solutions
-// carry exact DistBlack entries (full adjacency rows are walked, so
-// every closest-black distance is observed — pruned global runs only
-// bound them), and Accesses mirrors the global pruned run's
-// accounting: one unit per adjacency entry examined, at least one per
-// query.
+// the count-initialisation pass a global run issues anyway. Accesses
+// mirrors the global pruned run's accounting: one unit per adjacency
+// entry examined, at least one per query.
 //
 // UpdateGrey and UpdateLazyGrey run natively. UpdateWhite maintains the
 // same exact counts through grey-side decrements (the objects that
@@ -52,21 +49,14 @@ func GreedyDisCComponents(e Engine, r float64, opts GreedyOptions) *Solution {
 	if opts.Update == UpdateLazyGrey {
 		updR = r / 2
 	}
-	n := e.Size()
-	s := newSolution(n, r, greedyName(opts, true))
-	ids, acc := newAdjGreedy(n).run(csr, updR, s, nil)
-	// Results outlive the run (the server keeps them), so the id list is
-	// copied out of the append-grown buffer at its exact size.
-	s.IDs = append(make([]int, 0, len(ids)), ids...)
-	s.DistBlackExact = true
-	s.Accesses = (e.Accesses() - start) + acc
-	return s
+	ids, acc := newAdjGreedy(e.Size()).run(csr, updR, nil)
+	return (&coloring{ids: ids}).solution(greedyName(opts, true), r, (e.Accesses()-start)+acc)
 }
 
 // adjGreedy is the reusable state of the pruned greedy over a CSR.
 // Every structure is sized once for the id domain: a finished run
 // leaves the white set empty (every object ends covered) and the queue
-// drained with its bucket storage kept, and count entries are
+// drained with its lists kept, and count entries are
 // rewritten before they are read, so a second run over the same domain
 // allocates nothing.
 type adjGreedy struct {
@@ -82,31 +72,27 @@ func newAdjGreedy(n int) *adjGreedy {
 	return g
 }
 
-// run selects over the whole id domain, writing colors and closest-black
-// distances into s and appending the selected ids, in pick order, to
-// ids. It returns them with the entries-examined access count. Counts
+// run selects over the whole id domain, appending the selected ids, in
+// pick order, to ids. It returns them with the entries-examined access
+// count. Counts
 // start at the exact degrees; each pick greys its white neighbours and
 // decrements, for every white object within updR of a new grey, its
 // count — the grey update of the global algorithm. Decrements touch
 // only the count array; popLive re-enters a stale entry at its current
 // count, as in every other greedy run.
-func (g *adjGreedy) run(csr *grid.CSR, updR float64, s *Solution, ids []int) ([]int, int64) {
+func (g *adjGreedy) run(csr *grid.CSR, updR float64, ids []int) ([]int, int64) {
 	var acc int64
 	for id := range g.nw {
 		g.white.Set(id)
-		deg := csr.Degree(id)
-		g.nw[id] = int32(deg)
-		g.q.push(int32(id), deg)
+		g.nw[id] = int32(csr.Degree(id))
 	}
-	g.q.start()
+	fill(&g.q, g.nw, nil)
 	for {
 		pi, ok := popLive(&g.q, g.nw, g.white.Test)
 		if !ok {
 			break
 		}
 		g.white.Clear(pi)
-		s.Colors[pi] = Black
-		s.DistBlack[pi] = 0
 		ids = append(ids, pi)
 		row := csr.Row(pi)
 		acc += int64(max(len(row), 1))
@@ -114,14 +100,7 @@ func (g *adjGreedy) run(csr *grid.CSR, updR float64, s *Solution, ids []int) ([]
 		for _, nb := range row {
 			if g.white.Test(nb.ID) {
 				g.white.Clear(nb.ID)
-				s.Colors[nb.ID] = Grey
 				g.grey = append(g.grey, int32(nb.ID))
-			}
-			// Full rows are walked (unlike the white-filtered queries of
-			// the global pruned run), so closest-black distances are
-			// exact and the solution reports DistBlackExact.
-			if nb.Dist < s.DistBlack[nb.ID] {
-				s.DistBlack[nb.ID] = nb.Dist
 			}
 		}
 		for _, gj := range g.grey {

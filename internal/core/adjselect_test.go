@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"slices"
 	"testing"
 
@@ -9,8 +8,7 @@ import (
 )
 
 // TestEngineConformanceComponents: every engine must return the
-// identical component-mode solution — ids in pick order, colors and
-// exact closest-black distances — at radii below, at and above the
+// identical component-mode solution — ids in pick order — at radii below, at and above the
 // graph engine's build radius, under every count-update strategy.
 func TestEngineConformanceComponents(t *testing.T) {
 	pts := randomPoints(300, 2, 91)
@@ -22,7 +20,7 @@ func TestEngineConformanceComponents(t *testing.T) {
 			ref := GreedyDisCComponents(engines["flat"], r, opts)
 			for name, e := range engines {
 				got := GreedyDisCComponents(e, r, opts)
-				if !slices.Equal(got.IDs, ref.IDs) || !slices.Equal(got.Colors, ref.Colors) || !slices.Equal(got.DistBlack, ref.DistBlack) {
+				if !slices.Equal(got.IDs, ref.IDs) {
 					t.Fatalf("r=%g %v %s: solution differs from the flat engine's", r, upd, name)
 				}
 			}
@@ -62,8 +60,8 @@ func TestGraphEngineComponentsCached(t *testing.T) {
 }
 
 // TestGreedyComponentsMatchesGlobal: the component-mode selection must
-// pick exactly the global greedy's ids in the global greedy's order,
-// with the same colors — per engine, per update strategy (including
+// pick exactly the global greedy's ids in the global greedy's order —
+// per engine, per update strategy (including
 // the lazy-white fallback), per radius — and every solution must
 // satisfy Definition 1.
 func TestGreedyComponentsMatchesGlobal(t *testing.T) {
@@ -78,9 +76,6 @@ func TestGreedyComponentsMatchesGlobal(t *testing.T) {
 				got := GreedyDisCComponents(e, r, opts)
 				if !slices.Equal(want.IDs, got.IDs) {
 					t.Errorf("%s r=%g %v: component selection differs from global", name, r, upd)
-				}
-				if !slices.Equal(want.Colors, got.Colors) {
-					t.Errorf("%s r=%g %v: component colors differ from global", name, r, upd)
 				}
 				if err := VerifySolution(e, got); err != nil {
 					t.Errorf("%s r=%g %v: %v", name, r, upd, err)
@@ -155,29 +150,9 @@ func TestGreedyComponentsAccessParity(t *testing.T) {
 	}
 }
 
-// TestGreedyComponentsExactDistBlack: component solutions promise exact
-// closest-black distances; cross-check against the post-processing
-// recomputation.
-func TestGreedyComponentsExactDistBlack(t *testing.T) {
-	pts := randomPoints(300, 2, 96)
-	e := flatEngine(t, pts, object.Euclidean{})
-	const r = 0.07
-	s := GreedyDisCComponents(e, r, GreedyOptions{Update: UpdateGrey, Pruned: true})
-	if !s.DistBlackExact {
-		t.Fatalf("component solution does not report exact DistBlack")
-	}
-	check := s.Clone()
-	RecomputeDistBlack(e, check)
-	for id := range s.DistBlack {
-		if s.DistBlack[id] != check.DistBlack[id] {
-			t.Fatalf("DistBlack[%d] = %g, recomputation says %g", id, s.DistBlack[id], check.DistBlack[id])
-		}
-	}
-}
-
 // TestGreedyComponentsFastPaths: a crafted universe of a singleton, a
-// pair and a three-point chain, whose pick order, colors and distances
-// are known in closed form.
+// pair and a three-point chain, whose pick order is known in closed
+// form.
 func TestGreedyComponentsFastPaths(t *testing.T) {
 	pts := []object.Point{
 		{0.0, 0.0},  // 0: singleton
@@ -195,20 +170,8 @@ func TestGreedyComponentsFastPaths(t *testing.T) {
 	if !slices.Equal(s.IDs, []int{4, 1, 0}) {
 		t.Fatalf("selected %v, want [4 1 0]", s.IDs)
 	}
-	wantColors := []Color{Black, Black, Grey, Grey, Black, Grey}
-	for id, c := range wantColors {
-		if s.Colors[id] != c {
-			t.Fatalf("color of %d is %v, want %v", id, s.Colors[id], c)
-		}
-	}
 	if err := VerifySolution(e, s); err != nil {
 		t.Fatal(err)
-	}
-	if s.DistBlack[2] != e.Metric().Dist(pts[1], pts[2]) {
-		t.Fatalf("pair grey distance %g", s.DistBlack[2])
-	}
-	if math.IsInf(s.DistBlack[3], 1) || math.IsInf(s.DistBlack[5], 1) {
-		t.Fatalf("chain greys left without closest-black distances")
 	}
 }
 

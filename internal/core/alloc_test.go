@@ -7,7 +7,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	"github.com/discdiversity/disc/internal/object"
@@ -96,20 +95,14 @@ func TestComponentSelectZeroAlloc(t *testing.T) {
 	if !ok {
 		t.Fatal("no adjacency at build radius")
 	}
-	s := newSolution(len(pts), r, "alloc probe")
 	run := newAdjGreedy(len(pts))
-	ids, _ := run.run(csr, r, s, nil) // grow to high-water
+	ids, _ := run.run(csr, r, nil) // grow to high-water
 	if len(ids) < 10 {
 		t.Fatalf("workload too degenerate for the run (%d picks)", len(ids))
 	}
 	buf := ids[:0]
-	inf := math.Inf(1)
 	allocs := testing.AllocsPerRun(20, func() {
-		for id := range s.Colors {
-			s.Colors[id] = White
-			s.DistBlack[id] = inf
-		}
-		buf, _ = run.run(csr, r, s, buf[:0])
+		buf, _ = run.run(csr, r, buf[:0])
 	})
 	if allocs != 0 {
 		t.Errorf("component run allocates %.1f/op in steady state", allocs)
@@ -144,6 +137,34 @@ func TestLiveSelectionZeroAlloc(t *testing.T) {
 	}
 	if got == 0 {
 		t.Fatal("selection unexpectedly empty")
+	}
+}
+
+// TestBucketQueueFreshFillAllocs: a fresh queue's fill-and-drain, stale
+// re-entries included, allocates the queue's three arrays and nothing
+// per bucket or per push.
+func TestBucketQueueFreshFillAllocs(t *testing.T) {
+	counts := make([]int, 4096)
+	live := func(int) bool { return true }
+	round := func() {
+		for i := range counts {
+			counts[i] = i % 97
+		}
+		var q bucketQueue
+		fill(&q, counts, nil)
+		for {
+			id, ok := popLive(&q, counts, live)
+			if !ok {
+				break
+			}
+			// Stale the next object's key so it re-enters lower.
+			if next := (id + 1) % len(counts); counts[next] > 0 {
+				counts[next]--
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, round); allocs > 3 {
+		t.Errorf("fresh bucketQueue fill-and-drain allocates %.1f/op, want at most 3", allocs)
 	}
 }
 

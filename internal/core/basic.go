@@ -8,8 +8,7 @@ package core
 // diverse (Lemma 1).
 //
 // With pruned set (and a CoverageEngine) range queries skip fully covered
-// regions, the "Basic-DisC (Pruned)" variant of the evaluation. Pruned
-// runs leave DistBlack inexact; see Solution.DistBlackExact.
+// regions, the "Basic-DisC (Pruned)" variant of the evaluation.
 func BasicDisC(e Engine, r float64, pruned bool) *Solution {
 	n := e.Size()
 	name := "Basic-DisC"
@@ -19,12 +18,12 @@ func BasicDisC(e Engine, r float64, pruned bool) *Solution {
 		name += " (Pruned)"
 		cov.StartCoverage(nil)
 	}
-	s := newSolution(n, r, name)
+	s := newColoring(n)
 	start := e.Accesses()
 
 	var sc queryScratch
 	for _, pi := range e.ScanOrder() {
-		if s.Colors[pi] != White {
+		if s.colors[pi] != White {
 			continue
 		}
 		s.selectBlack(pi)
@@ -35,19 +34,13 @@ func BasicDisC(e Engine, r float64, pruned bool) *Solution {
 			sc.ns = e.NeighborsAppend(sc.ns[:0], pi, r)
 		}
 		for _, nb := range sc.ns {
-			if s.Colors[nb.ID] == White {
-				s.Colors[nb.ID] = Grey
+			if s.colors[nb.ID] == White {
+				s.colors[nb.ID] = Grey
 				if usePrune {
 					cov.Cover(nb.ID)
 				}
 			}
-			if nb.Dist < s.DistBlack[nb.ID] {
-				s.DistBlack[nb.ID] = nb.Dist
-			}
 		}
 	}
-
-	s.DistBlackExact = !usePrune
-	s.Accesses = e.Accesses() - start
-	return s
+	return s.solution(name, r, e.Accesses()-start)
 }

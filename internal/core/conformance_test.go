@@ -199,14 +199,14 @@ func TestEngineConformanceZoom(t *testing.T) {
 	m := object.Euclidean{}
 	for name, e := range allEngines(t, pts, m) {
 		prev := GreedyDisC(e, 0.1, GreedyOptions{Update: UpdateGrey})
-		in, err := ZoomIn(e, prev.Clone(), 0.05, true, true)
+		in, err := ZoomIn(e, prev, 0.05, true, true)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if err := VerifySolution(e, in); err != nil {
 			t.Errorf("%s zoom-in: %v", name, err)
 		}
-		out, err := ZoomOut(e, prev.Clone(), 0.2, ZoomOutGreedyA)
+		out, err := ZoomOut(e, prev, 0.2, ZoomOutGreedyA)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -233,66 +233,47 @@ func TestSolutionBookkeeping(t *testing.T) {
 	m := object.Euclidean{}
 	e := flatEngine(t, pts, m)
 	s := GreedyDisC(e, 0.06, GreedyOptions{Update: UpdateGrey})
-	if !s.DistBlackExact {
-		t.Fatal("unpruned run should have exact DistBlack")
+	if cap(s.IDs) != len(s.IDs) {
+		t.Errorf("ids kept at capacity %d for %d picks", cap(s.IDs), len(s.IDs))
 	}
-	// DistBlack must equal the true distance to the closest selected
-	// object for every covered object.
-	for id := range pts {
-		best := -1.0
-		for _, b := range s.IDs {
-			if id == b {
-				best = 0
-				break
-			}
-			d := m.Dist(pts[id], pts[b])
-			if d <= s.Radius && (best < 0 || d < best) {
-				best = d
-			}
-		}
-		if best < 0 {
-			t.Fatalf("object %d uncovered", id)
-		}
-		if diff := s.DistBlack[id] - best; diff > 1e-12 || diff < -1e-12 {
-			t.Fatalf("object %d: DistBlack %g, want %g", id, s.DistBlack[id], best)
+	for _, id := range s.IDs {
+		if !s.Contains(id) {
+			t.Fatalf("Contains(%d) false for a selected id", id)
 		}
 	}
 	if s.Contains(-1) || s.Contains(len(pts)) {
 		t.Error("Contains accepted out-of-range id")
 	}
-	c := s.Clone()
-	c.IDs[0] = -7
-	if s.IDs[0] == -7 {
-		t.Error("Clone shares IDs backing array")
+	checkCoveredWithin(t, e, s.IDs, s.Radius/2)
+}
+
+// TestCoveredWithinAfterPrunedRun: the zooming rule's pass over a
+// pruned run's ids marks exactly the objects within the radius of a
+// selected one, whatever the run's white-filtered queries observed.
+func TestCoveredWithinAfterPrunedRun(t *testing.T) {
+	pts := randomPoints(500, 2, 71)
+	e := treeEngine(t, pts, object.Euclidean{})
+	s := BasicDisC(e, 0.08, true)
+	for _, r := range []float64{0.03, s.Radius} {
+		checkCoveredWithin(t, e, s.IDs, r)
 	}
 }
 
-func TestRecomputeDistBlackAfterPrunedRun(t *testing.T) {
-	pts := randomPoints(500, 2, 71)
-	m := object.Euclidean{}
-	e := treeEngine(t, pts, m)
-	s := BasicDisC(e, 0.08, true)
-	if s.DistBlackExact {
-		t.Fatal("pruned run should mark DistBlack inexact")
-	}
-	RecomputeDistBlack(e, s)
-	if !s.DistBlackExact {
-		t.Fatal("RecomputeDistBlack did not mark exact")
-	}
-	for id := range pts {
-		best := -1.0
-		for _, b := range s.IDs {
-			if id == b {
-				best = 0
+// checkCoveredWithin compares coveredWithin with a brute-force scan.
+func checkCoveredWithin(t *testing.T, e Engine, ids []int, r float64) {
+	t.Helper()
+	got := coveredWithin(e, ids, r)
+	m := e.Metric()
+	for id := range got {
+		want := false
+		for _, b := range ids {
+			if id == b || m.Dist(e.Point(id), e.Point(b)) <= r {
+				want = true
 				break
 			}
-			d := m.Dist(pts[id], pts[b])
-			if d <= s.Radius && (best < 0 || d < best) {
-				best = d
-			}
 		}
-		if diff := s.DistBlack[id] - best; diff > 1e-12 || diff < -1e-12 {
-			t.Fatalf("object %d: DistBlack %g, want %g", id, s.DistBlack[id], best)
+		if got[id] != want {
+			t.Fatalf("r=%g object %d: covered %v, want %v", r, id, got[id], want)
 		}
 	}
 }

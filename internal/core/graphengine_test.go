@@ -147,7 +147,7 @@ func TestGraphEngineRebuild(t *testing.T) {
 // every r ≤ C as a row-prefix view; each view must be the graph a fresh
 // join at r builds over the same substrate — rows compared in id order,
 // entry for entry, distances bit for bit — with the same component-mode
-// selection and closest-black distances. Every built-in
+// selection. Every built-in
 // metric, both join substrates (the grid and the flat join, forced for
 // the Lp metrics too) and both precisions, at r ∈ {C, 0.75C, C/2, 0}.
 func TestCeilingViewsMatchJoin(t *testing.T) {
@@ -207,7 +207,7 @@ func TestCeilingViewsMatchJoin(t *testing.T) {
 					}
 					vs := GreedyDisCComponents(ceil, r, opts)
 					fs := GreedyDisCComponents(fresh, r, opts)
-					if !slices.Equal(vs.IDs, fs.IDs) || !slices.Equal(vs.DistBlack, fs.DistBlack) {
+					if !slices.Equal(vs.IDs, fs.IDs) {
 						t.Fatalf("%s: component selection on the view differs from the join's", name)
 					}
 				}

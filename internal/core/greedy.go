@@ -84,16 +84,13 @@ func GreedyDisC(e Engine, r float64, opts GreedyOptions) *Solution {
 	if usePrune {
 		cov.StartCoverage(nil)
 	}
-	s := newSolution(n, r, name)
+	s := newColoring(n)
 	start := e.Accesses()
 
 	var sc queryScratch
 	nw := initialWhiteCounts(e, r, &sc)
 	var q bucketQueue
-	for id, c := range nw {
-		q.push(int32(id), c)
-	}
-	q.start()
+	fill(&q, nw, nil)
 	for {
 		pi, ok := popLive(&q, nw, s.isWhite)
 		if !ok {
@@ -108,23 +105,17 @@ func GreedyDisC(e Engine, r float64, opts GreedyOptions) *Solution {
 		}
 		sc.grey = sc.grey[:0]
 		for _, nb := range sc.ns {
-			if s.Colors[nb.ID] == White {
-				s.Colors[nb.ID] = Grey
+			if s.colors[nb.ID] == White {
+				s.colors[nb.ID] = Grey
 				sc.grey = append(sc.grey, nb)
 				if usePrune {
 					cov.Cover(nb.ID)
 				}
 			}
-			if nb.Dist < s.DistBlack[nb.ID] {
-				s.DistBlack[nb.ID] = nb.Dist
-			}
 		}
-		updateWhiteCounts(e, cov, usePrune, s, r, opts.Update, pi, sc.grey, nw, &sc)
+		updateWhiteCounts(e, cov, usePrune, s.colors, r, opts.Update, pi, sc.grey, nw, &sc)
 	}
-
-	s.DistBlackExact = !usePrune
-	s.Accesses = e.Accesses() - start
-	return s
+	return s.solution(name, r, e.Accesses()-start)
 }
 
 func greedyName(opts GreedyOptions, components bool) string {
@@ -171,7 +162,7 @@ func initialWhiteCounts(e Engine, r float64, sc *queryScratch) []int {
 // selected and newGrey turned grey, decrementing nw in place (the queue
 // catches up when it pops a stale entry). newGrey aliases sc.grey; the
 // queries issued here land in sc.upd, never in sc.ns or sc.grey.
-func updateWhiteCounts(e Engine, cov CoverageEngine, usePrune bool, s *Solution, r float64, strategy UpdateStrategy, pi int, newGrey []object.Neighbor, nw []int, sc *queryScratch) {
+func updateWhiteCounts(e Engine, cov CoverageEngine, usePrune bool, colors []Color, r float64, strategy UpdateStrategy, pi int, newGrey []object.Neighbor, nw []int, sc *queryScratch) {
 	whiteNeighbors := func(dst []object.Neighbor, id int, radius float64) []object.Neighbor {
 		if usePrune {
 			return cov.NeighborsWhiteAppend(dst, id, radius)
@@ -192,7 +183,7 @@ func updateWhiteCounts(e Engine, cov CoverageEngine, usePrune bool, s *Solution,
 		for _, gj := range newGrey {
 			sc.upd = whiteNeighbors(sc.upd[:0], gj.ID, radius)
 			for _, nk := range sc.upd {
-				if s.Colors[nk.ID] == White {
+				if colors[nk.ID] == White {
 					nw[nk.ID]--
 				}
 			}
@@ -205,7 +196,7 @@ func updateWhiteCounts(e Engine, cov CoverageEngine, usePrune bool, s *Solution,
 		sc.upd = whiteNeighbors(sc.upd[:0], pi, radius)
 		m := e.Metric()
 		for _, wk := range sc.upd {
-			if s.Colors[wk.ID] != White {
+			if colors[wk.ID] != White {
 				continue
 			}
 			cnt := 0

@@ -56,7 +56,7 @@ func FastC(e Engine, r float64) *Solution {
 // buffers.
 func greedyCoverage(e Engine, r float64, name string, colorNeighbors, updateNeighbors neighborsFunc) *Solution {
 	n := e.Size()
-	s := newSolution(n, r, name)
+	s := newColoring(n)
 	cov, hasCov := e.(CoverageEngine)
 	start := e.Accesses()
 
@@ -65,14 +65,11 @@ func greedyCoverage(e Engine, r float64, name string, colorNeighbors, updateNeig
 	var sc queryScratch
 	nw := initialWhiteCounts(e, r, &sc)
 	var q bucketQueue
-	for id, c := range nw {
-		q.push(int32(id), c)
-	}
-	q.start()
+	fill(&q, nw, nil)
 	// A grey candidate covering nothing new is useless (its count only
 	// falls); a white one still covers itself.
 	candidate := func(id int) bool {
-		return s.Colors[id] != Black && (nw[id] > 0 || s.Colors[id] == White)
+		return s.colors[id] != Black && (nw[id] > 0 || s.colors[id] == White)
 	}
 
 	whitesLeft := n
@@ -89,7 +86,7 @@ func greedyCoverage(e Engine, r float64, name string, colorNeighbors, updateNeig
 		if !ok {
 			break // unreachable: every white stays a candidate
 		}
-		wasWhite := s.Colors[pc] == White
+		wasWhite := s.colors[pc] == White
 		s.selectBlack(pc)
 		if wasWhite {
 			cover(pc)
@@ -97,13 +94,10 @@ func greedyCoverage(e Engine, r float64, name string, colorNeighbors, updateNeig
 		sc.ns = colorNeighbors(sc.ns[:0], pc)
 		sc.grey = sc.grey[:0]
 		for _, nb := range sc.ns {
-			if s.Colors[nb.ID] == White {
-				s.Colors[nb.ID] = Grey
+			if s.colors[nb.ID] == White {
+				s.colors[nb.ID] = Grey
 				sc.grey = append(sc.grey, nb)
 				cover(nb.ID)
-			}
-			if nb.Dist < s.DistBlack[nb.ID] {
-				s.DistBlack[nb.ID] = nb.Dist
 			}
 		}
 
@@ -113,7 +107,7 @@ func greedyCoverage(e Engine, r float64, name string, colorNeighbors, updateNeig
 		// reuse it.
 		if wasWhite {
 			for _, nb := range sc.ns {
-				if s.Colors[nb.ID] != Black {
+				if s.colors[nb.ID] != Black {
 					nw[nb.ID]--
 				}
 			}
@@ -121,16 +115,11 @@ func greedyCoverage(e Engine, r float64, name string, colorNeighbors, updateNeig
 		for _, gj := range sc.grey {
 			sc.upd = updateNeighbors(sc.upd[:0], gj.ID)
 			for _, nk := range sc.upd {
-				if s.Colors[nk.ID] != Black {
+				if s.colors[nk.ID] != Black {
 					nw[nk.ID]--
 				}
 			}
 		}
 	}
-
-	// Greedy-C's full queries keep closest-black distances exact; Fast-C's
-	// stopped queries may miss neighbours.
-	s.DistBlackExact = name == "Greedy-C"
-	s.Accesses = e.Accesses() - start
-	return s
+	return s.solution(name, r, e.Accesses()-start)
 }

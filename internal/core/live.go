@@ -420,17 +420,14 @@ func (l *LiveDisC) run() {
 	for len(l.nw) < slots {
 		l.nw = append(l.nw, 0)
 	}
-	var q bucketQueue
 	for id := range slots {
-		if !l.dyn.Alive(id) {
-			continue
+		if l.dyn.Alive(id) {
+			white.Set(id)
+			l.nw[id] = int32(l.adj.Degree(id))
 		}
-		white.Set(id)
-		deg := l.adj.Degree(id)
-		l.nw[id] = int32(deg)
-		q.push(int32(id), deg)
 	}
-	q.start()
+	var q bucketQueue
+	fill(&q, l.nw[:slots], white.Test)
 	for {
 		pi, ok := popLive(&q, l.nw, white.Test)
 		if !ok {

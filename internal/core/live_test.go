@@ -40,8 +40,7 @@ func batchJoin(t *testing.T, flat *object.FlatDataset, r float64) *grid.CSR {
 func batchReference(t *testing.T, flat *object.FlatDataset, r float64) (*grid.CSR, []int) {
 	t.Helper()
 	csr := batchJoin(t, flat, r)
-	sol := newSolution(flat.Len(), r, "ref")
-	ids, _ := newAdjGreedy(flat.Len()).run(csr, r, sol, nil)
+	ids, _ := newAdjGreedy(flat.Len()).run(csr, r, nil)
 	return csr, ids
 }
 

@@ -46,9 +46,8 @@ func LocalZoomIn(e Engine, prev *Solution, center int, rNew float64, greedy bool
 	if !prev.Contains(center) {
 		return nil, fmt.Errorf("core: local zoom-in: object %d is not a selected representative", center)
 	}
-	if !prev.DistBlackExact {
-		RecomputeDistBlack(e, prev)
-	}
+	// The zooming rule's post-processing pass, uncharged as in ZoomIn.
+	covered := coveredWithin(e, prev.IDs, rNew)
 	start := e.Accesses()
 
 	region, inRegion := regionAround(e, center, prev.Radius)
@@ -57,10 +56,11 @@ func LocalZoomIn(e Engine, prev *Solution, center int, rNew float64, greedy bool
 	// Whites: region objects (other than the centre) not covered by any
 	// representative at the new radius. Other representatives cannot be
 	// inside the region (independence), but they may still cover part of
-	// it from outside, which is why the global DistBlack is consulted.
+	// it from outside, which is why coverage by every representative is
+	// consulted.
 	white := make(map[int]bool, len(region))
 	for _, id := range region {
-		if id != center && prev.DistBlack[id] > rNew {
+		if id != center && !covered[id] {
 			white[id] = true
 		}
 	}
@@ -99,7 +99,6 @@ func LocalZoomIn(e Engine, prev *Solution, center int, rNew float64, greedy bool
 		// small), which charge no accesses.
 		m := e.Metric()
 		nw := make([]int, len(region))
-		var q bucketQueue
 		for j, id := range region {
 			if !white[id] {
 				continue
@@ -109,10 +108,10 @@ func LocalZoomIn(e Engine, prev *Solution, center int, rNew float64, greedy bool
 					nw[j]++
 				}
 			}
-			q.push(int32(j), nw[j])
 		}
-		q.start()
 		live := func(j int) bool { return white[region[j]] }
+		var q bucketQueue
+		fill(&q, nw, live)
 		for {
 			j, ok := popLive(&q, nw, live)
 			if !ok {
@@ -161,17 +160,14 @@ func LocalZoomOut(e Engine, prev *Solution, center int, rNew float64) (*LocalRes
 	if !prev.Contains(center) {
 		return nil, fmt.Errorf("core: local zoom-out: object %d is not a selected representative", center)
 	}
-	if !prev.DistBlackExact {
-		RecomputeDistBlack(e, prev)
-	}
 	start := e.Accesses()
 
-	region, _ := regionAround(e, center, rNew)
+	region, inRegion := regionAround(e, center, rNew)
 	res := &LocalResult{Center: center, LocalRadius: rNew, Region: region}
 
 	removed := make(map[int]bool)
-	for _, id := range region {
-		if id != center && prev.Contains(id) {
+	for _, id := range prev.IDs {
+		if id != center && inRegion[id] {
 			removed[id] = true
 			res.Removed = append(res.Removed, id)
 		}

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"math"
+	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/discdiversity/disc/internal/object"
@@ -37,8 +38,9 @@ func (c Color) String() string {
 	}
 }
 
-// Solution is the outcome of a DisC computation: the selected objects, the
-// final coloring and the bookkeeping needed for incremental zooming.
+// Solution is the outcome of a DisC computation: the selected objects
+// in pick order and what the run cost. It holds nothing per object;
+// the coverage a zoom needs is derived from IDs (see coveredWithin).
 type Solution struct {
 	// Algorithm is the name of the heuristic that produced the solution.
 	Algorithm string
@@ -46,52 +48,47 @@ type Solution struct {
 	Radius float64
 	// IDs lists the selected (black) objects in selection order.
 	IDs []int
-	// Colors holds the final color of every object.
-	Colors []Color
-	// DistBlack[id] is the distance from id to its closest black
-	// neighbour within Radius (0 for black objects, +Inf if unknown).
-	// It powers the paper's zooming rule. See DistBlackExact.
-	DistBlack []float64
-	// DistBlackExact reports whether DistBlack holds exact values.
-	// Pruned runs skip already-grey objects during range queries, so
-	// their DistBlack entries are upper bounds until
-	// RecomputeDistBlack is called (the paper's post-processing step).
-	DistBlackExact bool
 	// Accesses is the engine cost consumed computing this solution
 	// (M-tree node accesses for the tree engine).
 	Accesses int64
 }
 
-func newSolution(n int, r float64, algorithm string) *Solution {
-	s := &Solution{
-		Algorithm: algorithm,
-		Radius:    r,
-		Colors:    make([]Color, n),
-		DistBlack: make([]float64, n),
-	}
-	for i := range s.DistBlack {
-		s.DistBlack[i] = math.Inf(1)
-	}
-	return s
+// coloring is a run's working state: every object's colour and the
+// picks so far, in order. It lives only as long as the run; solution
+// copies the picks out.
+type coloring struct {
+	colors []Color
+	ids    []int
 }
 
+func newColoring(n int) *coloring { return &coloring{colors: make([]Color, n)} }
+
 // selectBlack marks pi as a member of the diverse subset.
-func (s *Solution) selectBlack(pi int) {
-	s.Colors[pi] = Black
-	s.DistBlack[pi] = 0
-	s.IDs = append(s.IDs, pi)
+func (c *coloring) selectBlack(pi int) {
+	c.colors[pi] = Black
+	c.ids = append(c.ids, pi)
 }
 
 // isWhite reports whether id is still uncovered.
-func (s *Solution) isWhite(id int) bool { return s.Colors[id] == White }
+func (c *coloring) isWhite(id int) bool { return c.colors[id] == White }
+
+// solution returns the run's answer. Results outlive the run (the
+// server keeps them), so the ids are copied out of the append-grown
+// buffer at their exact size.
+func (c *coloring) solution(algorithm string, r float64, accesses int64) *Solution {
+	return &Solution{
+		Algorithm: algorithm,
+		Radius:    r,
+		IDs:       append(make([]int, 0, len(c.ids)), c.ids...),
+		Accesses:  accesses,
+	}
+}
 
 // Size returns the number of selected objects.
 func (s *Solution) Size() int { return len(s.IDs) }
 
 // Contains reports whether object id was selected.
-func (s *Solution) Contains(id int) bool {
-	return id >= 0 && id < len(s.Colors) && s.Colors[id] == Black
-}
+func (s *Solution) Contains(id int) bool { return slices.Contains(s.IDs, id) }
 
 // SortedIDs returns the selected objects in ascending id order (a copy).
 func (s *Solution) SortedIDs() []int {
@@ -100,35 +97,40 @@ func (s *Solution) SortedIDs() []int {
 	return ids
 }
 
-// Clone returns a deep copy of the solution.
-func (s *Solution) Clone() *Solution {
-	c := *s
-	c.IDs = append([]int(nil), s.IDs...)
-	c.Colors = append([]Color(nil), s.Colors...)
-	c.DistBlack = append([]float64(nil), s.DistBlack...)
-	return &c
-}
-
-// RecomputeDistBlack restores exact closest-black-neighbour distances by
-// running one unpruned range query per selected object. This is the
-// post-processing step Section 5.2 requires after pruned runs, before the
-// zooming rule can be applied. The engine accesses it performs are left
-// on the engine's counter; they are not added to s.Accesses.
-func RecomputeDistBlack(e Engine, s *Solution) {
-	for i := range s.DistBlack {
-		s.DistBlack[i] = math.Inf(1)
-	}
+// coveredWithin reports, per object, whether it lies within r of one of
+// ids (the ids themselves included): one range query per id, in order.
+// It is the paper's post-processing pass (Section 5.2) cut to what the
+// zooming rule reads — whether the closest black is within the new
+// radius — so the zooms call it at their new radius. The engine
+// accesses it performs are left on the engine's counter; callers run
+// it before they start counting.
+func coveredWithin(e Engine, ids []int, r float64) []bool {
+	covered := make([]bool, e.Size())
 	var buf []object.Neighbor
-	for _, b := range s.IDs {
-		s.DistBlack[b] = 0
-		buf = e.NeighborsAppend(buf[:0], b, s.Radius)
+	for _, b := range ids {
+		covered[b] = true
+		buf = e.NeighborsAppend(buf[:0], b, r)
 		for _, nb := range buf {
-			if nb.Dist < s.DistBlack[nb.ID] {
-				s.DistBlack[nb.ID] = nb.Dist
-			}
+			covered[nb.ID] = true
 		}
 	}
-	s.DistBlackExact = true
+	return covered
+}
+
+// checkIDs reports an id list that names an object twice or one outside
+// [0, n).
+func checkIDs(n int, ids []int) error {
+	seen := make([]bool, n)
+	for _, id := range ids {
+		if id < 0 || id >= n {
+			return fmt.Errorf("core: selected id %d out of range [0,%d)", id, n)
+		}
+		if seen[id] {
+			return fmt.Errorf("core: object %d selected twice", id)
+		}
+		seen[id] = true
+	}
+	return nil
 }
 
 // Jaccard returns the Jaccard distance between the selected sets of two

@@ -56,11 +56,13 @@ func BuildTreeEngineWithCounts(cfg mtree.Config, pts []object.Point, r float64) 
 		return nil, err
 	}
 	counts := make([]int, len(pts))
+	var buf []object.Neighbor
 	for id := range pts {
 		if err := t.Insert(id); err != nil {
 			return nil, err
 		}
-		for _, nb := range t.RangeQueryAround(id, r) {
+		buf = t.AppendRangeQueryAround(buf[:0], id, r)
+		for _, nb := range buf {
 			counts[id]++
 			counts[nb.ID]++
 		}

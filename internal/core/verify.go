@@ -65,43 +65,21 @@ func CheckDissimilarity(pts []object.Point, m object.Metric, ids []int, r float6
 	return nil
 }
 
-// VerifySolution checks a solution against its engine: DisC invariants
-// plus internal consistency of the color array and id list.
+// VerifySolution checks a solution against its engine: its ids name
+// distinct objects in range (CheckDisC checks both), and they form an
+// r-DisC diverse subset.
 func VerifySolution(e Engine, s *Solution) error {
-	pts := enginePoints(e)
-	if len(s.Colors) != len(pts) {
-		return fmt.Errorf("core: solution colors cover %d objects, engine has %d", len(s.Colors), len(pts))
-	}
-	blacks := 0
-	for id, c := range s.Colors {
-		switch c {
-		case Black:
-			blacks++
-		case White:
-			return fmt.Errorf("core: object %d left white", id)
-		}
-	}
-	if blacks != len(s.IDs) {
-		return fmt.Errorf("core: %d black objects but %d selected ids", blacks, len(s.IDs))
-	}
-	for _, id := range s.IDs {
-		if s.Colors[id] != Black {
-			return fmt.Errorf("core: selected id %d not colored black", id)
-		}
-	}
-	return CheckDisC(pts, e.Metric(), s.IDs, s.Radius)
+	return CheckDisC(enginePoints(e), e.Metric(), s.IDs, s.Radius)
 }
 
 // VerifyCoverageOnly is VerifySolution for r-C subsets (Greedy-C, Fast-C),
-// which do not promise independence.
+// which do not promise independence; their ids must still be distinct
+// and in range.
 func VerifyCoverageOnly(e Engine, s *Solution) error {
-	pts := enginePoints(e)
-	for id, c := range s.Colors {
-		if c == White {
-			return fmt.Errorf("core: object %d left white", id)
-		}
+	if err := checkIDs(e.Size(), s.IDs); err != nil {
+		return err
 	}
-	return CheckCoverage(pts, e.Metric(), s.IDs, s.Radius)
+	return CheckCoverage(enginePoints(e), e.Metric(), s.IDs, s.Radius)
 }
 
 func enginePoints(e Engine) []object.Point {

@@ -47,27 +47,22 @@ func WeightedGreedyDisC(e Engine, r float64, weights []float64) (*Solution, erro
 		return order[a] < order[b]
 	})
 
-	s := newSolution(n, r, "Weighted-Greedy-DisC")
+	s := newColoring(n)
 	start := e.Accesses()
 	var buf []object.Neighbor
 	for _, pi := range order {
-		if s.Colors[pi] != White {
+		if s.colors[pi] != White {
 			continue
 		}
 		s.selectBlack(pi)
 		buf = e.NeighborsAppend(buf[:0], pi, r)
 		for _, nb := range buf {
-			if s.Colors[nb.ID] == White {
-				s.Colors[nb.ID] = Grey
-			}
-			if nb.Dist < s.DistBlack[nb.ID] {
-				s.DistBlack[nb.ID] = nb.Dist
+			if s.colors[nb.ID] == White {
+				s.colors[nb.ID] = Grey
 			}
 		}
 	}
-	s.DistBlackExact = true
-	s.Accesses = e.Accesses() - start
-	return s, nil
+	return s.solution("Weighted-Greedy-DisC", r, e.Accesses()-start), nil
 }
 
 // TotalWeight sums the weights of the selected objects.
@@ -79,15 +74,10 @@ func TotalWeight(s *Solution, weights []float64) float64 {
 	return total
 }
 
-// MultiRadiusNeighbors returns the objects similar to id under per-object
-// radii: q is a neighbour of p when dist(p,q) <= max(rad(p), rad(q)).
-// One engine query at the maximum radius is filtered down.
-func MultiRadiusNeighbors(e Engine, id int, radii []float64, maxRad float64) []object.Neighbor {
-	return appendMultiRadiusNeighbors(nil, e, id, radii, maxRad)
-}
-
-// appendMultiRadiusNeighbors is the buffer-reusing form: the query lands
-// in dst (which is fully overwritten from index 0) and is filtered in
+// appendMultiRadiusNeighbors returns the objects similar to id under
+// per-object radii: q is a neighbour of p when dist(p,q) <=
+// max(rad(p), rad(q)). One engine query at the maximum radius lands in
+// dst (which is fully overwritten from index 0) and is filtered in
 // place.
 func appendMultiRadiusNeighbors(dst []object.Neighbor, e Engine, id int, radii []float64, maxRad float64) []object.Neighbor {
 	dst = e.NeighborsAppend(dst[:0], id, maxRad)
@@ -123,7 +113,7 @@ func MultiRadiusDisC(e Engine, radii []float64, greedy bool) (*Solution, error) 
 	if greedy {
 		name = "Greedy-MultiRadius-DisC"
 	}
-	s := newSolution(n, maxRad, name)
+	s := newColoring(n)
 	start := e.Accesses()
 
 	var sc queryScratch
@@ -133,19 +123,16 @@ func MultiRadiusDisC(e Engine, radii []float64, greedy bool) (*Solution, error) 
 		sc.ns = appendMultiRadiusNeighbors(sc.ns, e, pi, radii, maxRad)
 		sc.grey = sc.grey[:0]
 		for _, nb := range sc.ns {
-			if s.Colors[nb.ID] == White {
-				s.Colors[nb.ID] = Grey
+			if s.colors[nb.ID] == White {
+				s.colors[nb.ID] = Grey
 				sc.grey = append(sc.grey, nb)
-			}
-			if nb.Dist < s.DistBlack[nb.ID] {
-				s.DistBlack[nb.ID] = nb.Dist
 			}
 		}
 	}
 
 	if !greedy {
 		for _, pi := range e.ScanOrder() {
-			if s.Colors[pi] != White {
+			if s.colors[pi] != White {
 				continue
 			}
 			s.selectBlack(pi)
@@ -158,10 +145,7 @@ func MultiRadiusDisC(e Engine, radii []float64, greedy bool) (*Solution, error) 
 			nw[id] = len(sc.upd)
 		}
 		var q bucketQueue
-		for id, c := range nw {
-			q.push(int32(id), c)
-		}
-		q.start()
+		fill(&q, nw, nil)
 		for {
 			pi, ok := popLive(&q, nw, s.isWhite)
 			if !ok {
@@ -172,16 +156,14 @@ func MultiRadiusDisC(e Engine, radii []float64, greedy bool) (*Solution, error) 
 			for _, gj := range sc.grey {
 				sc.upd = appendMultiRadiusNeighbors(sc.upd, e, gj.ID, radii, maxRad)
 				for _, nk := range sc.upd {
-					if s.Colors[nk.ID] == White {
+					if s.colors[nk.ID] == White {
 						nw[nk.ID]--
 					}
 				}
 			}
 		}
 	}
-	s.DistBlackExact = true
-	s.Accesses = e.Accesses() - start
-	return s, nil
+	return s.solution(name, maxRad, e.Accesses()-start), nil
 }
 
 // CheckMultiRadiusDisC verifies the generalised Definition 1 under

@@ -57,15 +57,13 @@ func TestZoomInPrunedStillValid(t *testing.T) {
 }
 
 func TestZoomInAfterPrunedBaseRun(t *testing.T) {
-	// A pruned base run leaves DistBlack inexact; ZoomIn must repair it
-	// (the paper's post-processing) and still produce a valid solution.
+	// A pruned base run's white-filtered queries miss closest-black
+	// distances; ZoomIn derives them from the ids (the paper's
+	// post-processing) and must still produce a valid solution.
 	pts := randomPoints(600, 2, 13)
 	m := object.Euclidean{}
 	e := treeEngine(t, pts, m)
 	prev := BasicDisC(e, 0.1, true)
-	if prev.DistBlackExact {
-		t.Fatal("expected inexact DistBlack after pruned run")
-	}
 	zoomed, err := ZoomIn(e, prev, 0.04, false, false)
 	if err != nil {
 		t.Fatal(err)
@@ -88,6 +86,15 @@ func TestZoomInRejectsBadArguments(t *testing.T) {
 	}
 	if _, err := ZoomIn(e, nil, 0.05, false, false); err == nil {
 		t.Error("nil solution accepted")
+	}
+	for _, ids := range [][]int{{0, 0}, {len(pts)}, {-1}} {
+		bad := &Solution{Radius: 0.1, IDs: ids}
+		if _, err := ZoomIn(e, bad, 0.05, false, false); err == nil {
+			t.Errorf("ids %v accepted", ids)
+		}
+		if err := VerifySolution(e, bad); err == nil {
+			t.Errorf("VerifySolution accepted ids %v", ids)
+		}
 	}
 }
 
@@ -207,7 +214,7 @@ func TestZoomOutRejectsBadArguments(t *testing.T) {
 	if _, err := ZoomOut(e, prev, 0.05, ZoomOutPlain); err == nil {
 		t.Error("zoom-out with smaller radius accepted")
 	}
-	empty := newSolution(len(pts), 0.1, "empty")
+	empty := &Solution{Algorithm: "empty", Radius: 0.1}
 	if _, err := ZoomOut(e, empty, 0.2, ZoomOutPlain); err == nil {
 		t.Error("empty previous solution accepted")
 	}

@@ -18,11 +18,11 @@ import (
 // an r'-DisC subset requires the new radius r', which is what this
 // implementation uses (see DESIGN.md, "Deliberate deviations").
 //
-// The engine's zooming rule needs exact closest-black distances; if the
-// previous solution was computed with pruning, the required post-processing
-// pass (RecomputeDistBlack) is performed first and is *not* charged to the
-// zoom cost, matching the paper's attribution of that pass to the
-// construction of S^r.
+// The zooming rule needs to know which objects have a previous
+// representative within rNew. The previous solution keeps only its ids,
+// so the post-processing pass that derives this (coveredWithin) runs
+// first and is *not* charged to the zoom cost, matching the paper's
+// attribution of that pass to the construction of S^r.
 func ZoomIn(e Engine, prev *Solution, rNew float64, greedy, pruned bool) (*Solution, error) {
 	if err := checkZoomArgs(e, prev, rNew); err != nil {
 		return nil, err
@@ -30,33 +30,28 @@ func ZoomIn(e Engine, prev *Solution, rNew float64, greedy, pruned bool) (*Solut
 	if rNew >= prev.Radius {
 		return nil, fmt.Errorf("core: zoom-in radius %g not smaller than %g", rNew, prev.Radius)
 	}
-	if !prev.DistBlackExact {
-		RecomputeDistBlack(e, prev)
-	}
 
 	n := e.Size()
 	name := "Zoom-In"
 	if greedy {
 		name = "Greedy-Zoom-In"
 	}
-	s := newSolution(n, rNew, name)
+	s := newColoring(n)
 
 	// Zooming rule: black objects stay black; grey objects stay grey as
 	// long as their closest black neighbour is within rNew.
+	covered := coveredWithin(e, prev.IDs, rNew)
 	white := make([]bool, n)
-	for id := 0; id < n; id++ {
-		switch {
-		case prev.Colors[id] == Black:
-			s.Colors[id] = Black
-			s.DistBlack[id] = 0
-		case prev.DistBlack[id] <= rNew:
-			s.Colors[id] = Grey
-			s.DistBlack[id] = prev.DistBlack[id]
-		default:
+	for id, c := range covered {
+		if c {
+			s.colors[id] = Grey
+		} else {
 			white[id] = true
 		}
 	}
-	s.IDs = append(s.IDs, prev.IDs...)
+	for _, id := range prev.IDs {
+		s.selectBlack(id)
+	}
 
 	cov, hasCov := e.(CoverageEngine)
 	usePrune := pruned && hasCov
@@ -78,22 +73,19 @@ func ZoomIn(e Engine, prev *Solution, rNew float64, greedy, pruned bool) (*Solut
 		sc.ns = neighbors(sc.ns[:0], pi, rNew)
 		sc.grey = sc.grey[:0]
 		for _, nb := range sc.ns {
-			if s.Colors[nb.ID] == White {
-				s.Colors[nb.ID] = Grey
+			if s.colors[nb.ID] == White {
+				s.colors[nb.ID] = Grey
 				sc.grey = append(sc.grey, nb)
 				if usePrune {
 					cov.Cover(nb.ID)
 				}
-			}
-			if nb.Dist < s.DistBlack[nb.ID] {
-				s.DistBlack[nb.ID] = nb.Dist
 			}
 		}
 	}
 
 	if !greedy {
 		for _, pi := range e.ScanOrder() {
-			if s.Colors[pi] != White {
+			if s.colors[pi] != White {
 				continue
 			}
 			s.selectBlack(pi)
@@ -105,20 +97,19 @@ func ZoomIn(e Engine, prev *Solution, rNew float64, greedy, pruned bool) (*Solut
 	} else {
 		// White-neighbourhood sizes for the white objects only.
 		nw := make([]int, n)
-		var q bucketQueue
 		for id := 0; id < n; id++ {
-			if s.Colors[id] != White {
+			if s.colors[id] != White {
 				continue
 			}
 			sc.upd = neighbors(sc.upd[:0], id, rNew)
 			for _, nb := range sc.upd {
-				if s.Colors[nb.ID] == White {
+				if s.colors[nb.ID] == White {
 					nw[id]++
 				}
 			}
-			q.push(int32(id), nw[id])
 		}
-		q.start()
+		var q bucketQueue
+		fill(&q, nw, s.isWhite)
 		for {
 			pi, ok := popLive(&q, nw, s.isWhite)
 			if !ok {
@@ -132,7 +123,7 @@ func ZoomIn(e Engine, prev *Solution, rNew float64, greedy, pruned bool) (*Solut
 			for _, gj := range sc.grey {
 				sc.upd = neighbors(sc.upd[:0], gj.ID, rNew)
 				for _, nk := range sc.upd {
-					if s.Colors[nk.ID] == White {
+					if s.colors[nk.ID] == White {
 						nw[nk.ID]--
 					}
 				}
@@ -140,17 +131,15 @@ func ZoomIn(e Engine, prev *Solution, rNew float64, greedy, pruned bool) (*Solut
 		}
 	}
 
-	s.DistBlackExact = !usePrune
-	s.Accesses = e.Accesses() - start
-	return s, nil
+	return s.solution(name, rNew, e.Accesses()-start), nil
 }
 
 func checkZoomArgs(e Engine, prev *Solution, rNew float64) error {
 	if prev == nil {
 		return fmt.Errorf("core: zoom: nil previous solution")
 	}
-	if len(prev.Colors) != e.Size() {
-		return fmt.Errorf("core: zoom: solution over %d objects, engine has %d", len(prev.Colors), e.Size())
+	if err := checkIDs(e.Size(), prev.IDs); err != nil {
+		return err
 	}
 	if rNew <= 0 || math.IsNaN(rNew) || math.IsInf(rNew, 0) {
 		return fmt.Errorf("core: zoom: invalid radius %g", rNew)

@@ -64,19 +64,16 @@ func ZoomOut(e Engine, prev *Solution, rNew float64, variant ZoomOutVariant) (*S
 	}
 
 	n := e.Size()
-	s := newSolution(n, rNew, variant.String())
+	s := newColoring(n)
 	for _, id := range prev.IDs {
-		s.Colors[id] = Red
+		s.colors[id] = Red
 	}
 	start := e.Accesses()
 
 	colorNeighbors := func(ns []object.Neighbor) {
 		for _, nb := range ns {
-			if c := s.Colors[nb.ID]; c == White || c == Red {
-				s.Colors[nb.ID] = Grey
-			}
-			if nb.Dist < s.DistBlack[nb.ID] {
-				s.DistBlack[nb.ID] = nb.Dist
+			if c := s.colors[nb.ID]; c == White || c == Red {
+				s.colors[nb.ID] = Grey
 			}
 		}
 	}
@@ -94,7 +91,7 @@ func ZoomOut(e Engine, prev *Solution, rNew float64, variant ZoomOutVariant) (*S
 	// Pass two: cover the objects no representative reaches at rNew.
 	if variant == ZoomOutPlain {
 		for _, pi := range e.ScanOrder() {
-			if s.Colors[pi] != White {
+			if s.colors[pi] != White {
 				continue
 			}
 			s.selectBlack(pi)
@@ -105,18 +102,16 @@ func ZoomOut(e Engine, prev *Solution, rNew float64, variant ZoomOutVariant) (*S
 		zoomOutPassTwoGreedy(e, s, rNew, colorNeighbors, &sc)
 	}
 
-	s.DistBlackExact = true
-	s.Accesses = e.Accesses() - start
-	return s, nil
+	return s.solution(variant.String(), rNew, e.Accesses()-start), nil
 }
 
 // zoomOutPassOnePlain processes the old representatives in scan order.
-func zoomOutPassOnePlain(e Engine, s *Solution, prev *Solution, rNew float64, colorNeighbors func([]object.Neighbor), sc *queryScratch) {
+func zoomOutPassOnePlain(e Engine, s *coloring, prev *Solution, rNew float64, colorNeighbors func([]object.Neighbor), sc *queryScratch) {
 	rank := scanRank(e)
 	reds := append([]int(nil), prev.IDs...)
 	sort.Slice(reds, func(i, j int) bool { return rank[reds[i]] < rank[reds[j]] })
 	for _, pi := range reds {
-		if s.Colors[pi] != Red {
+		if s.colors[pi] != Red {
 			continue // covered by an earlier selection
 		}
 		s.selectBlack(pi)
@@ -131,7 +126,7 @@ func zoomOutPassOnePlain(e Engine, s *Solution, prev *Solution, rNew float64, co
 // red is selected; counts are maintained through the red-red adjacency.
 // Per-red state lives in slices indexed by the red's position in reds
 // (ascending id), with the neighbourhoods packed into one buffer.
-func zoomOutPassOneRedKey(e Engine, s *Solution, prev *Solution, rNew float64, largest bool, colorNeighbors func([]object.Neighbor)) {
+func zoomOutPassOneRedKey(e Engine, s *coloring, prev *Solution, rNew float64, largest bool, colorNeighbors func([]object.Neighbor)) {
 	reds := append([]int(nil), prev.IDs...)
 	sort.Ints(reds)
 	slot := make([]int32, e.Size())
@@ -146,7 +141,7 @@ func zoomOutPassOneRedKey(e Engine, s *Solution, prev *Solution, rNew float64, l
 		nbrs = e.NeighborsAppend(nbrs, pi, rNew)
 		off[i+1] = len(nbrs)
 		for _, nb := range nbrs[off[i]:] {
-			if s.Colors[nb.ID] == Red {
+			if s.colors[nb.ID] == Red {
 				redAdj[i] = append(redAdj[i], slot[nb.ID])
 			}
 		}
@@ -156,7 +151,7 @@ func zoomOutPassOneRedKey(e Engine, s *Solution, prev *Solution, rNew float64, l
 	// set; their red neighbours' keys drop accordingly.
 	leaveRed := func(x int32) {
 		for _, y := range redAdj[x] {
-			if s.Colors[reds[y]] == Red {
+			if s.colors[reds[y]] == Red {
 				redCount[y]--
 			}
 		}
@@ -164,7 +159,7 @@ func zoomOutPassOneRedKey(e Engine, s *Solution, prev *Solution, rNew float64, l
 	for {
 		best, bestKey := -1, 0
 		for i, pi := range reds {
-			if s.Colors[pi] != Red {
+			if s.colors[pi] != Red {
 				continue
 			}
 			k := redCount[i]
@@ -179,8 +174,8 @@ func zoomOutPassOneRedKey(e Engine, s *Solution, prev *Solution, rNew float64, l
 		leaveRed(int32(best))
 		ns := nbrs[off[best]:off[best+1]]
 		for _, nb := range ns {
-			if s.Colors[nb.ID] == Red {
-				s.Colors[nb.ID] = Grey
+			if s.colors[nb.ID] == Red {
+				s.colors[nb.ID] = Grey
 				leaveRed(slot[nb.ID])
 			}
 		}
@@ -193,7 +188,7 @@ func zoomOutPassOneRedKey(e Engine, s *Solution, prev *Solution, rNew float64, l
 // red would cover, then selects the maximum. Candidate neighbourhoods
 // land in sc.ns; the running best is copied into sc.grey so the two
 // buffers never alias.
-func zoomOutPassOneWhiteKey(e Engine, s *Solution, prev *Solution, rNew float64, colorNeighbors func([]object.Neighbor), sc *queryScratch) {
+func zoomOutPassOneWhiteKey(e Engine, s *coloring, prev *Solution, rNew float64, colorNeighbors func([]object.Neighbor), sc *queryScratch) {
 	reds := append([]int(nil), prev.IDs...)
 	sort.Ints(reds)
 	remaining := len(reds)
@@ -201,13 +196,13 @@ func zoomOutPassOneWhiteKey(e Engine, s *Solution, prev *Solution, rNew float64,
 		best := -1
 		bestKey := -1
 		for _, pi := range reds {
-			if s.Colors[pi] != Red {
+			if s.colors[pi] != Red {
 				continue
 			}
 			sc.ns = e.NeighborsAppend(sc.ns[:0], pi, rNew)
 			k := 0
 			for _, nb := range sc.ns {
-				if s.Colors[nb.ID] == White {
+				if s.colors[nb.ID] == White {
 					k++
 				}
 			}
@@ -222,7 +217,7 @@ func zoomOutPassOneWhiteKey(e Engine, s *Solution, prev *Solution, rNew float64,
 		s.selectBlack(best)
 		remaining--
 		for _, nb := range sc.grey {
-			if s.Colors[nb.ID] == Red {
+			if s.colors[nb.ID] == Red {
 				remaining--
 			}
 		}
@@ -232,23 +227,22 @@ func zoomOutPassOneWhiteKey(e Engine, s *Solution, prev *Solution, rNew float64,
 
 // zoomOutPassTwoGreedy covers the remaining whites by descending
 // white-neighbourhood size (Algorithm 3, lines 12-19).
-func zoomOutPassTwoGreedy(e Engine, s *Solution, rNew float64, colorNeighbors func([]object.Neighbor), sc *queryScratch) {
+func zoomOutPassTwoGreedy(e Engine, s *coloring, rNew float64, colorNeighbors func([]object.Neighbor), sc *queryScratch) {
 	n := e.Size()
 	nw := make([]int, n)
-	var q bucketQueue
 	for id := 0; id < n; id++ {
-		if s.Colors[id] != White {
+		if s.colors[id] != White {
 			continue
 		}
 		sc.upd = e.NeighborsAppend(sc.upd[:0], id, rNew)
 		for _, nb := range sc.upd {
-			if s.Colors[nb.ID] == White {
+			if s.colors[nb.ID] == White {
 				nw[id]++
 			}
 		}
-		q.push(int32(id), nw[id])
 	}
-	q.start()
+	var q bucketQueue
+	fill(&q, nw, s.isWhite)
 	for {
 		pi, ok := popLive(&q, nw, s.isWhite)
 		if !ok {
@@ -258,7 +252,7 @@ func zoomOutPassTwoGreedy(e Engine, s *Solution, rNew float64, colorNeighbors fu
 		sc.ns = e.NeighborsAppend(sc.ns[:0], pi, rNew)
 		sc.grey = sc.grey[:0]
 		for _, nb := range sc.ns {
-			if s.Colors[nb.ID] == White {
+			if s.colors[nb.ID] == White {
 				sc.grey = append(sc.grey, nb)
 			}
 		}
@@ -266,7 +260,7 @@ func zoomOutPassTwoGreedy(e Engine, s *Solution, rNew float64, colorNeighbors fu
 		for _, gj := range sc.grey {
 			sc.upd = e.NeighborsAppend(sc.upd[:0], gj.ID, rNew)
 			for _, nk := range sc.upd {
-				if s.Colors[nk.ID] == White {
+				if s.colors[nk.ID] == White {
 					nw[nk.ID]--
 				}
 			}

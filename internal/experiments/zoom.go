@@ -68,8 +68,7 @@ func ZoomIn(cfg Config, datasetName string) ([]*stats.Table, error) {
 			return nil, err
 		}
 		// Zooming algorithms, both adapting prev. Each gets a fresh
-		// engine; the post-processing pass restoring exact
-		// closest-black distances is run before measurement starts,
+		// engine; ZoomIn does not charge its post-processing pass,
 		// matching the paper's attribution of that pass to the
 		// construction of S^r.
 		measureZoom := func(greedy bool) (algoRun, *core.Solution, error) {
@@ -77,10 +76,7 @@ func ZoomIn(cfg Config, datasetName string) ([]*stats.Table, error) {
 			if err != nil {
 				return algoRun{}, nil, err
 			}
-			p := prev.Clone()
-			core.RecomputeDistBlack(e, p)
-			e.ResetAccesses()
-			z, err := core.ZoomIn(e, p, rNew, greedy, true)
+			z, err := core.ZoomIn(e, prev, rNew, greedy, true)
 			if err != nil {
 				return algoRun{}, nil, err
 			}
@@ -155,10 +151,7 @@ func ZoomOut(cfg Config, datasetName string) ([]*stats.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			p := prev.Clone()
-			core.RecomputeDistBlack(e, p)
-			e.ResetAccesses()
-			z, err := core.ZoomOut(e, p, rNew, v)
+			z, err := core.ZoomOut(e, prev, rNew, v)
 			if err != nil {
 				return nil, err
 			}

@@ -265,34 +265,6 @@ func (g *MutGrid) AppendRange(dst []object.Neighbor, q []float64, rq float64, ex
 	return dst
 }
 
-// CheckOccupancy validates the occupancy invariants (for tests): every
-// live id bucketed in the cell its coordinates map to, buckets sorted,
-// no dead ids bucketed, counts consistent.
-func (g *MutGrid) CheckOccupancy() error {
-	seen := 0
-	for c, b := range g.buckets {
-		for i, id := range b {
-			if i > 0 && b[i-1] >= id {
-				return fmt.Errorf("grid: bucket %d not ascending at %d", c, id)
-			}
-			if !g.dyn.Alive(int(id)) {
-				return fmt.Errorf("grid: dead id %d bucketed", id)
-			}
-			if got := g.cellIndex(g.dyn.Row(int(id))); got != int32(c) {
-				return fmt.Errorf("grid: id %d bucketed in cell %d, maps to %d", id, c, got)
-			}
-			if g.cellOf[id] != int32(c) {
-				return fmt.Errorf("grid: cellOf[%d]=%d, bucketed in %d", id, g.cellOf[id], c)
-			}
-			seen++
-		}
-	}
-	if seen != g.dyn.Live() {
-		return fmt.Errorf("grid: %d ids bucketed, %d live", seen, g.dyn.Live())
-	}
-	return nil
-}
-
 // emptyRow marks a vertex whose adjacency has been explicitly emptied,
 // distinguishing it from a nil slot that still defers to the base CSR.
 var emptyRow = make([]object.Neighbor, 0)

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"reflect"
 	"slices"
@@ -65,12 +66,12 @@ func TestMutGridMatchesBuildAfterCompaction(t *testing.T) {
 				live = append(live[:k], live[k+1:]...)
 			}
 			if step%97 == 0 {
-				if err := mg.CheckOccupancy(); err != nil {
+				if err := checkOccupancy(mg); err != nil {
 					t.Fatalf("dim %d step %d: %v", dim, step, err)
 				}
 			}
 		}
-		if err := mg.CheckOccupancy(); err != nil {
+		if err := checkOccupancy(mg); err != nil {
 			t.Fatal(err)
 		}
 
@@ -83,12 +84,12 @@ func TestMutGridMatchesBuildAfterCompaction(t *testing.T) {
 			applyDelete(t, dyn, mg, adj, live[k])
 			live = append(live[:k], live[k+1:]...)
 			if len(live)%13 == 0 {
-				if err := mg.CheckOccupancy(); err != nil {
+				if err := checkOccupancy(mg); err != nil {
 					t.Fatalf("dim %d drain at %d live: %v", dim, len(live), err)
 				}
 			}
 		}
-		if err := mg.CheckOccupancy(); err != nil {
+		if err := checkOccupancy(mg); err != nil {
 			t.Fatal(err)
 		}
 
@@ -161,7 +162,7 @@ func TestMutGridEmptyAndQuery(t *testing.T) {
 	if len(got) != 1 || got[0].ID != id2 {
 		t.Fatalf("out-of-bbox neighbour missed: %v", got)
 	}
-	if err := mg.CheckOccupancy(); err != nil {
+	if err := checkOccupancy(mg); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := NewMutGrid(dyn, -1); err == nil {
@@ -300,4 +301,32 @@ func TestFoldMatchesDynAdj(t *testing.T) {
 			}
 		}
 	}
+}
+
+// checkOccupancy validates the grid's occupancy invariants: every live
+// id bucketed in the cell its coordinates map to, buckets sorted, no
+// dead ids bucketed, counts consistent.
+func checkOccupancy(g *MutGrid) error {
+	seen := 0
+	for c, b := range g.buckets {
+		for i, id := range b {
+			if i > 0 && b[i-1] >= id {
+				return fmt.Errorf("grid: bucket %d not ascending at %d", c, id)
+			}
+			if !g.dyn.Alive(int(id)) {
+				return fmt.Errorf("grid: dead id %d bucketed", id)
+			}
+			if got := g.cellIndex(g.dyn.Row(int(id))); got != int32(c) {
+				return fmt.Errorf("grid: id %d bucketed in cell %d, maps to %d", id, c, got)
+			}
+			if g.cellOf[id] != int32(c) {
+				return fmt.Errorf("grid: cellOf[%d]=%d, bucketed in %d", id, g.cellOf[id], c)
+			}
+			seen++
+		}
+	}
+	if seen != g.dyn.Live() {
+		return fmt.Errorf("grid: %d ids bucketed, %d live", seen, g.dyn.Live())
+	}
+	return nil
 }

@@ -52,9 +52,6 @@ func (t *Tree) recountWhite(n *node) int {
 	return c
 }
 
-// Tracking reports whether coverage tracking is enabled.
-func (t *Tree) Tracking() bool { return t.tracking }
-
 // IsWhite reports whether object id is still uncovered. It is meaningful
 // only while tracking is enabled.
 func (t *Tree) IsWhite(id int) bool { return t.tracking && t.white.Test(id) }
@@ -70,12 +67,4 @@ func (t *Tree) Cover(id int) {
 	for n := t.loc[id].leaf; n != nil; n = n.parent {
 		n.whiteCount--
 	}
-}
-
-// WhiteCount returns the number of uncovered objects in the whole tree.
-func (t *Tree) WhiteCount() int {
-	if !t.tracking {
-		return t.size
-	}
-	return t.root.whiteCount
 }

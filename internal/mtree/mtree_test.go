@@ -128,7 +128,7 @@ func TestRangeQueryMatchesBruteForce(t *testing.T) {
 		for trial := 0; trial < 50; trial++ {
 			id := rng.IntN(len(pts))
 			r := rng.Float64() * 0.5
-			got := neighborIDs(tr.RangeQueryAround(id, r))
+			got := neighborIDs(tr.AppendRangeQueryAround(nil, id, r))
 			want := bruteNeighbors(pts, m, pts[id], r, id)
 			if !equalIDs(got, want) {
 				t.Fatalf("metric %s trial %d: got %v want %v", m.Name(), trial, got, want)
@@ -144,7 +144,7 @@ func TestRangeQueryOfPointMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		q := object.Point{rng.Float64(), rng.Float64()}
 		r := rng.Float64() * 0.3
-		got := neighborIDs(tr.RangeQuery(q, r))
+		got := neighborIDs(tr.AppendRangeQuery(nil, q, r))
 		want := bruteNeighbors(pts, object.Euclidean{}, q, r, -1)
 		if !equalIDs(got, want) {
 			t.Fatalf("trial %d: got %d ids want %d ids", trial, len(got), len(want))
@@ -156,7 +156,7 @@ func TestRangeQueryDistancesAreExact(t *testing.T) {
 	pts := randomPoints(200, 2, 3)
 	m := object.Euclidean{}
 	tr := buildTestTree(t, Config{Capacity: 10, Metric: m, Policy: MinOverlap}, pts)
-	for _, nb := range tr.RangeQueryAround(17, 0.4) {
+	for _, nb := range tr.AppendRangeQueryAround(nil, 17, 0.4) {
 		want := m.Dist(pts[17], pts[nb.ID])
 		if nb.Dist != want {
 			t.Fatalf("neighbor %d: dist %g want %g", nb.ID, nb.Dist, want)
@@ -171,8 +171,8 @@ func TestBottomUpMatchesTopDown(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		id := rng.IntN(len(pts))
 		r := rng.Float64() * 0.4
-		got := neighborIDs(tr.RangeQueryBottomUp(id, r, false, false))
-		want := neighborIDs(tr.RangeQueryAround(id, r))
+		got := neighborIDs(tr.AppendRangeQueryBottomUp(nil, id, r, false, false))
+		want := neighborIDs(tr.AppendRangeQueryAround(nil, id, r))
 		if !equalIDs(got, want) {
 			t.Fatalf("trial %d: bottom-up %v, top-down %v", trial, got, want)
 		}
@@ -194,7 +194,7 @@ func TestPrunedQueryReturnsExactlyWhiteNeighbors(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		id := rng.IntN(len(pts))
 		r := rng.Float64() * 0.3
-		got := neighborIDs(tr.RangeQueryPruned(id, r))
+		got := neighborIDs(tr.AppendRangeQueryPruned(nil, id, r))
 		var want []int
 		for _, w := range bruteNeighbors(pts, m, pts[id], r, id) {
 			if tr.IsWhite(w) {
@@ -215,7 +215,7 @@ func TestPrunedQueryPanicsWithoutTracking(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	tr.RangeQueryPruned(0, 0.1)
+	tr.AppendRangeQueryPruned(nil, 0, 0.1)
 }
 
 func TestPruningReducesAccesses(t *testing.T) {
@@ -233,8 +233,8 @@ func TestPruningReducesAccesses(t *testing.T) {
 	full.ResetAccesses()
 	pruned.ResetAccesses()
 	for id := 1500; id < 1600; id++ {
-		full.RangeQueryAround(id, 0.05)
-		pruned.RangeQueryPruned(id, 0.05)
+		full.AppendRangeQueryAround(nil, id, 0.05)
+		pruned.AppendRangeQueryPruned(nil, id, 0.05)
 	}
 	if pruned.Accesses() >= full.Accesses() {
 		t.Errorf("pruned accesses %d not below full %d", pruned.Accesses(), full.Accesses())
@@ -263,18 +263,27 @@ func TestScanIDsVisitsEveryObjectOnce(t *testing.T) {
 	}
 }
 
+// whiteCount returns the number of uncovered objects in the whole tree,
+// as the root's maintained count records it.
+func whiteCount(t *Tree) int {
+	if !t.tracking {
+		return t.size
+	}
+	return t.root.whiteCount
+}
+
 func TestWhiteCountMaintenance(t *testing.T) {
 	pts := randomPoints(500, 2, 31)
 	tr := buildTestTree(t, Config{Capacity: 8, Metric: object.Euclidean{}, Policy: MinOverlap}, pts)
 	tr.EnableTracking()
-	if got := tr.WhiteCount(); got != len(pts) {
+	if got := whiteCount(tr); got != len(pts) {
 		t.Fatalf("initial white count %d, want %d", got, len(pts))
 	}
 	for id := 0; id < 100; id++ {
 		tr.Cover(id)
 		tr.Cover(id) // idempotent
 	}
-	if got := tr.WhiteCount(); got != len(pts)-100 {
+	if got := whiteCount(tr); got != len(pts)-100 {
 		t.Fatalf("white count %d, want %d", got, len(pts)-100)
 	}
 	// Re-initialise with a custom white set.
@@ -283,7 +292,7 @@ func TestWhiteCountMaintenance(t *testing.T) {
 		white[id] = true
 	}
 	tr.ResetTracking(white)
-	if got := tr.WhiteCount(); got != 50 {
+	if got := whiteCount(tr); got != 50 {
 		t.Fatalf("after reset white count %d, want 50", got)
 	}
 }
@@ -310,7 +319,7 @@ func TestTrackingSurvivesSplits(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, want := tr.WhiteCount(), 600-150; got != want {
+	if got, want := whiteCount(tr), 600-150; got != want {
 		t.Fatalf("white count %d, want %d", got, want)
 	}
 	if err := tr.Validate(); err != nil {
@@ -346,7 +355,7 @@ func TestAccessCounting(t *testing.T) {
 	if tr.Accesses() != 0 {
 		t.Fatal("reset failed")
 	}
-	tr.RangeQueryAround(0, 0.2)
+	tr.AppendRangeQueryAround(nil, 0, 0.2)
 	if tr.Accesses() == 0 {
 		t.Error("range query charged no accesses")
 	}
@@ -373,7 +382,7 @@ func TestHammingMetricTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range []float64{0, 1, 2, 3, 4, 5} {
-		got := neighborIDs(tr.RangeQueryAround(3, r))
+		got := neighborIDs(tr.AppendRangeQueryAround(nil, 3, r))
 		want := bruteNeighbors(pts, m, pts[3], r, 3)
 		if !equalIDs(got, want) {
 			t.Fatalf("r=%g: got %d want %d neighbours", r, len(got), len(want))
@@ -387,7 +396,7 @@ func TestEmptyAndTinyTrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.RangeQuery(object.Point{0.5, 0.5}, 10); len(got) != 0 {
+	if got := tr.AppendRangeQuery(nil, object.Point{0.5, 0.5}, 10); len(got) != 0 {
 		t.Errorf("empty tree returned %d results", len(got))
 	}
 	if ids := tr.ScanIDs(); len(ids) != 0 {
@@ -401,7 +410,7 @@ func TestEmptyAndTinyTrees(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := neighborIDs(tr.RangeQuery(object.Point{0.5, 0.5}, 10)); len(got) != 3 {
+	if got := neighborIDs(tr.AppendRangeQuery(nil, object.Point{0.5, 0.5}, 10)); len(got) != 3 {
 		t.Errorf("full-coverage query returned %v", got)
 	}
 }

@@ -26,7 +26,7 @@ func TestRangeQueryQuickProperty(t *testing.T) {
 		r := rng.Float64() * 0.6
 		want := bruteNeighbors(pts, m, pts[id], r, id)
 		for _, tr := range trees {
-			if !equalIDs(neighborIDs(tr.RangeQueryAround(id, r)), want) {
+			if !equalIDs(neighborIDs(tr.AppendRangeQueryAround(nil, id, r)), want) {
 				return false
 			}
 		}
@@ -58,7 +58,7 @@ func TestIncrementalInsertQueryInterleaving(t *testing.T) {
 		}
 		q := object.Point{rng.Float64(), rng.Float64()}
 		r := 0.1 + rng.Float64()*0.3
-		got := neighborIDs(tr.RangeQuery(q, r))
+		got := neighborIDs(tr.AppendRangeQuery(nil, q, r))
 		var want []int
 		for j := range pts {
 			if inserted[j] && m.Dist(q, pts[j]) <= r {
@@ -117,7 +117,7 @@ func TestBottomUpPrunedQuery(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		id := rng.IntN(len(pts))
 		r := rng.Float64() * 0.3
-		got := neighborIDs(tr.RangeQueryBottomUp(id, r, false, true))
+		got := neighborIDs(tr.AppendRangeQueryBottomUp(nil, id, r, false, true))
 		var want []int
 		for _, w := range bruteNeighbors(pts, m, pts[id], r, id) {
 			if tr.IsWhite(w) {
@@ -133,10 +133,10 @@ func TestBottomUpPrunedQuery(t *testing.T) {
 		id := rng.IntN(len(pts))
 		r := rng.Float64() * 0.3
 		full := map[int]bool{}
-		for _, nb := range tr.RangeQueryAround(id, r) {
+		for _, nb := range tr.AppendRangeQueryAround(nil, id, r) {
 			full[nb.ID] = true
 		}
-		for _, nb := range tr.RangeQueryBottomUp(id, r, true, false) {
+		for _, nb := range tr.AppendRangeQueryBottomUp(nil, id, r, true, false) {
 			if !full[nb.ID] {
 				t.Fatalf("grey-stop query returned non-neighbour %d", nb.ID)
 			}

@@ -23,50 +23,30 @@ type queryOpts struct {
 // never pay the Euclidean square root. Results are bit-identical to
 // evaluating the Metric interface directly.
 //
-// Every query has an Append* form that extends a caller-owned buffer and
-// performs no allocation when the buffer has capacity; the plain forms
-// are Append* with a nil buffer.
+// Every query appends to a caller-owned buffer and performs no
+// allocation when the buffer has capacity.
 
-// RangeQuery returns all objects within distance r of q, with their
-// distances, in ascending id order is NOT guaranteed; callers that need
-// determinism must sort. Every visited node counts as one access.
-func (t *Tree) RangeQuery(q object.Point, r float64) []object.Neighbor {
-	return t.AppendRangeQuery(nil, q, r)
-}
-
-// AppendRangeQuery is the buffer-reusing form of RangeQuery.
+// AppendRangeQuery appends all objects within distance r of q, with
+// their distances, to dst. Ascending id order is NOT guaranteed;
+// callers that need determinism must sort. Every visited node counts as
+// one access.
 func (t *Tree) AppendRangeQuery(dst []object.Neighbor, q object.Point, r float64) []object.Neighbor {
 	return t.rangeSearch(dst, q, r, queryOpts{exclude: -1})
 }
 
-// RangeQueryAround returns the neighbours of object id within distance r,
-// excluding the object itself.
-func (t *Tree) RangeQueryAround(id int, r float64) []object.Neighbor {
-	return t.AppendRangeQueryAround(nil, id, r)
-}
-
-// AppendRangeQueryAround is the buffer-reusing form of RangeQueryAround.
+// AppendRangeQueryAround appends the neighbours of object id within
+// distance r, excluding the object itself.
 func (t *Tree) AppendRangeQueryAround(dst []object.Neighbor, id int, r float64) []object.Neighbor {
 	return t.rangeSearch(dst, t.pts[id], r, queryOpts{exclude: id})
 }
 
-// RangeQueryPruned behaves like RangeQueryAround but applies the paper's
-// pruning rule: subtrees without white objects are skipped entirely and
-// only white objects are reported. Coverage tracking must be enabled.
-func (t *Tree) RangeQueryPruned(id int, r float64) []object.Neighbor {
-	return t.AppendRangeQueryPruned(nil, id, r)
-}
-
-// AppendRangeQueryPruned is the buffer-reusing form of RangeQueryPruned.
+// AppendRangeQueryPruned behaves like AppendRangeQueryAround but
+// applies the paper's pruning rule: subtrees without white objects are
+// skipped entirely and only white objects are reported. Coverage
+// tracking must be enabled.
 func (t *Tree) AppendRangeQueryPruned(dst []object.Neighbor, id int, r float64) []object.Neighbor {
 	t.requireTracking()
 	return t.rangeSearch(dst, t.pts[id], r, queryOpts{pruned: true, exclude: id})
-}
-
-// RangeQueryPointPruned is the pruned range query for an arbitrary centre.
-func (t *Tree) RangeQueryPointPruned(q object.Point, r float64) []object.Neighbor {
-	t.requireTracking()
-	return t.rangeSearch(nil, q, r, queryOpts{pruned: true, exclude: -1})
 }
 
 func (t *Tree) requireTracking() {
@@ -127,17 +107,12 @@ func (t *Tree) searchNode(n *node, q object.Point, r, rawR float64, dqParent flo
 	return dst
 }
 
-// RangeQueryBottomUp answers a range query around object id by starting at
-// the object's leaf and climbing towards the root, searching sibling
-// subtrees at each level. With stopAtGrey set the climb stops at the first
-// grey (fully covered) ancestor, which is the approximate query used by
-// the Fast-C heuristic: it may miss neighbours stored in distant leaves.
-func (t *Tree) RangeQueryBottomUp(id int, r float64, stopAtGrey, pruned bool) []object.Neighbor {
-	return t.AppendRangeQueryBottomUp(nil, id, r, stopAtGrey, pruned)
-}
-
-// AppendRangeQueryBottomUp is the buffer-reusing form of
-// RangeQueryBottomUp.
+// AppendRangeQueryBottomUp answers a range query around object id by
+// starting at the object's leaf and climbing towards the root, searching
+// sibling subtrees at each level, and appends the result to dst. With
+// stopAtGrey set the climb stops at the first grey (fully covered)
+// ancestor, which is the approximate query used by the Fast-C heuristic:
+// it may miss neighbours stored in distant leaves.
 func (t *Tree) AppendRangeQueryBottomUp(dst []object.Neighbor, id int, r float64, stopAtGrey, pruned bool) []object.Neighbor {
 	if pruned {
 		t.requireTracking()

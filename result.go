@@ -1,13 +1,16 @@
 package disc
 
 import (
+	"math"
+
 	"github.com/discdiversity/disc/internal/core"
 	"github.com/discdiversity/disc/internal/stats"
 )
 
-// Result is a computed diverse subset together with the bookkeeping
-// needed to zoom it to other radii. Results are immutable snapshots: the
-// zoom methods return new Results.
+// Result is a computed diverse subset: its ids in pick order, the radius
+// and what the run cost. It holds nothing per object; zooms derive what
+// they need from the ids. Results are immutable: the zoom methods return
+// new Results.
 type Result struct {
 	div          *Diversifier
 	sol          *core.Solution
@@ -36,11 +39,10 @@ func (r *Result) Algorithm() string { return r.sol.Algorithm }
 // the backend's own unit: tree node accesses for IndexMTree, objects
 // examined for IndexLinearScan, and adjacency entries examined (plus
 // candidates examined on fallback scans beyond the build radius) for
-// IndexCoverageGraph and its alias IndexGrid. Compare across backends
-// with that caveat.
+// IndexCoverageGraph. Compare across backends with that caveat.
 func (r *Result) Accesses() int64 { return r.sol.Accesses }
 
-// Contains reports whether object id was selected.
+// Contains reports whether object id was selected, scanning the ids.
 func (r *Result) Contains(id int) bool { return r.sol.Contains(id) }
 
 // Points returns the coordinates of the selected objects, in selection
@@ -59,11 +61,19 @@ func (r *Result) Points() []Point {
 func (r *Result) CoverageOnly() bool { return r.coverageOnly }
 
 // DistanceToRepresentative returns the distance from object id to its
-// closest representative (0 if id is itself selected). When the result
-// was computed with pruning the value may be an upper bound; zooming
-// methods repair this automatically.
+// closest representative (0 if id is itself selected). The result keeps
+// only its ids, so each call computes the exact value from them: one
+// distance per selected object.
 func (r *Result) DistanceToRepresentative(id int) float64 {
-	return r.sol.DistBlack[id]
+	p := r.div.points[id]
+	best := math.Inf(1)
+	for _, b := range r.sol.IDs {
+		if b == id {
+			return 0
+		}
+		best = min(best, r.div.metric.Dist(p, r.div.points[b]))
+	}
+	return best
 }
 
 // Jaccard returns the Jaccard distance between the selections of two

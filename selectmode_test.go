@@ -29,8 +29,7 @@ func clusteredPoints(t *testing.T, n int, seed uint64) []disc.Point {
 // every index, and (c) run the adjacency greedy exactly on the coverage
 // graph (its Algorithm names the run) and the global one elsewhere —
 // lazy-white, which the adjacency cannot serve, runs global everywhere.
-// The deprecated WithSelectMode and WithSelectParallelism change
-// nothing.
+// The deprecated WithSelectMode changes nothing.
 func TestSelectModeProperty(t *testing.T) {
 	algorithms := []disc.Algorithm{
 		disc.AlgorithmGreedy, disc.AlgorithmGreedyWhite,
@@ -40,7 +39,6 @@ func TestSelectModeProperty(t *testing.T) {
 		{disc.WithSelectMode(disc.SelectGlobal)},
 		{disc.WithSelectMode(disc.SelectComponents)},
 		{disc.WithSelectMode(disc.SelectMode(99))},
-		{disc.WithSelectParallelism(8)},
 	}
 	rng := rand.New(rand.NewPCG(61, 61))
 	for trial := 0; trial < 2; trial++ {

@@ -229,7 +229,7 @@ func TestSnapshotOptionOverrides(t *testing.T) {
 	}
 	// The retired grid backend is the coverage graph, so naming it
 	// reuses the persisted graph.
-	gridDiv, err := LoadDiversifier(bytes.NewReader(data), WithIndex(IndexGrid))
+	gridDiv, err := LoadDiversifier(bytes.NewReader(data), WithIndexName("grid"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -668,12 +668,12 @@ func TestSnapshotKeepsCoarseGrid(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		zoom, err := core.ZoomIn(e, basic.sol.Clone(), 0.25, false, true)
+		zoom, err := core.ZoomIn(e, basic.sol, 0.25, false, true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		center := basic.IDs()[0]
-		local, err := core.LocalZoomIn(e, basic.sol.Clone(), center, 0.25, false)
+		local, err := core.LocalZoomIn(e, basic.sol, center, 0.25, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -39,20 +39,6 @@ func StreamMetric(m Metric) StreamOption {
 	}
 }
 
-// StreamCapacity checks capacity (minimum 4) and otherwise has no
-// effect.
-//
-// Deprecated: a Stream keeps no tree; it once sized the node capacity
-// of an M-tree maintainer that is gone.
-func StreamCapacity(capacity int) StreamOption {
-	return func(*streamOptions) error {
-		if capacity < 4 {
-			return fmt.Errorf("disc: stream capacity %d below minimum 4", capacity)
-		}
-		return nil
-	}
-}
-
 // NewStream creates an empty online maintainer for radius r.
 func NewStream(r float64, opts ...StreamOption) (*Stream, error) {
 	o := streamOptions{metric: Euclidean()}

@@ -42,7 +42,7 @@ func TestStreamBasicLifecycle(t *testing.T) {
 }
 
 func TestStreamChurnStaysValid(t *testing.T) {
-	s, err := disc.NewStream(0.07, disc.StreamCapacity(8))
+	s, err := disc.NewStream(0.07)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,25 +173,22 @@ func TestStreamOptionValidation(t *testing.T) {
 	if _, err := disc.NewStream(0.1, disc.StreamMetric(nil)); err == nil {
 		t.Error("nil metric accepted")
 	}
-	if _, err := disc.NewStream(0.1, disc.StreamCapacity(2)); err == nil {
-		t.Error("tiny capacity accepted")
-	}
 }
 
-// TestVPTreeOptionMatchesMTree: the retired VP-tree selections (the
-// constant and the name) now run on the M-tree and select what it does.
+// TestVPTreeOptionMatchesMTree: the retired VP-tree's name now runs on
+// the M-tree and selects what it does.
 func TestVPTreeOptionMatchesMTree(t *testing.T) {
 	pts := randomPoints(400, 2, 33)
 	dm, err := disc.New(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dv, err := disc.New(pts, disc.WithIndex(disc.IndexVPTree), disc.WithIndexName("vptree"))
+	dv, err := disc.New(pts, disc.WithIndexName("vptree"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dv.Indexed() != disc.IndexMTree {
-		t.Fatalf("IndexVPTree runs on %v, want the M-tree", dv.Indexed())
+		t.Fatalf("vptree runs on %v, want the M-tree", dv.Indexed())
 	}
 	for _, r := range []float64{0.05, 0.15} {
 		a, err := dm.Select(r)
@@ -209,7 +206,7 @@ func TestVPTreeOptionMatchesMTree(t *testing.T) {
 			t.Error(err)
 		}
 	}
-	if _, err := disc.New(pts, disc.WithIndex(disc.IndexVPTree), disc.WithLinearScan()); err == nil {
+	if _, err := disc.New(pts, disc.WithIndexName("vptree"), disc.WithLinearScan()); err == nil {
 		t.Error("conflicting index options accepted")
 	}
 }

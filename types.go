@@ -55,26 +55,7 @@ const (
 	IndexCoverageGraph
 	// Value 5 belonged to the removed uniform-grid backend; like 2 and
 	// 3 it stays unassigned, so a stored 5 is rejected rather than
-	// remapped (IndexGrid now names the coverage graph).
-)
-
-// Retired backends. Each name resolves to a live backend that returns
-// the same greedy selections, so old code, flags and snapshots keep
-// working.
-const (
-	// IndexVPTree named the removed vantage-point tree backend.
-	//
-	// Deprecated: use IndexMTree, which IndexVPTree aliases.
-	IndexVPTree = IndexMTree
-	// IndexRTree named the removed R-tree backend.
-	//
-	// Deprecated: use IndexMTree, which IndexRTree aliases.
-	IndexRTree = IndexMTree
-	// IndexGrid named the removed uniform-grid backend, whose cell
-	// scans the coverage graph's Lp builds run on.
-	//
-	// Deprecated: use IndexCoverageGraph, which IndexGrid aliases.
-	IndexGrid = IndexCoverageGraph
+	// remapped (the name "grid" now resolves to the coverage graph).
 )
 
 // SelectMode named the ways Select could run the Greedy-DisC family.

@@ -53,7 +53,7 @@ func (d *Diversifier) ZoomIn(res *Result, r float64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sol, err := core.ZoomIn(e, res.sol.Clone(), r, true, true)
+	sol, err := core.ZoomIn(e, res.sol, r, true, true)
 	if err != nil {
 		return nil, err
 	}
@@ -74,11 +74,7 @@ func (d *Diversifier) ZoomOut(res *Result, r float64, variant ZoomOutVariant) (*
 	if err != nil {
 		return nil, err
 	}
-	prev := res.sol.Clone()
-	if !prev.DistBlackExact {
-		core.RecomputeDistBlack(e, prev)
-	}
-	sol, err := core.ZoomOut(e, prev, r, cv)
+	sol, err := core.ZoomOut(e, res.sol, r, cv)
 	if err != nil {
 		return nil, err
 	}
@@ -113,7 +109,7 @@ func (d *Diversifier) LocalZoomIn(res *Result, center int, r float64) (*LocalZoo
 	if err != nil {
 		return nil, err
 	}
-	lr, err := core.LocalZoomIn(e, res.sol.Clone(), center, r, true)
+	lr, err := core.LocalZoomIn(e, res.sol, center, r, true)
 	if err != nil {
 		return nil, err
 	}
@@ -131,7 +127,7 @@ func (d *Diversifier) LocalZoomOut(res *Result, center int, r float64) (*LocalZo
 	if err != nil {
 		return nil, err
 	}
-	lr, err := core.LocalZoomOut(e, res.sol.Clone(), center, r)
+	lr, err := core.LocalZoomOut(e, res.sol, center, r)
 	if err != nil {
 		return nil, err
 	}
