@@ -113,7 +113,7 @@ func BenchmarkMTreeBuild(b *testing.B) {
 	cfg := mtree.Config{Capacity: 50, Metric: object.Euclidean{}, Policy: mtree.MinOverlap}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := mtree.Build(cfg, pts); err != nil {
+		if _, _, err := mtree.Build(cfg, pts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -123,14 +123,15 @@ func BenchmarkMTreeBuild(b *testing.B) {
 func BenchmarkMTreeRangeQuery(b *testing.B) {
 	pts := benchPoints(5000)
 	cfg := mtree.Config{Capacity: 50, Metric: object.Euclidean{}, Policy: mtree.MinOverlap}
-	tree, err := mtree.Build(cfg, pts)
+	tree, _, err := mtree.Build(cfg, pts)
 	if err != nil {
 		b.Fatal(err)
 	}
+	var acc int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tree.AppendRangeQueryAround(nil, i%len(pts), 0.05)
+		tree.AppendRangeQueryAround(nil, i%len(pts), 0.05, &acc)
 	}
 }
 
@@ -272,10 +273,11 @@ func benchNeighborsAppend(b *testing.B, e core.Engine, r float64) {
 	b.Helper()
 	buf := make([]object.Neighbor, 0, 4096)
 	n := e.Size()
+	var run core.Run
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = e.NeighborsAppend(buf[:0], i%n, r)
+		buf = e.NeighborsAppend(buf[:0], i%n, r, &run)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"time"
 
 	"github.com/discdiversity/disc/internal/core"
@@ -66,8 +67,11 @@ func (a Algorithm) String() string {
 }
 
 // Diversifier computes DisC diverse subsets of a fixed set of objects.
-// It is safe for sequential reuse across any number of Select and zoom
-// calls; it is not safe for concurrent use.
+// It is safe for concurrent use: every Select, zoom and snapshot write
+// may run alongside any other. Engines are immutable indexes, and each
+// run keeps its coverage and cost to itself; the only shared state,
+// which engine serves which radius, is guarded by a lock held while an
+// engine is picked or built, never across a run.
 type Diversifier struct {
 	points      []Point
 	metric      Metric
@@ -89,6 +93,8 @@ type Diversifier struct {
 	// labels holds one display label per point, or nil (see
 	// NewFromDataset); snapshots carry them.
 	labels []string
+	// mu guards engine, denseFrom and dense.
+	mu sync.Mutex
 	// engine answers neighbourhood queries. IndexCoverageGraph, the
 	// radius-dependent backend, is built lazily: nil before the first
 	// Select, then the ceiling graph (see engineForRadius). Every other
@@ -331,10 +337,16 @@ func (d *Diversifier) Indexed() Index { return d.index }
 // materialised: the join stops at the budget and that radius, like
 // every larger one, is served by denseEngine instead. The ceiling graph
 // stays and keeps serving the radii below it.
+//
+// The pick (and any build) runs under d.mu; the engine returned is
+// immutable, so the caller runs on it without the lock, and a later
+// raise of the ceiling leaves it valid.
 func (d *Diversifier) engineForRadius(r float64, rebuild bool) (core.Engine, error) {
 	if d.index != IndexCoverageGraph {
 		return d.engine, nil
 	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	g, _ := d.engine.(*core.ParallelGraphEngine)
 	if !rebuild && (g != nil || d.dense != nil) {
 		if g != nil && r < d.denseFrom {
@@ -372,7 +384,7 @@ func (d *Diversifier) engineForRadius(r float64, rebuild bool) (core.Engine, err
 // (README "Serving" prices it past the budget in its density table),
 // the flat scan otherwise. It is built once and kept beside the ceiling
 // graph. Greedy selections and zooms are the same ids on every engine;
-// only the cost differs.
+// only the cost differs. The caller holds d.mu.
 func (d *Diversifier) denseEngine() (core.Engine, error) {
 	if d.dense == nil {
 		if object.TriangleSafe(d.metric) {

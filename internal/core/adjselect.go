@@ -37,8 +37,8 @@ func GreedyDisCComponents(e Engine, r float64, opts GreedyOptions) *Solution {
 	if opts.Update == UpdateLazyWhite {
 		return GreedyDisC(e, r, opts)
 	}
-	start := e.Accesses()
-	csr, ok := adjacency(e, r)
+	var run Run
+	csr, ok := adjacency(e, r, &run)
 	if !ok {
 		return GreedyDisC(e, r, opts)
 	}
@@ -50,7 +50,8 @@ func GreedyDisCComponents(e Engine, r float64, opts GreedyOptions) *Solution {
 		updR = r / 2
 	}
 	ids, acc := newAdjGreedy(e.Size()).run(csr, updR, nil)
-	return (&coloring{ids: ids}).solution(greedyName(opts, true), r, (e.Accesses()-start)+acc)
+	run.accesses += acc
+	return (&coloring{ids: ids, run: run}).solution(greedyName(opts, true), r)
 }
 
 // adjGreedy is the reusable state of the pruned greedy over a CSR.
@@ -120,28 +121,29 @@ func (g *adjGreedy) run(csr *grid.CSR, updR float64, ids []int) ([]int, int64) {
 // coverage-graph engine's own graph or view when r is at most its
 // ceiling, otherwise one materialised by range queries. ok is false
 // when that adjacency would pass AdjacencyBudget.
-func adjacency(e Engine, r float64) (*grid.CSR, bool) {
+func adjacency(e Engine, r float64, run *Run) (*grid.CSR, bool) {
 	if g, ok := e.(*ParallelGraphEngine); ok {
 		if csr, have := g.AdjacencyCSR(r); have {
 			return csr, true
 		}
 	}
-	return materializeAdjacency(e, r)
+	return materializeAdjacency(e, r, run)
 }
 
 // materializeAdjacency builds the exact r-adjacency of the engine's
-// objects as a CSR, one range query per object in ascending id order:
+// objects as a CSR, one range query per object in ascending id order,
+// charged to run:
 // the queries cost what Greedy-DisC's count initialisation would, and
 // afterwards every scan is an array walk. ok is false when the
 // adjacency would pass AdjacencyBudget (callers fall back to the global
 // path, whose memory does not grow with the edge count).
-func materializeAdjacency(e Engine, r float64) (csr *grid.CSR, ok bool) {
+func materializeAdjacency(e Engine, r float64, run *Run) (csr *grid.CSR, ok bool) {
 	n := e.Size()
 	limit := min(AdjacencyBudget(n), math.MaxInt32)
 	offsets := make([]int32, n+1)
 	var nbrs []object.Neighbor
 	for id := 0; id < n; id++ {
-		nbrs = e.NeighborsAppend(nbrs, id, r)
+		nbrs = e.NeighborsAppend(nbrs, id, r, run)
 		if int64(len(nbrs)) > limit {
 			return nil, false
 		}

@@ -141,9 +141,7 @@ func TestGreedyComponentsAccessParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := GreedyOptions{Update: UpdateGrey, Pruned: true}
-	g.ResetAccesses()
 	global := GreedyDisC(g, r, opts)
-	g.ResetAccesses()
 	comp := GreedyDisCComponents(g, r, opts)
 	if global.Accesses != comp.Accesses {
 		t.Fatalf("component run charged %d accesses, global %d", comp.Accesses, global.Accesses)

@@ -23,17 +23,18 @@ func TestNeighborsAppendZeroAlloc(t *testing.T) {
 	for name, e := range allEngines(t, pts, m) {
 		buf := make([]object.Neighbor, 0, len(pts))
 		id := 0
+		var plain Run
 		allocs := testing.AllocsPerRun(200, func() {
-			buf = e.NeighborsAppend(buf[:0], id, r)
+			buf = e.NeighborsAppend(buf[:0], id, r, &plain)
 			id = (id + 7) % len(pts)
 		})
 		if allocs != 0 {
 			t.Errorf("%s: NeighborsAppend allocates %.1f/op in steady state", name, allocs)
 		}
 		cov := e.(CoverageEngine)
-		cov.StartCoverage(nil)
+		run := coveringRun(cov)
 		allocs = testing.AllocsPerRun(200, func() {
-			buf = cov.NeighborsWhiteAppend(buf[:0], id, r)
+			buf = cov.NeighborsWhiteAppend(buf[:0], id, r, run)
 			id = (id + 7) % len(pts)
 		})
 		if allocs != 0 {
@@ -59,17 +60,17 @@ func TestCeilingViewZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g.StartCoverage(nil)
+		run := coveringRun(g)
 		for id := 0; id < len(pts); id += 3 {
-			g.Cover(id)
+			run.cover(id)
 		}
 		buf := make([]object.Neighbor, 0, len(pts))
 		for _, r := range []float64{ceiling / 2, 2 * ceiling} {
 			name := fmt.Sprintf("flatjoin=%v r=%g", flatsub, r)
 			id := 0
 			allocs := testing.AllocsPerRun(200, func() {
-				buf = g.NeighborsAppend(buf[:0], id, r)
-				buf = g.NeighborsWhiteAppend(buf[:0], id, r)
+				buf = g.NeighborsAppend(buf[:0], id, r, run)
+				buf = g.NeighborsWhiteAppend(buf[:0], id, r, run)
 				id = (id + 7) % len(pts)
 			})
 			if allocs != 0 {

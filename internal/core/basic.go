@@ -10,37 +10,24 @@ package core
 // With pruned set (and a CoverageEngine) range queries skip fully covered
 // regions, the "Basic-DisC (Pruned)" variant of the evaluation.
 func BasicDisC(e Engine, r float64, pruned bool) *Solution {
-	n := e.Size()
 	name := "Basic-DisC"
-	cov, hasCov := e.(CoverageEngine)
-	usePrune := pruned && hasCov
-	if usePrune {
+	s := newColoring(e.Size())
+	if pruned && s.run.startCoverage(e, nil) {
 		name += " (Pruned)"
-		cov.StartCoverage(nil)
 	}
-	s := newColoring(n)
-	start := e.Accesses()
 
 	var sc queryScratch
-	for _, pi := range e.ScanOrder() {
+	for _, pi := range e.ScanOrder(&s.run) {
 		if s.colors[pi] != White {
 			continue
 		}
 		s.selectBlack(pi)
-		if usePrune {
-			cov.Cover(pi)
-			sc.ns = cov.NeighborsWhiteAppend(sc.ns[:0], pi, r)
-		} else {
-			sc.ns = e.NeighborsAppend(sc.ns[:0], pi, r)
-		}
+		sc.ns = s.run.neighbors(e, sc.ns[:0], pi, r)
 		for _, nb := range sc.ns {
 			if s.colors[nb.ID] == White {
-				s.colors[nb.ID] = Grey
-				if usePrune {
-					cov.Cover(nb.ID)
-				}
+				s.grey(nb.ID)
 			}
 		}
 	}
-	return s.solution(name, r, e.Accesses()-start)
+	return s.solution(name, r)
 }

@@ -110,7 +110,7 @@ func TestEngineConformanceFloat32Neighbors(t *testing.T) {
 			for _, id := range []int{0, 101, 249} {
 				for _, r := range []float64{build / 3, build, 1.5 * build} {
 					got := map[int]float64{}
-					for _, nb := range e.NeighborsAppend(nil, id, r) {
+					for _, nb := range e.NeighborsAppend(nil, id, r, new(Run)) {
 						got[nb.ID] = nb.Dist
 					}
 					want := map[int]float64{}

@@ -35,7 +35,7 @@ func TestEngineConformanceNeighbors(t *testing.T) {
 		for _, id := range []int{0, 17, 349} {
 			for _, r := range []float64{0.05, 0.2, 0.8} {
 				got := map[int]float64{}
-				for _, nb := range e.NeighborsAppend(nil, id, r) {
+				for _, nb := range e.NeighborsAppend(nil, id, r, new(Run)) {
 					got[nb.ID] = nb.Dist
 				}
 				want := map[int]float64{}
@@ -83,9 +83,9 @@ func TestEngineConformanceNeighborsAppend(t *testing.T) {
 		buf := make([]object.Neighbor, 0, 8) // deliberately small: must grow correctly
 		for _, id := range []int{0, 11, 399} {
 			for _, r := range []float64{0.05, 0.2, 0.9} {
-				want := e.NeighborsAppend(nil, id, r)
+				want := e.NeighborsAppend(nil, id, r, new(Run))
 				buf = append(buf[:0], sentinel)
-				got := e.NeighborsAppend(buf, id, r)
+				got := e.NeighborsAppend(buf, id, r, new(Run))
 				if len(got) == 0 || got[0] != sentinel {
 					t.Fatalf("%s id=%d r=%g: NeighborsAppend clobbered existing content", name, id, r)
 				}
@@ -99,12 +99,12 @@ func TestEngineConformanceNeighborsAppend(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: expected CoverageEngine", name)
 		}
-		cov.StartCoverage(nil)
+		run := coveringRun(cov)
 		for _, id := range []int{3, 42} {
-			cov.Cover((id + 13) % len(pts)) // perturb the white set
+			run.cover((id + 13) % len(pts)) // perturb the white set
 			for _, r := range []float64{0.1, 0.5} {
-				want := cov.NeighborsWhiteAppend(nil, id, r)
-				got := cov.NeighborsWhiteAppend([]object.Neighbor{sentinel}, id, r)
+				want := cov.NeighborsWhiteAppend(nil, id, r, run)
+				got := cov.NeighborsWhiteAppend([]object.Neighbor{sentinel}, id, r, run)
 				if len(got) == 0 || got[0] != sentinel || !equalNeighbors(want, got[1:]) {
 					t.Fatalf("%s id=%d r=%g: NeighborsWhiteAppend=%v want %v", name, id, r, got[1:], want)
 				}
@@ -112,8 +112,8 @@ func TestEngineConformanceNeighborsAppend(t *testing.T) {
 		}
 		if bu, ok := e.(BottomUpEngine); ok {
 			for _, stop := range []bool{false, true} {
-				want := bu.NeighborsBottomUpAppend(nil, 9, 0.2, stop)
-				got := bu.NeighborsBottomUpAppend([]object.Neighbor{sentinel}, 9, 0.2, stop)
+				want := bu.NeighborsBottomUpAppend(nil, 9, 0.2, stop, run)
+				got := bu.NeighborsBottomUpAppend([]object.Neighbor{sentinel}, 9, 0.2, stop, run)
 				if len(got) == 0 || got[0] != sentinel || !equalNeighbors(want, got[1:]) {
 					t.Fatalf("%s stop=%v: NeighborsBottomUpAppend drifted", name, stop)
 				}
@@ -126,7 +126,7 @@ func TestEngineConformanceNeighborsAppend(t *testing.T) {
 func TestEngineConformanceScanOrder(t *testing.T) {
 	pts := randomPoints(200, 2, 81)
 	for name, e := range allEngines(t, pts, object.Euclidean{}) {
-		order := e.ScanOrder()
+		order := e.ScanOrder(new(Run))
 		if len(order) != len(pts) {
 			t.Fatalf("%s: scan returned %d ids", name, len(order))
 		}
@@ -216,18 +216,29 @@ func TestEngineConformanceZoom(t *testing.T) {
 	}
 }
 
-// TestEngineConformanceAccessCounting: accesses must increase on queries
-// and reset to zero.
+// TestEngineConformanceAccessCounting: a run starts at zero accesses,
+// and a query charges its own run only.
 func TestEngineConformanceAccessCounting(t *testing.T) {
 	pts := randomPoints(150, 2, 85)
 	for name, e := range allEngines(t, pts, object.Euclidean{}) {
-		e.ResetAccesses()
-		if e.Accesses() != 0 {
-			t.Errorf("%s: reset failed", name)
+		var run, other Run
+		if run.Accesses() != 0 {
+			t.Errorf("%s: a fresh run starts at %d accesses", name, run.Accesses())
 		}
-		e.NeighborsAppend(nil, 0, 0.2)
-		if e.Accesses() == 0 {
+		e.NeighborsAppend(nil, 0, 0.2, &run)
+		if run.Accesses() == 0 {
 			t.Errorf("%s: query charged nothing", name)
 		}
+		if other.Accesses() != 0 {
+			t.Errorf("%s: query charged another run", name)
+		}
 	}
+}
+
+// coveringRun returns a run over e that tracks coverage, every object
+// white.
+func coveringRun(e Engine) *Run {
+	run := new(Run)
+	run.startCoverage(e, nil)
+	return run
 }

@@ -215,7 +215,7 @@ func TestBuildCountsMatchQueryCounts(t *testing.T) {
 	}
 	plain := flatEngine(t, pts, m)
 	for id := range pts {
-		want := len(plain.NeighborsAppend(nil, id, r))
+		want := len(plain.NeighborsAppend(nil, id, r, new(Run)))
 		if counts[id] != want {
 			t.Fatalf("object %d: build count %d, want %d", id, counts[id], want)
 		}

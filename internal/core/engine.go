@@ -10,6 +10,14 @@
 // both engines return identical solutions, which the test suite exploits
 // to cross-validate the index.
 //
+// # Engines and runs
+//
+// An engine is an immutable index: once built, no query changes it, so
+// any number of runs may share one concurrently. Everything a run
+// changes lives in its own Run — the cost it has charged, the white set
+// the pruning rule filters by, the M-tree's per-node white counts, scan
+// scratch — created when the run starts and dropped when it ends.
+//
 // # Buffer reuse
 //
 // Every neighbourhood query (NeighborsAppend, NeighborsWhiteAppend,
@@ -24,11 +32,15 @@
 package core
 
 import (
+	"github.com/discdiversity/disc/internal/bitset"
+	"github.com/discdiversity/disc/internal/grid"
+	"github.com/discdiversity/disc/internal/mtree"
 	"github.com/discdiversity/disc/internal/object"
 )
 
 // Engine abstracts neighbourhood search over a fixed object universe.
-// IDs are dense in [0, Size()).
+// IDs are dense in [0, Size()). Every query charges its cost to the run
+// it serves.
 type Engine interface {
 	// Size returns the number of objects.
 	Size() int
@@ -40,34 +52,21 @@ type Engine interface {
 	// id (excluding id itself), with distances, to dst and returns the
 	// extended slice. It performs no allocation when dst has sufficient
 	// capacity.
-	NeighborsAppend(dst []object.Neighbor, id int, r float64) []object.Neighbor
+	NeighborsAppend(dst []object.Neighbor, id int, r float64, run *Run) []object.Neighbor
 	// ScanOrder returns all ids in a locality-preserving order (leaf
 	// order for the M-tree, id order for the flat engine).
-	ScanOrder() []int
-	// Accesses returns the cumulative cost counter: M-tree node accesses
-	// for the tree engine, objects examined for the flat engine.
-	Accesses() int64
-	// ResetAccesses zeroes the cost counter.
-	ResetAccesses()
+	ScanOrder(run *Run) []int
 }
 
 // CoverageEngine is implemented by engines that support the paper's
-// pruning rule. Cover(id) informs the engine that id is no longer white;
-// NeighborsWhiteAppend then reports only still-white neighbours,
-// skipping fully-covered regions.
+// pruning rule: NeighborsWhiteAppend reports only neighbours the run
+// still holds white, skipping fully covered regions.
 type CoverageEngine interface {
 	Engine
-	// StartCoverage (re)initialises coverage state; white[id]==false
-	// marks id as already covered. A nil slice means everything is
-	// white.
-	StartCoverage(white []bool)
-	// Cover marks an object as covered (grey or black).
-	Cover(id int)
-	// IsWhite reports whether id is still uncovered.
-	IsWhite(id int) bool
 	// NeighborsWhiteAppend appends the white objects within distance r
-	// of id to dst, pruning fully covered regions.
-	NeighborsWhiteAppend(dst []object.Neighbor, id int, r float64) []object.Neighbor
+	// of id to dst, pruning fully covered regions. The run must track
+	// coverage, as every pruned algorithm run does.
+	NeighborsWhiteAppend(dst []object.Neighbor, id int, r float64, run *Run) []object.Neighbor
 }
 
 // BottomUpEngine is implemented by engines that can answer neighbourhood
@@ -76,9 +75,10 @@ type CoverageEngine interface {
 // query).
 type BottomUpEngine interface {
 	Engine
-	// NeighborsBottomUpAppend answers NeighborsAppend(dst, id, r)
-	// bottom-up. With stopAtGrey set the result may be incomplete.
-	NeighborsBottomUpAppend(dst []object.Neighbor, id int, r float64, stopAtGrey bool) []object.Neighbor
+	// NeighborsBottomUpAppend answers NeighborsAppend(dst, id, r, run)
+	// bottom-up. With stopAtGrey set, on a run that tracks coverage,
+	// the result may be incomplete.
+	NeighborsBottomUpAppend(dst []object.Neighbor, id int, r float64, stopAtGrey bool, run *Run) []object.Neighbor
 }
 
 // CountingEngine is implemented by engines that computed the initial
@@ -90,4 +90,74 @@ type CountingEngine interface {
 	// build radius, and that radius. ok is false when counts were not
 	// collected during construction.
 	InitialCounts() (counts []int, r float64, ok bool)
+}
+
+// Run is the state of one algorithm run over one engine: the cost its
+// queries charged and, once it tracks coverage, which objects are still
+// white. Each run creates its own and drops it when it ends; nothing in
+// it is shared, so runs over one engine never contend. The zero value
+// is a run that charges cost and does not prune.
+type Run struct {
+	accesses int64
+	// cov is non-nil while the run tracks coverage: white holds the
+	// objects not yet covered, and queries may prune by it.
+	cov   CoverageEngine
+	white bitset.Set
+	// tree and nodeWhite are the M-tree's per-node white counts, indexed
+	// by node number: counted from white on the run's first pruned tree
+	// query, and kept in step by cover from then on.
+	tree      *mtree.Tree
+	nodeWhite []int32
+	// scratch is the grid ring-scan state of the coverage graph's
+	// beyond-ceiling queries, made on first use.
+	scratch *grid.Scratch
+}
+
+// Accesses returns the cost the run's queries charged, in the engine's
+// unit: M-tree node accesses, objects examined by the flat engine,
+// adjacency entries (and fallback candidates) examined by the coverage
+// graph.
+func (run *Run) Accesses() int64 { return run.accesses }
+
+// startCoverage makes the run track coverage on e, when e supports the
+// pruning rule, and reports whether it does: every object whose colour
+// is White starts white (every object when colors is nil).
+func (run *Run) startCoverage(e Engine, colors []Color) bool {
+	cov, ok := e.(CoverageEngine)
+	if !ok {
+		return false
+	}
+	run.cov = cov
+	run.white.Reset(e.Size())
+	if colors == nil {
+		run.white.Fill()
+		return true
+	}
+	for id, c := range colors {
+		if c == White {
+			run.white.Set(id)
+		}
+	}
+	return true
+}
+
+// cover records that id is no longer white (grey or black). It is a
+// no-op when the run does not track coverage or id is already covered.
+func (run *Run) cover(id int) {
+	if run.cov == nil || !run.white.Test(id) {
+		return
+	}
+	run.white.Clear(id)
+	if run.tree != nil {
+		run.tree.Cover(run.nodeWhite, id)
+	}
+}
+
+// neighbors is the run's range query: the white neighbours once it
+// tracks coverage (the pruning rule), every neighbour otherwise.
+func (run *Run) neighbors(e Engine, dst []object.Neighbor, id int, r float64) []object.Neighbor {
+	if run.cov != nil {
+		return run.cov.NeighborsWhiteAppend(dst, id, r, run)
+	}
+	return e.NeighborsAppend(dst, id, r, run)
 }

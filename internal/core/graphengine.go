@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 
-	"github.com/discdiversity/disc/internal/bitset"
 	"github.com/discdiversity/disc/internal/grid"
 	"github.com/discdiversity/disc/internal/object"
 )
@@ -48,31 +48,28 @@ import (
 // also implements CountingEngine and makes Greedy-DisC's initialisation
 // pass free at C.
 //
-// The access counter charges one unit per adjacency entry examined
-// within the query radius (the row prefix; minimum one per lookup),
-// mirroring the flat engine's objects-examined measure; the binary
-// search that finds a prefix, like deriving a view's row ends, is not
-// charged. Grid builds and grid fallback scans charge one unit per
-// candidate examined, and flat builds and fallback scans one unit per
-// object examined. Like every other engine it is not safe for
-// concurrent use after construction.
+// A query charges its run one unit per adjacency entry examined within
+// the query radius (the row prefix; minimum one per lookup), mirroring
+// the flat engine's objects-examined measure; the binary search that
+// finds a prefix, like deriving a view's row ends, is not charged. Grid
+// fallback scans charge one unit per candidate examined, and flat
+// fallback scans one unit per object examined; BuildCost counts the
+// build's candidates the same way.
 type ParallelGraphEngine struct {
-	flat    *object.FlatDataset
-	hash    *grid.Grid    // substrate of the grid path; nil on the flat-join path
-	scratch *grid.Scratch // grid-path scratch for beyond-radius ring scans
-	radius  float64       // the ceiling: the join radius
-	workers int
-	csr     *grid.CSR // rows sorted by (distance, id); exclude self
-	counts  []int     // csr.Degree(i), for CountingEngine
-	scan    []int
-	// views caches the row-prefix views below the ceiling; next is the
+	flat      *object.FlatDataset
+	hash      *grid.Grid // substrate of the grid path; nil on the flat-join path
+	radius    float64    // the ceiling: the join radius
+	workers   int
+	csr       *grid.CSR // rows sorted by (distance, id); exclude self
+	counts    []int     // csr.Degree(i), for CountingEngine
+	scan      []int
+	buildCost int64
+	// mu guards the view cache, the engine's only mutable state: views
+	// holds the row-prefix views below the ceiling, and next is the
 	// slot the next new radius overwrites.
+	mu    sync.Mutex
 	views [viewSlots]radiusView
 	next  int
-
-	accesses int64
-	tracking bool
-	white    bitset.Set
 }
 
 // viewSlots bounds the per-radius cache: a view costs one int32 per
@@ -104,9 +101,7 @@ var (
 const GraphFlatJoinDim = 7
 
 // BuildParallelGraphEngine builds the r-coverage graph of pts under m
-// with the given worker count (<= 0 selects GOMAXPROCS). The build cost
-// is left on the counter, matching BuildTreeEngine; callers measuring
-// query cost only should ResetAccesses first.
+// with the given worker count (<= 0 selects GOMAXPROCS).
 func BuildParallelGraphEngine(pts []object.Point, m object.Metric, r float64, workers int) (*ParallelGraphEngine, error) {
 	flat, err := object.Flatten(pts, m)
 	if err != nil {
@@ -218,17 +213,14 @@ func keepsGrid(hash *grid.Grid, r float64) bool {
 // join) and scan its cell order.
 func newGraph(flat *object.FlatDataset, hash *grid.Grid, scan []int, r float64, workers int, csr *grid.CSR, examined int64) *ParallelGraphEngine {
 	g := &ParallelGraphEngine{
-		flat:     flat,
-		hash:     hash,
-		radius:   r,
-		workers:  workers,
-		csr:      csr,
-		scan:     scan,
-		accesses: examined,
-		counts:   make([]int, flat.Len()),
-	}
-	if hash != nil {
-		g.scratch = grid.NewScratch(flat.Dim())
+		flat:      flat,
+		hash:      hash,
+		radius:    r,
+		workers:   workers,
+		csr:       csr,
+		scan:      scan,
+		buildCost: examined,
+		counts:    make([]int, flat.Len()),
 	}
 	for i := range g.counts {
 		g.counts[i] = csr.Degree(i)
@@ -246,6 +238,10 @@ func (g *ParallelGraphEngine) Workers() int { return g.workers }
 // Degree returns |N_C(id)| at the ceiling C.
 func (g *ParallelGraphEngine) Degree(id int) int { return g.csr.Degree(id) }
 
+// BuildCost returns the candidates the join examined (0 for a
+// rehydrated graph).
+func (g *ParallelGraphEngine) BuildCost() int64 { return g.buildCost }
+
 // GridJoined reports whether the adjacency was built by the grid ε-join
 // (as opposed to the batched flat all-pairs join).
 func (g *ParallelGraphEngine) GridJoined() bool { return g.hash != nil }
@@ -259,13 +255,8 @@ func (g *ParallelGraphEngine) Metric() object.Metric { return g.flat.Metric() }
 // Point implements Engine.
 func (g *ParallelGraphEngine) Point(id int) object.Point { return g.flat.Point(id) }
 
-// charge records an adjacency lookup that examined n entries.
-func (g *ParallelGraphEngine) charge(n int) {
-	if n < 1 {
-		n = 1
-	}
-	g.accesses += int64(n)
-}
+// charge records on run an adjacency lookup that examined n entries.
+func charge(run *Run, n int) { run.accesses += int64(max(n, 1)) }
 
 // prefix returns id's r-neighbourhood for r ≤ the ceiling: its whole
 // row at the ceiling, a binary-searched prefix below it.
@@ -277,21 +268,29 @@ func (g *ParallelGraphEngine) prefix(id int, r float64) []object.Neighbor {
 	return row
 }
 
+// scratch returns the run's grid ring-scan scratch, made on first use.
+func (g *ParallelGraphEngine) scratch(run *Run) *grid.Scratch {
+	if run.scratch == nil {
+		run.scratch = grid.NewScratch(g.flat.Dim())
+	}
+	return run.scratch
+}
+
 // NeighborsAppend implements Engine. Radii up to the ceiling are
 // answered from the materialised rows, in (distance, id) order; larger
 // radii fall back to the substrate, in its order (cell order on the
 // grid, id order on the flat scan).
-func (g *ParallelGraphEngine) NeighborsAppend(dst []object.Neighbor, id int, r float64) []object.Neighbor {
+func (g *ParallelGraphEngine) NeighborsAppend(dst []object.Neighbor, id int, r float64, run *Run) []object.Neighbor {
 	switch {
 	case r <= g.radius:
 		row := g.prefix(id, r)
-		g.charge(len(row))
+		charge(run, len(row))
 		return append(dst, row...)
 	case g.hash != nil:
-		return g.hash.AppendRange(dst, g.flat.Row(id), r, id, &g.accesses, g.scratch)
+		return g.hash.AppendRange(dst, g.flat.Row(id), r, id, &run.accesses, g.scratch(run))
 	default:
 		// Whole-dataset batched scan, charged like the flat engine.
-		g.accesses += int64(g.flat.Len())
+		run.accesses += int64(g.flat.Len())
 		return g.flat.AppendRange(dst, g.flat.Row(id), r, id)
 	}
 }
@@ -299,22 +298,12 @@ func (g *ParallelGraphEngine) NeighborsAppend(dst []object.Neighbor, id int, r f
 // ScanOrder implements Engine: cell order on the grid path — captured
 // at build time, locality-preserving — and plain id order on the
 // flat-join substrate, which has no locality structure.
-func (g *ParallelGraphEngine) ScanOrder() []int {
+func (g *ParallelGraphEngine) ScanOrder(*Run) []int {
 	if g.scan == nil {
-		ids := make([]int, g.flat.Len())
-		for i := range ids {
-			ids[i] = i
-		}
-		return ids
+		return idOrder(g.flat.Len())
 	}
 	return append([]int(nil), g.scan...)
 }
-
-// Accesses implements Engine.
-func (g *ParallelGraphEngine) Accesses() int64 { return g.accesses }
-
-// ResetAccesses implements Engine.
-func (g *ParallelGraphEngine) ResetAccesses() { g.accesses = 0 }
 
 // InitialCounts implements CountingEngine: the build already knows every
 // neighbourhood size at the ceiling, so Greedy-DisC initialisation
@@ -323,95 +312,50 @@ func (g *ParallelGraphEngine) InitialCounts() ([]int, float64, bool) {
 	return g.counts, g.radius, true
 }
 
-// StartCoverage implements CoverageEngine. Both substrates filter their
-// beyond-radius fallback scans with the white bitset directly.
-func (g *ParallelGraphEngine) StartCoverage(white []bool) {
-	if white == nil {
-		g.white.Reset(g.flat.Len())
-		g.white.Fill()
-	} else {
-		g.white.CopyBools(white)
-	}
-	g.tracking = true
-}
-
-// Cover implements CoverageEngine.
-func (g *ParallelGraphEngine) Cover(id int) {
-	if g.tracking {
-		g.white.Clear(id)
-	}
-}
-
-// IsWhite implements CoverageEngine.
-func (g *ParallelGraphEngine) IsWhite(id int) bool { return g.tracking && g.white.Test(id) }
-
 // NeighborsWhiteAppend implements CoverageEngine: an adjacency scan
-// that keeps only still-white neighbours.
-func (g *ParallelGraphEngine) NeighborsWhiteAppend(dst []object.Neighbor, id int, r float64) []object.Neighbor {
-	if !g.tracking {
-		panic("core: NeighborsWhiteAppend without StartCoverage")
-	}
+// that keeps only still-white neighbours. Above the ceiling both
+// substrates scan white-filtered: covered objects are neither examined
+// nor charged, matching the flat engine's accounting.
+func (g *ParallelGraphEngine) NeighborsWhiteAppend(dst []object.Neighbor, id int, r float64, run *Run) []object.Neighbor {
 	if r > g.radius {
 		if g.hash != nil {
-			// Multi-ring white-filtered cell scan; covered objects are
-			// neither examined nor charged, matching the flat engine's
-			// accounting.
-			return g.hash.AppendRangeWhite(dst, g.flat.Row(id), r, id, &g.white, &g.accesses, g.scratch)
+			return g.hash.AppendRangeWhite(dst, g.flat.Row(id), r, id, &run.white, &run.accesses, g.scratch(run))
 		}
-		return g.appendWhiteScan(dst, id, r)
+		return g.flat.AppendRangeWhite(dst, g.flat.Row(id), r, id, &run.white, &run.accesses)
 	}
 	row := g.prefix(id, r)
-	g.charge(len(row))
+	charge(run, len(row))
 	for _, nb := range row {
-		if g.white.Test(nb.ID) {
+		if run.white.Test(nb.ID) {
 			dst = append(dst, nb)
 		}
 	}
 	return dst
 }
 
-// appendWhiteScan is the flat substrate's white-filtered range scan:
-// the fused threshold test per still-white candidate, with the exact
-// recomputation on survivors — the same protocol as the flat engine's
-// NeighborsWhiteAppend, and the same accounting (covered objects are
-// neither examined nor charged).
-func (g *ParallelGraphEngine) appendWhiteScan(dst []object.Neighbor, id int, r float64) []object.Neighbor {
-	k := g.flat.Kernel()
-	rawR := k.RawThreshold(r)
-	q := g.flat.Row(id)
-	n := g.flat.Len()
-	for j := 0; j < n; j++ {
-		if !g.white.Test(j) || j == id {
-			continue
-		}
-		g.accesses++
-		row := g.flat.Row(j)
-		if k.Within(q, row, rawR) {
-			if d := k.Finish(k.Raw(row, q)); d <= r {
-				dst = append(dst, object.Neighbor{ID: j, Dist: d})
-			}
+// view returns the view at r < the ceiling from the cache, deriving it
+// (one binary search per row, uncharged) into the oldest slot on a
+// miss. A view is immutable, so it stays valid for its holder after
+// its slot is reused.
+func (g *ParallelGraphEngine) view(r float64) *grid.CSR {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for _, v := range g.views {
+		if v.csr != nil && v.r == r {
+			return v.csr
 		}
 	}
-	return dst
-}
-
-// view returns the cached view at r < the ceiling, deriving it (one
-// binary search per row, uncharged) into the oldest slot on a miss.
-func (g *ParallelGraphEngine) view(r float64) *radiusView {
-	for i := range g.views {
-		if v := &g.views[i]; v.csr != nil && v.r == r {
-			return v
-		}
-	}
-	v := &g.views[g.next]
+	v := radiusView{csr: g.csr.Prefix(r), r: r}
+	g.views[g.next] = v
 	g.next = (g.next + 1) % viewSlots
-	*v = radiusView{csr: g.csr.Prefix(r), r: r}
-	return v
+	return v.csr
 }
 
 // CachedRadii returns the radii below the ceiling whose views are
 // cached, at most the cache's fixed slot count.
 func (g *ParallelGraphEngine) CachedRadii() []float64 {
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	var rs []float64
 	for _, v := range g.views {
 		if v.csr != nil {
@@ -430,7 +374,7 @@ func (g *ParallelGraphEngine) AdjacencyCSR(r float64) (*grid.CSR, bool) {
 	case r == g.radius:
 		return g.csr, true
 	case r < g.radius:
-		return g.view(r).csr, true
+		return g.view(r), true
 	default:
 		return nil, false
 	}

@@ -32,8 +32,8 @@ func TestGraphEngineAdjacencyMatchesFlat(t *testing.T) {
 		g := graphEngine(t, pts, m, 0.1, workers)
 		for _, r := range []float64{0.04, 0.1, 0.25} {
 			for _, id := range []int{0, 199, 399} {
-				got := sortNeighbors(g.NeighborsAppend(nil, id, r))
-				want := sortNeighbors(flat.NeighborsAppend(nil, id, r))
+				got := sortNeighbors(g.NeighborsAppend(nil, id, r, new(Run)))
+				want := sortNeighbors(flat.NeighborsAppend(nil, id, r, new(Run)))
 				if len(got) != len(want) {
 					t.Fatalf("workers=%d r=%g id=%d: %d neighbours, want %d", workers, r, id, len(got), len(want))
 				}
@@ -76,18 +76,18 @@ func TestGraphEngineNeighborsWhite(t *testing.T) {
 	pts := randomPoints(250, 2, 92)
 	m := object.Euclidean{}
 	g := graphEngine(t, pts, m, 0.15, 4)
-	g.StartCoverage(nil)
+	run := coveringRun(g)
 	for id := 0; id < len(pts); id += 3 {
-		g.Cover(id)
+		run.cover(id)
 	}
 	for _, r := range []float64{0.15, 0.4} {
 		for _, id := range []int{1, 100} {
 			got := map[int]bool{}
-			for _, nb := range g.NeighborsWhiteAppend(nil, id, r) {
+			for _, nb := range g.NeighborsWhiteAppend(nil, id, r, run) {
 				got[nb.ID] = true
 			}
 			for j := range pts {
-				want := j != id && g.IsWhite(j) && m.Dist(pts[id], pts[j]) <= r
+				want := j != id && run.white.Test(j) && m.Dist(pts[id], pts[j]) <= r
 				if got[j] != want {
 					t.Fatalf("r=%g id=%d: neighbour %d reported=%v want %v", r, id, j, got[j], want)
 				}
@@ -131,7 +131,7 @@ func TestGraphEngineRebuild(t *testing.T) {
 		t.Fatalf("rebuilt radius %g", rebuilt.Radius())
 	}
 	for id := range pts {
-		a, b := rebuilt.NeighborsAppend(nil, id, 0.12), fresh.NeighborsAppend(nil, id, 0.12)
+		a, b := rebuilt.NeighborsAppend(nil, id, 0.12, new(Run)), fresh.NeighborsAppend(nil, id, 0.12, new(Run))
 		if len(a) != len(b) {
 			t.Fatalf("id=%d: rebuilt %d neighbours, fresh %d", id, len(a), len(b))
 		}
@@ -216,21 +216,22 @@ func TestCeilingViewsMatchJoin(t *testing.T) {
 	}
 }
 
-// TestGraphEngineBuildCostOnCounter: construction leaves its cost on the
-// access counter (like BuildTreeEngine) and ResetAccesses clears it.
-func TestGraphEngineBuildCostOnCounter(t *testing.T) {
+// TestGraphEngineBuildCost: construction reports its cost (like
+// BuildTreeEngine), and a lookup charges its run, not the build.
+func TestGraphEngineBuildCost(t *testing.T) {
 	pts := randomPoints(200, 2, 94)
 	g := graphEngine(t, pts, object.Euclidean{}, 0.1, 2)
-	if g.Accesses() == 0 {
+	build := g.BuildCost()
+	if build == 0 {
 		t.Fatal("build charged nothing")
 	}
-	g.ResetAccesses()
-	if g.Accesses() != 0 {
-		t.Fatal("reset failed")
-	}
-	g.NeighborsAppend(nil, 0, 0.1)
-	if g.Accesses() == 0 {
+	var run Run
+	g.NeighborsAppend(nil, 0, 0.1, &run)
+	if run.Accesses() == 0 {
 		t.Fatal("graph lookup charged nothing")
+	}
+	if g.BuildCost() != build {
+		t.Fatal("a lookup changed the build cost")
 	}
 }
 
@@ -298,8 +299,8 @@ func TestGraphEngineHammingPath(t *testing.T) {
 	flat := flatEngine(t, pts, m)
 	for _, r := range []float64{1, 2, 3} { // below, at and beyond the build radius
 		for _, id := range []int{0, 150, 299} {
-			got := sortNeighbors(g.NeighborsAppend(nil, id, r))
-			want := sortNeighbors(flat.NeighborsAppend(nil, id, r))
+			got := sortNeighbors(g.NeighborsAppend(nil, id, r, new(Run)))
+			want := sortNeighbors(flat.NeighborsAppend(nil, id, r, new(Run)))
 			if len(got) != len(want) {
 				t.Fatalf("r=%g id=%d: %d neighbours, want %d", r, id, len(got), len(want))
 			}
@@ -317,17 +318,17 @@ func TestGraphEngineHammingPath(t *testing.T) {
 	}
 	// The white-filtered fallback beyond the build radius must skip
 	// exactly the covered objects.
-	g.StartCoverage(nil)
+	run := coveringRun(g)
 	for id := 0; id < len(pts); id += 4 {
-		g.Cover(id)
+		run.cover(id)
 	}
 	for _, id := range []int{1, 99} {
 		got := map[int]bool{}
-		for _, nb := range g.NeighborsWhiteAppend(nil, id, 3) {
+		for _, nb := range g.NeighborsWhiteAppend(nil, id, 3, run) {
 			got[nb.ID] = true
 		}
 		for j := range pts {
-			want := j != id && g.IsWhite(j) && m.Dist(pts[id], pts[j]) <= 3
+			want := j != id && run.white.Test(j) && m.Dist(pts[id], pts[j]) <= 3
 			if got[j] != want {
 				t.Fatalf("id=%d: neighbour %d reported=%v want %v", id, j, got[j], want)
 			}
@@ -358,7 +359,7 @@ func TestGraphEngineRebuildReusesGrid(t *testing.T) {
 		}
 		fresh := graphEngine(t, pts, m, r, 2)
 		for id := range pts {
-			a, b := rebuilt.NeighborsAppend(nil, id, r), fresh.NeighborsAppend(nil, id, r)
+			a, b := rebuilt.NeighborsAppend(nil, id, r, new(Run)), fresh.NeighborsAppend(nil, id, r, new(Run))
 			if len(a) != len(b) {
 				t.Fatalf("r=%g id=%d: rebuilt %d neighbours, fresh %d", r, id, len(a), len(b))
 			}

@@ -77,18 +77,14 @@ type queryScratch struct {
 // one range query per object establishes the counts.
 func GreedyDisC(e Engine, r float64, opts GreedyOptions) *Solution {
 	defer telemetry.Since(metSelectGlobal, time.Now())
-	n := e.Size()
-	name := greedyName(opts, false)
-	cov, hasCov := e.(CoverageEngine)
-	usePrune := opts.Pruned && hasCov
-	if usePrune {
-		cov.StartCoverage(nil)
+	s := newColoring(e.Size())
+	run := &s.run
+	if opts.Pruned {
+		run.startCoverage(e, nil)
 	}
-	s := newColoring(n)
-	start := e.Accesses()
 
 	var sc queryScratch
-	nw := initialWhiteCounts(e, r, &sc)
+	nw := initialWhiteCounts(e, r, run, &sc)
 	var q bucketQueue
 	fill(&q, nw, nil)
 	for {
@@ -97,25 +93,17 @@ func GreedyDisC(e Engine, r float64, opts GreedyOptions) *Solution {
 			break
 		}
 		s.selectBlack(pi)
-		if usePrune {
-			cov.Cover(pi)
-			sc.ns = cov.NeighborsWhiteAppend(sc.ns[:0], pi, r)
-		} else {
-			sc.ns = e.NeighborsAppend(sc.ns[:0], pi, r)
-		}
+		sc.ns = run.neighbors(e, sc.ns[:0], pi, r)
 		sc.grey = sc.grey[:0]
 		for _, nb := range sc.ns {
 			if s.colors[nb.ID] == White {
-				s.colors[nb.ID] = Grey
+				s.grey(nb.ID)
 				sc.grey = append(sc.grey, nb)
-				if usePrune {
-					cov.Cover(nb.ID)
-				}
 			}
 		}
-		updateWhiteCounts(e, cov, usePrune, s.colors, r, opts.Update, pi, sc.grey, nw, &sc)
+		updateWhiteCounts(e, run, s.colors, r, opts.Update, pi, sc.grey, nw, &sc)
 	}
-	return s.solution(name, r, e.Accesses()-start)
+	return s.solution(greedyName(opts, false), r)
 }
 
 func greedyName(opts GreedyOptions, components bool) string {
@@ -144,7 +132,7 @@ func greedyName(opts GreedyOptions, components bool) string {
 // initialWhiteCounts returns |N_r(p)| per object, using build-time counts
 // when available and issuing one range query per object (into the shared
 // scratch buffer) otherwise.
-func initialWhiteCounts(e Engine, r float64, sc *queryScratch) []int {
+func initialWhiteCounts(e Engine, r float64, run *Run, sc *queryScratch) []int {
 	if ce, ok := e.(CountingEngine); ok {
 		if counts, cr, have := ce.InitialCounts(); have && cr == r {
 			return append([]int(nil), counts...)
@@ -152,7 +140,7 @@ func initialWhiteCounts(e Engine, r float64, sc *queryScratch) []int {
 	}
 	nw := make([]int, e.Size())
 	for id := range nw {
-		sc.ns = e.NeighborsAppend(sc.ns[:0], id, r)
+		sc.ns = e.NeighborsAppend(sc.ns[:0], id, r, run)
 		nw[id] = len(sc.ns)
 	}
 	return nw
@@ -162,13 +150,7 @@ func initialWhiteCounts(e Engine, r float64, sc *queryScratch) []int {
 // selected and newGrey turned grey, decrementing nw in place (the queue
 // catches up when it pops a stale entry). newGrey aliases sc.grey; the
 // queries issued here land in sc.upd, never in sc.ns or sc.grey.
-func updateWhiteCounts(e Engine, cov CoverageEngine, usePrune bool, colors []Color, r float64, strategy UpdateStrategy, pi int, newGrey []object.Neighbor, nw []int, sc *queryScratch) {
-	whiteNeighbors := func(dst []object.Neighbor, id int, radius float64) []object.Neighbor {
-		if usePrune {
-			return cov.NeighborsWhiteAppend(dst, id, radius)
-		}
-		return e.NeighborsAppend(dst, id, radius)
-	}
+func updateWhiteCounts(e Engine, run *Run, colors []Color, r float64, strategy UpdateStrategy, pi int, newGrey []object.Neighbor, nw []int, sc *queryScratch) {
 	switch {
 	// White-Greedy's 2r candidate query finds every white object within r
 	// of a new grey only under the triangle inequality; without it (cosine,
@@ -181,7 +163,7 @@ func updateWhiteCounts(e Engine, cov CoverageEngine, usePrune bool, colors []Col
 			radius = r / 2
 		}
 		for _, gj := range newGrey {
-			sc.upd = whiteNeighbors(sc.upd[:0], gj.ID, radius)
+			sc.upd = run.neighbors(e, sc.upd[:0], gj.ID, radius)
 			for _, nk := range sc.upd {
 				if colors[nk.ID] == White {
 					nw[nk.ID]--
@@ -193,7 +175,7 @@ func updateWhiteCounts(e Engine, cov CoverageEngine, usePrune bool, colors []Col
 		if strategy == UpdateLazyWhite {
 			radius = 1.5 * r
 		}
-		sc.upd = whiteNeighbors(sc.upd[:0], pi, radius)
+		sc.upd = run.neighbors(e, sc.upd[:0], pi, radius)
 		m := e.Metric()
 		for _, wk := range sc.upd {
 			if colors[wk.ID] != White {

@@ -3,8 +3,8 @@ package core
 import "github.com/discdiversity/disc/internal/object"
 
 // neighborsFunc is a buffer-reusing neighbourhood query: it appends the
-// neighbours of id to dst and returns the extended slice.
-type neighborsFunc func(dst []object.Neighbor, id int) []object.Neighbor
+// neighbours of id to dst, charging run, and returns the extended slice.
+type neighborsFunc func(dst []object.Neighbor, id int, run *Run) []object.Neighbor
 
 // GreedyC computes an r-C diverse subset: the coverage condition of
 // Definition 1 without requiring independence. It modifies Greedy-DisC so
@@ -13,10 +13,10 @@ type neighborsFunc func(dst []object.Neighbor, id int) []object.Neighbor
 // relaxed). The paper's pruning rule is not applicable because grey
 // objects and nodes must stay reachable to keep their counts current.
 func GreedyC(e Engine, r float64) *Solution {
-	full := func(dst []object.Neighbor, id int) []object.Neighbor {
-		return e.NeighborsAppend(dst, id, r)
+	full := func(dst []object.Neighbor, id int, run *Run) []object.Neighbor {
+		return e.NeighborsAppend(dst, id, r, run)
 	}
-	return greedyCoverage(e, r, "Greedy-C", full, full)
+	return greedyCoverage(e, r, "Greedy-C", full, false)
 }
 
 // FastC is the cheaper r-C heuristic of Section 5.1: it behaves like
@@ -35,35 +35,35 @@ func GreedyC(e Engine, r float64) *Solution {
 // On engines without bottom-up support FastC degrades to GreedyC.
 func FastC(e Engine, r float64) *Solution {
 	bu, hasBU := e.(BottomUpEngine)
-	cov, hasCov := e.(CoverageEngine)
-	if !hasBU || !hasCov {
-		full := func(dst []object.Neighbor, id int) []object.Neighbor {
-			return e.NeighborsAppend(dst, id, r)
+	if !hasBU {
+		full := func(dst []object.Neighbor, id int, run *Run) []object.Neighbor {
+			return e.NeighborsAppend(dst, id, r, run)
 		}
-		return greedyCoverage(e, r, "Fast-C", full, full)
+		return greedyCoverage(e, r, "Fast-C", full, false)
 	}
-	cov.StartCoverage(nil)
-	q := func(dst []object.Neighbor, id int) []object.Neighbor {
-		return bu.NeighborsBottomUpAppend(dst, id, r, true)
+	q := func(dst []object.Neighbor, id int, run *Run) []object.Neighbor {
+		return bu.NeighborsBottomUpAppend(dst, id, r, true, run)
 	}
-	return greedyCoverage(e, r, "Fast-C", q, q)
+	return greedyCoverage(e, r, "Fast-C", q, true)
 }
 
-// greedyCoverage is the shared loop of GreedyC and FastC. colorNeighbors
-// retrieves the neighbourhood used to colour objects grey when a
-// candidate is selected; updateNeighbors (possibly approximate) is used
-// to maintain candidate counts. Both append into the run's scratch
-// buffers.
-func greedyCoverage(e Engine, r float64, name string, colorNeighbors, updateNeighbors neighborsFunc) *Solution {
+// greedyCoverage is the shared loop of GreedyC and FastC. neighbors
+// retrieves the (possibly approximate) neighbourhood used both to colour
+// objects grey when a candidate is selected and to maintain candidate
+// counts, appending into the run's scratch buffers. With track set the
+// run tracks coverage, which FastC's grey stop reads.
+func greedyCoverage(e Engine, r float64, name string, neighbors neighborsFunc, track bool) *Solution {
 	n := e.Size()
 	s := newColoring(n)
-	cov, hasCov := e.(CoverageEngine)
-	start := e.Accesses()
+	run := &s.run
+	if track {
+		run.startCoverage(e, nil)
+	}
 
 	// nw[id] = number of *white* objects in N_r(id); every non-black
 	// object is a candidate keyed by it.
 	var sc queryScratch
-	nw := initialWhiteCounts(e, r, &sc)
+	nw := initialWhiteCounts(e, r, run, &sc)
 	var q bucketQueue
 	fill(&q, nw, nil)
 	// A grey candidate covering nothing new is useless (its count only
@@ -73,14 +73,6 @@ func greedyCoverage(e Engine, r float64, name string, colorNeighbors, updateNeig
 	}
 
 	whitesLeft := n
-	// cover transitions an object out of the white state.
-	cover := func(id int) {
-		whitesLeft--
-		if hasCov {
-			cov.Cover(id)
-		}
-	}
-
 	for whitesLeft > 0 {
 		pc, ok := popLive(&q, nw, candidate)
 		if !ok {
@@ -89,15 +81,15 @@ func greedyCoverage(e Engine, r float64, name string, colorNeighbors, updateNeig
 		wasWhite := s.colors[pc] == White
 		s.selectBlack(pc)
 		if wasWhite {
-			cover(pc)
+			whitesLeft--
 		}
-		sc.ns = colorNeighbors(sc.ns[:0], pc)
+		sc.ns = neighbors(sc.ns[:0], pc, run)
 		sc.grey = sc.grey[:0]
 		for _, nb := range sc.ns {
 			if s.colors[nb.ID] == White {
-				s.colors[nb.ID] = Grey
+				s.grey(nb.ID)
 				sc.grey = append(sc.grey, nb)
-				cover(nb.ID)
+				whitesLeft--
 			}
 		}
 
@@ -113,7 +105,7 @@ func greedyCoverage(e Engine, r float64, name string, colorNeighbors, updateNeig
 			}
 		}
 		for _, gj := range sc.grey {
-			sc.upd = updateNeighbors(sc.upd[:0], gj.ID)
+			sc.upd = neighbors(sc.upd[:0], gj.ID, run)
 			for _, nk := range sc.upd {
 				if s.colors[nk.ID] != Black {
 					nw[nk.ID]--
@@ -121,5 +113,5 @@ func greedyCoverage(e Engine, r float64, name string, colorNeighbors, updateNeig
 			}
 		}
 	}
-	return s.solution(name, r, e.Accesses()-start)
+	return s.solution(name, r)
 }

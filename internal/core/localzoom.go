@@ -48,9 +48,9 @@ func LocalZoomIn(e Engine, prev *Solution, center int, rNew float64, greedy bool
 	}
 	// The zooming rule's post-processing pass, uncharged as in ZoomIn.
 	covered := coveredWithin(e, prev.IDs, rNew)
-	start := e.Accesses()
+	var run Run
 
-	region, inRegion := regionAround(e, center, prev.Radius)
+	region, inRegion := regionAround(e, center, prev.Radius, &run)
 	res := &LocalResult{Center: center, LocalRadius: rNew, Region: region}
 
 	// Whites: region objects (other than the centre) not covered by any
@@ -67,7 +67,7 @@ func LocalZoomIn(e Engine, prev *Solution, center int, rNew float64, greedy bool
 
 	var buf []object.Neighbor
 	neighborsInRegion := func(id int) []object.Neighbor {
-		buf = e.NeighborsAppend(buf[:0], id, rNew)
+		buf = e.NeighborsAppend(buf[:0], id, rNew, &run)
 		kept := buf[:0]
 		for _, nb := range buf {
 			if inRegion[nb.ID] {
@@ -130,7 +130,7 @@ func LocalZoomIn(e Engine, prev *Solution, center int, rNew float64, greedy bool
 			}
 		}
 	} else {
-		for _, pi := range e.ScanOrder() {
+		for _, pi := range e.ScanOrder(&run) {
 			if len(white) == 0 {
 				break
 			}
@@ -141,7 +141,7 @@ func LocalZoomIn(e Engine, prev *Solution, center int, rNew float64, greedy bool
 	}
 
 	res.Final = mergeFinal(prev.IDs, nil, res.Added)
-	res.Accesses = e.Accesses() - start
+	res.Accesses = run.accesses
 	return res, nil
 }
 
@@ -160,9 +160,9 @@ func LocalZoomOut(e Engine, prev *Solution, center int, rNew float64) (*LocalRes
 	if !prev.Contains(center) {
 		return nil, fmt.Errorf("core: local zoom-out: object %d is not a selected representative", center)
 	}
-	start := e.Accesses()
+	var run Run
 
-	region, inRegion := regionAround(e, center, rNew)
+	region, inRegion := regionAround(e, center, rNew, &run)
 	res := &LocalResult{Center: center, LocalRadius: rNew, Region: region}
 
 	removed := make(map[int]bool)
@@ -175,7 +175,7 @@ func LocalZoomOut(e Engine, prev *Solution, center int, rNew float64) (*LocalRes
 	sort.Ints(res.Removed)
 	if len(removed) == 0 {
 		res.Final = mergeFinal(prev.IDs, nil, nil)
-		res.Accesses = e.Accesses() - start
+		res.Accesses = run.accesses
 		return res, nil
 	}
 
@@ -192,7 +192,7 @@ func LocalZoomOut(e Engine, prev *Solution, center int, rNew float64) (*LocalRes
 	m := e.Metric()
 	var buf []object.Neighbor
 	for _, b := range res.Removed {
-		buf = e.NeighborsAppend(buf[:0], b, prev.Radius)
+		buf = e.NeighborsAppend(buf[:0], b, prev.Radius, &run)
 		for _, nb := range buf {
 			if kept[nb.ID] || uncovered[nb.ID] {
 				continue
@@ -216,21 +216,21 @@ func LocalZoomOut(e Engine, prev *Solution, center int, rNew float64) (*LocalRes
 		res.Added = append(res.Added, pi)
 		kept[pi] = true
 		delete(uncovered, pi)
-		buf = e.NeighborsAppend(buf[:0], pi, prev.Radius)
+		buf = e.NeighborsAppend(buf[:0], pi, prev.Radius, &run)
 		for _, nb := range buf {
 			delete(uncovered, nb.ID)
 		}
 	}
 
 	res.Final = mergeFinal(prev.IDs, removed, res.Added)
-	res.Accesses = e.Accesses() - start
+	res.Accesses = run.accesses
 	return res, nil
 }
 
 // regionAround returns N_r(center) ∪ {center} as a sorted id slice plus a
-// membership map.
-func regionAround(e Engine, center int, r float64) ([]int, map[int]bool) {
-	ns := e.NeighborsAppend(nil, center, r)
+// membership map, charging the query to run.
+func regionAround(e Engine, center int, r float64, run *Run) ([]int, map[int]bool) {
+	ns := e.NeighborsAppend(nil, center, r, run)
 	region := make([]int, 0, len(ns)+1)
 	inRegion := make(map[int]bool, len(ns)+1)
 	region = append(region, center)

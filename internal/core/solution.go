@@ -53,12 +53,13 @@ type Solution struct {
 	Accesses int64
 }
 
-// coloring is a run's working state: every object's colour and the
-// picks so far, in order. It lives only as long as the run; solution
-// copies the picks out.
+// coloring is a run's working state: every object's colour, the picks
+// so far, in order, and the run's engine state. It lives only as long
+// as the run; solution copies the picks out.
 type coloring struct {
 	colors []Color
 	ids    []int
+	run    Run
 }
 
 func newColoring(n int) *coloring { return &coloring{colors: make([]Color, n)} }
@@ -67,20 +68,27 @@ func newColoring(n int) *coloring { return &coloring{colors: make([]Color, n)} }
 func (c *coloring) selectBlack(pi int) {
 	c.colors[pi] = Black
 	c.ids = append(c.ids, pi)
+	c.run.cover(pi)
+}
+
+// grey marks id as covered by a selected object.
+func (c *coloring) grey(id int) {
+	c.colors[id] = Grey
+	c.run.cover(id)
 }
 
 // isWhite reports whether id is still uncovered.
 func (c *coloring) isWhite(id int) bool { return c.colors[id] == White }
 
-// solution returns the run's answer. Results outlive the run (the
-// server keeps them), so the ids are copied out of the append-grown
-// buffer at their exact size.
-func (c *coloring) solution(algorithm string, r float64, accesses int64) *Solution {
+// solution returns the run's answer, charged what the run's queries
+// cost. Results outlive the run (the server keeps them), so the ids are
+// copied out of the append-grown buffer at their exact size.
+func (c *coloring) solution(algorithm string, r float64) *Solution {
 	return &Solution{
 		Algorithm: algorithm,
 		Radius:    r,
 		IDs:       append(make([]int, 0, len(c.ids)), c.ids...),
-		Accesses:  accesses,
+		Accesses:  c.run.accesses,
 	}
 }
 
@@ -101,15 +109,15 @@ func (s *Solution) SortedIDs() []int {
 // ids (the ids themselves included): one range query per id, in order.
 // It is the paper's post-processing pass (Section 5.2) cut to what the
 // zooming rule reads — whether the closest black is within the new
-// radius — so the zooms call it at their new radius. The engine
-// accesses it performs are left on the engine's counter; callers run
-// it before they start counting.
+// radius — so the zooms call it at their new radius. Its queries are
+// charged to a run of its own, which no result reports.
 func coveredWithin(e Engine, ids []int, r float64) []bool {
 	covered := make([]bool, e.Size())
+	var run Run
 	var buf []object.Neighbor
 	for _, b := range ids {
 		covered[b] = true
-		buf = e.NeighborsAppend(buf[:0], b, r)
+		buf = e.NeighborsAppend(buf[:0], b, r, &run)
 		for _, nb := range buf {
 			covered[nb.ID] = true
 		}

@@ -8,10 +8,11 @@ import (
 )
 
 // TreeEngine adapts an M-tree to the Engine interfaces. It is the engine
-// used by every experiment in the paper's evaluation: its access counter
-// reports M-tree node accesses.
+// used by every experiment in the paper's evaluation: its cost unit is
+// M-tree node accesses.
 type TreeEngine struct {
 	tree       *mtree.Tree
+	buildCost  int64
 	counts     []int
 	countsR    float64
 	haveCounts bool
@@ -30,15 +31,18 @@ func NewTreeEngine(t *mtree.Tree) *TreeEngine { return &TreeEngine{tree: t} }
 // Tree exposes the underlying index (for fat-factor measurements etc.).
 func (te *TreeEngine) Tree() *mtree.Tree { return te.tree }
 
-// BuildTreeEngine constructs an M-tree over pts and wraps it. The node
-// accesses spent building are left on the counter; callers measuring
-// query cost only should ResetAccesses first.
+// BuildCost returns the node accesses construction performed: the
+// inserts, plus the counting range queries of BuildTreeEngineWithCounts
+// (0 for NewTreeEngine).
+func (te *TreeEngine) BuildCost() int64 { return te.buildCost }
+
+// BuildTreeEngine constructs an M-tree over pts and wraps it.
 func BuildTreeEngine(cfg mtree.Config, pts []object.Point) (*TreeEngine, error) {
-	t, err := mtree.Build(cfg, pts)
+	t, cost, err := mtree.Build(cfg, pts)
 	if err != nil {
 		return nil, err
 	}
-	return &TreeEngine{tree: t}, nil
+	return &TreeEngine{tree: t, buildCost: cost}, nil
 }
 
 // BuildTreeEngineWithCounts constructs the tree while simultaneously
@@ -56,18 +60,21 @@ func BuildTreeEngineWithCounts(cfg mtree.Config, pts []object.Point, r float64) 
 		return nil, err
 	}
 	counts := make([]int, len(pts))
+	var cost int64
 	var buf []object.Neighbor
 	for id := range pts {
-		if err := t.Insert(id); err != nil {
+		acc, err := t.Insert(id)
+		if err != nil {
 			return nil, err
 		}
-		buf = t.AppendRangeQueryAround(buf[:0], id, r)
+		cost += acc
+		buf = t.AppendRangeQueryAround(buf[:0], id, r, &cost)
 		for _, nb := range buf {
 			counts[id]++
 			counts[nb.ID]++
 		}
 	}
-	return &TreeEngine{tree: t, counts: counts, countsR: r, haveCounts: true}, nil
+	return &TreeEngine{tree: t, buildCost: cost, counts: counts, countsR: r, haveCounts: true}, nil
 }
 
 // Size implements Engine.
@@ -80,43 +87,39 @@ func (te *TreeEngine) Metric() object.Metric { return te.tree.Metric() }
 func (te *TreeEngine) Point(id int) object.Point { return te.tree.Point(id) }
 
 // NeighborsAppend implements Engine via a top-down range query.
-func (te *TreeEngine) NeighborsAppend(dst []object.Neighbor, id int, r float64) []object.Neighbor {
-	return te.tree.AppendRangeQueryAround(dst, id, r)
+func (te *TreeEngine) NeighborsAppend(dst []object.Neighbor, id int, r float64, run *Run) []object.Neighbor {
+	return te.tree.AppendRangeQueryAround(dst, id, r, &run.accesses)
 }
 
 // ScanOrder implements Engine using the linked-leaf chain.
-func (te *TreeEngine) ScanOrder() []int { return te.tree.ScanIDs() }
-
-// Accesses implements Engine.
-func (te *TreeEngine) Accesses() int64 { return te.tree.Accesses() }
-
-// ResetAccesses implements Engine.
-func (te *TreeEngine) ResetAccesses() { te.tree.ResetAccesses() }
-
-// StartCoverage implements CoverageEngine.
-func (te *TreeEngine) StartCoverage(white []bool) {
-	if white == nil {
-		te.tree.EnableTracking()
-		return
-	}
-	te.tree.ResetTracking(white)
-}
-
-// Cover implements CoverageEngine.
-func (te *TreeEngine) Cover(id int) { te.tree.Cover(id) }
-
-// IsWhite implements CoverageEngine.
-func (te *TreeEngine) IsWhite(id int) bool { return te.tree.IsWhite(id) }
+func (te *TreeEngine) ScanOrder(run *Run) []int { return te.tree.ScanIDs(&run.accesses) }
 
 // NeighborsWhiteAppend implements CoverageEngine via the pruned range
 // query.
-func (te *TreeEngine) NeighborsWhiteAppend(dst []object.Neighbor, id int, r float64) []object.Neighbor {
-	return te.tree.AppendRangeQueryPruned(dst, id, r)
+func (te *TreeEngine) NeighborsWhiteAppend(dst []object.Neighbor, id int, r float64, run *Run) []object.Neighbor {
+	return te.tree.AppendRangeQueryPruned(dst, id, r, &run.white, te.nodeWhite(run), &run.accesses)
 }
 
-// NeighborsBottomUpAppend implements BottomUpEngine.
-func (te *TreeEngine) NeighborsBottomUpAppend(dst []object.Neighbor, id int, r float64, stopAtGrey bool) []object.Neighbor {
-	return te.tree.AppendRangeQueryBottomUp(dst, id, r, stopAtGrey, false)
+// NeighborsBottomUpAppend implements BottomUpEngine. The grey stop
+// reads the run's per-node white counts, so it applies only on a run
+// that tracks coverage.
+func (te *TreeEngine) NeighborsBottomUpAppend(dst []object.Neighbor, id int, r float64, stopAtGrey bool, run *Run) []object.Neighbor {
+	var counts []int32
+	if run.cov != nil {
+		counts = te.nodeWhite(run)
+	}
+	return te.tree.AppendRangeQueryBottomUp(dst, id, r, stopAtGrey, nil, counts, &run.accesses)
+}
+
+// nodeWhite returns the run's per-node white counts over the tree,
+// counting them from its white set on first use; the run's cover keeps
+// them in step from then on.
+func (te *TreeEngine) nodeWhite(run *Run) []int32 {
+	if run.tree != te.tree {
+		run.tree = te.tree
+		run.nodeWhite = te.tree.CountWhite(run.nodeWhite, &run.white)
+	}
+	return run.nodeWhite
 }
 
 // InitialCounts implements CountingEngine.

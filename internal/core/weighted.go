@@ -48,21 +48,20 @@ func WeightedGreedyDisC(e Engine, r float64, weights []float64) (*Solution, erro
 	})
 
 	s := newColoring(n)
-	start := e.Accesses()
 	var buf []object.Neighbor
 	for _, pi := range order {
 		if s.colors[pi] != White {
 			continue
 		}
 		s.selectBlack(pi)
-		buf = e.NeighborsAppend(buf[:0], pi, r)
+		buf = e.NeighborsAppend(buf[:0], pi, r, &s.run)
 		for _, nb := range buf {
 			if s.colors[nb.ID] == White {
 				s.colors[nb.ID] = Grey
 			}
 		}
 	}
-	return s.solution("Weighted-Greedy-DisC", r, e.Accesses()-start), nil
+	return s.solution("Weighted-Greedy-DisC", r), nil
 }
 
 // TotalWeight sums the weights of the selected objects.
@@ -76,11 +75,11 @@ func TotalWeight(s *Solution, weights []float64) float64 {
 
 // appendMultiRadiusNeighbors returns the objects similar to id under
 // per-object radii: q is a neighbour of p when dist(p,q) <=
-// max(rad(p), rad(q)). One engine query at the maximum radius lands in
-// dst (which is fully overwritten from index 0) and is filtered in
-// place.
-func appendMultiRadiusNeighbors(dst []object.Neighbor, e Engine, id int, radii []float64, maxRad float64) []object.Neighbor {
-	dst = e.NeighborsAppend(dst[:0], id, maxRad)
+// max(rad(p), rad(q)). One engine query at the maximum radius, charged
+// to run, lands in dst (which is fully overwritten from index 0) and is
+// filtered in place.
+func appendMultiRadiusNeighbors(dst []object.Neighbor, e Engine, id int, radii []float64, maxRad float64, run *Run) []object.Neighbor {
+	dst = e.NeighborsAppend(dst[:0], id, maxRad, run)
 	kept := dst[:0]
 	for _, nb := range dst {
 		if nb.Dist <= maxFloat(radii[id], radii[nb.ID]) {
@@ -114,13 +113,12 @@ func MultiRadiusDisC(e Engine, radii []float64, greedy bool) (*Solution, error) 
 		name = "Greedy-MultiRadius-DisC"
 	}
 	s := newColoring(n)
-	start := e.Accesses()
 
 	var sc queryScratch
 	// colorFrom queries into sc.ns and leaves the newly greyed objects
 	// in sc.grey.
 	colorFrom := func(pi int) {
-		sc.ns = appendMultiRadiusNeighbors(sc.ns, e, pi, radii, maxRad)
+		sc.ns = appendMultiRadiusNeighbors(sc.ns, e, pi, radii, maxRad, &s.run)
 		sc.grey = sc.grey[:0]
 		for _, nb := range sc.ns {
 			if s.colors[nb.ID] == White {
@@ -131,7 +129,7 @@ func MultiRadiusDisC(e Engine, radii []float64, greedy bool) (*Solution, error) 
 	}
 
 	if !greedy {
-		for _, pi := range e.ScanOrder() {
+		for _, pi := range e.ScanOrder(&s.run) {
 			if s.colors[pi] != White {
 				continue
 			}
@@ -141,7 +139,7 @@ func MultiRadiusDisC(e Engine, radii []float64, greedy bool) (*Solution, error) 
 	} else {
 		nw := make([]int, n)
 		for id := 0; id < n; id++ {
-			sc.upd = appendMultiRadiusNeighbors(sc.upd, e, id, radii, maxRad)
+			sc.upd = appendMultiRadiusNeighbors(sc.upd, e, id, radii, maxRad, &s.run)
 			nw[id] = len(sc.upd)
 		}
 		var q bucketQueue
@@ -154,7 +152,7 @@ func MultiRadiusDisC(e Engine, radii []float64, greedy bool) (*Solution, error) 
 			s.selectBlack(pi)
 			colorFrom(pi)
 			for _, gj := range sc.grey {
-				sc.upd = appendMultiRadiusNeighbors(sc.upd, e, gj.ID, radii, maxRad)
+				sc.upd = appendMultiRadiusNeighbors(sc.upd, e, gj.ID, radii, maxRad, &s.run)
 				for _, nk := range sc.upd {
 					if s.colors[nk.ID] == White {
 						nw[nk.ID]--
@@ -163,7 +161,7 @@ func MultiRadiusDisC(e Engine, radii []float64, greedy bool) (*Solution, error) 
 			}
 		}
 	}
-	return s.solution(name, maxRad, e.Accesses()-start), nil
+	return s.solution(name, maxRad), nil
 }
 
 // CheckMultiRadiusDisC verifies the generalised Definition 1 under

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-
-	"github.com/discdiversity/disc/internal/object"
 )
 
 // ZoomIn adapts an existing solution to a smaller radius rNew < prev.Radius
@@ -40,58 +38,39 @@ func ZoomIn(e Engine, prev *Solution, rNew float64, greedy, pruned bool) (*Solut
 
 	// Zooming rule: black objects stay black; grey objects stay grey as
 	// long as their closest black neighbour is within rNew.
-	covered := coveredWithin(e, prev.IDs, rNew)
-	white := make([]bool, n)
-	for id, c := range covered {
+	for id, c := range coveredWithin(e, prev.IDs, rNew) {
 		if c {
 			s.colors[id] = Grey
-		} else {
-			white[id] = true
 		}
 	}
 	for _, id := range prev.IDs {
 		s.selectBlack(id)
 	}
-
-	cov, hasCov := e.(CoverageEngine)
-	usePrune := pruned && hasCov
-	if usePrune {
-		cov.StartCoverage(white)
+	run := &s.run
+	if pruned {
+		run.startCoverage(e, s.colors)
 	}
-	start := e.Accesses()
 
 	var sc queryScratch
-	neighbors := func(dst []object.Neighbor, id int, r float64) []object.Neighbor {
-		if usePrune {
-			return cov.NeighborsWhiteAppend(dst, id, r)
-		}
-		return e.NeighborsAppend(dst, id, r)
-	}
 	// colorNeighbors queries into sc.ns and leaves the newly greyed
 	// objects in sc.grey.
 	colorNeighbors := func(pi int) {
-		sc.ns = neighbors(sc.ns[:0], pi, rNew)
+		sc.ns = run.neighbors(e, sc.ns[:0], pi, rNew)
 		sc.grey = sc.grey[:0]
 		for _, nb := range sc.ns {
 			if s.colors[nb.ID] == White {
-				s.colors[nb.ID] = Grey
+				s.grey(nb.ID)
 				sc.grey = append(sc.grey, nb)
-				if usePrune {
-					cov.Cover(nb.ID)
-				}
 			}
 		}
 	}
 
 	if !greedy {
-		for _, pi := range e.ScanOrder() {
+		for _, pi := range e.ScanOrder(run) {
 			if s.colors[pi] != White {
 				continue
 			}
 			s.selectBlack(pi)
-			if usePrune {
-				cov.Cover(pi)
-			}
 			colorNeighbors(pi)
 		}
 	} else {
@@ -101,7 +80,7 @@ func ZoomIn(e Engine, prev *Solution, rNew float64, greedy, pruned bool) (*Solut
 			if s.colors[id] != White {
 				continue
 			}
-			sc.upd = neighbors(sc.upd[:0], id, rNew)
+			sc.upd = run.neighbors(e, sc.upd[:0], id, rNew)
 			for _, nb := range sc.upd {
 				if s.colors[nb.ID] == White {
 					nw[id]++
@@ -116,12 +95,9 @@ func ZoomIn(e Engine, prev *Solution, rNew float64, greedy, pruned bool) (*Solut
 				break
 			}
 			s.selectBlack(pi)
-			if usePrune {
-				cov.Cover(pi)
-			}
 			colorNeighbors(pi)
 			for _, gj := range sc.grey {
-				sc.upd = neighbors(sc.upd[:0], gj.ID, rNew)
+				sc.upd = run.neighbors(e, sc.upd[:0], gj.ID, rNew)
 				for _, nk := range sc.upd {
 					if s.colors[nk.ID] == White {
 						nw[nk.ID]--
@@ -131,7 +107,7 @@ func ZoomIn(e Engine, prev *Solution, rNew float64, greedy, pruned bool) (*Solut
 		}
 	}
 
-	return s.solution(name, rNew, e.Accesses()-start), nil
+	return s.solution(name, rNew), nil
 }
 
 func checkZoomArgs(e Engine, prev *Solution, rNew float64) error {

@@ -68,7 +68,6 @@ func ZoomOut(e Engine, prev *Solution, rNew float64, variant ZoomOutVariant) (*S
 	for _, id := range prev.IDs {
 		s.colors[id] = Red
 	}
-	start := e.Accesses()
 
 	colorNeighbors := func(ns []object.Neighbor) {
 		for _, nb := range ns {
@@ -90,24 +89,24 @@ func ZoomOut(e Engine, prev *Solution, rNew float64, variant ZoomOutVariant) (*S
 
 	// Pass two: cover the objects no representative reaches at rNew.
 	if variant == ZoomOutPlain {
-		for _, pi := range e.ScanOrder() {
+		for _, pi := range e.ScanOrder(&s.run) {
 			if s.colors[pi] != White {
 				continue
 			}
 			s.selectBlack(pi)
-			sc.ns = e.NeighborsAppend(sc.ns[:0], pi, rNew)
+			sc.ns = e.NeighborsAppend(sc.ns[:0], pi, rNew, &s.run)
 			colorNeighbors(sc.ns)
 		}
 	} else {
 		zoomOutPassTwoGreedy(e, s, rNew, colorNeighbors, &sc)
 	}
 
-	return s.solution(variant.String(), rNew, e.Accesses()-start), nil
+	return s.solution(variant.String(), rNew), nil
 }
 
 // zoomOutPassOnePlain processes the old representatives in scan order.
 func zoomOutPassOnePlain(e Engine, s *coloring, prev *Solution, rNew float64, colorNeighbors func([]object.Neighbor), sc *queryScratch) {
-	rank := scanRank(e)
+	rank := scanRank(e, &s.run)
 	reds := append([]int(nil), prev.IDs...)
 	sort.Slice(reds, func(i, j int) bool { return rank[reds[i]] < rank[reds[j]] })
 	for _, pi := range reds {
@@ -115,7 +114,7 @@ func zoomOutPassOnePlain(e Engine, s *coloring, prev *Solution, rNew float64, co
 			continue // covered by an earlier selection
 		}
 		s.selectBlack(pi)
-		sc.ns = e.NeighborsAppend(sc.ns[:0], pi, rNew)
+		sc.ns = e.NeighborsAppend(sc.ns[:0], pi, rNew, &s.run)
 		colorNeighbors(sc.ns)
 	}
 }
@@ -138,7 +137,7 @@ func zoomOutPassOneRedKey(e Engine, s *coloring, prev *Solution, rNew float64, l
 	redAdj := make([][]int32, len(reds))
 	redCount := make([]int, len(reds))
 	for i, pi := range reds {
-		nbrs = e.NeighborsAppend(nbrs, pi, rNew)
+		nbrs = e.NeighborsAppend(nbrs, pi, rNew, &s.run)
 		off[i+1] = len(nbrs)
 		for _, nb := range nbrs[off[i]:] {
 			if s.colors[nb.ID] == Red {
@@ -199,7 +198,7 @@ func zoomOutPassOneWhiteKey(e Engine, s *coloring, prev *Solution, rNew float64,
 			if s.colors[pi] != Red {
 				continue
 			}
-			sc.ns = e.NeighborsAppend(sc.ns[:0], pi, rNew)
+			sc.ns = e.NeighborsAppend(sc.ns[:0], pi, rNew, &s.run)
 			k := 0
 			for _, nb := range sc.ns {
 				if s.colors[nb.ID] == White {
@@ -234,7 +233,7 @@ func zoomOutPassTwoGreedy(e Engine, s *coloring, rNew float64, colorNeighbors fu
 		if s.colors[id] != White {
 			continue
 		}
-		sc.upd = e.NeighborsAppend(sc.upd[:0], id, rNew)
+		sc.upd = e.NeighborsAppend(sc.upd[:0], id, rNew, &s.run)
 		for _, nb := range sc.upd {
 			if s.colors[nb.ID] == White {
 				nw[id]++
@@ -249,7 +248,7 @@ func zoomOutPassTwoGreedy(e Engine, s *coloring, rNew float64, colorNeighbors fu
 			return
 		}
 		s.selectBlack(pi)
-		sc.ns = e.NeighborsAppend(sc.ns[:0], pi, rNew)
+		sc.ns = e.NeighborsAppend(sc.ns[:0], pi, rNew, &s.run)
 		sc.grey = sc.grey[:0]
 		for _, nb := range sc.ns {
 			if s.colors[nb.ID] == White {
@@ -258,7 +257,7 @@ func zoomOutPassTwoGreedy(e Engine, s *coloring, rNew float64, colorNeighbors fu
 		}
 		colorNeighbors(sc.ns)
 		for _, gj := range sc.grey {
-			sc.upd = e.NeighborsAppend(sc.upd[:0], gj.ID, rNew)
+			sc.upd = e.NeighborsAppend(sc.upd[:0], gj.ID, rNew, &s.run)
 			for _, nk := range sc.upd {
 				if s.colors[nk.ID] == White {
 					nw[nk.ID]--
@@ -269,11 +268,10 @@ func zoomOutPassTwoGreedy(e Engine, s *coloring, rNew float64, colorNeighbors fu
 }
 
 // scanRank maps every object id to its position in the engine's scan
-// order without charging accesses twice for algorithms that need ranks
-// only once.
-func scanRank(e Engine) []int {
+// order, charging the scan to run.
+func scanRank(e Engine, run *Run) []int {
 	rank := make([]int, e.Size())
-	for pos, id := range e.ScanOrder() {
+	for pos, id := range e.ScanOrder(run) {
 		rank[id] = pos
 	}
 	return rank

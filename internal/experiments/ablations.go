@@ -91,8 +91,8 @@ func independentShare(w *workload, s *core.Solution, r float64) float64 {
 // ablation below.
 type bottomUpBasicEngine struct{ *core.TreeEngine }
 
-func (b bottomUpBasicEngine) NeighborsAppend(dst []object.Neighbor, id int, r float64) []object.Neighbor {
-	return b.NeighborsBottomUpAppend(dst, id, r, false)
+func (b bottomUpBasicEngine) NeighborsAppend(dst []object.Neighbor, id int, r float64, run *core.Run) []object.Neighbor {
+	return b.NeighborsBottomUpAppend(dst, id, r, false, run)
 }
 
 // BottomUp reproduces the in-text claim that bottom-up range queries save
@@ -116,7 +116,6 @@ func BottomUp(cfg Config, datasetName string) (*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		e.ResetAccesses()
 		sol := core.BasicDisC(bottomUpBasicEngine{e}, r, false)
 		saving := 100 * (1 - float64(sol.Accesses)/float64(td.accesses))
 		tab.AddRow(r, td.accesses, sol.Accesses, saving)
@@ -144,15 +143,15 @@ func BuildInit(cfg Config, datasetName string) (*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		core.GreedyDisC(during, r, core.GreedyOptions{Update: core.UpdateGrey, Pruned: true})
-		duringTotal := during.Accesses() // build + init + run
+		sol := core.GreedyDisC(during, r, core.GreedyOptions{Update: core.UpdateGrey, Pruned: true})
+		duringTotal := during.BuildCost() + sol.Accesses // build + init + run
 
 		after, err := cfg.buildEngine(w, false, r)
 		if err != nil {
 			return nil, err
 		}
-		core.GreedyDisC(after, r, core.GreedyOptions{Update: core.UpdateGrey, Pruned: true})
-		afterTotal := after.Accesses() // build + n queries + run
+		sol = core.GreedyDisC(after, r, core.GreedyOptions{Update: core.UpdateGrey, Pruned: true})
+		afterTotal := after.BuildCost() + sol.Accesses // build + n queries + run
 
 		saving := 100 * (1 - float64(duringTotal)/float64(afterTotal))
 		tab.AddRow(r, duringTotal, afterTotal, saving)

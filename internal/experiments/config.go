@@ -147,9 +147,9 @@ type algoRun struct {
 	accesses  int64
 }
 
-// runner executes a named algorithm on a fresh engine and reports the
-// solution and cost. Fresh engines per run keep access accounting and
-// coverage state independent across algorithms, as in the paper.
+// runner executes a named algorithm on a fresh engine (with build-time
+// counts at the run's radius when wantCounts is set) and reports the
+// solution and cost.
 type runner struct {
 	name string
 	// wantCounts marks greedy variants that use build-time counts.
@@ -195,7 +195,6 @@ func (c Config) execute(w *workload, rn runner, r float64) (algoRun, *core.Solut
 	if err != nil {
 		return algoRun{}, nil, err
 	}
-	e.ResetAccesses()
 	s := rn.run(e, r)
 	return algoRun{algorithm: rn.name, radius: r, size: s.Size(), accesses: s.Accesses}, s, nil
 }

@@ -34,9 +34,8 @@ func Engines(cfg Config, datasetName string) (*stats.Table, error) {
 		// rebuild, when non-nil, marks builders whose index depends on
 		// the query radius; it adapts the engine to the next radius of
 		// the sweep (the same path Diversifier takes), exercising the
-		// radius-reuse fast paths. The others are built once and reused,
-		// since ResetAccesses and the algorithm's StartCoverage reset
-		// all per-run state.
+		// radius-reuse fast paths. The others are built once and reused:
+		// engines keep no per-run state.
 		rebuild func(e core.Engine, r float64) (core.Engine, error)
 	}{
 		{"flat", func(float64) (core.Engine, error) { return core.NewFlatEngine(pts, w.metric) }, nil},
@@ -77,7 +76,6 @@ func Engines(cfg Config, datasetName string) (*stats.Table, error) {
 				}
 				buildMS = time.Since(buildStart)
 			}
-			e.ResetAccesses()
 			selStart := time.Now()
 			s := core.GreedyDisC(e, r, core.GreedyOptions{Update: core.UpdateGrey, Pruned: true})
 			selMS := time.Since(selStart)

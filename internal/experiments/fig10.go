@@ -38,7 +38,7 @@ func Fig10(cfg Config, datasetName string) (*stats.Table, error) {
 	for _, pol := range fig10Policies {
 		tcfg := cfg.treeConfig(w.metric)
 		tcfg.Policy = pol
-		tree, err := mtree.Build(tcfg, w.ds.Points)
+		tree, _, err := mtree.Build(tcfg, w.ds.Points)
 		if err != nil {
 			return nil, err
 		}
@@ -46,7 +46,6 @@ func Fig10(cfg Config, datasetName string) (*stats.Table, error) {
 		s := &stats.Series{Name: fmt.Sprintf("f=%.3f", fat)}
 		for ri, r := range radii {
 			e := core.NewTreeEngine(tree)
-			e.ResetAccesses()
 			sol := core.GreedyDisC(e, r, core.GreedyOptions{Update: core.UpdateGrey, Pruned: true})
 			s.Add(r, float64(sol.Accesses))
 			if len(refSizes) <= ri {

@@ -152,7 +152,6 @@ func Perf(cfg Config, datasetName string) (*PerfSnapshot, error) {
 
 		var sol *core.Solution
 		pe.SelectNsOp, pe.SelectAllocsOp, pe.SelectBytesOp = measure(func() {
-			e.ResetAccesses()
 			sol = core.GreedyDisC(e, r, core.GreedyOptions{Update: core.UpdateGrey, Pruned: true})
 		}, 2*time.Second)
 		pe.SelectMSOp = float64(pe.SelectNsOp) / 1e6
@@ -165,7 +164,6 @@ func Perf(cfg Config, datasetName string) (*PerfSnapshot, error) {
 		// the loop.
 		var csol *core.Solution
 		pe.SelectComponentsNsOp, _, _ = measure(func() {
-			e.ResetAccesses()
 			csol = core.GreedyDisCComponents(e, r, core.GreedyOptions{Update: core.UpdateGrey, Pruned: true})
 		}, 2*time.Second)
 		pe.SelectComponentsMSOp = float64(pe.SelectComponentsNsOp) / 1e6
@@ -178,8 +176,9 @@ func Perf(cfg Config, datasetName string) (*PerfSnapshot, error) {
 
 		buf := make([]object.Neighbor, 0, 4096)
 		id := 0
+		var run core.Run
 		pe.NeighborsNsOp, pe.NeighborsAllocsOp, _ = measure(func() {
-			buf = e.NeighborsAppend(buf[:0], id, r)
+			buf = e.NeighborsAppend(buf[:0], id, r, &run)
 			id = (id + 1) % len(pts)
 		}, 200*time.Millisecond)
 
@@ -197,6 +196,7 @@ func componentStats(e core.Engine, r float64) (count, largest int) {
 	seen := make([]bool, e.Size())
 	var stack []int
 	var buf []object.Neighbor
+	var run core.Run
 	for root := range seen {
 		if seen[root] {
 			continue
@@ -208,7 +208,7 @@ func componentStats(e core.Engine, r float64) (count, largest int) {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			size++
-			buf = e.NeighborsAppend(buf[:0], u, r)
+			buf = e.NeighborsAppend(buf[:0], u, r, &run)
 			for _, nb := range buf {
 				if !seen[nb.ID] {
 					seen[nb.ID] = true

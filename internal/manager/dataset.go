@@ -111,17 +111,14 @@ func (d *Dataset) Static() (*Static, error) {
 }
 
 // Static is the engine of a static dataset: a Diversifier over a fixed
-// point set, with the shape its routes report. The
-// Diversifier is not safe for concurrent use, so Do runs every call
-// under the dataset's work lock. That lock is not the dataset's state
-// lock, so Status, Info and /readyz never wait on a select.
+// point set, with the shape its routes report. The Diversifier is safe
+// for concurrent use, so selects, zooms and saves call it directly.
 type Static struct {
 	Metric string
 	Dim    int
 	Size   int
 
-	work sync.Mutex
-	div  *disc.Diversifier
+	div *disc.Diversifier
 }
 
 func newStatic(metric string, div *disc.Diversifier) *Static {
@@ -132,16 +129,11 @@ func newStatic(metric string, div *disc.Diversifier) *Static {
 	return st
 }
 
-// Labels returns the dataset's labels (nil, or one per point). The
-// Diversifier owns them and never changes them, so no lock is taken.
+// Labels returns the dataset's labels (nil, or one per point).
 func (s *Static) Labels() []string { return s.div.Labels() }
 
-// Do runs f on the Diversifier under the work lock.
-func (s *Static) Do(f func(*disc.Diversifier) error) error {
-	s.work.Lock()
-	defer s.work.Unlock()
-	return f(s.div)
-}
+// Diversifier returns the dataset's Diversifier.
+func (s *Static) Diversifier() *disc.Diversifier { return s.div }
 
 // ReadView is what a read-path handler gets: exactly one of Upd
 // (ready) or Deg (degraded) is non-nil.
@@ -240,15 +232,10 @@ func (d *Dataset) Save() (string, int64, error) {
 	if err := fsys.SyncDir(d.m.cfg.Dir); err != nil {
 		return "", 0, err
 	}
-	var size int64
-	err = st.Do(func(div *disc.Diversifier) (err error) {
-		if err := snap.WriteFileAtomicFS(fsys, d.paths.static, div.WriteSnapshot); err != nil {
-			return err
-		}
-		_, size, err = fileSize(fsys, d.paths.static)
-		return err
-	})
-	return d.paths.static, size, err
+	if err := snap.WriteFileAtomicFS(fsys, d.paths.static, st.div.WriteSnapshot); err != nil {
+		return "", 0, err
+	}
+	return fileSize(fsys, d.paths.static)
 }
 
 // fileSize returns path and the size of the file there.

@@ -11,9 +11,6 @@ import "fmt"
 // query for every indexed object, n the number of objects, h the tree
 // height and m the node count. An overlap-free tree visits exactly h nodes
 // per point query (f = 0); the worst tree visits all m nodes (f = 1).
-//
-// The accesses performed by the measurement itself are not charged to the
-// tree's access counter.
 func (t *Tree) FatFactor() float64 {
 	if t.size == 0 {
 		return 0

@@ -14,7 +14,8 @@
 //     left-to-right scan of all objects;
 //   - top-down and bottom-up range queries with node-access accounting;
 //   - the "pruning rule": subtrees containing no white (uncovered) objects
-//     are skipped by range queries, via per-node white counters;
+//     are skipped by range queries, via per-node white counts that the
+//     caller keeps (see coverage.go);
 //   - the fat-factor overlap measure of Traina et al. used by Figure 10.
 package mtree
 
@@ -23,7 +24,6 @@ import (
 	"math"
 	"math/rand/v2"
 
-	"github.com/discdiversity/disc/internal/bitset"
 	"github.com/discdiversity/disc/internal/object"
 )
 
@@ -141,9 +141,9 @@ type node struct {
 	leaf       bool
 	entries    []entry
 	prev, next *node // leaf chain (leaves only)
-	// whiteCount is the number of white (uncovered) objects below this
-	// node; maintained only while coverage tracking is enabled.
-	whiteCount int
+	// num is the node's number in [0, NodeCount()): per-node arrays
+	// kept outside the tree (a run's white counts) are indexed by it.
+	num int32
 }
 
 type locator struct {
@@ -152,8 +152,10 @@ type locator struct {
 }
 
 // Tree is a dynamic M-tree over a fixed universe of object IDs.
-// It is not safe for concurrent mutation; concurrent read-only queries are
-// safe only if access accounting is not needed.
+// Queries read the tree only: the node accesses they perform and the
+// coverage they prune by belong to the caller, so any number of queries
+// may run concurrently. Insert mutates the tree and must not run
+// concurrently with anything else.
 type Tree struct {
 	cfg       Config
 	root      *node
@@ -161,12 +163,9 @@ type Tree struct {
 	size      int
 	nodes     int
 	height    int
-	accesses  int64
 	loc       []locator // object id -> leaf position
 	pts       []object.Point
 	rng       *rand.Rand
-	tracking  bool       // coverage (white-count) tracking enabled
-	white     bitset.Set // per-object uncovered flag (tracking only)
 	// kern is the distance kernel, compiled at New for a non-empty
 	// universe; query paths use it instead of Metric interface
 	// dispatch.
@@ -213,18 +212,22 @@ func New(cfg Config, pts []object.Point) (*Tree, error) {
 	return t, nil
 }
 
-// Build constructs a tree over all points, inserting them in id order.
-func Build(cfg Config, pts []object.Point) (*Tree, error) {
+// Build constructs a tree over all points, inserting them in id order,
+// and returns it with the node accesses the inserts performed.
+func Build(cfg Config, pts []object.Point) (*Tree, int64, error) {
 	t, err := New(cfg, pts)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
+	var cost int64
 	for id := range pts {
-		if err := t.Insert(id); err != nil {
-			return nil, err
+		acc, err := t.Insert(id)
+		if err != nil {
+			return nil, 0, err
 		}
+		cost += acc
 	}
-	return t, nil
+	return t, cost, nil
 }
 
 // Len returns the number of indexed objects.
@@ -242,27 +245,19 @@ func (t *Tree) Metric() object.Metric { return t.cfg.Metric }
 // Point returns the coordinates of object id.
 func (t *Tree) Point(id int) object.Point { return t.pts[id] }
 
-// Accesses returns the number of node accesses performed since the last
-// ResetAccesses, across inserts, queries and scans. This is the cost
-// measure reported throughout the paper's evaluation.
-func (t *Tree) Accesses() int64 { return t.accesses }
-
-// ResetAccesses zeroes the node-access counter.
-func (t *Tree) ResetAccesses() { t.accesses = 0 }
-
-func (t *Tree) touch(*node) { t.accesses++ }
-
-// Insert adds object id to the index.
-func (t *Tree) Insert(id int) error {
+// Insert adds object id to the index and returns the node accesses it
+// performed: one per node on the descent path, the cost measure the
+// paper's evaluation reports for every index operation.
+func (t *Tree) Insert(id int) (int64, error) {
 	if id < 0 || id >= len(t.pts) {
-		return fmt.Errorf("mtree: insert id %d out of range [0,%d)", id, len(t.pts))
+		return 0, fmt.Errorf("mtree: insert id %d out of range [0,%d)", id, len(t.pts))
 	}
 	if t.loc[id].leaf != nil {
-		return fmt.Errorf("mtree: object %d already inserted", id)
+		return 0, fmt.Errorf("mtree: object %d already inserted", id)
 	}
 	p := t.pts[id]
 	n := t.root
-	t.touch(n)
+	acc := int64(1)
 	for !n.leaf {
 		best := t.chooseSubtree(n, p)
 		e := &n.entries[best]
@@ -272,7 +267,7 @@ func (t *Tree) Insert(id int) error {
 			e.child.radius = d
 		}
 		n = e.child
-		t.touch(n)
+		acc++
 	}
 	var dp float64
 	if n.pivot != nil {
@@ -281,16 +276,10 @@ func (t *Tree) Insert(id int) error {
 	n.entries = append(n.entries, entry{pt: p, id: id, dparent: dp})
 	t.loc[id] = locator{leaf: n, idx: len(n.entries) - 1}
 	t.size++
-	if t.tracking {
-		t.white.Set(id)
-		for m := n; m != nil; m = m.parent {
-			m.whiteCount++
-		}
-	}
 	if len(n.entries) > t.cfg.Capacity {
 		t.split(n)
 	}
-	return nil
+	return acc, nil
 }
 
 // chooseSubtree picks the routing entry to descend into: among entries

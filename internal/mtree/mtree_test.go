@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"github.com/discdiversity/disc/internal/bitset"
 	"github.com/discdiversity/disc/internal/object"
 )
 
@@ -56,9 +57,44 @@ func equalIDs(a, b []int) bool {
 	return true
 }
 
+// coverage is one run's coverage state over a tree, as a caller of
+// the pruned queries keeps it: the white set and its per-node counts.
+type coverage struct {
+	tree   *Tree
+	white  bitset.Set
+	counts []int32
+}
+
+// newCoverage starts coverage over tr with every object white for
+// which white returns true (every object when white is nil).
+func newCoverage(tr *Tree, white func(id int) bool) *coverage {
+	c := &coverage{tree: tr}
+	c.white.Reset(len(tr.pts))
+	for id := range tr.pts {
+		if white == nil || white(id) {
+			c.white.Set(id)
+		}
+	}
+	c.counts = tr.CountWhite(nil, &c.white)
+	return c
+}
+
+// cover takes id out of the white set; covering a covered id is a
+// no-op.
+func (c *coverage) cover(id int) {
+	if c.white.Test(id) {
+		c.white.Clear(id)
+		c.tree.Cover(c.counts, id)
+	}
+}
+
+// whiteCount returns the number of uncovered objects in the whole tree,
+// as the root's count records it.
+func (c *coverage) whiteCount() int { return int(c.counts[c.tree.root.num]) }
+
 func buildTestTree(t *testing.T, cfg Config, pts []object.Point) *Tree {
 	t.Helper()
-	tr, err := Build(cfg, pts)
+	tr, _, err := Build(cfg, pts)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -104,16 +140,16 @@ func TestInsertRejectsBadIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Insert(-1); err == nil {
+	if _, err := tr.Insert(-1); err == nil {
 		t.Error("negative id accepted")
 	}
-	if err := tr.Insert(4); err == nil {
+	if _, err := tr.Insert(4); err == nil {
 		t.Error("out-of-range id accepted")
 	}
-	if err := tr.Insert(0); err != nil {
+	if _, err := tr.Insert(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Insert(0); err == nil {
+	if _, err := tr.Insert(0); err == nil {
 		t.Error("duplicate insert accepted")
 	}
 }
@@ -128,7 +164,7 @@ func TestRangeQueryMatchesBruteForce(t *testing.T) {
 		for trial := 0; trial < 50; trial++ {
 			id := rng.IntN(len(pts))
 			r := rng.Float64() * 0.5
-			got := neighborIDs(tr.AppendRangeQueryAround(nil, id, r))
+			got := neighborIDs(tr.AppendRangeQueryAround(nil, id, r, new(int64)))
 			want := bruteNeighbors(pts, m, pts[id], r, id)
 			if !equalIDs(got, want) {
 				t.Fatalf("metric %s trial %d: got %v want %v", m.Name(), trial, got, want)
@@ -144,7 +180,7 @@ func TestRangeQueryOfPointMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		q := object.Point{rng.Float64(), rng.Float64()}
 		r := rng.Float64() * 0.3
-		got := neighborIDs(tr.AppendRangeQuery(nil, q, r))
+		got := neighborIDs(tr.AppendRangeQuery(nil, q, r, new(int64)))
 		want := bruteNeighbors(pts, object.Euclidean{}, q, r, -1)
 		if !equalIDs(got, want) {
 			t.Fatalf("trial %d: got %d ids want %d ids", trial, len(got), len(want))
@@ -156,7 +192,7 @@ func TestRangeQueryDistancesAreExact(t *testing.T) {
 	pts := randomPoints(200, 2, 3)
 	m := object.Euclidean{}
 	tr := buildTestTree(t, Config{Capacity: 10, Metric: m, Policy: MinOverlap}, pts)
-	for _, nb := range tr.AppendRangeQueryAround(nil, 17, 0.4) {
+	for _, nb := range tr.AppendRangeQueryAround(nil, 17, 0.4, new(int64)) {
 		want := m.Dist(pts[17], pts[nb.ID])
 		if nb.Dist != want {
 			t.Fatalf("neighbor %d: dist %g want %g", nb.ID, nb.Dist, want)
@@ -171,8 +207,8 @@ func TestBottomUpMatchesTopDown(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		id := rng.IntN(len(pts))
 		r := rng.Float64() * 0.4
-		got := neighborIDs(tr.AppendRangeQueryBottomUp(nil, id, r, false, false))
-		want := neighborIDs(tr.AppendRangeQueryAround(nil, id, r))
+		got := neighborIDs(tr.AppendRangeQueryBottomUp(nil, id, r, false, nil, nil, new(int64)))
+		want := neighborIDs(tr.AppendRangeQueryAround(nil, id, r, new(int64)))
 		if !equalIDs(got, want) {
 			t.Fatalf("trial %d: bottom-up %v, top-down %v", trial, got, want)
 		}
@@ -183,21 +219,21 @@ func TestPrunedQueryReturnsExactlyWhiteNeighbors(t *testing.T) {
 	pts := randomPoints(300, 2, 21)
 	m := object.Euclidean{}
 	tr := buildTestTree(t, Config{Capacity: 8, Metric: m, Policy: MinOverlap}, pts)
-	tr.EnableTracking()
+	cov := newCoverage(tr, nil)
 	rng := rand.New(rand.NewPCG(3, 4))
 	// Cover a random half of the objects.
 	for id := range pts {
 		if rng.Float64() < 0.5 {
-			tr.Cover(id)
+			cov.cover(id)
 		}
 	}
 	for trial := 0; trial < 30; trial++ {
 		id := rng.IntN(len(pts))
 		r := rng.Float64() * 0.3
-		got := neighborIDs(tr.AppendRangeQueryPruned(nil, id, r))
+		got := neighborIDs(tr.AppendRangeQueryPruned(nil, id, r, &cov.white, cov.counts, new(int64)))
 		var want []int
 		for _, w := range bruteNeighbors(pts, m, pts[id], r, id) {
-			if tr.IsWhite(w) {
+			if cov.white.Test(w) {
 				want = append(want, w)
 			}
 		}
@@ -207,44 +243,31 @@ func TestPrunedQueryReturnsExactlyWhiteNeighbors(t *testing.T) {
 	}
 }
 
-func TestPrunedQueryPanicsWithoutTracking(t *testing.T) {
-	pts := randomPoints(20, 2, 2)
-	tr := buildTestTree(t, DefaultConfig(object.Euclidean{}), pts)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	tr.AppendRangeQueryPruned(nil, 0, 0.1)
-}
-
 func TestPruningReducesAccesses(t *testing.T) {
 	pts := randomPoints(2000, 2, 77)
 	m := object.Euclidean{}
 	mk := func() *Tree {
 		return buildTestTree(t, Config{Capacity: 25, Metric: m, Policy: MinOverlap}, pts)
 	}
-	full := mk()
-	pruned := mk()
-	pruned.EnableTracking()
+	tr := mk()
+	cov := newCoverage(tr, nil)
 	for id := 0; id < 1500; id++ {
-		pruned.Cover(id)
+		cov.cover(id)
 	}
-	full.ResetAccesses()
-	pruned.ResetAccesses()
+	var full, pruned int64
 	for id := 1500; id < 1600; id++ {
-		full.AppendRangeQueryAround(nil, id, 0.05)
-		pruned.AppendRangeQueryPruned(nil, id, 0.05)
+		tr.AppendRangeQueryAround(nil, id, 0.05, &full)
+		tr.AppendRangeQueryPruned(nil, id, 0.05, &cov.white, cov.counts, &pruned)
 	}
-	if pruned.Accesses() >= full.Accesses() {
-		t.Errorf("pruned accesses %d not below full %d", pruned.Accesses(), full.Accesses())
+	if pruned >= full {
+		t.Errorf("pruned accesses %d not below full %d", pruned, full)
 	}
 }
 
 func TestScanIDsVisitsEveryObjectOnce(t *testing.T) {
 	pts := randomPoints(777, 2, 5)
 	tr := buildTestTree(t, Config{Capacity: 7, Metric: object.Euclidean{}, Policy: MinOverlap}, pts)
-	ids := tr.ScanIDs()
+	ids := tr.ScanIDs(new(int64))
 	if len(ids) != len(pts) {
 		t.Fatalf("scan returned %d ids, want %d", len(ids), len(pts))
 	}
@@ -263,64 +286,79 @@ func TestScanIDsVisitsEveryObjectOnce(t *testing.T) {
 	}
 }
 
-// whiteCount returns the number of uncovered objects in the whole tree,
-// as the root's maintained count records it.
-func whiteCount(t *Tree) int {
-	if !t.tracking {
-		return t.size
-	}
-	return t.root.whiteCount
-}
-
 func TestWhiteCountMaintenance(t *testing.T) {
 	pts := randomPoints(500, 2, 31)
 	tr := buildTestTree(t, Config{Capacity: 8, Metric: object.Euclidean{}, Policy: MinOverlap}, pts)
-	tr.EnableTracking()
-	if got := whiteCount(tr); got != len(pts) {
+	cov := newCoverage(tr, nil)
+	if got := cov.whiteCount(); got != len(pts) {
 		t.Fatalf("initial white count %d, want %d", got, len(pts))
 	}
 	for id := 0; id < 100; id++ {
-		tr.Cover(id)
-		tr.Cover(id) // idempotent
+		cov.cover(id)
+		cov.cover(id) // idempotent
 	}
-	if got := whiteCount(tr); got != len(pts)-100 {
+	if got := cov.whiteCount(); got != len(pts)-100 {
 		t.Fatalf("white count %d, want %d", got, len(pts)-100)
 	}
-	// Re-initialise with a custom white set.
-	white := make([]bool, len(pts))
-	for id := 0; id < 50; id++ {
-		white[id] = true
-	}
-	tr.ResetTracking(white)
-	if got := whiteCount(tr); got != 50 {
+	// Start over from a custom white set.
+	cov = newCoverage(tr, func(id int) bool { return id < 50 })
+	if got := cov.whiteCount(); got != 50 {
 		t.Fatalf("after reset white count %d, want 50", got)
 	}
 }
 
-func TestTrackingSurvivesSplits(t *testing.T) {
+// TestNodeNumbersSurviveSplits: node numbers stay dense and distinct
+// while inserts split nodes, so counts indexed by them add up: every
+// routing entry's count is its child's, and the root's is every white
+// object's.
+func TestNodeNumbersSurviveSplits(t *testing.T) {
 	pts := randomPoints(600, 2, 55)
 	tr, err := New(Config{Capacity: 5, Metric: object.Euclidean{}, Policy: MinOverlap}, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Insert half, enable tracking, cover some, then keep inserting to
-	// force splits with tracking active.
-	for id := 0; id < 300; id++ {
-		if err := tr.Insert(id); err != nil {
-			t.Fatal(err)
+	check := func(inserted int) {
+		t.Helper()
+		seen := make([]bool, tr.NodeCount())
+		var walk func(n *node)
+		walk = func(n *node) {
+			if n.num < 0 || int(n.num) >= len(seen) || seen[n.num] {
+				t.Fatalf("after %d inserts: node number %d repeated or outside [0,%d)", inserted, n.num, len(seen))
+			}
+			seen[n.num] = true
+			for i := range n.entries {
+				if c := n.entries[i].child; c != nil {
+					walk(c)
+				}
+			}
+		}
+		walk(tr.root)
+		for num, ok := range seen {
+			if !ok {
+				t.Fatalf("after %d inserts: node number %d unused", inserted, num)
+			}
+		}
+		cov := newCoverage(tr, func(id int) bool { return id%4 != 0 })
+		for id := 0; id < inserted; id += 3 {
+			cov.cover(id)
+		}
+		want := 0
+		for id := 0; id < inserted; id++ {
+			if cov.white.Test(id) {
+				want++
+			}
+		}
+		if got := cov.whiteCount(); got != want {
+			t.Fatalf("after %d inserts: white count %d, want %d", inserted, got, want)
 		}
 	}
-	tr.EnableTracking()
-	for id := 0; id < 150; id++ {
-		tr.Cover(id)
-	}
-	for id := 300; id < 600; id++ {
-		if err := tr.Insert(id); err != nil {
+	for id := range pts {
+		if _, err := tr.Insert(id); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if got, want := whiteCount(tr), 600-150; got != want {
-		t.Fatalf("white count %d, want %d", got, want)
+		if id == 299 || id == 599 {
+			check(id + 1)
+		}
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
@@ -351,18 +389,18 @@ func TestFatFactorBoundsAndPolicyOrdering(t *testing.T) {
 func TestAccessCounting(t *testing.T) {
 	pts := randomPoints(300, 2, 9)
 	tr := buildTestTree(t, Config{Capacity: 10, Metric: object.Euclidean{}, Policy: MinOverlap}, pts)
-	tr.ResetAccesses()
-	if tr.Accesses() != 0 {
-		t.Fatal("reset failed")
-	}
-	tr.AppendRangeQueryAround(nil, 0, 0.2)
-	if tr.Accesses() == 0 {
+	var acc int64
+	tr.AppendRangeQueryAround(nil, 0, 0.2, &acc)
+	if acc == 0 {
 		t.Error("range query charged no accesses")
 	}
-	before := tr.Accesses()
-	tr.ScanIDs()
-	if tr.Accesses() == before {
+	before := acc
+	tr.ScanIDs(&acc)
+	if acc == before {
 		t.Error("scan charged no accesses")
+	}
+	if _, cost, err := Build(Config{Capacity: 10, Metric: object.Euclidean{}, Policy: MinOverlap}, pts); err != nil || cost < int64(len(pts)) {
+		t.Errorf("build charged %d accesses for %d inserts (%v)", cost, len(pts), err)
 	}
 }
 
@@ -382,7 +420,7 @@ func TestHammingMetricTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range []float64{0, 1, 2, 3, 4, 5} {
-		got := neighborIDs(tr.AppendRangeQueryAround(nil, 3, r))
+		got := neighborIDs(tr.AppendRangeQueryAround(nil, 3, r, new(int64)))
 		want := bruteNeighbors(pts, m, pts[3], r, 3)
 		if !equalIDs(got, want) {
 			t.Fatalf("r=%g: got %d want %d neighbours", r, len(got), len(want))
@@ -396,21 +434,21 @@ func TestEmptyAndTinyTrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.AppendRangeQuery(nil, object.Point{0.5, 0.5}, 10); len(got) != 0 {
+	if got := tr.AppendRangeQuery(nil, object.Point{0.5, 0.5}, 10, new(int64)); len(got) != 0 {
 		t.Errorf("empty tree returned %d results", len(got))
 	}
-	if ids := tr.ScanIDs(); len(ids) != 0 {
+	if ids := tr.ScanIDs(new(int64)); len(ids) != 0 {
 		t.Errorf("empty tree scan returned %v", ids)
 	}
 	if f := tr.FatFactor(); f != 0 {
 		t.Errorf("empty tree fat-factor %g", f)
 	}
 	for id := range pts {
-		if err := tr.Insert(id); err != nil {
+		if _, err := tr.Insert(id); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := neighborIDs(tr.AppendRangeQuery(nil, object.Point{0.5, 0.5}, 10)); len(got) != 3 {
+	if got := neighborIDs(tr.AppendRangeQuery(nil, object.Point{0.5, 0.5}, 10, new(int64))); len(got) != 3 {
 		t.Errorf("full-coverage query returned %v", got)
 	}
 }

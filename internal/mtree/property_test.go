@@ -26,7 +26,7 @@ func TestRangeQueryQuickProperty(t *testing.T) {
 		r := rng.Float64() * 0.6
 		want := bruteNeighbors(pts, m, pts[id], r, id)
 		for _, tr := range trees {
-			if !equalIDs(neighborIDs(tr.AppendRangeQueryAround(nil, id, r)), want) {
+			if !equalIDs(neighborIDs(tr.AppendRangeQueryAround(nil, id, r, new(int64))), want) {
 				return false
 			}
 		}
@@ -49,7 +49,7 @@ func TestIncrementalInsertQueryInterleaving(t *testing.T) {
 	inserted := make(map[int]bool)
 	rng := rand.New(rand.NewPCG(11, 11))
 	for id := range pts {
-		if err := tr.Insert(id); err != nil {
+		if _, err := tr.Insert(id); err != nil {
 			t.Fatal(err)
 		}
 		inserted[id] = true
@@ -58,7 +58,7 @@ func TestIncrementalInsertQueryInterleaving(t *testing.T) {
 		}
 		q := object.Point{rng.Float64(), rng.Float64()}
 		r := 0.1 + rng.Float64()*0.3
-		got := neighborIDs(tr.AppendRangeQuery(nil, q, r))
+		got := neighborIDs(tr.AppendRangeQuery(nil, q, r, new(int64)))
 		var want []int
 		for j := range pts {
 			if inserted[j] && m.Dist(q, pts[j]) <= r {
@@ -107,20 +107,20 @@ func TestBottomUpPrunedQuery(t *testing.T) {
 	pts := randomPoints(400, 2, 105)
 	m := object.Euclidean{}
 	tr := buildTestTree(t, Config{Capacity: 6, Metric: m, Policy: MinOverlap}, pts)
-	tr.EnableTracking()
+	cov := newCoverage(tr, nil)
 	rng := rand.New(rand.NewPCG(3, 3))
 	for id := range pts {
 		if rng.Float64() < 0.5 {
-			tr.Cover(id)
+			cov.cover(id)
 		}
 	}
 	for trial := 0; trial < 25; trial++ {
 		id := rng.IntN(len(pts))
 		r := rng.Float64() * 0.3
-		got := neighborIDs(tr.AppendRangeQueryBottomUp(nil, id, r, false, true))
+		got := neighborIDs(tr.AppendRangeQueryBottomUp(nil, id, r, false, &cov.white, cov.counts, new(int64)))
 		var want []int
 		for _, w := range bruteNeighbors(pts, m, pts[id], r, id) {
-			if tr.IsWhite(w) {
+			if cov.white.Test(w) {
 				want = append(want, w)
 			}
 		}
@@ -133,10 +133,10 @@ func TestBottomUpPrunedQuery(t *testing.T) {
 		id := rng.IntN(len(pts))
 		r := rng.Float64() * 0.3
 		full := map[int]bool{}
-		for _, nb := range tr.AppendRangeQueryAround(nil, id, r) {
+		for _, nb := range tr.AppendRangeQueryAround(nil, id, r, new(int64)) {
 			full[nb.ID] = true
 		}
-		for _, nb := range tr.AppendRangeQueryBottomUp(nil, id, r, true, false) {
+		for _, nb := range tr.AppendRangeQueryBottomUp(nil, id, r, true, nil, cov.counts, new(int64)) {
 			if !full[nb.ID] {
 				t.Fatalf("grey-stop query returned non-neighbour %d", nb.ID)
 			}

@@ -20,12 +20,13 @@ func (t *Tree) split(n *node) {
 		g1, g2 = partitionClosest(t, ents, p1, p2)
 	}
 
-	n1 := &node{leaf: n.leaf, entries: g1, pivot: p1}
-	n2 := &node{leaf: n.leaf, entries: g2, pivot: p2}
+	// One node became two: n1 takes over n's number, n2 takes the next.
+	n1 := &node{leaf: n.leaf, entries: g1, pivot: p1, num: n.num}
+	n2 := &node{leaf: n.leaf, entries: g2, pivot: p2, num: int32(t.nodes)}
 	r1 := t.finishNode(n1)
 	r2 := t.finishNode(n2)
 	n1.radius, n2.radius = r1, r2
-	t.nodes++ // one node became two
+	t.nodes++
 
 	if n.leaf {
 		// Replace n with n1, n2 in the leaf chain.
@@ -49,14 +50,12 @@ func (t *Tree) split(n *node) {
 				{pt: p1, id: -1, radius: r1, child: n1},
 				{pt: p2, id: -1, radius: r2, child: n2},
 			},
+			num: int32(t.nodes),
 		}
 		n1.parent, n2.parent = root, root
 		t.root = root
 		t.nodes++
 		t.height++
-		if t.tracking {
-			root.whiteCount = n1.whiteCount + n2.whiteCount
-		}
 		return
 	}
 
@@ -80,12 +79,11 @@ func (t *Tree) split(n *node) {
 	}
 }
 
-// finishNode recomputes per-entry parent distances, child back-pointers,
-// object locators and white counts for a freshly partitioned node, and
-// returns its covering radius.
+// finishNode recomputes per-entry parent distances, child back-pointers
+// and object locators for a freshly partitioned node, and returns its
+// covering radius.
 func (t *Tree) finishNode(n *node) float64 {
 	var radius float64
-	white := 0
 	for i := range n.entries {
 		e := &n.entries[i]
 		e.dparent = t.cfg.Metric.Dist(n.pivot, e.pt)
@@ -94,17 +92,10 @@ func (t *Tree) finishNode(n *node) float64 {
 		}
 		if n.leaf {
 			t.loc[e.id] = locator{leaf: n, idx: i}
-			if t.tracking && t.white.Test(e.id) {
-				white++
-			}
 		} else {
 			e.child.parent = n
-			if t.tracking {
-				white += e.child.whiteCount
-			}
 		}
 	}
-	n.whiteCount = white
 	return radius
 }
 

@@ -1,6 +1,10 @@
 package object
 
-import "fmt"
+import (
+	"fmt"
+
+	"github.com/discdiversity/disc/internal/bitset"
+)
 
 // FlatDataset stores the coordinates of n points in a single contiguous
 // row-major []float64 (stride = Dim) together with a Kernel compiled for
@@ -146,6 +150,35 @@ func (f *FlatDataset) AppendRange(dst []Neighbor, q []float64, r float64, exclud
 		qid = exclude
 	}
 	return f.appendRows(dst, q, qid, 0, f.n, exclude, r)
+}
+
+// AppendRangeWhite appends to dst every point within r of q that white
+// holds, excluding the point with id exclude, in ascending id order, and
+// adds the number of candidates examined to *examined. Points outside
+// white are neither examined nor charged: this is the pruning rule's
+// scan over the whole dataset (grid.AppendRangeWhite is the cell-ring
+// form). Each candidate takes the fused threshold test, and survivors
+// the exact recomputation, so distances are bit-identical to
+// AppendRange's.
+func (f *FlatDataset) AppendRangeWhite(dst []Neighbor, q []float64, r float64, exclude int, white *bitset.Set, examined *int64) []Neighbor {
+	k := f.kern
+	rawR := k.RawThreshold(r)
+	dim := f.dim
+	var acc int64
+	for j, off := 0, 0; j < f.n; j, off = j+1, off+dim {
+		if j == exclude || !white.Test(j) {
+			continue
+		}
+		acc++
+		row := f.coords[off : off+dim : off+dim]
+		if k.Within(q, row, rawR) {
+			if d := k.Finish(k.Raw(row, q)); d <= r {
+				dst = append(dst, Neighbor{ID: j, Dist: d})
+			}
+		}
+	}
+	*examined += acc
+	return dst
 }
 
 // AppendRangeRows appends to dst every point with id in [lo, hi) within

@@ -276,12 +276,7 @@ func indexOf(t *testing.T, srv *Server, name string) disc.Index {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ix disc.Index
-	st.Do(func(div *disc.Diversifier) error {
-		ix = div.Indexed()
-		return nil
-	})
-	return ix
+	return st.Diversifier().Indexed()
 }
 
 // exploreIDs runs the explore interaction against dataset "demo" at base
@@ -301,8 +296,10 @@ func exploreIDs(t *testing.T, url string, r float64) [3][]int {
 // one. Every static answer equals a default diversifier's ids (a local
 // zoom's as a set: its order follows the engine), and the live
 // selection equals the replay of the acknowledged inserts in id order.
-// Under -race this pins each static dataset's work lock and the result
-// registry's own lock.
+// Static calls reach each dataset's Diversifier with no lock around
+// them, so under -race this pins the Diversifier's own synchronisation
+// (the engine pick and the coverage graph's view cache) and the result
+// registry's lock.
 func TestServedConcurrentStaticAndLive(t *testing.T) {
 	const n, r, rounds = 300, 0.1, 3
 	ts := newTestServer(t)

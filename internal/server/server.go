@@ -52,9 +52,10 @@
 // Every dataset, static or live, is owned by the dataset manager
 // (internal/manager; see docs/OPERATIONS.md). The two kinds share one
 // namespace: a create under a taken name answers 409, and each route
-// family answers 404 for a dataset of the other kind. Each static
-// dataset serializes the calls into its Diversifier on its own work
-// lock, so datasets never wait on each other. With WithDataDir every
+// family answers 404 for a dataset of the other kind. A static
+// dataset's Diversifier is safe for concurrent use, so its selects and
+// zooms run in parallel, and datasets never wait on each other. With
+// WithDataDir every
 // dataset is durable in its own home directory (<dir>/<name>/: a
 // live one's current.discsnap and wal.*, a static one's
 // static.discsnap once saved, and a QUARANTINE sidecar), and
@@ -97,8 +98,7 @@ type Server struct {
 	ready  atomic.Bool
 	reqSeq atomic.Uint64
 
-	// resMu guards the result registry only; each static dataset
-	// serializes its own work.
+	// resMu guards the result registry only.
 	resMu   sync.Mutex
 	results map[string]*resultState
 	nextID  int
@@ -284,8 +284,7 @@ type readyzBody struct {
 // handleReadyz is the readiness probe: 200 once the server may receive
 // traffic, 503 while boot-time recovery is still running (see
 // SetReady). The per-dataset status reads take only the manager's
-// brief state locks, never a dataset's work lock, so a long select
-// cannot delay the probe.
+// brief state locks, so a long select cannot delay the probe.
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	body := readyzBody{Status: "ready"}
 	if states := s.mgr.States(); len(states) > 0 {
@@ -560,11 +559,8 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	if st == nil {
 		return
 	}
-	var res *disc.Result
-	if err := st.Do(func(div *disc.Diversifier) (err error) {
-		res, err = div.Select(req.Radius, disc.WithAlgorithm(alg))
-		return err
-	}); err != nil {
+	res, err := st.Diversifier().Select(req.Radius, disc.WithAlgorithm(alg))
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -640,18 +636,18 @@ func (s *Server) handleZoom(w http.ResponseWriter, r *http.Request) {
 	if rs == nil {
 		return
 	}
+	div := rs.st.Diversifier()
 	var zoomed *disc.Result
-	if err := rs.st.Do(func(div *disc.Diversifier) (err error) {
-		switch {
-		case req.Radius < rs.res.Radius():
-			zoomed, err = div.ZoomIn(rs.res, req.Radius)
-		case req.Radius > rs.res.Radius():
-			zoomed, err = div.ZoomOut(rs.res, req.Radius, disc.ZoomOutGreedyLargest)
-		default:
-			err = fmt.Errorf("radius %g equals the current radius", req.Radius)
-		}
-		return err
-	}); err != nil {
+	var err error
+	switch {
+	case req.Radius < rs.res.Radius():
+		zoomed, err = div.ZoomIn(rs.res, req.Radius)
+	case req.Radius > rs.res.Radius():
+		zoomed, err = div.ZoomOut(rs.res, req.Radius, disc.ZoomOutGreedyLargest)
+	default:
+		err = fmt.Errorf("radius %g equals the current radius", req.Radius)
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -683,18 +679,18 @@ func (s *Server) handleLocalZoom(w http.ResponseWriter, r *http.Request) {
 	if rs == nil {
 		return
 	}
+	div := rs.st.Diversifier()
 	var lz *disc.LocalZoom
-	if err := rs.st.Do(func(div *disc.Diversifier) (err error) {
-		switch {
-		case req.Radius < rs.res.Radius():
-			lz, err = div.LocalZoomIn(rs.res, req.Center, req.Radius)
-		case req.Radius > rs.res.Radius():
-			lz, err = div.LocalZoomOut(rs.res, req.Center, req.Radius)
-		default:
-			err = fmt.Errorf("radius %g equals the current radius", req.Radius)
-		}
-		return err
-	}); err != nil {
+	var err error
+	switch {
+	case req.Radius < rs.res.Radius():
+		lz, err = div.LocalZoomIn(rs.res, req.Center, req.Radius)
+	case req.Radius > rs.res.Radius():
+		lz, err = div.LocalZoomOut(rs.res, req.Center, req.Radius)
+	default:
+		err = fmt.Errorf("radius %g equals the current radius", req.Radius)
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}

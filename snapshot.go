@@ -58,7 +58,10 @@ func (d *Diversifier) WriteSnapshot(w io.Writer) error {
 		Metric:      d.metric.Name(),
 		Labels:      d.labels,
 	}
-	switch e := d.engine.(type) {
+	d.mu.Lock()
+	e := d.engine
+	d.mu.Unlock()
+	switch e := e.(type) {
 	case *core.ParallelGraphEngine:
 		if e.GridJoined() {
 			r := e.Grid().Radius()

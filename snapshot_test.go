@@ -90,10 +90,11 @@ func TestSnapshotLoadConformance(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		var fb, lb []object.Neighbor
+		var run core.Run
 		for id := 0; id < len(pts); id += 37 {
 			for _, qr := range []float64{r / 3, r, 2.5 * r} {
-				fb = fe.NeighborsAppend(fb[:0], id, qr)
-				lb = le.NeighborsAppend(lb[:0], id, qr)
+				fb = fe.NeighborsAppend(fb[:0], id, qr, &run)
+				lb = le.NeighborsAppend(lb[:0], id, qr, &run)
 				if len(fb) != len(lb) {
 					t.Fatalf("%s id=%d r=%g: %d vs %d neighbours", name, id, qr, len(lb), len(fb))
 				}
@@ -325,8 +326,8 @@ func TestSnapshotBuildParamsPersisted(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id := 0; id < len(pts); id += 41 {
-		a := fe.NeighborsAppend(nil, id, 0.1)
-		b := le.NeighborsAppend(nil, id, 0.1)
+		a := fe.NeighborsAppend(nil, id, 0.1, new(core.Run))
+		b := le.NeighborsAppend(nil, id, 0.1, new(core.Run))
 		if len(a) != len(b) {
 			t.Fatalf("id %d: %d vs %d neighbours", id, len(b), len(a))
 		}
@@ -637,7 +638,7 @@ func TestSnapshotKeepsCoarseGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if slices.Equal(fine.ScanOrder(), g.ScanOrder()) {
+	if slices.Equal(fine.ScanOrder(), g.ScanOrder(new(core.Run))) {
 		t.Fatal("grids bucketed at 0 and 0.5 scan in the same order")
 	}
 
@@ -653,7 +654,7 @@ func TestSnapshotKeepsCoarseGrid(t *testing.T) {
 	if !ok {
 		t.Fatalf("rehydrated engine is %T", loaded.engine)
 	}
-	if !slices.Equal(lg.ScanOrder(), g.ScanOrder()) {
+	if !slices.Equal(lg.ScanOrder(new(core.Run)), g.ScanOrder(new(core.Run))) {
 		t.Fatal("loaded scan order differs from the writer's")
 	}
 
