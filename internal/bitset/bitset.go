@@ -24,17 +24,6 @@ func New(n int) *Set {
 	return s
 }
 
-// FromBools returns a set with bit i set iff b[i].
-func FromBools(b []bool) *Set {
-	s := New(len(b))
-	for i, v := range b {
-		if v {
-			s.words[i>>6] |= 1 << (uint(i) & 63)
-		}
-	}
-	return s
-}
-
 // Len returns the length of the domain.
 func (s *Set) Len() int { return s.n }
 
@@ -73,16 +62,6 @@ func (s *Set) Fill() {
 	}
 	if rem := uint(s.n) & 63; rem != 0 && len(s.words) > 0 {
 		s.words[len(s.words)-1] = (1 << rem) - 1
-	}
-}
-
-// CopyBools overwrites the set with b, resizing to len(b).
-func (s *Set) CopyBools(b []bool) {
-	s.Reset(len(b))
-	for i, v := range b {
-		if v {
-			s.words[i>>6] |= 1 << (uint(i) & 63)
-		}
 	}
 }
 

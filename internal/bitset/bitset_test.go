@@ -71,17 +71,6 @@ func TestMirrorsBoolSlice(t *testing.T) {
 	if s.Count() != count {
 		t.Fatalf("Count=%d want %d", s.Count(), count)
 	}
-	s2 := FromBools(ref)
-	for i := range ref {
-		if s2.Test(i) != ref[i] {
-			t.Fatalf("FromBools mismatch at %d", i)
-		}
-	}
-	var s3 Set
-	s3.CopyBools(ref)
-	if s3.Count() != count || s3.Len() != n {
-		t.Fatalf("CopyBools count=%d len=%d", s3.Count(), s3.Len())
-	}
 }
 
 func TestResetReuses(t *testing.T) {

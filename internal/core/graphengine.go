@@ -232,9 +232,6 @@ func newGraph(flat *object.FlatDataset, hash *grid.Grid, scan []int, r float64, 
 // at, and the largest one it serves from its rows.
 func (g *ParallelGraphEngine) Radius() float64 { return g.radius }
 
-// Workers returns the parallelism used during construction.
-func (g *ParallelGraphEngine) Workers() int { return g.workers }
-
 // Degree returns |N_C(id)| at the ceiling C.
 func (g *ParallelGraphEngine) Degree(id int) int { return g.csr.Degree(id) }
 

@@ -145,9 +145,9 @@ func TestGraphEngineRebuild(t *testing.T) {
 
 // TestCeilingViewsMatchJoin: a graph joined at the ceiling C serves
 // every r ≤ C as a row-prefix view; each view must be the graph a fresh
-// join at r builds over the same substrate — rows compared in id order,
-// entry for entry, distances bit for bit — with the same component-mode
-// selection. Every built-in
+// join at r builds over the same substrate — rows compared in the
+// (distance, id) order both serve, entry for entry, distances bit for
+// bit — with the same component-mode selection. Every built-in
 // metric, both join substrates (the grid and the flat join, forced for
 // the Lp metrics too) and both precisions, at r ∈ {C, 0.75C, C/2, 0}.
 func TestCeilingViewsMatchJoin(t *testing.T) {
@@ -201,9 +201,10 @@ func TestCeilingViewsMatchJoin(t *testing.T) {
 					if !ok {
 						t.Fatalf("%s: no adjacency under the ceiling", name)
 					}
-					got, want := view.SortedByID(1), fresh.csr.SortedByID(1)
-					if !slices.Equal(got.Offsets, want.Offsets) || !slices.Equal(got.Nbrs, want.Nbrs) {
-						t.Fatalf("%s: view rows differ from a join at r", name)
+					for id := range flat.Len() {
+						if !slices.Equal(view.Row(id), fresh.csr.Row(id)) {
+							t.Fatalf("%s: view row %d differs from a join at r, entry for entry", name, id)
+						}
 					}
 					vs := GreedyDisCComponents(ceil, r, opts)
 					fs := GreedyDisCComponents(fresh, r, opts)

@@ -9,7 +9,7 @@ import (
 )
 
 // CSR exposes the materialised adjacency (read-only), rows sorted by
-// (distance, id). Snapshots persist its CSR.SortedByID copy.
+// (distance, id). Snapshots persist it as is.
 func (g *ParallelGraphEngine) CSR() *grid.CSR { return g.csr }
 
 // Grid exposes the grid substrate, nil when the engine was built by the
@@ -18,27 +18,28 @@ func (g *ParallelGraphEngine) Grid() *grid.Grid { return g.hash }
 
 // RehydrateGraphEngine reassembles a ParallelGraphEngine from
 // deserialised parts: the coverage-graph CSR joined at radius r over
-// flat, rows sorted by id as snapshots store them, and the radius the
-// grid it was joined on was bucketed at — nil when the graph was
-// flat-joined, whose beyond-radius fallback queries are whole-dataset
-// scans derived from the dataset alone. The grid is re-bucketed at
-// exactly *gridR, which can be coarser than r (Rebuild keeps a grid
-// whose cells still cover a raised ceiling), so the cell order that
-// ScanOrder reports is the writer's. The CSR is structurally validated
-// first — a snapshot must never be able to turn into out-of-range
-// adjacency entries — and then its rows are re-sorted in place by
-// (distance, id), the order the engine serves prefixes from; the engine
-// takes ownership of csr. Everything else a fresh build derives beyond
-// the join itself (the grid, per-point degree counts for
-// CountingEngine, the grid's locality-preserving scan order) is
-// recomputed in O(n), which is what makes warm starts cheap: the
-// O(n + edges) join is replaced by a contiguous read and a per-row sort.
+// flat, and the radius the grid it was joined on was bucketed at — nil
+// when the graph was flat-joined, whose beyond-radius fallback queries
+// are whole-dataset scans derived from the dataset alone. The grid is
+// re-bucketed at exactly *gridR, which can be coarser than r (Rebuild
+// keeps a grid whose cells still cover a raised ceiling), so the cell
+// order that ScanOrder reports is the writer's. The CSR passes one
+// CSR.ValidateByDist pass — a snapshot must never be able to turn into
+// out-of-range or repeated adjacency entries — which keeps rows in
+// (distance, id) order, the order the engine serves prefixes from and
+// static snapshots store, and sorts id-ordered rows (live checkpoints,
+// older files) into it; the engine takes ownership of csr. Everything else a
+// fresh build derives beyond the join itself (the grid, per-point
+// degree counts for CountingEngine, the grid's locality-preserving
+// scan order) is recomputed in O(n), which is what makes warm starts
+// cheap: the O(n + edges) join is replaced by a contiguous read and
+// one validation pass.
 func RehydrateGraphEngine(flat *object.FlatDataset, gridR *float64, csr *grid.CSR, r float64, workers int) (*ParallelGraphEngine, error) {
 	if flat == nil || csr == nil {
 		return nil, fmt.Errorf("core: rehydrate graph engine: missing substrate")
 	}
 	n := flat.Len()
-	if err := csr.Validate(n, r); err != nil {
+	if err := csr.ValidateByDist(n, r); err != nil {
 		return nil, fmt.Errorf("core: rehydrate graph engine: %w", err)
 	}
 	var hash *grid.Grid
@@ -62,6 +63,5 @@ func RehydrateGraphEngine(flat *object.FlatDataset, gridR *float64, csr *grid.CS
 	if workers > n {
 		workers = n
 	}
-	csr.SortByDist(workers)
 	return newGraph(flat, hash, scan, r, workers, csr, 0), nil
 }

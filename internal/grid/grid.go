@@ -234,17 +234,11 @@ func (g *Grid) coordCell(i int, v float64) int32 {
 	return c
 }
 
-// Flat returns the dataset the grid was built over.
-func (g *Grid) Flat() *object.FlatDataset { return g.flat }
-
 // Radius returns the radius the grid was bucketed for.
 func (g *Grid) Radius() float64 { return g.r }
 
 // Cell returns the cell side length (≥ Radius, see Build).
 func (g *Grid) Cell() float64 { return g.cell }
-
-// Cells returns the total number of directory cells.
-func (g *Grid) Cells() int { return g.ncells }
 
 // ScanOrder appends the ids in cell order — a locality-preserving scan
 // order (points in the same or adjacent cells are close in the order).

@@ -3,6 +3,7 @@ package grid
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/discdiversity/disc/internal/bitset"
@@ -358,57 +359,117 @@ func TestGridDuplicatesAndZeroRadius(t *testing.T) {
 }
 
 // TestCSRValidate: structural lies in a deserialised adjacency must be
-// rejected.
+// rejected by both checks. Validate accepts id-ordered rows only (the
+// live adjacency's order). ValidateByDist keeps (distance, id)-ordered
+// rows, sorts id-ordered ones into that order, refuses rows in neither
+// order, and finds a neighbour repeated at a larger distance although
+// the row stays (distance, id)-ascending.
 func TestCSRValidate(t *testing.T) {
+	const r = 0.12
 	flat := randomFlat(t, 180, 2, object.Euclidean{}, 78)
-	g, err := Build(flat, 0.12)
+	n := flat.Len()
+	g, err := Build(flat, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	csr, _, err := Join(g, 0.12, 2)
+	byID, _, err := Join(g, r, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := csr.Validate(flat.Len(), 0.12); err != nil {
-		t.Fatalf("genuine CSR rejected: %v", err)
+	byDist, _, err := JoinByDist(g, r, 2, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(csr.Nbrs) == 0 {
-		t.Skip("degenerate workload: no edges")
-	}
-	clone := func() *CSR {
+	clone := func(c *CSR) *CSR {
 		return &CSR{
-			Offsets: append([]int32(nil), csr.Offsets...),
-			Nbrs:    append([]object.Neighbor(nil), csr.Nbrs...),
+			Offsets: slices.Clone(c.Offsets),
+			Nbrs:    slices.Clone(c.Nbrs),
 		}
 	}
-	row := 0
-	for csr.Degree(row) == 0 {
-		row++
+	if err := byID.Validate(n, r); err != nil {
+		t.Fatalf("genuine id-ordered CSR rejected: %v", err)
 	}
-	first := int(csr.Offsets[row])
-	cases := []struct {
-		name   string
-		mutate func(*CSR)
+	if err := byDist.Validate(n, r); err == nil {
+		t.Fatal("Validate accepted (distance, id)-ordered rows")
+	}
+	for name, c := range map[string]*CSR{"id-ordered": clone(byID), "distance-ordered": clone(byDist)} {
+		if err := c.ValidateByDist(n, r); err != nil {
+			t.Fatalf("%s CSR rejected by ValidateByDist: %v", name, err)
+		}
+		if !slices.Equal(c.Offsets, byDist.Offsets) || !slices.Equal(c.Nbrs, byDist.Nbrs) {
+			t.Fatalf("%s CSR after ValidateByDist differs from the ByDist join", name)
+		}
+	}
+
+	// A row whose id-descending form is in neither order, and one of
+	// degree >= 2 whose neighbours all sit below r.
+	mixed, deep := -1, -1
+	var unordered []object.Neighbor
+	for id := 0; id < n; id++ {
+		row := byID.Row(id)
+		if mixed < 0 && len(row) >= 2 {
+			rev := slices.Clone(row)
+			slices.Reverse(rev)
+			if !ascending(rev, true) {
+				mixed, unordered = id, rev
+			}
+		}
+		if deep < 0 && len(row) >= 2 && byDist.Row(id)[len(row)-1].Dist < r {
+			deep = id
+		}
+	}
+	if mixed < 0 || deep < 0 {
+		t.Skip("degenerate workload: no row to tamper with")
+	}
+	for _, base := range []struct {
+		name  string
+		csr   *CSR
+		check func(*CSR) error
 	}{
-		{"short offsets", func(c *CSR) { c.Offsets = c.Offsets[:len(c.Offsets)-1] }},
-		{"offsets overrun", func(c *CSR) { c.Offsets[len(c.Offsets)-1]++ }},
-		{"id out of range", func(c *CSR) { c.Nbrs[first].ID = flat.Len() }},
-		{"self loop", func(c *CSR) { c.Nbrs[first].ID = row }},
-		{"distance beyond radius", func(c *CSR) { c.Nbrs[first].Dist = 1e9 }},
-		{"NaN distance", func(c *CSR) { c.Nbrs[first].Dist = math.NaN() }},
-	}
-	for _, tc := range cases {
-		c := clone()
-		tc.mutate(c)
-		if err := c.Validate(flat.Len(), 0.12); err == nil {
-			t.Fatalf("%s: accepted", tc.name)
+		{"Validate", byID, func(c *CSR) error { return c.Validate(n, r) }},
+		{"ValidateByDist", byDist, func(c *CSR) error { return c.ValidateByDist(n, r) }},
+	} {
+		first := int(base.csr.Offsets[deep])
+		cases := []struct {
+			name   string
+			mutate func(*CSR)
+		}{
+			{"short offsets", func(c *CSR) { c.Offsets = c.Offsets[:len(c.Offsets)-1] }},
+			{"offsets overrun", func(c *CSR) { c.Offsets[len(c.Offsets)-1]++ }},
+			{"id out of range", func(c *CSR) { c.Nbrs[first].ID = n }},
+			{"negative id", func(c *CSR) { c.Nbrs[first].ID = -1 }},
+			{"self loop", func(c *CSR) { c.Nbrs[first].ID = deep }},
+			{"distance beyond radius", func(c *CSR) { c.Nbrs[first].Dist = 1e9 }},
+			{"NaN distance", func(c *CSR) { c.Nbrs[first].Dist = math.NaN() }},
+			{"neither order", func(c *CSR) { copy(c.Row(mixed), unordered) }},
+		}
+		for _, tc := range cases {
+			c := clone(base.csr)
+			tc.mutate(c)
+			if err := base.check(c); err == nil {
+				t.Fatalf("%s: %s: accepted", base.name, tc.name)
+			}
+		}
+		// Cosine and dot-product distances between parallel vectors
+		// round a few ulps below zero, so a negative distance is not
+		// corruption.
+		c := clone(base.csr)
+		c.Nbrs[first].Dist = -0x1p-52
+		if err := base.check(c); err != nil {
+			t.Fatalf("%s: negative distance rejected: %v", base.name, err)
 		}
 	}
-	// Cosine and dot-product distances between parallel vectors round a
-	// few ulps below zero, so a negative distance is not corruption.
-	c := clone()
-	c.Nbrs[first].Dist = -0x1p-52
-	if err := c.Validate(flat.Len(), 0.12); err != nil {
-		t.Fatalf("negative distance rejected: %v", err)
+
+	// The last entry of a (distance, id)-ordered row names the first
+	// neighbour again, at r: the row stays (distance, id)-ascending, so
+	// only the mark array can see the repeat.
+	c := clone(byDist)
+	row := c.Row(deep)
+	row[len(row)-1] = object.Neighbor{ID: row[0].ID, Dist: r}
+	if !ascending(row, true) {
+		t.Fatal("tampered row is not (distance, id)-ascending")
+	}
+	if err := c.ValidateByDist(n, r); err == nil {
+		t.Fatal("ValidateByDist accepted a neighbour listed twice")
 	}
 }

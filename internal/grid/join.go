@@ -17,10 +17,12 @@ import (
 // lists in sequence stays inside two contiguous allocations and the
 // steady-state memory is exactly the edge count.
 //
-// Rows are sorted by id (the order Validate checks and snapshots
-// store) or, from the ByDist joins, by ascending (distance, id): then
+// Rows are sorted by id (the live adjacency's order, which Validate
+// checks) or, from the ByDist joins, by ascending (distance, id): then
 // the neighbourhood at any radius up to the join radius is a row
-// prefix, and Prefix derives a view at that radius. A view carries
+// prefix, and Prefix derives a view at that radius. Snapshots store a
+// static graph's rows in that order, as the engine holds them, and
+// ValidateByDist checks them on load. A view carries
 // Ends, one row end per point, and shares Offsets and Nbrs with the CSR
 // it was derived from; Ends is nil on every other CSR.
 type CSR struct {
@@ -88,59 +90,78 @@ func (c *CSR) Prefix(r float64) *CSR {
 	return &CSR{Offsets: c.Offsets, Nbrs: c.Nbrs, Ends: ends}
 }
 
-// SortByDist reorders every row of c in place by ascending (distance,
-// id), sharding the rows over workers (<= 0 selects 1): it turns an
-// id-sorted CSR (a loaded snapshot's) into the form Prefix reads.
-func (c *CSR) SortByDist(workers int) {
-	c.sortRows(true, workers)
-}
-
-// SortedByID returns a copy of c with every row sorted by id, sharding
-// the sort over workers (<= 0 selects 1): the form Validate checks and
-// snapshots store. A view's copy holds its rows only, with fresh
-// offsets and no Ends.
-func (c *CSR) SortedByID(workers int) *CSR {
-	n := len(c.Offsets) - 1
-	out := &CSR{Offsets: make([]int32, n+1), Nbrs: make([]object.Neighbor, 0, c.Entries())}
-	for id := 0; id < n; id++ {
-		out.Nbrs = append(out.Nbrs, c.Row(id)...)
-		out.Offsets[id+1] = int32(len(out.Nbrs))
-	}
-	out.sortRows(false, workers)
-	return out
-}
-
 // Validate checks the structural invariants of a deserialised CSR
-// adjacency for an n-point coverage graph built at radius r: the offsets
-// must be a nondecreasing span of the packed array, and every row must
-// hold strictly ascending neighbour ids in [0, n) excluding the row's
-// own id, with distances at most r. A negative distance is accepted:
-// cosine and dot-product distances between parallel vectors may round a
-// few ulps below zero. NaN is rejected by the comparison. O(edges).
-func (c *CSR) Validate(n int, r float64) error {
+// adjacency for an n-point coverage graph built at radius r, in the
+// live adjacency's order: the offsets must be a nondecreasing span of
+// the packed array, and every row must hold strictly ascending
+// neighbour ids in [0, n) excluding the row's own id, with distances at
+// most r. A negative distance is accepted: cosine and dot-product
+// distances between parallel vectors may round a few ulps below zero.
+// NaN is rejected by the comparison. O(edges).
+func (c *CSR) Validate(n int, r float64) error { return c.validate(n, r, false) }
+
+// ValidateByDist is Validate for an adjacency Prefix will read, and
+// leaves every row ascending by (distance, id). A row already in that
+// order is kept as is, a row ascending by id is sorted into it in
+// place, and a row in neither order is refused. A (distance,
+// id)-ascending row can repeat an id at two distances, so repeated
+// neighbours are found with a mark array, not by order.
+// O(n + edges), plus one sort per id-ordered row.
+func (c *CSR) ValidateByDist(n int, r float64) error { return c.validate(n, r, true) }
+
+func (c *CSR) validate(n int, r float64, byDist bool) error {
 	if len(c.Offsets) != n+1 {
 		return fmt.Errorf("grid: csr: %d offsets for %d points", len(c.Offsets), n)
 	}
 	if c.Offsets[0] != 0 || int(c.Offsets[n]) != len(c.Nbrs) {
 		return fmt.Errorf("grid: csr: offsets do not span the %d packed neighbours", len(c.Nbrs))
 	}
+	// seen[v] is one more than the last row that listed v.
+	var seen []int32
+	if byDist {
+		seen = make([]int32, n)
+	}
 	for id := 0; id < n; id++ {
 		lo, hi := c.Offsets[id], c.Offsets[id+1]
 		if lo > hi {
 			return fmt.Errorf("grid: csr: point %d has negative degree", id)
 		}
-		prev := -1
-		for _, nb := range c.Nbrs[lo:hi] {
-			if nb.ID <= prev || nb.ID >= n || nb.ID == id {
+		row := c.Nbrs[lo:hi]
+		for k := range row {
+			nb := &row[k]
+			if nb.ID < 0 || nb.ID >= n || nb.ID == id {
 				return fmt.Errorf("grid: csr: point %d has an invalid neighbour list", id)
 			}
-			prev = nb.ID
 			if !(nb.Dist <= r) {
 				return fmt.Errorf("grid: csr: point %d records neighbour %d at distance %g above %g", id, nb.ID, nb.Dist, r)
 			}
+			if byDist {
+				if seen[nb.ID] == int32(id+1) {
+					return fmt.Errorf("grid: csr: point %d lists neighbour %d twice", id, nb.ID)
+				}
+				seen[nb.ID] = int32(id + 1)
+			}
+		}
+		switch {
+		case byDist && ascending(row, true):
+		case !ascending(row, false):
+			return fmt.Errorf("grid: csr: point %d has an invalid neighbour list", id)
+		case byDist:
+			sortRow(row, true)
 		}
 	}
 	return nil
+}
+
+// ascending reports whether row is strictly ascending by id, or by
+// (distance, id) when byDist is set.
+func ascending(row []object.Neighbor, byDist bool) bool {
+	for k := 1; k < len(row); k++ {
+		if !before(&row[k-1], &row[k], byDist) {
+			return false
+		}
+	}
+	return true
 }
 
 // edge is one undirected hit of the ε-join; it is scattered into the CSR

@@ -66,9 +66,6 @@ func NewMutGrid(dyn *object.DynDataset, r float64) (*MutGrid, error) {
 // Radius returns the radius the grid is bucketed for.
 func (g *MutGrid) Radius() float64 { return g.r }
 
-// Dyn returns the backing dataset.
-func (g *MutGrid) Dyn() *object.DynDataset { return g.dyn }
-
 // Rebucket recomputes the directory geometry over the live bounding box
 // and re-buckets every live id in one O(n) pass. Scanning ids ascending
 // keeps every bucket sorted.

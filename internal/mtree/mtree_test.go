@@ -278,12 +278,6 @@ func TestScanIDsVisitsEveryObjectOnce(t *testing.T) {
 		}
 		seen[id] = true
 	}
-	rank := tr.LeafOrderIndex()
-	for pos, id := range ids {
-		if rank[id] != pos {
-			t.Fatalf("rank[%d]=%d want %d", id, rank[id], pos)
-		}
-	}
 }
 
 func TestWhiteCountMaintenance(t *testing.T) {

@@ -177,17 +177,3 @@ func (t *Tree) ScanIDs(acc *int64) []int {
 	}
 	return ids
 }
-
-// LeafOrderIndex returns, for every object id, its rank in the leaf scan
-// order. No accesses are charged; this is derived bookkeeping.
-func (t *Tree) LeafOrderIndex() []int {
-	rank := make([]int, len(t.pts))
-	pos := 0
-	for l := t.firstLeaf; l != nil; l = l.next {
-		for i := range l.entries {
-			rank[l.entries[i].id] = pos
-			pos++
-		}
-	}
-	return rank
-}

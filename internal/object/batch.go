@@ -52,21 +52,6 @@ func (k *Kernel) FilterWithin(q, rows []float64, base int32, rawR float64, dst [
 	return dst
 }
 
-// FilterGather is FilterWithin over scattered candidates: ids indexes
-// rows of the full row-major coords array. Surviving ids are appended
-// to dst in their input order.
-func (k *Kernel) FilterGather(q, coords []float64, ids []int32, rawR float64, dst []int32) []int32 {
-	dim := k.dim
-	within := k.within
-	for _, id := range ids {
-		off := int(id) * dim
-		if within(q, coords[off:off+dim:off+dim], rawR) {
-			dst = append(dst, id)
-		}
-	}
-	return dst
-}
-
 // compileBatch installs the one-vs-many plans matching the scalar
 // bodies CompileKernel selected. Custom metrics get generic loops over
 // the already-installed raw so the batch API works unconditionally.

@@ -76,8 +76,8 @@ func TestRawBatchBitIdentical(t *testing.T) {
 	}
 }
 
-// TestFilterWithinMatchesScalar pins the fused filters: the accepted id
-// set of FilterWithin and FilterGather equals brute-force thresholding
+// TestFilterWithinMatchesScalar pins the fused filter: the accepted id
+// set of FilterWithin equals brute-force thresholding
 // of per-pair Raw calls, with thresholds chosen adversarially at and
 // around exact row distances.
 func TestFilterWithinMatchesScalar(t *testing.T) {
@@ -104,27 +104,6 @@ func TestFilterWithinMatchesScalar(t *testing.T) {
 				for i := range got {
 					if got[i] != want[i] {
 						t.Fatalf("%s/%d rawR=%v: FilterWithin %v want %v", m.Name(), dim, rawR, got, want)
-					}
-				}
-				// Gather over a shuffled subset must agree too.
-				ids := rng.Perm(n)[:n/2+1]
-				var gatherWant []int32
-				ids32 := make([]int32, len(ids))
-				for i, id := range ids {
-					ids32[i] = int32(id)
-				}
-				for _, id := range ids32 {
-					if k.Raw(q, rows[int(id)*dim:int(id+1)*dim]) <= rawR {
-						gatherWant = append(gatherWant, id)
-					}
-				}
-				gatherGot := k.FilterGather(q, rows, ids32, rawR, nil)
-				if len(gatherGot) != len(gatherWant) {
-					t.Fatalf("%s/%d rawR=%v: FilterGather %v want %v", m.Name(), dim, rawR, gatherGot, gatherWant)
-				}
-				for i := range gatherGot {
-					if gatherGot[i] != gatherWant[i] {
-						t.Fatalf("%s/%d rawR=%v: FilterGather %v want %v", m.Name(), dim, rawR, gatherGot, gatherWant)
 					}
 				}
 			}
@@ -310,32 +289,20 @@ func TestFloat32IngestTolerance(t *testing.T) {
 }
 
 // TestFlatten32Validation covers the constructors' error paths and the
-// norms verification on load.
+// squared norms NewFlatDataset32 derives for an embedding metric.
 func TestFlatten32Validation(t *testing.T) {
 	if _, err := Flatten32([]Point{{1e300, 0}}, Euclidean{}); err == nil {
 		t.Fatal("coordinate overflowing float32 must be rejected")
 	}
-	if _, err := NewFlatDataset32([]float32{1, 2, 3}, 2, 2, Euclidean{}, nil); err == nil {
+	if _, err := NewFlatDataset32([]float32{1, 2, 3}, 2, 2, Euclidean{}); err == nil {
 		t.Fatal("shape mismatch must be rejected")
 	}
-	if _, err := NewFlatDataset32([]float32{1, 2, 3, 4}, 2, 2, Euclidean{}, []float64{5, 25}); err == nil {
-		t.Fatal("norms for a norm-free metric must be rejected")
-	}
-	good, err := Flatten32([]Point{{3, 4}, {0, 1}}, Cosine{})
+	good, err := NewFlatDataset32([]float32{3, 4, 0, 1}, 2, 2, Cosine{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := good.SqNorms(); len(got) != 2 || got[0] != 25 || got[1] != 1 {
-		t.Fatalf("SqNorms = %v", got)
-	}
-	if _, err := NewFlatDataset32([]float32{3, 4, 0, 1}, 2, 2, Cosine{}, []float64{25, 1}); err != nil {
-		t.Fatalf("valid norms rejected: %v", err)
-	}
-	if _, err := NewFlatDataset32([]float32{3, 4, 0, 1}, 2, 2, Cosine{}, []float64{26, 1}); err == nil {
-		t.Fatal("corrupted norms must be rejected")
-	}
-	if _, err := NewFlatDataset32([]float32{3, 4, 0, 1}, 2, 2, Cosine{}, []float64{25}); err == nil {
-		t.Fatal("short norms must be rejected")
+	if got := good.sqNorms; len(got) != 2 || got[0] != 25 || got[1] != 1 {
+		t.Fatalf("sqNorms = %v", got)
 	}
 }
 

@@ -135,10 +135,6 @@ func (f *FlatDataset) Coords() []float64 { return f.coords }
 // Dist returns the true distance between points i and j.
 func (f *FlatDataset) Dist(i, j int) float64 { return f.kern.dist(f.Row(i), f.Row(j)) }
 
-// DistToPoint returns the true distance between point i and an arbitrary
-// query vector q (len(q) must equal Dim).
-func (f *FlatDataset) DistToPoint(i int, q []float64) float64 { return f.kern.dist(f.Row(i), q) }
-
 // AppendRange appends to dst every point within r of q, excluding the
 // point with id exclude (-1 for none), in ascending id order, and returns
 // the extended slice. When q is itself the storage of row exclude the

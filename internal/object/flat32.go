@@ -105,11 +105,9 @@ func Flatten32(pts []Point, m Metric) (*FlatDataset, error) {
 
 // NewFlatDataset32 builds a Float32 dataset from unpadded row-major
 // float32 storage (len(coords32) must equal n*dim), copying it into the
-// padded aligned layout and deriving the float64 view. sqNorms, when
-// non-nil, must be the per-row Σv² values (the snapshot loader passes
-// the persisted array); they are verified against a recomputation, so a
-// corrupted norms array cannot skew cosine distances.
-func NewFlatDataset32(coords32 []float32, n, dim int, m Metric, sqNorms []float64) (*FlatDataset, error) {
+// padded aligned layout and deriving the float64 view and, for the
+// embedding metrics, the per-row squared norms.
+func NewFlatDataset32(coords32 []float32, n, dim int, m Metric) (*FlatDataset, error) {
 	if n <= 0 || dim <= 0 {
 		return nil, fmt.Errorf("object: flat dataset32: invalid shape %d x %d", n, dim)
 	}
@@ -118,9 +116,6 @@ func NewFlatDataset32(coords32 []float32, n, dim int, m Metric, sqNorms []float6
 	}
 	if m == nil {
 		return nil, fmt.Errorf("object: flat dataset32: nil metric")
-	}
-	if sqNorms != nil && len(sqNorms) != n {
-		return nil, fmt.Errorf("object: flat dataset32: %d norms for %d points", len(sqNorms), n)
 	}
 	f := &FlatDataset{
 		n: n, dim: dim, prec: Float32,
@@ -138,16 +133,6 @@ func NewFlatDataset32(coords32 []float32, n, dim int, m Metric, sqNorms []float6
 		}
 	}
 	f.initDerived()
-	if sqNorms != nil {
-		if f.sqNorms == nil {
-			return nil, fmt.Errorf("object: flat dataset32: norms supplied for metric %q, which uses none", m.Name())
-		}
-		for i, s := range sqNorms {
-			if f.sqNorms[i] != s {
-				return nil, fmt.Errorf("object: flat dataset32: norm %d is %g, recomputed %g", i, s, f.sqNorms[i])
-			}
-		}
-	}
 	return f, nil
 }
 
@@ -162,10 +147,6 @@ func (f *FlatDataset) Stride32() int { return f.stride32 }
 // nil for Float64 datasets). Rows are Stride32 apart with zero-filled
 // tails; the snapshot writer de-pads via Stride32.
 func (f *FlatDataset) Coords32() []float32 { return f.coords32 }
-
-// SqNorms returns the per-row squared norms (nil unless the metric is
-// cosine or dot product). Read-only by convention.
-func (f *FlatDataset) SqNorms() []float64 { return f.sqNorms }
 
 // row32 returns the padded float32 row of id.
 func (f *FlatDataset) row32(id int) []float32 {

@@ -139,9 +139,6 @@ func TestFlatDataset(t *testing.T) {
 			}
 		}
 	}
-	if d := f.DistToPoint(0, []float64{1, 3}); d != 1 {
-		t.Fatalf("DistToPoint=%v want 1", d)
-	}
 	ns := f.AppendRange(nil, []float64{1, 2}, 0.5, 3)
 	if len(ns) != 1 || ns[0].ID != 0 || ns[0].Dist != 0 {
 		t.Fatalf("AppendRange=%v", ns)

@@ -21,10 +21,13 @@ import (
 // its checksums recomputed, so mutations reach the section decoders
 // instead of stopping at a CRC mismatch. The committed corpus under
 // testdata/fuzz/FuzzDecode holds Write's output — dataset-only,
-// labels-only, float32-cosine-graph, and gridradius (a graph joined at
-// 0.5 over a grid bucketed at 0) — plus three files written while Write
-// still emitted the grid occupancy (kind 3, now retired), which the
-// reader must keep accepting: walepoch (a durable checkpoint),
+// labels-only, float32-cosine-graph (id-ordered rows and the squared
+// norms Write then stored), gridradius (a graph joined at 0.5 over a
+// grid bucketed at 0), and graph-dist-order (a static graph with rows
+// by (distance, id), as Write now stores them) — plus three files
+// written while Write still emitted the grid occupancy (kind 3, now
+// retired), which the reader must keep accepting: walepoch (a durable
+// checkpoint),
 // grid-retired (the retired grid backend's meta index "grid" with an
 // occupancy and no graph), and graph-components-labels (with the
 // retired components section, kind 5, too).

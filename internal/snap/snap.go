@@ -25,11 +25,15 @@
 // Section kinds of version 1: meta (1, index name and the build
 // parameters: seed, parallelism, M-tree capacity), dataset (2, metric
 // name plus the n×dim row-major coordinate array), graph (4, the
-// coverage-graph CSR with its build radius), dataset32 (6, the
-// float32-precision dataset: metric name, unpadded n×dim row-major
-// float32 coordinates, and — for the embedding metrics — the per-row
-// squared norms; written instead of kind 2 when the writer's dataset
-// is Float32), walepoch (7, the uint64 write-ahead-log epoch this
+// coverage-graph CSR with its build radius; a static graph's rows are
+// ascending by (distance, id), a live checkpoint's and an older
+// writer's by id, and the loaders check the order they need),
+// dataset32 (6, the float32-precision dataset: metric name, a squared
+// norm count, and unpadded n×dim row-major float32 coordinates; written
+// instead of kind 2 when the writer's dataset is Float32; writers set
+// the norm count to 0, and a reader bounds-checks the n norms an older
+// writer stored after the coordinates and skips them, since the loader
+// recomputes them), walepoch (7, the uint64 write-ahead-log epoch this
 // snapshot begins — written only by durable checkpoints; see
 // docs/DURABILITY.md), labels (8, one display string per point:
 // uint64 count, which must equal the dataset's n, then count uint32
@@ -159,14 +163,11 @@ type Snapshot struct {
 	// Metric names the distance function the coordinates were indexed
 	// under; N, Dim and Coords are the row-major dataset. Exactly one of
 	// Coords and Coords32 is set: Coords32 carries a float32-precision
-	// dataset (unpadded row-major), in which case SqNorms, when non-nil,
-	// carries the per-row squared norms the embedding metrics cache
-	// (loaders verify them against a recomputation before trusting them).
+	// dataset (unpadded row-major).
 	Metric   string
 	N, Dim   int
 	Coords   []float64
 	Coords32 []float32
-	SqNorms  []float64
 
 	// Labels, when non-nil, holds one display label per point. Unlike
 	// the arrays above, the strings are copies and do not alias the
@@ -210,15 +211,9 @@ func (s *Snapshot) validate() error {
 		if len(s.Coords32) != s.N*s.Dim {
 			return fmt.Errorf("snap: %d float32 coordinates for shape %d x %d", len(s.Coords32), s.N, s.Dim)
 		}
-		if s.SqNorms != nil && len(s.SqNorms) != s.N {
-			return fmt.Errorf("snap: %d squared norms for %d points", len(s.SqNorms), s.N)
-		}
 	default:
 		if len(s.Coords) != s.N*s.Dim {
 			return fmt.Errorf("snap: %d coordinates for shape %d x %d", len(s.Coords), s.N, s.Dim)
-		}
-		if s.SqNorms != nil {
-			return fmt.Errorf("snap: squared norms are only persisted with float32 coordinates")
 		}
 	}
 	if len(s.Metric) > math.MaxInt32/2 || len(s.Index) > math.MaxInt32/2 {
@@ -344,25 +339,17 @@ func Write(w io.Writer, s *Snapshot) error {
 		}},
 	}
 	if s.Coords32 != nil {
-		// Float32 coordinates plus the optional squared-norm cache; the
-		// norms follow the coordinate array at the next 8-byte boundary.
-		body := 4 * len(s.Coords32)
-		if s.SqNorms != nil {
-			body = align8(body) + 8*len(s.SqNorms)
-		}
+		// Float32 coordinates; the norm count is always 0 (see the
+		// package comment).
 		secs = append(secs, section{kindDataset32,
-			align8(8+8+8+4+len(s.Metric)) + body,
+			align8(8+8+8+4+len(s.Metric)) + 4*len(s.Coords32),
 			func(e *enc) {
 				e.u64(uint64(s.N))
 				e.u64(uint64(s.Dim))
-				e.u64(uint64(len(s.SqNorms)))
+				e.u64(0)
 				e.str(s.Metric)
 				e.pad8()
 				e.f32s(s.Coords32)
-				if s.SqNorms != nil {
-					e.pad8()
-					e.f64s(s.SqNorms)
-				}
 			}})
 	} else {
 		secs = append(secs, section{kindDataset,
@@ -710,10 +697,6 @@ func decode(data []byte) (*Snapshot, error) {
 				return nil, fmt.Errorf("snap: dataset32 section length %d does not match shape %d x %d", length, n, dim)
 			}
 			s.Coords32 = d.f32s(s.N * s.Dim)
-			if norms != 0 {
-				d.pad8()
-				s.SqNorms = d.f64s(s.N)
-			}
 		case kindGridRadius, kindGridRetired:
 			// A retired occupancy section opens with the same f64;
 			// its arrays are not read.

@@ -486,7 +486,6 @@ func buildSnapshot32(t *testing.T, n, dim int, r float64, seed uint64, m object.
 		N:           n,
 		Dim:         dim,
 		Coords32:    c,
-		SqNorms:     flat.SqNorms(),
 	}
 	if withGraph {
 		csr, _, err := grid.FlatJoin(flat, r, 2)
@@ -500,26 +499,22 @@ func buildSnapshot32(t *testing.T, n, dim int, r float64, seed uint64, m object.
 }
 
 // TestRoundTripFloat32: the dataset32 section must round-trip
-// byte-identically and element-identically, with and without the
-// squared-norm cache (present for the embedding metrics only) and with
-// a flat-joined graph section that has no grid alongside it.
+// byte-identically and element-identically, under Lp and embedding
+// metrics and with a flat-joined graph section that has no grid
+// alongside it.
 func TestRoundTripFloat32(t *testing.T) {
 	cases := []struct {
 		dim       int
 		m         object.Metric
 		withGraph bool
-		wantNorms bool
 	}{
-		{3, object.Euclidean{}, false, false},
-		{7, object.Euclidean{}, true, false},
-		{7, object.Cosine{}, true, true},
-		{5, object.DotProduct{}, false, true},
+		{3, object.Euclidean{}, false},
+		{7, object.Euclidean{}, true},
+		{7, object.Cosine{}, true},
+		{5, object.DotProduct{}, false},
 	}
 	for i, tc := range cases {
 		s := buildSnapshot32(t, 90, tc.dim, 0.35, uint64(400+i), tc.m, tc.withGraph)
-		if (s.SqNorms != nil) != tc.wantNorms {
-			t.Fatalf("case %d: norms presence %v, want %v", i, s.SqNorms != nil, tc.wantNorms)
-		}
 		first := encode(t, s)
 		loaded, err := Read(bytes.NewReader(first))
 		if err != nil {
@@ -539,14 +534,6 @@ func TestRoundTripFloat32(t *testing.T) {
 				t.Fatalf("case %d: coord32 %d drifted", i, j)
 			}
 		}
-		if (loaded.SqNorms != nil) != tc.wantNorms {
-			t.Fatalf("case %d: loaded norms presence drifted", i)
-		}
-		for j, v := range s.SqNorms {
-			if loaded.SqNorms[j] != v {
-				t.Fatalf("case %d: norm %d drifted", i, j)
-			}
-		}
 		if (loaded.Graph != nil) != tc.withGraph {
 			t.Fatalf("case %d: graph presence drifted", i)
 		}
@@ -563,14 +550,47 @@ func TestFloat32WriterValidation(t *testing.T) {
 	cases := []func(*Snapshot){
 		func(s *Snapshot) { s.Coords = make([]float64, s.N*s.Dim) }, // both precisions at once
 		func(s *Snapshot) { s.Coords32 = s.Coords32[:len(s.Coords32)-1] },
-		func(s *Snapshot) { s.SqNorms = s.SqNorms[:len(s.SqNorms)-1] },
-		func(s *Snapshot) { s.Coords32 = nil }, // norms without float32 coords
+		func(s *Snapshot) { s.Coords32 = nil }, // no coordinates at all
 	}
 	for i, mutate := range cases {
 		bad := *good
 		mutate(&bad)
 		if err := Write(&bytes.Buffer{}, &bad); err == nil {
 			t.Fatalf("case %d: writer accepted an inconsistent float32 snapshot", i)
+		}
+	}
+}
+
+// TestFloat32LegacyNorms: a dataset32 section from a writer that still
+// stored the squared norms decodes with them bounds-checked and
+// skipped, and re-encodes with a norm count of 0 and without them. A
+// norm count other than 0 or n, or one the section length does not
+// match, is corruption. The bytes are the committed float32-cosine-graph
+// FuzzDecode corpus entry, which Write produced with the norms.
+func TestFloat32LegacyNorms(t *testing.T) {
+	data := corpusEntry(t, "float32-cosine-graph")
+	normCount := func(data []byte) uint64 {
+		return binary.LittleEndian.Uint64(data[sectionOffset(data, kindDataset32)+16:])
+	}
+	s, err := Decode(append([]byte(nil), data...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if normCount(data) != uint64(s.N) {
+		t.Fatalf("corpus entry stores %d norms for %d points", normCount(data), s.N)
+	}
+	again := encode(t, s)
+	if normCount(again) != 0 {
+		t.Fatalf("re-encoding stores %d norms", normCount(again))
+	}
+	if want := len(data) - 8*s.N; len(again) > want {
+		t.Fatalf("re-encoding is %d bytes, want at most %d", len(again), want)
+	}
+	for name, count := range map[string]uint64{"count n-1": uint64(s.N - 1), "count 0": 0, "huge count": 1 << 40} {
+		bad := append([]byte(nil), data...)
+		patchSection(t, bad, kindDataset32, func(p []byte) { binary.LittleEndian.PutUint64(p[16:], count) })
+		if _, err := Decode(bad); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: decode returned %v, want corruption", name, err)
 		}
 	}
 }

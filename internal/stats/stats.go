@@ -4,12 +4,7 @@
 // and figures.
 package stats
 
-import (
-	"math"
-	"sort"
-
-	"github.com/discdiversity/disc/internal/object"
-)
+import "github.com/discdiversity/disc/internal/object"
 
 // Jaccard returns the Jaccard distance 1 - |A∩B|/|A∪B| between two id
 // sets (0 for two empty sets), the dissimilarity measure of Figures 13
@@ -28,32 +23,6 @@ func Jaccard(a, b []int) float64 {
 	}
 	union := len(sa) + len(sb) - inter
 	return 1 - float64(inter)/float64(union)
-}
-
-// Intersection returns the sorted intersection of two id sets.
-func Intersection(a, b []int) []int {
-	sb := toSet(b)
-	var out []int
-	for v := range toSet(a) {
-		if _, ok := sb[v]; ok {
-			out = append(out, v)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Difference returns the sorted members of a not present in b.
-func Difference(a, b []int) []int {
-	sb := toSet(b)
-	var out []int
-	for v := range toSet(a) {
-		if _, ok := sb[v]; !ok {
-			out = append(out, v)
-		}
-	}
-	sort.Ints(out)
-	return out
 }
 
 func toSet(xs []int) map[int]struct{} {
@@ -81,56 +50,4 @@ func CoverageFraction(pts []object.Point, m object.Metric, ids []int, r float64)
 		}
 	}
 	return float64(covered) / float64(len(pts))
-}
-
-// MeanDistToNearest returns the average distance from each object to its
-// nearest selected object (the k-medoids objective).
-func MeanDistToNearest(pts []object.Point, m object.Metric, ids []int) float64 {
-	if len(ids) == 0 || len(pts) == 0 {
-		return math.Inf(1)
-	}
-	var total float64
-	for _, p := range pts {
-		best := math.Inf(1)
-		for _, id := range ids {
-			if d := m.Dist(p, pts[id]); d < best {
-				best = d
-			}
-		}
-		total += best
-	}
-	return total / float64(len(pts))
-}
-
-// Summary holds basic distribution statistics for a series of values.
-type Summary struct {
-	N         int
-	Min, Max  float64
-	Mean, Std float64
-}
-
-// Summarize computes a Summary over vals.
-func Summarize(vals []float64) Summary {
-	s := Summary{N: len(vals), Min: math.Inf(1), Max: math.Inf(-1)}
-	if len(vals) == 0 {
-		return Summary{}
-	}
-	var sum float64
-	for _, v := range vals {
-		sum += v
-		if v < s.Min {
-			s.Min = v
-		}
-		if v > s.Max {
-			s.Max = v
-		}
-	}
-	s.Mean = sum / float64(len(vals))
-	var sq float64
-	for _, v := range vals {
-		d := v - s.Mean
-		sq += d * d
-	}
-	s.Std = math.Sqrt(sq / float64(len(vals)))
-	return s
 }

@@ -54,32 +54,6 @@ func toInts(xs []uint8) []int {
 	return out
 }
 
-func TestSetOps(t *testing.T) {
-	a := []int{1, 2, 3, 4}
-	b := []int{3, 4, 5}
-	if got := Intersection(a, b); !equal(got, []int{3, 4}) {
-		t.Errorf("Intersection=%v", got)
-	}
-	if got := Difference(a, b); !equal(got, []int{1, 2}) {
-		t.Errorf("Difference=%v", got)
-	}
-	if got := Difference(b, a); !equal(got, []int{5}) {
-		t.Errorf("Difference=%v", got)
-	}
-}
-
-func equal(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func TestCoverageFraction(t *testing.T) {
 	pts := []object.Point{{0, 0}, {0.05, 0}, {1, 1}}
 	m := object.Euclidean{}
@@ -91,31 +65,6 @@ func TestCoverageFraction(t *testing.T) {
 	}
 	if got := CoverageFraction(nil, m, nil, 0.1); got != 1 {
 		t.Errorf("empty: %g", got)
-	}
-}
-
-func TestMeanDistToNearest(t *testing.T) {
-	pts := []object.Point{{0}, {1}, {2}}
-	m := object.Euclidean{}
-	got := MeanDistToNearest(pts, m, []int{1})
-	if math.Abs(got-2.0/3) > 1e-12 {
-		t.Errorf("got %g", got)
-	}
-	if !math.IsInf(MeanDistToNearest(pts, m, nil), 1) {
-		t.Error("empty selection should be +Inf")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4})
-	if s.N != 4 || s.Min != 1 || s.Max != 4 || s.Mean != 2.5 {
-		t.Errorf("summary %+v", s)
-	}
-	if math.Abs(s.Std-math.Sqrt(1.25)) > 1e-12 {
-		t.Errorf("std %g", s.Std)
-	}
-	if z := Summarize(nil); z.N != 0 {
-		t.Errorf("empty summary %+v", z)
 	}
 }
 

@@ -153,20 +153,6 @@ func (m SyncMode) String() string {
 	}
 }
 
-// SyncModeByName resolves "always", "interval" or "none".
-func SyncModeByName(name string) (SyncMode, error) {
-	switch name {
-	case "always":
-		return SyncAlways, nil
-	case "interval":
-		return SyncBatched, nil
-	case "none":
-		return SyncNone, nil
-	default:
-		return 0, fmt.Errorf("wal: unknown sync mode %q (supported: always, interval, none)", name)
-	}
-}
-
 // Options configures Open.
 type Options struct {
 	// Epoch is the checkpoint generation to recover and append under —

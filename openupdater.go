@@ -142,7 +142,10 @@ func WithStorageFS(fsys vfs.FS) Option {
 // Respected options: everything NewUpdater takes, plus WithFsync,
 // WithFsyncInterval and WithWALSegmentBytes. The snapshot must be a
 // float64 coverage-graph snapshot (what Updater.Checkpoint and
-// Updater.WriteSnapshot write).
+// Updater.WriteSnapshot write), whose graph rows are ascending by id.
+// A Diversifier's snapshot stores its rows by (distance, id) and does
+// not open as an Updater; only one written before that row order (or
+// one without a graph) does.
 //
 // The durable path feeds the process-wide telemetry registry: appends,
 // fsyncs, rotations and recovery replays are counted and timed

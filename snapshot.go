@@ -31,18 +31,18 @@ func (d *Diversifier) Prepare(r float64) error {
 // WriteSnapshot serialises the diversifier to the versioned .discsnap
 // binary format (see internal/snap for the layout): always the dataset
 // (metric plus row-major coordinates, at the diversifier's configured
-// precision — a Float32 diversifier persists the float32 coordinates
-// and the squared-norm cache of the embedding metrics), the dataset's
-// labels when it was built by NewFromDataset with labels, and the
-// configured backend with its build parameters (seed, parallelism,
-// M-tree capacity), plus whatever prepared per-radius artifacts the
-// current engine holds — for IndexCoverageGraph the ceiling graph
-// (rows sorted by id, as CSR.Validate checks them; the load restores
-// distance order), together with the radius its grid was bucketed at
-// when the graph was grid-joined (the load re-buckets the grid there;
-// the flat-join substrate has no grid). Views below the ceiling are
-// not persisted: they are
-// re-derived from the graph on demand. Backends that rebuild cheaply
+// precision — a Float32 diversifier persists the float32 coordinates;
+// the embedding metrics' squared norms are recomputed on load), the
+// dataset's labels when it was built by NewFromDataset with labels,
+// and the configured backend with its build parameters (seed,
+// parallelism, M-tree capacity), plus whatever prepared per-radius
+// artifacts the current engine holds — for IndexCoverageGraph the
+// ceiling graph exactly as the engine holds it (rows by (distance,
+// id), which the load checks and keeps), together with the radius its
+// grid was bucketed at when the graph was grid-joined (the load
+// re-buckets the grid there; the flat-join substrate has no grid).
+// Views below the ceiling are not persisted: they are re-derived from
+// the graph on demand. Backends that rebuild cheaply
 // or deterministically from the dataset (M-tree and linear scan)
 // persist the dataset only and are rebuilt on load.
 //
@@ -67,14 +67,13 @@ func (d *Diversifier) WriteSnapshot(w io.Writer) error {
 			r := e.Grid().Radius()
 			s.GridRadius = &r
 		}
-		s.Graph = e.CSR().SortedByID(e.Workers())
+		s.Graph = e.CSR()
 		s.GraphRadius = e.Radius()
 	}
 	flat := d.flat
 	s.N, s.Dim = flat.Len(), flat.Dim()
 	if flat.Precision() == PrecisionFloat32 {
-		// De-pad the aligned mirror into the wire layout; the norms cache
-		// rides along so embedding-metric loads skip recomputing it.
+		// De-pad the aligned mirror into the wire layout.
 		stride, dim := flat.Stride32(), flat.Dim()
 		src := flat.Coords32()
 		c := make([]float32, s.N*dim)
@@ -82,7 +81,6 @@ func (d *Diversifier) WriteSnapshot(w io.Writer) error {
 			copy(c[i*dim:(i+1)*dim], src[i*stride:i*stride+dim])
 		}
 		s.Coords32 = c
-		s.SqNorms = flat.SqNorms()
 	} else {
 		s.Coords = flat.Coords()
 	}
@@ -161,7 +159,7 @@ func LoadDiversifier(r io.Reader, opts ...Option) (*Diversifier, error) {
 
 	var flat *object.FlatDataset
 	if s.Coords32 != nil {
-		flat, err = object.NewFlatDataset32(s.Coords32, s.N, s.Dim, o.metric, s.SqNorms)
+		flat, err = object.NewFlatDataset32(s.Coords32, s.N, s.Dim, o.metric)
 	} else {
 		flat, err = object.NewFlatDataset(s.Coords, s.N, s.Dim, o.metric)
 	}
