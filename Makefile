@@ -69,15 +69,15 @@ bench-serve:
 
 ## bench-guard: vet, the zero-allocation regression tests (they carry
 ## a !race build tag, so `make test` never runs them), a compile-and-
-## run pass over the selection and neighbour-query benchmarks with
-## -benchmem, then a re-measure of every gated suite on the canonical
+## run pass over the selection, neighbour-query and zoom-out benchmarks
+## with -benchmem, then a re-measure of every gated suite on the canonical
 ## workloads, diffed by cmd/benchguard against its checked-in baseline
 ## under BENCH_TOLERANCE (README.md, "Benchmarks", has the row schema
 ## and the gating rules). All outputs are CI artifacts.
 bench-guard:
 	$(GO) vet ./...
 	$(GO) test ./internal/core ./internal/telemetry -run 'ZeroAlloc|Allocs' -v -count=1
-	@$(GO) test -run '^$$' -bench='Select|Neighbors|GreedyDisC' -benchtime=1x -benchmem -timeout 20m ./... > bench-guard.txt 2>&1; \
+	@$(GO) test -run '^$$' -bench='Select|Neighbors|GreedyDisC|ZoomOut' -benchtime=1x -benchmem -timeout 20m ./... > bench-guard.txt 2>&1; \
 	status=$$?; cat bench-guard.txt; exit $$status
 	$(GO) run ./cmd/discbench -exp perf -n $(BENCH_N) -r $(BENCH_R) -format=json > bench-current.json
 	$(GO) run ./cmd/discbench -exp snapshot -n $(BENCH_N) -r $(BENCH_R) -format=json > snapshot-bench.json

@@ -205,6 +205,37 @@ func BenchmarkZoomOut(b *testing.B) {
 	}
 }
 
+// BenchmarkZoomOutAboveCeiling measures Greedy-Zoom-Out (a) to 2r on the
+// coverage graph, where every range query lies above the graph's
+// ceiling and runs the grid fallback: 5,000 clustered 2-d points, a
+// graph joined at 0.015 and selections at four radii up to it, each
+// zoomed in turn (the perfbench explore workload's shape).
+func BenchmarkZoomOutAboveCeiling(b *testing.B) {
+	ds, err := disc.ClusteredDataset(5000, 2, 10, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := disc.New(ds.Points, disc.WithIndex(disc.IndexCoverageGraph))
+	if err != nil {
+		b.Fatal(err)
+	}
+	radii := []float64{0.008, 0.01, 0.012, 0.015}
+	sels := make([]*disc.Result, len(radii))
+	for i, r := range radii {
+		if sels[i], err = d.Select(r); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % len(radii)
+		if _, err := d.ZoomOut(sels[j], 2*radii[j], disc.ZoomOutGreedyLargest); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- engine comparison on large synthetic clusters ---
 //
 // The paper-style comparison the coverage-graph work targets:

@@ -5,7 +5,8 @@ import "slices"
 // bucketQueue is L′, the paper's priority list of white-neighbourhood
 // sizes, for every greedy run in this package: Greedy-DisC over an
 // engine or an adjacency, the live run, Greedy-C and Fast-C, the
-// greedy zooms (global and local) and greedy multi-radius DisC. It
+// greedy zooms (global and local, and the red keys of Greedy-Zoom-Out
+// (a)'s first pass) and greedy multi-radius DisC. It
 // exploits two properties of those runs: keys (neighbourhood counts)
 // are small non-negative integers that only ever decrease, and the pop
 // order is (key desc, id asc) with deferred invalidation — a decrement

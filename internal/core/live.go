@@ -331,8 +331,8 @@ func (l *LiveDisC) place(p object.Point) (int, error) {
 // scanRange is the neighbour source for metrics the grid cannot serve:
 // it appends every live row within r of q, excluding id exclude, in
 // ascending id order. Candidates pass the test MutGrid.AppendRange
-// applies (kernel Within, then Finish(Raw) against r), so the
-// distances are bit-identical to grid.FlatJoin's.
+// applies (the kernel's one-call InRange), so the distances are
+// bit-identical to grid.FlatJoin's.
 func (l *LiveDisC) scanRange(dst []object.Neighbor, q []float64, exclude int) []object.Neighbor {
 	k := l.dyn.Kernel()
 	rawR := k.RawThreshold(l.r)
@@ -341,11 +341,8 @@ func (l *LiveDisC) scanRange(dst []object.Neighbor, q []float64, exclude int) []
 			continue
 		}
 		l.accesses++
-		row := l.dyn.Row(id)
-		if k.Within(q, row, rawR) {
-			if d := k.Finish(k.Raw(row, q)); d <= l.r {
-				dst = append(dst, object.Neighbor{ID: id, Dist: d})
-			}
+		if d, ok := k.InRange(q, l.dyn.Row(id), rawR, l.r); ok {
+			dst = append(dst, object.Neighbor{ID: id, Dist: d})
 		}
 	}
 	return dst

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand/v2"
 	"slices"
 	"testing"
 
@@ -124,24 +125,66 @@ func TestZoomOutProducesValidSolution(t *testing.T) {
 // red, select the one with the most (a) or fewest (b) red neighbours
 // within rNew, ties to the smaller id; it and its red neighbours then
 // leave the red set. The zoomed solution's selection order must start
-// with exactly that sequence, on both the scan and the tree engine.
+// with exactly that sequence, on the scan engine, the tree engine and
+// the coverage graph above its ceiling (the grid fallback). The lattice
+// case gives many reds the same key at every round, so the tie rule,
+// not the keys alone, decides the order.
 func TestZoomOutRedKeyPassOne(t *testing.T) {
-	pts := randomPoints(600, 2, 17)
 	m := object.Euclidean{}
-	for engName, e := range bothEngines(t, pts, m) {
-		prev := baseSolution(t, e, 0.03)
-		for _, rNew := range []float64{0.05, 0.09} {
-			for _, v := range []ZoomOutVariant{ZoomOutGreedyA, ZoomOutGreedyB} {
-				want := redKeyReference(pts, m, prev.IDs, rNew, v == ZoomOutGreedyA)
-				zoomed, err := ZoomOut(e, prev, rNew, v)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(zoomed.IDs) < len(want) || !equalInts(zoomed.IDs[:len(want)], want) {
-					t.Errorf("%s %v rNew=%g: pass one selected %v, want %v", engName, v, rNew, zoomed.IDs[:min(len(want), len(zoomed.IDs))], want)
-				}
+	check := func(name string, pts []object.Point, prev *Solution, e Engine, rNew float64) {
+		t.Helper()
+		for _, v := range []ZoomOutVariant{ZoomOutGreedyA, ZoomOutGreedyB} {
+			want := redKeyReference(pts, m, prev.IDs, rNew, v == ZoomOutGreedyA)
+			zoomed, err := ZoomOut(e, prev, rNew, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(zoomed.IDs) < len(want) || !equalInts(zoomed.IDs[:len(want)], want) {
+				t.Errorf("%s %v rNew=%g: pass one selected %v, want %v", name, v, rNew, zoomed.IDs[:min(len(want), len(zoomed.IDs))], want)
 			}
 		}
+	}
+	engines := func(pts []object.Point, ceiling float64) map[string]Engine {
+		es := bothEngines(t, pts, m)
+		g, err := BuildParallelGraphEngine(pts, m, ceiling, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		es["graph"] = g
+		return es
+	}
+
+	pts := randomPoints(600, 2, 17)
+	for engName, e := range engines(pts, 0.03) {
+		prev := baseSolution(t, e, 0.03)
+		for _, rNew := range []float64{0.05, 0.09} {
+			check(engName, pts, prev, e, rNew)
+		}
+	}
+
+	// Tied keys: the reds are an 8×8 lattice at spacing 0.125 (exact in
+	// binary), in a scrambled id order among scattered whites. At
+	// rNew = 0.13 each red's red neighbours are its lattice neighbours,
+	// so the 36 interior reds share the largest key 4.
+	rng := rand.New(rand.NewPCG(19, 23))
+	lattice := make([]object.Point, 0, 64)
+	for i := 0; i < 8; i++ {
+		for j := 0; j < 8; j++ {
+			lattice = append(lattice, object.Point{0.125 * float64(i), 0.125 * float64(j)})
+		}
+	}
+	pts = make([]object.Point, 0, 300)
+	var reds []int
+	for _, li := range rng.Perm(len(lattice)) {
+		for rng.IntN(3) > 0 {
+			pts = append(pts, object.Point{rng.Float64(), rng.Float64()})
+		}
+		reds = append(reds, len(pts))
+		pts = append(pts, lattice[li])
+	}
+	prev := &Solution{Algorithm: "lattice", Radius: 0.1, IDs: reds}
+	for engName, e := range engines(pts, 0.1) {
+		check(engName+"/lattice", pts, prev, e, 0.13)
 	}
 }
 

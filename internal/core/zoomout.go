@@ -125,6 +125,13 @@ func zoomOutPassOnePlain(e Engine, s *coloring, prev *Solution, rNew float64, co
 // red is selected; counts are maintained through the red-red adjacency.
 // Per-red state lives in slices indexed by the red's position in reds
 // (ascending id), with the neighbourhoods packed into one buffer.
+//
+// Keys only decrease, so variation (a)'s pick, the largest key with ties
+// to the lowest slot and so to the lowest id, is the bucket queue's
+// (key desc, id asc) protocol, and it pops from one. Variation (b) picks
+// the smallest key, which a decreasing key can undercut after it was
+// passed over; that order falls outside the protocol, so (b) keeps the
+// linear scan over the reds each round.
 func zoomOutPassOneRedKey(e Engine, s *coloring, prev *Solution, rNew float64, largest bool, colorNeighbors func([]object.Neighbor)) {
 	reds := append([]int(nil), prev.IDs...)
 	sort.Ints(reds)
@@ -155,15 +162,23 @@ func zoomOutPassOneRedKey(e Engine, s *coloring, prev *Solution, rNew float64, l
 			}
 		}
 	}
+	isRed := func(i int) bool { return s.colors[reds[i]] == Red }
+	var q bucketQueue
+	if largest {
+		fill(&q, redCount, isRed)
+	}
 	for {
-		best, bestKey := -1, 0
-		for i, pi := range reds {
-			if s.colors[pi] != Red {
-				continue
+		best := -1
+		if largest {
+			if i, ok := popLive(&q, redCount, isRed); ok {
+				best = i
 			}
-			k := redCount[i]
-			if best == -1 || (largest && k > bestKey) || (!largest && k < bestKey) {
-				best, bestKey = i, k
+		} else {
+			bestKey := 0
+			for i := range reds {
+				if isRed(i) && (best == -1 || redCount[i] < bestKey) {
+					best, bestKey = i, redCount[i]
+				}
 			}
 		}
 		if best == -1 {

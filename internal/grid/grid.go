@@ -263,18 +263,25 @@ func NewScratch(dim int) *Scratch {
 }
 
 // setup positions the scratch on the cell range covering radius rq
-// around q and returns the flattened index of the first cell. The range
-// is the centre cell ± reach per dimension, clamped to the directory;
-// reach = ⌊rq/cell⌋+1 is conservative (it absorbs both the exact
-// quotient landing on an integer and coordinate→cell rounding), and also
-// covers queries outside the bounding box, whose true neighbours can
-// only lie within reach cells of the clamped centre.
-func (g *Grid) setup(s *Scratch, q []float64, rq float64) int32 {
+// around q and returns the range's first cell and its run span. The
+// range is the centre cell ± reach per dimension, clamped to the
+// directory; reach = ⌊rq/cell⌋+1 is conservative (it absorbs both the
+// exact quotient landing on an integer and coordinate→cell rounding),
+// and also covers queries outside the bounding box, whose true
+// neighbours can only lie within reach cells of the clamped centre.
+//
+// The scans walk the range in runs: the cells of one row along the last
+// dimension have consecutive flattened indexes (its stride is 1), so
+// their members are the one slice ids[start[c]:start[c+span+1]], where
+// c is the row's first cell and span = hi−lo along that dimension. The
+// odometer steps over the outer dimensions only (nextRun), and the runs
+// come in cell order, so a scan answers exactly as a cell-by-cell walk
+// would.
+func (g *Grid) setup(s *Scratch, q []float64, rq float64) (first, span int32) {
 	reach := g.maxND // covers the whole directory in every dimension
 	if f := rq / g.cell; f < float64(g.maxND-1) {
 		reach = int32(f) + 1
 	}
-	var first int32
 	for i := range q {
 		c := g.coordCell(i, q[i])
 		lo, hi := c-reach, c+reach
@@ -287,13 +294,20 @@ func (g *Grid) setup(s *Scratch, q []float64, rq float64) int32 {
 		s.lo[i], s.hi[i], s.cur[i] = lo, hi, lo
 		first += lo * g.stride[i]
 	}
-	return first
+	last := len(q) - 1
+	return first, s.hi[last] - s.lo[last]
 }
 
-// next advances the odometer and returns the next flattened cell index,
-// or -1 when the range is exhausted.
-func (g *Grid) next(s *Scratch, idx int32) int32 {
-	return ringNext(s.cur, s.lo, s.hi, g.stride, idx)
+// nextRun returns the first cell of the run after the one starting at
+// c, or -1 when the range is exhausted.
+func (g *Grid) nextRun(s *Scratch, c int32) int32 {
+	outer := len(s.cur) - 1
+	return ringNext(s.cur[:outer], s.lo[:outer], s.hi[:outer], g.stride[:outer], c)
+}
+
+// run returns the members of the span+1 cells starting at c.
+func (g *Grid) run(c, span int32) []int32 {
+	return g.ids[g.start[c]:g.start[c+span+1]]
 }
 
 // before reports whether a sorts before b: by id, or by ascending
@@ -361,26 +375,28 @@ func sortRow(ns []object.Neighbor, byDist bool) {
 // -1 for none) to dst in cell order — the cells of the scanned range in
 // flattened order, ascending ids within a cell; no consumer needs id
 // order, so none is paid for — and returns the extended slice,
-// allocating only when dst must grow. Each cell's candidate ids
-// are ranged through the dataset's batched gather filter (fused
-// threshold test, float32 pre-filter when the mirror exists), so
-// distances stay bit-identical to a brute-force scan. Each candidate
-// examined adds one to *examined when it is non-nil.
+// allocating only when dst must grow. The range is walked in runs of
+// cells along the last dimension, each run's members handed to the
+// dataset's gather (AppendRangeIDs: the float32 pre-filter when the
+// mirror exists, otherwise one kernel call per candidate), so distances
+// stay bit-identical to a brute-force scan. Each candidate examined adds
+// one to *examined when it is non-nil.
 func (g *Grid) AppendRange(dst []object.Neighbor, q []float64, rq float64, exclude int, examined *int64, s *Scratch) []object.Neighbor {
 	var acc int64
 	qid := -1
 	if exclude >= 0 && g.flat.IsRow(q, exclude) {
 		qid = exclude
 	}
+	c, span := g.setup(s, q, rq)
 	if exclude < 0 || qid >= 0 {
-		for c := g.setup(s, q, rq); c >= 0; c = g.next(s, c) {
-			ids := g.ids[g.start[c]:g.start[c+1]]
+		for ; c >= 0; c = g.nextRun(s, c) {
+			ids := g.run(c, span)
 			acc += int64(len(ids))
 			dst = g.flat.AppendRangeIDs(dst, q, qid, ids, exclude, rq)
 		}
 		if qid >= 0 {
 			// Row qid sits in a visited cell (its cell contains q) and
-			// was skipped, not examined; the per-cell charge counted it.
+			// was skipped, not examined; the per-run charge counted it.
 			acc--
 		}
 	} else {
@@ -388,17 +404,14 @@ func (g *Grid) AppendRange(dst []object.Neighbor, q []float64, rq float64, exclu
 		// models this accounting, so keep the per-candidate scan.
 		k := g.flat.Kernel()
 		rawR := k.RawThreshold(rq)
-		for c := g.setup(s, q, rq); c >= 0; c = g.next(s, c) {
-			for _, id := range g.ids[g.start[c]:g.start[c+1]] {
+		for ; c >= 0; c = g.nextRun(s, c) {
+			for _, id := range g.run(c, span) {
 				if int(id) == exclude {
 					continue
 				}
 				acc++
-				row := g.flat.Row(int(id))
-				if k.Within(q, row, rawR) {
-					if d := k.Finish(k.Raw(row, q)); d <= rq {
-						dst = append(dst, object.Neighbor{ID: int(id), Dist: d})
-					}
+				if d, ok := k.InRange(q, g.flat.Row(int(id)), rawR, rq); ok {
+					dst = append(dst, object.Neighbor{ID: int(id), Dist: d})
 				}
 			}
 		}
@@ -419,20 +432,16 @@ func (g *Grid) AppendRangeWhite(dst []object.Neighbor, q []float64, rq float64, 
 	coords := g.flat.Coords()
 	dim := g.flat.Dim()
 	var acc int64
-	for c := g.setup(s, q, rq); c >= 0; c = g.next(s, c) {
-		for _, id := range g.ids[g.start[c]:g.start[c+1]] {
+	c, span := g.setup(s, q, rq)
+	for ; c >= 0; c = g.nextRun(s, c) {
+		for _, id := range g.run(c, span) {
 			if int(id) == exclude || !white.Test(int(id)) {
 				continue
 			}
 			acc++
 			off := int(id) * dim
-			row := coords[off : off+dim : off+dim]
-			// Fused threshold test first (early exit at high dim); the
-			// raw recomputation on the rare survivors is bit-identical.
-			if k.Within(q, row, rawR) {
-				if d := k.Finish(k.Raw(row, q)); d <= rq {
-					dst = append(dst, object.Neighbor{ID: int(id), Dist: d})
-				}
+			if d, ok := k.InRange(q, coords[off:off+dim:off+dim], rawR, rq); ok {
+				dst = append(dst, object.Neighbor{ID: int(id), Dist: d})
 			}
 		}
 	}

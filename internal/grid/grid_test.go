@@ -137,13 +137,13 @@ func TestGridAppendRangeWhite(t *testing.T) {
 					}
 				}
 				var whiteScanned int64
-				for c := g.setup(s, q, rq); c >= 0; c = g.next(s, c) {
+				eachCell(g, s, q, rq, func(c int32) {
 					for _, cid := range g.ids[g.start[c]:g.start[c+1]] {
 						if int(cid) != exclude && some.Test(int(cid)) {
 							whiteScanned++
 						}
 					}
-				}
+				})
 				charged = 0
 				if got := g.AppendRangeWhite(nil, q, rq, exclude, &some, &charged, s); !equalNeighbors(got, want) || charged != whiteScanned {
 					t.Fatalf("dim=%d rq=%g id=%d: %v charged %d, want %v charged %d", dim, rq, exclude, got, charged, want, whiteScanned)
@@ -471,5 +471,116 @@ func TestCSRValidate(t *testing.T) {
 	}
 	if err := c.ValidateByDist(n, r); err == nil {
 		t.Fatal("ValidateByDist accepted a neighbour listed twice")
+	}
+}
+
+// eachCell is the per-cell reference walk of the scanned range: the
+// odometer over every dimension, calling fn once per cell in flattened
+// order, as the scans did before they walked runs of cells.
+func eachCell(g *Grid, s *Scratch, q []float64, rq float64, fn func(c int32)) {
+	c, _ := g.setup(s, q, rq)
+	for ; c >= 0; c = ringNext(s.cur, s.lo, s.hi, g.stride, c) {
+		fn(c)
+	}
+}
+
+// cellScan is the per-cell, per-pair reference of AppendRange and
+// AppendRangeWhite (white nil for the former): every member of every
+// cell in flattened order, except exclude and ids white clears, is
+// charged and kept when Finish(Raw(row, q)) passes the RawThreshold
+// protocol.
+func cellScan(g *Grid, q []float64, rq float64, exclude int, white *bitset.Set) ([]object.Neighbor, int64) {
+	k := g.flat.Kernel()
+	rawR := k.RawThreshold(rq)
+	var out []object.Neighbor
+	var examined int64
+	eachCell(g, NewScratch(len(q)), q, rq, func(c int32) {
+		for _, id32 := range g.ids[g.start[c]:g.start[c+1]] {
+			id := int(id32)
+			if id == exclude || (white != nil && !white.Test(id)) {
+				continue
+			}
+			examined++
+			if raw := k.Raw(g.flat.Row(id), q); raw <= rawR {
+				if d := k.Finish(raw); d <= rq {
+					out = append(out, object.Neighbor{ID: id, Dist: d})
+				}
+			}
+		}
+	})
+	return out, examined
+}
+
+// sameBits reports whether two neighbour lists hold the same ids in the
+// same order with bit-identical distances.
+func sameBits(a, b []object.Neighbor) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].ID != b[i].ID || math.Float64bits(a[i].Dist) != math.Float64bits(b[i].Dist) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestRunScanMatchesCellScan pins the run walk of AppendRange and
+// AppendRangeWhite against the per-cell reference: the same ids in the
+// same order, bit-identical distances and the same examined charge, in
+// 1–4 dimensions, for radii from 0 to past the directory (reach clamped
+// to maxND), queries that are rows, copies of rows and points outside
+// the bounding box, and exclude set to the query row, another id and -1.
+func TestRunScanMatchesCellScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for dim := 1; dim <= 4; dim++ {
+		for _, m := range []object.Metric{object.Euclidean{}, object.Manhattan{}, object.Chebyshev{}} {
+			n := 150
+			flat := randomFlat(t, n, dim, m, int64(300+dim))
+			g, err := Build(flat, 0.05)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := NewScratch(dim)
+			var white bitset.Set
+			white.Reset(n)
+			for id := 0; id < n; id++ {
+				if rng.Intn(3) > 0 {
+					white.Set(id)
+				}
+			}
+			for trial := 0; trial < 24; trial++ {
+				id := rng.Intn(n)
+				q := flat.Row(id)
+				switch trial % 4 {
+				case 1: // a copy of the row: not the row's storage
+					q = append([]float64(nil), q...)
+				case 2: // outside the bounding box
+					q = make([]float64, dim)
+					for j := range q {
+						q[j] = -0.5 + 2*rng.Float64()
+					}
+					q[rng.Intn(dim)] = 1.5
+				}
+				// An exact pair distance puts a candidate at exactly rq.
+				atR := m.Dist(object.Point(q), object.Point(flat.Row(rng.Intn(n))))
+				for _, rq := range []float64{0, 0.01, 0.05, atR, 0.3, 4} {
+					for _, exclude := range []int{id, rng.Intn(n), -1} {
+						var examined int64
+						got := g.AppendRange(nil, q, rq, exclude, &examined, s)
+						want, wantExamined := cellScan(g, q, rq, exclude, nil)
+						if !sameBits(got, want) || examined != wantExamined {
+							t.Fatalf("%s dim=%d rq=%g exclude=%d: %v examined %d, want %v examined %d", m.Name(), dim, rq, exclude, got, examined, want, wantExamined)
+						}
+						examined = 0
+						got = g.AppendRangeWhite(nil, q, rq, exclude, &white, &examined, s)
+						want, wantExamined = cellScan(g, q, rq, exclude, &white)
+						if !sameBits(got, want) || examined != wantExamined {
+							t.Fatalf("%s dim=%d rq=%g exclude=%d white: %v examined %d, want %v examined %d", m.Name(), dim, rq, exclude, got, examined, want, wantExamined)
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -328,10 +328,10 @@ func (g *Grid) shardCells(workers int) []int32 {
 // joinRange runs the ε-join for the cells in [cLo, cHi), returning the
 // worker's degree counts, undirected edge list and examined count; it
 // returns early, with partial results, once b trips. Each
-// cell's candidate id list is ranged through the dataset's batched
-// gather filter, so the per-candidate work is the fused threshold test
-// (with the float32 pre-filter when the dataset carries the mirror)
-// rather than a kernel call per pair.
+// cell's candidate id list goes through the dataset's gather
+// (AppendRangeIDs): the float32 pre-filter when the dataset carries the
+// mirror, otherwise one kernel call per candidate, inlined for the 2-d
+// Euclidean body.
 func (g *Grid) joinRange(r float64, cLo, cHi int32, b *entryBudget) ([]int32, []edge, int64) {
 	n, dim := g.flat.Len(), g.flat.Dim()
 	deg := make([]int32, n)

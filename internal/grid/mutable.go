@@ -206,9 +206,9 @@ func removeID(s []int32, id int32) []int32 {
 // AppendRange appends every live point within rq of q (excluding id
 // exclude; -1 for none) to dst in ascending id order, the order the
 // live adjacency merges rely on. Candidates come from the clamped cell
-// range covering rq, as in Grid.AppendRange, and are verified with the
-// compiled kernel, so distances are bit-identical to the batch
-// ε-join's.
+// range covering rq, as in Grid.AppendRange, and take the kernel's
+// one-call range test (InRange), so distances are bit-identical to the
+// batch ε-join's.
 func (g *MutGrid) AppendRange(dst []object.Neighbor, q []float64, rq float64, exclude int, examined *int64, s *Scratch) []object.Neighbor {
 	if g.ncells == 0 {
 		return dst
@@ -247,11 +247,8 @@ func (g *MutGrid) AppendRange(dst []object.Neighbor, q []float64, rq float64, ex
 				continue
 			}
 			acc++
-			row := g.dyn.Row(int(id))
-			if k.Within(q, row, rawR) {
-				if d := k.Finish(k.Raw(row, q)); d <= rq {
-					dst = append(dst, object.Neighbor{ID: int(id), Dist: d})
-				}
+			if d, ok := k.InRange(q, g.dyn.Row(int(id)), rawR, rq); ok {
+				dst = append(dst, object.Neighbor{ID: int(id), Dist: d})
 			}
 		}
 	}

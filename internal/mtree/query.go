@@ -108,12 +108,8 @@ func (t *Tree) searchLeaf(n *node, dqParent float64, s *search, dst []object.Nei
 		if cheap && math.Abs(dqParent-e.dparent) > s.r {
 			continue
 		}
-		// Fused threshold test (early exit at high dim); the raw
-		// recomputation on the rare survivors is bit-identical.
-		if t.kern.Within(s.q, e.pt, s.rawR) {
-			if d := t.kern.Finish(t.kern.Raw(s.q, e.pt)); d <= s.r {
-				dst = append(dst, object.Neighbor{ID: e.id, Dist: d})
-			}
+		if d, ok := t.kern.InRange(s.q, e.pt, s.rawR, s.r); ok {
+			dst = append(dst, object.Neighbor{ID: e.id, Dist: d})
 		}
 	}
 	return dst

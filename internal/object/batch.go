@@ -27,11 +27,29 @@ func (k *Kernel) RawBatch(q, rows []float64, out []float64) {
 	k.rawBatch(q, rows, k.dim, out)
 }
 
-// Within reports Raw(q, row) <= rawR, stopping the accumulation early
-// when the partial value already exceeds rawR (monotone metrics only;
-// the answer is always exact).
-func (k *Kernel) Within(q, row []float64, rawR float64) bool {
-	return k.within(q, row, rawR)
+// InRange is the one-call range test of a single candidate: it returns
+// d = Finish(Raw(row, q)) and whether Raw passed rawR and d <= r, the
+// test every float64 range scan applies. Below blockDim the monotone
+// bodies of within fold exactly Raw's terms and never exit early, so
+// one Raw call decides; at or above it, and for custom metrics, the
+// early-exit within test runs first and Raw is recomputed only for its
+// survivors. For a custom metric the test reads Raw(q, row) and the
+// distance Raw(row, q), which agree by the Metric contract's symmetry.
+// d is meaningful only when ok is true.
+func (k *Kernel) InRange(q, row []float64, rawR, r float64) (d float64, ok bool) {
+	if k.direct {
+		raw := k.raw(row, q)
+		if !(raw <= rawR) {
+			return 0, false
+		}
+		d = k.Finish(raw)
+		return d, d <= r
+	}
+	if !k.within(q, row, rawR) {
+		return 0, false
+	}
+	d = k.Finish(k.raw(row, q))
+	return d, d <= r
 }
 
 // FilterWithin appends base+j to dst for every row j of the contiguous
@@ -56,6 +74,7 @@ func (k *Kernel) FilterWithin(q, rows []float64, base int32, rawR float64, dst [
 // bodies CompileKernel selected. Custom metrics get generic loops over
 // the already-installed raw so the batch API works unconditionally.
 func compileBatch(k *Kernel) {
+	k.direct = k.dim < blockDim
 	switch k.metric.(type) {
 	case Euclidean:
 		k.rawBatch = rawBatchSqEuclidean
@@ -76,6 +95,10 @@ func compileBatch(k *Kernel) {
 		k.rawBatch = rawBatchDot
 		k.within = withinDot
 	default:
+		// within tests raw(q, row) and survivors recompute raw(row, q):
+		// nothing makes a user body bitwise symmetric, so InRange keeps
+		// both calls.
+		k.direct = false
 		raw := k.raw
 		k.rawBatch = func(q, rows []float64, dim int, out []float64) {
 			for j := range out {

@@ -109,6 +109,76 @@ func TestFloat64GatherMatchesScalar(t *testing.T) {
 	}
 }
 
+// TestFloat64DirectScanMatchesScalar pins the one-call candidate test
+// of the low-dimensional float64 scans (the inlined 2-d
+// squared-Euclidean gather and the InRange loops, with the blocked
+// early-exit form past blockDim) against the per-pair reference
+// Finish(Raw(q, row)) <= r: the same ids in the same order with
+// bit-identical distances, for AppendRangeIDs in candidate order and
+// AppendRange in id order, row and external queries alike, at radii
+// equal to an exact pair distance and one ULP below it.
+func TestFloat64DirectScanMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewPCG(73, 79))
+	for _, m := range []Metric{Euclidean{}, Manhattan{}, Chebyshev{}} {
+		for dim := 1; dim <= blockDim+1; dim++ {
+			n := 40
+			f, err := Flatten(embeddingPoints(rng, n, dim), m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := CompileKernel(m, dim)
+			all := make([]int, n)
+			for i := range all {
+				all[i] = i
+			}
+			for trial := 0; trial < 20; trial++ {
+				qid := rng.IntN(n)
+				q := f.Row(qid)
+				ext := append([]float64(nil), q...)
+				perm := rng.Perm(n)
+				ids32 := make([]int32, n/2)
+				for i := range ids32 {
+					ids32[i] = int32(perm[i])
+				}
+				d := f.Dist(qid, int(ids32[0]))
+				for _, r := range []float64{d, math.Nextafter(d, math.Inf(-1)), 2 * d} {
+					ref := func(ids []int) []Neighbor {
+						var want []Neighbor
+						for _, id := range ids {
+							if id == qid {
+								continue
+							}
+							if dd := k.Finish(k.Raw(q, f.Row(id))); dd <= r {
+								want = append(want, Neighbor{ID: id, Dist: dd})
+							}
+						}
+						return want
+					}
+					gather := ref(perm[:n/2])
+					rows := ref(all)
+					for pass, c := range []struct {
+						got, want []Neighbor
+					}{
+						{f.AppendRangeIDs(nil, nil, qid, ids32, qid, r), gather},
+						{f.AppendRangeIDs(nil, ext, -1, ids32, qid, r), gather},
+						{f.AppendRange(nil, q, r, qid), rows},
+						{f.AppendRange(nil, ext, r, qid), rows},
+					} {
+						if len(c.got) != len(c.want) {
+							t.Fatalf("%s/%d qid=%d r=%v pass=%d: %v want %v", m.Name(), dim, qid, r, pass, c.got, c.want)
+						}
+						for i := range c.got {
+							if c.got[i].ID != c.want[i].ID || math.Float64bits(c.got[i].Dist) != math.Float64bits(c.want[i].Dist) {
+								t.Fatalf("%s/%d qid=%d r=%v pass=%d: hit %d = %+v want %+v", m.Name(), dim, qid, r, pass, i, c.got[i], c.want[i])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestWithin4SqEuclideanNeverFalselyRejects drives the raw filter
 // directly with adversarial magnitude mixes: whenever the reference
 // squared distance is within rawR, the widened filter must pass.

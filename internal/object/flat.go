@@ -153,9 +153,8 @@ func (f *FlatDataset) AppendRange(dst []Neighbor, q []float64, r float64, exclud
 // adds the number of candidates examined to *examined. Points outside
 // white are neither examined nor charged: this is the pruning rule's
 // scan over the whole dataset (grid.AppendRangeWhite is the cell-ring
-// form). Each candidate takes the fused threshold test, and survivors
-// the exact recomputation, so distances are bit-identical to
-// AppendRange's.
+// form). Each candidate takes the kernel's range test (InRange), so
+// distances are bit-identical to AppendRange's.
 func (f *FlatDataset) AppendRangeWhite(dst []Neighbor, q []float64, r float64, exclude int, white *bitset.Set, examined *int64) []Neighbor {
 	k := f.kern
 	rawR := k.RawThreshold(r)
@@ -166,11 +165,8 @@ func (f *FlatDataset) AppendRangeWhite(dst []Neighbor, q []float64, r float64, e
 			continue
 		}
 		acc++
-		row := f.coords[off : off+dim : off+dim]
-		if k.Within(q, row, rawR) {
-			if d := k.Finish(k.Raw(row, q)); d <= r {
-				dst = append(dst, Neighbor{ID: j, Dist: d})
-			}
+		if d, ok := k.InRange(q, f.coords[off:off+dim:off+dim], rawR, r); ok {
+			dst = append(dst, Neighbor{ID: j, Dist: d})
 		}
 	}
 	*examined += acc

@@ -220,7 +220,8 @@ func filterSlack32(dim int) float64 { return float64(dim+64) * 0x1p-24 }
 // marks the query as row qid (q may then be nil) and unlocks the
 // float32 pre-filters; qid < 0 scans an external point q with the
 // float64 kernels, which above filter64MinDim still route through the
-// widened float64 pre-filters (filter64.go).
+// widened float64 pre-filters (filter64.go). The plain scan tests each
+// candidate with one kernel call (InRange).
 func (f *FlatDataset) appendRows(dst []Neighbor, q []float64, qid, lo, hi, exclude int, r float64) []Neighbor {
 	rawR := f.kern.RawThreshold(r)
 	if qid >= 0 && f.f32OK {
@@ -258,18 +259,14 @@ func (f *FlatDataset) appendRows(dst []Neighbor, q []float64, qid, lo, hi, exclu
 	case DotProduct:
 		return f.appendRowsDot(dst, q, lo, hi, exclude, r)
 	}
+	k := &f.kern
 	dim := f.dim
-	within := f.kern.within
-	raw := f.kern.raw
 	for id, off := lo, lo*dim; id < hi; id, off = id+1, off+dim {
 		if id == exclude {
 			continue
 		}
-		row := f.coords[off : off+dim : off+dim]
-		if within(q, row, rawR) {
-			if d := f.kern.Finish(raw(row, q)); d <= r {
-				dst = append(dst, Neighbor{ID: id, Dist: d})
-			}
+		if d, ok := k.InRange(q, f.coords[off:off+dim:off+dim], rawR, r); ok {
+			dst = append(dst, Neighbor{ID: id, Dist: d})
 		}
 	}
 	return dst
@@ -279,7 +276,9 @@ func (f *FlatDataset) appendRows(dst []Neighbor, q []float64, qid, lo, hi, exclu
 // except exclude whose distance to the query is <= r. qid >= 0 marks
 // the query as row qid and unlocks the float32 pre-filter (Euclidean);
 // the grid's cell scans are its caller, and the grid only serves the Lp
-// metrics, so no cosine/dot gather variant exists.
+// metrics, so no cosine/dot gather variant exists. The float64 scan
+// below the pre-filters tests each candidate with one kernel call,
+// made directly for the 2-d Euclidean body so it inlines.
 func (f *FlatDataset) AppendRangeIDs(dst []Neighbor, q []float64, qid int, ids []int32, exclude int, r float64) []Neighbor {
 	rawR := f.kern.RawThreshold(r)
 	if qid >= 0 && f.f32OK && rawR >= 0x1p-80 {
@@ -295,20 +294,32 @@ func (f *FlatDataset) AppendRangeIDs(dst []Neighbor, q []float64, qid int, ids [
 			return f.appendIDs64Euclidean(dst, q, ids, exclude, r, rawR)
 		}
 	}
+	k := &f.kern
 	dim := f.dim
-	within := f.kern.within
-	raw := f.kern.raw
+	if k.squared && dim == 2 {
+		q := q[:2:2]
+		for _, id32 := range ids {
+			id := int(id32)
+			if id == exclude {
+				continue
+			}
+			off := id * 2
+			if raw := sqEuclidean2(f.coords[off:off+2:off+2], q); raw <= rawR {
+				if d := math.Sqrt(raw); d <= r {
+					dst = append(dst, Neighbor{ID: id, Dist: d})
+				}
+			}
+		}
+		return dst
+	}
 	for _, id32 := range ids {
 		id := int(id32)
 		if id == exclude {
 			continue
 		}
 		off := id * dim
-		row := f.coords[off : off+dim : off+dim]
-		if within(q, row, rawR) {
-			if d := f.kern.Finish(raw(row, q)); d <= r {
-				dst = append(dst, Neighbor{ID: id, Dist: d})
-			}
+		if d, ok := k.InRange(q, f.coords[off:off+dim:off+dim], rawR, r); ok {
+			dst = append(dst, Neighbor{ID: id, Dist: d})
 		}
 	}
 	return dst

@@ -37,6 +37,10 @@ type Kernel struct {
 	// threshold.
 	rawBatch func(q, rows []float64, dim int, out []float64)
 	within   func(q, row []float64, rawR float64) bool
+	// direct marks kernels whose within is exactly Raw(row, q) <= rawR
+	// (a built-in body below blockDim: no early exit), so one Raw call
+	// both tests and measures a candidate (InRange).
+	direct bool
 }
 
 // CompileKernel selects the specialised implementation for m at the given
