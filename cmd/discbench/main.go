@@ -1,7 +1,8 @@
 // Command discbench regenerates the tables and figures of the paper's
 // evaluation (Section 6). Each experiment prints plain-text tables with
-// the same rows/series the paper reports; see DESIGN.md for the
-// experiment index and EXPERIMENTS.md for recorded results.
+// the same rows/series the paper reports. -list prints the experiment
+// index, and internal/experiments/testdata/quick holds the recorded
+// -quick tables.
 //
 // Usage:
 //

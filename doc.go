@@ -265,10 +265,12 @@
 // and the uniform grid, the algorithm engine (including the
 // parallel coverage-graph engine), dataset generators, baseline
 // diversifiers (MaxMin, MaxSum, k-medoids) and the full experiment
-// harness that regenerates every table and figure of the paper (see
-// DESIGN.md and EXPERIMENTS.md; `discbench -exp engines` compares the
-// backends head to head, and `discbench -exp perf -format=json` emits a
-// machine-readable performance suite).
+// harness that regenerates every table and figure of the paper
+// (`discbench -list` names the experiments, and
+// internal/experiments/testdata/quick holds the -quick tables the test
+// suite pins; `discbench -exp engines` compares the backends head to
+// head, and `discbench -exp perf -format=json` emits a machine-readable
+// performance suite).
 //
 // # Development
 //

@@ -68,7 +68,7 @@ func (d *Diversifier) SelectMultiRadius(radii []float64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sol, err := core.MultiRadiusDisC(e, radii, true)
+	sol, err := core.MultiRadiusDisC(e, radii)
 	if err != nil {
 		return nil, err
 	}

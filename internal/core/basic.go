@@ -16,18 +16,6 @@ func BasicDisC(e Engine, r float64, pruned bool) *Solution {
 		name += " (Pruned)"
 	}
 
-	var sc queryScratch
-	for _, pi := range e.ScanOrder(&s.run) {
-		if s.colors[pi] != White {
-			continue
-		}
-		s.selectBlack(pi)
-		sc.ns = s.run.neighbors(e, sc.ns[:0], pi, r)
-		for _, nb := range sc.ns {
-			if s.colors[nb.ID] == White {
-				s.grey(nb.ID)
-			}
-		}
-	}
+	coverInOrder(s, e.ScanOrder(&s.run), within(e, r))
 	return s.solution(name, r)
 }

@@ -18,6 +18,23 @@
 // the pruning rule filters by, the M-tree's per-node white counts, scan
 // scratch — created when the run starts and dropped when it ends.
 //
+// # Covering loops
+//
+// The algorithms cover with one of two loops (cover.go), each taking
+// its neighbourhood query as a neighborsFunc. coverInOrder is Lemma 1's
+// step: it walks a fixed order and selects each object still white when
+// reached. Basic-DisC and plain Zoom-In walk the scan order, as does
+// plain Zoom-Out's second pass; Weighted-Greedy-DisC walks descending
+// weight and the local zoom-out's boundary repair ascending id.
+// coverGreedy is the L′ step of Algorithms 1–3: it pops the white object
+// with the most white neighbours and hands each pick and its new greys
+// to an update that maintains the counts. Greedy-DisC (its update is
+// the UpdateStrategy), Greedy-Zoom-In, Greedy-Zoom-Out's second pass,
+// multi-radius DisC and the local zoom-in run on it. Greedy-C and
+// Fast-C, whose candidates include greys, Zoom-Out's first pass over
+// the old representatives, and the runs over the graph's rows
+// (GreedyDisCComponents, the live run) keep loops of their own.
+//
 // # Buffer reuse
 //
 // Every neighbourhood query (NeighborsAppend, NeighborsWhiteAppend,

@@ -28,7 +28,7 @@ type greedyOrderRecord struct {
 	Accesses int64  `json:"accesses"`
 }
 
-// greedyOrderRecords runs the selection, zoom, local zoom and
+// greedyOrderRecords runs the selection, zoom, local zoom, weighted and
 // multi-radius algorithms over clustered and uniform points under Euclidean,
 // Manhattan and cosine distance, on the flat engine, the M-tree (the
 // metrics it can index) and the coverage graph, at two radii each.
@@ -106,6 +106,11 @@ func greedyOrderRecords(t *testing.T) []greedyOrderRecord {
 							t.Fatal(err)
 						}
 						add(fmt.Sprintf("%sgreedy-zoom-in/pruned=%v", prefix, pruned), s)
+						s, err = ZoomIn(e, base(), r/2, false, pruned)
+						if err != nil {
+							t.Fatal(err)
+						}
+						add(fmt.Sprintf("%szoom-in/pruned=%v", prefix, pruned), s)
 					}
 					for _, v := range []ZoomOutVariant{ZoomOutPlain, ZoomOutGreedyA, ZoomOutGreedyB, ZoomOutGreedyC} {
 						s, err := ZoomOut(e, base(), 2*r, v)
@@ -118,7 +123,7 @@ func greedyOrderRecords(t *testing.T) []greedyOrderRecord {
 						for _, div := range []float64{2, 4} {
 							prev := base()
 							center := prev.IDs[at*len(prev.IDs)/2]
-							lr, err := LocalZoomIn(e, prev, center, r/div, true)
+							lr, err := LocalZoomIn(e, prev, center, r/div)
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -127,12 +132,31 @@ func greedyOrderRecords(t *testing.T) []greedyOrderRecord {
 								IDs:  lr.Added, Size: len(lr.Added), Accesses: lr.Accesses,
 							})
 						}
+						prev := base()
+						center := prev.IDs[at*len(prev.IDs)/2]
+						lr, err := LocalZoomOut(e, prev, center, 2*r)
+						if err != nil {
+							t.Fatal(err)
+						}
+						recs = append(recs, greedyOrderRecord{
+							Name: fmt.Sprintf("%slocal-zoom-out/center=%d", prefix, center),
+							IDs:  lr.Added, Size: len(lr.Added), Accesses: lr.Accesses,
+						})
 					}
+					weights := make([]float64, len(pts))
+					for id := range weights {
+						weights[id] = float64(id % 7)
+					}
+					s, err := WeightedGreedyDisC(e, r, weights)
+					if err != nil {
+						t.Fatal(err)
+					}
+					add(prefix+"weighted-greedy", s)
 					radii := make([]float64, len(pts))
 					for id := range radii {
 						radii[id] = r * (1 + float64(id%3)/2)
 					}
-					s, err := MultiRadiusDisC(e, radii, true)
+					s, err = MultiRadiusDisC(e, radii)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -54,22 +54,9 @@ type GreedyOptions struct {
 	Pruned bool
 }
 
-// queryScratch holds the per-run reusable neighbour buffers the
-// selection and zoom algorithms thread through their query loops: one
-// buffer per concurrently-live role, so the steady-state loop performs
-// no allocation once each buffer has reached its high-water capacity.
-// Contents are invalidated by the next query into the same buffer.
-type queryScratch struct {
-	ns   []object.Neighbor // primary neighbourhood of the selected object
-	grey []object.Neighbor // objects newly greyed by the selection
-	upd  []object.Neighbor // count-maintenance queries
-}
-
 // GreedyDisC computes an r-DisC diverse subset with Algorithm 1 of the
 // paper: repeatedly select the white object covering the most white
-// objects. The white-neighbourhood sizes live in the priority list L′,
-// a bucketQueue as in every greedy run (one push per object, stale
-// entries re-enter at their current count when popped); how they are
+// objects (coverGreedy). How the white-neighbourhood sizes in L′ are
 // maintained after each selection is governed by opts.Update.
 //
 // If the engine collected neighbourhood counts during construction
@@ -78,31 +65,11 @@ type queryScratch struct {
 func GreedyDisC(e Engine, r float64, opts GreedyOptions) *Solution {
 	defer telemetry.Since(metSelectGlobal, time.Now())
 	s := newColoring(e.Size())
-	run := &s.run
 	if opts.Pruned {
-		run.startCoverage(e, nil)
+		s.run.startCoverage(e, nil)
 	}
-
-	var sc queryScratch
-	nw := initialWhiteCounts(e, r, run, &sc)
-	var q bucketQueue
-	fill(&q, nw, nil)
-	for {
-		pi, ok := popLive(&q, nw, s.isWhite)
-		if !ok {
-			break
-		}
-		s.selectBlack(pi)
-		sc.ns = run.neighbors(e, sc.ns[:0], pi, r)
-		sc.grey = sc.grey[:0]
-		for _, nb := range sc.ns {
-			if s.colors[nb.ID] == White {
-				s.grey(nb.ID)
-				sc.grey = append(sc.grey, nb)
-			}
-		}
-		updateWhiteCounts(e, run, s.colors, r, opts.Update, pi, sc.grey, nw, &sc)
-	}
+	nw := initialWhiteCounts(e, r, &s.run)
+	coverGreedy(s, nw, within(e, r), countUpdate(e, s, r, opts.Update, nw))
 	return s.solution(greedyName(opts, false), r)
 }
 
@@ -130,59 +97,51 @@ func greedyName(opts GreedyOptions, components bool) string {
 }
 
 // initialWhiteCounts returns |N_r(p)| per object, using build-time counts
-// when available and issuing one range query per object (into the shared
-// scratch buffer) otherwise.
-func initialWhiteCounts(e Engine, r float64, run *Run, sc *queryScratch) []int {
+// when available and issuing one range query per object otherwise.
+func initialWhiteCounts(e Engine, r float64, run *Run) []int {
 	if ce, ok := e.(CountingEngine); ok {
 		if counts, cr, have := ce.InitialCounts(); have && cr == r {
 			return append([]int(nil), counts...)
 		}
 	}
 	nw := make([]int, e.Size())
+	var ns []object.Neighbor
 	for id := range nw {
-		sc.ns = e.NeighborsAppend(sc.ns[:0], id, r, run)
-		nw[id] = len(sc.ns)
+		ns = e.NeighborsAppend(ns[:0], id, r, run)
+		nw[id] = len(ns)
 	}
 	return nw
 }
 
-// updateWhiteCounts applies the chosen maintenance strategy after pi was
-// selected and newGrey turned grey, decrementing nw in place (the queue
-// catches up when it pops a stale entry). newGrey aliases sc.grey; the
-// queries issued here land in sc.upd, never in sc.ns or sc.grey.
-func updateWhiteCounts(e Engine, run *Run, colors []Color, r float64, strategy UpdateStrategy, pi int, newGrey []object.Neighbor, nw []int, sc *queryScratch) {
+// countUpdate returns the chosen maintenance strategy as coverGreedy's
+// update, decrementing nw in place (the queue catches up when it pops
+// a stale entry).
+func countUpdate(e Engine, s *coloring, r float64, strategy UpdateStrategy, nw []int) func(pi int, grey []object.Neighbor) {
 	switch {
 	// White-Greedy's 2r candidate query finds every white object within r
 	// of a new grey only under the triangle inequality; without it (cosine,
 	// dot product) the exact count comes from the grey side, as in the
 	// grey update.
-	case strategy == UpdateGrey, strategy == UpdateLazyGrey,
-		strategy == UpdateWhite && !object.TriangleSafe(e.Metric()):
-		radius := r
-		if strategy == UpdateLazyGrey {
-			radius = r / 2
-		}
-		for _, gj := range newGrey {
-			sc.upd = run.neighbors(e, sc.upd[:0], gj.ID, radius)
-			for _, nk := range sc.upd {
-				if colors[nk.ID] == White {
-					nw[nk.ID]--
-				}
-			}
-		}
-	default: // UpdateWhite, UpdateLazyWhite
-		radius := 2 * r
-		if strategy == UpdateLazyWhite {
-			radius = 1.5 * r
-		}
-		sc.upd = run.neighbors(e, sc.upd[:0], pi, radius)
-		m := e.Metric()
-		for _, wk := range sc.upd {
-			if colors[wk.ID] != White {
+	case strategy == UpdateGrey, strategy == UpdateWhite && !object.TriangleSafe(e.Metric()):
+		return greyUpdate(s, nw, within(e, r))
+	case strategy == UpdateLazyGrey:
+		return greyUpdate(s, nw, within(e, r/2))
+	}
+	// UpdateWhite, UpdateLazyWhite
+	radius := 2 * r
+	if strategy == UpdateLazyWhite {
+		radius = 1.5 * r
+	}
+	m := e.Metric()
+	var ns []object.Neighbor
+	return func(pi int, grey []object.Neighbor) {
+		ns = s.run.neighbors(e, ns[:0], pi, radius)
+		for _, wk := range ns {
+			if s.colors[wk.ID] != White {
 				continue
 			}
 			cnt := 0
-			for _, gj := range newGrey {
+			for _, gj := range grey {
 				if m.Dist(e.Point(wk.ID), e.Point(gj.ID)) <= r {
 					cnt++
 				}

@@ -2,10 +2,6 @@ package core
 
 import "github.com/discdiversity/disc/internal/object"
 
-// neighborsFunc is a buffer-reusing neighbourhood query: it appends the
-// neighbours of id to dst, charging run, and returns the extended slice.
-type neighborsFunc func(dst []object.Neighbor, id int, run *Run) []object.Neighbor
-
 // GreedyC computes an r-C diverse subset: the coverage condition of
 // Definition 1 without requiring independence. It modifies Greedy-DisC so
 // that both white and grey objects are candidates, always selecting the
@@ -13,10 +9,7 @@ type neighborsFunc func(dst []object.Neighbor, id int, run *Run) []object.Neighb
 // relaxed). The paper's pruning rule is not applicable because grey
 // objects and nodes must stay reachable to keep their counts current.
 func GreedyC(e Engine, r float64) *Solution {
-	full := func(dst []object.Neighbor, id int, run *Run) []object.Neighbor {
-		return e.NeighborsAppend(dst, id, r, run)
-	}
-	return greedyCoverage(e, r, "Greedy-C", full, false)
+	return greedyCoverage(e, r, "Greedy-C", within(e, r), false)
 }
 
 // FastC is the cheaper r-C heuristic of Section 5.1: it behaves like
@@ -29,17 +22,14 @@ func GreedyC(e Engine, r float64) *Solution {
 // covered later — but can enlarge the result, exactly the trade-off the
 // paper describes. The containment guard keeps the approximation from
 // collapsing when the query ball is much larger than the local regions;
-// see DESIGN.md ("Deliberate deviations") for a discussion of how our
-// measurements compare with the paper's in-text Fast-C claims.
+// docs/ARCHITECTURE.md ("Deviations from the paper") compares the
+// measurements with the paper's in-text Fast-C claims.
 //
 // On engines without bottom-up support FastC degrades to GreedyC.
 func FastC(e Engine, r float64) *Solution {
 	bu, hasBU := e.(BottomUpEngine)
 	if !hasBU {
-		full := func(dst []object.Neighbor, id int, run *Run) []object.Neighbor {
-			return e.NeighborsAppend(dst, id, r, run)
-		}
-		return greedyCoverage(e, r, "Fast-C", full, false)
+		return greedyCoverage(e, r, "Fast-C", within(e, r), false)
 	}
 	q := func(dst []object.Neighbor, id int, run *Run) []object.Neighbor {
 		return bu.NeighborsBottomUpAppend(dst, id, r, true, run)
@@ -50,7 +40,7 @@ func FastC(e Engine, r float64) *Solution {
 // greedyCoverage is the shared loop of GreedyC and FastC. neighbors
 // retrieves the (possibly approximate) neighbourhood used both to colour
 // objects grey when a candidate is selected and to maintain candidate
-// counts, appending into the run's scratch buffers. With track set the
+// counts, appending into reused buffers. With track set the
 // run tracks coverage, which FastC's grey stop reads.
 func greedyCoverage(e Engine, r float64, name string, neighbors neighborsFunc, track bool) *Solution {
 	n := e.Size()
@@ -62,8 +52,7 @@ func greedyCoverage(e Engine, r float64, name string, neighbors neighborsFunc, t
 
 	// nw[id] = number of *white* objects in N_r(id); every non-black
 	// object is a candidate keyed by it.
-	var sc queryScratch
-	nw := initialWhiteCounts(e, r, run, &sc)
+	nw := initialWhiteCounts(e, r, run)
 	var q bucketQueue
 	fill(&q, nw, nil)
 	// A grey candidate covering nothing new is useless (its count only
@@ -72,6 +61,7 @@ func greedyCoverage(e Engine, r float64, name string, neighbors neighborsFunc, t
 		return s.colors[id] != Black && (nw[id] > 0 || s.colors[id] == White)
 	}
 
+	var ns, grey, upd []object.Neighbor
 	whitesLeft := n
 	for whitesLeft > 0 {
 		pc, ok := popLive(&q, nw, candidate)
@@ -83,12 +73,12 @@ func greedyCoverage(e Engine, r float64, name string, neighbors neighborsFunc, t
 		if wasWhite {
 			whitesLeft--
 		}
-		sc.ns = neighbors(sc.ns[:0], pc, run)
-		sc.grey = sc.grey[:0]
-		for _, nb := range sc.ns {
+		ns = neighbors(ns[:0], pc, run)
+		grey = grey[:0]
+		for _, nb := range ns {
 			if s.colors[nb.ID] == White {
 				s.grey(nb.ID)
-				sc.grey = append(sc.grey, nb)
+				grey = append(grey, nb)
 				whitesLeft--
 			}
 		}
@@ -98,15 +88,15 @@ func greedyCoverage(e Engine, r float64, name string, neighbors neighborsFunc, t
 		// non-black neighbours. pc's neighbourhood was just retrieved;
 		// reuse it.
 		if wasWhite {
-			for _, nb := range sc.ns {
+			for _, nb := range ns {
 				if s.colors[nb.ID] != Black {
 					nw[nb.ID]--
 				}
 			}
 		}
-		for _, gj := range sc.grey {
-			sc.upd = neighbors(sc.upd[:0], gj.ID, run)
-			for _, nk := range sc.upd {
+		for _, gj := range grey {
+			upd = neighbors(upd[:0], gj.ID, run)
+			for _, nk := range upd {
 				if s.colors[nk.ID] != Black {
 					nw[nk.ID]--
 				}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/discdiversity/disc/internal/object"
@@ -33,10 +34,10 @@ type LocalResult struct {
 // LocalZoomIn re-diversifies the neighbourhood N_r(center) of a selected
 // object at a smaller radius rNew < r: objects in the region whose closest
 // representative is farther than rNew become uncovered and new local
-// representatives are chosen among them (greedily by white-neighbourhood
-// size within the region when greedy is set, in scan order otherwise).
-// Per the paper, the algorithm receives only the objects in N_r(center).
-func LocalZoomIn(e Engine, prev *Solution, center int, rNew float64, greedy bool) (*LocalResult, error) {
+// representatives are chosen among them, greedily by white-neighbourhood
+// size within the region (coverGreedy). Per the paper, the algorithm
+// receives only the objects in N_r(center).
+func LocalZoomIn(e Engine, prev *Solution, center int, rNew float64) (*LocalResult, error) {
 	if err := checkZoomArgs(e, prev, rNew); err != nil {
 		return nil, err
 	}
@@ -48,100 +49,52 @@ func LocalZoomIn(e Engine, prev *Solution, center int, rNew float64, greedy bool
 	}
 	// The zooming rule's post-processing pass, uncharged as in ZoomIn.
 	covered := coveredWithin(e, prev.IDs, rNew)
-	var run Run
+	s := newColoring(e.Size())
 
-	region, inRegion := regionAround(e, center, prev.Radius, &run)
+	region := regionAround(e, center, prev.Radius, &s.run)
 	res := &LocalResult{Center: center, LocalRadius: rNew, Region: region}
 
-	// Whites: region objects (other than the centre) not covered by any
-	// representative at the new radius. Other representatives cannot be
-	// inside the region (independence), but they may still cover part of
-	// it from outside, which is why coverage by every representative is
-	// consulted.
-	white := make(map[int]bool, len(region))
+	// Whites: region objects not covered by any representative at the
+	// new radius (the centre covers itself). Other representatives
+	// cannot be inside the region (independence), but they may still
+	// cover part of it from outside, which is why coverage by every
+	// representative is consulted. Everything outside the region is
+	// grey, so queries find whites only inside it.
+	for id := range s.colors {
+		s.colors[id] = Grey
+	}
 	for _, id := range region {
-		if id != center && !covered[id] {
-			white[id] = true
+		if !covered[id] {
+			s.colors[id] = White
 		}
 	}
 
-	var buf []object.Neighbor
-	neighborsInRegion := func(id int) []object.Neighbor {
-		buf = e.NeighborsAppend(buf[:0], id, rNew, &run)
-		kept := buf[:0]
-		for _, nb := range buf {
-			if inRegion[nb.ID] {
-				kept = append(kept, nb)
-			}
-		}
-		return kept
-	}
-	// left collects the objects the last selectLocal took out of the
-	// white set: the pick and its white neighbours in the region.
-	var left []int
-	selectLocal := func(pi int) {
-		res.Added = append(res.Added, pi)
-		left = append(left[:0], pi)
-		delete(white, pi)
-		for _, nb := range neighborsInRegion(pi) {
-			if white[nb.ID] {
-				left = append(left, nb.ID)
-			}
-			delete(white, nb.ID)
-		}
-	}
-
-	if greedy {
-		// The white-neighbourhood sizes are indexed by region position;
-		// region is in ascending id order, so the queue's ties by
-		// position are ties by id. Each pick's leavers decrement the
-		// remaining whites by direct distance checks (the region is
-		// small), which charge no accesses.
-		m := e.Metric()
-		nw := make([]int, len(region))
-		for j, id := range region {
-			if !white[id] {
+	// Each pick and its new greys decrement the remaining whites by
+	// direct distance checks (the region is small), which charge no
+	// accesses.
+	query := within(e, rNew)
+	nw := whiteCounts(s, query)
+	m := e.Metric()
+	coverGreedy(s, nw, query, func(pi int, grey []object.Neighbor) {
+		for _, id := range region {
+			if s.colors[id] != White {
 				continue
 			}
-			for _, nb := range neighborsInRegion(id) {
-				if white[nb.ID] {
-					nw[j]++
+			p := e.Point(id)
+			if m.Dist(p, e.Point(pi)) <= rNew {
+				nw[id]--
+			}
+			for _, g := range grey {
+				if m.Dist(p, e.Point(g.ID)) <= rNew {
+					nw[id]--
 				}
 			}
 		}
-		live := func(j int) bool { return white[region[j]] }
-		var q bucketQueue
-		fill(&q, nw, live)
-		for {
-			j, ok := popLive(&q, nw, live)
-			if !ok {
-				break
-			}
-			selectLocal(region[j])
-			for k, id := range region {
-				if !white[id] {
-					continue
-				}
-				for _, g := range left {
-					if m.Dist(e.Point(id), e.Point(g)) <= rNew {
-						nw[k]--
-					}
-				}
-			}
-		}
-	} else {
-		for _, pi := range e.ScanOrder(&run) {
-			if len(white) == 0 {
-				break
-			}
-			if white[pi] {
-				selectLocal(pi)
-			}
-		}
-	}
+	})
 
+	res.Added = s.ids
 	res.Final = mergeFinal(prev.IDs, nil, res.Added)
-	res.Accesses = run.accesses
+	res.Accesses = s.run.accesses
 	return res, nil
 }
 
@@ -160,14 +113,14 @@ func LocalZoomOut(e Engine, prev *Solution, center int, rNew float64) (*LocalRes
 	if !prev.Contains(center) {
 		return nil, fmt.Errorf("core: local zoom-out: object %d is not a selected representative", center)
 	}
-	var run Run
+	s := newColoring(e.Size())
 
-	region, inRegion := regionAround(e, center, rNew, &run)
+	region := regionAround(e, center, rNew, &s.run)
 	res := &LocalResult{Center: center, LocalRadius: rNew, Region: region}
 
 	removed := make(map[int]bool)
 	for _, id := range prev.IDs {
-		if id != center && inRegion[id] {
+		if _, in := slices.BinarySearch(region, id); in && id != center {
 			removed[id] = true
 			res.Removed = append(res.Removed, id)
 		}
@@ -175,13 +128,14 @@ func LocalZoomOut(e Engine, prev *Solution, center int, rNew float64) (*LocalRes
 	sort.Ints(res.Removed)
 	if len(removed) == 0 {
 		res.Final = mergeFinal(prev.IDs, nil, nil)
-		res.Accesses = run.accesses
+		res.Accesses = s.run.accesses
 		return res, nil
 	}
 
 	// Boundary repair: objects whose only representative within the
 	// original radius was removed become uncovered unless the centre now
-	// covers them at rNew. Cover them greedily at the original radius.
+	// covers them at rNew. Cover them at the original radius, smallest
+	// id first.
 	kept := make(map[int]bool, len(prev.IDs))
 	for _, id := range prev.IDs {
 		if !removed[id] {
@@ -192,7 +146,7 @@ func LocalZoomOut(e Engine, prev *Solution, center int, rNew float64) (*LocalRes
 	m := e.Metric()
 	var buf []object.Neighbor
 	for _, b := range res.Removed {
-		buf = e.NeighborsAppend(buf[:0], b, prev.Radius, &run)
+		buf = e.NeighborsAppend(buf[:0], b, prev.Radius, &s.run)
 		for _, nb := range buf {
 			if kept[nb.ID] || uncovered[nb.ID] {
 				continue
@@ -205,42 +159,30 @@ func LocalZoomOut(e Engine, prev *Solution, center int, rNew float64) (*LocalRes
 			}
 		}
 	}
-	for len(uncovered) > 0 {
-		// Deterministic: smallest id first.
-		pi := -1
-		for id := range uncovered {
-			if pi == -1 || id < pi {
-				pi = id
-			}
-		}
-		res.Added = append(res.Added, pi)
-		kept[pi] = true
-		delete(uncovered, pi)
-		buf = e.NeighborsAppend(buf[:0], pi, prev.Radius, &run)
-		for _, nb := range buf {
-			delete(uncovered, nb.ID)
-		}
+	order := make([]int, 0, len(uncovered))
+	for id := range uncovered {
+		order = append(order, id)
 	}
+	sort.Ints(order)
+	coverInOrder(s, order, within(e, prev.Radius))
 
+	res.Added = s.ids
 	res.Final = mergeFinal(prev.IDs, removed, res.Added)
-	res.Accesses = run.accesses
+	res.Accesses = s.run.accesses
 	return res, nil
 }
 
-// regionAround returns N_r(center) ∪ {center} as a sorted id slice plus a
-// membership map, charging the query to run.
-func regionAround(e Engine, center int, r float64, run *Run) ([]int, map[int]bool) {
+// regionAround returns N_r(center) ∪ {center} as a sorted id slice,
+// charging the query to run.
+func regionAround(e Engine, center int, r float64, run *Run) []int {
 	ns := e.NeighborsAppend(nil, center, r, run)
 	region := make([]int, 0, len(ns)+1)
-	inRegion := make(map[int]bool, len(ns)+1)
 	region = append(region, center)
-	inRegion[center] = true
 	for _, nb := range ns {
 		region = append(region, nb.ID)
-		inRegion[nb.ID] = true
 	}
 	sort.Ints(region)
-	return region, inRegion
+	return region
 }
 
 // anyWithin reports whether any kept representative lies within r of id.

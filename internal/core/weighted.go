@@ -48,19 +48,7 @@ func WeightedGreedyDisC(e Engine, r float64, weights []float64) (*Solution, erro
 	})
 
 	s := newColoring(n)
-	var buf []object.Neighbor
-	for _, pi := range order {
-		if s.colors[pi] != White {
-			continue
-		}
-		s.selectBlack(pi)
-		buf = e.NeighborsAppend(buf[:0], pi, r, &s.run)
-		for _, nb := range buf {
-			if s.colors[nb.ID] == White {
-				s.colors[nb.ID] = Grey
-			}
-		}
-	}
+	coverInOrder(s, order, within(e, r))
 	return s.solution("Weighted-Greedy-DisC", r), nil
 }
 
@@ -73,28 +61,29 @@ func TotalWeight(s *Solution, weights []float64) float64 {
 	return total
 }
 
-// appendMultiRadiusNeighbors returns the objects similar to id under
-// per-object radii: q is a neighbour of p when dist(p,q) <=
-// max(rad(p), rad(q)). One engine query at the maximum radius, charged
-// to run, lands in dst (which is fully overwritten from index 0) and is
+// multiRadiusNeighbors is the query of multi-radius DisC: q is a
+// neighbour of p when dist(p,q) <= max(rad(p), rad(q)). One engine
+// query at the maximum radius, charged to run, is appended to dst and
 // filtered in place.
-func appendMultiRadiusNeighbors(dst []object.Neighbor, e Engine, id int, radii []float64, maxRad float64, run *Run) []object.Neighbor {
-	dst = e.NeighborsAppend(dst[:0], id, maxRad, run)
-	kept := dst[:0]
-	for _, nb := range dst {
-		if nb.Dist <= maxFloat(radii[id], radii[nb.ID]) {
-			kept = append(kept, nb)
+func multiRadiusNeighbors(e Engine, radii []float64, maxRad float64) neighborsFunc {
+	return func(dst []object.Neighbor, id int, run *Run) []object.Neighbor {
+		start := len(dst)
+		dst = e.NeighborsAppend(dst, id, maxRad, run)
+		kept := dst[:start]
+		for _, nb := range dst[start:] {
+			if nb.Dist <= maxFloat(radii[id], radii[nb.ID]) {
+				kept = append(kept, nb)
+			}
 		}
+		return kept
 	}
-	return kept
 }
 
 // MultiRadiusDisC computes a DisC diverse subset under per-object radii:
 // the returned set dominates and is independent in the graph whose edges
-// connect objects with dist(p,q) <= max(rad(p), rad(q)). With greedy set,
-// objects are selected by descending generalised-neighbourhood size;
-// otherwise in engine scan order.
-func MultiRadiusDisC(e Engine, radii []float64, greedy bool) (*Solution, error) {
+// connect objects with dist(p,q) <= max(rad(p), rad(q)). Objects are
+// selected by descending generalised-neighbourhood size.
+func MultiRadiusDisC(e Engine, radii []float64) (*Solution, error) {
 	n := e.Size()
 	if len(radii) != n {
 		return nil, fmt.Errorf("core: %d radii for %d objects", len(radii), n)
@@ -108,60 +97,9 @@ func MultiRadiusDisC(e Engine, radii []float64, greedy bool) (*Solution, error) 
 			maxRad = r
 		}
 	}
-	name := "MultiRadius-DisC"
-	if greedy {
-		name = "Greedy-MultiRadius-DisC"
-	}
 	s := newColoring(n)
-
-	var sc queryScratch
-	// colorFrom queries into sc.ns and leaves the newly greyed objects
-	// in sc.grey.
-	colorFrom := func(pi int) {
-		sc.ns = appendMultiRadiusNeighbors(sc.ns, e, pi, radii, maxRad, &s.run)
-		sc.grey = sc.grey[:0]
-		for _, nb := range sc.ns {
-			if s.colors[nb.ID] == White {
-				s.colors[nb.ID] = Grey
-				sc.grey = append(sc.grey, nb)
-			}
-		}
-	}
-
-	if !greedy {
-		for _, pi := range e.ScanOrder(&s.run) {
-			if s.colors[pi] != White {
-				continue
-			}
-			s.selectBlack(pi)
-			colorFrom(pi)
-		}
-	} else {
-		nw := make([]int, n)
-		for id := 0; id < n; id++ {
-			sc.upd = appendMultiRadiusNeighbors(sc.upd, e, id, radii, maxRad, &s.run)
-			nw[id] = len(sc.upd)
-		}
-		var q bucketQueue
-		fill(&q, nw, nil)
-		for {
-			pi, ok := popLive(&q, nw, s.isWhite)
-			if !ok {
-				break
-			}
-			s.selectBlack(pi)
-			colorFrom(pi)
-			for _, gj := range sc.grey {
-				sc.upd = appendMultiRadiusNeighbors(sc.upd, e, gj.ID, radii, maxRad, &s.run)
-				for _, nk := range sc.upd {
-					if s.colors[nk.ID] == White {
-						nw[nk.ID]--
-					}
-				}
-			}
-		}
-	}
-	return s.solution(name, maxRad), nil
+	coverGreedyGrey(s, multiRadiusNeighbors(e, radii, maxRad))
+	return s.solution("Greedy-MultiRadius-DisC", maxRad), nil
 }
 
 // CheckMultiRadiusDisC verifies the generalised Definition 1 under

@@ -80,14 +80,12 @@ func TestMultiRadiusDisCIsValid(t *testing.T) {
 		radii[i] = 0.02 + 0.1*rng.Float64()
 	}
 	for engName, e := range bothEngines(t, pts, m) {
-		for _, greedy := range []bool{false, true} {
-			s, err := MultiRadiusDisC(e, radii, greedy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := CheckMultiRadiusDisC(pts, m, s.IDs, radii); err != nil {
-				t.Errorf("%s greedy=%v: %v", engName, greedy, err)
-			}
+		s, err := MultiRadiusDisC(e, radii)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := CheckMultiRadiusDisC(pts, m, s.IDs, radii); err != nil {
+			t.Errorf("%s: %v", engName, err)
 		}
 	}
 }
@@ -103,7 +101,7 @@ func TestMultiRadiusUniformEqualsPlainDisC(t *testing.T) {
 	for i := range radii {
 		radii[i] = r
 	}
-	multi, err := MultiRadiusDisC(e, radii, true)
+	multi, err := MultiRadiusDisC(e, radii)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +128,7 @@ func TestMultiRadiusSmallRadiusGetsMoreRepresentatives(t *testing.T) {
 		}
 	}
 	count := func(radii []float64) int {
-		s, err := MultiRadiusDisC(e, radii, true)
+		s, err := MultiRadiusDisC(e, radii)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,12 +148,12 @@ func TestMultiRadiusSmallRadiusGetsMoreRepresentatives(t *testing.T) {
 func TestMultiRadiusValidation(t *testing.T) {
 	pts := randomPoints(10, 2, 56)
 	e := flatEngine(t, pts, object.Euclidean{})
-	if _, err := MultiRadiusDisC(e, make([]float64, 3), true); err == nil {
+	if _, err := MultiRadiusDisC(e, make([]float64, 3)); err == nil {
 		t.Error("wrong radii count accepted")
 	}
 	bad := make([]float64, len(pts))
 	bad[0] = -1
-	if _, err := MultiRadiusDisC(e, bad, true); err == nil {
+	if _, err := MultiRadiusDisC(e, bad); err == nil {
 		t.Error("negative radius accepted")
 	}
 	if err := CheckMultiRadiusDisC(pts, object.Euclidean{}, []int{0}, make([]float64, 3)); err == nil {

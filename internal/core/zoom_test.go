@@ -293,41 +293,39 @@ func TestLocalZoomIn(t *testing.T) {
 	for engName, e := range bothEngines(t, pts, m) {
 		prev := baseSolution(t, e, 0.15)
 		center := prev.IDs[0]
-		for _, greedy := range []bool{false, true} {
-			res, err := LocalZoomIn(e, prev, center, 0.05, greedy)
-			if err != nil {
-				t.Fatalf("%s greedy=%v: %v", engName, greedy, err)
+		res, err := LocalZoomIn(e, prev, center, 0.05)
+		if err != nil {
+			t.Fatalf("%s: %v", engName, err)
+		}
+		// The previous representatives must all survive.
+		for _, id := range prev.IDs {
+			if !containsInt(res.Final, id) {
+				t.Errorf("%s: representative %d dropped by local zoom-in", engName, id)
 			}
-			// The previous representatives must all survive.
-			for _, id := range prev.IDs {
-				if !containsInt(res.Final, id) {
-					t.Errorf("%s: representative %d dropped by local zoom-in", engName, id)
-				}
-			}
-			// Region coverage at the local radius: every region object
-			// must be within rNew of some final representative.
-			for _, id := range res.Region {
-				covered := false
-				for _, b := range res.Final {
-					if m.Dist(pts[id], pts[b]) <= 0.05 {
-						covered = true
-						break
-					}
-				}
-				if !covered {
-					t.Errorf("%s greedy=%v: region object %d uncovered at local radius", engName, greedy, id)
+		}
+		// Region coverage at the local radius: every region object
+		// must be within rNew of some final representative.
+		for _, id := range res.Region {
+			covered := false
+			for _, b := range res.Final {
+				if m.Dist(pts[id], pts[b]) <= 0.05 {
+					covered = true
+					break
 				}
 			}
-			// Added representatives must be inside the region and
-			// mutually independent at the local radius.
-			for i, a := range res.Added {
-				if !containsInt(res.Region, a) {
-					t.Errorf("%s: added %d outside region", engName, a)
-				}
-				for _, b := range res.Added[i+1:] {
-					if d := m.Dist(pts[a], pts[b]); d <= 0.05 {
-						t.Errorf("%s: added representatives %d,%d at distance %g", engName, a, b, d)
-					}
+			if !covered {
+				t.Errorf("%s: region object %d uncovered at local radius", engName, id)
+			}
+		}
+		// Added representatives must be inside the region and
+		// mutually independent at the local radius.
+		for i, a := range res.Added {
+			if !containsInt(res.Region, a) {
+				t.Errorf("%s: added %d outside region", engName, a)
+			}
+			for _, b := range res.Added[i+1:] {
+				if d := m.Dist(pts[a], pts[b]); d <= 0.05 {
+					t.Errorf("%s: added representatives %d,%d at distance %g", engName, a, b, d)
 				}
 			}
 		}
@@ -345,7 +343,7 @@ func TestLocalZoomInRejectsNonRepresentative(t *testing.T) {
 			break
 		}
 	}
-	if _, err := LocalZoomIn(e, prev, nonRep, 0.05, false); err == nil {
+	if _, err := LocalZoomIn(e, prev, nonRep, 0.05); err == nil {
 		t.Error("non-representative centre accepted")
 	}
 }

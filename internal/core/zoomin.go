@@ -14,7 +14,8 @@ import (
 //
 // Note on Algorithm 2: the paper's pseudo-code writes N_r^W; constructing
 // an r'-DisC subset requires the new radius r', which is what this
-// implementation uses (see DESIGN.md, "Deliberate deviations").
+// implementation uses (see docs/ARCHITECTURE.md, "Deviations from the
+// paper").
 //
 // The zooming rule needs to know which objects have a previous
 // representative within rNew. The previous solution keeps only its ids,
@@ -29,12 +30,11 @@ func ZoomIn(e Engine, prev *Solution, rNew float64, greedy, pruned bool) (*Solut
 		return nil, fmt.Errorf("core: zoom-in radius %g not smaller than %g", rNew, prev.Radius)
 	}
 
-	n := e.Size()
 	name := "Zoom-In"
 	if greedy {
 		name = "Greedy-Zoom-In"
 	}
-	s := newColoring(n)
+	s := newColoring(e.Size())
 
 	// Zooming rule: black objects stay black; grey objects stay grey as
 	// long as their closest black neighbour is within rNew.
@@ -46,65 +46,13 @@ func ZoomIn(e Engine, prev *Solution, rNew float64, greedy, pruned bool) (*Solut
 	for _, id := range prev.IDs {
 		s.selectBlack(id)
 	}
-	run := &s.run
 	if pruned {
-		run.startCoverage(e, s.colors)
+		s.run.startCoverage(e, s.colors)
 	}
-
-	var sc queryScratch
-	// colorNeighbors queries into sc.ns and leaves the newly greyed
-	// objects in sc.grey.
-	colorNeighbors := func(pi int) {
-		sc.ns = run.neighbors(e, sc.ns[:0], pi, rNew)
-		sc.grey = sc.grey[:0]
-		for _, nb := range sc.ns {
-			if s.colors[nb.ID] == White {
-				s.grey(nb.ID)
-				sc.grey = append(sc.grey, nb)
-			}
-		}
-	}
-
-	if !greedy {
-		for _, pi := range e.ScanOrder(run) {
-			if s.colors[pi] != White {
-				continue
-			}
-			s.selectBlack(pi)
-			colorNeighbors(pi)
-		}
+	if greedy {
+		coverGreedyGrey(s, within(e, rNew))
 	} else {
-		// White-neighbourhood sizes for the white objects only.
-		nw := make([]int, n)
-		for id := 0; id < n; id++ {
-			if s.colors[id] != White {
-				continue
-			}
-			sc.upd = run.neighbors(e, sc.upd[:0], id, rNew)
-			for _, nb := range sc.upd {
-				if s.colors[nb.ID] == White {
-					nw[id]++
-				}
-			}
-		}
-		var q bucketQueue
-		fill(&q, nw, s.isWhite)
-		for {
-			pi, ok := popLive(&q, nw, s.isWhite)
-			if !ok {
-				break
-			}
-			s.selectBlack(pi)
-			colorNeighbors(pi)
-			for _, gj := range sc.grey {
-				sc.upd = run.neighbors(e, sc.upd[:0], gj.ID, rNew)
-				for _, nk := range sc.upd {
-					if s.colors[nk.ID] == White {
-						nw[nk.ID]--
-					}
-				}
-			}
-		}
+		coverInOrder(s, e.ScanOrder(&s.run), within(e, rNew))
 	}
 
 	return s.solution(name, rNew), nil

@@ -77,45 +77,40 @@ func ZoomOut(e Engine, prev *Solution, rNew float64, variant ZoomOutVariant) (*S
 		}
 	}
 
-	var sc queryScratch
 	switch variant {
 	case ZoomOutPlain:
-		zoomOutPassOnePlain(e, s, prev, rNew, colorNeighbors, &sc)
+		zoomOutPassOnePlain(e, s, prev, rNew, colorNeighbors)
 	case ZoomOutGreedyC:
-		zoomOutPassOneWhiteKey(e, s, prev, rNew, colorNeighbors, &sc)
+		zoomOutPassOneWhiteKey(e, s, prev, rNew, colorNeighbors)
 	default:
 		zoomOutPassOneRedKey(e, s, prev, rNew, variant == ZoomOutGreedyA, colorNeighbors)
 	}
 
-	// Pass two: cover the objects no representative reaches at rNew.
+	// Pass two: cover the objects no representative reaches at rNew, in
+	// scan order or, for the greedy variants, by L′ (Algorithm 3, lines
+	// 12–19).
 	if variant == ZoomOutPlain {
-		for _, pi := range e.ScanOrder(&s.run) {
-			if s.colors[pi] != White {
-				continue
-			}
-			s.selectBlack(pi)
-			sc.ns = e.NeighborsAppend(sc.ns[:0], pi, rNew, &s.run)
-			colorNeighbors(sc.ns)
-		}
+		coverInOrder(s, e.ScanOrder(&s.run), within(e, rNew))
 	} else {
-		zoomOutPassTwoGreedy(e, s, rNew, colorNeighbors, &sc)
+		coverGreedyGrey(s, within(e, rNew))
 	}
 
 	return s.solution(variant.String(), rNew), nil
 }
 
 // zoomOutPassOnePlain processes the old representatives in scan order.
-func zoomOutPassOnePlain(e Engine, s *coloring, prev *Solution, rNew float64, colorNeighbors func([]object.Neighbor), sc *queryScratch) {
+func zoomOutPassOnePlain(e Engine, s *coloring, prev *Solution, rNew float64, colorNeighbors func([]object.Neighbor)) {
 	rank := scanRank(e, &s.run)
 	reds := append([]int(nil), prev.IDs...)
 	sort.Slice(reds, func(i, j int) bool { return rank[reds[i]] < rank[reds[j]] })
+	var ns []object.Neighbor
 	for _, pi := range reds {
 		if s.colors[pi] != Red {
 			continue // covered by an earlier selection
 		}
 		s.selectBlack(pi)
-		sc.ns = e.NeighborsAppend(sc.ns[:0], pi, rNew, &s.run)
-		colorNeighbors(sc.ns)
+		ns = e.NeighborsAppend(ns[:0], pi, rNew, &s.run)
+		colorNeighbors(ns)
 	}
 }
 
@@ -200,12 +195,13 @@ func zoomOutPassOneRedKey(e Engine, s *coloring, prev *Solution, rNew float64, l
 // zoomOutPassOneWhiteKey implements variation (c): each round recomputes,
 // with fresh range queries, how many still-white objects every remaining
 // red would cover, then selects the maximum. Candidate neighbourhoods
-// land in sc.ns; the running best is copied into sc.grey so the two
-// buffers never alias.
-func zoomOutPassOneWhiteKey(e Engine, s *coloring, prev *Solution, rNew float64, colorNeighbors func([]object.Neighbor), sc *queryScratch) {
+// land in ns; the running best is copied into bestNs so the two buffers
+// never alias.
+func zoomOutPassOneWhiteKey(e Engine, s *coloring, prev *Solution, rNew float64, colorNeighbors func([]object.Neighbor)) {
 	reds := append([]int(nil), prev.IDs...)
 	sort.Ints(reds)
 	remaining := len(reds)
+	var ns, bestNs []object.Neighbor
 	for remaining > 0 {
 		best := -1
 		bestKey := -1
@@ -213,16 +209,16 @@ func zoomOutPassOneWhiteKey(e Engine, s *coloring, prev *Solution, rNew float64,
 			if s.colors[pi] != Red {
 				continue
 			}
-			sc.ns = e.NeighborsAppend(sc.ns[:0], pi, rNew, &s.run)
+			ns = e.NeighborsAppend(ns[:0], pi, rNew, &s.run)
 			k := 0
-			for _, nb := range sc.ns {
+			for _, nb := range ns {
 				if s.colors[nb.ID] == White {
 					k++
 				}
 			}
 			if k > bestKey {
 				best, bestKey = pi, k
-				sc.grey = append(sc.grey[:0], sc.ns...)
+				bestNs = append(bestNs[:0], ns...)
 			}
 		}
 		if best == -1 {
@@ -230,55 +226,12 @@ func zoomOutPassOneWhiteKey(e Engine, s *coloring, prev *Solution, rNew float64,
 		}
 		s.selectBlack(best)
 		remaining--
-		for _, nb := range sc.grey {
+		for _, nb := range bestNs {
 			if s.colors[nb.ID] == Red {
 				remaining--
 			}
 		}
-		colorNeighbors(sc.grey)
-	}
-}
-
-// zoomOutPassTwoGreedy covers the remaining whites by descending
-// white-neighbourhood size (Algorithm 3, lines 12-19).
-func zoomOutPassTwoGreedy(e Engine, s *coloring, rNew float64, colorNeighbors func([]object.Neighbor), sc *queryScratch) {
-	n := e.Size()
-	nw := make([]int, n)
-	for id := 0; id < n; id++ {
-		if s.colors[id] != White {
-			continue
-		}
-		sc.upd = e.NeighborsAppend(sc.upd[:0], id, rNew, &s.run)
-		for _, nb := range sc.upd {
-			if s.colors[nb.ID] == White {
-				nw[id]++
-			}
-		}
-	}
-	var q bucketQueue
-	fill(&q, nw, s.isWhite)
-	for {
-		pi, ok := popLive(&q, nw, s.isWhite)
-		if !ok {
-			return
-		}
-		s.selectBlack(pi)
-		sc.ns = e.NeighborsAppend(sc.ns[:0], pi, rNew, &s.run)
-		sc.grey = sc.grey[:0]
-		for _, nb := range sc.ns {
-			if s.colors[nb.ID] == White {
-				sc.grey = append(sc.grey, nb)
-			}
-		}
-		colorNeighbors(sc.ns)
-		for _, gj := range sc.grey {
-			sc.upd = e.NeighborsAppend(sc.upd[:0], gj.ID, rNew, &s.run)
-			for _, nk := range sc.upd {
-				if s.colors[nk.ID] == White {
-					nw[nk.ID]--
-				}
-			}
-		}
+		colorNeighbors(bestNs)
 	}
 }
 

@@ -3,8 +3,8 @@
 // [0,1]^d, plus deterministic stand-ins for the two real datasets the
 // paper uses — the Greek cities collection and the Acme digital-camera
 // database — which are not redistributable. The stand-ins mirror the
-// originals' cardinalities and distribution shapes; see DESIGN.md for the
-// substitution rationale.
+// originals' cardinalities and distribution shapes; Cities and Cameras
+// explain the substitution.
 //
 // All generators are pure functions of their seed: the same parameters
 // always produce byte-identical datasets.

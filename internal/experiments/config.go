@@ -1,8 +1,9 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (Section 6) plus its in-text ablation claims. Each runner
 // regenerates one artefact as plain-text tables: the same rows/series the
-// paper plots. See DESIGN.md for the experiment index and EXPERIMENTS.md
-// for paper-vs-measured results.
+// paper plots. Registry is the experiment index, testdata/quick holds
+// the recorded -quick tables, and docs/ARCHITECTURE.md ("Deviations
+// from the paper") notes where measurements depart from the paper.
 package experiments
 
 import (

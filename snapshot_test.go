@@ -658,7 +658,7 @@ func TestSnapshotKeepsCoarseGrid(t *testing.T) {
 		t.Fatal("loaded scan order differs from the writer's")
 	}
 
-	type answers struct{ basic, zoom, local, localGreedy []int }
+	type answers struct{ basic, zoom, local []int }
 	ask := func(d *Diversifier) answers {
 		t.Helper()
 		basic, err := d.Select(0.5, WithAlgorithm(AlgorithmBasic))
@@ -673,16 +673,11 @@ func TestSnapshotKeepsCoarseGrid(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		center := basic.IDs()[0]
-		local, err := core.LocalZoomIn(e, basic.sol, center, 0.25, false)
+		local, err := d.LocalZoomIn(basic, basic.IDs()[0], 0.25)
 		if err != nil {
 			t.Fatal(err)
 		}
-		localGreedy, err := d.LocalZoomIn(basic, center, 0.25)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return answers{basic.IDs(), zoom.IDs, local.Final, localGreedy.Representatives}
+		return answers{basic.IDs(), zoom.IDs, local.Representatives}
 	}
 	want, got := ask(d), ask(loaded)
 	for _, c := range []struct {
@@ -691,8 +686,7 @@ func TestSnapshotKeepsCoarseGrid(t *testing.T) {
 	}{
 		{"Basic-DisC", want.basic, got.basic},
 		{"plain Zoom-In", want.zoom, got.zoom},
-		{"plain local zoom-in", want.local, got.local},
-		{"LocalZoomIn", want.localGreedy, got.localGreedy},
+		{"LocalZoomIn", want.local, got.local},
 	} {
 		if !slices.Equal(c.want, c.got) {
 			t.Fatalf("%s: loaded copy answers %v, writer %v", c.name, c.got, c.want)

@@ -188,8 +188,8 @@ func ClusteredDataset(n, d, clusters int, seed uint64) (*Dataset, error) {
 }
 
 // CitiesDataset returns the 5922-point geographic workload modelled on
-// the paper's Greek cities collection (see DESIGN.md for the
-// substitution).
+// the paper's Greek cities collection (internal/dataset/cities.go
+// explains the substitution).
 func CitiesDataset(seed uint64) *Dataset { return dataset.Cities(seed) }
 
 // CamerasDataset returns the 579-camera categorical workload modelled on

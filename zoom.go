@@ -109,7 +109,7 @@ func (d *Diversifier) LocalZoomIn(res *Result, center int, r float64) (*LocalZoo
 	if err != nil {
 		return nil, err
 	}
-	lr, err := core.LocalZoomIn(e, res.sol, center, r, true)
+	lr, err := core.LocalZoomIn(e, res.sol, center, r)
 	if err != nil {
 		return nil, err
 	}
