@@ -205,12 +205,12 @@ func BenchmarkZoomOut(b *testing.B) {
 	}
 }
 
-// BenchmarkZoomOutAboveCeiling measures Greedy-Zoom-Out (a) to 2r on the
-// coverage graph, where every range query lies above the graph's
-// ceiling and runs the grid fallback: 5,000 clustered 2-d points, a
-// graph joined at 0.015 and selections at four radii up to it, each
-// zoomed in turn (the perfbench explore workload's shape).
-func BenchmarkZoomOutAboveCeiling(b *testing.B) {
+// exploreBench builds the perfbench explore workload's shape on the
+// coverage graph: 5,000 clustered 2-d points, a graph joined at 0.015
+// and one selection at each of four radii up to it. It then resets the
+// timer, so its callers time only their own loops.
+func exploreBench(b *testing.B) (*disc.Diversifier, []float64, []*disc.Result) {
+	b.Helper()
 	ds, err := disc.ClusteredDataset(5000, 2, 10, 1)
 	if err != nil {
 		b.Fatal(err)
@@ -228,6 +228,38 @@ func BenchmarkZoomOutAboveCeiling(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	return d, radii, sels
+}
+
+// BenchmarkExploreSelect measures a select at each of exploreBench's
+// radii in turn, every one served from the graph's rows: the cost
+// BenchmarkZoomOutAboveCeiling's zoom-outs are measured against.
+func BenchmarkExploreSelect(b *testing.B) {
+	d, radii, _ := exploreBench(b)
+	for i := 0; i < b.N; i++ {
+		if _, err := d.Select(radii[i%len(radii)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkExploreZoomIn measures Greedy-Zoom-In to r/2 of each of
+// exploreBench's selections in turn.
+func BenchmarkExploreZoomIn(b *testing.B) {
+	d, radii, sels := exploreBench(b)
+	for i := 0; i < b.N; i++ {
+		j := i % len(radii)
+		if _, err := d.ZoomIn(sels[j], radii[j]/2); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkZoomOutAboveCeiling measures Greedy-Zoom-Out (a) to 2r of
+// each of exploreBench's selections in turn, where every range query
+// lies above the graph's ceiling and runs the grid fallback.
+func BenchmarkZoomOutAboveCeiling(b *testing.B) {
+	d, radii, sels := exploreBench(b)
 	for i := 0; i < b.N; i++ {
 		j := i % len(radii)
 		if _, err := d.ZoomOut(sels[j], 2*radii[j], disc.ZoomOutGreedyLargest); err != nil {

@@ -35,6 +35,12 @@
 // the old representatives, and the runs over the graph's rows
 // (GreedyDisCComponents, the live run) keep loops of their own.
 //
+// Both loops read only white objects, so a run may prune their queries
+// without changing a pick. Zoom-Out's second pass always does: its run
+// starts tracking coverage when pass one ends, so every query skips the
+// objects pass one covered, as pruned Zoom-In's queries skip those the
+// previous answer still covers.
+//
 // # Buffer reuse
 //
 // Every neighbourhood query (NeighborsAppend, NeighborsWhiteAppend,

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/discdiversity/disc/internal/dataset"
 	"github.com/discdiversity/disc/internal/object"
 )
 
@@ -224,6 +225,78 @@ func redKeyReference(pts []object.Point, m object.Metric, prev []int, rNew float
 		for _, q := range reds {
 			if red[q] && m.Dist(pts[best], pts[q]) <= rNew {
 				red[q] = false
+			}
+		}
+	}
+}
+
+// zoomOutUnpruned is ZoomOut with an unpruned second pass: the run
+// never tracks coverage, so every pass-two query returns every
+// neighbour.
+func zoomOutUnpruned(e Engine, prev *Solution, rNew float64, v ZoomOutVariant) *Solution {
+	s := zoomOutPassOne(e, prev, rNew, v)
+	zoomOutPassTwo(e, s, rNew, v)
+	return s.solution(v.String(), rNew)
+}
+
+// TestZoomOutPrunedMatchesUnpruned: Zoom-Out's second pass reads only
+// white objects, so pruning its queries must leave every pick and the
+// pick order unchanged and may only lower the cost. Every variant runs
+// on the scan engine, the M-tree (for the metrics it indexes) and the
+// coverage graph joined both above rNew (row prefixes) and at the
+// previous radius (rNew above the ceiling: the grid fallback for the
+// Lp metrics, the flat scan for cosine), over clustered and uniform
+// points under Euclidean distance, plus a Manhattan and a cosine case.
+func TestZoomOutPrunedMatchesUnpruned(t *testing.T) {
+	clustered, err := dataset.Clustered(300, 2, 6, 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uniform, err := dataset.Uniform(300, 2, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		pts  []object.Point
+		m    object.Metric
+		r    float64
+	}{
+		{"clustered/euclidean", clustered.Points, object.Euclidean{}, 0.03},
+		{"uniform/euclidean", uniform.Points, object.Euclidean{}, 0.05},
+		{"uniform/manhattan", uniform.Points, object.Manhattan{}, 0.07},
+		{"clustered/cosine", clustered.Points, object.Cosine{}, 0.0005},
+	}
+	for _, tc := range cases {
+		rNew := 2 * tc.r
+		engines := map[string]Engine{"flat": flatEngine(t, tc.pts, tc.m)}
+		if object.TriangleSafe(tc.m) {
+			engines["tree"] = treeEngine(t, tc.pts, tc.m)
+		}
+		for name, ceiling := range map[string]float64{"graph/below-ceiling": 1.5 * rNew, "graph/above-ceiling": tc.r} {
+			g, err := BuildParallelGraphEngine(tc.pts, tc.m, ceiling, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			engines[name] = g
+		}
+		for name, e := range engines {
+			prev := baseSolution(t, e, tc.r)
+			for _, v := range []ZoomOutVariant{ZoomOutPlain, ZoomOutGreedyA, ZoomOutGreedyB, ZoomOutGreedyC} {
+				got, err := ZoomOut(e, prev, rNew, v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := zoomOutUnpruned(e, prev, rNew, v)
+				if !slices.Equal(got.IDs, want.IDs) {
+					t.Errorf("%s %s %v: pruned ids %v, unpruned %v", tc.name, name, v, got.IDs, want.IDs)
+				}
+				if got.Accesses > want.Accesses {
+					t.Errorf("%s %s %v: pruned run charged %d, unpruned %d", tc.name, name, v, got.Accesses, want.Accesses)
+				}
+				if err := CheckDisC(tc.pts, tc.m, got.IDs, rNew); err != nil {
+					t.Errorf("%s %s %v: %v", tc.name, name, v, err)
+				}
 			}
 		}
 	}

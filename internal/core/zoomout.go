@@ -52,6 +52,11 @@ func (v ZoomOutVariant) String() string {
 // covers any objects left uncovered. Greedy variants select whites by
 // descending white-neighbourhood size in the second pass; the plain
 // variant takes them in scan order.
+//
+// Pass two reads only white objects, so it runs under the pruning rule,
+// as pruned Zoom-In does: once pass one ends, the run tracks coverage
+// and every pass-two query skips the objects already covered. The
+// picks are those of unpruned queries; only the engine cost falls.
 func ZoomOut(e Engine, prev *Solution, rNew float64, variant ZoomOutVariant) (*Solution, error) {
 	if err := checkZoomArgs(e, prev, rNew); err != nil {
 		return nil, err
@@ -62,44 +67,52 @@ func ZoomOut(e Engine, prev *Solution, rNew float64, variant ZoomOutVariant) (*S
 	if len(prev.IDs) == 0 {
 		return nil, fmt.Errorf("core: zoom-out: previous solution is empty")
 	}
+	s := zoomOutPassOne(e, prev, rNew, variant)
+	s.run.startCoverage(e, s.colors)
+	zoomOutPassTwo(e, s, rNew, variant)
+	return s.solution(variant.String(), rNew), nil
+}
 
-	n := e.Size()
-	s := newColoring(n)
+// zoomOutPassOne colours the previous representatives red and runs the
+// variant's first pass over them, which leaves every object white, grey
+// or black.
+func zoomOutPassOne(e Engine, prev *Solution, rNew float64, variant ZoomOutVariant) *coloring {
+	s := newColoring(e.Size())
 	for _, id := range prev.IDs {
 		s.colors[id] = Red
 	}
-
-	colorNeighbors := func(ns []object.Neighbor) {
-		for _, nb := range ns {
-			if c := s.colors[nb.ID]; c == White || c == Red {
-				s.colors[nb.ID] = Grey
-			}
-		}
-	}
-
 	switch variant {
 	case ZoomOutPlain:
-		zoomOutPassOnePlain(e, s, prev, rNew, colorNeighbors)
+		zoomOutPassOnePlain(e, s, prev, rNew)
 	case ZoomOutGreedyC:
-		zoomOutPassOneWhiteKey(e, s, prev, rNew, colorNeighbors)
+		zoomOutPassOneWhiteKey(e, s, prev, rNew)
 	default:
-		zoomOutPassOneRedKey(e, s, prev, rNew, variant == ZoomOutGreedyA, colorNeighbors)
+		zoomOutPassOneRedKey(e, s, prev, rNew, variant == ZoomOutGreedyA)
 	}
+	return s
+}
 
-	// Pass two: cover the objects no representative reaches at rNew, in
-	// scan order or, for the greedy variants, by L′ (Algorithm 3, lines
-	// 12–19).
+// zoomOutPassTwo covers the objects no representative reaches at rNew,
+// in scan order or, for the greedy variants, by L′ (Algorithm 3, lines
+// 12–19).
+func zoomOutPassTwo(e Engine, s *coloring, rNew float64, variant ZoomOutVariant) {
 	if variant == ZoomOutPlain {
 		coverInOrder(s, e.ScanOrder(&s.run), within(e, rNew))
 	} else {
 		coverGreedyGrey(s, within(e, rNew))
 	}
+}
 
-	return s.solution(variant.String(), rNew), nil
+// coverByPassOne greys id when it is white or red: a pass-one pick
+// covers both.
+func coverByPassOne(s *coloring, id int) {
+	if c := s.colors[id]; c == White || c == Red {
+		s.colors[id] = Grey
+	}
 }
 
 // zoomOutPassOnePlain processes the old representatives in scan order.
-func zoomOutPassOnePlain(e Engine, s *coloring, prev *Solution, rNew float64, colorNeighbors func([]object.Neighbor)) {
+func zoomOutPassOnePlain(e Engine, s *coloring, prev *Solution, rNew float64) {
 	rank := scanRank(e, &s.run)
 	reds := append([]int(nil), prev.IDs...)
 	sort.Slice(reds, func(i, j int) bool { return rank[reds[i]] < rank[reds[j]] })
@@ -110,7 +123,9 @@ func zoomOutPassOnePlain(e Engine, s *coloring, prev *Solution, rNew float64, co
 		}
 		s.selectBlack(pi)
 		ns = e.NeighborsAppend(ns[:0], pi, rNew, &s.run)
-		colorNeighbors(ns)
+		for _, nb := range ns {
+			coverByPassOne(s, nb.ID)
+		}
 	}
 }
 
@@ -119,7 +134,8 @@ func zoomOutPassOnePlain(e Engine, s *coloring, prev *Solution, rNew float64, co
 // establishes both the keys and the cached neighbourhoods reused when the
 // red is selected; counts are maintained through the red-red adjacency.
 // Per-red state lives in slices indexed by the red's position in reds
-// (ascending id), with the neighbourhoods packed into one buffer.
+// (ascending id): the neighbourhoods as ids packed into one array, the
+// red-red adjacency as slots packed into another, each with offsets.
 //
 // Keys only decrease, so variation (a)'s pick, the largest key with ties
 // to the lowest slot and so to the lowest id, is the bucket queue's
@@ -127,31 +143,33 @@ func zoomOutPassOnePlain(e Engine, s *coloring, prev *Solution, rNew float64, co
 // the smallest key, which a decreasing key can undercut after it was
 // passed over; that order falls outside the protocol, so (b) keeps the
 // linear scan over the reds each round.
-func zoomOutPassOneRedKey(e Engine, s *coloring, prev *Solution, rNew float64, largest bool, colorNeighbors func([]object.Neighbor)) {
+func zoomOutPassOneRedKey(e Engine, s *coloring, prev *Solution, rNew float64, largest bool) {
 	reds := append([]int(nil), prev.IDs...)
 	sort.Ints(reds)
 	slot := make([]int32, e.Size())
 	for i, pi := range reds {
 		slot[pi] = int32(i)
 	}
-	var nbrs []object.Neighbor
+	var ns []object.Neighbor
+	var nbrs, adj []int32
 	off := make([]int, len(reds)+1)
-	redAdj := make([][]int32, len(reds))
+	adjOff := make([]int, len(reds)+1)
 	redCount := make([]int, len(reds))
 	for i, pi := range reds {
-		nbrs = e.NeighborsAppend(nbrs, pi, rNew, &s.run)
-		off[i+1] = len(nbrs)
-		for _, nb := range nbrs[off[i]:] {
+		ns = e.NeighborsAppend(ns[:0], pi, rNew, &s.run)
+		for _, nb := range ns {
+			nbrs = append(nbrs, int32(nb.ID))
 			if s.colors[nb.ID] == Red {
-				redAdj[i] = append(redAdj[i], slot[nb.ID])
+				adj = append(adj, slot[nb.ID])
 			}
 		}
-		redCount[i] = len(redAdj[i])
+		off[i+1], adjOff[i+1] = len(nbrs), len(adj)
+		redCount[i] = adjOff[i+1] - adjOff[i]
 	}
 	// Selecting a red removes it and every red it covers from the red
 	// set; their red neighbours' keys drop accordingly.
 	leaveRed := func(x int32) {
-		for _, y := range redAdj[x] {
+		for _, y := range adj[adjOff[x]:adjOff[x+1]] {
 			if s.colors[reds[y]] == Red {
 				redCount[y]--
 			}
@@ -181,14 +199,12 @@ func zoomOutPassOneRedKey(e Engine, s *coloring, prev *Solution, rNew float64, l
 		}
 		s.selectBlack(reds[best])
 		leaveRed(int32(best))
-		ns := nbrs[off[best]:off[best+1]]
-		for _, nb := range ns {
-			if s.colors[nb.ID] == Red {
-				s.colors[nb.ID] = Grey
-				leaveRed(slot[nb.ID])
+		for _, id := range nbrs[off[best]:off[best+1]] {
+			if s.colors[id] == Red {
+				leaveRed(slot[id])
 			}
+			coverByPassOne(s, int(id))
 		}
-		colorNeighbors(ns)
 	}
 }
 
@@ -197,7 +213,7 @@ func zoomOutPassOneRedKey(e Engine, s *coloring, prev *Solution, rNew float64, l
 // red would cover, then selects the maximum. Candidate neighbourhoods
 // land in ns; the running best is copied into bestNs so the two buffers
 // never alias.
-func zoomOutPassOneWhiteKey(e Engine, s *coloring, prev *Solution, rNew float64, colorNeighbors func([]object.Neighbor)) {
+func zoomOutPassOneWhiteKey(e Engine, s *coloring, prev *Solution, rNew float64) {
 	reds := append([]int(nil), prev.IDs...)
 	sort.Ints(reds)
 	remaining := len(reds)
@@ -231,7 +247,9 @@ func zoomOutPassOneWhiteKey(e Engine, s *coloring, prev *Solution, rNew float64,
 				remaining--
 			}
 		}
-		colorNeighbors(bestNs)
+		for _, nb := range bestNs {
+			coverByPassOne(s, nb.ID)
+		}
 	}
 }
 

@@ -70,7 +70,6 @@ type Grid struct {
 	min    []float64 // bounding-box lower corner per dimension
 	nd     []int32   // cells per dimension
 	stride []int32   // flattened-index stride per dimension (stride[dim-1] = 1)
-	maxND  int32     // max(nd): the useful reach ceiling for huge radii
 	ncells int
 
 	start  []int32 // len ncells+1; cell c holds ids[start[c]:start[c+1]]
@@ -122,7 +121,7 @@ func Build(flat *object.FlatDataset, r float64) (*Grid, error) {
 		}
 	}
 
-	g.cell, g.maxND, g.ncells = computeGeometry(g.min, max, n, r, g.nd, g.stride)
+	g.cell, _, g.ncells = computeGeometry(g.min, max, n, r, g.nd, g.stride)
 
 	// Counting sort: occupancy, prefix sum, scatter. Scanning ids in
 	// ascending order keeps each cell's members id-sorted.
@@ -263,12 +262,19 @@ func NewScratch(dim int) *Scratch {
 }
 
 // setup positions the scratch on the cell range covering radius rq
-// around q and returns the range's first cell and its run span. The
-// range is the centre cell ± reach per dimension, clamped to the
-// directory; reach = ⌊rq/cell⌋+1 is conservative (it absorbs both the
-// exact quotient landing on an integer and coordinate→cell rounding),
-// and also covers queries outside the bounding box, whose true
-// neighbours can only lie within reach cells of the clamped centre.
+// around q and returns the range's first cell and its run span, or
+// first = -1 when no cell of the directory can hold a point within rq.
+// Per dimension the range is the cells the box [qᵢ − rq, qᵢ + rq]
+// touches, clamped to the directory: a point within rq of q has every
+// coordinate within rq of q's (Supports), so its cell lies in the box's
+// cell range. The box's ends are taken in cell units and widened by a
+// relative 2⁻³² (plus 2⁻³² of a cell), far more than the few ulps by
+// which coordinate→cell rounding and the kernel's rounded distance can
+// move a neighbour across a cell boundary. The range is then cut to the
+// centre cell ± (⌊rq/cell⌋+1), which already bounds every neighbour's
+// cell, so it is never wider than that ring; the box clip drops the
+// ring's cells on the far side of each box end, and a query outside
+// the bounding box scans only the cells its box reaches.
 //
 // The scans walk the range in runs: the cells of one row along the last
 // dimension have consecutive flattened indexes (its stride is 1), so
@@ -278,18 +284,25 @@ func NewScratch(dim int) *Scratch {
 // come in cell order, so a scan answers exactly as a cell-by-cell walk
 // would.
 func (g *Grid) setup(s *Scratch, q []float64, rq float64) (first, span int32) {
-	reach := g.maxND // covers the whole directory in every dimension
-	if f := rq / g.cell; f < float64(g.maxND-1) {
-		reach = int32(f) + 1
-	}
+	t := rq / g.cell
 	for i := range q {
-		c := g.coordCell(i, q[i])
-		lo, hi := c-reach, c+reach
-		if lo < 0 {
-			lo = 0
+		nd := g.nd[i]
+		f := (q[i] - g.min[i]) / g.cell
+		slack := (math.Abs(f) + t + 1) * 0x1p-32
+		lof, hif := f-t-slack, f+t+slack
+		if !(hif >= 0 && lof < float64(nd)) {
+			return -1, 0 // the box misses the directory along dimension i
 		}
-		if hi >= g.nd[i] {
-			hi = g.nd[i] - 1
+		lo, hi := int32(0), nd-1
+		if lof > 0 {
+			lo = int32(lof)
+		}
+		if hif < float64(nd) {
+			hi = int32(hif)
+		}
+		if t < float64(nd) {
+			c, reach := g.coordCell(i, q[i]), int32(t)+1
+			lo, hi = max(lo, c-reach), min(hi, c+reach)
 		}
 		s.lo[i], s.hi[i], s.cur[i] = lo, hi, lo
 		first += lo * g.stride[i]

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -528,9 +529,9 @@ func sameBits(a, b []object.Neighbor) bool {
 // TestRunScanMatchesCellScan pins the run walk of AppendRange and
 // AppendRangeWhite against the per-cell reference: the same ids in the
 // same order, bit-identical distances and the same examined charge, in
-// 1–4 dimensions, for radii from 0 to past the directory (reach clamped
-// to maxND), queries that are rows, copies of rows and points outside
-// the bounding box, and exclude set to the query row, another id and -1.
+// 1–4 dimensions, for radii from 0 to past the directory, queries that
+// are rows, copies of rows and points outside the bounding box, and
+// exclude set to the query row, another id and -1.
 func TestRunScanMatchesCellScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for dim := 1; dim <= 4; dim++ {
@@ -577,6 +578,155 @@ func TestRunScanMatchesCellScan(t *testing.T) {
 						want, wantExamined = cellScan(g, q, rq, exclude, &white)
 						if !sameBits(got, want) || examined != wantExamined {
 							t.Fatalf("%s dim=%d rq=%g exclude=%d white: %v examined %d, want %v examined %d", m.Name(), dim, rq, exclude, got, examined, want, wantExamined)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// ringCandidates counts the candidates the unclipped scan examined: the
+// members, except exclude and the ids white clears (white nil keeps
+// every id), of the centre cell ± (⌊rq/cell⌋+1) in every dimension,
+// clamped to the directory. The examined charge of the clipped scan
+// must never exceed it.
+func ringCandidates(g *Grid, q []float64, rq float64, exclude int, white *bitset.Set) int64 {
+	maxND := slices.Max(g.nd)
+	reach := maxND
+	if f := rq / g.cell; f < float64(maxND-1) {
+		reach = int32(f) + 1
+	}
+	var count int64
+	var walk func(i int, c int32)
+	walk = func(i int, c int32) {
+		if i == len(q) {
+			for _, id := range g.ids[g.start[c]:g.start[c+1]] {
+				if int(id) != exclude && (white == nil || white.Test(int(id))) {
+					count++
+				}
+			}
+			return
+		}
+		centre := g.coordCell(i, q[i])
+		for k := max(centre-reach, 0); k <= min(centre+reach, g.nd[i]-1); k++ {
+			walk(i+1, c+k*g.stride[i])
+		}
+	}
+	walk(0, 0)
+	return count
+}
+
+// TestGridRangeClipMatchesFlat: the scans clipped to the query's box
+// find exactly what the flat scan finds — the same ids with
+// bit-identical distances — and examine no more candidates than the
+// unclipped ring did. The datasets put a third of their coordinates on
+// cell boundaries, the queries are rows, copies of rows, points on cell
+// boundaries and points outside the bounding box, and the radii sit at
+// whole cells and one ulp either side of them, from 0 to wider than the
+// whole directory; under Euclidean, Manhattan and Chebyshev distance,
+// in 1–7 dimensions, with coordinates offset by 0 and by 1e6.
+func TestGridRangeClipMatchesFlat(t *testing.T) {
+	const n, r = 120, 0.05
+	rng := rand.New(rand.NewSource(41))
+	for dim := 1; dim <= 7; dim++ {
+		for _, m := range []object.Metric{object.Euclidean{}, object.Manhattan{}, object.Chebyshev{}} {
+			for _, offset := range []float64{0, 1e6} {
+				// Points 0 and 1 pin the bounding box to [offset,
+				// offset+1] in every dimension, so the geometry is
+				// known before the boundary coordinates are placed.
+				pts := make([]object.Point, n)
+				for i := range pts {
+					p := make(object.Point, dim)
+					for j := range p {
+						switch i {
+						case 0:
+							p[j] = offset
+						case 1:
+							p[j] = offset + 1
+						default:
+							p[j] = offset + rng.Float64()
+						}
+					}
+					pts[i] = p
+				}
+				build := func() (*object.FlatDataset, *Grid) {
+					flat, err := object.Flatten(pts, m)
+					if err != nil {
+						t.Fatal(err)
+					}
+					g, err := Build(flat, r)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return flat, g
+				}
+				_, g := build()
+				cell := g.cell
+				for i := 2; i < n; i++ {
+					for j := range pts[i] {
+						if rng.Intn(3) == 0 {
+							pts[i][j] = min(g.min[j]+float64(rng.Int31n(g.nd[j]))*cell, offset+1)
+						}
+					}
+				}
+				flat, g := build()
+				if g.cell != cell {
+					t.Fatalf("dim=%d: cell side moved from %g to %g", dim, cell, g.cell)
+				}
+				var white bitset.Set
+				white.Reset(n)
+				for id := 0; id < n; id++ {
+					if rng.Intn(3) > 0 {
+						white.Set(id)
+					}
+				}
+				radii := []float64{0, 0.03, 10}
+				for k := 1; k <= 2; k++ {
+					at := float64(k) * cell
+					radii = append(radii, math.Nextafter(at, 0), at, math.Nextafter(at, math.Inf(1)))
+				}
+				s := NewScratch(dim)
+				for trial := 0; trial < 16; trial++ {
+					id := rng.Intn(n)
+					q, exclude := flat.Row(id), id
+					switch trial % 4 {
+					case 1: // a copy of a row
+						q, exclude = slices.Clone(q), -1
+					case 2: // on cell boundaries
+						q, exclude = make([]float64, dim), rng.Intn(n)
+						for j := range q {
+							q[j] = g.min[j] + float64(rng.Int31n(g.nd[j]+1))*cell
+						}
+					case 3: // outside the bounding box
+						q, exclude = make([]float64, dim), -1
+						for j := range q {
+							q[j] = offset - 1 + 3*rng.Float64()
+						}
+						q[rng.Intn(dim)] = offset + 1.2 + rng.Float64()
+					}
+					for _, rq := range radii {
+						name := func(scan string) string {
+							return fmt.Sprintf("%s dim=%d offset=%g trial=%d rq=%v %s", m.Name(), dim, offset, trial, rq, scan)
+						}
+						var examined int64
+						got := g.AppendRange(nil, q, rq, exclude, &examined, s)
+						want := flat.AppendRange(nil, q, rq, exclude)
+						if !sameBits(byID(got), want) {
+							t.Fatalf("%s: %v, flat scan %v", name("AppendRange"), byID(got), want)
+						}
+						if ring := ringCandidates(g, q, rq, exclude, nil); examined > ring {
+							t.Fatalf("%s: examined %d, ring held %d", name("AppendRange"), examined, ring)
+						}
+						examined = 0
+						var flatExamined int64
+						got = g.AppendRangeWhite(nil, q, rq, exclude, &white, &examined, s)
+						want = flat.AppendRangeWhite(nil, q, rq, exclude, &white, &flatExamined)
+						if !sameBits(byID(got), want) {
+							t.Fatalf("%s: %v, flat scan %v", name("AppendRangeWhite"), byID(got), want)
+						}
+						if ring := ringCandidates(g, q, rq, exclude, &white); examined > ring {
+							t.Fatalf("%s: examined %d, ring held %d", name("AppendRangeWhite"), examined, ring)
 						}
 					}
 				}
