@@ -76,7 +76,7 @@ bench-serve:
 ## and the gating rules). All outputs are CI artifacts.
 bench-guard:
 	$(GO) vet ./...
-	$(GO) test ./internal/core ./internal/telemetry -run 'ZeroAlloc|Allocs' -v -count=1
+	$(GO) test ./internal/core ./internal/telemetry ./internal/server -run 'ZeroAlloc|Allocs' -v -count=1
 	@$(GO) test -run '^$$' -bench='Select|Neighbors|GreedyDisC|ZoomOut' -benchtime=1x -benchmem -timeout 20m ./... > bench-guard.txt 2>&1; \
 	status=$$?; cat bench-guard.txt; exit $$status
 	$(GO) run ./cmd/discbench -exp perf -n $(BENCH_N) -r $(BENCH_R) -format=json > bench-current.json
@@ -144,7 +144,7 @@ chaos-props:
 	$(GO) test -race -count=1 ./internal/manager
 	$(GO) test -race -count=1 -run 'TestCheckpointENOSPCLeavesStateAuthoritative' .
 
-## fuzz: run each fuzz target for 10 seconds (40 s in all; go test
+## fuzz: run each fuzz target for 10 seconds (50 s in all; go test
 ## fuzzes one target per run) past its committed seed corpus, which
 ## plain `go test ./...` replays. The two live targets in internal/core
 ## decode byte strings into a metric, a radius and an insert/delete
@@ -158,7 +158,10 @@ chaos-props:
 ## every engine, each result passing CheckDisC.
 ## FuzzDecode in internal/snap requires snap.Decode to reject or
 ## canonically re-encode any byte string, without panicking or
-## allocating beyond a small multiple of the input. A failing input
+## allocating beyond a small multiple of the input. FuzzResultKey in
+## internal/server requires the result id decoder never to panic, to
+## accept only the one spelling of each key, and every key to
+## round-trip through its encoding bit for bit. A failing input
 ## lands in <package>/testdata/fuzz/<target>/. Minimizing a new
 ## coverage input may take the default 60 s, the whole budget, so it is
 ## capped at 1 s.
@@ -167,6 +170,7 @@ fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzReplayMatchesLive$$' -fuzztime=10s -fuzzminimizetime=1s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzSelectModes$$' -fuzztime=10s -fuzzminimizetime=1s
 	$(GO) test ./internal/snap -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime=10s -fuzzminimizetime=1s
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzResultKey$$' -fuzztime=10s -fuzzminimizetime=1s
 
 ## doclint: verify that relative links and file references in the
 ## repo's markdown docs resolve (the CI doc-link gate; see

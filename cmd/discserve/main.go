@@ -7,12 +7,18 @@
 //	discserve -addr :8080 [-data-dir ./data]
 //
 //	curl -X POST localhost:8080/v1/datasets -d '{"name":"demo","points":[[0.1,0.2],[0.8,0.9]]}'
-//	curl -X POST localhost:8080/v1/datasets/demo/select -d '{"radius":0.3}'
 //	curl -X POST localhost:8080/v1/datasets/demo/snapshot
-//	curl -X POST localhost:8080/v1/results/r1/zoom -d '{"radius":0.1}'
+//	id=$(curl -s -X POST localhost:8080/v1/datasets/demo/select -d '{"radius":0.3}' | jq -r .id)
+//	curl -X POST localhost:8080/v1/results/$id/zoom -d '{"radius":0.1}'
 //	curl localhost:8080/healthz
 //	curl localhost:8080/readyz
 //	curl localhost:8080/metrics
+//
+// A result id is a derivation key (dataset, content fingerprint,
+// algorithm, radius, zoom radii, a checksum of the selected ids): the
+// same select answers the same id, and an id stays valid across
+// restarts once its dataset is saved (a basic id only while the
+// recompute picks the same ids; README "Serving").
 //
 // Live (incremental) maintainers keep a DisC selection converged under
 // a stream of inserts and deletes without rebuilding — reads are

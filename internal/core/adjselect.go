@@ -77,10 +77,13 @@ func newAdjGreedy(n int) *adjGreedy {
 // pick order, to ids. It returns them with the entries-examined access
 // count. Counts
 // start at the exact degrees; each pick greys its white neighbours and
-// decrements, for every white object within updR of a new grey, its
-// count — the grey update of the global algorithm. Decrements touch
-// only the count array; popLive re-enters a stale entry at its current
-// count, as in every other greedy run.
+// decrements the count of every object within updR of a new grey — the
+// grey update of the global algorithm. Decrements touch only the count
+// array and skip the white test: a non-white object's count is never
+// read again (popLive drops its entries before reading it, and the next
+// run rewrites it), so only white counts need be exact. popLive
+// re-enters a stale entry at its current count, as in every other
+// greedy run.
 func (g *adjGreedy) run(csr *grid.CSR, updR float64, ids []int) ([]int, int64) {
 	var acc int64
 	for id := range g.nw {
@@ -108,7 +111,7 @@ func (g *adjGreedy) run(csr *grid.CSR, updR float64, ids []int) ([]int, int64) {
 			grow := csr.Row(int(gj))
 			acc += int64(len(grow))
 			for _, nb := range grow {
-				if nb.Dist <= updR && g.white.Test(nb.ID) {
+				if nb.Dist <= updR {
 					g.nw[nb.ID]--
 				}
 			}

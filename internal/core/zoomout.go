@@ -157,6 +157,14 @@ func zoomOutPassOneRedKey(e Engine, s *coloring, prev *Solution, rNew float64, l
 	redCount := make([]int, len(reds))
 	for i, pi := range reds {
 		ns = e.NeighborsAppend(ns[:0], pi, rNew, &s.run)
+		if need := len(nbrs) + len(ns); need > cap(nbrs) {
+			// Grow to what the neighbourhoods so far project for every
+			// red, not by doubling: the cache is most of a zoom-out's
+			// allocation.
+			grown := make([]int32, len(nbrs), max(need*len(reds)/(i+1), need))
+			copy(grown, nbrs)
+			nbrs = grown
+		}
 		for _, nb := range ns {
 			nbrs = append(nbrs, int32(nb.ID))
 			if s.colors[nb.ID] == Red {

@@ -2,10 +2,13 @@ package manager
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io/fs"
+	"math"
 	"math/rand/v2"
 	"os"
 	"sync"
@@ -119,6 +122,9 @@ type Static struct {
 	Size   int
 
 	div *disc.Diversifier
+
+	fpOnce sync.Once
+	fp     uint32
 }
 
 func newStatic(metric string, div *disc.Diversifier) *Static {
@@ -134,6 +140,35 @@ func (s *Static) Labels() []string { return s.div.Labels() }
 
 // Diversifier returns the dataset's Diversifier.
 func (s *Static) Diversifier() *disc.Diversifier { return s.div }
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Fingerprint is a CRC-32C over the dataset's content: the metric's
+// canonical name, the dimension, the size and every coordinate's
+// float64 bits. It is the same in every process, and differs (but for
+// chance) once a home's snapshot holds other points. It is computed on
+// first use, once per engine.
+func (s *Static) Fingerprint() uint32 {
+	s.fpOnce.Do(func() {
+		buf := make([]byte, 0, 4096)
+		buf = append(buf, s.div.Metric().Name()...)
+		buf = append(buf, 0)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(s.Dim))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(s.Size))
+		var crc uint32
+		for i := 0; i < s.Size; i++ {
+			for _, x := range s.div.Point(i) {
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
+			}
+			if len(buf) >= 4096-8*s.Dim {
+				crc = crc32.Update(crc, castagnoli, buf)
+				buf = buf[:0]
+			}
+		}
+		s.fp = crc32.Update(crc, castagnoli, buf)
+	})
+	return s.fp
+}
 
 // ReadView is what a read-path handler gets: exactly one of Upd
 // (ready) or Deg (degraded) is non-nil.

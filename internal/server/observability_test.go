@@ -47,6 +47,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE disc_grid_join_seconds histogram",
 		"# TYPE disc_wal_appends_total counter",
 		"# TYPE disc_snapshot_write_seconds histogram",
+		"# TYPE disc_result_cache_entries gauge",
+		"# TYPE disc_result_cache_ids gauge",
+		"# TYPE disc_result_lookups_total counter",
+		`disc_result_lookups_total{outcome="recomputed"}`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics exposition missing %q", want)

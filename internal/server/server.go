@@ -20,6 +20,23 @@
 //	POST /v1/results/{id}/localzoom      {center, radius} -> local view
 //	GET  /healthz                         liveness probe
 //
+// A result id is a derivation key, not a serial number: it encodes the
+// dataset, a fingerprint of its content, the algorithm, the select
+// radius, each zoom radius so far (at most maxZoomSteps) and a checksum
+// of the ids the select chose, so identical selects and zooms answer
+// the same id. Results live in one bounded LRU (resultCacheIDs);
+// fetching or zooming an id that is not resident recomputes it, select
+// then each zoom, from the id alone, and concurrent misses on one id
+// share that recompute. Ids therefore survive a restart on the same
+// data directory, and answer 404 once the dataset is gone, its content
+// differs, or the recomputed select picks other ids. Every algorithm
+// but basic picks the same ids whatever the dataset ran before; a basic
+// select follows the coverage graph's scan order, which earlier selects
+// choose, so a basic id can answer 404 after eviction or a restart (see
+// results.go). Select and zoom always run their algorithm, so their
+// "accesses" is this request's cost; a GET reports the accesses of the
+// run that produced the resident copy.
+//
 // Uploaded datasets run on disc.IndexCoverageGraph, where the
 // Greedy-DisC algorithms run one greedy over the graph's rows; their
 // selections and zooms are the ids the library's default M-tree gives.
@@ -72,7 +89,6 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -98,10 +114,8 @@ type Server struct {
 	ready  atomic.Bool
 	reqSeq atomic.Uint64
 
-	// resMu guards the result registry only.
-	resMu   sync.Mutex
-	results map[string]*resultState
-	nextID  int
+	// results caches results by id (see results.go).
+	results *resultCache
 
 	// mgr is the one dataset registry: it owns every dataset's
 	// lifecycle — supervised recovery, corruption quarantine,
@@ -197,19 +211,11 @@ func (s *Server) logger() *slog.Logger {
 	return slog.Default()
 }
 
-// resultState is one stored result and the static engine that zooms it.
-type resultState struct {
-	id      string
-	dataset string
-	st      *manager.Static
-	res     *disc.Result
-}
-
 // New creates an empty server.
 func New(opts ...Option) *Server {
 	s := &Server{
 		cfg:     manager.Config{Fsync: disc.FsyncAlways},
-		results: make(map[string]*resultState),
+		results: newResultCache(resultCacheIDs),
 	}
 	s.ready.Store(true)
 	for _, opt := range opts {
@@ -259,8 +265,10 @@ func (s *Server) Handler() http.Handler {
 // Close stops every dataset supervisor and releases every durable live
 // maintainer's write-ahead log, syncing acknowledged mutations to
 // disk. Dataset requests answer 503 afterwards; call it once the
-// listener has drained.
+// listener has drained. Cached results are dropped; their ids stay
+// valid for a server restarted on the same data directory.
 func (s *Server) Close() error {
+	s.results.clear()
 	return s.mgr.Close()
 }
 
@@ -523,34 +531,13 @@ type resultBody struct {
 	Accesses int64 `json:"accesses"`
 }
 
-func algorithmByName(name string) (disc.Algorithm, error) {
-	switch name {
-	case "", "greedy":
-		return disc.AlgorithmGreedy, nil
-	case "basic":
-		return disc.AlgorithmBasic, nil
-	case "white-greedy":
-		return disc.AlgorithmGreedyWhite, nil
-	case "lazy-grey":
-		return disc.AlgorithmLazyGrey, nil
-	case "lazy-white":
-		return disc.AlgorithmLazyWhite, nil
-	case "coverage":
-		return disc.AlgorithmCoverage, nil
-	case "fast-coverage":
-		return disc.AlgorithmFastCoverage, nil
-	default:
-		return 0, fmt.Errorf("unknown algorithm %q", name)
-	}
-}
-
 func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	var req selectRequest
 	if err := s.decodeJSON(r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
 		return
 	}
-	alg, err := algorithmByName(req.Algorithm)
+	alg, err := algorithmIndex(req.Algorithm)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -559,53 +546,34 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	if st == nil {
 		return
 	}
-	res, err := st.Diversifier().Select(req.Radius, disc.WithAlgorithm(alg))
+	res, err := st.Diversifier().Select(req.Radius, disc.WithAlgorithm(algorithms[alg].alg))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, s.storeResult(name, st, res).body())
+	ids := res.SortedIDs()
+	id := resultKey{dataset: name, fingerprint: st.Fingerprint(), checksum: idsChecksum(ids), algorithm: alg, radius: req.Radius}.String()
+	s.results.put(id, st, res)
+	writeJSON(w, http.StatusCreated, resultBodyOf(id, name, st, res, ids))
 }
 
-// storeResult registers a result under a fresh id.
-func (s *Server) storeResult(dataset string, st *manager.Static, res *disc.Result) *resultState {
-	s.resMu.Lock()
-	defer s.resMu.Unlock()
-	s.nextID++
-	rs := &resultState{id: "r" + strconv.Itoa(s.nextID), dataset: dataset, st: st, res: res}
-	s.results[rs.id] = rs
-	return rs
-}
-
-// result resolves the {id} path value, writing the 404 itself.
-func (s *Server) result(w http.ResponseWriter, r *http.Request) *resultState {
-	id := r.PathValue("id")
-	s.resMu.Lock()
-	rs := s.results[id]
-	s.resMu.Unlock()
-	if rs == nil {
-		writeError(w, http.StatusNotFound, "unknown result %q", id)
-	}
-	return rs
-}
-
-func (rs *resultState) body() resultBody {
-	ids := rs.res.SortedIDs()
+// resultBodyOf renders a result served under id; ids are its sorted ids.
+func resultBodyOf(id, dataset string, st *manager.Static, res *disc.Result, ids []int) resultBody {
 	return resultBody{
-		ID:        rs.id,
-		Dataset:   rs.dataset,
-		Radius:    rs.res.Radius(),
-		Algorithm: rs.res.Algorithm(),
-		Size:      rs.res.Size(),
+		ID:        id,
+		Dataset:   dataset,
+		Radius:    res.Radius(),
+		Algorithm: res.Algorithm(),
+		Size:      res.Size(),
 		IDs:       ids,
-		Labels:    rs.labels(ids),
-		Accesses:  rs.res.Accesses(),
+		Labels:    labelsOf(st, ids),
+		Accesses:  res.Accesses(),
 	}
 }
 
-// labels returns the labels of ids, or nil for an unlabelled dataset.
-func (rs *resultState) labels(ids []int) []string {
-	all := rs.st.Labels()
+// labelsOf returns the labels of ids, or nil for an unlabelled dataset.
+func labelsOf(st *manager.Static, ids []int) []string {
+	all := st.Labels()
 	if all == nil {
 		return nil
 	}
@@ -617,8 +585,8 @@ func (rs *resultState) labels(ids []int) []string {
 }
 
 func (s *Server) handleGetResult(w http.ResponseWriter, r *http.Request) {
-	if rs := s.result(w, r); rs != nil {
-		writeJSON(w, http.StatusOK, rs.body())
+	if k, st, res := s.result(w, r); res != nil {
+		writeJSON(w, http.StatusOK, resultBodyOf(r.PathValue("id"), k.dataset, st, res, res.SortedIDs()))
 	}
 }
 
@@ -632,26 +600,23 @@ func (s *Server) handleZoom(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
 		return
 	}
-	rs := s.result(w, r)
-	if rs == nil {
+	if k, ok := parseResultKey(r.PathValue("id")); ok && len(k.zooms) >= maxZoomSteps {
+		writeError(w, http.StatusBadRequest, "result %q records %d zooms, the limit for one id; select again to zoom further",
+			r.PathValue("id"), maxZoomSteps)
 		return
 	}
-	div := rs.st.Diversifier()
-	var zoomed *disc.Result
-	var err error
-	switch {
-	case req.Radius < rs.res.Radius():
-		zoomed, err = div.ZoomIn(rs.res, req.Radius)
-	case req.Radius > rs.res.Radius():
-		zoomed, err = div.ZoomOut(rs.res, req.Radius, disc.ZoomOutGreedyLargest)
-	default:
-		err = fmt.Errorf("radius %g equals the current radius", req.Radius)
+	k, st, res := s.result(w, r)
+	if res == nil {
+		return
 	}
+	zoomed, err := zoom(st.Diversifier(), res, req.Radius)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, s.storeResult(rs.dataset, rs.st, zoomed).body())
+	id := k.zoom(req.Radius).String()
+	s.results.put(id, st, zoomed)
+	writeJSON(w, http.StatusCreated, resultBodyOf(id, k.dataset, st, zoomed, zoomed.SortedIDs()))
 }
 
 type localZoomRequest struct {
@@ -675,18 +640,18 @@ func (s *Server) handleLocalZoom(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
 		return
 	}
-	rs := s.result(w, r)
-	if rs == nil {
+	_, st, res := s.result(w, r)
+	if res == nil {
 		return
 	}
-	div := rs.st.Diversifier()
+	div := st.Diversifier()
 	var lz *disc.LocalZoom
 	var err error
 	switch {
-	case req.Radius < rs.res.Radius():
-		lz, err = div.LocalZoomIn(rs.res, req.Center, req.Radius)
-	case req.Radius > rs.res.Radius():
-		lz, err = div.LocalZoomOut(rs.res, req.Center, req.Radius)
+	case req.Radius < res.Radius():
+		lz, err = div.LocalZoomIn(res, req.Center, req.Radius)
+	case req.Radius > res.Radius():
+		lz, err = div.LocalZoomOut(res, req.Center, req.Radius)
 	default:
 		err = fmt.Errorf("radius %g equals the current radius", req.Radius)
 	}
@@ -701,7 +666,7 @@ func (s *Server) handleLocalZoom(w http.ResponseWriter, r *http.Request) {
 		Added:           lz.Added,
 		Removed:         lz.Removed,
 		Representatives: lz.Representatives,
-		Labels:          rs.labels(lz.Representatives),
+		Labels:          labelsOf(st, lz.Representatives),
 	})
 }
 
