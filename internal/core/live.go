@@ -33,10 +33,10 @@ import (
 //
 // Each object keeps its leave time in the converged greedy run: the
 // priority of the pick that stopped it being white (see liverepair.go).
-// A mutation only queues the objects whose neighbourhood it changed —
-// an insert's new id and its neighbours, a delete's severed neighbours
-// — and Flush replays the greedy from them outwards, pulling in an
-// object only once a neighbour leaves at another time than recorded.
+// A mutation only queues the objects whose leave time it can change —
+// an insert's new id and its neighbours, a delete's picker or greys —
+// and Flush replays the greedy from them outwards, pulling in an
+// object only once a neighbour's new leave time can change its own.
 // So a write into a giant component costs the part of the run it
 // changes, not the component. The seed and LiveReplay.Finish run the
 // pruned greedy over every live object once, recording every leave
@@ -287,8 +287,9 @@ func (l *LiveDisC) Pending() int { return l.pending }
 func (l *LiveDisC) Accesses() int64 { return l.accesses }
 
 // Insert adds p, splices it into the grid and the adjacency and queues
-// p and its neighbours for repair. The published selection is unchanged
-// until the next Flush.
+// p and its neighbours for repair, all but the neighbours whose degree
+// bounds their leave time (greyBound). The published selection is
+// unchanged until the next Flush.
 func (l *LiveDisC) Insert(p object.Point) (int, error) {
 	defer telemetry.Since(metLiveInsert, time.Now())
 	id, err := l.place(p)
@@ -302,7 +303,9 @@ func (l *LiveDisC) Insert(p object.Point) (int, error) {
 	l.rs.grow(l.dyn.Slots())
 	l.queue(int32(id))
 	for _, nb := range l.qbuf {
-		l.queue(int32(nb.ID))
+		if !l.greyBound(nb.ID) {
+			l.queue(int32(nb.ID))
+		}
 	}
 	return id, nil
 }
@@ -348,17 +351,25 @@ func (l *LiveDisC) scanRange(dst []object.Neighbor, q []float64, exclude int) []
 	return dst
 }
 
-// Delete retracts a live object, unsplices it everywhere and queues the
-// severed neighbours for repair. The published selection is unchanged
-// until the next Flush.
+// Delete retracts a live object, unsplices it everywhere and queues for
+// repair the severed neighbours whose leave time the removal can
+// change: with a recorded leave time td, the neighbours that left at td
+// by their own pick or by id's, that is id's picker when id was a grey
+// and its greys when it was a pick. Every other neighbour only loses a
+// white neighbour, so it cannot pick sooner. An id inserted since the
+// last flush has no record and queues every neighbour. The published
+// selection is unchanged until the next Flush.
 func (l *LiveDisC) Delete(id int) error {
 	defer telemetry.Since(metLiveDelete, time.Now())
 	if err := l.retire(id); err != nil {
 		return err
 	}
 	l.pending++
+	td := l.trace[id]
 	for _, nb := range l.adj.Row(id) {
-		l.queue(int32(nb.ID))
+		if td == 0 || l.trace[nb.ID] == td && (picked(td, nb.ID) || picked(td, id)) {
+			l.queue(int32(nb.ID))
+		}
 	}
 	l.adj.RemoveVertex(id)
 	l.rs.st[id] &^= stWhite // a queued seed that is gone

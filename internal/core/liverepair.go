@@ -16,16 +16,36 @@ import "math"
 // it touched outwards.
 //
 // repair replays the sweep over an active set that starts at the
-// seeds, the objects whose neighbourhood a write changed. An active
+// seeds, the objects whose leave time a write can change. An active
 // object carries its own white flag and white-neighbour count. Every
 // other object is assumed to leave at its recorded time, and takes part
 // only as an event at that time for its active neighbours. It joins the
-// active set, with its state just after the current time, the moment a
-// neighbour's new leave time turns out to differ from the recorded one:
-// until then everything it could observe ran as recorded, so its own
-// record still holds. Events at one time t (which names one picker q)
-// run in a fixed order: q's pick, then the divergence checks and joins,
-// then the leaves of objects still outside.
+// active set, with its state just after the current time, once a
+// neighbour's new leave time can change its own: until then everything
+// it could observe ran as recorded, or changed only in ways that cannot
+// move its leave, so its record still holds. Events at one time t
+// (which names one picker q) run in a fixed order: q's pick, then the
+// grey updates, the divergence checks and joins, then the leaves of
+// objects still outside.
+//
+// White counts only fall as a run goes on, and that bounds who must
+// join. A recorded grey — an object whose leave time names another
+// object, its picker — leaves at its picker's pick unless it picks
+// itself first, so:
+//
+//   - A neighbour x that leaves sooner than recorded only lowers the
+//     counts around it: an outside neighbour y still white at t joins
+//     only if it is a recorded pick (its pick may come later) or a grey
+//     of x (x no longer picks at y's leave). Any other grey still greys
+//     at its recorded time.
+//   - A recorded grey whose priority at its full degree stays below its
+//     recorded leave (greyBound) cannot pick before it, whatever its
+//     count: only its picker moves its leave. Inserts do not seed it and
+//     a divergence does not join it; it still joins as a grey of a
+//     failed pick, and greys sooner under an active pick.
+//
+// A delete seeds only its picker or its greys (LiveDisC.Delete), for
+// the same reason.
 
 // repairEvent is one entry of the sweep's max-heap, ordered by t.
 type repairEvent struct {
@@ -48,7 +68,7 @@ const (
 // liveRepair is the sweep's state, grown with the slot domain. Between
 // flushes it holds only the queued seeds (active, white and joined).
 type liveRepair struct {
-	st []uint8 // per slot: stActive | stWhite | stDiv | stWatched
+	st []uint8 // per slot: stActive | stWhite | stDiv | stWatched | stSoon
 	// watchers[y] heads (index+1 into links, 0 for none) the list of
 	// active objects that counted the outside object y as white.
 	watchers []int32
@@ -57,7 +77,7 @@ type liveRepair struct {
 	watches  []int32 // every watched object, for the final reset
 	joined   []int32 // joined at the current time, counts pending
 	leaving  []int32 // greys of the current time's pick
-	work     []int32 // diverged objects whose outside neighbours must join
+	work     []int32 // later or failed leaves, whose outside neighbours must join
 	evs      []repairEvent
 	heap     []repairEvent
 }
@@ -68,6 +88,7 @@ const (
 	stWhite                     // active and still white
 	stDiv                       // leave time diverged, outside neighbours joined
 	stWatched                   // outside, with an evWatch queued
+	stSoon                      // left sooner than recorded; its grey walk joins
 )
 
 // watcher is one link of a watchers list.
@@ -93,14 +114,20 @@ func leaveTime(key int32, id int) uint64 {
 // id was selected.
 func picked(t uint64, id int) bool { return uint32(t) == ^uint32(id) }
 
+// greyBound reports whether y is a recorded grey whose priority at its
+// full degree is below its recorded leave time: no count it can reach
+// lets it pick before then, so it leaves as recorded unless its picker
+// changes.
+func (l *LiveDisC) greyBound(y int) bool {
+	lo := l.trace[y]
+	return !picked(lo, y) && leaveTime(int32(l.adj.Degree(y)), y) < lo
+}
+
 // queue makes id a seed of the next repair: active and white from the
 // start of the sweep.
 func (l *LiveDisC) queue(id int32) {
-	rs := &l.rs
-	if !rs.is(int(id), stActive) {
-		l.enter(id)
-		rs.st[id] |= stWhite
-		rs.joined = append(rs.joined, id)
+	if !l.rs.is(int(id), stActive) {
+		l.join(id)
 	}
 }
 
@@ -143,9 +170,10 @@ func (l *LiveDisC) enter(id int32) {
 
 // leave records that active object id stopped being white at t: its
 // trace and selection bit take the new run's values, and it counts as
-// leaving at t. A leave that differs from the record queues id as
-// diverged; an object without a record (inserted since the last flush)
-// never diverges, as all its neighbours are seeds.
+// leaving at t. A leave sooner than the record marks id stSoon, for the
+// grey updates to join its neighbours by the sooner rule; a later one
+// queues id on work. An object without a record (inserted since the
+// last flush) never diverges, as all its neighbours are seeds.
 func (l *LiveDisC) leave(id int32, t uint64) {
 	rs := &l.rs
 	rs.st[id] &^= stWhite
@@ -164,9 +192,21 @@ func (l *LiveDisC) leave(id int32, t uint64) {
 		}
 	}
 	l.trace[id] = t
-	if old != 0 {
+	switch {
+	case old == 0:
+	case old < t:
+		rs.st[id] |= stSoon
+	default:
 		rs.work = append(rs.work, id)
 	}
+}
+
+// join makes outside object j active and white at the current time,
+// its count to be taken by countJoined.
+func (l *LiveDisC) join(j int32) {
+	l.enter(j)
+	l.rs.st[j] |= stWhite
+	l.rs.joined = append(l.rs.joined, j)
 }
 
 // countJoined computes the white-neighbour count of every object that
@@ -265,21 +305,41 @@ func (l *LiveDisC) sweepStep() {
 			}
 		}
 	}
-	// Each grey was a white neighbour of its white neighbours.
+	// Each grey was a white neighbour of its white neighbours. A grey
+	// that left sooner than recorded (only a firing pick makes one)
+	// lowered the counts of its outside neighbours still white, and the
+	// same walk joins those whose leave that can move: recorded picks
+	// and its own recorded greys. A joiner decremented later in this
+	// loop is harmless: countJoined overwrites its count.
 	for _, g := range rs.leaving {
 		row := l.adj.Row(int(g))
 		l.accesses += int64(len(row))
+		if !rs.is(int(g), stSoon) {
+			for _, nb := range row {
+				if rs.is(nb.ID, stWhite) {
+					l.nw[nb.ID]--
+				}
+			}
+			continue
+		}
 		for _, nb := range row {
-			if rs.is(nb.ID, stWhite) {
-				l.nw[nb.ID]--
+			switch j := nb.ID; {
+			case rs.is(j, stWhite):
+				l.nw[j]--
+			case rs.is(j, stActive):
+			default:
+				if lo := l.trace[j]; lo < t && (picked(lo, j) || picked(lo, int(g))) {
+					l.join(int32(j))
+				}
 			}
 		}
 	}
 
-	// Divergence: an active object left at another time than recorded,
-	// or did not leave at its recorded time. Its outside neighbours
-	// join, all marked before any count is taken (a failed pick's
-	// recorded greys stay white and must see each other so).
+	// Divergence: an active object left later than recorded, or did
+	// not leave at its recorded time. Its outside neighbours join, all
+	// marked before any count is taken (a failed pick's recorded greys
+	// stay white and must see each other so), except the greys bound
+	// by their degree.
 	for _, ev := range rs.evs {
 		if ev.kind == evCheck && rs.is(int(ev.id), stWhite) {
 			rs.work = append(rs.work, ev.id)
@@ -299,15 +359,14 @@ func (l *LiveDisC) sweepStep() {
 			if rs.is(nb.ID, stActive) {
 				continue
 			}
-			lo := l.trace[j]
-			if lo > t || (lo == t && fires) {
-				continue // left as recorded
-			}
-			l.enter(j)
-			rs.st[nb.ID] |= stWhite
-			rs.joined = append(rs.joined, j)
-			if lo == t {
+			switch lo := l.trace[j]; {
+			case lo > t || (lo == t && fires):
+				// left as recorded
+			case lo == t:
+				l.join(j)
 				rs.work = append(rs.work, j) // a grey of the failed pick
+			case !l.greyBound(nb.ID):
+				l.join(j)
 			}
 		}
 	}

@@ -934,19 +934,21 @@ func (s *Server) handleLiveSelection(w http.ResponseWriter, r *http.Request) {
 		writeUnavailable(w, err)
 		return
 	}
+	// Both selections are shared, read-only slices; encoding only reads
+	// them, so the body borrows them rather than copying per read.
 	if v.Upd != nil {
 		ids := v.Upd.Selection()
 		writeJSON(w, http.StatusOK, liveSelectionBody{
 			Size:    len(ids),
 			Pending: v.Upd.Pending(),
-			IDs:     append([]int(nil), ids...),
+			IDs:     ids,
 			State:   string(v.State),
 		})
 		return
 	}
 	writeJSON(w, http.StatusOK, liveSelectionBody{
 		Size:  len(v.Deg.Selection),
-		IDs:   append([]int(nil), v.Deg.Selection...),
+		IDs:   v.Deg.Selection,
 		State: string(v.State),
 	})
 }
